@@ -14,9 +14,10 @@ pub type SlicePoint = Option<StmtId>;
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Slice {
     /// The statements included in the slice, as a dense bitset. Iteration
-    /// is in ascending statement-id order (= lexical order), so everything
-    /// downstream of the old sorted-`BTreeSet` representation — `lines`,
-    /// `render`, the figure tests — sees identical output.
+    /// is in ascending statement-id order, which is *not* lexical order:
+    /// the parser and `ProgramBuilder` allocate a compound statement after
+    /// its body, and edits append new ids. Anything that reports lines
+    /// orders by the lexical walk instead, as [`Slice::lines`] does.
     pub stmts: StmtSet,
     /// Labels whose original carrier fell out of the slice, re-associated
     /// with their target's nearest postdominator in the slice (`None` = the
@@ -55,9 +56,24 @@ impl Slice {
 
     /// Paper-style line numbers of the slice statements, sorted — the format
     /// used throughout the tests and the figure harness.
+    ///
+    /// One walk of the lexical order keeps each position whose statement is
+    /// in the slice, so the lines come out sorted and the cost is O(n) in
+    /// the program, whatever the size of the slice.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the slice holds a statement that is not in the program
+    /// body, as [`Program::line_of`] does.
     pub fn lines(&self, prog: &Program) -> Vec<usize> {
-        let mut lines: Vec<usize> = self.stmts.iter().map(|s| prog.line_of(s)).collect();
-        lines.sort_unstable();
+        let lines: Vec<usize> = prog
+            .lexical_order()
+            .iter()
+            .enumerate()
+            .filter(|&(_, &s)| self.contains(s))
+            .map(|(i, _)| i + 1)
+            .collect();
+        assert!(lines.len() == self.len(), "statement not in program body");
         lines
     }
 
@@ -89,6 +105,29 @@ mod tests {
         assert_eq!(s.len(), 2);
         assert!(s.contains(p.at_line(1)));
         assert!(!s.contains(p.at_line(2)));
+
+        // The parser allocates the `while` after its body, so id order
+        // puts line 2 before line 1.
+        let p = parse("while (a) { b = 1; } c = 2;").unwrap();
+        assert!(p.at_line(2).index() < p.at_line(1).index());
+        let s = Slice::from_stmts(
+            [p.at_line(3), p.at_line(2), p.at_line(1)]
+                .into_iter()
+                .collect(),
+        );
+        assert_eq!(s.lines(&p), vec![1, 2, 3]);
+    }
+
+    #[test]
+    #[should_panic(expected = "statement not in program body")]
+    fn lines_reject_a_statement_outside_the_body() {
+        let p = parse("a = 1;").unwrap();
+        let s = Slice::from_stmts(
+            [p.at_line(1), StmtId::from_index(p.len())]
+                .into_iter()
+                .collect(),
+        );
+        s.lines(&p);
     }
 
     #[test]

@@ -3,10 +3,10 @@
 //! Statement ids are dense `0..program.len()` arena indices, so a slice —
 //! fundamentally "a set of statements of one program" — is a bitset, not a
 //! search tree. Membership is one shift-and-mask, union is a word-wise OR,
-//! and iteration is still sorted (ascending id order == lexical order),
-//! which keeps `Slice::lines`/`render` and every figure test byte-stable
-//! while removing the `BTreeSet` log-factor and pointer chasing from all
-//! the slicers' inner loops.
+//! and iteration is still sorted by id, while removing the `BTreeSet`
+//! log-factor and pointer chasing from all the slicers' inner loops. Id
+//! order is not lexical order (a compound statement is allocated after its
+//! body), so line-reporting code orders by the program's lexical walk.
 
 use crate::BitSet;
 use jumpslice_lang::StmtId;
@@ -90,7 +90,7 @@ impl StmtSet {
         self.bits.clear();
     }
 
-    /// Iterates statements in ascending id order (== lexical order).
+    /// Iterates statements in ascending id order (not lexical order).
     pub fn iter(&self) -> impl Iterator<Item = StmtId> + '_ {
         self.bits.iter().map(StmtId::from_index)
     }

@@ -192,8 +192,7 @@ pub fn run_inline(engine: &Engine) {
         if line.trim().is_empty() {
             continue;
         }
-        let resp = engine.handle_line(&line);
-        if writeln!(out, "{resp}").and_then(|()| out.flush()).is_err() {
+        if write_response(&mut out, engine.handle_line(&line)).is_err() {
             break;
         }
         if engine.shutdown_requested() {
@@ -289,6 +288,20 @@ impl Drop for Pool {
     }
 }
 
+/// The refusal a producer gets when the queue closed before its request
+/// was accepted.
+const SHUTTING_DOWN: &str = r#"{"ok":false,"error":"shutting down"}"#;
+
+/// Frames one response on the wire: the body and its `\n` leave in a
+/// single `write_all`. Writing them separately lets Nagle's algorithm hold
+/// the newline back on a TCP socket until the client's delayed ACK fires,
+/// which costs a plain client 40 ms or more per response.
+fn write_response(out: &mut impl Write, mut body: String) -> std::io::Result<()> {
+    body.push('\n');
+    out.write_all(body.as_bytes())?;
+    out.flush()
+}
+
 fn serve_stdin(queue: &JobQueue) {
     let stdin = std::io::stdin();
     let mut out = std::io::stdout().lock();
@@ -298,10 +311,10 @@ fn serve_stdin(queue: &JobQueue) {
             continue;
         }
         let Some(resp) = round_trip(queue, line) else {
-            let _ = writeln!(out, r#"{{"ok":false,"error":"shutting down"}}"#);
+            let _ = write_response(&mut out, SHUTTING_DOWN.to_owned());
             break;
         };
-        if writeln!(out, "{resp}").and_then(|()| out.flush()).is_err() {
+        if write_response(&mut out, resp).is_err() {
             break;
         }
     }
@@ -320,6 +333,12 @@ fn accept_loop<'scope>(
         }
         match listener.accept() {
             Ok((stream, _)) => {
+                // Responses leave in one write each, so Nagle has nothing
+                // to hold back; without NODELAY the tail segment of a
+                // response larger than one segment would still wait for
+                // the client's delayed ACK. A socket that refuses the
+                // option only loses latency, so the error is ignored.
+                let _ = stream.set_nodelay(true);
                 let queue = Arc::clone(&queue);
                 std::thread::Builder::new()
                     .name("serve-conn".to_owned())
@@ -340,11 +359,10 @@ fn accept_loop<'scope>(
                                 continue;
                             }
                             let Some(resp) = round_trip(&queue, line.trim_end().to_owned()) else {
-                                let _ =
-                                    writeln!(stream, r#"{{"ok":false,"error":"shutting down"}}"#);
+                                let _ = write_response(&mut stream, SHUTTING_DOWN.to_owned());
                                 return;
                             };
-                            if writeln!(stream, "{resp}").is_err() {
+                            if write_response(&mut stream, resp).is_err() {
                                 return;
                             }
                         }
@@ -369,11 +387,13 @@ mod tests {
     use std::io::{BufRead, BufReader, Write};
     use std::net::TcpStream;
 
-    /// Boots a real TCP daemon on an ephemeral port, drives it over a
-    /// socket, and shuts it down over another — exercising the queue, the
-    /// pool, the acceptor, and cooperative shutdown end to end.
-    #[test]
-    fn tcp_round_trip_and_cooperative_shutdown() {
+    /// Boots a real TCP daemon on an ephemeral port and connects a client.
+    ///
+    /// Stdin in `cargo test` is the test harness's, and `run` may park on
+    /// it, so the daemon thread is detached: tests end the daemon with a
+    /// `shutdown` request over TCP and assert the draining through the
+    /// socket rather than by joining `run`.
+    fn boot_tcp_daemon() -> (Arc<Engine>, TcpStream) {
         // Bind first so the port is known before `run` spawns.
         let probe = TcpListener::bind("127.0.0.1:0").expect("bind probe");
         let addr = probe.local_addr().expect("addr").to_string();
@@ -386,26 +406,24 @@ mod tests {
             listen: Some(addr.clone()),
         };
         let engine_for_run = Arc::clone(&engine);
-        let daemon = std::thread::spawn(move || {
-            // Stdin in `cargo test` is the test harness's; serve_stdin may
-            // park on it, so drive shutdown purely over TCP and join the
-            // acceptor path: run() returning is not required here — the
-            // workers draining is what we assert through the socket.
-            run(engine_for_run, &config).expect("daemon runs");
-        });
+        std::thread::spawn(move || run(engine_for_run, &config).expect("daemon runs"));
 
         // The acceptor may not be listening yet; retry briefly.
-        let mut conn = None;
         for _ in 0..100 {
             match TcpStream::connect(&addr) {
-                Ok(c) => {
-                    conn = Some(c);
-                    break;
-                }
+                Ok(conn) => return (engine, conn),
                 Err(_) => std::thread::sleep(Duration::from_millis(20)),
             }
         }
-        let mut conn = conn.expect("daemon accepts within 2s");
+        panic!("daemon accepts within 2s");
+    }
+
+    /// Drives a real TCP daemon over a socket and shuts it down —
+    /// exercising the queue, the pool, the acceptor, and cooperative
+    /// shutdown end to end.
+    #[test]
+    fn tcp_round_trip_and_cooperative_shutdown() {
+        let (engine, mut conn) = boot_tcp_daemon();
         let mut reader = BufReader::new(conn.try_clone().expect("clone"));
         let mut send = |line: &str| -> Json {
             writeln!(conn, "{line}").expect("write");
@@ -441,10 +459,35 @@ mod tests {
             assert!(j.get("ok").is_some());
         }
         drop(conn);
-        // `run` itself stays parked on the harness's stdin; the daemon
-        // thread is detached by design here.
-        drop(daemon);
         assert!(engine.shutdown_requested());
+    }
+
+    /// A plain client — each request in one write, delayed ACKs left on
+    /// (no `TCP_QUICKACK`) — must never wait for its own ACK timer. Linux's
+    /// shortest delayed-ACK timeout is 40 ms, so a median round trip under
+    /// 20 ms shows no response is held back by Nagle's algorithm.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn plain_client_round_trips_do_not_wait_for_delayed_ack() {
+        let (_engine, mut conn) = boot_tcp_daemon();
+        let mut reader = BufReader::new(conn.try_clone().expect("clone"));
+        let mut round_trips = Vec::new();
+        for _ in 0..25 {
+            let start = std::time::Instant::now();
+            conn.write_all(b"{\"op\":\"stats\"}\n").expect("write");
+            let mut resp = String::new();
+            reader.read_line(&mut resp).expect("read");
+            round_trips.push(start.elapsed());
+            let j = Json::parse(&resp).expect("valid response JSON");
+            assert_eq!(j.get("ok").and_then(Json::as_bool), Some(true), "{resp}");
+        }
+        conn.write_all(b"{\"op\":\"shutdown\"}\n").expect("write");
+        round_trips.sort();
+        let median = round_trips[round_trips.len() / 2];
+        assert!(
+            median < Duration::from_millis(20),
+            "median stats round trip {median:?}: responses wait for the client's delayed ACK"
+        );
     }
 
     #[test]
