@@ -11,10 +11,8 @@
 //! * the sparse sweep: the change-driven Figure-7 kernel behind
 //!   `agrawal_slice` vs the retained dense round-based reference loop,
 //!   both over the same warm analysis and criterion pool;
-//! * the cold-analysis sweep: the full lazy warm (sequential phase chain
-//!   plus PDG condensation) vs `Analysis::warm_parallel` on the phase DAG,
-//!   with a coordinator-side per-phase breakdown and a forced-2-thread
-//!   smoke row so the scheduler is exercised even on single-core CI;
+//! * the cold-analysis sweep: `Analysis::warm` plus the PDG condensation
+//!   from a fresh analysis, with the per-phase breakdown of that same call;
 //! * the closure microsweep: raw backward closures through the direct PDG
 //!   walk vs the SCC-condensed reachability index, on warm analyses;
 //! * the incremental sweep: one edit followed by a re-slice of a criterion
@@ -77,13 +75,7 @@ struct ColdRow {
     family: &'static str,
     stmts: usize,
     warm_seq_ns: f64,
-    /// `None` on single-core containers, where the parallel warm falls back
-    /// to the lazy sequential chain; the JSON key is omitted with it.
-    warm_parallel_ns: Option<f64>,
-    /// Threads the parallel arm ran with (1 when the arm was skipped).
-    threads_used: usize,
-    /// Coordinator-side per-phase breakdown of one parallel warm (worker
-    /// threads have no trace sink, so their phases are not represented).
+    /// Per-phase breakdown of one run of the timed call.
     per_phase: Vec<(&'static str, u64)>,
 }
 
@@ -249,11 +241,9 @@ fn main() {
         (n, criteria.len(), ns)
     };
 
-    // The cold-analysis sweep: the full lazy warm (sequential phase chain +
-    // condensation) vs the phase-DAG parallel warm, each from a fresh
-    // `Analysis` per iteration — this is the daemon's cold-miss path. On a
-    // single-core container the parallel arm would just re-measure the
-    // sequential one through extra scaffolding; skip it and omit its key.
+    // The cold-analysis sweep: `warm()` plus the PDG condensation, each
+    // from a fresh `Analysis` per iteration, and the per-phase breakdown of
+    // one run of that same call.
     let mut cold_rows: Vec<ColdRow> = Vec::new();
     for (family, make) in [
         (
@@ -268,70 +258,25 @@ fn main() {
         for size in [1000usize, 5000] {
             let p = make(size);
             let n = p.len();
-            let warm_seq_ns = r.bench(&format!("json/cold/{family}/{n}/sequential-warm"), || {
-                let a = Analysis::new(black_box(&p));
+            let cold_warm = |p: &jumpslice_lang::Program| {
+                let a = Analysis::new(p);
                 a.warm();
                 a.closure_index();
-                black_box(a.stats().pdg_builds)
-            });
-            let (warm_parallel_ns, threads_used) = if threads > 1 {
-                let ns = r.bench(&format!("json/cold/{family}/{n}/parallel-warm"), || {
-                    let a = Analysis::new(black_box(&p));
-                    a.warm_parallel(threads);
-                    black_box(a.stats().pdg_builds)
-                });
-                (Some(ns), threads)
-            } else {
-                (None, 1)
+                a.stats().pdg_builds
             };
-            // Per-phase breakdown of one parallel warm, as the coordinator
-            // thread sees it (ReachingDefs, PdgBuild, ClosureIndexBuild and
-            // the enclosing ParallelWarm; helper-thread phases are silent).
-            let (_, events) = jumpslice_obs::capture(|| {
-                let a = Analysis::new(&p);
-                a.warm_parallel(threads.max(2));
+            let warm_seq_ns = r.bench(&format!("json/cold/{family}/{n}/sequential-warm"), || {
+                black_box(cold_warm(black_box(&p)))
             });
+            let (_, events) = jumpslice_obs::capture(|| cold_warm(&p));
             let m = jumpslice_obs::Metrics::of(&events);
             cold_rows.push(ColdRow {
                 family,
                 stmts: n,
                 warm_seq_ns,
-                warm_parallel_ns,
-                threads_used,
                 per_phase: m.phase_ns.into_iter().collect(),
             });
         }
     }
-
-    // The forced-2-thread cold warm: `warm_parallel(2)` regardless of
-    // `available_parallelism`, so the phase-DAG scheduler's helper spawn,
-    // data fan-out, and join paths are exercised (and timed) even on the
-    // single-core containers that skip the adaptive arm above. Kept out of
-    // `cold_analysis_sweeps` so its row never collides with the adaptive
-    // rows the perf gate compares.
-    let cold_threads2_smoke = {
-        let p = sized_structured(5000);
-        let n = p.len();
-        let (_, events) = jumpslice_obs::capture(|| {
-            let a = Analysis::new(&p);
-            a.warm_parallel(2);
-        });
-        let m = jumpslice_obs::Metrics::of(&events);
-        assert_eq!(
-            m.counts.get("analysis.parallel.threads").copied(),
-            Some(2),
-            "warm_parallel(2) must not be demoted"
-        );
-        let ns = r.bench(
-            &format!("json/cold/structured/{n}/forced-2-threads"),
-            || {
-                let a = Analysis::new(black_box(&p));
-                a.warm_parallel(2);
-                black_box(a.stats().pdg_builds)
-            },
-        );
-        (n, ns)
-    };
 
     // The serve sweep: in-process daemon engine throughput over a mixed
     // request session (two cached programs, slice + stats traffic). One
@@ -763,21 +708,12 @@ fn main() {
         out.push_str("    {\n");
         let _ = writeln!(out, "      \"family\": \"{}\",", row.family);
         let _ = writeln!(out, "      \"stmts\": {},", row.stmts);
-        let _ = writeln!(out, "      \"warm_threads_used\": {},", row.threads_used);
         let _ = writeln!(out, "      \"available_parallelism\": {threads},");
         let _ = writeln!(
             out,
             "      \"cold_warm_sequential_ns\": {:.1},",
             row.warm_seq_ns
         );
-        if let Some(ns) = row.warm_parallel_ns {
-            let _ = writeln!(out, "      \"cold_warm_parallel_ns\": {ns:.1},");
-            let _ = writeln!(
-                out,
-                "      \"speedup_parallel_vs_sequential\": {:.2},",
-                row.warm_seq_ns / ns
-            );
-        }
         out.push_str("      \"per_phase_ns\": {\n");
         for (j, (phase, ns)) in row.per_phase.iter().enumerate() {
             let c = if j + 1 == row.per_phase.len() {
@@ -791,18 +727,6 @@ fn main() {
         let _ = writeln!(out, "    }}{comma}");
     }
     out.push_str("  ],\n");
-    {
-        let (n, ns) = cold_threads2_smoke;
-        out.push_str("  \"cold_threads2_smoke\": [\n");
-        out.push_str("    {\n");
-        let _ = writeln!(out, "      \"family\": \"structured\",");
-        let _ = writeln!(out, "      \"stmts\": {n},");
-        let _ = writeln!(out, "      \"warm_threads_used\": 2,");
-        let _ = writeln!(out, "      \"available_parallelism\": {threads},");
-        let _ = writeln!(out, "      \"cold_warm_parallel_ns\": {ns:.1}");
-        out.push_str("    }\n");
-        out.push_str("  ],\n");
-    }
     {
         let (stmts, requests, ns_per_req) = serve_sweep;
         out.push_str("  \"serve_sweeps\": [\n");
@@ -922,21 +846,12 @@ fn main() {
         );
     }
     for row in &cold_rows {
-        match row.warm_parallel_ns {
-            Some(ns) => println!(
-                "  {:<12} {:>5} stmts: {:.2}x parallel cold-warm speedup vs sequential ({} threads)",
-                row.family,
-                row.stmts,
-                row.warm_seq_ns / ns,
-                row.threads_used
-            ),
-            None => println!(
-                "  {:<12} {:>5} stmts: cold warm {:.1}ms sequential (single core; parallel arm skipped)",
-                row.family,
-                row.stmts,
-                row.warm_seq_ns / 1e6
-            ),
-        }
+        println!(
+            "  {:<12} {:>5} stmts: cold warm {:.1}ms (warm + closure index)",
+            row.family,
+            row.stmts,
+            row.warm_seq_ns / 1e6
+        );
     }
     for row in &closure_rows {
         println!(

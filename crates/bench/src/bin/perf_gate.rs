@@ -5,9 +5,10 @@
 //!           [--tolerance 0.25] [--inject-slowdown 2.0]
 //! ```
 //!
-//! Exits 0 when every gated batch-sweep metric in `current` is within
-//! `baseline × (1 + tolerance)`, 1 on any regression (or baseline row the
-//! current run failed to measure), 2 on usage or parse errors.
+//! Exits 0 when every gated sweep metric in `current` is within
+//! `baseline × (1 + tolerance)`, 1 on any regression, on a baseline row
+//! the current run failed to measure, or when nothing was compared, 2 on
+//! usage or parse errors.
 //! `--inject-slowdown F` multiplies the current metrics by `F` first — CI
 //! runs the gate once for real and once inverted with a 2× injection to
 //! prove the gate still trips.
@@ -94,7 +95,9 @@ fn run() -> Result<bool, String> {
             1.0 + args.tolerance
         );
     }
-    if report.passes() {
+    if report.compared == 0 {
+        println!("  FAIL: no metric was compared, so the gate checked nothing");
+    } else if report.passes() {
         println!("  OK: no wall-clock regressions beyond the tolerance band");
     }
     Ok(report.passes())

@@ -11,7 +11,8 @@
 //! `(family, stmts)` plus the edit shape for incremental rows; a row
 //! present in the baseline but missing from the current run is reported
 //! rather than silently skipped. A baseline predating the `incr_sweeps`
-//! schema simply skips that section.
+//! schema simply skips that section. A run that compares nothing fails:
+//! a gate that checked nothing is not a pass.
 
 use jumpslice_obs::Json;
 
@@ -39,29 +40,23 @@ const SERVE_GATED_METRICS: &[&str] = &["serve_ns_per_request"];
 /// gated — only the restore path is a product promise.
 const STORE_GATED_METRICS: &[&str] = &["snapshot_restore_ns"];
 
-/// Metrics compared per cold-analysis-sweep row. Both warm strategies are
-/// product paths: the sequential chain serves lazy single-slice callers,
-/// the parallel warm serves the daemon's cold misses and the batch engine.
-const COLD_GATED_METRICS: &[&str] = &["cold_warm_sequential_ns", "cold_warm_parallel_ns"];
+/// Metrics compared per cold-analysis-sweep row: `warm()` plus the PDG
+/// condensation, the cold build of the threaded batch engine.
+const COLD_GATED_METRICS: &[&str] = &["cold_warm_sequential_ns"];
 
 /// Metrics compared per closure-microsweep row. `direct_closure_ns`
 /// measures the walk the condensation exists to beat (and the fallback
 /// kept for index-free analyses), so only the condensed path is gated.
 const CLOSURE_GATED_METRICS: &[&str] = &["condensed_closure_ns"];
 
-/// Row keys naming the worker-thread count a sweep actually ran with, plus
-/// the machine parallelism the run recorded (`available_parallelism`).
-/// Wall-clocks measured with different counts answer different questions
-/// (e.g. a 1-thread baseline machine vs a 4-thread current one), so rows
-/// whose counts differ are incomparable and skipped with a logged reason
-/// instead of being allowed to pass or fail the gate spuriously.
-const THREADS_USED_KEYS: &[&str] = &[
-    "batch_threads_used",
-    "threads_used",
-    "serve_workers_used",
-    "warm_threads_used",
-    "available_parallelism",
-];
+/// Gated metrics whose wall-clock depends on a worker-thread count, each
+/// with the row key recording the count it ran with. Wall-clocks measured
+/// with different counts answer different questions (e.g. a 1-thread
+/// baseline machine vs a 4-thread current one), so such a metric is
+/// skipped with a logged reason when the counts differ, while the rest of
+/// its row still compares. Every other gated metric is single-threaded.
+const THREAD_BOUND_METRICS: &[(&str, &str)] =
+    &[("batch_shared_analysis_threads_ns", "batch_threads_used")];
 
 /// One comparable section of `BENCH_slicing.json`.
 struct Section {
@@ -142,16 +137,17 @@ pub struct GateReport {
     /// Baseline rows with no matching `(family, stmts)` row in the current
     /// measurement.
     pub missing: Vec<String>,
-    /// Rows skipped as incomparable (e.g. the two measurements ran with
+    /// Metrics skipped as incomparable (the two measurements ran with
     /// different worker-thread counts), with the reason — surfaced in the
     /// gate's output, not silently dropped.
     pub skipped: Vec<String>,
 }
 
 impl GateReport {
-    /// Whether the gate passes (no regressions *and* full row coverage).
+    /// Whether the gate passes: at least one comparison, no regressions,
+    /// and full row coverage.
     pub fn passes(&self) -> bool {
-        self.regressions.is_empty() && self.missing.is_empty()
+        self.compared > 0 && self.regressions.is_empty() && self.missing.is_empty()
     }
 }
 
@@ -202,17 +198,6 @@ pub fn compare(baseline: &Json, current: &Json, tolerance: f64) -> Result<GateRe
                 report.missing.push(format!("{}-{}", key.0, key.1));
                 continue;
             };
-            if let Some((tk, b, c)) = THREADS_USED_KEYS.iter().find_map(|&tk| {
-                let b = base.get(tk).and_then(Json::as_num)?;
-                let c = cur.get(tk).and_then(Json::as_num)?;
-                (b != c).then_some((tk, b, c))
-            }) {
-                report.skipped.push(format!(
-                    "{}-{}: {tk} differs (baseline {}, current {}) — wall-clocks not comparable",
-                    key.0, key.1, b as u64, c as u64
-                ));
-                continue;
-            }
             for &metric in section.metrics {
                 let (Some(b), Some(c)) = (
                     base.get(metric).and_then(Json::as_num),
@@ -223,6 +208,21 @@ pub fn compare(baseline: &Json, current: &Json, tolerance: f64) -> Result<GateRe
                     // spuriously.
                     continue;
                 };
+                if let Some((tk, bt, ct)) = THREAD_BOUND_METRICS
+                    .iter()
+                    .find(|&&(m, _)| m == metric)
+                    .and_then(|&(_, tk)| {
+                        let bt = base.get(tk).and_then(Json::as_num)?;
+                        let ct = cur.get(tk).and_then(Json::as_num)?;
+                        (bt != ct).then_some((tk, bt, ct))
+                    })
+                {
+                    report.skipped.push(format!(
+                        "{}-{} {metric}: {tk} differs (baseline {}, current {}) — wall-clocks not comparable",
+                        key.0, key.1, bt as u64, ct as u64
+                    ));
+                    continue;
+                }
                 report.compared += 1;
                 if b > 0.0 && c > b * (1.0 + tolerance) {
                     report.regressions.push(Regression {
@@ -454,21 +454,48 @@ mod tests {
     }
 
     #[test]
-    fn mismatched_threads_used_skips_the_row_with_a_reason() {
+    fn mismatched_threads_used_skips_only_the_threaded_metric() {
         // Baseline from a 4-thread machine, current from a 1-thread one: a
         // 3x "slowdown" in the threaded metric is expected, not a
-        // regression — and a 3x speedup must not mask one either.
+        // regression — and a 3x speedup must not mask one either. The
+        // sequential metric of the same row still compares.
         let base = doc_threads_used(4, 1e6, 3e5);
         let cur = doc_threads_used(1, 1e6, 9e5);
         let report = compare(&base, &cur, 0.25).unwrap();
         assert!(report.passes(), "{report:?}");
-        assert_eq!(report.compared, 0, "nothing compared across the mismatch");
+        assert_eq!(report.compared, 1, "the sequential metric compares");
         assert_eq!(report.skipped.len(), 1);
         assert!(
-            report.skipped[0].contains("batch_threads_used differs"),
+            report.skipped[0]
+                .contains("batch_shared_analysis_threads_ns: batch_threads_used differs"),
             "{:?}",
             report.skipped
         );
+        let slow = compare(&base, &doc_threads_used(1, 3e6, 9e5), 0.25).unwrap();
+        assert!(!slow.passes(), "the sequential metric still gates");
+    }
+
+    #[test]
+    fn a_report_that_compared_nothing_fails() {
+        // Every comparable metric skipped...
+        let only_threads = |threads: u64| {
+            Json::parse(&format!(
+                r#"{{"batch_sweeps": [
+                    {{"family": "structured", "stmts": 954,
+                      "batch_threads_used": {threads},
+                      "batch_shared_analysis_threads_ns": 3e5}}
+                ]}}"#
+            ))
+            .unwrap()
+        };
+        let report = compare(&only_threads(4), &only_threads(1), 0.25).unwrap();
+        assert_eq!((report.compared, report.skipped.len()), (0, 1));
+        assert!(!report.passes(), "an all-skipped run checked nothing");
+        // ...or nothing to compare at all.
+        let empty = Json::parse(r#"{"batch_sweeps": []}"#).unwrap();
+        let report = compare(&empty, &empty, 0.25).unwrap();
+        assert_eq!(report.compared, 0);
+        assert!(!report.passes());
     }
 
     #[test]
@@ -558,14 +585,13 @@ mod tests {
         assert_eq!(report.compared, 1);
     }
 
-    fn doc_with_cold(seq: f64, par: f64) -> Json {
+    fn doc_with_cold(seq: f64) -> Json {
         Json::parse(&format!(
             r#"{{"batch_sweeps": [],
             "cold_analysis_sweeps": [
                 {{"family": "unstructured", "stmts": 4821,
-                  "warm_threads_used": 2, "available_parallelism": 2,
-                  "cold_warm_sequential_ns": {seq},
-                  "cold_warm_parallel_ns": {par}}}
+                  "available_parallelism": 2,
+                  "cold_warm_sequential_ns": {seq}}}
             ]}}"#
         ))
         .unwrap()
@@ -573,41 +599,53 @@ mod tests {
 
     #[test]
     fn cold_analysis_rows_are_gated() {
-        let base = doc_with_cold(1e7, 4e6);
+        let base = doc_with_cold(1e7);
         let report = compare(&base, &base, 0.25).unwrap();
         assert!(report.passes());
-        assert_eq!(report.compared, 2, "both warm strategies gate");
+        assert_eq!(report.compared, 1);
 
-        let slow = compare(&base, &doc_with_cold(1e7, 9e6), 0.25).unwrap();
+        let slow = compare(&base, &doc_with_cold(1.3e7), 0.25).unwrap();
         assert_eq!(slow.regressions.len(), 1);
-        assert_eq!(slow.regressions[0].metric, "cold_warm_parallel_ns");
+        assert_eq!(slow.regressions[0].metric, "cold_warm_sequential_ns");
+    }
+
+    /// Rows as `bench_json` writes them on a 1-core and on a 2-core host:
+    /// every row stamps its host's `available_parallelism`, and only the
+    /// 2-core batch row carries the threaded metric.
+    fn host_doc(cores: u64, scale: f64) -> Json {
+        let threaded = if cores > 1 {
+            format!(r#", "batch_shared_analysis_threads_ns": {}"#, 5e5 * scale)
+        } else {
+            String::new()
+        };
+        Json::parse(&format!(
+            r#"{{"available_parallelism": {cores},
+            "batch_sweeps": [
+                {{"family": "structured", "stmts": 954,
+                  "batch_threads_used": {cores}, "available_parallelism": {cores},
+                  "batch_shared_analysis_sequential_ns": {seq}{threaded}}}
+            ],
+            "cold_analysis_sweeps": [
+                {{"family": "unstructured", "stmts": 4821,
+                  "available_parallelism": {cores},
+                  "cold_warm_sequential_ns": {cold}}}
+            ]}}"#,
+            seq = 1e6 * scale,
+            cold = 1e7 * scale,
+        ))
+        .unwrap()
     }
 
     #[test]
-    fn mismatched_available_parallelism_skips_the_row_with_a_reason() {
-        // Baseline from a 2-core machine, current from a single-core one:
-        // even with identical recorded worker counts, the wall-clocks come
-        // from different machines and must not gate against each other.
-        let base = doc_with_cold(1e7, 4e6);
-        let cur = Json::parse(
-            r#"{"batch_sweeps": [],
-            "cold_analysis_sweeps": [
-                {"family": "unstructured", "stmts": 4821,
-                  "warm_threads_used": 2, "available_parallelism": 1,
-                  "cold_warm_sequential_ns": 1e7,
-                  "cold_warm_parallel_ns": 1.2e7}
-            ]}"#,
-        )
-        .unwrap();
-        let report = compare(&base, &cur, 0.25).unwrap();
+    fn a_multicore_run_against_a_single_core_baseline_compares_sequential_metrics() {
+        let base = host_doc(1, 1.0);
+        let report = compare(&base, &host_doc(2, 1.0), 0.25).unwrap();
         assert!(report.passes(), "{report:?}");
-        assert_eq!(report.compared, 0, "nothing compared across the mismatch");
-        assert_eq!(report.skipped.len(), 1);
-        assert!(
-            report.skipped[0].contains("available_parallelism differs"),
-            "{:?}",
-            report.skipped
-        );
+        assert_eq!(report.compared, 2, "batch sequential + cold warm");
+        assert!(report.skipped.is_empty(), "{:?}", report.skipped);
+        let slow = compare(&base, &host_doc(2, 2.0), 0.25).unwrap();
+        assert_eq!(slow.regressions.len(), 2, "{slow:?}");
+        assert!(!slow.passes());
     }
 
     fn doc_with_closure(condensed: f64) -> Json {
@@ -643,7 +681,7 @@ mod tests {
 
     #[test]
     fn injected_slowdown_trips_cold_and_closure_metrics_too() {
-        for base in [doc_with_cold(1e7, 4e6), doc_with_closure(2e5)] {
+        for base in [doc_with_cold(1e7), doc_with_closure(2e5)] {
             let mut cur = base.clone();
             inject_slowdown(&mut cur, 2.0);
             let report = compare(&base, &cur, 0.25).unwrap();

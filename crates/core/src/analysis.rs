@@ -8,7 +8,6 @@ use jumpslice_graph::DomTree;
 use jumpslice_lang::{Program, StmtId, StmtKind, Structure};
 use jumpslice_obs as obs;
 use jumpslice_pdg::{ClosureIndex, ControlDeps, Pdg};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
@@ -305,9 +304,8 @@ impl<'p> Analysis<'p> {
     }
 
     /// [`Pdg::backward_closure`] answered from the condensed index when
-    /// one has been built ([`Analysis::warm_parallel`] or
-    /// [`Analysis::closure_index`]) and from the direct edge walk
-    /// otherwise. The answers are identical.
+    /// one has been built ([`Analysis::closure_index`]) and from the direct
+    /// edge walk otherwise. The answers are identical.
     pub fn backward_closure(&self, seeds: impl IntoIterator<Item = StmtId>) -> StmtSet {
         match self.closure_index.get() {
             Some(ci) => ci.backward_closure(seeds),
@@ -404,21 +402,17 @@ impl<'p> Analysis<'p> {
         }
     }
 
-    /// Forces every lazy artifact now. The batch slicer calls this before
-    /// fanning out so worker threads share fully materialized state instead
-    /// of racing to initialize it (the `OnceLock`s make such races safe,
-    /// merely wasteful).
+    /// Forces every paper artifact and the chain index now, on the
+    /// calling thread. The condensed closure index is not among them:
+    /// callers that amortise it over many closures (the threaded batch
+    /// slicer) build it explicitly with [`Analysis::closure_index`].
     pub fn warm(&self) {
         let _ = (self.reaching(), self.pdg(), self.pdom(), self.lst());
         let _ = self.chain_index();
     }
 
-    /// True when every artifact the sequential [`Analysis::warm`] pass
-    /// computes is already cached. The condensed closure index is
-    /// deliberately excluded: it is never restored from a seed (see
-    /// [`AnalysisSeed`]), so callers that re-solve warm seeds per request
-    /// use this probe to avoid re-paying the condensation build on a path
-    /// where it could not be amortised anyway.
+    /// True when every artifact [`Analysis::warm`] computes is already
+    /// cached.
     pub fn is_warm(&self) -> bool {
         self.reaching.get().is_some()
             && self.pdg.get().is_some()
@@ -427,157 +421,10 @@ impl<'p> Analysis<'p> {
             && self.chain_index.get().is_some()
     }
 
-    /// [`Analysis::warm`] plus the condensed closure index, scheduled
-    /// across `threads` scoped worker threads along the real phase DAG:
-    ///
-    /// - a helper thread runs the CFG-only chain (postdominators, control
-    ///   dependence, lexical successor tree) while the coordinator runs
-    ///   the reaching-definitions fixpoint;
-    /// - once IN-sets land, data-dependence construction fans out over
-    ///   statement ranges (the per-range forward lists concatenate to
-    ///   exactly the sequential result — see
-    ///   [`DataDeps::deps_of_range`]);
-    /// - the chain-index build overlaps the PDG merge and the closure-
-    ///   index condensation on the coordinator.
-    ///
-    /// Deterministic: the installed artifacts are bit-identical to the
-    /// sequential path under any thread count. `threads <= 1` runs the
-    /// plain sequential warm (plus the closure index). Worker threads
-    /// have empty trace sinks, so phases computed off-coordinator emit no
-    /// events; the coordinator emits a `parallel_warm` phase and
-    /// `analysis.parallel.*` counters when there was cold work to do.
-    ///
-    /// # Panics
-    ///
-    /// A panicking phase worker is re-raised on the coordinator with the
-    /// phase name attached (mirroring how `BatchSlicer::try_slice_all`
-    /// attributes a slicer panic to its criterion).
-    pub fn warm_parallel(&self, threads: usize) {
-        if threads <= 1 {
-            self.warm();
-            let _ = self.closure_index();
-            return;
-        }
-        if self.reaching.get().is_some()
-            && self.pdg.get().is_some()
-            && self.pdom.get().is_some()
-            && self.lst.get().is_some()
-            && self.chain_index.get().is_some()
-            && self.closure_index.get().is_some()
-        {
-            return; // fully warm: nothing to schedule
-        }
-        let _t = obs::phase(obs::Phase::ParallelWarm);
-        let need_pdg = self.pdg.get().is_none();
-        let n = self.prog.len();
-        std::thread::scope(|scope| {
-            // CFG-only chain: nothing here reads the reaching fixpoint or
-            // the PDG, so it overlaps both.
-            let helper = spawn_caught(scope, || {
-                let pdom = (self.pdom.get().is_none()).then(|| self.cfg.postdominators());
-                let control = need_pdg.then(|| {
-                    let tree = pdom
-                        .as_ref()
-                        .or_else(|| self.pdom.get())
-                        .expect("pdom just computed or already cached");
-                    ControlDeps::compute_with_pdom(self.prog, &self.cfg, tree)
-                });
-                let lst = (self.lst.get().is_none())
-                    .then(|| LexSuccTree::build(self.prog, &self.structure));
-                (pdom, control, lst)
-            });
-
-            // The reaching-definitions fixpoint on the coordinator.
-            if self.reaching.get().is_none() {
-                let rd = {
-                    let _t = obs::phase(obs::Phase::ReachingDefs);
-                    ReachingDefs::compute(self.prog, &self.cfg)
-                };
-                if self.reaching.set(rd).is_ok() {
-                    self.n_reaching.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-
-            // Data-dependence fan-out over statement ranges; the
-            // coordinator takes the first range itself.
-            let mut parts: Vec<Vec<Vec<StmtId>>> = Vec::new();
-            if need_pdg {
-                let rd = self.reaching.get().expect("installed above");
-                let chunk = n.div_ceil(threads).max(1);
-                let ranges: Vec<(usize, usize)> = (0..threads)
-                    .map(|i| (i * chunk, ((i + 1) * chunk).min(n)))
-                    .filter(|&(lo, hi)| lo < hi)
-                    .collect();
-                let handles: Vec<_> = ranges
-                    .iter()
-                    .skip(1)
-                    .map(|&(lo, hi)| {
-                        spawn_caught(scope, move || {
-                            DataDeps::deps_of_range(self.prog, &self.cfg, rd, lo, hi)
-                        })
-                    })
-                    .collect();
-                if let Some(&(lo, hi)) = ranges.first() {
-                    parts.push(DataDeps::deps_of_range(self.prog, &self.cfg, rd, lo, hi));
-                }
-                for h in handles {
-                    parts.push(join_caught("data_deps", h));
-                }
-                obs::record(|| obs::Event::Count {
-                    name: "analysis.parallel.data_ranges",
-                    value: ranges.len() as u64,
-                });
-            }
-
-            let (pdom, control, lst) = join_caught("cfg_chain", helper);
-            if let Some(x) = pdom {
-                if self.pdom.set(x).is_ok() {
-                    self.n_pdom.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-            if let Some(x) = lst {
-                if self.lst.set(x).is_ok() {
-                    self.n_lst.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-
-            // The chain index reads only pdom + LST (+ structure), both
-            // installed above: overlap it with the PDG merge and the
-            // condensation.
-            let chain = (self.chain_index.get().is_none())
-                .then(|| spawn_caught(scope, || ChainIndex::build(self)));
-
-            if let Some(control) = control {
-                let _t = obs::phase(obs::Phase::PdgBuild);
-                let mut deps: Vec<Vec<StmtId>> = Vec::with_capacity(n);
-                for part in parts {
-                    deps.extend(part);
-                }
-                let data = DataDeps::from_deps(deps);
-                let pdg = Pdg::from_parts(data, control);
-                if self.pdg.set(pdg).is_ok() {
-                    self.n_pdg.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-
-            if self.closure_index.get().is_none() {
-                let ci = ClosureIndex::build(self.pdg.get().expect("pdg installed above"));
-                if self.closure_index.set(ci).is_ok() {
-                    self.n_closure.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-
-            if let Some(h) = chain {
-                let ci = join_caught("chain_index", h);
-                if self.chain_index.set(ci).is_ok() {
-                    self.n_chain.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-        });
-        obs::record(|| obs::Event::Count {
-            name: "analysis.parallel.threads",
-            value: threads as u64,
-        });
+    /// The same as [`Analysis::warm`]: an analysis warms on one thread, so
+    /// `_threads` is ignored.
+    pub fn warm_parallel(&self, _threads: usize) {
+        self.warm();
     }
 
     /// Whether `s` is a jump statement (including the fused conditional
@@ -708,39 +555,6 @@ impl<'p> Analysis<'p> {
     }
 }
 
-/// Spawns `f` on a scoped worker, catching any panic *worker-side* so the
-/// coordinator can re-raise it with the phase name attached — a raw scoped
-/// join only says "a scoped thread panicked", which attributes nothing.
-fn spawn_caught<'scope, 'env, T: Send + 'scope>(
-    scope: &'scope std::thread::Scope<'scope, 'env>,
-    f: impl FnOnce() -> T + Send + 'scope,
-) -> std::thread::ScopedJoinHandle<'scope, Result<T, String>> {
-    scope.spawn(move || catch_unwind(AssertUnwindSafe(f)).map_err(worker_panic_message))
-}
-
-/// Renders a caught worker panic payload.
-fn worker_panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_owned()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_owned()
-    }
-}
-
-/// Joins a [`spawn_caught`] worker, re-raising any worker panic on the
-/// coordinator attributed to its phase — the `warm_parallel` analogue of
-/// `BatchSlicer::try_slice_all` attributing a slicer panic to its
-/// criterion.
-fn join_caught<T>(phase: &str, h: std::thread::ScopedJoinHandle<'_, Result<T, String>>) -> T {
-    match h.join() {
-        Ok(Ok(v)) => v,
-        Ok(Err(msg)) => panic!("warm_parallel: `{phase}` phase worker panicked: {msg}"),
-        Err(_) => panic!("warm_parallel: `{phase}` phase worker panicked"),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -851,112 +665,6 @@ mod tests {
             let _ = a.chain_index();
         }
         assert_eq!(a.stats().chain_index_builds, 1);
-    }
-
-    /// The phase-DAG scheduler is deterministic: the artifacts it installs
-    /// are bit-identical to the sequential path under 1, 2, and 4 threads,
-    /// and every slicer sees the same slices.
-    #[test]
-    fn warm_parallel_is_deterministic_across_thread_counts() {
-        let p = parse(
-            "sum = 0;
-             positives = 0;
-             L3: if (eof()) goto L14;
-             read(x);
-             if (x > 0) goto L8;
-             sum = sum + f1(x);
-             goto L13;
-             L8: positives = positives + 1;
-             if (x % 2 != 0) goto L12;
-             sum = sum + f2(x);
-             goto L13;
-             L12: sum = sum + f3(x);
-             L13: goto L3;
-             L14: write(sum);
-             write(positives);",
-        )
-        .unwrap();
-        let seq = Analysis::new(&p);
-        seq.warm_parallel(1);
-        for threads in [2usize, 4] {
-            let par = Analysis::new(&p);
-            par.warm_parallel(threads);
-            for s in p.stmt_ids() {
-                assert_eq!(
-                    par.pdg().data().deps(s),
-                    seq.pdg().data().deps(s),
-                    "data deps at line {} under {threads} threads",
-                    p.line_of(s)
-                );
-                assert_eq!(
-                    par.pdg().control().deps(s),
-                    seq.pdg().control().deps(s),
-                    "control deps at line {} under {threads} threads",
-                    p.line_of(s)
-                );
-                assert_eq!(par.backward_closure([s]), seq.backward_closure([s]));
-                assert_eq!(par.forward_closure([s]), seq.forward_closure([s]));
-                let c = crate::Criterion::at_stmt(s);
-                assert_eq!(
-                    crate::agrawal_slice(&par, &c).stmts,
-                    crate::agrawal_slice(&seq, &c).stmts,
-                    "figure-7 slice at line {} under {threads} threads",
-                    p.line_of(s)
-                );
-            }
-            assert_eq!(
-                par.stats(),
-                AnalysisStats {
-                    reaching_defs: 1,
-                    pdg_builds: 1,
-                    pdom_builds: 1,
-                    lst_builds: 1,
-                    chain_index_builds: 1,
-                    closure_index_builds: 1,
-                },
-                "every artifact built exactly once under {threads} threads"
-            );
-        }
-    }
-
-    /// A second parallel warm on an already-warm analysis schedules
-    /// nothing, and a partially warm analysis only fills the gaps.
-    #[test]
-    fn warm_parallel_is_idempotent_and_completes_partial_warmth() {
-        let p = parse("read(c); while (c) { read(c); } write(c);").unwrap();
-        let a = Analysis::new(&p);
-        let _ = a.pdg(); // pre-force part of the DAG
-        let _ = a.lst();
-        a.warm_parallel(4);
-        a.warm_parallel(4);
-        assert_eq!(
-            a.stats(),
-            AnalysisStats {
-                reaching_defs: 1,
-                pdg_builds: 1,
-                pdom_builds: 1,
-                lst_builds: 1,
-                chain_index_builds: 1,
-                closure_index_builds: 1,
-            }
-        );
-    }
-
-    /// A panicking phase worker is re-raised on the coordinator with the
-    /// phase name attached, exactly like `try_slice_all` attributes a
-    /// slicer panic to its criterion.
-    #[test]
-    fn warm_parallel_attributes_worker_panics_to_their_phase() {
-        let caught = catch_unwind(AssertUnwindSafe(|| {
-            std::thread::scope(|s| {
-                let h = spawn_caught(s, || -> usize { panic!("boom in pdom") });
-                join_caught("cfg_chain", h)
-            })
-        }))
-        .expect_err("worker panic must propagate");
-        let msg = worker_panic_message(caught);
-        assert!(msg.contains("`cfg_chain`"), "phase attributed: {msg}");
-        assert!(msg.contains("boom in pdom"), "payload preserved: {msg}");
     }
 
     /// Once the condensation exists, the routed closure wrappers answer

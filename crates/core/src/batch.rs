@@ -10,7 +10,10 @@
 //! shared immutable [`Analysis`] and an atomic work index. The sparse
 //! Figure-7 kernel's chain index rides the same cache: `warm()` (which the
 //! pool calls before spawning workers) forces it once, and every worker
-//! probes the one shared copy, while each worker's per-slice scratch
+//! probes the one shared copy. The pool also builds the condensed closure
+//! index up front, so every worker's closures are bitset unions. A
+//! one-thread batch is a plain loop on the caller's thread, with no
+//! up-front warm and no closure index. Each worker's per-slice scratch
 //! (worklists, delta buffers, jump ranks) lives in a thread-local pool so
 //! steady-state admissions allocate nothing. Each worker allocates its own
 //! slice bitsets, so there is no cross-thread contention beyond the work
@@ -277,11 +280,11 @@ impl<'a, 'p> BatchSlicer<'a, 'p> {
             return Ok((out, stats));
         }
         // Force every lazy artifact up front so workers never race to
-        // initialize one (OnceLock would serialize them on first touch).
-        // The warm itself runs on the phase-DAG schedule across the same
-        // thread budget, and additionally condenses the PDG so every
-        // worker's closures become bitset unions.
-        a.warm_parallel(threads);
+        // initialize one (OnceLock would serialize them on first touch),
+        // and condense the PDG so every worker's closures become bitset
+        // unions.
+        a.warm();
+        let _ = a.closure_index();
 
         let next = AtomicUsize::new(0);
         let worker = || {
@@ -444,6 +447,26 @@ mod tests {
         // Every worker of both runs probed the one shared index that
         // `warm()` forced up front.
         assert_eq!(a.stats().chain_index_builds, 1);
+    }
+
+    /// The threaded pool condenses the PDG once before it spawns workers;
+    /// the one-thread loop never does, so its closures walk the PDG.
+    #[test]
+    fn only_a_threaded_batch_builds_the_closure_index() {
+        let p = corpus::fig10();
+        let criteria: Vec<Criterion> = p.stmt_ids().map(Criterion::at_stmt).collect();
+        assert!(criteria.len() >= 2, "two threads survive the clamp");
+        for (threads, builds) in [(2, 1), (1, 0)] {
+            let a = Analysis::new(&p);
+            let _ = BatchSlicer::new(&a)
+                .with_threads(threads)
+                .slice_all(agrawal_slice, &criteria);
+            assert_eq!(
+                a.stats().closure_index_builds,
+                builds,
+                "with_threads({threads})"
+            );
+        }
     }
 
     #[test]

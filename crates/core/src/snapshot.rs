@@ -42,9 +42,11 @@ use jumpslice_dataflow::{BitSet, DataDeps, ReachingDefs, VarTable};
 use jumpslice_graph::{DiGraph, DomTree, NodeId};
 use jumpslice_lang::{
     BinOp, CaseGuard, Expr, Label, Name, Program, Stmt, StmtId, StmtKind, SwitchArm, UnOp,
+    MAX_DEPTH,
 };
 use jumpslice_pdg::{ControlDeps, Pdg};
 use std::fmt;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// Why a snapshot payload was rejected. Every variant is a clean "rebuild
 /// from source instead" signal; none of them is a panic.
@@ -84,12 +86,6 @@ pub struct Snapshot {
     /// artifacts were never forced before the snapshot was taken).
     pub seed: AnalysisSeed,
 }
-
-/// Expression nesting deeper than this is rejected at decode. The decoder
-/// recurses over expressions (statement decoding is flat), so hostile
-/// bytes must not get to choose the recursion depth; no plausible source —
-/// the parser itself recurses comparably — gets anywhere near this.
-const MAX_EXPR_DEPTH: usize = 512;
 
 const HAS_REACHING: u32 = 1 << 0;
 const HAS_PDG: u32 = 1 << 1;
@@ -149,7 +145,8 @@ pub fn encode_snapshot(source: &str, prog: &Program, seed: &AnalysisSeed) -> Vec
 
 /// Encodes one artifact section behind a byte-length prefix, patched in
 /// after the section body is written (no staging buffer). The prefix lets
-/// the decoder split sections apart up front and decode them in parallel.
+/// the decoder split sections apart up front and check that each one is
+/// consumed exactly.
 fn framed(out: &mut Vec<u8>, body: impl FnOnce(&mut Vec<u8>)) {
     let mark = out.len();
     wire::put_u32(out, 0);
@@ -193,65 +190,18 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<Snapshot, SnapshotError> {
         return Err(Malformed);
     }
 
-    // Per-section decoders over the split-off byte ranges; each section
-    // must be consumed exactly — a length prefix lying either way about
-    // its section's extent is malformed.
     let n = prog.len();
-    let dec_reaching = |b: &[u8]| {
-        let mut r = Reader::new(b);
-        drained(decode_reaching(&mut r, &prog, &cfg)?, &r)
-    };
-    let dec_pdg = |b: &[u8]| {
-        let mut r = Reader::new(b);
-        drained(decode_pdg(&mut r, n)?, &r)
-    };
-    let dec_pdom = |b: &[u8]| {
-        let mut r = Reader::new(b);
-        drained(decode_pdom(&mut r, &cfg)?, &r)
-    };
-    let dec_lst = |b: &[u8]| {
-        let mut r = Reader::new(b);
-        drained(decode_lst(&mut r, n)?, &r)
-    };
-    let dec_chain = |b: &[u8]| {
-        let mut r = Reader::new(b);
-        let ci = crate::sparse::ChainIndex::decode_from(&mut r, n).ok_or(Malformed)?;
-        drained(ci, &r)
-    };
-
-    let heavy_bytes = reaching_b.map_or(0, <[u8]>::len)
-        + pdg_b.map_or(0, <[u8]>::len)
-        + chain_b.map_or(0, <[u8]>::len);
-    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    let (reaching, pdg, chain, pdom, lst) = if cores > 1 && heavy_bytes >= PARALLEL_DECODE_BYTES {
-        // The three heavy sections decode on their own threads while the
-        // main thread takes the two cheap trees; sections only read the
-        // already-decoded program and flowgraph, so they are independent.
-        let (rr, pr, cr, dr, lr) = std::thread::scope(|s| {
-            let (f_r, f_p, f_c) = (&dec_reaching, &dec_pdg, &dec_chain);
-            let rt = reaching_b.map(|b| s.spawn(move || f_r(b)));
-            let pt = pdg_b.map(|b| s.spawn(move || f_p(b)));
-            let ct = chain_b.map(|b| s.spawn(move || f_c(b)));
-            let pdom = pdom_b.map(&dec_pdom).transpose();
-            let lst = lst_b.map(&dec_lst).transpose();
-            (
-                join_section(rt),
-                join_section(pt),
-                join_section(ct),
-                pdom,
-                lst,
-            )
-        });
-        (rr?, pr?, cr?, dr?, lr?)
-    } else {
-        (
-            reaching_b.map(&dec_reaching).transpose()?,
-            pdg_b.map(&dec_pdg).transpose()?,
-            chain_b.map(&dec_chain).transpose()?,
-            pdom_b.map(&dec_pdom).transpose()?,
-            lst_b.map(&dec_lst).transpose()?,
-        )
-    };
+    let (reaching, pdg, pdom, lst, chain) = panic_as_malformed(|| {
+        Ok((
+            exact(reaching_b, |r| decode_reaching(r, &prog, &cfg))?,
+            exact(pdg_b, |r| decode_pdg(r, n))?,
+            exact(pdom_b, |r| decode_pdom(r, &cfg))?,
+            exact(lst_b, |r| decode_lst(r, n))?,
+            exact(chain_b, |r| {
+                crate::sparse::ChainIndex::decode_from(r, n).ok_or(Malformed)
+            })?,
+        ))
+    })?;
 
     let seed = AnalysisSeed {
         cfg: Some(cfg),
@@ -264,32 +214,29 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<Snapshot, SnapshotError> {
     Ok(Snapshot { source, prog, seed })
 }
 
-/// Below this many bytes of heavy artifact sections the thread-spawn cost
-/// outweighs the overlap and the sections decode inline.
-const PARALLEL_DECODE_BYTES: usize = 64 * 1024;
-
-/// Accepts a decoded section only when its reader was consumed exactly.
-fn drained<T>(v: T, r: &Reader<'_>) -> Result<T, SnapshotError> {
-    if r.remaining() == 0 {
-        Ok(v)
-    } else {
-        Err(SnapshotError::Malformed)
-    }
+/// Runs the section decoders. A panicking decoder would be a bug, but the
+/// store's contract is that a bad record degrades to a from-source
+/// rebuild, so a panic classifies as malformed rather than failing the
+/// caller's load.
+fn panic_as_malformed<T>(
+    decode: impl FnOnce() -> Result<T, SnapshotError>,
+) -> Result<T, SnapshotError> {
+    catch_unwind(AssertUnwindSafe(decode)).unwrap_or(Err(SnapshotError::Malformed))
 }
 
-/// Joins an optional section-decode thread. A panicking decoder would be a
-/// bug, but the store's contract is that a bad record degrades to a
-/// from-source rebuild — so a panic classifies as malformed rather than
-/// taking the daemon down with it.
-fn join_section<T>(
-    h: Option<std::thread::ScopedJoinHandle<'_, Result<T, SnapshotError>>>,
+/// Decodes one optional artifact section, which must be consumed exactly: a
+/// length prefix lying either way about its section's extent is malformed.
+fn exact<T>(
+    bytes: Option<&[u8]>,
+    decode: impl FnOnce(&mut Reader<'_>) -> Result<T, SnapshotError>,
 ) -> Result<Option<T>, SnapshotError> {
-    match h {
-        None => Ok(None),
-        Some(h) => match h.join() {
-            Ok(v) => v.map(Some),
-            Err(_) => Err(SnapshotError::Malformed),
-        },
+    let Some(bytes) = bytes else { return Ok(None) };
+    let mut r = Reader::new(bytes);
+    let v = decode(&mut r)?;
+    if r.remaining() == 0 {
+        Ok(Some(v))
+    } else {
+        Err(SnapshotError::Malformed)
     }
 }
 
@@ -546,9 +493,14 @@ fn encode_expr(out: &mut Vec<u8>, e: &Expr) {
     }
 }
 
+/// Decodes an expression whose root lies `depth` levels below its
+/// statement. The decoder recurses over expressions (statement decoding is
+/// flat), so hostile bytes must not get to choose the recursion depth:
+/// trees taller than the parser's [`MAX_DEPTH`] are rejected, and every
+/// tree the parser returns is accepted.
 fn decode_expr(r: &mut Reader<'_>, depth: usize) -> Result<Expr, SnapshotError> {
     use SnapshotError::Malformed;
-    if depth >= MAX_EXPR_DEPTH {
+    if depth >= MAX_DEPTH {
         return Err(Malformed);
     }
     Ok(match r.u8().ok_or(Malformed)? {
@@ -1113,6 +1065,53 @@ L14: write(positives);";
             Some(SnapshotError::Malformed),
             "a lying label map must not survive the audit"
         );
+    }
+
+    /// Programs nested exactly to the parser's bound decode again (the
+    /// decoder's expression bound is the parser's), so every record the
+    /// daemon writes for a program it parsed can be read back. A tree one
+    /// level taller, which only a builder can make, is malformed.
+    #[test]
+    fn programs_at_the_nesting_bound_round_trip() {
+        let sum = vec!["y"; MAX_DEPTH].join(" + ");
+        let negations = "-".repeat(MAX_DEPTH - 1);
+        let (open, close) = ("if (x) {".repeat(MAX_DEPTH - 1), "}".repeat(MAX_DEPTH - 1));
+        for src in [
+            format!("read(y); x = {sum}; write(x);"),
+            format!("read(y); x = {negations}y; write(x);"),
+            format!("read(x); {open}x = 1;{close} write(x);"),
+        ] {
+            let prog = parse(&src).expect("a program at the bound parses");
+            let snap = decode_snapshot(&warm_snapshot(&src)).expect("and decodes");
+            assert_eq!(snap.prog, prog);
+        }
+
+        let mut b = jumpslice_lang::ProgramBuilder::new();
+        let mut e = b.var("y");
+        for _ in 0..MAX_DEPTH {
+            e = Expr::Unary(UnOp::Neg, Box::new(e));
+        }
+        b.assign("x", e);
+        let prog = b.build().unwrap();
+        let seed = Analysis::new(&prog).into_seed();
+        assert_eq!(
+            decode_snapshot(&encode_snapshot("", &prog, &seed)).err(),
+            Some(SnapshotError::Malformed)
+        );
+    }
+
+    /// A section decoder that panics (a decoder bug, never expected) still
+    /// yields `Malformed`, the rebuild-from-source signal, not an unwind.
+    #[test]
+    fn panicking_section_decoder_is_malformed() {
+        let got = panic_as_malformed(|| {
+            exact(Some(&[0u8][..]), |_| -> Result<(), _> {
+                panic!("decoder bug")
+            })
+        });
+        assert_eq!(got, Err(SnapshotError::Malformed));
+        let fine = panic_as_malformed(|| exact(Some(&[][..]), |_| Ok(7)));
+        assert_eq!(fine, Ok(Some(7)));
     }
 
     /// An empty-but-valid suffix (no artifacts) decodes to a bare seed; the

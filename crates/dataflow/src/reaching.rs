@@ -452,41 +452,6 @@ impl DataDeps {
         DataDeps { deps, dependents }
     }
 
-    /// The forward half of [`DataDeps::from_reaching`] restricted to
-    /// statements with index in `lo..hi` (lists sorted and deduplicated,
-    /// indexed relative to `lo`). The parallel cold-path warm fans the
-    /// ranges of `0..prog.len()` across threads and reassembles with
-    /// [`DataDeps::from_deps`]; because each statement's list depends only
-    /// on that statement's uses and IN-set, the concatenation is exactly
-    /// `from_reaching`'s forward half regardless of the range split.
-    pub fn deps_of_range(
-        prog: &Program,
-        cfg: &Cfg,
-        rd: &ReachingDefs,
-        lo: usize,
-        hi: usize,
-    ) -> Vec<Vec<StmtId>> {
-        let mut deps = vec![Vec::new(); hi - lo];
-        for i in lo..hi {
-            let u = StmtId::from_index(i);
-            let used = prog.uses(u);
-            if used.is_empty() {
-                continue;
-            }
-            let node = cfg.node(u);
-            let list = &mut deps[i - lo];
-            for d in rd.reaching_in(node) {
-                let v = prog.defs(d).expect("def site");
-                if used.contains(&v) {
-                    list.push(d);
-                }
-            }
-            list.sort();
-            list.dedup();
-        }
-        deps
-    }
-
     /// Rebuilds the edge set from the forward direction only, deriving the
     /// inverse index — the snapshot-restore constructor. `deps[i]` lists
     /// the definitions statement `i` depends on; lists are sorted and

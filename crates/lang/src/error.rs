@@ -29,6 +29,8 @@ pub enum ErrorKind {
     DuplicateCase(i64),
     /// More than one `default:` in one `switch`.
     DuplicateDefault,
+    /// The program nests more than [`crate::MAX_DEPTH`] levels deep.
+    NestingTooDeep,
 }
 
 /// A parse or validation error with its source location.
@@ -63,6 +65,9 @@ impl fmt::Display for Error {
             ErrorKind::ContinueOutsideLoop => write!(f, "`continue` outside of loop"),
             ErrorKind::DuplicateCase(v) => write!(f, "duplicate case value {v}"),
             ErrorKind::DuplicateDefault => write!(f, "duplicate `default` arm"),
+            ErrorKind::NestingTooDeep => {
+                write!(f, "nesting deeper than {} levels", crate::MAX_DEPTH)
+            }
         }
     }
 }

@@ -50,7 +50,7 @@ pub use ast::{
 pub use builder::{ProgramBuilder, SwitchArms};
 pub use error::{Error, ErrorKind};
 pub use lexer::{Lexer, Span, Token, TokenKind};
-pub use parser::parse;
+pub use parser::{parse, MAX_DEPTH};
 pub use path::{path_of, BlockSel, PathStep, StmtPath};
 pub use print::{print_program, print_slice, print_with_options, PrintOptions};
 pub use structure::Structure;

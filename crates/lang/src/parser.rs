@@ -5,13 +5,26 @@ use crate::error::{Error, ErrorKind};
 use crate::lexer::{Lexer, Span, Token, TokenKind};
 use crate::validate::validate;
 
+/// How many levels deep a program may nest. Every compound statement body
+/// (`if`, `while`, `do`, `switch`), every parenthesised group or call
+/// argument list, and every expression-tree level is one level, so a
+/// top-level `x = e;` allows `e` to be `MAX_DEPTH` levels tall.
+///
+/// The parser, every walker over the tree it returns, and the snapshot
+/// decoder recurse once per level, so this bound is what keeps hostile
+/// source from overflowing a thread's stack. [`parse`] rejects deeper
+/// input with [`ErrorKind::NestingTooDeep`] before it builds the
+/// over-deep part of the tree.
+pub const MAX_DEPTH: usize = 256;
+
 /// Parses mini-C source text into a validated [`Program`].
 ///
 /// # Errors
 ///
 /// Returns the first lexical, syntactic, or semantic error (undefined or
 /// duplicate labels, `break`/`continue` outside their contexts, duplicate
-/// `case` values).
+/// `case` values), or [`ErrorKind::NestingTooDeep`] for a program nested
+/// more than [`MAX_DEPTH`] levels deep.
 ///
 /// # Examples
 ///
@@ -27,6 +40,7 @@ pub fn parse(src: &str) -> Result<Program, Error> {
         tokens,
         pos: 0,
         prog: Program::default(),
+        depth: 0,
     };
     let mut body = Vec::new();
     while !p.at(&TokenKind::Eof) {
@@ -41,6 +55,10 @@ struct Parser {
     tokens: Vec<Token>,
     pos: usize,
     prog: Program,
+    /// Levels open around the current token: enclosing compound statement
+    /// bodies, parenthesised groups, call argument lists and unary
+    /// operators.
+    depth: usize,
 }
 
 impl Parser {
@@ -87,6 +105,29 @@ impl Parser {
         )
     }
 
+    fn too_deep(&self) -> Error {
+        let t = self.peek();
+        Error::new(ErrorKind::NestingTooDeep, t.span.line, t.span.col)
+    }
+
+    /// Opens one nesting level; pair with `self.depth -= 1`.
+    fn enter(&mut self) -> Result<(), Error> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.too_deep());
+        }
+        self.depth += 1;
+        Ok(())
+    }
+
+    /// Checks that an expression node `height` levels tall fits below the
+    /// levels already open, and returns the height.
+    fn fits(&self, height: usize) -> Result<usize, Error> {
+        if self.depth + height > MAX_DEPTH {
+            return Err(self.too_deep());
+        }
+        Ok(height)
+    }
+
     fn intern_name(&mut self, s: &str) -> Name {
         Name(self.prog.names.intern(s))
     }
@@ -125,9 +166,11 @@ impl Parser {
         labels
     }
 
-    /// A brace-enclosed block or a single statement.
+    /// A brace-enclosed block or a single statement: the body of a
+    /// compound statement, one nesting level deeper.
     fn parse_block_or_stmt(&mut self) -> Result<Vec<StmtId>, Error> {
-        if self.at(&TokenKind::LBrace) {
+        self.enter()?;
+        let stmts = if self.at(&TokenKind::LBrace) {
             self.bump();
             let mut stmts = Vec::new();
             while !self.at(&TokenKind::RBrace) {
@@ -137,10 +180,12 @@ impl Parser {
                 stmts.push(self.parse_stmt()?);
             }
             self.bump();
-            Ok(stmts)
+            stmts
         } else {
-            Ok(vec![self.parse_stmt()?])
-        }
+            vec![self.parse_stmt()?]
+        };
+        self.depth -= 1;
+        Ok(stmts)
     }
 
     fn parse_stmt(&mut self) -> Result<StmtId, Error> {
@@ -150,7 +195,20 @@ impl Parser {
         Ok(self.alloc(kind, labels, span))
     }
 
+    /// Dispatches on the statement keyword. Compound statements get
+    /// functions of their own, so the frames a nesting level puts on the
+    /// stack hold only what that statement needs.
     fn parse_stmt_kind(&mut self) -> Result<StmtKind, Error> {
+        match self.peek().kind {
+            TokenKind::KwIf => self.parse_if(),
+            TokenKind::KwWhile => self.parse_while(),
+            TokenKind::KwDo => self.parse_do_while(),
+            TokenKind::KwSwitch => self.parse_switch(),
+            _ => self.parse_simple_stmt(),
+        }
+    }
+
+    fn parse_simple_stmt(&mut self) -> Result<StmtKind, Error> {
         match self.peek().kind.clone() {
             TokenKind::Semi => {
                 self.bump();
@@ -186,69 +244,6 @@ impl Parser {
                 self.expect(TokenKind::Semi)?;
                 Ok(StmtKind::Write { arg })
             }
-            TokenKind::KwIf => {
-                self.bump();
-                self.expect(TokenKind::LParen)?;
-                let cond = self.parse_expr()?;
-                self.expect(TokenKind::RParen)?;
-                // Fuse the exact unbraced `if (c) goto L;` pattern into a
-                // single conditional-jump statement (paper, Figure 4).
-                if self.at(&TokenKind::KwGoto) {
-                    let save = self.pos;
-                    self.bump();
-                    if let TokenKind::Ident(l) = self.peek().kind.clone() {
-                        self.bump();
-                        if self.at(&TokenKind::Semi) {
-                            self.bump();
-                            if !self.at(&TokenKind::KwElse) {
-                                let target = self.intern_label(&l);
-                                return Ok(StmtKind::CondGoto { cond, target });
-                            }
-                        }
-                    }
-                    self.pos = save;
-                }
-                let then_branch = self.parse_block_or_stmt()?;
-                let else_branch = if self.at(&TokenKind::KwElse) {
-                    self.bump();
-                    self.parse_block_or_stmt()?
-                } else {
-                    Vec::new()
-                };
-                Ok(StmtKind::If {
-                    cond,
-                    then_branch,
-                    else_branch,
-                })
-            }
-            TokenKind::KwWhile => {
-                self.bump();
-                self.expect(TokenKind::LParen)?;
-                let cond = self.parse_expr()?;
-                self.expect(TokenKind::RParen)?;
-                let body = self.parse_block_or_stmt()?;
-                Ok(StmtKind::While { cond, body })
-            }
-            TokenKind::KwDo => {
-                self.bump();
-                let body = self.parse_block_or_stmt()?;
-                self.expect(TokenKind::KwWhile)?;
-                self.expect(TokenKind::LParen)?;
-                let cond = self.parse_expr()?;
-                self.expect(TokenKind::RParen)?;
-                self.expect(TokenKind::Semi)?;
-                Ok(StmtKind::DoWhile { body, cond })
-            }
-            TokenKind::KwSwitch => {
-                self.bump();
-                self.expect(TokenKind::LParen)?;
-                let scrutinee = self.parse_expr()?;
-                self.expect(TokenKind::RParen)?;
-                self.expect(TokenKind::LBrace)?;
-                let arms = self.parse_switch_arms()?;
-                self.expect(TokenKind::RBrace)?;
-                Ok(StmtKind::Switch { scrutinee, arms })
-            }
             TokenKind::KwGoto => {
                 self.bump();
                 let target = match self.peek().kind.clone() {
@@ -283,6 +278,76 @@ impl Parser {
             }
             _ => Err(self.err_expected("a statement")),
         }
+    }
+
+    /// `if (c) S [else S]`, or the fused conditional jump `if (c) goto L;`.
+    fn parse_if(&mut self) -> Result<StmtKind, Error> {
+        self.bump();
+        self.expect(TokenKind::LParen)?;
+        let cond = self.parse_expr()?;
+        self.expect(TokenKind::RParen)?;
+        // Fuse the exact unbraced `if (c) goto L;` pattern into a
+        // single conditional-jump statement (paper, Figure 4).
+        if self.at(&TokenKind::KwGoto) {
+            let save = self.pos;
+            self.bump();
+            if let TokenKind::Ident(l) = self.peek().kind.clone() {
+                self.bump();
+                if self.at(&TokenKind::Semi) {
+                    self.bump();
+                    if !self.at(&TokenKind::KwElse) {
+                        let target = self.intern_label(&l);
+                        return Ok(StmtKind::CondGoto { cond, target });
+                    }
+                }
+            }
+            self.pos = save;
+        }
+        let then_branch = self.parse_block_or_stmt()?;
+        let else_branch = if self.at(&TokenKind::KwElse) {
+            self.bump();
+            self.parse_block_or_stmt()?
+        } else {
+            Vec::new()
+        };
+        Ok(StmtKind::If {
+            cond,
+            then_branch,
+            else_branch,
+        })
+    }
+
+    fn parse_while(&mut self) -> Result<StmtKind, Error> {
+        self.bump();
+        self.expect(TokenKind::LParen)?;
+        let cond = self.parse_expr()?;
+        self.expect(TokenKind::RParen)?;
+        let body = self.parse_block_or_stmt()?;
+        Ok(StmtKind::While { cond, body })
+    }
+
+    fn parse_do_while(&mut self) -> Result<StmtKind, Error> {
+        self.bump();
+        let body = self.parse_block_or_stmt()?;
+        self.expect(TokenKind::KwWhile)?;
+        self.expect(TokenKind::LParen)?;
+        let cond = self.parse_expr()?;
+        self.expect(TokenKind::RParen)?;
+        self.expect(TokenKind::Semi)?;
+        Ok(StmtKind::DoWhile { body, cond })
+    }
+
+    fn parse_switch(&mut self) -> Result<StmtKind, Error> {
+        self.bump();
+        self.expect(TokenKind::LParen)?;
+        let scrutinee = self.parse_expr()?;
+        self.expect(TokenKind::RParen)?;
+        self.expect(TokenKind::LBrace)?;
+        self.enter()?;
+        let arms = self.parse_switch_arms()?;
+        self.depth -= 1;
+        self.expect(TokenKind::RBrace)?;
+        Ok(StmtKind::Switch { scrutinee, arms })
     }
 
     fn parse_switch_arms(&mut self) -> Result<Vec<SwitchArm>, Error> {
@@ -340,146 +405,135 @@ impl Parser {
     }
 
     // ---- Expressions (precedence climbing) ----
+    //
+    // Each function returns the expression with its tree height (a leaf
+    // is 1), so a left-leaning chain like `y + y + ... + y`, which the
+    // binary loop builds without recursing, is bounded too.
 
     fn parse_expr(&mut self) -> Result<Expr, Error> {
-        self.parse_or()
+        Ok(self.parse_binary(0)?.0)
     }
 
-    fn parse_or(&mut self) -> Result<Expr, Error> {
-        let mut lhs = self.parse_and()?;
-        while self.at(&TokenKind::OrOr) {
-            self.bump();
-            let rhs = self.parse_and()?;
-            lhs = Expr::Binary(BinOp::Or, Box::new(lhs), Box::new(rhs));
-        }
-        Ok(lhs)
-    }
-
-    fn parse_and(&mut self) -> Result<Expr, Error> {
-        let mut lhs = self.parse_equality()?;
-        while self.at(&TokenKind::AndAnd) {
-            self.bump();
-            let rhs = self.parse_equality()?;
-            lhs = Expr::Binary(BinOp::And, Box::new(lhs), Box::new(rhs));
-        }
-        Ok(lhs)
-    }
-
-    fn parse_equality(&mut self) -> Result<Expr, Error> {
-        let mut lhs = self.parse_relational()?;
-        loop {
-            let op = match self.peek().kind {
-                TokenKind::EqEq => BinOp::Eq,
-                TokenKind::NotEq => BinOp::Ne,
-                _ => break,
-            };
-            self.bump();
-            let rhs = self.parse_relational()?;
-            lhs = Expr::Binary(op, Box::new(lhs), Box::new(rhs));
-        }
-        Ok(lhs)
-    }
-
-    fn parse_relational(&mut self) -> Result<Expr, Error> {
-        let mut lhs = self.parse_additive()?;
-        loop {
-            let op = match self.peek().kind {
-                TokenKind::Lt => BinOp::Lt,
-                TokenKind::Le => BinOp::Le,
-                TokenKind::Gt => BinOp::Gt,
-                TokenKind::Ge => BinOp::Ge,
-                _ => break,
-            };
-            self.bump();
-            let rhs = self.parse_additive()?;
-            lhs = Expr::Binary(op, Box::new(lhs), Box::new(rhs));
-        }
-        Ok(lhs)
-    }
-
-    fn parse_additive(&mut self) -> Result<Expr, Error> {
-        let mut lhs = self.parse_multiplicative()?;
-        loop {
-            let op = match self.peek().kind {
-                TokenKind::Plus => BinOp::Add,
-                TokenKind::Minus => BinOp::Sub,
-                _ => break,
-            };
-            self.bump();
-            let rhs = self.parse_multiplicative()?;
-            lhs = Expr::Binary(op, Box::new(lhs), Box::new(rhs));
-        }
-        Ok(lhs)
-    }
-
-    fn parse_multiplicative(&mut self) -> Result<Expr, Error> {
-        let mut lhs = self.parse_unary()?;
-        loop {
-            let op = match self.peek().kind {
-                TokenKind::Star => BinOp::Mul,
-                TokenKind::Slash => BinOp::Div,
-                TokenKind::Percent => BinOp::Mod,
-                _ => break,
-            };
-            self.bump();
-            let rhs = self.parse_unary()?;
-            lhs = Expr::Binary(op, Box::new(lhs), Box::new(rhs));
-        }
-        Ok(lhs)
-    }
-
-    fn parse_unary(&mut self) -> Result<Expr, Error> {
-        match self.peek().kind {
-            TokenKind::Minus => {
-                self.bump();
-                Ok(Expr::Unary(UnOp::Neg, Box::new(self.parse_unary()?)))
+    /// Binary operators binding at least as tightly as `min_prec`, all
+    /// left-associative.
+    fn parse_binary(&mut self, min_prec: u8) -> Result<(Expr, usize), Error> {
+        let (mut lhs, mut height) = self.parse_unary()?;
+        while let Some((op, prec)) = binary_op(&self.peek().kind) {
+            if prec < min_prec {
+                break;
             }
-            TokenKind::Bang => {
-                self.bump();
-                Ok(Expr::Unary(UnOp::Not, Box::new(self.parse_unary()?)))
-            }
-            _ => self.parse_primary(),
+            self.bump();
+            let (rhs, rhs_height) = self.parse_binary(prec + 1)?;
+            height = self.fits(1 + height.max(rhs_height))?;
+            lhs = Expr::Binary(op, Box::new(lhs), Box::new(rhs));
         }
+        Ok((lhs, height))
     }
 
-    fn parse_primary(&mut self) -> Result<Expr, Error> {
-        match self.peek().kind.clone() {
+    /// A primary expression under any prefix operators. The operators are
+    /// collected in a loop, so a long chain of them costs no recursion.
+    fn parse_unary(&mut self) -> Result<(Expr, usize), Error> {
+        let open = self.depth;
+        let mut ops = Vec::new();
+        while let Some(op) = unary_op(&self.peek().kind) {
+            self.bump();
+            self.enter()?;
+            ops.push(op);
+        }
+        let (mut e, height) = if self.at(&TokenKind::LParen) {
+            self.parse_group()?
+        } else {
+            self.parse_leaf_or_call()?
+        };
+        self.depth = open;
+        for &op in ops.iter().rev() {
+            e = Expr::Unary(op, Box::new(e));
+        }
+        Ok((e, height + ops.len()))
+    }
+
+    /// `( e )`, one level deeper than its context.
+    fn parse_group(&mut self) -> Result<(Expr, usize), Error> {
+        self.bump();
+        self.enter()?;
+        let e = self.parse_binary(0)?;
+        self.depth -= 1;
+        self.expect(TokenKind::RParen)?;
+        Ok(e)
+    }
+
+    fn parse_leaf_or_call(&mut self) -> Result<(Expr, usize), Error> {
+        let name = match &self.peek().kind {
             TokenKind::Int(n) => {
+                let n = *n;
                 self.bump();
-                Ok(Expr::Num(n))
+                return Ok((Expr::Num(n), self.fits(1)?));
             }
-            TokenKind::Ident(name) => {
-                self.bump();
-                if self.at(&TokenKind::LParen) {
-                    self.bump();
-                    let mut args = Vec::new();
-                    if !self.at(&TokenKind::RParen) {
-                        loop {
-                            args.push(self.parse_expr()?);
-                            if self.at(&TokenKind::Comma) {
-                                self.bump();
-                            } else {
-                                break;
-                            }
-                        }
-                    }
-                    self.expect(TokenKind::RParen)?;
-                    let f = self.intern_name(&name);
-                    Ok(Expr::Call(f, args))
-                } else {
-                    let v = self.intern_name(&name);
-                    Ok(Expr::Var(v))
-                }
-            }
-            TokenKind::LParen => {
-                self.bump();
-                let e = self.parse_expr()?;
-                self.expect(TokenKind::RParen)?;
-                Ok(e)
-            }
-            _ => Err(self.err_expected("an expression")),
+            TokenKind::Ident(name) => name.clone(),
+            _ => return Err(self.err_expected("an expression")),
+        };
+        self.bump();
+        if !self.at(&TokenKind::LParen) {
+            let v = self.intern_name(&name);
+            return Ok((Expr::Var(v), self.fits(1)?));
         }
+        let (args, height) = self.parse_args()?;
+        let f = self.intern_name(&name);
+        Ok((Expr::Call(f, args), self.fits(height + 1)?))
     }
+
+    /// A call's `(e, ...)`, one level deeper than its context, with the
+    /// tallest argument's height.
+    fn parse_args(&mut self) -> Result<(Vec<Expr>, usize), Error> {
+        self.bump();
+        self.enter()?;
+        let mut args = Vec::new();
+        let mut height = 0;
+        if !self.at(&TokenKind::RParen) {
+            loop {
+                let (arg, h) = self.parse_binary(0)?;
+                args.push(arg);
+                height = height.max(h);
+                if !self.at(&TokenKind::Comma) {
+                    break;
+                }
+                self.bump();
+            }
+        }
+        self.depth -= 1;
+        self.expect(TokenKind::RParen)?;
+        Ok((args, height))
+    }
+}
+
+/// The prefix operator a token spells.
+fn unary_op(kind: &TokenKind) -> Option<UnOp> {
+    match kind {
+        TokenKind::Minus => Some(UnOp::Neg),
+        TokenKind::Bang => Some(UnOp::Not),
+        _ => None,
+    }
+}
+
+/// The binary operator a token spells, with its precedence (higher binds
+/// tighter).
+fn binary_op(kind: &TokenKind) -> Option<(BinOp, u8)> {
+    Some(match kind {
+        TokenKind::OrOr => (BinOp::Or, 0),
+        TokenKind::AndAnd => (BinOp::And, 1),
+        TokenKind::EqEq => (BinOp::Eq, 2),
+        TokenKind::NotEq => (BinOp::Ne, 2),
+        TokenKind::Lt => (BinOp::Lt, 3),
+        TokenKind::Le => (BinOp::Le, 3),
+        TokenKind::Gt => (BinOp::Gt, 3),
+        TokenKind::Ge => (BinOp::Ge, 3),
+        TokenKind::Plus => (BinOp::Add, 4),
+        TokenKind::Minus => (BinOp::Sub, 4),
+        TokenKind::Star => (BinOp::Mul, 5),
+        TokenKind::Slash => (BinOp::Div, 5),
+        TokenKind::Percent => (BinOp::Mod, 5),
+        _ => return None,
+    })
 }
 
 #[cfg(test)]
@@ -659,6 +713,70 @@ mod tests {
     fn empty_program_is_ok() {
         let p = parse("").unwrap();
         assert!(p.is_empty());
+    }
+
+    fn sum(terms: usize) -> String {
+        format!("x = {};", vec!["y"; terms].join(" + "))
+    }
+
+    fn negations(n: usize) -> String {
+        format!("x = {}y;", "-".repeat(n))
+    }
+
+    fn parens(n: usize) -> String {
+        format!("x = {}1{};", "(".repeat(n), ")".repeat(n))
+    }
+
+    fn nested_ifs(n: usize) -> String {
+        format!("{}x = 1;{}", "if (x) {".repeat(n), "}".repeat(n))
+    }
+
+    fn assert_too_deep(src: &str) {
+        let err = parse(src).expect_err("over-deep input must not parse");
+        assert_eq!(err.kind, ErrorKind::NestingTooDeep, "{err}");
+    }
+
+    /// Inputs that used to overflow the parser's stack, or build a tree
+    /// deep enough to overflow whatever walked or dropped it next.
+    #[test]
+    fn hostile_nesting_is_a_parse_error() {
+        assert_too_deep(&parens(100_000));
+        assert_too_deep(&"if (x) {".repeat(20_000));
+        assert_too_deep(&sum(100_000));
+        // Just past the bound: these used to parse, and the daemon then
+        // wrote snapshot records its own decoder rejected.
+        assert_too_deep(&negations(600));
+        assert_too_deep(&sum(601));
+    }
+
+    /// Every kind of nesting is accepted up to [`MAX_DEPTH`] levels and
+    /// rejected one level past it.
+    #[test]
+    fn nesting_is_bounded_at_exactly_max_depth() {
+        // `y + ... + y` of n terms is a left-leaning tree n levels tall.
+        let p = parse(&sum(MAX_DEPTH)).unwrap();
+        assert_eq!(p.len(), 1);
+        assert_too_deep(&sum(MAX_DEPTH + 1));
+        // n unary operators over a leaf: n + 1 levels.
+        parse(&negations(MAX_DEPTH - 1)).unwrap();
+        assert_too_deep(&negations(MAX_DEPTH));
+        // Each parenthesised group is a level above its leaf.
+        parse(&parens(MAX_DEPTH - 1)).unwrap();
+        assert_too_deep(&parens(MAX_DEPTH));
+        // A statement inside n bodies, plus its one-level expression.
+        let p = parse(&nested_ifs(MAX_DEPTH - 1)).unwrap();
+        assert_eq!(p.len(), MAX_DEPTH);
+        assert_too_deep(&nested_ifs(MAX_DEPTH));
+        // Statement and expression levels add up.
+        let half = MAX_DEPTH / 2;
+        let mixed = |terms: usize| format!("{}{}", "while (x) ".repeat(half), sum(terms));
+        parse(&mixed(MAX_DEPTH - half)).unwrap();
+        assert_too_deep(&mixed(MAX_DEPTH - half + 1));
+        let err = parse(&sum(MAX_DEPTH + 1)).unwrap_err().to_string();
+        assert!(
+            err.ends_with(&format!("nesting deeper than {MAX_DEPTH} levels")),
+            "{err}"
+        );
     }
 
     #[test]

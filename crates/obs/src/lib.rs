@@ -109,9 +109,6 @@ pub enum Phase {
     /// One request handled by the serve daemon (parse, cache probe, slice
     /// work, response encoding).
     ServeRequest,
-    /// One parallel cold-path warm (`Analysis::warm_parallel`): the whole
-    /// scoped phase-DAG schedule, from first spawn to last join.
-    ParallelWarm,
     /// SCC condensation of the PDG plus per-component reachability bitsets
     /// (the condensed closure engine's one-time build).
     ClosureIndexBuild,
@@ -131,7 +128,6 @@ impl Phase {
             Phase::LabelReassoc => "label_reassoc",
             Phase::BatchRun => "batch_run",
             Phase::ServeRequest => "serve_request",
-            Phase::ParallelWarm => "parallel_warm",
             Phase::ClosureIndexBuild => "closure_index_build",
         }
     }
@@ -149,7 +145,6 @@ impl Phase {
             Phase::LabelReassoc,
             Phase::BatchRun,
             Phase::ServeRequest,
-            Phase::ParallelWarm,
             Phase::ClosureIndexBuild,
         ]
         .into_iter()
@@ -547,8 +542,6 @@ const KNOWN_COUNTS: &[&str] = &[
     "serve.store.corrupt",
     "serve.store.write",
     "store.corrupt_fallback",
-    "analysis.parallel.threads",
-    "analysis.parallel.data_ranges",
     "closure.condensed.components",
     "closure.condensed.queries",
     "edges",

@@ -467,20 +467,10 @@ impl Engine {
             Some(SliceFault::None) | None => None,
         };
         let attempt = entry.session.with_analysis(|a| {
-            // Cold-miss warms take the parallel phase-DAG schedule; the
-            // slice fan-out itself stays single-threaded per request —
-            // concurrency lives across requests, not within one. Re-solved
-            // warm seeds skip the warm entirely: the condensed closure
-            // index is not seed-persisted, so warming here would rebuild
-            // it on every request and tax each warm hit for an index only
-            // that one request could use.
-            if !a.is_warm() {
-                a.warm_parallel(
-                    std::thread::available_parallelism()
-                        .map(std::num::NonZeroUsize::get)
-                        .unwrap_or(1),
-                );
-            }
+            // Every artifact, so the write-behind snapshot carries them
+            // all. A request runs on one thread, cold warm included:
+            // concurrency lives across requests, not within one.
+            a.warm();
             BatchSlicer::new(a)
                 .with_threads(1)
                 .with_deadline(deadline)
@@ -598,6 +588,99 @@ mod tests {
             .and_then(Json::as_str)
             .expect("key")
             .to_owned()
+    }
+
+    /// A request runs on one thread and builds nothing a later request
+    /// could not reuse: neither a cold `load` + `slice` nor a `slice` after
+    /// an edit that leaves the analysis cold condenses the PDG, and every
+    /// answer is the Figure-7 slice of a fresh analysis.
+    #[test]
+    fn cold_slices_do_not_build_the_closure_index() {
+        fn fig7_lines(prog: &Program) -> Vec<String> {
+            let a = jumpslice_core::Analysis::new(prog);
+            (1..=prog.len())
+                .map(|l| {
+                    let s = agrawal_slice(&a, &Criterion::at_stmt(prog.at_line(l)));
+                    Json::Arr(
+                        s.lines(prog)
+                            .into_iter()
+                            .map(|x| Json::Num(x as f64))
+                            .collect(),
+                    )
+                    .write_compact()
+                })
+                .collect()
+        }
+        fn slice_every_line(e: &Engine, key: &str, n: usize) -> Vec<String> {
+            let criteria: Vec<String> = (1..=n).map(|l| format!(r#"{{"line":{l}}}"#)).collect();
+            let resp = ok(&e.handle_line(&format!(
+                r#"{{"op":"slice","program":"{key}","algo":"fig7","criteria":[{}]}}"#,
+                criteria.join(",")
+            )));
+            resp.get("slices")
+                .and_then(Json::as_arr)
+                .expect("slices")
+                .iter()
+                .map(|s| s.get("lines").expect("lines").write_compact())
+                .collect()
+        }
+        fn assert_cold_without_index(events: &[obs::Event], what: &str) {
+            let m = obs::Metrics::of(events);
+            let builds = ["reaching_defs", "pdg_build", "postdominators", "lst_build"];
+            assert!(
+                builds.iter().any(|b| m.phase_ns.contains_key(b)),
+                "{what}: the request rebuilt part of the analysis"
+            );
+            assert!(
+                !m.phase_ns.contains_key("closure_index_build"),
+                "{what}: phases {:?}",
+                m.phase_ns.keys()
+            );
+            assert!(
+                !m.counts.contains_key("closure.condensed.components"),
+                "{what}: counts {:?}",
+                m.counts.keys()
+            );
+        }
+
+        let src = "read(n); i = 0; s = 0;
+                   while (i < n) { read(x); if (x < 0) { y = 1; } s = s + x; i = i + 1; }
+                   write(s); write(i);";
+        let e = Engine::new(usize::MAX);
+        let mut prog = parse(src).unwrap();
+        let ((mut key, got), events) = obs::capture(|| {
+            let key = load(&e, src);
+            let got = slice_every_line(&e, &key, prog.len());
+            (key, got)
+        });
+        assert_cold_without_index(&events, "cold load + slice");
+        assert_eq!(got, fig7_lines(&prog));
+
+        for edit in [
+            r#"{"kind":"toggle_jump","path":[["body",3],["body",1],["then",0]],"jump":"break"}"#,
+            r#"{"kind":"insert","path":[["body",2]],"stmt":{"kind":"assign","var":"s","expr":"n + 1"}}"#,
+        ] {
+            let edit_json = Json::parse(edit).unwrap();
+            prog =
+                jumpslice_incr::apply_edit(&prog, &crate::proto::parse_edit(&edit_json).unwrap())
+                    .unwrap()
+                    .prog;
+            let ((new_key, got), events) = obs::capture(|| {
+                let resp = ok(&e.handle_line(&format!(
+                    r#"{{"op":"edit","program":"{key}","edit":{edit}}}"#
+                )));
+                let new_key = resp
+                    .get("program")
+                    .and_then(Json::as_str)
+                    .expect("key")
+                    .to_owned();
+                let got = slice_every_line(&e, &new_key, prog.len());
+                (new_key, got)
+            });
+            assert_cold_without_index(&events, edit);
+            assert_eq!(got, fig7_lines(&prog), "{edit}");
+            key = new_key;
+        }
     }
 
     #[test]

@@ -251,6 +251,34 @@ fn daemon_survives_hostile_lines() {
     d.finish();
 }
 
+/// Source nested past the parser's bound over the real pipe: each `load`
+/// gets a typed `{"ok":false}` answer, and the worker that parsed it lives
+/// on to answer the next request. Each of these used to overflow the
+/// worker's stack, which aborts the whole process.
+#[test]
+fn daemon_rejects_over_deep_source_and_keeps_serving() {
+    let mut d = Daemon::spawn(&["--workers", "1"]);
+    let sum = vec!["y"; 100_000].join(" + ");
+    for src in [
+        format!("x = {}1{};", "(".repeat(100_000), ")".repeat(100_000)),
+        "if (x) {".repeat(20_000),
+        format!("x = {sum};"),
+    ] {
+        let req = Json::Obj(vec![
+            ("op".to_owned(), Json::Str("load".to_owned())),
+            ("source".to_owned(), Json::Str(src)),
+        ])
+        .write_compact();
+        let j = d.send(&req);
+        assert_eq!(j.get("ok").and_then(Json::as_bool), Some(false), "{j:?}");
+        let err = j.get("error").and_then(Json::as_str).expect("error");
+        assert!(err.contains("nesting deeper than"), "{err}");
+        d.send_ok(r#"{"op":"stats"}"#);
+    }
+    d.send_ok(r#"{"op":"shutdown"}"#);
+    d.finish();
+}
+
 /// The inline (`--workers 0`) mode speaks the same protocol.
 #[test]
 fn inline_mode_round_trips() {
