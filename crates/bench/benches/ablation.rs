@@ -3,7 +3,9 @@
 //! * `dominators`: Lengauer–Tarjan vs the iterative Cooper–Harvey–Kennedy
 //!   construction (the workspace default) on real flowgraphs;
 //! * `traversal_tree`: Figure 7 driven by the postdominator tree's preorder
-//!   vs the lexical successor tree's (§3: either is admissible);
+//!   vs the lexical successor tree's (§3: either is admissible), both
+//!   through the paper's round-based loop in `jumpslice_difftest::oracle`
+//!   so the ablation compares drivers, not kernels;
 //! * `closure`: the conventional slicer's bitset worklist closure vs the
 //!   `BTreeSet` recursion it replaced — the representation half of this
 //!   workspace's batch-engine speedup;
@@ -13,7 +15,8 @@
 
 use jumpslice_bench::harness::Runner;
 use jumpslice_bench::{live_writes, sized_structured, sized_unstructured};
-use jumpslice_core::{agrawal_slice, agrawal_slice_with_order, Analysis, Criterion};
+use jumpslice_core::{Analysis, Criterion};
+use jumpslice_difftest::oracle;
 use jumpslice_graph::DomTree;
 use jumpslice_lang::StmtId;
 use std::collections::BTreeSet;
@@ -41,14 +44,15 @@ fn traversal_tree(r: &mut Runner) {
         let p = sized_unstructured(size);
         let a = Analysis::new(&p);
         let crit = Criterion::at_stmt(*live_writes(&p, &a).last().unwrap());
-        let lst_order = a.jumps_in_lst_preorder();
+        let pdom_order = a.jumps_in_pdom_preorder();
+        let lst_order = oracle::jumps_in_lst_preorder(&a);
         r.bench(
             &format!("ablation/traversal_tree/pdom-preorder/{}", p.len()),
-            || black_box(agrawal_slice(&a, &crit)),
+            || black_box(oracle::figure7(&a, &crit, &pdom_order, None)),
         );
         r.bench(
             &format!("ablation/traversal_tree/lst-preorder/{}", p.len()),
-            || black_box(agrawal_slice_with_order(&a, &crit, &lst_order)),
+            || black_box(oracle::figure7(&a, &crit, &lst_order, None)),
         );
     }
 }

@@ -9,8 +9,9 @@
 //!   `Analysis::new` loop vs `BatchSlicer` over one warm shared analysis,
 //!   sequentially and at available parallelism;
 //! * the sparse sweep: the change-driven Figure-7 kernel behind
-//!   `agrawal_slice` vs the retained dense round-based reference loop,
-//!   both over the same warm analysis and criterion pool;
+//!   `agrawal_slice` vs the paper's dense round-based loop, the
+//!   differential oracle in `jumpslice_difftest::oracle`, both over the
+//!   same warm analysis and criterion pool;
 //! * the cold-analysis sweep: `Analysis::warm` plus the PDG condensation
 //!   from a fresh analysis, with the per-phase breakdown of that same call;
 //! * the closure microsweep: raw backward closures through the direct PDG
@@ -31,9 +32,9 @@
 use jumpslice_bench::harness::Runner;
 use jumpslice_bench::{criterion_pool, sized_structured, sized_unstructured};
 use jumpslice_core::{
-    agrawal_slice, agrawal_slice_reference, conservative_slice, conventional_slice, Analysis,
-    BatchSlicer, Criterion,
+    agrawal_slice, conservative_slice, conventional_slice, Analysis, BatchSlicer, Criterion,
 };
+use jumpslice_difftest::oracle::agrawal_slice_dense;
 use jumpslice_incr::{apply_edit, Edit, EditExpr, EditSession, NewStmt};
 use jumpslice_lang::{path_of, StmtId, StmtKind, StmtPath};
 use std::fmt::Write as _;
@@ -331,9 +332,9 @@ fn main() {
         (120usize, REQUESTS, total_ns / REQUESTS as f64)
     };
 
-    // The sparse sweep: the change-driven Figure-7 kernel (the `agrawal_slice`
-    // dispatch target) against the retained dense round-based reference loop,
-    // both over the same warm analysis and criterion pool.
+    // The sparse sweep: the change-driven Figure-7 kernel behind
+    // `agrawal_slice` against the dense round-based loop of the difftest
+    // oracle, both over the same warm analysis and criterion pool.
     let mut sparse_rows: Vec<SparseRow> = Vec::new();
     for (family, make) in [
         (
@@ -354,7 +355,7 @@ fn main() {
             let dense_ns = r.bench(&format!("json/sparse/{family}/{n}/dense-reference"), || {
                 let mut total = 0usize;
                 for c in &criteria {
-                    total += agrawal_slice_reference(black_box(&a), c).len();
+                    total += agrawal_slice_dense(black_box(&a), c).len();
                 }
                 black_box(total)
             });

@@ -29,7 +29,8 @@ const GATED_METRICS: &[&str] = &[
 const INCR_GATED_METRICS: &[&str] = &["incremental_ns"];
 
 /// Metrics compared per sparse-sweep row. `dense_reference_ns` measures the
-/// retired dense loop kept only as a differential oracle, so it is not gated.
+/// dense loop of `jumpslice_difftest::oracle`, which is not a product path,
+/// so it is not gated.
 const SPARSE_GATED_METRICS: &[&str] = &["sparse_kernel_ns"];
 
 /// Metrics compared per serve-sweep row (in-process daemon throughput).

@@ -1,9 +1,6 @@
 //! The paper's general algorithm (Figure 7).
 
-use crate::provenance::Recorder;
-use crate::{reassociate_labels, Analysis, Criterion, Slice};
-use jumpslice_lang::StmtId;
-use jumpslice_obs as obs;
+use crate::{Analysis, Criterion, Slice};
 
 /// Agrawal's Figure 7: the slicing algorithm for programs with arbitrary
 /// jump statements.
@@ -22,6 +19,14 @@ use jumpslice_obs as obs;
 /// `Slice::traversals` reports the number of productive traversals; the
 /// paper's Figure 10 program is the canonical example needing two.
 ///
+/// The traversals run in the change-driven kernel of the `sparse` module,
+/// which re-tests only the jumps the latest admissions can affect, in the
+/// same postdominator-preorder rank, so its admissions, rounds and slice
+/// are the paper's round-based loop's. That loop itself is the
+/// differential oracle in `jumpslice_difftest::oracle`, which also checks
+/// the paper's remark that the lexical successor tree's preorder works
+/// equally well.
+///
 /// # Examples
 ///
 /// ```
@@ -33,151 +38,7 @@ use jumpslice_obs as obs;
 /// assert_eq!(s.lines(&p), vec![2, 3, 4, 5, 7, 8, 13, 15]);
 /// ```
 pub fn agrawal_slice(a: &Analysis<'_>, crit: &Criterion) -> Slice {
-    let order = a.jumps_in_pdom_preorder();
-    agrawal_slice_with_order(a, crit, &order)
-}
-
-/// Figure 7 driven by an explicit jump visit order.
-///
-/// The paper notes the preorder of the lexical successor tree works equally
-/// well (possibly with a different traversal count but the same final
-/// slice); pass [`Analysis::jumps_in_lst_preorder`] to use it. The ablation
-/// bench compares the two drivers. On the paper's figures the drivers agree
-/// exactly; on adversarial goto programs both remain sound supersets of the
-/// Ball–Horwitz slice but can differ (see `tests/extension_gaps.rs`).
-pub fn agrawal_slice_with_order(
-    a: &Analysis<'_>,
-    crit: &Criterion,
-    jump_order: &[StmtId],
-) -> Slice {
-    figure7(a, crit, jump_order, None)
-}
-
-/// The dense round-based Figure-7 loop, kept verbatim as the differential
-/// baseline for the sparse kernel (`sparse::figure7_sparse`), which must be
-/// bit-identical to it. Driven by the pdom preorder, like
-/// [`agrawal_slice`].
-///
-/// # Examples
-///
-/// ```
-/// use jumpslice_core::{corpus, Analysis, Criterion};
-/// use jumpslice_core::{agrawal_slice, agrawal_slice_reference};
-/// let p = corpus::fig3();
-/// let a = Analysis::new(&p);
-/// let crit = Criterion::at_stmt(p.at_line(15));
-/// assert_eq!(agrawal_slice(&a, &crit), agrawal_slice_reference(&a, &crit));
-/// ```
-pub fn agrawal_slice_reference(a: &Analysis<'_>, crit: &Criterion) -> Slice {
-    let order = a.jumps_in_pdom_preorder();
-    figure7_reference(a, crit, &order, None)
-}
-
-/// The single Figure-7 entry point behind both the plain slicers and the
-/// traced [`crate::agrawal_slice_traced`]: one code path, so a provenance
-/// record can never diverge from the slice it explains. `rec`, when present,
-/// is told why each statement entered the slice.
-///
-/// Dispatches to the sparse change-driven kernel whenever the chain index
-/// can honor `jump_order` (always, for the orders this crate produces);
-/// falls back to the dense [`figure7_reference`] loop otherwise. The two
-/// are bit-identical — slices, traversal counts, emitted events, recorded
-/// provenance — which the differential harness's `sparse` mode enforces.
-pub(crate) fn figure7(
-    a: &Analysis<'_>,
-    crit: &Criterion,
-    jump_order: &[StmtId],
-    rec: Option<&mut Recorder>,
-) -> Slice {
-    if crate::sparse::covers(a, jump_order) {
-        crate::sparse::figure7_sparse(a, crit, jump_order, rec)
-    } else {
-        figure7_reference(a, crit, jump_order, rec)
-    }
-}
-
-/// The dense loop itself: re-tests every out-of-slice jump each round.
-pub(crate) fn figure7_reference(
-    a: &Analysis<'_>,
-    crit: &Criterion,
-    jump_order: &[StmtId],
-    mut rec: Option<&mut Recorder>,
-) -> Slice {
-    let mut stmts = {
-        let _t = obs::phase(obs::Phase::ConventionalClosure);
-        match rec.as_deref_mut() {
-            Some(r) => r.seed_closure(a, crit),
-            None => a.backward_closure(crit.seeds(a)),
-        }
-    };
-    let mut work = Vec::new();
-    let mut traversals = 0usize;
-    let mut round: u32 = 0;
-    loop {
-        round += 1;
-        // Cooperative deadline probe: one full traversal is the dense
-        // loop's natural unit of interruptible work.
-        crate::cancel::checkpoint();
-        let mut admitted: u32 = 0;
-        {
-            let _t = obs::phase_round(obs::Phase::FixpointRound, round);
-            for &j in jump_order {
-                if stmts.contains(j) {
-                    continue;
-                }
-                let npd = a.nearest_pdom_in(j, &stmts);
-                let nls = a.nearest_lexsucc_in(j, &stmts);
-                // `dowhile_hazard` extends the paper's test to the do-while
-                // construct this workspace adds; it never fires on the
-                // paper's own language (see Analysis::dowhile_hazard).
-                let disagree = npd != nls;
-                if disagree || a.dowhile_hazard(j, &stmts) {
-                    obs::record(|| obs::Event::JumpAdmitted {
-                        algo: "fig7",
-                        line: a.prog().line_of(j) as u32,
-                        round,
-                        reason: if disagree {
-                            obs::AdmitReason::PdomLexsuccDisagree {
-                                npd_line: npd.map(|s| a.prog().line_of(s) as u32),
-                                nls_line: nls.map(|s| a.prog().line_of(s) as u32),
-                            }
-                        } else {
-                            obs::AdmitReason::DoWhileHazard
-                        },
-                    });
-                    // Add J and the transitive closure of its dependences.
-                    // The in-place closure treats statements already in the
-                    // slice as visited: sound, because the slice is closed
-                    // under dependence at every point of the traversal —
-                    // the same invariant that lets the condensed engine
-                    // answer this as a bitset union.
-                    match rec.as_deref_mut() {
-                        Some(r) => r.jump_closure(a, j, round, npd, nls, !disagree, &mut stmts),
-                        None => a.backward_closure_into_closed([j], &mut stmts, &mut work),
-                    }
-                    admitted += 1;
-                }
-            }
-        }
-        obs::record(|| obs::Event::Round {
-            algo: "fig7",
-            round,
-            admitted,
-        });
-        if admitted == 0 {
-            break;
-        }
-        traversals += 1;
-    }
-    let moved_labels = {
-        let _t = obs::phase(obs::Phase::LabelReassoc);
-        reassociate_labels(a, &stmts)
-    };
-    Slice {
-        stmts,
-        moved_labels,
-        traversals,
-    }
+    crate::sparse::figure7(a, crit, None)
 }
 
 #[cfg(test)]
@@ -252,24 +113,6 @@ mod tests {
         assert_eq!(s.lines(&p), vec![1, 2, 3, 4, 5, 10]);
         let l6 = p.label("L6").unwrap();
         assert_eq!(s.moved_labels, vec![(l6, Some(p.at_line(10)))]);
-    }
-
-    #[test]
-    fn lst_driven_traversal_gives_same_slice() {
-        for p in [
-            corpus::fig3(),
-            corpus::fig5(),
-            corpus::fig8(),
-            corpus::fig10(),
-            corpus::fig16(),
-        ] {
-            let a = Analysis::new(&p);
-            let last = p.lexical_order().len();
-            let crit = Criterion::at_stmt(p.at_line(last));
-            let by_pdom = agrawal_slice(&a, &crit);
-            let by_lst = agrawal_slice_with_order(&a, &crit, &a.jumps_in_lst_preorder());
-            assert_eq!(by_pdom.stmts, by_lst.stmts);
-        }
     }
 
     #[test]

@@ -542,17 +542,6 @@ impl<'p> Analysis<'p> {
             .filter(|&s| self.prog.stmt(s).kind.is_unconditional_jump() && self.is_live(s))
             .collect()
     }
-
-    /// Unconditional jump statements in preorder of the lexical successor
-    /// tree — the alternative driver the paper mentions; used by the
-    /// ablation bench. Dead jumps are skipped.
-    pub fn jumps_in_lst_preorder(&self) -> Vec<StmtId> {
-        self.lst()
-            .preorder()
-            .into_iter()
-            .filter(|&s| self.prog.stmt(s).kind.is_unconditional_jump() && self.is_live(s))
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -626,7 +615,6 @@ mod tests {
         // conventional adaptation, not the traversal; only `goto L3` is a
         // traversal candidate.
         assert_eq!(a.jumps_in_pdom_preorder(), vec![p.at_line(2)]);
-        assert_eq!(a.jumps_in_lst_preorder(), vec![p.at_line(2)]);
     }
 
     #[test]

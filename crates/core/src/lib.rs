@@ -75,7 +75,7 @@ mod structured;
 pub mod synthesize;
 mod wire;
 
-pub use agrawal::{agrawal_slice, agrawal_slice_reference, agrawal_slice_with_order};
+pub use agrawal::agrawal_slice;
 pub use analysis::{Analysis, AnalysisSeed, AnalysisStats};
 pub use batch::{BatchPanic, BatchRunStats, BatchSlicer, SliceFn};
 pub use chop::{chop, chop_executable, forward_slice};
@@ -83,7 +83,7 @@ pub use conservative::conservative_slice;
 pub use conventional::{conventional_slice, Criterion};
 pub use labels::reassociate_labels;
 pub use lexsucc::LexSuccTree;
-pub use provenance::{agrawal_slice_traced, agrawal_slice_traced_reference, Provenance, Why};
+pub use provenance::{agrawal_slice_traced, Provenance, Why};
 pub use slice::{Slice, SlicePoint};
 pub use snapshot::{decode_snapshot, encode_snapshot, Snapshot, SnapshotError};
 pub use sparse::ChainIndex;

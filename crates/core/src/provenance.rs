@@ -2,7 +2,7 @@
 //!
 //! [`agrawal_slice_traced`] runs the same Figure-7 implementation as
 //! [`crate::agrawal_slice`] (literally the same function — see
-//! `agrawal::figure7`), additionally recording, for every statement, the
+//! `sparse::figure7`), additionally recording, for every statement, the
 //! first edge that pulled it into the slice. Following those edges yields a
 //! *witness chain* from any sliced statement back to a root: the criterion,
 //! a reaching definition seeded by a `vars_at` criterion, or a jump admitted
@@ -231,7 +231,7 @@ impl Listing {
     }
 }
 
-/// Internal recorder threaded through `agrawal::figure7`: runs the same
+/// Internal recorder threaded through `sparse::figure7`: runs the same
 /// worklist closure as `Pdg::backward_closure_into`, remembering the first
 /// edge that inserted each statement.
 pub(crate) struct Recorder {
@@ -257,25 +257,9 @@ impl Recorder {
         slice
     }
 
-    /// The dependence closure of one admitted jump.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn jump_closure(
-        &mut self,
-        a: &Analysis<'_>,
-        j: StmtId,
-        round: u32,
-        npd: SlicePoint,
-        nls: SlicePoint,
-        via_hazard: bool,
-        slice: &mut StmtSet,
-    ) {
-        self.jump_closure_delta(a, j, round, npd, nls, via_hazard, slice, None);
-    }
-
-    /// [`Recorder::jump_closure`] that additionally appends every newly
-    /// inserted statement to `delta` — the traced twin of
-    /// `Pdg::backward_closure_delta`, feeding the sparse kernel's dirty-jump
-    /// index.
+    /// The dependence closure of one admitted jump; every newly inserted
+    /// statement is appended to `delta` — the traced twin of
+    /// `Pdg::backward_closure_delta`, feeding the kernel's dirty-jump index.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn jump_closure_delta(
         &mut self,
@@ -286,7 +270,7 @@ impl Recorder {
         nls: SlicePoint,
         via_hazard: bool,
         slice: &mut StmtSet,
-        delta: Option<&mut Vec<StmtId>>,
+        delta: &mut Vec<StmtId>,
     ) {
         let why = Why::Jump {
             round,
@@ -294,7 +278,7 @@ impl Recorder {
             nls,
             via_hazard,
         };
-        self.closure_into(a, vec![(j, why)], slice, delta);
+        self.closure_into(a, vec![(j, why)], slice, Some(delta));
     }
 
     /// Mirror of `Pdg::backward_closure_into` carrying a `Why` per worklist
@@ -340,21 +324,8 @@ impl Recorder {
 /// implementation, so the slice is always exactly what `agrawal_slice`
 /// returns.
 pub fn agrawal_slice_traced(a: &Analysis<'_>, crit: &Criterion) -> (Slice, Provenance) {
-    let order = a.jumps_in_pdom_preorder();
     let mut rec = Recorder::new(a.prog().len());
-    let slice = crate::agrawal::figure7(a, crit, &order, Some(&mut rec));
-    let prov = rec.finish(crit);
-    (slice, prov)
-}
-
-/// [`agrawal_slice_traced`] through the dense round-based loop
-/// ([`crate::agrawal_slice_reference`]) instead of the sparse kernel. The
-/// differential harness's `sparse` mode holds the two traced slicers
-/// against each other statement-by-statement.
-pub fn agrawal_slice_traced_reference(a: &Analysis<'_>, crit: &Criterion) -> (Slice, Provenance) {
-    let order = a.jumps_in_pdom_preorder();
-    let mut rec = Recorder::new(a.prog().len());
-    let slice = crate::agrawal::figure7_reference(a, crit, &order, Some(&mut rec));
+    let slice = crate::sparse::figure7(a, crit, Some(&mut rec));
     let prov = rec.finish(crit);
     (slice, prov)
 }

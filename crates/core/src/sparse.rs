@@ -1,7 +1,8 @@
 //! The sparse, change-driven Figure-7 kernel.
 //!
-//! The dense loop in `agrawal::figure7_reference` re-tests *every*
-//! out-of-slice jump on *every* round, and each test walks the
+//! The paper's round-based loop (kept as the differential oracle
+//! `jumpslice_difftest::oracle::figure7`) re-tests *every* out-of-slice
+//! jump on *every* round, and each test walks the
 //! postdominator tree and the lexical successor tree node by node —
 //! O(rounds × jumps × tree-depth) of pointer chasing. But a jump's test is
 //! a pure function of `chain ∩ slice`, where `chain` is the fixed set of
@@ -20,14 +21,15 @@
 //!   answering `None` immediately) followed by a short parent-array walk;
 //!   and it inverts the chains into `affected`: statement → the jumps
 //!   whose test that statement can change.
-//! * [`figure7_sparse`] replays the reference loop's rounds, but each round
+//! * [`figure7`] replays the round-based loop's rounds, but each round
 //!   only re-tests the *dirty* jumps — those whose chains intersect the
-//!   delta of statements admitted since their last test — in the same
-//!   visit-order rank. Deltas flow out of the dependence closures
-//!   (`Pdg::backward_closure_delta`), and a dirty jump discovered at a rank
-//!   the current round already passed is deferred to the next round,
-//!   exactly when the dense loop would re-test it. Admission order, rounds,
-//!   emitted events, provenance, `traversals`: all bit-identical.
+//!   delta of statements admitted since their last test — in
+//!   postdominator preorder, which is the order of the index's jump list.
+//!   Deltas flow out of the dependence closures
+//!   (`Pdg::backward_closure_delta`), and a dirty jump the current round
+//!   has already passed is deferred to the next round, exactly when the
+//!   dense loop would re-test it. Admission order, rounds, provenance,
+//!   `traversals`: all bit-identical.
 //!
 //! Complexity: O(admissions × affected-jumps) probe work instead of
 //! O(rounds × jumps × depth); the confirming final round costs only the
@@ -41,18 +43,17 @@ use jumpslice_lang::{StmtId, StmtKind};
 use jumpslice_obs as obs;
 use std::cell::RefCell;
 
-/// Sentinel for "statement is not an indexed jump" in [`ChainIndex`].
-const NO_CHAIN: u32 = u32::MAX;
+/// Sentinel for "no do-while body" in the body-id arrays of [`ChainIndex`].
+const NO_BODY: u32 = u32::MAX;
 
 /// Sentinel for "the chain ends here (exit)" in the parent arrays.
 const NO_STMT: u32 = u32::MAX;
 
 /// Checked narrowing for the indices the chain index stores as `u32`
-/// (statement ids in the parent arrays, chain and body ids, visit-order
-/// ranks). `u32::MAX` itself is excluded: it is the [`NO_STMT`]/
-/// [`NO_CHAIN`] sentinel, so a silent `as u32` truncation — or an exact
-/// collision with the sentinel — would corrupt the chain walks instead of
-/// failing. No real program gets near 2³²−1 statements, so this panics
+/// (statement ids in the parent arrays, do-while body ids). `u32::MAX`
+/// itself is excluded: it is the [`NO_STMT`]/[`NO_BODY`] sentinel, so a
+/// silent `as u32` truncation — or an exact collision with the sentinel —
+/// would corrupt the chain walks instead of failing. No real program gets near 2³²−1 statements, so this panics
 /// rather than plumbing a `Result` through the builder.
 #[inline]
 fn index_u32(i: usize, what: &str) -> u32 {
@@ -129,11 +130,10 @@ impl Mask {
 /// contents are an implementation detail of the sparse kernel.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ChainIndex {
-    /// The indexed jumps — every live unconditional jump, in pdom preorder.
-    /// A chain id is an index into this (and every per-chain) vector.
+    /// The indexed jumps — every live unconditional jump, in pdom preorder,
+    /// which is Figure 7's visit order. A chain id is an index into this
+    /// (and every per-chain) vector, so it is also the jump's visit rank.
     jumps: Vec<StmtId>,
-    /// Statement index → chain id ([`NO_CHAIN`] for non-jumps).
-    chain_of: Vec<u32>,
     /// Statement index → the next statement-bearing proper pdom ancestor
     /// ([`NO_STMT`] = the exit). Chains share suffixes in the pdom tree, so
     /// one parent array replaces per-jump chain vectors: a chain is the
@@ -179,25 +179,24 @@ impl ChainIndex {
         let n = prog.len();
         let jumps = a.jumps_in_pdom_preorder();
 
-        let mut chain_of = vec![NO_CHAIN; n];
         let mut pdom_masks = Vec::with_capacity(jumps.len());
         let mut lst_masks = Vec::with_capacity(jumps.len());
         let mut touch_masks = Vec::with_capacity(jumps.len());
         // Full-width body sets kept through the build for the touch unions;
         // only the trimmed masks survive into the index.
         let mut body_sets: Vec<StmtSet> = Vec::new();
-        let mut body_of: Vec<u32> = vec![NO_CHAIN; n];
+        let mut body_of: Vec<u32> = vec![NO_BODY; n];
         let mut pnext = vec![NO_STMT; n];
         let mut lnext = vec![NO_STMT; n];
         let mut hz_skip = vec![NO_STMT; n];
-        let mut hz_body = vec![NO_CHAIN; n];
+        let mut hz_body = vec![NO_BODY; n];
         let mut chain_stmts = 0u64;
 
         if jumps.is_empty() {
-            // Never force the pdom tree or the LST for a jump-free program.
+            // Listing the jumps has forced the pdom tree; a jump-free
+            // program skips the LST and the chain walks.
             return ChainIndex {
                 jumps,
-                chain_of,
                 pnext,
                 lnext,
                 pdom_masks,
@@ -255,9 +254,7 @@ impl ChainIndex {
         let mut path: Vec<StmtId> = Vec::new();
         let mut touch_sets: Vec<StmtSet> = Vec::with_capacity(jumps.len());
 
-        for (c, &j) in jumps.iter().enumerate() {
-            chain_of[j.index()] = index_u32(c, "chain id");
-
+        for &j in &jumps {
             chain_mask(j, &pnext, &mut pmask_memo, &mut path, n);
             chain_mask(j, &lnext, &mut lmask_memo, &mut path, n);
 
@@ -281,7 +278,7 @@ impl ChainIndex {
                     if matches!(prog.stmt(t).kind, StmtKind::DoWhile { .. })
                         && a.dowhile_body(t).contains(u)
                     {
-                        hz_body[u.index()] = if body_of[t.index()] == NO_CHAIN {
+                        hz_body[u.index()] = if body_of[t.index()] == NO_BODY {
                             let idx = index_u32(body_sets.len(), "do-while body id");
                             body_of[t.index()] = idx;
                             body_sets.push(a.dowhile_body(t).clone());
@@ -362,7 +359,6 @@ impl ChainIndex {
 
         ChainIndex {
             jumps,
-            chain_of,
             pnext,
             lnext,
             pdom_masks,
@@ -379,19 +375,13 @@ impl ChainIndex {
     /// private to this crate; [`ChainIndex::decode_from`] is the only
     /// reader.
     pub(crate) fn encode_into(&self, out: &mut Vec<u8>) {
-        let n = self.chain_of.len();
+        let n = self.pnext.len();
         wire::put_len(out, n);
         wire::put_len(out, self.jumps.len());
         for &j in &self.jumps {
             wire::put_u32(out, index_u32(j.index(), "statement index"));
         }
-        for arr in [
-            &self.chain_of,
-            &self.pnext,
-            &self.lnext,
-            &self.hz_skip,
-            &self.hz_body,
-        ] {
+        for arr in [&self.pnext, &self.lnext, &self.hz_skip, &self.hz_body] {
             debug_assert_eq!(arr.len(), n);
             for &v in arr.iter() {
                 wire::put_u32(out, v);
@@ -443,7 +433,11 @@ impl ChainIndex {
                 (v < n).then(|| StmtId::from_index(v))
             })
             .collect::<Option<Vec<StmtId>>>()?;
-        let chain_of = u32_array(r, n, jc)?;
+        // A statement listed twice would be visited twice per round.
+        let mut listed = StmtSet::with_capacity(n);
+        if !jumps.iter().all(|&j| listed.insert(j)) {
+            return None;
+        }
         let pnext = u32_array(r, n, n)?;
         let lnext = u32_array(r, n, n)?;
         let hz_skip = u32_array(r, n, n)?;
@@ -454,16 +448,7 @@ impl ChainIndex {
         let n_bodies = r.len(n)?;
         if hz_body
             .iter()
-            .any(|&v| v != NO_CHAIN && v as usize >= n_bodies)
-        {
-            return None;
-        }
-        // A jump's own chain id must round-trip: this pins the jumps/chain_of
-        // pair consistent (and in particular distinct) without a second pass.
-        if jumps
-            .iter()
-            .enumerate()
-            .any(|(c, j)| chain_of[j.index()] as usize != c)
+            .any(|&v| v != NO_BODY && v as usize >= n_bodies)
         {
             return None;
         }
@@ -484,7 +469,6 @@ impl ChainIndex {
             .collect::<Option<Vec<BitSet>>>()?;
         Some(ChainIndex {
             jumps,
-            chain_of,
             pnext,
             lnext,
             pdom_masks,
@@ -495,14 +479,6 @@ impl ChainIndex {
             touch_masks,
             affected,
         })
-    }
-
-    /// The chain id of jump `j`, or `None` if `j` is not indexed.
-    fn chain(&self, j: StmtId) -> Option<usize> {
-        match self.chain_of.get(j.index()) {
-            Some(&c) if c != NO_CHAIN => Some(c as usize),
-            _ => None,
-        }
     }
 
     /// `Analysis::nearest_pdom_in`, answered by a parent-array walk gated
@@ -625,12 +601,11 @@ fn chain_mask(
 }
 
 /// Per-thread reusable buffers: the closure work/delta vectors and the
-/// dirty-rank worklists. Pooled so the batch engine's workers run the whole
+/// dirty-jump worklists. Pooled so the batch engine's workers run the whole
 /// fixpoint allocation-free after the first criterion.
 struct Scratch {
     work: Vec<StmtId>,
     delta: Vec<StmtId>,
-    rank_of: Vec<u32>,
     cur: BitSet,
     next: BitSet,
 }
@@ -640,7 +615,6 @@ impl Default for Scratch {
         Scratch {
             work: Vec::new(),
             delta: Vec::new(),
-            rank_of: Vec::new(),
             cur: BitSet::new(0),
             next: BitSet::new(0),
         }
@@ -651,43 +625,22 @@ thread_local! {
     static SCRATCH: RefCell<Scratch> = RefCell::new(Scratch::default());
 }
 
-/// Whether [`figure7_sparse`] can honor `jump_order` exactly: every entry
-/// must be an indexed jump and appear only once. Both jump orders the crate
-/// produces qualify; a hand-rolled order falls back to the dense loop.
-pub(crate) fn covers(a: &Analysis<'_>, jump_order: &[StmtId]) -> bool {
-    if jump_order.is_empty() {
-        return true;
-    }
-    let ci = a.chain_index();
-    if jump_order == ci.jumps {
-        // The standard pdom-preorder driver: no per-slice bookkeeping.
-        return true;
-    }
-    let mut seen = BitSet::new(ci.jumps.len());
-    jump_order
-        .iter()
-        .all(|&j| ci.chain(j).is_some_and(|c| seen.insert(c)))
-}
-
-/// The sparse Figure-7 kernel. Produces bit-identical results — slice,
-/// `traversals`, `moved_labels`, emitted events, recorded provenance — to
-/// `agrawal::figure7_reference` on the same inputs; the differential
-/// harness's `sparse` mode and `tests/equivalence.rs` hold the two against
-/// each other. Callers must check [`covers`] first.
-pub(crate) fn figure7_sparse(
-    a: &Analysis<'_>,
-    crit: &Criterion,
-    jump_order: &[StmtId],
-    mut rec: Option<&mut Recorder>,
-) -> Slice {
-    let scratch = SCRATCH.with(|s| s.take());
+/// The Figure-7 kernel behind [`crate::agrawal_slice`] and
+/// [`crate::agrawal_slice_traced`]: one code path, so a provenance record
+/// can never diverge from the slice it explains. `rec`, when present, is
+/// told why each statement entered the slice.
+///
+/// Visits the chain index's jumps in postdominator preorder. Slices,
+/// `traversals`, `moved_labels` and recorded provenance equal the paper's
+/// round-based loop's; the differential harness's `sparse` mode and
+/// `tests/equivalence.rs` hold the two together.
+pub(crate) fn figure7(a: &Analysis<'_>, crit: &Criterion, mut rec: Option<&mut Recorder>) -> Slice {
     let Scratch {
         mut work,
         mut delta,
-        mut rank_of,
         mut cur,
         mut next,
-    } = scratch;
+    } = SCRATCH.with(|s| s.take());
 
     let mut stmts = {
         let _t = obs::phase(obs::Phase::ConventionalClosure);
@@ -707,10 +660,11 @@ pub(crate) fn figure7_sparse(
     let mut round: u32 = 0;
     let mut retests = 0u64;
     let mut dirty_marks = 0u64;
+    let ci = a.chain_index();
+    let jumps = &ci.jumps;
 
-    if jump_order.is_empty() {
-        // No candidates: only the confirming round runs, as in the dense
-        // loop (and without ever building the chain index).
+    if jumps.is_empty() {
+        // No candidates: only the confirming round runs.
         round += 1;
         {
             let _t = obs::phase_round(obs::Phase::FixpointRound, round);
@@ -721,26 +675,9 @@ pub(crate) fn figure7_sparse(
             admitted: 0,
         });
     } else {
-        let ci = a.chain_index();
-
-        // The standard driver passes the index's own pdom preorder, making
-        // rank ≡ chain id; only an exotic caller-supplied order (e.g. LST
-        // preorder) pays for the per-statement rank table.
-        let identity = jump_order == ci.jumps;
-        if !identity {
-            // Visit-order rank per statement; NO_CHAIN = jump outside
-            // `jump_order` (possible when the caller passes a subset — such
-            // jumps are never tested, exactly as in the dense loop).
-            rank_of.clear();
-            rank_of.resize(a.prog().len(), NO_CHAIN);
-            for (rk, &j) in jump_order.iter().enumerate() {
-                rank_of[j.index()] = index_u32(rk, "visit-order rank");
-            }
-        }
-
-        if cur.capacity() < jump_order.len() {
-            cur = BitSet::new(jump_order.len());
-            next = BitSet::new(jump_order.len());
+        if cur.capacity() < jumps.len() {
+            cur = BitSet::new(jumps.len());
+            next = BitSet::new(jumps.len());
         } else {
             // Both drained empty when the previous fixpoint converged; clear
             // anyway in case a panic unwound mid-round.
@@ -753,13 +690,9 @@ pub(crate) fn figure7_sparse(
         // O(jumps × words) — iterating the closure through `affected` would
         // be O(|closure| × jumps) on goto-dense programs, whose chains span
         // most of the program.
-        for (rk, &j) in jump_order.iter().enumerate() {
-            if stmts.contains(j) {
-                continue;
-            }
-            let c = ci.chain(j).expect("covers() checked");
-            if ci.touch_masks[c].intersects(&stmts) {
-                dirty_marks += u64::from(next.insert(rk));
+        for (c, &j) in jumps.iter().enumerate() {
+            if !stmts.contains(j) && ci.touch_masks[c].intersects(&stmts) {
+                dirty_marks += u64::from(next.insert(c));
             }
         }
 
@@ -773,16 +706,15 @@ pub(crate) fn figure7_sparse(
                 let _t = obs::phase_round(obs::Phase::FixpointRound, round);
                 std::mem::swap(&mut cur, &mut next);
                 let mut pos = 0usize;
-                while let Some(rk) = cur.next_at_or_after(pos) {
+                while let Some(c) = cur.next_at_or_after(pos) {
                     crate::cancel::checkpoint();
-                    cur.remove(rk);
-                    pos = rk;
-                    let j = jump_order[rk];
+                    cur.remove(c);
+                    pos = c;
+                    let j = jumps[c];
                     if stmts.contains(j) {
                         continue;
                     }
                     retests += 1;
-                    let c = ci.chain(j).expect("covers() checked");
                     let npd = ci.nearest_pdom_in(c, &stmts);
                     let nls = ci.nearest_lexsucc_in(c, &stmts);
                     let disagree = npd != nls;
@@ -803,20 +735,13 @@ pub(crate) fn figure7_sparse(
                         delta.clear();
                         match rec.as_deref_mut() {
                             Some(r) => r.jump_closure_delta(
-                                a,
-                                j,
-                                round,
-                                npd,
-                                nls,
-                                !disagree,
-                                &mut stmts,
-                                Some(&mut delta),
+                                a, j, round, npd, nls, !disagree, &mut stmts, &mut delta,
                             ),
                             // The slice is closed under dependence at every
-                            // admission (same invariant as the dense loop),
-                            // so the routed delta closure applies; the
-                            // condensed path reports the delta in ascending
-                            // order, which the masked unions below absorb.
+                            // admission, so the routed delta closure applies;
+                            // the condensed path reports the delta in
+                            // ascending order, which the masked unions below
+                            // absorb.
                             None => a.backward_closure_delta_closed(
                                 [j],
                                 &mut stmts,
@@ -826,39 +751,18 @@ pub(crate) fn figure7_sparse(
                         }
                         admitted += 1;
                         // Dirty every jump whose chain the delta touched. A
-                        // rank the current round has not reached yet is
-                        // tested this round (as the dense loop would);
-                        // anything at or before the cursor waits for the
-                        // next round (ditto).
-                        if identity {
-                            // Rank ≡ chain id, so each delta statement's
-                            // affected set splits into the two worklists with
-                            // four masked word-ops. Already-admitted jumps
-                            // may be enqueued; the drain skips them.
-                            let before = cur.len() + next.len();
-                            for &s in &delta {
-                                let m = &ci.affected[s.index()];
-                                cur.union_range(m, rk + 1, ci.jumps.len());
-                                next.union_range(m, 0, rk + 1);
-                            }
-                            dirty_marks += (cur.len() + next.len() - before) as u64;
-                        } else {
-                            for &s in &delta {
-                                for c2 in ci.affected[s.index()].iter() {
-                                    let j2 = ci.jumps[c2];
-                                    let r2 = rank_of[j2.index()];
-                                    if r2 == NO_CHAIN || stmts.contains(j2) {
-                                        continue;
-                                    }
-                                    let r2 = r2 as usize;
-                                    dirty_marks += u64::from(if r2 > rk {
-                                        cur.insert(r2)
-                                    } else {
-                                        next.insert(r2)
-                                    });
-                                }
-                            }
+                        // jump the current round has not reached yet is
+                        // tested this round; anything at or before the
+                        // cursor waits for the next round, as in the paper's
+                        // traversal. Already-admitted jumps may be enqueued;
+                        // the drain skips them.
+                        let before = cur.len() + next.len();
+                        for &s in &delta {
+                            let m = &ci.affected[s.index()];
+                            cur.union_range(m, c + 1, jumps.len());
+                            next.union_range(m, 0, c + 1);
                         }
+                        dirty_marks += (cur.len() + next.len() - before) as u64;
                     }
                 }
             }
@@ -892,7 +796,6 @@ pub(crate) fn figure7_sparse(
         *s.borrow_mut() = Scratch {
             work,
             delta,
-            rank_of,
             cur,
             next,
         }
@@ -908,8 +811,7 @@ pub(crate) fn figure7_sparse(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::agrawal::figure7_reference;
-    use crate::{agrawal_slice, agrawal_slice_reference, corpus};
+    use crate::corpus;
     use jumpslice_lang::parse;
 
     /// Chain probes answer exactly like the tree walks they replace, at
@@ -932,8 +834,7 @@ mod tests {
                 if let Some(s) = grow {
                     slice.insert(s);
                 }
-                for &j in &ci.jumps {
-                    let c = ci.chain(j).unwrap();
+                for (c, &j) in ci.jumps.iter().enumerate() {
                     assert_eq!(ci.nearest_pdom_in(c, &slice), a.nearest_pdom_in(j, &slice));
                     assert_eq!(
                         ci.nearest_lexsucc_in(c, &slice),
@@ -955,7 +856,11 @@ mod tests {
         let a = Analysis::new(&p);
         let ci = a.chain_index();
         let brk = p.at_line(5);
-        let c = ci.chain(brk).expect("break is indexed");
+        let c = ci
+            .jumps
+            .iter()
+            .position(|&j| j == brk)
+            .expect("break is indexed");
         let n = p.len();
         let mut fired = false;
         for mask in 0u32..(1 << n) {
@@ -996,40 +901,6 @@ mod tests {
         }
     }
 
-    /// Sparse == dense on the paper corpus, through the internal entry
-    /// points (the public ones are held together by tests/equivalence.rs).
-    #[test]
-    fn kernel_matches_reference_on_corpus() {
-        for (p, line) in [
-            (corpus::fig1(), 12),
-            (corpus::fig3(), 15),
-            (corpus::fig5(), 14),
-            (corpus::fig8(), 15),
-            (corpus::fig10(), 9),
-            (corpus::fig16(), 10),
-        ] {
-            let a = Analysis::new(&p);
-            let crit = Criterion::at_stmt(p.at_line(line));
-            let sparse = agrawal_slice(&a, &crit);
-            let dense = agrawal_slice_reference(&a, &crit);
-            assert_eq!(sparse, dense, "line {line}");
-        }
-    }
-
-    /// An LST-preorder driver goes through the sparse kernel too and still
-    /// matches the dense loop under the same order.
-    #[test]
-    fn kernel_matches_reference_under_lst_order() {
-        let p = corpus::fig8();
-        let a = Analysis::new(&p);
-        let order = a.jumps_in_lst_preorder();
-        assert!(covers(&a, &order));
-        let crit = Criterion::at_stmt(p.at_line(15));
-        let sparse = figure7_sparse(&a, &crit, &order, None);
-        let dense = figure7_reference(&a, &crit, &order, None);
-        assert_eq!(sparse, dense);
-    }
-
     /// The checked narrowing itself: in-range indices pass through, the
     /// sentinel value and anything above it panic with the overflow
     /// message. Exercised on the helper directly — a real ≥4B-statement
@@ -1046,7 +917,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "chain index overflow")]
     fn index_guard_rejects_the_sentinel_collision() {
-        // u32::MAX is exactly NO_STMT/NO_CHAIN: a cast would not even
+        // u32::MAX is exactly NO_STMT/NO_BODY: a cast would not even
         // truncate here, it would silently *become* the sentinel.
         index_u32(u32::MAX as usize, "statement index");
     }
@@ -1058,7 +929,7 @@ mod tests {
         if usize::BITS <= 32 {
             panic!("chain index overflow: not representable on this target");
         }
-        index_u32(u32::MAX as usize + 1, "chain id");
+        index_u32(u32::MAX as usize + 1, "do-while body id");
     }
 
     /// The wire codec reproduces the index field-for-field on jump-heavy,
@@ -1101,18 +972,22 @@ mod tests {
         }
     }
 
-    /// Orders the index cannot honor (duplicates) are detected, not
-    /// silently mis-handled.
+    /// A record whose jump list names a statement twice is malformed: the
+    /// kernel would visit that jump twice per round.
     #[test]
-    fn covers_rejects_duplicates_and_unknown_jumps() {
+    fn chain_index_decoder_rejects_a_repeated_jump() {
         let p = corpus::fig3();
         let a = Analysis::new(&p);
-        let order = a.jumps_in_pdom_preorder();
-        assert!(covers(&a, &order));
-        let mut dup = order.clone();
-        dup.push(order[0]);
-        assert!(!covers(&a, &dup));
-        let not_a_jump = vec![p.at_line(1)];
-        assert!(!covers(&a, &not_a_jump));
+        let ci = a.chain_index();
+        assert!(ci.jumps.len() >= 2);
+        let mut bytes = Vec::new();
+        ci.encode_into(&mut bytes);
+        // Layout: statement count, jump count, then one u32 per jump.
+        let first: [u8; 4] = bytes[8..12].try_into().unwrap();
+        bytes[12..16].copy_from_slice(&first);
+        assert_eq!(
+            ChainIndex::decode_from(&mut Reader::new(&bytes), p.len()),
+            None
+        );
     }
 }

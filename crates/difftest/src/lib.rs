@@ -16,8 +16,8 @@
 //! session result checked for identity against a from-scratch analysis
 //! after every step, and failing scripts minimized ([`shrink_script`]).
 //! A third mode ([`run_sparsetest`]) pits the sparse change-driven
-//! Figure-7 kernel against the retained dense reference loop, demanding
-//! identical slices, traversal counts, moved labels, and traced
+//! Figure-7 kernel against the paper's round-based loop in [`oracle`],
+//! demanding identical slices, traversal counts, moved labels, and traced
 //! provenance on every generated program. A fourth mode
 //! ([`run_closuretest`]) holds the SCC-condensed closure engine against
 //! the direct PDG walk — identical closures, slices, chops, and traced
@@ -51,6 +51,7 @@ mod closure;
 pub mod emit;
 mod harness;
 mod incr;
+pub mod oracle;
 pub mod registry;
 mod rewrite;
 mod shrink;

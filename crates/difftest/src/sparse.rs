@@ -1,21 +1,19 @@
 //! The sparse-vs-dense differential mode (`difftest --mode sparse`).
 //!
-//! `jumpslice_core::agrawal_slice` dispatches to the sparse change-driven
-//! Figure-7 kernel; `agrawal_slice_reference` keeps the dense round-based
-//! loop. The two must be bit-identical: same statements, same
-//! `traversals`, same `moved_labels`, and — through the traced pair —
-//! identical provenance (the same `Why`, including the admission round and
-//! the npd/nls pair, for every statement). This module sweeps seeded
+//! `jumpslice_core::agrawal_slice` runs the sparse change-driven Figure-7
+//! kernel; [`crate::oracle`] keeps the paper's dense round-based loop. The
+//! two must be bit-identical: same statements, same `traversals`, same
+//! `moved_labels`, and — through the traced pair — identical provenance
+//! (the same `Why`, including the admission round and the npd/nls pair,
+//! for every statement). This module sweeps seeded
 //! programs from the three projection-fuzzer families and asserts exactly
 //! that; a mismatch is shrunk with the shared statement shrinker before
 //! reporting.
 
 use crate::harness::{pick_criteria, DiffConfig, Family};
+use crate::oracle::{agrawal_slice_dense, agrawal_slice_dense_traced};
 use crate::shrink::{is_valid_candidate, shrink};
-use jumpslice_core::{
-    agrawal_slice, agrawal_slice_reference, agrawal_slice_traced, agrawal_slice_traced_reference,
-    Analysis, Criterion,
-};
+use jumpslice_core::{agrawal_slice, agrawal_slice_traced, Analysis, Criterion};
 use jumpslice_lang::{print_program, Program};
 
 /// Knobs for one sparse-vs-dense differential session.
@@ -120,7 +118,7 @@ fn sweep(p: &Program, max_criteria: usize) -> Result<(usize, usize), String> {
         let crit = Criterion::at_stmt(c);
 
         let sparse = agrawal_slice(&a, &crit);
-        let dense = agrawal_slice_reference(&a, &crit);
+        let dense = agrawal_slice_dense(&a, &crit);
         comparisons += 3;
         if sparse.stmts != dense.stmts {
             return Err(format!(
@@ -144,7 +142,7 @@ fn sweep(p: &Program, max_criteria: usize) -> Result<(usize, usize), String> {
         }
 
         let (ts, tp) = agrawal_slice_traced(&a, &crit);
-        let (rs, rp) = agrawal_slice_traced_reference(&a, &crit);
+        let (rs, rp) = agrawal_slice_dense_traced(&a, &crit);
         comparisons += 1;
         if ts != rs {
             return Err(format!(
@@ -153,13 +151,13 @@ fn sweep(p: &Program, max_criteria: usize) -> Result<(usize, usize), String> {
         }
         for s in p.stmt_ids() {
             comparisons += 1;
-            if tp.why(s) != rp.why(s) {
+            if tp.why(s) != rp[s.index()] {
                 return Err(format!(
                     "criterion line {line}: provenance for line {} differs \
                      (sparse {:?} vs dense {:?})",
                     p.line_of(s),
                     tp.why(s),
-                    rp.why(s)
+                    rp[s.index()]
                 ));
             }
         }

@@ -30,7 +30,7 @@
 use crate::apply::{apply_edit, Applied};
 use crate::edit::{Edit, EditError};
 use jumpslice_cfg::Cfg;
-use jumpslice_core::{Analysis, AnalysisSeed, BatchSlicer, Criterion, Slice, SliceFn};
+use jumpslice_core::{Analysis, AnalysisSeed};
 use jumpslice_dataflow::ReachingDefs;
 use jumpslice_lang::{Name, Program, StmtId};
 use jumpslice_obs as obs;
@@ -186,16 +186,6 @@ impl EditSession {
         let r = f(&a);
         self.seed = a.into_seed();
         r
-    }
-
-    /// Answers a batch of criteria with `algo`, reusing surviving state.
-    /// The analysis is warmed first so the batch engine shares fully
-    /// materialized artifacts.
-    pub fn slice_batch(&mut self, algo: SliceFn, criteria: &[Criterion]) -> Vec<Slice> {
-        self.with_analysis(|a| {
-            a.warm();
-            BatchSlicer::new(a).slice_all(algo, criteria)
-        })
     }
 
     /// Applies one edit, selectively invalidating cached analyses.
@@ -425,7 +415,7 @@ mod tests {
     use super::*;
     use crate::edit::{EditExpr, JumpKind, NewStmt};
     use crate::gen::random_edit;
-    use jumpslice_core::{agrawal_slice, conventional_slice};
+    use jumpslice_core::{agrawal_slice, conventional_slice, Criterion};
     use jumpslice_lang::{parse, print_program, StmtPath};
     use jumpslice_progen::{gen_structured, gen_unstructured, GenConfig};
     use jumpslice_testkit::Rng;

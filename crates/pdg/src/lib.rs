@@ -34,7 +34,7 @@
 
 use jumpslice_cfg::Cfg;
 use jumpslice_dataflow::{DataDeps, ReachingDefs, StmtSet};
-use jumpslice_graph::{DiGraph, DomTree, NodeId};
+use jumpslice_graph::{DiGraph, DomTree};
 use jumpslice_lang::{Program, StmtId};
 
 pub mod closure;
@@ -452,13 +452,6 @@ pub fn pdg_dot(pdg: &Pdg, prog: &Program) -> String {
     }
     out.push_str("}\n");
     out
-}
-
-/// Convenience: the control-dependence walk needs postdominators of an
-/// arbitrary graph sharing `cfg`'s layout; re-exported for the figure
-/// harness.
-pub fn postdominators_of(graph: &DiGraph, exit: NodeId) -> DomTree {
-    DomTree::iterative(&graph.reversed(), exit)
 }
 
 #[cfg(test)]

@@ -6,7 +6,9 @@
 //! and only then reads the next line — so responses stay in request order
 //! *per connection* while distinct connections run concurrently across the
 //! worker pool. The queue is bounded; a full queue blocks producers
-//! (back-pressure) rather than buffering without limit.
+//! (back-pressure) rather than buffering without limit. Request lines are
+//! bounded too: every front-end reads through `next_request`, which
+//! answers an over-long or non-UTF-8 line with an error and keeps serving.
 //!
 //! Shutdown is cooperative, because the workspace forbids `unsafe` and
 //! carries no signal-handling dependency: a `shutdown` request (or stdin
@@ -18,7 +20,7 @@
 
 use crate::engine::Engine;
 use std::collections::VecDeque;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpListener;
 use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex};
@@ -26,6 +28,77 @@ use std::time::Duration;
 
 /// How often the TCP acceptor re-checks the shutdown flag.
 pub const ACCEPT_POLL: Duration = Duration::from_millis(50);
+
+/// The longest request line the daemon accepts, in bytes before the
+/// newline: 16 MiB, about 140 times the `load` of a 5.5k-statement
+/// program. A longer line is answered with an error; its bytes are read
+/// and dropped, never buffered.
+pub const MAX_REQUEST_BYTES: usize = 16 << 20;
+
+/// What a front-end read next from its client.
+#[derive(Debug, PartialEq, Eq)]
+enum Incoming {
+    /// A non-blank request line, without its line ending.
+    Line(String),
+    /// A line that cannot be a request, answered with this reply.
+    Reject(&'static str),
+    /// End of input, or a read error: the client is gone.
+    End,
+}
+
+const NOT_UTF8: &str = r#"{"ok":false,"error":"request is not valid UTF-8"}"#;
+const TOO_LONG: &str = r#"{"ok":false,"error":"request line exceeds 16777216 bytes"}"#;
+
+/// Reads the next request from `r`, skipping blank lines and stripping a
+/// trailing `\n` or `\r\n`. A line longer than `cap` bytes is consumed up
+/// to its newline and rejected. A last line without a newline still
+/// counts.
+fn next_request(r: &mut impl BufRead, cap: usize) -> Incoming {
+    loop {
+        let mut line = Vec::new();
+        // One byte past the cap tells an over-long line from one that
+        // fills it exactly.
+        match r.by_ref().take(cap as u64 + 1).read_until(b'\n', &mut line) {
+            Ok(0) | Err(_) => return Incoming::End,
+            Ok(_) => {}
+        }
+        if line.last() == Some(&b'\n') {
+            line.pop();
+        } else if line.len() > cap {
+            return match skip_line(r) {
+                Ok(()) => Incoming::Reject(TOO_LONG),
+                Err(_) => Incoming::End,
+            };
+        }
+        if line.last() == Some(&b'\r') {
+            line.pop();
+        }
+        match String::from_utf8(line) {
+            Ok(s) if s.trim().is_empty() => continue,
+            Ok(s) => return Incoming::Line(s),
+            Err(_) => return Incoming::Reject(NOT_UTF8),
+        }
+    }
+}
+
+/// Consumes input up to and including the next newline (or to the end),
+/// one buffer at a time.
+fn skip_line(r: &mut impl BufRead) -> std::io::Result<()> {
+    loop {
+        let buf = r.fill_buf()?;
+        if buf.is_empty() {
+            return Ok(());
+        }
+        let (used, done) = match buf.iter().position(|&b| b == b'\n') {
+            Some(i) => (i + 1, true),
+            None => (buf.len(), false),
+        };
+        r.consume(used);
+        if done {
+            return Ok(());
+        }
+    }
+}
 
 /// Tunables for [`run`].
 #[derive(Clone, Debug)]
@@ -185,14 +258,15 @@ pub fn run(engine: Arc<Engine>, config: &ServerConfig) -> std::io::Result<()> {
 /// Runs an engine against stdin/stdout without any threads — the
 /// single-threaded fallback used by `--workers 0` and handy under test.
 pub fn run_inline(engine: &Engine) {
-    let stdin = std::io::stdin();
+    let mut input = std::io::stdin().lock();
     let mut out = std::io::stdout().lock();
-    for line in stdin.lock().lines() {
-        let Ok(line) = line else { break };
-        if line.trim().is_empty() {
-            continue;
-        }
-        if write_response(&mut out, engine.handle_line(&line)).is_err() {
+    loop {
+        let resp = match next_request(&mut input, MAX_REQUEST_BYTES) {
+            Incoming::Line(line) => engine.handle_line(&line),
+            Incoming::Reject(reply) => reply.to_owned(),
+            Incoming::End => break,
+        };
+        if write_response(&mut out, resp).is_err() {
             break;
         }
         if engine.shutdown_requested() {
@@ -303,19 +377,28 @@ fn write_response(out: &mut impl Write, mut body: String) -> std::io::Result<()>
 }
 
 fn serve_stdin(queue: &JobQueue) {
-    let stdin = std::io::stdin();
-    let mut out = std::io::stdout().lock();
-    for line in stdin.lock().lines() {
-        let Ok(line) = line else { break };
-        if line.trim().is_empty() {
-            continue;
-        }
-        let Some(resp) = round_trip(queue, line) else {
-            let _ = write_response(&mut out, SHUTTING_DOWN.to_owned());
-            break;
+    serve_connection(
+        queue,
+        &mut std::io::stdin().lock(),
+        &mut std::io::stdout().lock(),
+    );
+}
+
+/// Answers one client's requests in order until it hangs up or the daemon
+/// shuts down.
+fn serve_connection(queue: &JobQueue, input: &mut impl BufRead, out: &mut impl Write) {
+    loop {
+        let resp = match next_request(input, MAX_REQUEST_BYTES) {
+            Incoming::Line(line) => round_trip(queue, line),
+            Incoming::Reject(reply) => Some(reply.to_owned()),
+            Incoming::End => return,
         };
-        if write_response(&mut out, resp).is_err() {
-            break;
+        let Some(resp) = resp else {
+            let _ = write_response(out, SHUTTING_DOWN.to_owned());
+            return;
+        };
+        if write_response(out, resp).is_err() {
+            return;
         }
     }
 }
@@ -343,29 +426,11 @@ fn accept_loop<'scope>(
                 std::thread::Builder::new()
                     .name("serve-conn".to_owned())
                     .spawn_scoped(scope, move || {
-                        let mut reader = BufReader::new(match stream.try_clone() {
-                            Ok(s) => s,
-                            Err(_) => return,
-                        });
+                        let Ok(reader) = stream.try_clone() else {
+                            return;
+                        };
                         let mut stream = stream;
-                        let mut line = String::new();
-                        loop {
-                            line.clear();
-                            match reader.read_line(&mut line) {
-                                Ok(0) | Err(_) => return,
-                                Ok(_) => {}
-                            }
-                            if line.trim().is_empty() {
-                                continue;
-                            }
-                            let Some(resp) = round_trip(&queue, line.trim_end().to_owned()) else {
-                                let _ = write_response(&mut stream, SHUTTING_DOWN.to_owned());
-                                return;
-                            };
-                            if write_response(&mut stream, resp).is_err() {
-                                return;
-                            }
-                        }
+                        serve_connection(&queue, &mut BufReader::new(reader), &mut stream);
                     })
                     .expect("spawn connection");
             }
@@ -488,6 +553,82 @@ mod tests {
             median < Duration::from_millis(20),
             "median stats round trip {median:?}: responses wait for the client's delayed ACK"
         );
+    }
+
+    /// Every request the reader yields from `input` until the end.
+    fn requests(input: &[u8], cap: usize) -> Vec<Incoming> {
+        let mut r = input;
+        std::iter::from_fn(|| match next_request(&mut r, cap) {
+            Incoming::End => None,
+            got => Some(got),
+        })
+        .collect()
+    }
+
+    #[test]
+    fn reader_rejects_bad_lines_and_keeps_reading() {
+        let line = |s: &str| Incoming::Line(s.to_owned());
+        // Non-UTF-8 is one error reply; blank lines are skipped and a
+        // trailing `\r\n` is stripped.
+        assert_eq!(
+            requests(b"\xff\n\n  \r\n{\"op\":1}\r\n", 16),
+            vec![Incoming::Reject(NOT_UTF8), line("{\"op\":1}")]
+        );
+        // Exactly the cap is a request; one byte more is rejected, and the
+        // line after it is read normally.
+        assert_eq!(requests(b"12345678\n", 8), vec![line("12345678")]);
+        assert_eq!(
+            requests(b"123456789\nabc\n", 8),
+            vec![Incoming::Reject(TOO_LONG), line("abc")]
+        );
+        // An over-cap line much longer than one read is dropped in pieces.
+        let mut long = vec![b'x'; 100_000];
+        long.extend_from_slice(b"\nabc\n");
+        assert_eq!(
+            requests(&long, 8),
+            vec![Incoming::Reject(TOO_LONG), line("abc")]
+        );
+        // A last line without a newline still counts.
+        assert_eq!(requests(b"a\nlast", 8), vec![line("a"), line("last")]);
+        assert!(TOO_LONG.contains(&MAX_REQUEST_BYTES.to_string()));
+    }
+
+    /// Sends raw bytes, then reads one reply line per expected `ok` value.
+    fn expect_replies(conn: &mut TcpStream, reader: &mut impl BufRead, oks: &[bool]) {
+        for &ok in oks {
+            let mut resp = String::new();
+            reader.read_line(&mut resp).expect("read");
+            let j = Json::parse(&resp).expect("valid response JSON");
+            assert_eq!(j.get("ok").and_then(Json::as_bool), Some(ok), "{resp}");
+        }
+        conn.write_all(b"{\"op\":\"shutdown\"}\n").expect("write");
+    }
+
+    #[test]
+    fn tcp_non_utf8_line_gets_an_error_and_the_connection_stays_open() {
+        let (_engine, mut conn) = boot_tcp_daemon();
+        conn.set_read_timeout(Some(Duration::from_secs(10)))
+            .expect("timeout");
+        let mut reader = BufReader::new(conn.try_clone().expect("clone"));
+        conn.write_all(b"\xff\n{\"op\":\"stats\"}\n")
+            .expect("write");
+        expect_replies(&mut conn, &mut reader, &[false, true]);
+    }
+
+    #[test]
+    fn tcp_over_cap_line_gets_one_error_and_the_next_request_is_served() {
+        let (_engine, mut conn) = boot_tcp_daemon();
+        conn.set_read_timeout(Some(Duration::from_secs(30)))
+            .expect("timeout");
+        let mut reader = BufReader::new(conn.try_clone().expect("clone"));
+        let chunk = vec![b'x'; 1 << 16];
+        let mut sent = 0;
+        while sent <= MAX_REQUEST_BYTES + (1 << 20) {
+            conn.write_all(&chunk).expect("write");
+            sent += chunk.len();
+        }
+        conn.write_all(b"\n{\"op\":\"stats\"}\n").expect("write");
+        expect_replies(&mut conn, &mut reader, &[false, true]);
     }
 
     #[test]

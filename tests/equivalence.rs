@@ -14,11 +14,9 @@
 //!   loop.
 
 use jumpslice::prelude::*;
-use jumpslice_core::{
-    agrawal_slice_reference, agrawal_slice_traced_reference, agrawal_slice_with_order, BatchSlicer,
-    SliceFn,
-};
+use jumpslice_core::{BatchSlicer, SliceFn};
 use jumpslice_dataflow::StmtSet;
+use jumpslice_difftest::oracle;
 use jumpslice_testkit::Rng;
 use std::collections::BTreeSet;
 
@@ -180,11 +178,12 @@ fn traversal_drivers_both_cover_ball_horwitz() {
     jumpslice_testkit::check(48, |rng| {
         let p = arb_unstructured(rng);
         let a = Analysis::new(&p);
-        let lst_order = a.jumps_in_lst_preorder();
+        let pdom_order = a.jumps_in_pdom_preorder();
+        let lst_order = oracle::jumps_in_lst_preorder(&a);
         for c in criteria(&p) {
             let crit = Criterion::at_stmt(c);
-            let by_pdom = agrawal_slice(&a, &crit);
-            let by_lst = agrawal_slice_with_order(&a, &crit, &lst_order);
+            let by_pdom = oracle::figure7(&a, &crit, &pdom_order, None);
+            let by_lst = oracle::figure7(&a, &crit, &lst_order, None);
             let bh = ball_horwitz_slice(&a, &crit);
             assert!(bh.stmts.is_subset(&by_pdom.stmts));
             assert!(bh.stmts.is_subset(&by_lst.stmts));
@@ -288,10 +287,10 @@ fn bitset_engine_matches_btreeset_semantics() {
     });
 }
 
-/// Sparse-kernel tentpole, paper corpora: the change-driven Figure-7
-/// engine behind `agrawal_slice` is bit-identical — statements,
-/// `traversals`, `moved_labels` — to the dense round-based
-/// `agrawal_slice_reference` loop on every figure program, at every
+/// Sparse kernel, paper corpora: the change-driven Figure-7 engine behind
+/// `agrawal_slice` is bit-identical — statements, `traversals`,
+/// `moved_labels` — to the paper's dense round-based loop
+/// (`oracle::agrawal_slice_dense`) on every figure program, at every
 /// reasonable criterion. Figure 14 brings a `switch`, Figure 10 the
 /// two-round fixpoint.
 #[test]
@@ -309,13 +308,13 @@ fn sparse_equals_dense_on_paper_corpus() {
         for c in criteria(&p) {
             let crit = Criterion::at_stmt(c);
             let sparse = agrawal_slice(&a, &crit);
-            let dense = agrawal_slice_reference(&a, &crit);
+            let dense = oracle::agrawal_slice_dense(&a, &crit);
             assert_eq!(sparse, dense, "criterion line {}", p.line_of(c));
         }
     }
 }
 
-/// Sparse-kernel tentpole, generated programs: both progen families at
+/// Sparse kernel, generated programs: both progen families at
 /// jump densities 0, 0.1, and 0.3, checking full `Slice` equality plus
 /// statement-by-statement provenance agreement between the traced sparse
 /// and traced dense slicers.
@@ -337,17 +336,17 @@ fn sparse_equals_dense_on_progen_families() {
                     let crit = Criterion::at_stmt(c);
                     assert_eq!(
                         agrawal_slice(&a, &crit),
-                        agrawal_slice_reference(&a, &crit),
+                        oracle::agrawal_slice_dense(&a, &crit),
                         "density {density}, criterion line {}",
                         p.line_of(c)
                     );
                     let (ts, tp) = agrawal_slice_traced(&a, &crit);
-                    let (rs, rp) = agrawal_slice_traced_reference(&a, &crit);
+                    let (rs, rp) = oracle::agrawal_slice_dense_traced(&a, &crit);
                     assert_eq!(ts, rs, "traced slices agree");
                     for s in p.stmt_ids() {
                         assert_eq!(
                             tp.why(s),
-                            rp.why(s),
+                            rp[s.index()],
                             "provenance for line {} agrees",
                             p.line_of(s)
                         );

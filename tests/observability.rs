@@ -186,6 +186,33 @@ fn analysis_cache_events_are_exact() {
     );
 }
 
+/// A warm Figure-7 slice looks up the chain index once and reads its jump
+/// list directly: no other jump order is rebuilt, so neither the pdom tree
+/// nor the LST is probed. Figure 5 has no gotos, so no label moves and
+/// label re-association needs no pdom walk either.
+#[test]
+fn warm_fig7_slice_probes_only_the_chain_index_and_pdg() {
+    let p = corpus::fig5();
+    let a = Analysis::new(&p);
+    a.warm();
+    let crit = Criterion::at_stmt(p.at_line(14));
+    let _ = agrawal_slice(&a, &crit);
+
+    let (s, events) = obs::capture(|| agrawal_slice(&a, &crit));
+    assert!(s.moved_labels.is_empty());
+    let m = obs::Metrics::of(&events);
+    assert!(m.cache_misses.is_empty(), "{:?}", m.cache_misses);
+    assert_eq!(
+        m.cache_hits.get("chain_index"),
+        Some(&1),
+        "{:?}",
+        m.cache_hits
+    );
+    for artifact in ["pdom", "lst"] {
+        assert_eq!(m.cache_hits.get(artifact), None, "{:?}", m.cache_hits);
+    }
+}
+
 /// The sparse kernel's re-test counter on Figure 10, the two-round
 /// program: the dirty-jump worklist runs strictly fewer jump tests than
 /// the dense loop's jumps × rounds budget, and the exact count is pinned
