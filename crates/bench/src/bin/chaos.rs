@@ -1,9 +1,9 @@
 //! Chaos harness CLI: deterministic fault injection against the daemon.
 //!
 //! Samples seeded [`jumpslice_chaos::FaultPlan`]s, replays
-//! difftest-generated corpora
-//! through a real daemon (worker pool, bounded queue, snapshot store on a
-//! scratch directory) under each plan, and checks every response against a
+//! difftest-generated corpora through a real daemon (the serve binary's
+//! admission gate and request path, a snapshot store on a scratch
+//! directory) under each plan, and checks every response against a
 //! pristine engine. Violating plans are shrunk to 1-minimal schedules and
 //! written out as ready-to-paste regression tests. Exits non-zero on any
 //! violation, so CI can gate on it.
@@ -29,7 +29,7 @@ fn usage() -> ! {
   --start N            first plan seed (default 0)
   --size N             target statements per generated program (default 20)
   --programs N         programs per plan (default 3)
-  --workers N          daemon worker threads (default 2)
+  --workers N          requests the daemon runs at once (default 2)
   --stress N           concurrent stress clients (default 3; 0 disables)
   --no-shrink          report violating plans without minimizing
   --max-findings N     stop after N violating plans (default 4)

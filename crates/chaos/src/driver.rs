@@ -4,9 +4,9 @@
 //! One [`run_plan`] call is one experiment: generate a program corpus from
 //! the plan's seed (the same three [`jumpslice_difftest::Family`]
 //! generators the differential suite fuzzes with), bring up a real daemon
-//! — worker pool, bounded queue, byte-budgeted cache, snapshot store on a
-//! scratch directory — wire the [`FaultPlan`] into it, and drive requests
-//! while checking after **every** response:
+//! — the serve binary's admission gate and request path, a byte-budgeted
+//! cache, a snapshot store on a scratch directory — wire the [`FaultPlan`]
+//! into it, and drive requests while checking after **every** response:
 //!
 //! * a non-degraded `slice` response is **byte-identical** to the answer a
 //!   pristine, fault-free engine gives for the same request;
@@ -15,7 +15,7 @@
 //!   its lines are a superset of the precise Figure-7 slice (the paper's
 //!   §4 contract);
 //! * an error response is one the plan *caused* (injected worker panic,
-//!   scheduled queue rejection) or one the daemon's contract allows
+//!   scheduled admission rejection) or one the daemon's contract allows
 //!   (`unknown program` after eviction or a panic-dropped entry), in which
 //!   case re-sending `load` and retrying must fully recover — anything
 //!   else is a violation;
@@ -25,7 +25,8 @@
 //! * the snapshot store never serves a corrupt record: after a daemon
 //!   restart over the same (fault-torn) directory, every restored program
 //!   still slices byte-identically to the oracle;
-//! * shutdown always drains: every worker joins cleanly after every phase.
+//! * shutdown always drains: after every phase the gate closes with no
+//!   request that panicked past the engine's own containment.
 //!
 //! The sequential and restart phases are fully deterministic — faults are
 //! addressed by call counts, cancellation by checkpoint fuel — so a
@@ -73,10 +74,8 @@ pub struct ChaosConfig {
     pub cache_slots: usize,
     /// Snapshot-store byte budget.
     pub store_budget: u64,
-    /// Daemon worker threads.
+    /// Requests the daemon runs at once (its `--workers`).
     pub workers: usize,
-    /// Daemon queue capacity.
-    pub queue: usize,
     /// Concurrent clients in the stress phase (0 or 1 disables it).
     pub stress_clients: usize,
     /// Requests per stress client.
@@ -99,7 +98,6 @@ impl ChaosConfig {
             cache_slots: 2,
             store_budget: 1 << 20,
             workers: 2,
-            queue: 16,
             stress_clients: 3,
             stress_rounds: 12,
             shrink: true,
@@ -565,7 +563,7 @@ pub fn run_plan(cfg: &ChaosConfig, program_seed: u64, plan: &FaultPlan) -> PlanO
             Err(e) => violations.push(format!("store failed to open on a clean dir: {e}")),
         }
         let engine = engine.with_fault_hook(hook.clone());
-        let pool = Pool::start(Arc::new(engine), cfg.workers, cfg.queue);
+        let pool = Pool::start(Arc::new(engine), cfg.workers, 0);
         io.arm();
 
         for p in &progs {
@@ -618,7 +616,7 @@ pub fn run_plan(cfg: &ChaosConfig, program_seed: u64, plan: &FaultPlan) -> PlanO
                 let engine = Engine::new(cache_bytes)
                     .with_store(store)
                     .with_fault_hook(hook.clone());
-                let pool = Pool::start(Arc::new(engine), cfg.workers, cfg.queue);
+                let pool = Pool::start(Arc::new(engine), cfg.workers, 0);
                 for p in &progs {
                     ensure_loaded(&pool, p, &mut violations);
                 }

@@ -23,11 +23,11 @@
 //!   and queue rejections, while its [`LeaseTracker`] replays the cache's
 //!   lease-event stream into invariant verdicts.
 //! * [`run_plan`] / [`run_chaos`] ([`driver`]) — replay difftest-generated
-//!   corpora through a real daemon (worker pool, bounded queue, snapshot
-//!   store) under a plan, asserting after every response that the answer
-//!   is byte-identical to a pristine engine's, or degraded exactly to the
-//!   direct Figure-13 answer, or an error the plan caused and the daemon
-//!   recovers from.
+//!   corpora through a real daemon (the serve binary's admission gate and
+//!   request path, a snapshot store) under a plan, asserting after every
+//!   response that the answer is byte-identical to a pristine engine's, or
+//!   degraded exactly to the direct Figure-13 answer, or an error the plan
+//!   caused and the daemon recovers from.
 //! * [`self_test_lease_eviction_detected`] /
 //!   [`self_test_forged_snapshot_detected`] — inject *known* bugs (a cache
 //!   that evicts leased entries; a checksum-valid forged snapshot) and

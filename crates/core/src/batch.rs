@@ -14,10 +14,10 @@
 //! index up front, so every worker's closures are bitset unions. A
 //! one-thread batch is a plain loop on the caller's thread, with no
 //! up-front warm and no closure index. Each worker's per-slice scratch
-//! (worklists, delta buffers, jump ranks) lives in a thread-local pool so
-//! steady-state admissions allocate nothing. Each worker allocates its own
-//! slice bitsets, so there is no cross-thread contention beyond the work
-//! counter.
+//! (closure worklists and delta buffers, dirty-jump sets) lives in a
+//! thread-local pool so steady-state admissions allocate nothing. Each
+//! worker allocates its own slice bitsets, so there is no cross-thread
+//! contention beyond the work counter.
 //!
 //! Results come back in criterion order and are bit-for-bit identical to a
 //! sequential loop (each slicer is a pure function of the analysis and its

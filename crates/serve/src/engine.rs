@@ -1,7 +1,7 @@
 //! Request execution: the bridge from protocol to slicers.
 //!
 //! One [`Engine`] owns the [`AnalysisCache`] and is shared (behind an
-//! `Arc`) by every worker thread. [`Engine::handle_line`] is the whole
+//! `Arc`) by every client thread. [`Engine::handle_line`] is the whole
 //! contract: a request line in, a response line out, **never a panic** —
 //! a last-resort `catch_unwind` turns any escaped panic into an
 //! `{"ok":false}` response and drops the (possibly poisoned) cache entry
@@ -110,17 +110,18 @@ impl Engine {
 
     /// Installs a fault hook on the engine and its cache. Chaos harness
     /// only: the hook observes every lease event and injects worker
-    /// panics, deterministic cancellations, and queue rejections at the
-    /// daemon's decision points.
+    /// panics, deterministic cancellations, and admission rejections at
+    /// the daemon's decision points.
     pub fn with_fault_hook(mut self, hook: SharedFaultHook) -> Engine {
         self.cache.set_fault_hook(hook.clone());
         self.hook = Some(hook);
         self
     }
 
-    /// Chaos seam: whether the installed hook wants the next enqueue
-    /// rejected with a structured `"queue full"` error. Always `false`
-    /// without a hook.
+    /// Chaos seam: whether the installed hook wants the next request
+    /// refused at admission with a structured `"queue full"` error. The
+    /// request path asks once per request, on every front-end. Always
+    /// `false` without a hook.
     pub(crate) fn fault_reject_enqueue(&self) -> bool {
         self.hook.as_ref().is_some_and(|h| h.reject_enqueue())
     }

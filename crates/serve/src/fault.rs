@@ -1,5 +1,5 @@
 //! The daemon-side fault plane: deterministic injection points at the
-//! cache, engine, and queue decision boundaries.
+//! cache, engine, and admission decision boundaries.
 //!
 //! Production deployments never install a hook — every probe site costs
 //! one `Option` check. The `jumpslice-chaos` crate installs a seeded
@@ -14,8 +14,9 @@
 //! * **Slice faults** ([`SliceFault`]) — a worker panic mid-request, or a
 //!   deterministic deadline expiry (checkpoint fuel, no wall clock), both
 //!   of which must degrade the one response and nothing else.
-//! * **Queue rejection** — back-pressure turning into a structured
-//!   `"queue full"` error instead of a blocked producer.
+//! * **Admission rejection** — a request refused at the admission gate
+//!   every front-end shares, answered with a structured `"queue full"`
+//!   error instead of waiting for a slot.
 //! * **Forced lease eviction** ([`FaultHook::evict_leased`]) — a
 //!   *deliberately wrong* override that makes the cache violate its own
 //!   checked-out-entries-are-pinned rule. It exists so the chaos harness
@@ -113,12 +114,14 @@ pub trait FaultHook: Send + Sync {
         let _ = key;
     }
 
-    /// When `true`, the concurrency shell rejects the next enqueue with a
-    /// structured `"queue full"` error instead of applying back-pressure.
+    /// When `true`, the concurrency shell refuses the next request at
+    /// admission, before it waits for a slot, with a structured
+    /// `"queue full"` error. Consulted once per request line on every
+    /// front-end.
     fn reject_enqueue(&self) -> bool {
         false
     }
 }
 
-/// How fault hooks are shared across the cache, engine, and pool.
+/// How fault hooks are shared across the cache, engine, and gate.
 pub type SharedFaultHook = Arc<dyn FaultHook>;

@@ -14,8 +14,8 @@
 //! * [`engine`] — request execution: deadlines via
 //!   [`jumpslice_core::cancel`], graceful degradation to the Figure-13
 //!   conservative slicer, per-request panic containment.
-//! * [`server`] — the bounded queue, worker pool, and stdin/TCP
-//!   front-ends.
+//! * [`server`] — the admission gate and the stdin/TCP front-ends; each
+//!   request runs on its client's own thread.
 //! * [`fault`] — the deterministic fault-injection seam the chaos harness
 //!   drives; a no-op unless a hook is installed.
 //!
@@ -55,4 +55,4 @@ pub use engine::Engine;
 pub use fault::{FaultHook, LeaseEvent, SharedFaultHook, SliceFault};
 pub use hash::{content_hash, key_string, parse_key};
 pub use proto::{parse_request, Request};
-pub use server::{run, run_inline, Pool, ServerConfig};
+pub use server::{run, Pool, ServerConfig};

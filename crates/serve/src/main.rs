@@ -1,16 +1,18 @@
 //! The `jumpslice-serve` binary.
 //!
 //! ```text
-//! jumpslice-serve [--listen ADDR] [--workers N] [--queue N]
+//! jumpslice-serve [--listen ADDR] [--workers N]
 //!                 [--cache-bytes N] [--store-dir DIR] [--store-bytes N]
 //!                 [--replay-dir DIR]
 //! ```
 //!
-//! By default the daemon serves JSON-lines on stdin/stdout with a small
-//! worker pool; `--listen 127.0.0.1:7878` adds a TCP front-end speaking
-//! the same protocol. `--workers 0` runs single-threaded inline (no pool,
-//! no queue) — useful for deterministic scripting. Shut down with a
-//! `{"op":"shutdown"}` request or by closing stdin (stdin-only mode).
+//! By default the daemon serves JSON-lines on stdin/stdout;
+//! `--listen 127.0.0.1:7878` adds a TCP front-end speaking the same
+//! protocol. Each client's requests run on that client's own thread, and
+//! `--workers N` bounds how many run at once (default 2; 0 runs as 1).
+//! Shut down with a `{"op":"shutdown"}` request, or by closing stdin when
+//! there is no `--listen`: the daemon answers every request it admitted
+//! and exits, even while other clients stay connected.
 //!
 //! `--store-dir DIR` attaches the persistent snapshot store (DESIGN.md
 //! §11): completed analyses are written behind slice responses as
@@ -29,7 +31,7 @@
 
 use jumpslice_obs::Json;
 use jumpslice_serve::engine::Engine;
-use jumpslice_serve::server::{run, run_inline, ServerConfig};
+use jumpslice_serve::server::{run, ServerConfig};
 use std::process::ExitCode;
 use std::sync::Arc;
 
@@ -42,14 +44,13 @@ const DEFAULT_STORE_BYTES: u64 = 1 << 30;
 struct Options {
     config: ServerConfig,
     cache_bytes: usize,
-    inline: bool,
     replay_dir: Option<String>,
     store_dir: Option<String>,
     store_bytes: u64,
 }
 
 fn usage() -> &'static str {
-    "usage: jumpslice-serve [--listen ADDR] [--workers N] [--queue N] \
+    "usage: jumpslice-serve [--listen ADDR] [--workers N] \
      [--cache-bytes N] [--store-dir DIR] [--store-bytes N] [--replay-dir DIR]\n\
      JSON-lines slice daemon; see DESIGN.md §10 for the protocol and §11 \
      for the snapshot store."
@@ -59,7 +60,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
     let mut opts = Options {
         config: ServerConfig::default(),
         cache_bytes: DEFAULT_CACHE_BYTES,
-        inline: false,
         replay_dir: None,
         store_dir: None,
         store_bytes: DEFAULT_STORE_BYTES,
@@ -76,20 +76,9 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
                 i += 2;
             }
             "--workers" => {
-                let n: usize = value(i)?
+                opts.config.workers = value(i)?
                     .parse()
                     .map_err(|_| "--workers needs an integer".to_owned())?;
-                if n == 0 {
-                    opts.inline = true;
-                } else {
-                    opts.config.workers = n;
-                }
-                i += 2;
-            }
-            "--queue" => {
-                opts.config.queue = value(i)?
-                    .parse()
-                    .map_err(|_| "--queue needs an integer".to_owned())?;
                 i += 2;
             }
             "--cache-bytes" => {
@@ -116,9 +105,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
             other => return Err(format!("unknown flag '{other}'\n{}", usage())),
         }
     }
-    if opts.inline && opts.config.listen.is_some() {
-        return Err("--workers 0 (inline) cannot be combined with --listen".to_owned());
-    }
     Ok(opts)
 }
 
@@ -144,12 +130,7 @@ fn main() -> ExitCode {
         return replay(dir, &engine);
     }
 
-    let engine = Arc::new(engine);
-    if opts.inline {
-        run_inline(&engine);
-        return ExitCode::SUCCESS;
-    }
-    match run(Arc::clone(&engine), &opts.config) {
+    match run(Arc::new(engine), &opts.config) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("jumpslice-serve: {e}");

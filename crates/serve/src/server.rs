@@ -1,33 +1,35 @@
-//! The daemon's concurrency shell: bounded job queue, worker pool, and the
-//! stdin/TCP front-ends.
+//! The daemon's concurrency shell: one admission gate and the stdin/TCP
+//! front-ends.
 //!
-//! Every front-end connection is a producer: it reads one line, enqueues a
-//! `Job` with a reply channel, waits for the response, writes it back,
-//! and only then reads the next line — so responses stay in request order
-//! *per connection* while distinct connections run concurrently across the
-//! worker pool. The queue is bounded; a full queue blocks producers
-//! (back-pressure) rather than buffering without limit. Request lines are
-//! bounded too: every front-end reads through `next_request`, which
-//! answers an over-long or non-UTF-8 line with an error and keeps serving.
+//! Every request runs on its client's own thread: stdin's, each TCP
+//! connection's, or the caller of [`Pool::round_trip`]. A client reads a
+//! line, takes it down the one request path (`serve_request`), writes the
+//! reply and only then reads the next line, so replies stay in order per
+//! client while clients run concurrently. The gate bounds how many
+//! requests run at once (`--workers` slots); a request holds a slot only
+//! while [`Engine::handle_line`] runs, never while its reply is written.
+//! Every front-end reads through `next_request`, which answers an
+//! over-long or non-UTF-8 line with an error and keeps serving.
 //!
-//! Shutdown is cooperative, because the workspace forbids `unsafe` and
-//! carries no signal-handling dependency: a `shutdown` request (or stdin
-//! EOF when no TCP listener was configured) closes the queue, workers
-//! drain what was already accepted, and `run` joins them and returns.
-//! Producers that race the closing receive a `"shutting down"` error
-//! response. The TCP acceptor polls with a non-blocking listener so it can
-//! notice the flag within [`ACCEPT_POLL`].
+//! Shutdown is a property of the gate (the workspace forbids `unsafe`, so
+//! there is no signal handling). A `shutdown` request, or stdin EOF with
+//! no TCP listener, closes it. A closed gate admits nothing: a reply
+//! written after `shutdown` (the `shutdown` reply included) is its
+//! client's last, and a request that finds the gate closed gets a
+//! `"shutting down"` refusal. Once every admitted request is answered,
+//! [`run`] returns, even while clients are still connected; the front-end
+//! threads are detached.
 
 use crate::engine::Engine;
-use std::collections::VecDeque;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpListener;
-use std::sync::mpsc;
-use std::sync::{Arc, Condvar, Mutex};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
-/// How often the TCP acceptor re-checks the shutdown flag.
-pub const ACCEPT_POLL: Duration = Duration::from_millis(50);
+/// The acceptor's pause after a failed `accept` or thread spawn, so a
+/// failure that repeats at once (out of file descriptors) does not spin.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(50);
 
 /// The longest request line the daemon accepts, in bytes before the
 /// newline: 16 MiB, about 140 times the `load` of a 5.5k-statement
@@ -103,10 +105,8 @@ fn skip_line(r: &mut impl BufRead) -> std::io::Result<()> {
 /// Tunables for [`run`].
 #[derive(Clone, Debug)]
 pub struct ServerConfig {
-    /// Worker threads executing requests (min 1).
+    /// Requests that run at once (min 1; 0 runs as 1).
     pub workers: usize,
-    /// Queue slots before producers block (min 1).
-    pub queue: usize,
     /// TCP listen address (e.g. `127.0.0.1:7878`); `None` for stdin-only.
     pub listen: Option<String>,
 }
@@ -115,205 +115,182 @@ impl Default for ServerConfig {
     fn default() -> ServerConfig {
         ServerConfig {
             workers: 2,
-            queue: 64,
             listen: None,
         }
     }
 }
 
-/// One request in flight: the raw line and where the response goes.
-struct Job {
-    line: String,
-    reply: mpsc::Sender<String>,
+/// The admission gate every client shares: at most `slots` requests run at
+/// once, and a closed gate admits nothing.
+struct Gate {
+    state: Mutex<GateState>,
+    changed: Condvar,
+    slots: usize,
 }
 
-struct QueueInner {
-    jobs: VecDeque<Job>,
+#[derive(Default)]
+struct GateState {
+    /// Requests holding a slot.
+    running: usize,
+    /// Requests admitted whose reply is not yet delivered.
+    in_flight: usize,
+    /// Requests that panicked inside their slot.
+    escaped: usize,
     closed: bool,
 }
 
-/// A minimal bounded MPMC queue (std has only unbounded mpsc).
-struct JobQueue {
-    inner: Mutex<QueueInner>,
-    not_empty: Condvar,
-    not_full: Condvar,
-    cap: usize,
-}
-
-impl JobQueue {
-    fn new(cap: usize) -> JobQueue {
-        JobQueue {
-            inner: Mutex::new(QueueInner {
-                jobs: VecDeque::new(),
-                closed: false,
-            }),
-            not_empty: Condvar::new(),
-            not_full: Condvar::new(),
-            cap: cap.max(1),
+impl Gate {
+    fn new(slots: usize) -> Gate {
+        Gate {
+            state: Mutex::default(),
+            changed: Condvar::new(),
+            slots: slots.max(1),
         }
     }
 
-    /// Blocks while full; `false` if the queue closed (job not accepted).
-    fn push(&self, job: Job) -> bool {
-        let mut g = self.inner.lock().expect("queue lock");
-        while g.jobs.len() >= self.cap && !g.closed {
-            g = self.not_full.wait(g).expect("queue lock");
-        }
-        if g.closed {
-            return false;
-        }
-        g.jobs.push_back(job);
-        drop(g);
-        self.not_empty.notify_one();
-        true
+    /// Every update writes one counter or flag, so the state stays valid
+    /// even if a panic poisoned the lock; `Ticket::drop` must not panic.
+    fn lock(&self) -> MutexGuard<'_, GateState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Blocks while empty; `None` once closed *and* drained.
-    fn pop(&self) -> Option<Job> {
-        let mut g = self.inner.lock().expect("queue lock");
-        loop {
-            if let Some(job) = g.jobs.pop_front() {
-                drop(g);
-                self.not_full.notify_one();
-                return Some(job);
-            }
-            if g.closed {
-                return None;
-            }
-            g = self.not_empty.wait(g).expect("queue lock");
+    fn wait_while(&self, cond: impl FnMut(&mut GateState) -> bool) -> MutexGuard<'_, GateState> {
+        let s = self.changed.wait_while(self.lock(), cond);
+        s.unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Admits one request, or `None` once closed. The request is in
+    /// flight until the ticket drops.
+    fn admit(&self) -> Option<Ticket<'_>> {
+        let mut s = self.lock();
+        if s.closed {
+            return None;
         }
+        s.in_flight += 1;
+        Some(Ticket(self))
     }
 
     fn close(&self) {
-        self.inner.lock().expect("queue lock").closed = true;
-        self.not_empty.notify_all();
-        self.not_full.notify_all();
+        self.lock().closed = true;
+        self.changed.notify_all();
+    }
+
+    /// Blocks until the gate is closed and nothing is in flight. `true`
+    /// when no request escaped its slot by panicking.
+    fn wait_drained(&self) -> bool {
+        self.wait_while(|s| !s.closed || s.in_flight > 0).escaped == 0
     }
 }
 
-/// Enqueues `line` and waits for its response. `None` means the daemon is
-/// shutting down.
-fn round_trip(queue: &JobQueue, line: String) -> Option<String> {
-    let (tx, rx) = mpsc::channel();
-    if !queue.push(Job { line, reply: tx }) {
-        return None;
+/// One admitted request; dropping it, on any path, ends its flight.
+struct Ticket<'g>(&'g Gate);
+
+impl Ticket<'_> {
+    /// Runs `f` in a slot, waiting for a free one. `None` when `f`
+    /// panicked: the slot is freed either way and the escape counted.
+    fn run<R>(&self, f: impl FnOnce() -> R) -> Option<R> {
+        let gate = self.0;
+        gate.wait_while(|s| s.running >= gate.slots).running += 1;
+        let out = catch_unwind(AssertUnwindSafe(f));
+        let mut s = gate.lock();
+        // Requests wait for a slot only while every slot is taken, so an
+        // uncontended request makes no wake-up call.
+        if s.running == gate.slots {
+            gate.changed.notify_all();
+        }
+        s.running -= 1;
+        s.escaped += usize::from(out.is_err());
+        out.ok()
     }
-    // A worker always sends exactly one reply per popped job; a recv error
-    // can only mean the pool is tearing down.
-    rx.recv().ok()
 }
 
-/// Runs the daemon until shutdown: spawns the worker pool, serves stdin on
-/// the calling thread, and (optionally) accepts TCP connections.
-///
-/// Returns once every worker has drained. With no TCP listener, stdin EOF
-/// also shuts the daemon down — the pipe is its only client.
+impl Drop for Ticket<'_> {
+    fn drop(&mut self) {
+        let mut s = self.0.lock();
+        s.in_flight -= 1;
+        // Only `wait_drained` waits on this count, for a closed gate.
+        if s.closed && s.in_flight == 0 {
+            self.0.changed.notify_all();
+        }
+    }
+}
+
+const QUEUE_FULL: &str = r#"{"ok":false,"error":"queue full: request rejected under load; retry"}"#;
+const ESCAPED: &str = r#"{"ok":false,"error":"internal error: request panicked"}"#;
+const SHUTTING_DOWN: &str = r#"{"ok":false,"error":"shutting down"}"#;
+
+/// The one path from a request line to its reply, taken on the client's
+/// own thread: admit, run [`Engine::handle_line`] in a slot, close the
+/// gate after a `shutdown`, and `deliver` the reply outside the slot but
+/// still in flight. `None` when the gate is closed.
+fn serve_request<R>(
+    engine: &Engine,
+    gate: &Gate,
+    line: &str,
+    deliver: impl FnOnce(String) -> R,
+) -> Option<R> {
+    // The chaos admission fault, asked once per request before the gate,
+    // so a recorded plan's `enqueue#N` still names the Nth request.
+    if engine.fault_reject_enqueue() {
+        return Some(deliver(QUEUE_FULL.to_owned()));
+    }
+    let ticket = gate.admit()?;
+    let resp = ticket
+        .run(|| engine.handle_line(line))
+        .unwrap_or_else(|| ESCAPED.to_owned());
+    if engine.shutdown_requested() {
+        gate.close();
+    }
+    Some(deliver(resp))
+}
+
+/// Runs the daemon until shutdown: serves stdin, and TCP when
+/// `config.listen` is set, each client on a thread of its own. Returns
+/// once the gate is closed and every admitted request is answered. With
+/// no TCP listener, stdin EOF closes the gate: the pipe is the only client.
 pub fn run(engine: Arc<Engine>, config: &ServerConfig) -> std::io::Result<()> {
-    let queue = Arc::new(JobQueue::new(config.queue));
-    std::thread::scope(|scope| -> std::io::Result<()> {
-        for w in 0..config.workers.max(1) {
-            let queue = Arc::clone(&queue);
-            let engine = Arc::clone(&engine);
-            std::thread::Builder::new()
-                .name(format!("serve-worker-{w}"))
-                .spawn_scoped(scope, move || {
-                    while let Some(job) = queue.pop() {
-                        let resp = engine.handle_line(&job.line);
-                        // A dropped receiver (client hung up mid-request)
-                        // only wastes the answer; nothing to do about it.
-                        let _ = job.reply.send(resp);
-                        if engine.shutdown_requested() {
-                            queue.close();
-                        }
-                    }
-                })
-                .expect("spawn worker");
-        }
-
-        if let Some(addr) = &config.listen {
-            let listener = TcpListener::bind(addr)?;
-            listener.set_nonblocking(true)?;
-            eprintln!("jumpslice-serve: listening on {}", listener.local_addr()?);
-            let queue_for_accept = Arc::clone(&queue);
-            let engine_for_accept = Arc::clone(&engine);
-            std::thread::Builder::new()
-                .name("serve-accept".to_owned())
-                .spawn_scoped(scope, move || {
-                    accept_loop(listener, queue_for_accept, engine_for_accept, scope)
-                })
-                .expect("spawn acceptor");
-        }
-
-        serve_stdin(&queue);
-        // Stdin is gone. Without TCP there can be no further requests;
-        // with TCP, the acceptor owns the daemon's lifetime and we just
-        // wait for a `shutdown` request to close the queue.
-        if config.listen.is_none() {
-            queue.close();
-        }
-        Ok(())
-    })
-}
-
-/// Runs an engine against stdin/stdout without any threads — the
-/// single-threaded fallback used by `--workers 0` and handy under test.
-pub fn run_inline(engine: &Engine) {
-    let mut input = std::io::stdin().lock();
-    let mut out = std::io::stdout().lock();
-    loop {
-        let resp = match next_request(&mut input, MAX_REQUEST_BYTES) {
-            Incoming::Line(line) => engine.handle_line(&line),
-            Incoming::Reject(reply) => reply.to_owned(),
-            Incoming::End => break,
-        };
-        if write_response(&mut out, resp).is_err() {
-            break;
-        }
-        if engine.shutdown_requested() {
-            break;
-        }
+    let gate = Arc::new(Gate::new(config.workers));
+    if let Some(addr) = &config.listen {
+        let listener = TcpListener::bind(addr)?;
+        eprintln!("jumpslice-serve: listening on {}", listener.local_addr()?);
+        let (engine, gate) = (Arc::clone(&engine), Arc::clone(&gate));
+        std::thread::Builder::new()
+            .name("serve-accept".to_owned())
+            .spawn(move || accept_loop(&listener, &engine, &gate))?;
     }
+    let stdin_only = config.listen.is_none();
+    let stdin_gate = Arc::clone(&gate);
+    std::thread::Builder::new()
+        .name("serve-stdin".to_owned())
+        .spawn(move || {
+            // Stdout is locked per write, not while waiting for input.
+            let mut out = std::io::stdout();
+            serve_connection(&engine, &stdin_gate, &mut std::io::stdin().lock(), &mut out);
+            if stdin_only {
+                stdin_gate.close();
+            }
+        })?;
+    gate.wait_drained();
+    Ok(())
 }
 
-/// An in-process daemon: the same bounded queue and worker pool [`run`]
-/// builds, but owned as a value with no stdin/TCP front-end. This is how
-/// the chaos harness (and any embedder) drives real cross-thread
-/// contention — every request crosses the queue to a genuine worker
-/// thread — while keeping startup, draining, and shutdown under test
-/// control.
+/// An in-process daemon without front-ends: each caller of
+/// [`Pool::round_trip`] is a client, its request run on its own thread
+/// through the gate and request path [`run`] uses. The chaos harness
+/// drives real cross-thread contention through it.
 pub struct Pool {
     engine: Arc<Engine>,
-    queue: Arc<JobQueue>,
-    workers: Vec<std::thread::JoinHandle<()>>,
+    gate: Gate,
 }
 
 impl Pool {
-    /// Spawns `workers` threads (min 1) draining a queue of `queue_cap`
-    /// slots against `engine`.
-    pub fn start(engine: Arc<Engine>, workers: usize, queue_cap: usize) -> Pool {
-        let queue = Arc::new(JobQueue::new(queue_cap));
-        let workers = (0..workers.max(1))
-            .map(|w| {
-                let queue = Arc::clone(&queue);
-                let engine = Arc::clone(&engine);
-                std::thread::Builder::new()
-                    .name(format!("serve-pool-{w}"))
-                    .spawn(move || {
-                        while let Some(job) = queue.pop() {
-                            let resp = engine.handle_line(&job.line);
-                            let _ = job.reply.send(resp);
-                            if engine.shutdown_requested() {
-                                queue.close();
-                            }
-                        }
-                    })
-                    .expect("spawn pool worker")
-            })
-            .collect();
+    /// A pool that runs at most `workers` requests at once (min 1).
+    /// Requests wait for a slot, not in a queue, so `_queue_cap` is
+    /// ignored.
+    pub fn start(engine: Arc<Engine>, workers: usize, _queue_cap: usize) -> Pool {
         Pool {
             engine,
-            queue,
-            workers,
+            gate: Gate::new(workers),
         }
     }
 
@@ -322,49 +299,20 @@ impl Pool {
         &self.engine
     }
 
-    /// Enqueues one request line and waits for its reply. `None` means the
-    /// pool is shutting down (the queue closed before the job was
-    /// accepted).
-    ///
-    /// A fault hook may reject the enqueue — the queue-full decision point
-    /// under injection — in which case the caller gets a structured
-    /// `"queue full"` error (still exactly one response per request)
-    /// instead of back-pressure.
+    /// Runs one request line on the calling thread and returns its reply;
+    /// `None` once the pool is shut down. A fault hook may refuse the
+    /// admission: the reply is then a structured `"queue full"` error.
     pub fn round_trip(&self, line: &str) -> Option<String> {
-        if self.engine.fault_reject_enqueue() {
-            return Some(
-                r#"{"ok":false,"error":"queue full: request rejected under load; retry"}"#
-                    .to_owned(),
-            );
-        }
-        round_trip(&self.queue, line.to_owned())
+        serve_request(&self.engine, &self.gate, line, |resp| resp)
     }
 
-    /// Closes the queue and joins every worker. `true` when all workers
-    /// drained and exited cleanly (no worker thread panicked) — the
-    /// clean-shutdown invariant the chaos driver asserts after every plan.
-    pub fn shutdown(mut self) -> bool {
-        self.queue.close();
-        let mut clean = true;
-        for h in self.workers.drain(..) {
-            clean &= h.join().is_ok();
-        }
-        clean
+    /// Closes the pool and waits for every admitted request. `true` when
+    /// no request panicked past [`Engine::handle_line`]'s own containment.
+    pub fn shutdown(self) -> bool {
+        self.gate.close();
+        self.gate.wait_drained()
     }
 }
-
-impl Drop for Pool {
-    fn drop(&mut self) {
-        self.queue.close();
-        for h in self.workers.drain(..) {
-            let _ = h.join();
-        }
-    }
-}
-
-/// The refusal a producer gets when the queue closed before its request
-/// was accepted.
-const SHUTTING_DOWN: &str = r#"{"ok":false,"error":"shutting down"}"#;
 
 /// Frames one response on the wire: the body and its `\n` leave in a
 /// single `write_all`. Writing them separately lets Nagle's algorithm hold
@@ -376,71 +324,53 @@ fn write_response(out: &mut impl Write, mut body: String) -> std::io::Result<()>
     out.flush()
 }
 
-fn serve_stdin(queue: &JobQueue) {
-    serve_connection(
-        queue,
-        &mut std::io::stdin().lock(),
-        &mut std::io::stdout().lock(),
-    );
-}
-
 /// Answers one client's requests in order until it hangs up or the daemon
-/// shuts down.
-fn serve_connection(queue: &JobQueue, input: &mut impl BufRead, out: &mut impl Write) {
+/// shuts down (see the module docs).
+fn serve_connection(engine: &Engine, gate: &Gate, input: &mut impl BufRead, out: &mut impl Write) {
     loop {
-        let resp = match next_request(input, MAX_REQUEST_BYTES) {
-            Incoming::Line(line) => round_trip(queue, line),
-            Incoming::Reject(reply) => Some(reply.to_owned()),
+        let written = match next_request(input, MAX_REQUEST_BYTES) {
+            Incoming::Line(line) => {
+                serve_request(engine, gate, &line, |resp| write_response(out, resp))
+            }
+            Incoming::Reject(reply) => Some(write_response(out, reply.to_owned())),
             Incoming::End => return,
         };
-        let Some(resp) = resp else {
-            let _ = write_response(out, SHUTTING_DOWN.to_owned());
-            return;
-        };
-        if write_response(out, resp).is_err() {
-            return;
+        match written {
+            Some(Ok(())) if !engine.shutdown_requested() => {}
+            Some(_) => return,
+            None => {
+                let _ = write_response(out, SHUTTING_DOWN.to_owned());
+                return;
+            }
         }
     }
 }
 
-fn accept_loop<'scope>(
-    listener: TcpListener,
-    queue: Arc<JobQueue>,
-    engine: Arc<Engine>,
-    scope: &'scope std::thread::Scope<'scope, '_>,
-) {
-    loop {
-        if engine.shutdown_requested() {
-            queue.close();
-            return;
-        }
-        match listener.accept() {
-            Ok((stream, _)) => {
-                // Responses leave in one write each, so Nagle has nothing
-                // to hold back; without NODELAY the tail segment of a
-                // response larger than one segment would still wait for
-                // the client's delayed ACK. A socket that refuses the
-                // option only loses latency, so the error is ignored.
-                let _ = stream.set_nodelay(true);
-                let queue = Arc::clone(&queue);
-                std::thread::Builder::new()
-                    .name("serve-conn".to_owned())
-                    .spawn_scoped(scope, move || {
-                        let Ok(reader) = stream.try_clone() else {
-                            return;
-                        };
-                        let mut stream = stream;
-                        serve_connection(&queue, &mut BufReader::new(reader), &mut stream);
-                    })
-                    .expect("spawn connection");
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(ACCEPT_POLL);
-            }
-            Err(_) => {
-                // Transient accept errors (aborted handshakes) — keep going.
-                std::thread::sleep(ACCEPT_POLL);
-            }
+/// Accepts TCP clients, one thread each, until the process ends.
+fn accept_loop(listener: &TcpListener, engine: &Arc<Engine>, gate: &Arc<Gate>) {
+    for stream in listener.incoming() {
+        let Ok(stream) = stream else {
+            std::thread::sleep(ACCEPT_BACKOFF);
+            continue;
+        };
+        // Responses leave in one write each, so Nagle has nothing to hold
+        // back; without NODELAY the tail segment of a response larger than
+        // one segment would still wait for the client's delayed ACK. A
+        // socket that refuses the option only loses latency, so the error
+        // is ignored.
+        let _ = stream.set_nodelay(true);
+        let (engine, gate) = (Arc::clone(engine), Arc::clone(gate));
+        let spawned = std::thread::Builder::new()
+            .name("serve-conn".to_owned())
+            .spawn(move || {
+                let Ok(reader) = stream.try_clone() else {
+                    return;
+                };
+                let mut stream = stream;
+                serve_connection(&engine, &gate, &mut BufReader::new(reader), &mut stream);
+            });
+        if spawned.is_err() {
+            std::thread::sleep(ACCEPT_BACKOFF); // that client sees EOF
         }
     }
 }
@@ -451,14 +381,14 @@ mod tests {
     use jumpslice_obs::Json;
     use std::io::{BufRead, BufReader, Write};
     use std::net::TcpStream;
+    use std::sync::atomic::{AtomicBool, Ordering::SeqCst};
+    use std::sync::Barrier;
+    use std::thread::JoinHandle;
 
-    /// Boots a real TCP daemon on an ephemeral port and connects a client.
-    ///
-    /// Stdin in `cargo test` is the test harness's, and `run` may park on
-    /// it, so the daemon thread is detached: tests end the daemon with a
-    /// `shutdown` request over TCP and assert the draining through the
-    /// socket rather than by joining `run`.
-    fn boot_tcp_daemon() -> (Arc<Engine>, TcpStream) {
+    /// Boots a real TCP daemon, `run` on a thread of its own, and connects
+    /// a client. The stdin front-end reads the test process's stdin, which
+    /// may stay open: `run` returns without it.
+    fn boot_tcp_daemon() -> (Arc<Engine>, TcpStream, JoinHandle<std::io::Result<()>>) {
         // Bind first so the port is known before `run` spawns.
         let probe = TcpListener::bind("127.0.0.1:0").expect("bind probe");
         let addr = probe.local_addr().expect("addr").to_string();
@@ -467,16 +397,15 @@ mod tests {
         let engine = Arc::new(Engine::new(usize::MAX));
         let config = ServerConfig {
             workers: 2,
-            queue: 8,
             listen: Some(addr.clone()),
         };
         let engine_for_run = Arc::clone(&engine);
-        std::thread::spawn(move || run(engine_for_run, &config).expect("daemon runs"));
+        let daemon = std::thread::spawn(move || run(engine_for_run, &config));
 
         // The acceptor may not be listening yet; retry briefly.
         for _ in 0..100 {
             match TcpStream::connect(&addr) {
-                Ok(conn) => return (engine, conn),
+                Ok(conn) => return (engine, conn, daemon),
                 Err(_) => std::thread::sleep(Duration::from_millis(20)),
             }
         }
@@ -484,11 +413,11 @@ mod tests {
     }
 
     /// Drives a real TCP daemon over a socket and shuts it down —
-    /// exercising the queue, the pool, the acceptor, and cooperative
-    /// shutdown end to end.
+    /// exercising the gate, the acceptor, and cooperative shutdown end to
+    /// end.
     #[test]
     fn tcp_round_trip_and_cooperative_shutdown() {
-        let (engine, mut conn) = boot_tcp_daemon();
+        let (engine, mut conn, _) = boot_tcp_daemon();
         let mut reader = BufReader::new(conn.try_clone().expect("clone"));
         let mut send = |line: &str| -> Json {
             writeln!(conn, "{line}").expect("write");
@@ -534,7 +463,7 @@ mod tests {
     #[cfg(target_os = "linux")]
     #[test]
     fn plain_client_round_trips_do_not_wait_for_delayed_ack() {
-        let (_engine, mut conn) = boot_tcp_daemon();
+        let (_engine, mut conn, _) = boot_tcp_daemon();
         let mut reader = BufReader::new(conn.try_clone().expect("clone"));
         let mut round_trips = Vec::new();
         for _ in 0..25 {
@@ -606,7 +535,7 @@ mod tests {
 
     #[test]
     fn tcp_non_utf8_line_gets_an_error_and_the_connection_stays_open() {
-        let (_engine, mut conn) = boot_tcp_daemon();
+        let (_engine, mut conn, _) = boot_tcp_daemon();
         conn.set_read_timeout(Some(Duration::from_secs(10)))
             .expect("timeout");
         let mut reader = BufReader::new(conn.try_clone().expect("clone"));
@@ -617,7 +546,7 @@ mod tests {
 
     #[test]
     fn tcp_over_cap_line_gets_one_error_and_the_next_request_is_served() {
-        let (_engine, mut conn) = boot_tcp_daemon();
+        let (_engine, mut conn, _) = boot_tcp_daemon();
         conn.set_read_timeout(Some(Duration::from_secs(30)))
             .expect("timeout");
         let mut reader = BufReader::new(conn.try_clone().expect("clone"));
@@ -631,15 +560,84 @@ mod tests {
         expect_replies(&mut conn, &mut reader, &[false, true]);
     }
 
+    /// `run` returns once the gate is closed and drained, although another
+    /// client is still connected and idle.
     #[test]
-    fn queue_refuses_after_close() {
-        let q = JobQueue::new(2);
-        q.close();
-        let (tx, _rx) = mpsc::channel();
-        assert!(!q.push(Job {
-            line: String::new(),
-            reply: tx
-        }));
-        assert!(q.pop().is_none());
+    fn run_returns_after_tcp_shutdown_while_another_client_idles() {
+        let (_engine, idle, daemon) = boot_tcp_daemon();
+        let mut conn = TcpStream::connect(idle.peer_addr().expect("addr")).expect("connect");
+        conn.write_all(b"{\"op\":\"shutdown\"}\n").expect("write");
+        let mut bye = String::new();
+        BufReader::new(&conn).read_line(&mut bye).expect("read");
+        assert!(bye.contains(r#""shutting_down":true"#), "{bye}");
+        let ran = within_5s(move || daemon.join()).expect("run did not panic");
+        ran.expect("run is Ok");
+    }
+
+    /// Runs `f` on a thread of its own and fails the test if `f` takes over
+    /// 5 s, so a gate that never wakes a waiter cannot hang the suite.
+    fn within_5s<R: Send + 'static>(f: impl FnOnce() -> R + Send + 'static) -> R {
+        let h = std::thread::spawn(f);
+        let deadline = std::time::Instant::now() + Duration::from_secs(5);
+        while !h.is_finished() {
+            assert!(std::time::Instant::now() < deadline, "blocked for 5 s");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        h.join().expect("no panic")
+    }
+
+    #[test]
+    fn one_slot_runs_one_request_at_a_time() {
+        let gate = Arc::new(Gate::new(1));
+        let hold = Arc::new(Barrier::new(2));
+        let first = {
+            let (gate, hold) = (gate.clone(), hold.clone());
+            std::thread::spawn(move || {
+                gate.admit().expect("open").run(|| {
+                    hold.wait();
+                    hold.wait();
+                })
+            })
+        };
+        hold.wait(); // the first request holds the only slot
+        let second_ran = Arc::new(AtomicBool::new(false));
+        let second = {
+            let (gate, ran) = (gate.clone(), second_ran.clone());
+            std::thread::spawn(move || gate.admit().expect("open").run(|| ran.store(true, SeqCst)))
+        };
+        std::thread::sleep(Duration::from_millis(100));
+        assert!(!second_ran.load(SeqCst), "ran beside the first request");
+        hold.wait(); // the first request returns
+        within_5s(move || (first.join().unwrap(), second.join().unwrap()));
+        assert!(second_ran.load(SeqCst));
+    }
+
+    #[test]
+    fn closed_gate_refuses_and_drains_to_zero() {
+        let gate = Gate::new(2);
+        let ticket = gate.admit().expect("open");
+        gate.close();
+        assert!(gate.admit().is_none(), "a closed gate admits nothing");
+        assert_eq!(ticket.run(|| 7), Some(7), "an admitted request still runs");
+        assert_eq!(gate.lock().in_flight, 1);
+        drop(ticket);
+        assert_eq!(gate.lock().in_flight, 0);
+        assert!(gate.wait_drained());
+    }
+
+    #[test]
+    fn a_panic_in_a_slot_frees_it_and_is_counted() {
+        let gate = Arc::new(Gate::new(1));
+        let ticket = gate.admit().expect("open");
+        assert_eq!(ticket.run(|| -> u8 { panic!("request escaped") }), None);
+        drop(ticket);
+        let g = gate.clone();
+        let next = within_5s(move || g.admit().expect("open").run(|| 7));
+        assert_eq!(next, Some(7), "the slot was freed");
+        gate.close();
+        let s = gate.lock();
+        assert_eq!((s.escaped, s.in_flight), (1, 0));
+        drop(s);
+        assert!(!gate.wait_drained(), "the escape is reported");
     }
 }

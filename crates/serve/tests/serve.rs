@@ -69,19 +69,30 @@ impl Daemon {
     /// Closes stdin and waits (bounded) for a clean exit.
     fn finish(mut self) {
         drop(self.stdin);
-        let deadline = Instant::now() + Duration::from_secs(10);
-        loop {
-            match self.child.try_wait().expect("try_wait") {
-                Some(status) => {
-                    assert!(status.success(), "daemon exited with {status}");
-                    return;
-                }
-                None if Instant::now() > deadline => {
-                    let _ = self.child.kill();
-                    panic!("daemon did not exit within 10s of stdin EOF + shutdown");
-                }
-                None => std::thread::sleep(Duration::from_millis(25)),
+        expect_exit(
+            &mut self.child,
+            Duration::from_secs(10),
+            "stdin EOF + shutdown",
+        );
+    }
+}
+
+/// Waits up to `limit` for `child` to exit successfully; kills it and
+/// fails the test if it is still running then.
+fn expect_exit(child: &mut Child, limit: Duration, after: &str) {
+    let deadline = Instant::now() + limit;
+    loop {
+        match child.try_wait().expect("try_wait") {
+            Some(status) => {
+                assert!(status.success(), "daemon exited with {status}");
+                return;
             }
+            None if Instant::now() > deadline => {
+                let _ = child.kill();
+                let _ = child.wait();
+                panic!("daemon did not exit within {limit:?} of {after}");
+            }
+            None => std::thread::sleep(Duration::from_millis(25)),
         }
     }
 }
@@ -133,7 +144,7 @@ fn slice_lines(
 /// clean shutdown.
 #[test]
 fn daemon_end_to_end_over_stdin() {
-    let mut d = Daemon::spawn(&["--workers", "2", "--queue", "16"]);
+    let mut d = Daemon::spawn(&["--workers", "2"]);
 
     // Program A: structured (Figure 14) — fig13 ⊇ fig7 is pinned here, so
     // degradation supersets are checkable. Program B: unstructured (goto).
@@ -279,7 +290,8 @@ fn daemon_rejects_over_deep_source_and_keeps_serving() {
     d.finish();
 }
 
-/// The inline (`--workers 0`) mode speaks the same protocol.
+/// `--workers 0` still starts (it runs one request at a time, like
+/// `--workers 1`) and speaks the same protocol.
 #[test]
 fn inline_mode_round_trips() {
     let mut d = Daemon::spawn(&["--workers", "0"]);
@@ -288,6 +300,61 @@ fn inline_mode_round_trips() {
     assert_eq!(lines, vec![1, 2, 3]);
     d.send_ok(r#"{"op":"shutdown"}"#);
     d.finish();
+}
+
+/// A `shutdown` over stdin ends the daemon although stdin stays open: the
+/// daemon answers it, then exits without waiting for EOF.
+#[test]
+fn stdin_shutdown_exits_while_stdin_stays_open() {
+    for workers in ["2", "0"] {
+        let mut d = Daemon::spawn(&["--workers", workers]);
+        d.send_ok(r#"{"op":"stats"}"#);
+        let bye = d.send_ok(r#"{"op":"shutdown"}"#);
+        assert_eq!(bye.get("shutting_down").and_then(Json::as_bool), Some(true));
+        expect_exit(
+            &mut d.child,
+            Duration::from_secs(5),
+            &format!("a stdin shutdown with --workers {workers} and stdin open"),
+        );
+    }
+}
+
+/// A `shutdown` from one TCP client ends a `--listen` daemon while
+/// another client idles and stdin stays open.
+#[test]
+fn tcp_shutdown_exits_while_another_client_idles_and_stdin_stays_open() {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_jumpslice-serve"))
+        .args(["--listen", "127.0.0.1:0", "--workers", "1"])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::null())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("daemon spawns");
+    let _stdin = child.stdin.take().expect("piped stdin");
+    let mut stderr = BufReader::new(child.stderr.take().expect("piped stderr"));
+    let mut banner = String::new();
+    stderr.read_line(&mut banner).expect("read stderr");
+    let addr = banner
+        .trim()
+        .strip_prefix("jumpslice-serve: listening on ")
+        .unwrap_or_else(|| panic!("no listening line: {banner:?}"))
+        .to_owned();
+
+    let _idle = std::net::TcpStream::connect(&addr).expect("idle client connects");
+    let mut conn = std::net::TcpStream::connect(&addr).expect("client connects");
+    conn.set_read_timeout(Some(Duration::from_secs(5)))
+        .expect("timeout");
+    conn.write_all(b"{\"op\":\"shutdown\"}\n").expect("write");
+    let mut bye = String::new();
+    BufReader::new(&conn)
+        .read_line(&mut bye)
+        .expect("shutdown is answered");
+    assert!(bye.contains(r#""shutting_down":true"#), "{bye}");
+    expect_exit(
+        &mut child,
+        Duration::from_secs(5),
+        "a TCP shutdown with an idle client and stdin open",
+    );
 }
 
 /// Byte-budget eviction through the protocol: with a budget that holds
