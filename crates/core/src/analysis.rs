@@ -242,15 +242,17 @@ impl<'p> Analysis<'p> {
     }
 
     /// The (unaugmented) program dependence graph (computed on first use;
-    /// its data half reuses the cached reaching-definitions fixpoint).
+    /// its data half reuses the cached reaching-definitions fixpoint, its
+    /// control half the cached postdominator tree).
     pub fn pdg(&self) -> &Pdg {
         self.cache_probe(obs::Artifact::Pdg, self.pdg.get().is_some());
         self.pdg.get_or_init(|| {
             self.n_pdg.fetch_add(1, Ordering::Relaxed);
             let reaching = self.reaching();
+            let pdom = self.pdom();
             let _t = obs::phase(obs::Phase::PdgBuild);
             let data = DataDeps::from_reaching(self.prog, &self.cfg, reaching);
-            let control = ControlDeps::compute(self.prog, &self.cfg);
+            let control = ControlDeps::compute_with_pdom(self.prog, &self.cfg, pdom);
             Pdg::from_parts(data, control)
         })
     }

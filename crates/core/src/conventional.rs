@@ -45,12 +45,13 @@ impl Criterion {
                 // caches ReachingDefs and every vars_at slice shares it.
                 let rd = a.reaching();
                 let node = a.cfg().node(self.stmt);
-                let mut seeds = Vec::new();
-                for d in rd.reaching_in(node) {
-                    let v = a.prog().defs(d).expect("def site");
-                    if vars.contains(&v) && !seeds.contains(&d) {
-                        seeds.push(d);
-                    }
+                let mut seeds: Vec<StmtId> = vars
+                    .iter()
+                    .flat_map(|&v| rd.reaching_var(node, v))
+                    .collect();
+                if vars.len() > 1 {
+                    seeds.sort_unstable();
+                    seeds.dedup();
                 }
                 seeds
             }

@@ -38,7 +38,7 @@
 use crate::wire::{self, Reader};
 use crate::{AnalysisSeed, LexSuccTree, SlicePoint};
 use jumpslice_cfg::Cfg;
-use jumpslice_dataflow::{BitSet, DataDeps, ReachingDefs, VarTable};
+use jumpslice_dataflow::{BitSet, DataDeps, ReachingDefs};
 use jumpslice_graph::{DiGraph, DomTree, NodeId};
 use jumpslice_lang::{
     BinOp, CaseGuard, Expr, Label, Name, Program, Stmt, StmtId, StmtKind, SwitchArm, UnOp,
@@ -769,11 +769,10 @@ fn decode_reaching(
             })
             .collect()
     };
-    Ok(ReachingDefs::from_parts(
-        def_sites,
-        in_sets,
-        VarTable::from_vars(vars),
-    ))
+    // Consumers read a variable's reaching definitions through the def-site
+    // numbering, so a section whose sites or variables are not this
+    // program's would answer for the wrong statements.
+    ReachingDefs::from_parts(prog, &def_sites, in_sets, &vars).ok_or(Malformed)
 }
 
 fn encode_pdg(out: &mut Vec<u8>, prog: &Program, pdg: &Pdg) {
@@ -1096,6 +1095,43 @@ L14: write(positives);";
         let seed = Analysis::new(&prog).into_seed();
         assert_eq!(
             decode_snapshot(&encode_snapshot("", &prog, &seed)).err(),
+            Some(SnapshotError::Malformed)
+        );
+    }
+
+    /// A reaching section must describe the embedded program: its def
+    /// sites exactly the program's definition statements in statement
+    /// order, its variable table the program's. A section solved for
+    /// another program of the same shape, whose second site is this
+    /// program's `write(y)`, would send `vars_at` seeds to a statement that
+    /// defines nothing; a reordered variable table would read each
+    /// variable's definitions from the other's words.
+    #[test]
+    fn reaching_sections_that_do_not_fit_the_program_are_rejected() {
+        let src = "read(y); write(y); write(y);";
+        let prog = parse(src).unwrap();
+        let a = Analysis::new(&prog);
+        a.warm();
+        let mut seed = a.into_seed();
+        let other = parse("read(y); read(y); write(y);").unwrap();
+        seed.reaching = Some(ReachingDefs::compute(&other, &Cfg::build(&other)));
+        assert_eq!(
+            decode_snapshot(&encode_snapshot(src, &prog, &seed)).err(),
+            Some(SnapshotError::Malformed)
+        );
+
+        let src = "read(x); read(y); write(x + y);";
+        let bytes = warm_snapshot(src);
+        // The variable count follows the prefix, the presence bits and the
+        // section length; the two interner ids follow it.
+        let at = valid_prefix(src).len() + 8;
+        assert_eq!(bytes[at..at + 4], 2u32.to_le_bytes(), "two variables");
+        let mut swapped = bytes.clone();
+        swapped[at + 4..at + 8].copy_from_slice(&bytes[at + 8..at + 12]);
+        swapped[at + 8..at + 12].copy_from_slice(&bytes[at + 4..at + 8]);
+        assert_ne!(swapped, bytes);
+        assert_eq!(
+            decode_snapshot(&swapped).err(),
             Some(SnapshotError::Malformed)
         );
     }

@@ -100,6 +100,25 @@ impl BitSet {
         }
     }
 
+    /// Unions `other` into `self` with the `(word, mask)` pairs of `kill`
+    /// (ascending by word, each word in range) removed from `other` first:
+    /// the reaching-definitions transfer of a defining node, applied on
+    /// the fly instead of from a stored OUT set.
+    pub(crate) fn union_except(&mut self, other: &BitSet, kill: &[(usize, u64)]) {
+        debug_assert_eq!(self.capacity, other.capacity);
+        let mut from = 0;
+        for &(w, m) in kill {
+            for (a, b) in self.words[from..w].iter_mut().zip(&other.words[from..w]) {
+                *a |= b;
+            }
+            self.words[w] |= other.words[w] & !m;
+            from = w + 1;
+        }
+        for (a, b) in self.words[from..].iter_mut().zip(&other.words[from..]) {
+            *a |= b;
+        }
+    }
+
     /// Whether the two sets share any element, word-parallel. Capacities
     /// may differ; bits past the shorter operand are treated as absent.
     pub fn intersects(&self, other: &BitSet) -> bool {
@@ -216,19 +235,24 @@ impl BitSet {
 
     /// Iterates the elements in ascending order.
     pub fn iter(&self) -> impl Iterator<Item = usize> + '_ {
-        self.words.iter().enumerate().flat_map(|(wi, &w)| {
-            let mut w = w;
-            std::iter::from_fn(move || {
-                if w == 0 {
-                    None
-                } else {
-                    let b = w.trailing_zeros() as usize;
-                    w &= w - 1;
-                    Some(wi * 64 + b)
-                }
-            })
-        })
+        self.words
+            .iter()
+            .enumerate()
+            .flat_map(|(wi, &w)| word_bits(w).map(move |b| wi * 64 + b))
     }
+}
+
+/// The set bits of one word, ascending.
+pub(crate) fn word_bits(mut w: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        if w == 0 {
+            None
+        } else {
+            let b = w.trailing_zeros() as usize;
+            w &= w - 1;
+            Some(b)
+        }
+    })
 }
 
 #[cfg(test)]
@@ -286,6 +310,22 @@ mod tests {
         }
         wide.union_masked(&small, &all);
         assert_eq!(wide.iter().collect::<Vec<_>>(), vec![2, 199]);
+    }
+
+    #[test]
+    fn union_except_drops_only_the_killed_bits_of_other() {
+        let mut src = BitSet::new(200);
+        for v in [0, 5, 63, 64, 100, 130, 199] {
+            src.insert(v);
+        }
+        let mut target = BitSet::new(200);
+        target.insert(5); // already present bits survive a kill
+                          // Kill {5, 63} in word 0 and {130} in word 2; words 1 and 3 pass.
+        target.union_except(&src, &[(0, 1 << 5 | 1 << 63), (2, 1 << 2)]);
+        assert_eq!(target.iter().collect::<Vec<_>>(), vec![0, 5, 64, 100, 199]);
+        let mut plain = BitSet::new(200);
+        plain.union_except(&src, &[]);
+        assert_eq!(plain, src, "no kill is a plain union");
     }
 
     #[test]

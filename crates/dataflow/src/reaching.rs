@@ -1,22 +1,26 @@
 //! Reaching definitions and the data-dependence edges derived from them.
 
+use crate::bitset::word_bits;
 use crate::BitSet;
 use jumpslice_cfg::Cfg;
 use jumpslice_graph::NodeId;
 use jumpslice_lang::{Name, Program, StmtId};
-use std::collections::HashMap;
 
 /// Dense numbering of the variables a program defines or uses.
 #[derive(Clone, Debug, Default)]
 pub struct VarTable {
     vars: Vec<Name>,
-    index: HashMap<Name, usize>,
+    /// Dense index of each interned name, by [`Name::index`].
+    index: Vec<Option<usize>>,
 }
 
 impl VarTable {
     /// Collects every variable defined or used anywhere in `prog`.
     pub fn of(prog: &Program) -> VarTable {
-        let mut t = VarTable::default();
+        let mut t = VarTable {
+            vars: Vec::new(),
+            index: vec![None; prog.num_names()],
+        };
         for s in prog.stmt_ids() {
             if let Some(d) = prog.defs(s) {
                 t.add(d);
@@ -29,8 +33,11 @@ impl VarTable {
     }
 
     fn add(&mut self, n: Name) {
-        if !self.index.contains_key(&n) {
-            self.index.insert(n, self.vars.len());
+        if n.index() >= self.index.len() {
+            self.index.resize(n.index() + 1, None);
+        }
+        if self.index[n.index()].is_none() {
+            self.index[n.index()] = Some(self.vars.len());
             self.vars.push(n);
         }
     }
@@ -45,20 +52,9 @@ impl VarTable {
         self.vars.is_empty()
     }
 
-    /// Rebuilds a table from a dense variable list (index `i` maps back to
-    /// `vars[i]`) — the snapshot-restore constructor. Duplicates keep their
-    /// first index, matching [`VarTable::of`]'s discovery order semantics.
-    pub fn from_vars(vars: Vec<Name>) -> VarTable {
-        let mut t = VarTable::default();
-        for v in vars {
-            t.add(v);
-        }
-        t
-    }
-
     /// Dense index of a variable.
     pub fn index_of(&self, n: Name) -> Option<usize> {
-        self.index.get(&n).copied()
+        self.index.get(n.index()).copied().flatten()
     }
 
     /// Variable at a dense index.
@@ -70,7 +66,10 @@ impl VarTable {
 /// The classic forward may-analysis: which definition sites reach each node.
 ///
 /// Definition sites are the statements with a def (`x = e;`, `read(x);`),
-/// numbered densely.
+/// numbered densely in statement order. Next to the IN sets the solution
+/// keeps, per variable, the words its sites occupy in an IN set, so a
+/// consumer reads one variable's reaching definitions without scanning the
+/// others' ([`ReachingDefs::reaching_var`]).
 #[derive(Clone, Debug)]
 pub struct ReachingDefs {
     /// Definition sites, in discovery order.
@@ -78,47 +77,42 @@ pub struct ReachingDefs {
     /// IN set per CFG node, over def-site indices.
     in_sets: Vec<BitSet>,
     vars: VarTable,
+    /// `var_words[v]`: the `(word, mask)` pairs variable `v`'s definition
+    /// sites occupy in an IN set, ascending by word.
+    var_words: Vec<Vec<(usize, u64)>>,
 }
 
-/// The dense def-site numbering plus per-node gen/kill sets — the static
-/// part of the reaching-definitions problem, shared by the cold solve and
-/// the seeded re-solve.
+/// The static part of the reaching-definitions problem, shared by the cold
+/// solve, the seeded re-solve and the snapshot constructor: the def-site
+/// numbering and each variable's site words. A defining node generates its
+/// own site and kills its variable's words, so no per-node set is stored.
 struct GenKill {
     vars: VarTable,
     def_sites: Vec<StmtId>,
     site_of_stmt: Vec<Option<usize>>,
-    gen: Vec<BitSet>,
-    kill: Vec<BitSet>,
+    /// Dense variable index of each def site.
+    site_var: Vec<usize>,
+    var_words: Vec<Vec<(usize, u64)>>,
 }
 
 impl GenKill {
-    fn of(prog: &Program, cfg: &Cfg) -> GenKill {
+    fn of(prog: &Program) -> GenKill {
         let vars = VarTable::of(prog);
         let mut def_sites = Vec::new();
         let mut site_of_stmt: Vec<Option<usize>> = vec![None; prog.len()];
-        let mut sites_of_var: Vec<Vec<usize>> = vec![Vec::new(); vars.len()];
+        let mut site_var = Vec::new();
+        let mut var_words: Vec<Vec<(usize, u64)>> = vec![Vec::new(); vars.len()];
         for s in prog.stmt_ids() {
             if let Some(v) = prog.defs(s) {
                 let idx = def_sites.len();
+                let vi = vars.index_of(v).expect("collected");
                 def_sites.push(s);
                 site_of_stmt[s.index()] = Some(idx);
-                sites_of_var[vars.index_of(v).expect("collected")].push(idx);
-            }
-        }
-
-        let n = cfg.graph().len();
-        let nsites = def_sites.len();
-        let mut gen = vec![BitSet::new(nsites); n];
-        let mut kill = vec![BitSet::new(nsites); n];
-        for s in prog.stmt_ids() {
-            if let Some(idx) = site_of_stmt[s.index()] {
-                let node = cfg.node(s);
-                gen[node.index()].insert(idx);
-                let v = prog.defs(s).expect("site has def");
-                for &other in &sites_of_var[vars.index_of(v).expect("collected")] {
-                    if other != idx {
-                        kill[node.index()].insert(other);
-                    }
+                site_var.push(vi);
+                let (w, bit) = (idx / 64, 1u64 << (idx % 64));
+                match var_words[vi].last_mut() {
+                    Some((last, mask)) if *last == w => *mask |= bit,
+                    _ => var_words[vi].push((w, bit)),
                 }
             }
         }
@@ -126,8 +120,8 @@ impl GenKill {
             vars,
             def_sites,
             site_of_stmt,
-            gen,
-            kill,
+            site_var,
+            var_words,
         }
     }
 }
@@ -135,7 +129,7 @@ impl GenKill {
 impl ReachingDefs {
     /// Runs the fixpoint on `prog`'s flowgraph.
     pub fn compute(prog: &Program, cfg: &Cfg) -> ReachingDefs {
-        let gk = GenKill::of(prog, cfg);
+        let gk = GenKill::of(prog);
         let in_sets = vec![BitSet::new(gk.def_sites.len()); cfg.graph().len()];
         Self::solve(cfg, gk, in_sets, "reaching.fixpoint_passes")
     }
@@ -193,7 +187,7 @@ impl ReachingDefs {
         dirty_vars: &[Name],
         dirty_from: Option<NodeId>,
     ) -> (ReachingDefs, Vec<bool>) {
-        let gk = GenKill::of(prog, cfg);
+        let gk = GenKill::of(prog);
         let nsites = gk.def_sites.len();
         let n = cfg.graph().len();
         let mut in_sets = vec![BitSet::new(nsites); n];
@@ -279,15 +273,23 @@ impl ReachingDefs {
         (rd, in_changed)
     }
 
-    /// Chaotic iteration to the least fixpoint from `in_sets` (which must
-    /// be at or below it). Out-sets are derived from the seed via the
-    /// transfer function, preserving the invariant.
+    /// Worklist iteration to the least fixpoint from `in_sets` (which must
+    /// be at or below it).
     fn solve(cfg: &Cfg, gk: GenKill, in_sets: Vec<BitSet>, counter: &'static str) -> ReachingDefs {
         Self::solve_tracked(cfg, gk, in_sets, counter).0
     }
 
     /// [`ReachingDefs::solve`], additionally reporting per node whether its
     /// IN set at the fixpoint differs from the seed it started from.
+    ///
+    /// No OUT set is stored: a node's OUT is its IN, except that a defining
+    /// node clears its variable's words and sets its own site, and that
+    /// transfer is applied while its successors union it in. Sweeps run in
+    /// reverse postorder from entry and visit only nodes marked pending:
+    /// all of them at first, later those with a predecessor whose IN
+    /// changed. Sweeping every node each time evaluates the same sequence
+    /// of IN sets, since a node none of whose predecessors changed would
+    /// recompute the IN it already has.
     fn solve_tracked(
         cfg: &Cfg,
         gk: GenKill,
@@ -297,58 +299,66 @@ impl ReachingDefs {
         let GenKill {
             vars,
             def_sites,
-            gen,
-            kill,
-            ..
+            site_of_stmt,
+            site_var,
+            var_words,
         } = gk;
-        // Worklist in reverse postorder from entry for fast convergence.
-        // Nodes unreachable from entry are excluded, and must keep empty
-        // sets — deriving `out = gen` for them would let dead definitions
-        // leak into reachable fall-through successors.
+        // Nodes unreachable from entry are excluded and keep empty sets:
+        // applying their transfer would let dead definitions leak into
+        // reachable fall-through successors.
         let order = jumpslice_graph::reverse_postorder(cfg.graph(), cfg.entry());
         let n = cfg.graph().len();
-        let nsites = def_sites.len();
-        let mut live_node = vec![false; n];
-        for &node in &order {
-            live_node[node.index()] = true;
+        let mut pos = vec![usize::MAX; n];
+        for (j, &node) in order.iter().enumerate() {
+            pos[node.index()] = j;
         }
         let mut in_changed = vec![false; n];
-        let mut out_sets = Vec::with_capacity(n);
-        for i in 0..n {
-            if !live_node[i] {
-                if !in_sets[i].is_empty() {
-                    in_changed[i] = true;
-                }
-                in_sets[i].clear();
-                out_sets.push(BitSet::new(nsites));
-                continue;
+        for (i, set) in in_sets.iter_mut().enumerate() {
+            if pos[i] == usize::MAX && !set.is_empty() {
+                in_changed[i] = true;
+                set.clear();
             }
-            let mut out = in_sets[i].clone();
-            out.subtract(&kill[i]);
-            out.union_with(&gen[i]);
-            out_sets.push(out);
         }
-        let mut changed = true;
+        let site_of_node = |p: NodeId| cfg.stmt(p).and_then(|s| site_of_stmt[s.index()]);
+
+        let mut scratch = BitSet::new(def_sites.len());
+        let mut pending = vec![true; order.len()];
+        let mut again = true;
         let mut passes = 0u64;
-        while changed {
-            changed = false;
+        while again {
+            again = false;
             passes += 1;
-            for &node in &order {
-                let i = node.index();
-                let mut new_in = BitSet::new(nsites);
-                for &p in cfg.graph().preds(node) {
-                    new_in.union_with(&out_sets[p.index()]);
+            for (j, &node) in order.iter().enumerate() {
+                if !std::mem::take(&mut pending[j]) {
+                    continue;
                 }
-                let mut new_out = new_in.clone();
-                new_out.subtract(&kill[i]);
-                new_out.union_with(&gen[i]);
-                if new_in != in_sets[i] || new_out != out_sets[i] {
-                    if new_in != in_sets[i] {
-                        in_changed[i] = true;
+                scratch.clear();
+                for &p in cfg.graph().preds(node) {
+                    if pos[p.index()] == usize::MAX {
+                        continue;
                     }
-                    in_sets[i] = new_in;
-                    out_sets[i] = new_out;
-                    changed = true;
+                    let from = &in_sets[p.index()];
+                    match site_of_node(p) {
+                        None => {
+                            scratch.union_with(from);
+                        }
+                        Some(site) => {
+                            scratch.union_except(from, &var_words[site_var[site]]);
+                            scratch.insert(site);
+                        }
+                    }
+                }
+                let i = node.index();
+                if scratch != in_sets[i] {
+                    in_changed[i] = true;
+                    std::mem::swap(&mut in_sets[i], &mut scratch);
+                    for &s in cfg.graph().succs(node) {
+                        let k = pos[s.index()];
+                        if k != usize::MAX {
+                            pending[k] = true;
+                            again |= k <= j;
+                        }
+                    }
                 }
             }
         }
@@ -362,6 +372,7 @@ impl ReachingDefs {
                 def_sites,
                 in_sets,
                 vars,
+                var_words,
             },
             in_changed,
         )
@@ -383,27 +394,83 @@ impl ReachingDefs {
         &self.in_sets
     }
 
-    /// Reassembles a solution from its raw parts — the snapshot-restore
-    /// constructor, inverse of [`ReachingDefs::def_sites`] /
-    /// [`ReachingDefs::in_sets`] / [`ReachingDefs::vars`]. The caller is
-    /// responsible for the parts describing the same program the solution
-    /// was computed for; slicing through a mismatched solution is undefined
-    /// (but memory-safe — all downstream access is bounds-checked).
+    /// Reassembles a solution for `prog` from its raw parts — the
+    /// snapshot-restore constructor, inverse of [`ReachingDefs::def_sites`]
+    /// / [`ReachingDefs::in_sets`] / [`ReachingDefs::vars`]. Returns `None`
+    /// unless `def_sites` are exactly `prog`'s definition statements in
+    /// statement order, `vars` is `prog`'s variable table in discovery
+    /// order, and every IN set spans the def sites. The caller is
+    /// responsible for there being one IN set per flowgraph node and for
+    /// the bits being the solution for `prog`.
     pub fn from_parts(
-        def_sites: Vec<StmtId>,
+        prog: &Program,
+        def_sites: &[StmtId],
         in_sets: Vec<BitSet>,
-        vars: VarTable,
-    ) -> ReachingDefs {
-        ReachingDefs {
-            def_sites,
+        vars: &[Name],
+    ) -> Option<ReachingDefs> {
+        let gk = GenKill::of(prog);
+        let same_vars = (0..gk.vars.len())
+            .map(|i| gk.vars.var(i))
+            .eq(vars.iter().copied());
+        if !same_vars
+            || gk.def_sites != def_sites
+            || in_sets.iter().any(|s| s.capacity() != def_sites.len())
+        {
+            return None;
+        }
+        Some(ReachingDefs {
+            def_sites: gk.def_sites,
             in_sets,
-            vars,
+            vars: gk.vars,
+            var_words: gk.var_words,
+        })
+    }
+
+    /// The definitions of `v` reaching the entry of `node`, in statement
+    /// order. Reads only the IN-set words holding `v`'s definition sites.
+    pub fn reaching_var(&self, node: NodeId, v: Name) -> impl Iterator<Item = StmtId> + '_ {
+        let words = self.in_sets[node.index()].words();
+        self.words_of(v)
+            .iter()
+            .flat_map(move |&(w, mask)| self.sites_in(w, words[w] & mask))
+    }
+
+    /// The `(word, mask)` pairs variable `v`'s definition sites occupy in
+    /// an IN set (none for a variable the program never mentions).
+    fn words_of(&self, v: Name) -> &[(usize, u64)] {
+        match self.vars.index_of(v) {
+            Some(i) => &self.var_words[i],
+            None => &[],
         }
     }
 
-    /// The definition statements reaching the *entry* of `node`.
-    pub fn reaching_in(&self, node: NodeId) -> impl Iterator<Item = StmtId> + '_ {
-        self.in_sets[node.index()].iter().map(|i| self.def_sites[i])
+    /// The definition statements of the set bits of IN-set word `w`.
+    fn sites_in(&self, w: usize, bits: u64) -> impl Iterator<Item = StmtId> + '_ {
+        word_bits(bits).map(move |b| self.def_sites[w * 64 + b])
+    }
+
+    /// The definitions of the distinct variables `used` reaching the entry
+    /// of `node`, in statement order. One variable's pairs are already in
+    /// word order; several variables' masks are first merged word by word
+    /// into `mask` (all zero on entry and on return, grown to IN-set width
+    /// here), so no list needs sorting.
+    fn reaching_uses(&self, node: NodeId, used: &[Name], mask: &mut Vec<u64>) -> Vec<StmtId> {
+        match used {
+            [] => Vec::new(),
+            [v] => self.reaching_var(node, *v).collect(),
+            _ => {
+                let words = self.in_sets[node.index()].words();
+                mask.resize(words.len(), 0);
+                for &(w, m) in used.iter().flat_map(|&v| self.words_of(v)) {
+                    mask[w] |= m;
+                }
+                let mut out = Vec::new();
+                for (w, m) in mask.iter_mut().enumerate() {
+                    out.extend(self.sites_in(w, words[w] & std::mem::take(m)));
+                }
+                out
+            }
+        }
     }
 }
 
@@ -426,30 +493,15 @@ impl DataDeps {
         Self::from_reaching(prog, cfg, &rd)
     }
 
-    /// Derives the edges from a precomputed [`ReachingDefs`].
+    /// Derives the edges from a precomputed [`ReachingDefs`], reading each
+    /// used variable's reaching definitions directly.
     pub fn from_reaching(prog: &Program, cfg: &Cfg, rd: &ReachingDefs) -> DataDeps {
-        let n = prog.len();
-        let mut deps = vec![Vec::new(); n];
-        let mut dependents = vec![Vec::new(); n];
-        for u in prog.stmt_ids() {
-            let used = prog.uses(u);
-            if used.is_empty() {
-                continue;
-            }
-            let node = cfg.node(u);
-            for d in rd.reaching_in(node) {
-                let v = prog.defs(d).expect("def site");
-                if used.contains(&v) {
-                    deps[u.index()].push(d);
-                    dependents[d.index()].push(u);
-                }
-            }
-        }
-        for v in deps.iter_mut().chain(dependents.iter_mut()) {
-            v.sort();
-            v.dedup();
-        }
-        DataDeps { deps, dependents }
+        let mut mask = Vec::new();
+        let deps = prog
+            .stmt_ids()
+            .map(|u| rd.reaching_uses(cfg.node(u), &prog.uses(u), &mut mask))
+            .collect();
+        Self::with_inverse(deps)
     }
 
     /// Rebuilds the edge set from the forward direction only, deriving the
@@ -459,19 +511,23 @@ impl DataDeps {
     /// forms always arrive strictly sorted, so the sort is guarded by a
     /// single ordering scan — restore pays for it only on hostile bytes.
     pub fn from_deps(mut deps: Vec<Vec<StmtId>>) -> DataDeps {
-        let n = deps.len();
-        let mut counts = vec![0usize; n];
         for v in deps.iter_mut() {
             if !v.windows(2).all(|w| w[0] < w[1]) {
                 v.sort();
                 v.dedup();
             }
-            for d in v.iter() {
-                counts[d.index()] += 1;
-            }
         }
-        // Filling in ascending `u` over deduplicated forward lists leaves
-        // every reverse list strictly sorted — no post-pass needed.
+        Self::with_inverse(deps)
+    }
+
+    /// Pairs strictly sorted forward lists with their inverse index.
+    /// Filling in ascending `u` leaves every reverse list strictly sorted —
+    /// no post-pass needed.
+    fn with_inverse(deps: Vec<Vec<StmtId>>) -> DataDeps {
+        let mut counts = vec![0usize; deps.len()];
+        for d in deps.iter().flatten() {
+            counts[d.index()] += 1;
+        }
         let mut dependents: Vec<Vec<StmtId>> =
             counts.iter().map(|&c| Vec::with_capacity(c)).collect();
         for (u, ds) in deps.iter().enumerate() {
@@ -564,6 +620,7 @@ impl DataDeps {
         }
 
         let mut repointed = 0;
+        let mut mask = Vec::new();
         for u in prog.stmt_ids() {
             if carried[u.index()] {
                 continue;
@@ -573,29 +630,9 @@ impl DataDeps {
                 continue;
             }
             repointed += 1;
-            let mut fresh = Vec::new();
-            for d in rd.reaching_in(cfg.node(u)) {
-                let v = prog.defs(d).expect("def site");
-                if used.contains(&v) {
-                    fresh.push(d);
-                }
-            }
-            fresh.sort();
-            fresh.dedup();
-            deps[u.index()] = fresh;
+            deps[u.index()] = rd.reaching_uses(cfg.node(u), &used, &mut mask);
         }
-
-        let mut dependents: Vec<Vec<StmtId>> = vec![Vec::new(); n];
-        for (u, ds) in deps.iter().enumerate() {
-            for &d in ds {
-                dependents[d.index()].push(StmtId::from_index(u));
-            }
-        }
-        for v in dependents.iter_mut() {
-            v.sort();
-            v.dedup();
-        }
-        (DataDeps { deps, dependents }, repointed)
+        (Self::with_inverse(deps), repointed)
     }
 
     /// Recomputes the *incoming* edges of `u` from `rd` and replaces the
@@ -613,23 +650,12 @@ impl DataDeps {
         for &d in &self.deps[u.index()] {
             self.dependents[d.index()].retain(|&x| x != u);
         }
-        let used = prog.uses(u);
-        let mut new_deps = Vec::new();
-        if !used.is_empty() {
-            for d in rd.reaching_in(cfg.node(u)) {
-                let v = prog.defs(d).expect("def site");
-                if used.contains(&v) {
-                    new_deps.push(d);
-                }
-            }
-        }
-        new_deps.sort();
-        new_deps.dedup();
+        let new_deps = rd.reaching_uses(cfg.node(u), &prog.uses(u), &mut Vec::new());
         for &d in &new_deps {
             let inv = &mut self.dependents[d.index()];
-            inv.push(u);
-            inv.sort();
-            inv.dedup();
+            if let Err(at) = inv.binary_search(&u) {
+                inv.insert(at, u);
+            }
         }
         let n = new_deps.len();
         self.deps[u.index()] = new_deps;
@@ -768,11 +794,7 @@ mod tests {
         for s in p.stmt_ids() {
             assert!(!in_changed[cfg.node(s).index()], "{s:?} spuriously dirty");
         }
-        for node in (0..cfg.graph().len()).map(jumpslice_graph::NodeId::new) {
-            let a: Vec<StmtId> = cold.reaching_in(node).collect();
-            let b: Vec<StmtId> = warm.reaching_in(node).collect();
-            assert_eq!(a, b, "node {node:?}");
-        }
+        assert_eq!(cold.in_sets(), warm.in_sets());
     }
 
     #[test]
@@ -908,19 +930,32 @@ mod tests {
         let p = parse("x = 1; y = x; while (y < 9) { y = y + x; } write(y);").unwrap();
         let cfg = Cfg::build(&p);
         let rd = ReachingDefs::compute(&p, &cfg);
-        let rebuilt = ReachingDefs::from_parts(
-            rd.def_sites().to_vec(),
-            rd.in_sets().to_vec(),
-            VarTable::from_vars((0..rd.vars().len()).map(|i| rd.vars().var(i)).collect()),
-        );
+        let vars: Vec<Name> = (0..rd.vars().len()).map(|i| rd.vars().var(i)).collect();
+        let rebuilt =
+            ReachingDefs::from_parts(&p, rd.def_sites(), rd.in_sets().to_vec(), &vars).unwrap();
+        assert_eq!(rd.in_sets(), rebuilt.in_sets());
+        let (x, y) = (p.name("x").unwrap(), p.name("y").unwrap());
         for node in (0..cfg.graph().len()).map(jumpslice_graph::NodeId::new) {
-            assert_eq!(
-                rd.reaching_in(node).collect::<Vec<_>>(),
-                rebuilt.reaching_in(node).collect::<Vec<_>>(),
-                "node {node:?}"
-            );
+            for v in [x, y] {
+                assert_eq!(
+                    rd.reaching_var(node, v).collect::<Vec<_>>(),
+                    rebuilt.reaching_var(node, v).collect::<Vec<_>>(),
+                    "node {node:?}"
+                );
+            }
         }
-        assert_eq!(rd.vars().len(), rebuilt.vars().len());
+
+        // Parts that do not describe this program are refused.
+        let mut swapped = vars.clone();
+        swapped.reverse();
+        assert!(
+            ReachingDefs::from_parts(&p, rd.def_sites(), rd.in_sets().to_vec(), &swapped).is_none()
+        );
+        let mut sites = rd.def_sites().to_vec();
+        sites.pop();
+        assert!(ReachingDefs::from_parts(&p, &sites, rd.in_sets().to_vec(), &vars).is_none());
+        let narrow = vec![BitSet::new(1); rd.in_sets().len()];
+        assert!(ReachingDefs::from_parts(&p, rd.def_sites(), narrow, &vars).is_none());
 
         let dd = DataDeps::from_reaching(&p, &cfg, &rd);
         let fwd_only: Vec<Vec<StmtId>> = p.stmt_ids().map(|s| dd.deps(s).to_vec()).collect();

@@ -28,10 +28,20 @@
 //! let crit = Criterion::at_stmt(p.at_line(9));
 //! assert_eq!(oracle::agrawal_slice_dense(&a, &crit), agrawal_slice(&a, &crit));
 //! ```
+//!
+//! [`reaching_dense`] and [`data_deps_dense`] are the oracle for the
+//! reaching-definitions solver and the data-dependence edges in
+//! `jumpslice-dataflow`: the textbook per-node gen and kill sets, a
+//! round-robin fixpoint over stored IN and OUT sets, and edges found by
+//! filtering every reaching definition through the use's variables.
+//! `tests/reaching_oracle.rs` holds the solver to them bit for bit.
 
+use jumpslice_cfg::Cfg;
 use jumpslice_core::{reassociate_labels, Analysis, Criterion, Slice, Why};
-use jumpslice_dataflow::StmtSet;
-use jumpslice_lang::StmtId;
+use jumpslice_dataflow::{BitSet, StmtSet};
+use jumpslice_graph::NodeId;
+use jumpslice_lang::{Name, Program, StmtId};
+use std::collections::HashMap;
 
 /// Figure 7 driven by the jump visit `order`: starting from the
 /// conventional closure, every round tests each out-of-slice jump in
@@ -163,6 +173,111 @@ pub fn jumps_in_lst_preorder(a: &Analysis<'_>) -> Vec<StmtId> {
         .into_iter()
         .filter(|&s| a.prog().stmt(s).kind.is_unconditional_jump() && a.is_live(s))
         .collect()
+}
+
+/// A reaching-definitions solution in the solver's layout: bit `i` of
+/// every IN set is `def_sites[i]`.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct DenseReaching {
+    /// The definition statements, in statement order.
+    pub def_sites: Vec<StmtId>,
+    /// The IN set of every flowgraph node, indexed by node.
+    pub in_sets: Vec<BitSet>,
+}
+
+/// Reaching definitions from per-node gen and kill sets: a defining node
+/// generates its own site and kills every other site of its variable.
+/// Round-robin passes over the nodes reachable from entry recompute each
+/// IN as the union of its predecessors' stored OUT sets until nothing
+/// changes. Unreachable nodes keep empty sets, so dead definitions reach
+/// nothing.
+pub fn reaching_dense(prog: &Program, cfg: &Cfg) -> DenseReaching {
+    let mut def_sites = Vec::new();
+    let mut sites_of_var: HashMap<Name, Vec<usize>> = HashMap::new();
+    for s in prog.stmt_ids() {
+        if let Some(v) = prog.defs(s) {
+            sites_of_var.entry(v).or_default().push(def_sites.len());
+            def_sites.push(s);
+        }
+    }
+    let n = cfg.graph().len();
+    let nsites = def_sites.len();
+    let live = cfg.reachable();
+    let mut gen = vec![BitSet::new(nsites); n];
+    let mut kill = vec![BitSet::new(nsites); n];
+    for (idx, &s) in def_sites.iter().enumerate() {
+        let node = cfg.node(s).index();
+        gen[node].insert(idx);
+        for &other in &sites_of_var[&prog.defs(s).expect("def site")] {
+            if other != idx {
+                kill[node].insert(other);
+            }
+        }
+    }
+    let mut in_sets = vec![BitSet::new(nsites); n];
+    let mut out_sets: Vec<BitSet> = (0..n)
+        .map(|i| {
+            if live[i] {
+                gen[i].clone()
+            } else {
+                BitSet::new(nsites)
+            }
+        })
+        .collect();
+    let mut changed = true;
+    while changed {
+        changed = false;
+        for i in (0..n).filter(|&i| live[i]) {
+            let mut new_in = BitSet::new(nsites);
+            for &p in cfg.graph().preds(NodeId::new(i)) {
+                new_in.union_with(&out_sets[p.index()]);
+            }
+            let mut new_out = new_in.clone();
+            new_out.subtract(&kill[i]);
+            new_out.union_with(&gen[i]);
+            if new_in != in_sets[i] || new_out != out_sets[i] {
+                in_sets[i] = new_in;
+                out_sets[i] = new_out;
+                changed = true;
+            }
+        }
+    }
+    DenseReaching { def_sites, in_sets }
+}
+
+/// Data-dependence edges in both directions, indexed by statement:
+/// `deps[u]` holds the definitions `u` depends on, `dependents[d]` the
+/// statements depending on `d`, each sorted.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct DenseDeps {
+    /// Incoming edges per statement.
+    pub deps: Vec<Vec<StmtId>>,
+    /// Outgoing edges per statement.
+    pub dependents: Vec<Vec<StmtId>>,
+}
+
+/// The edges of `rd`: every definition reaching a statement whose
+/// variable the statement uses, found by testing each reaching bit, then
+/// sorted and deduplicated in both directions.
+pub fn data_deps_dense(prog: &Program, cfg: &Cfg, rd: &DenseReaching) -> DenseDeps {
+    let n = prog.len();
+    let mut deps = vec![Vec::new(); n];
+    let mut dependents = vec![Vec::new(); n];
+    for u in prog.stmt_ids() {
+        let used = prog.uses(u);
+        for bit in rd.in_sets[cfg.node(u).index()].iter() {
+            let d = rd.def_sites[bit];
+            if used.contains(&prog.defs(d).expect("def site")) {
+                deps[u.index()].push(d);
+                dependents[d.index()].push(u);
+            }
+        }
+    }
+    for v in deps.iter_mut().chain(dependents.iter_mut()) {
+        v.sort();
+        v.dedup();
+    }
+    DenseDeps { deps, dependents }
 }
 
 #[cfg(test)]

@@ -955,6 +955,55 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// A well-framed record whose reaching section was solved for another
+    /// program of the same shape: its second definition site is this
+    /// program's `write(y)`. The decoder refuses it, so the load rebuilds
+    /// from source and the `vars` slice is right, instead of the first
+    /// reaching-definitions read finding a site that defines nothing.
+    #[test]
+    fn a_reaching_section_of_another_program_falls_back_to_the_source_build() {
+        let dir = tmpdir("forged-reaching");
+        let src = "read(y);\nwrite(y);\nwrite(y);\n";
+        let prog = parse(src).unwrap();
+        let a = jumpslice_core::Analysis::new(&prog);
+        a.warm();
+        let mut seed = a.into_seed();
+        let other = parse("read(y); read(y); write(y);").unwrap();
+        let b = jumpslice_core::Analysis::new(&other);
+        let _ = b.reaching();
+        seed.reaching = b.into_seed().reaching;
+        let store = jumpslice_store::SnapshotStore::open(&dir, u64::MAX).unwrap();
+        store
+            .save(content_hash(src), &encode_snapshot(src, &prog, &seed))
+            .unwrap();
+
+        let e = Engine::new(usize::MAX).with_store(store);
+        let resp = ok(&e.handle_line(
+            &Json::Obj(vec![
+                ("op".to_owned(), Json::Str("load".to_owned())),
+                ("source".to_owned(), Json::Str(src.to_owned())),
+            ])
+            .write_compact(),
+        ));
+        assert_eq!(resp.get("restored").and_then(Json::as_bool), Some(false));
+        let key = resp.get("program").and_then(Json::as_str).expect("key");
+        let slice = ok(&e.handle_line(&format!(
+            r#"{{"op":"slice","program":"{key}","algo":"fig7","criteria":[{{"line":3,"vars":["y"]}}]}}"#
+        )));
+        let lines = slice.get("slices").and_then(Json::as_arr).expect("slices")[0]
+            .get("lines")
+            .expect("lines")
+            .write_compact();
+        assert_eq!(lines, "[1]", "only read(y) defines the y that line 3 sees");
+        let stats = ok(&e.handle_line(r#"{"op":"stats"}"#));
+        let store_stats = stats.get("store").expect("store object in stats");
+        assert_eq!(
+            store_stats.get("fallbacks").and_then(Json::as_num),
+            Some(1.0)
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
     #[test]
     fn an_expired_deadline_degrades_to_a_fig13_answer() {
         let e = Engine::new(usize::MAX);
