@@ -1,20 +1,33 @@
-//! Pins the cost of *disabled* instrumentation: with no trace sink
-//! installed, every obs hook is a thread-local read and a branch. This
-//! harness measures that per-hook cost directly, counts how many hooks a
-//! real batch sweep executes, and asserts the projected total is ≤ 2% of
-//! the sweep's wall-clock time — the "zero-cost-when-disabled" contract,
-//! enforced rather than claimed.
+//! Pins the cost of instrumentation, both ways.
 //!
-//! The projection (hooks × per-hook-cost vs sweep time) is used instead of
-//! a raw A/B timing diff because a sub-2% delta between two multi-ms
+//! *Disabled:* with no trace sink installed, every obs hook is a
+//! thread-local read and a branch. This harness measures that per-hook cost
+//! directly, counts how many hooks a real batch sweep executes, and asserts
+//! the projected total is ≤ 2% of the sweep's wall-clock time — the
+//! "zero-cost-when-disabled" contract, enforced rather than claimed. The
+//! projection (hooks × per-hook-cost vs sweep time) is used instead of a
+//! raw A/B timing diff because a sub-2% delta between two multi-ms
 //! measurements drowns in scheduler noise on shared CI runners, while both
 //! projection inputs are individually stable.
+//!
+//! *Enabled:* a sink must not change what it measures. The same
+//! one-thread batch is timed with and without `obs::capture` on both
+//! generated families at 1000 and 5000 statements, and the captured batch
+//! may take at most 1.5× the uncaptured one. A 1.5× band is wide enough to
+//! sit above scheduler noise and narrow enough to catch per-event work
+//! that grows with the program (an event that walks the program to name
+//! its line made captured batches 2.5–26× slower).
 
 use jumpslice_bench::harness::Runner;
-use jumpslice_bench::{criterion_pool, sized_unstructured};
+use jumpslice_bench::{criterion_pool, sized_structured, sized_unstructured};
 use jumpslice_core::{agrawal_slice, Analysis, BatchSlicer};
+use jumpslice_lang::Program;
 use jumpslice_obs as obs;
 use std::hint::black_box;
+use std::time::{Duration, Instant};
+
+/// How much slower a captured batch may be than the same batch uncaptured.
+const CAPTURED_LIMIT: f64 = 1.5;
 
 fn main() {
     assert!(!obs::enabled(), "bench must run with no sink installed");
@@ -69,5 +82,59 @@ fn main() {
         "disabled instrumentation projects to {:.3}% of a batch sweep (limit 2%)",
         overhead * 100.0
     );
-    println!("OK: disabled-path overhead within the 2% budget");
+    println!("OK: disabled-path overhead within the 2% budget\n");
+
+    let mut over = Vec::new();
+    for (family, make) in [
+        ("structured", sized_structured as fn(usize) -> Program),
+        ("unstructured", sized_unstructured),
+    ] {
+        for size in [1000, 5000] {
+            let p = make(size);
+            let (plain, captured) = captured_vs_plain(&p);
+            let ratio = captured.as_secs_f64() / plain.as_secs_f64();
+            println!(
+                "obs/captured-batch {family}-{}: {:.2} ms captured / {:.2} ms uncaptured = {ratio:.2}x",
+                p.len(),
+                captured.as_secs_f64() * 1e3,
+                plain.as_secs_f64() * 1e3,
+            );
+            if ratio > CAPTURED_LIMIT {
+                over.push(format!("{family}-{} at {ratio:.2}x", p.len()));
+            }
+        }
+    }
+    assert!(
+        over.is_empty(),
+        "a captured batch exceeds {CAPTURED_LIMIT}x its uncaptured time: {}",
+        over.join(", ")
+    );
+    println!("OK: captured batches within {CAPTURED_LIMIT}x of uncaptured");
+}
+
+/// Medians of a one-thread 120-criterion Figure-7 batch on a warm analysis,
+/// uncaptured and captured: one warm-up each, then 5 alternating runs.
+fn captured_vs_plain(p: &Program) -> (Duration, Duration) {
+    let a = Analysis::new(p);
+    a.warm();
+    let criteria = criterion_pool(p, &a, 120);
+    let batch = BatchSlicer::new(&a).with_threads(1);
+    let plain = || timed(|| batch.slice_all(agrawal_slice, &criteria));
+    let captured = || timed(|| obs::capture(|| batch.slice_all(agrawal_slice, &criteria)));
+    plain();
+    captured();
+    let (mut plains, mut captureds): (Vec<Duration>, Vec<Duration>) =
+        (0..5).map(|_| (plain(), captured())).unzip();
+    plains.sort();
+    captureds.sort();
+    (plains[2], captureds[2])
+}
+
+/// Wall time of `f`, not counting the drop of its result.
+fn timed<T>(f: impl FnOnce() -> T) -> Duration {
+    let t = Instant::now();
+    let out = black_box(f());
+    let elapsed = t.elapsed();
+    drop(out);
+    elapsed
 }

@@ -41,7 +41,7 @@ fn run() -> Result<(), String> {
     };
     let line: usize = line.parse().map_err(|e| format!("bad line number: {e}"))?;
     let p = load_program(&name)?;
-    let n = p.lexical_order().len();
+    let n = p.len();
     if line == 0 || line > n {
         return Err(format!("line {line} out of range (program has {n} lines)"));
     }

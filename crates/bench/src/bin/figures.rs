@@ -245,7 +245,7 @@ fn main() {
         let mut all_eq = true;
         for (_, p, _) in corpus::all() {
             let a = Analysis::new(&p);
-            for line in 1..=p.lexical_order().len() {
+            for line in 1..=p.len() {
                 let crit = Criterion::at_stmt(p.at_line(line));
                 all_eq &= agrawal_slice(&a, &crit).stmts == ball_horwitz_slice(&a, &crit).stmts;
             }

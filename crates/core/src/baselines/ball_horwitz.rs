@@ -99,7 +99,7 @@ mod tests {
     fn equivalent_on_every_criterion_of_every_figure() {
         for (name, p, _) in corpus::all() {
             let a = Analysis::new(&p);
-            for line in 1..=p.lexical_order().len() {
+            for line in 1..=p.len() {
                 let crit = Criterion::at_stmt(p.at_line(line));
                 assert_eq!(
                     ball_horwitz_slice(&a, &crit).stmts,

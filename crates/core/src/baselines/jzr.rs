@@ -82,7 +82,7 @@ mod tests {
             corpus::fig16(),
         ] {
             let a = Analysis::new(&p);
-            for line in 1..=p.lexical_order().len() {
+            for line in 1..=p.len() {
                 let crit = Criterion::at_stmt(p.at_line(line));
                 assert_eq!(
                     jzr_slice(&a, &crit).stmts,

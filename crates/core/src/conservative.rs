@@ -116,7 +116,7 @@ mod tests {
             corpus::fig16(),
         ] {
             let a = Analysis::new(&p);
-            for line in 1..=p.lexical_order().len() {
+            for line in 1..=p.len() {
                 let crit = Criterion::at_stmt(p.at_line(line));
                 let precise = structured_slice(&a, &crit);
                 let cons = conservative_slice(&a, &crit);

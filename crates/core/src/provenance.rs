@@ -72,20 +72,15 @@ pub enum Why {
 impl Why {
     /// One-line human-readable description (paper-style line numbers).
     pub fn describe(&self, prog: &Program) -> String {
-        self.describe_with(&|s| prog.line_of(s))
-    }
-
-    /// [`Why::describe`] with line numbers from `line_of`.
-    fn describe_with(&self, line_of: &dyn Fn(StmtId) -> usize) -> String {
         let pt = |p: &SlicePoint| match p {
-            Some(s) => format!("line {}", line_of(*s)),
+            Some(s) => format!("line {}", prog.line_of(*s)),
             None => "exit".to_owned(),
         };
         match self {
             Why::Criterion => "criterion statement".to_owned(),
             Why::SeedDef => "reaching definition of a criterion variable".to_owned(),
-            Why::Data { to } => format!("data dependence of line {}", line_of(*to)),
-            Why::Control { to } => format!("control dependence of line {}", line_of(*to)),
+            Why::Data { to } => format!("data dependence of line {}", prog.line_of(*to)),
+            Why::Control { to } => format!("control dependence of line {}", prog.line_of(*to)),
             Why::Jump {
                 round,
                 npd,
@@ -146,23 +141,23 @@ impl Provenance {
     /// Renders the chain for `s` as indented text, one hop per line.
     pub fn explain(&self, prog: &Program, s: StmtId) -> Option<String> {
         let mut out = String::new();
-        self.explain_into(&Listing::new(prog), s, &mut out)
+        self.explain_into(prog, &Listing::new(prog), s, &mut out)
             .then_some(out)
     }
 
     /// Appends the chain for `s` to `out`; `false` when `s` has none.
-    fn explain_into(&self, listing: &Listing, s: StmtId, out: &mut String) -> bool {
+    fn explain_into(&self, prog: &Program, listing: &Listing, s: StmtId, out: &mut String) -> bool {
         let Some(chain) = self.chain(s) else {
             return false;
         };
         for (i, (stmt, why)) in chain.iter().enumerate() {
             let indent = "  ".repeat(i + 1);
+            let line = prog.line_of(*stmt);
             let _ = writeln!(
                 out,
-                "{indent}line {:>3} `{}`: {}",
-                listing.line(*stmt),
-                listing.text(*stmt),
-                why.describe_with(&|t| listing.line(t))
+                "{indent}line {line:>3} `{}`: {}",
+                listing.text(line),
+                why.describe(prog)
             );
         }
         true
@@ -173,9 +168,8 @@ impl Provenance {
         let listing = Listing::new(prog);
         let mut out = String::new();
         for line in slice.lines(prog) {
-            let s = listing.order[line - 1];
-            let _ = writeln!(out, "line {line:>3}: {}", listing.text(s));
-            if !self.explain_into(&listing, s, &mut out) {
+            let _ = writeln!(out, "line {line:>3}: {}", listing.text(line));
+            if !self.explain_into(prog, &listing, prog.at_line(line), &mut out) {
                 out.push_str("  (no recorded provenance)\n");
             }
         }
@@ -183,29 +177,19 @@ impl Provenance {
     }
 }
 
-/// The paper-style line number and one-line source text of every
-/// statement, built once per rendering: one lexical walk and one print of
-/// the whole program, however many chain hops are rendered.
+/// The one-line source text of every statement, built once per rendering:
+/// one print of the whole program, however many chain hops are rendered.
 struct Listing {
-    /// The lexical order: the statement on each line, by line number - 1.
-    order: Vec<StmtId>,
-    /// Line of each statement, by arena index (0: not in the body).
-    line: Vec<usize>,
     /// Source text of each line (labels included), by line number - 1.
     text: Vec<String>,
 }
 
 impl Listing {
     fn new(prog: &Program) -> Listing {
-        let order = prog.lexical_order();
-        let mut line = vec![0; prog.len()];
-        for (i, &s) in order.iter().enumerate() {
-            line[s.index()] = i + 1;
-        }
         // Every numbered line of the printed program is `n: <text>`; the
         // unnumbered ones (closing braces, `else`, case guards) carry no
         // statement.
-        let mut text = vec![String::new(); order.len()];
+        let mut text = vec![String::new(); prog.len()];
         let printed = jumpslice_lang::print_slice(prog, &|_| true, &[]);
         for l in printed.lines() {
             if let Some((n, rest)) = l.trim_start().split_once(": ") {
@@ -214,20 +198,12 @@ impl Listing {
                 }
             }
         }
-        Listing { order, line, text }
+        Listing { text }
     }
 
-    /// The statement's line number; panics like [`Program::line_of`] for a
-    /// statement outside the body.
-    fn line(&self, s: StmtId) -> usize {
-        match self.line.get(s.index()) {
-            Some(&n) if n > 0 => n,
-            _ => panic!("statement not in program body"),
-        }
-    }
-
-    fn text(&self, s: StmtId) -> &str {
-        &self.text[self.line(s) - 1]
+    /// The source text on a paper-style line.
+    fn text(&self, line: usize) -> &str {
+        &self.text[line - 1]
     }
 }
 
@@ -494,11 +470,9 @@ mod tests {
     fn listing_extracts_single_lines() {
         let p = corpus::fig3();
         let listing = Listing::new(&p);
-        assert_eq!(listing.text(p.at_line(7)), "goto L13;");
+        assert_eq!(listing.text(7), "goto L13;");
         // Labels ride along.
-        assert!(listing.text(p.at_line(8)).starts_with("L8:"));
-        for line in 1..=p.len() {
-            assert_eq!(listing.line(p.at_line(line)), line);
-        }
+        assert!(listing.text(8).starts_with("L8:"));
+        assert!(listing.text.iter().all(|t| !t.is_empty()));
     }
 }

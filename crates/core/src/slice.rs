@@ -17,7 +17,8 @@ pub struct Slice {
     /// is in ascending statement-id order, which is *not* lexical order:
     /// the parser and `ProgramBuilder` allocate a compound statement after
     /// its body, and edits append new ids. Anything that reports lines
-    /// orders by the lexical walk instead, as [`Slice::lines`] does.
+    /// reads the program's line table instead ([`Program::line_of`]), as
+    /// [`Slice::lines`] does.
     pub stmts: StmtSet,
     /// Labels whose original carrier fell out of the slice, re-associated
     /// with their target's nearest postdominator in the slice (`None` = the
@@ -55,25 +56,16 @@ impl Slice {
     }
 
     /// Paper-style line numbers of the slice statements, sorted — the format
-    /// used throughout the tests and the figure harness.
-    ///
-    /// One walk of the lexical order keeps each position whose statement is
-    /// in the slice, so the lines come out sorted and the cost is O(n) in
-    /// the program, whatever the size of the slice.
+    /// used throughout the tests and the figure harness. Each line is read
+    /// from the program's line table.
     ///
     /// # Panics
     ///
     /// Panics if the slice holds a statement that is not in the program
     /// body, as [`Program::line_of`] does.
     pub fn lines(&self, prog: &Program) -> Vec<usize> {
-        let lines: Vec<usize> = prog
-            .lexical_order()
-            .iter()
-            .enumerate()
-            .filter(|&(_, &s)| self.contains(s))
-            .map(|(i, _)| i + 1)
-            .collect();
-        assert!(lines.len() == self.len(), "statement not in program body");
+        let mut lines: Vec<usize> = self.stmts.iter().map(|s| prog.line_of(s)).collect();
+        lines.sort_unstable();
         lines
     }
 

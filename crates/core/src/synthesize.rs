@@ -149,7 +149,8 @@ pub fn synthesize_slice(
     // Emit the flat program in lexical order.
     let ordered: Vec<StmtId> = prog
         .lexical_order()
-        .into_iter()
+        .iter()
+        .copied()
         .filter(|&s| slice.contains(s))
         .collect();
     let label_of = |s: StmtId| format!("S{}", s.index());

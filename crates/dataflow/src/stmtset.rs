@@ -6,7 +6,8 @@
 //! and iteration is still sorted by id, while removing the `BTreeSet`
 //! log-factor and pointer chasing from all the slicers' inner loops. Id
 //! order is not lexical order (a compound statement is allocated after its
-//! body), so line-reporting code orders by the program's lexical walk.
+//! body), so line-reporting code reads each statement's line from the
+//! program's line table (`Program::line_of`).
 
 use crate::BitSet;
 use jumpslice_lang::StmtId;

@@ -298,7 +298,7 @@ mod tests {
             corpus::fig16(),
         ] {
             let a = Analysis::new(&p);
-            let last = p.lexical_order().len();
+            let last = p.len();
             let crit = Criterion::at_stmt(p.at_line(last));
             let by_pdom = agrawal_slice(&a, &crit);
             let by_lst = figure7(&a, &crit, &jumps_in_lst_preorder(&a), None);

@@ -111,9 +111,9 @@ pub fn random_edit(rng: &mut Rng, p: &Program) -> Edit {
                 with: random_expr(rng, &vars, 2),
             };
         }
-        random_insert(rng, p, &order, &vars)
+        random_insert(rng, p, order, &vars)
     } else if roll < 65 {
-        random_insert(rng, p, &order, &vars)
+        random_insert(rng, p, order, &vars)
     } else if roll < 85 {
         let t = order[rng.gen_range(0..order.len())];
         Edit::DeleteStmt { at: path_to(p, t) }
@@ -124,7 +124,7 @@ pub fn random_edit(rng: &mut Rng, p: &Program) -> Edit {
             .filter(|&s| !p.stmt(s).kind.is_compound())
             .collect();
         let Some(&t) = simple.get(rng.gen_range(0..simple.len().max(1))) else {
-            return random_insert(rng, p, &order, &vars);
+            return random_insert(rng, p, order, &vars);
         };
         let labels: Vec<String> = p.all_labels().map(|l| p.label_str(l).to_owned()).collect();
         let jump = match rng.gen_range(0..4usize) {

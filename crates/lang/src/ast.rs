@@ -351,7 +351,8 @@ pub struct Stmt {
 /// A complete (single-procedure) program.
 ///
 /// Holds the statement arena, the top-level statement list, the interned
-/// name/label tables, and the label-to-statement resolution.
+/// name/label tables, the label-to-statement resolution, and the line
+/// table that numbers the statements as the paper does.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct Program {
     pub(crate) stmts: Vec<Stmt>,
@@ -360,6 +361,20 @@ pub struct Program {
     pub(crate) labels: Interner,
     /// Per-label resolved target statement.
     pub(crate) label_targets: Vec<Option<StmtId>>,
+    /// Derived from `stmts` and `body` whenever a program is made
+    /// ([`Program::number_lines`]); never persisted.
+    lines: LineTable,
+}
+
+/// Paper-style line numbers: "line n" is the `n`-th statement of the
+/// lexical (preorder) walk, where a compound statement precedes the
+/// statements of its branches/body.
+#[derive(Clone, Debug, Default, PartialEq)]
+struct LineTable {
+    /// The statement on each line, by line number - 1.
+    order: Vec<StmtId>,
+    /// The line of each statement, by arena index (0: not in the body).
+    line: Vec<u32>,
 }
 
 impl Program {
@@ -441,35 +456,8 @@ impl Program {
     /// This order matches the line-numbering convention of the paper's
     /// figures, so the `n`-th element (1-based) is the statement the paper
     /// calls "line n".
-    pub fn lexical_order(&self) -> Vec<StmtId> {
-        let mut out = Vec::with_capacity(self.stmts.len());
-        self.walk_block(&self.body, &mut out);
-        out
-    }
-
-    fn walk_block(&self, block: &[StmtId], out: &mut Vec<StmtId>) {
-        for &id in block {
-            out.push(id);
-            match &self.stmt(id).kind {
-                StmtKind::If {
-                    then_branch,
-                    else_branch,
-                    ..
-                } => {
-                    self.walk_block(then_branch, out);
-                    self.walk_block(else_branch, out);
-                }
-                StmtKind::While { body, .. } | StmtKind::DoWhile { body, .. } => {
-                    self.walk_block(body, out);
-                }
-                StmtKind::Switch { arms, .. } => {
-                    for arm in arms {
-                        self.walk_block(&arm.body, out);
-                    }
-                }
-                _ => {}
-            }
-        }
+    pub fn lexical_order(&self) -> &[StmtId] {
+        &self.lines.order
     }
 
     /// The statement at a paper-style line number (1-based lexical index).
@@ -488,21 +476,60 @@ impl Program {
     /// is 0 or past the end of the program — the bounds-checked form of
     /// [`at_line`](Program::at_line).
     pub fn try_at_line(&self, line: usize) -> Option<StmtId> {
-        let order = self.lexical_order();
-        if line >= 1 && line <= order.len() {
-            Some(order[line - 1])
-        } else {
-            None
-        }
+        self.lines.order.get(line.checked_sub(1)?).copied()
     }
 
     /// Paper-style line number (1-based lexical position) of a statement.
+    ///
+    /// # Panics
+    ///
+    /// Panics with "statement not in program body" if `id` is not a
+    /// statement of this program's body.
     pub fn line_of(&self, id: StmtId) -> usize {
-        self.lexical_order()
-            .iter()
-            .position(|&s| s == id)
-            .map(|p| p + 1)
-            .expect("statement not in program body")
+        match self.lines.line.get(id.index()) {
+            Some(&n) if n > 0 => n as usize,
+            _ => panic!("statement not in program body"),
+        }
+    }
+
+    /// Fills the line table from the block tree: one preorder walk over an
+    /// explicit stack of open blocks, so nesting depth costs heap, not call
+    /// stack. Runs whenever a program is made — at the end of validation
+    /// (parser and builder) and in [`Program::from_parts`].
+    pub(crate) fn number_lines(&mut self) {
+        let mut order = Vec::with_capacity(self.stmts.len());
+        let mut open = vec![self.body.iter()];
+        while let Some(block) = open.last_mut() {
+            let Some(&id) = block.next() else {
+                open.pop();
+                continue;
+            };
+            order.push(id);
+            // Nested blocks are pushed last-first, so the first one is
+            // walked next.
+            match &self.stmts[id.index()].kind {
+                StmtKind::If {
+                    then_branch,
+                    else_branch,
+                    ..
+                } => {
+                    open.push(else_branch.iter());
+                    open.push(then_branch.iter());
+                }
+                StmtKind::While { body, .. } | StmtKind::DoWhile { body, .. } => {
+                    open.push(body.iter());
+                }
+                StmtKind::Switch { arms, .. } => {
+                    open.extend(arms.iter().rev().map(|arm| arm.body.iter()));
+                }
+                _ => {}
+            }
+        }
+        let mut line = vec![0; self.stmts.len()];
+        for (i, id) in order.iter().enumerate() {
+            line[id.index()] = i as u32 + 1;
+        }
+        self.lines = LineTable { order, line };
     }
 
     /// All variables defined anywhere in the program.
@@ -640,13 +667,16 @@ impl Program {
         {
             return None;
         }
-        Some(Program {
+        let mut prog = Program {
             stmts,
             body,
             names,
             labels,
             label_targets,
-        })
+            lines: LineTable::default(),
+        };
+        prog.number_lines();
+        Some(prog)
     }
 
     /// Variables used (read) by a statement — the right-hand side, branch

@@ -26,7 +26,8 @@
 //!      while (!eof()) { read(x); sum = sum + x; }
 //!      write(sum);",
 //! )?;
-//! assert_eq!(program.lexical_order().len(), 5);
+//! assert_eq!(program.len(), 5);
+//! assert_eq!(program.line_of(program.at_line(4)), 4);
 //! # Ok::<(), jumpslice_lang::Error>(())
 //! ```
 

@@ -65,12 +65,6 @@ pub fn print_with_options(prog: &Program, opts: &PrintOptions<'_>) -> String {
         prog,
         opts,
         out: String::new(),
-        lexical_no: prog
-            .lexical_order()
-            .iter()
-            .enumerate()
-            .map(|(i, &s)| (s, i + 1))
-            .collect(),
     };
     p.block(prog.body(), 0);
     // Labels re-targeted past the last statement (their new target is the
@@ -87,7 +81,6 @@ struct Printer<'a> {
     prog: &'a Program,
     opts: &'a PrintOptions<'a>,
     out: String,
-    lexical_no: std::collections::HashMap<StmtId, usize>,
 }
 
 impl Printer<'_> {
@@ -133,7 +126,7 @@ impl Printer<'_> {
     fn stmt_prefix(&mut self, id: StmtId, depth: usize) {
         self.indent(depth);
         if self.opts.line_numbers {
-            let _ = write!(self.out, "{:>3}: ", self.lexical_no[&id]);
+            let _ = write!(self.out, "{:>3}: ", self.prog.line_of(id));
         }
         // Labels re-associated to this statement come first (matching the
         // paper's Figure 16-c rendering), then the statement's own labels.

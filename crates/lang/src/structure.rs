@@ -2,8 +2,7 @@
 //!
 //! Computed once and shared by the CFG builder, the lexical-successor-tree
 //! construction, and the baseline slicers: parent links, next-statement-in-
-//! block links, enclosing loop/breakable constructs, and the lexical
-//! (preorder) numbering.
+//! block links, and enclosing loop/breakable constructs.
 
 use crate::ast::*;
 
@@ -25,8 +24,6 @@ pub struct Structure {
     next_in_block: Vec<Option<StmtId>>,
     enclosing_loop: Vec<Option<StmtId>>,
     enclosing_breakable: Vec<Option<StmtId>>,
-    lexical: Vec<StmtId>,
-    lexical_pos: Vec<usize>,
 }
 
 impl Structure {
@@ -38,12 +35,7 @@ impl Structure {
             next_in_block: vec![None; n],
             enclosing_loop: vec![None; n],
             enclosing_breakable: vec![None; n],
-            lexical: prog.lexical_order(),
-            lexical_pos: vec![usize::MAX; n],
         };
-        for (i, &id) in s.lexical.iter().enumerate() {
-            s.lexical_pos[id.index()] = i;
-        }
         s.walk_block(prog, prog.body(), None, None, None);
         s
     }
@@ -115,16 +107,6 @@ impl Structure {
     /// `break` exits), excluding `id` itself.
     pub fn enclosing_breakable(&self, id: StmtId) -> Option<StmtId> {
         self.enclosing_breakable[id.index()]
-    }
-
-    /// Statements in lexical (preorder) order.
-    pub fn lexical(&self) -> &[StmtId] {
-        &self.lexical
-    }
-
-    /// Zero-based lexical position of `id`.
-    pub fn lexical_pos(&self, id: StmtId) -> usize {
-        self.lexical_pos[id.index()]
     }
 
     /// The chain of ancestors of `id` (parent, grandparent, …), nearest
@@ -217,13 +199,5 @@ mod tests {
         assert_eq!(s.ancestors(x), vec![p.at_line(2), p.at_line(1)]);
         assert!(s.contains(p.at_line(1), x));
         assert!(!s.contains(x, p.at_line(1)));
-    }
-
-    #[test]
-    fn lexical_positions() {
-        let p = parse("a = 1; b = 2; c = 3;").unwrap();
-        let s = Structure::of(&p);
-        assert_eq!(s.lexical_pos(p.at_line(2)), 1);
-        assert_eq!(s.lexical().len(), 3);
     }
 }

@@ -5,12 +5,14 @@ use crate::ast::*;
 use crate::error::{Error, ErrorKind};
 use std::collections::HashSet;
 
-/// Resolves labels and checks semantic rules. Called by both the parser and
-/// the builder before a [`Program`] is released to users.
+/// Resolves labels, checks semantic rules, and numbers the lines. Called by
+/// both the parser and the builder before a [`Program`] is released to
+/// users.
 pub(crate) fn validate(prog: &mut Program) -> Result<(), Error> {
     resolve_labels(prog)?;
     let body = prog.body.clone();
     check_block(prog, &body, &Ctx::default())?;
+    prog.number_lines();
     Ok(())
 }
 

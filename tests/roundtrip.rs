@@ -97,8 +97,8 @@ fn executions_survive_roundtrip() {
             // Input sites are keyed by arena index, which parsing may
             // permute; compare outputs only when no reads are involved...
             // instead: compare event shapes (lexical position sequences).
-            let ep: Vec<usize> = tp.events.iter().map(|e| pos(&order_p, e.stmt)).collect();
-            let eq_: Vec<usize> = tq.events.iter().map(|e| pos(&order_q, e.stmt)).collect();
+            let ep: Vec<usize> = tp.events.iter().map(|e| pos(order_p, e.stmt)).collect();
+            let eq_: Vec<usize> = tq.events.iter().map(|e| pos(order_q, e.stmt)).collect();
             // Arena order == creation order differs between builder and
             // parser, so read streams can differ; require only that both
             // executions visit the same statement positions until the first
