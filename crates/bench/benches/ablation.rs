@@ -6,9 +6,9 @@
 //!   vs the lexical successor tree's (§3: either is admissible), both
 //!   through the paper's round-based loop in `jumpslice_difftest::oracle`
 //!   so the ablation compares drivers, not kernels;
-//! * `closure`: the conventional slicer's bitset worklist closure vs the
-//!   `BTreeSet` recursion it replaced — the representation half of this
-//!   workspace's batch-engine speedup;
+//! * `closure`: the conventional slicer's closure (a bitset filled by a
+//!   walk over the PDG's SCC condensation) vs the `BTreeSet` recursion
+//!   over raw edges it replaced;
 //! * `control_dependence`: the Ferrante–Ottenstein–Warren edge walk vs the
 //!   postdominance-frontier construction (results are identical; the
 //!   pdg crate's tests cross-check them).
@@ -77,7 +77,7 @@ fn closure(r: &mut Runner) {
         let a = Analysis::new(&p);
         let crit = *live_writes(&p, &a).last().unwrap();
         r.bench(
-            &format!("ablation/closure/bitset-worklist/{}", p.len()),
+            &format!("ablation/closure/condensed-bitset/{}", p.len()),
             || black_box(a.pdg().backward_closure([crit])),
         );
         r.bench(

@@ -11,11 +11,15 @@
 //! * the sparse sweep: the change-driven Figure-7 kernel behind
 //!   `agrawal_slice` vs the paper's dense round-based loop, the
 //!   differential oracle in `jumpslice_difftest::oracle`, both over the
-//!   same warm analysis and criterion pool;
-//! * the cold-analysis sweep: `Analysis::warm` plus the PDG condensation
-//!   from a fresh analysis, with the per-phase breakdown of that same call;
-//! * the closure microsweep: raw backward closures through the direct PDG
-//!   walk vs the SCC-condensed reachability index, on warm analyses;
+//!   same warm analysis and criterion pool. Every unstructured row of at
+//!   least 1,000 statements must show the kernel at least 2× faster, or
+//!   the run fails after writing its report;
+//! * the cold-analysis sweep: `Analysis::warm` (the PDG's condensation
+//!   included) from a fresh analysis, with the per-phase breakdown of that
+//!   same call;
+//! * the closure microsweep: raw backward closures through the oracle's
+//!   direct walk over PDG edges vs the product's walk over the PDG's SCC
+//!   condensation, on one warm analysis;
 //! * the incremental sweep: one edit followed by a re-slice of a criterion
 //!   pool, through a warm [`jumpslice_incr::EditSession`] (expression patch
 //!   and seeded re-solve paths) vs edit-then-`Analysis::new` from scratch;
@@ -37,7 +41,7 @@ use jumpslice_bench::{criterion_pool, sized_structured, sized_unstructured};
 use jumpslice_core::{
     agrawal_slice, conservative_slice, conventional_slice, Analysis, BatchSlicer, Criterion,
 };
-use jumpslice_difftest::oracle::agrawal_slice_dense;
+use jumpslice_difftest::oracle;
 use jumpslice_incr::{apply_edit, Edit, EditExpr, EditSession, NewStmt};
 use jumpslice_lang::{path_of, StmtId, StmtKind, StmtPath};
 use std::fmt::Write as _;
@@ -246,9 +250,8 @@ fn main() {
         (n, criteria.len(), ns)
     };
 
-    // The cold-analysis sweep: `warm()` plus the PDG condensation, each
-    // from a fresh `Analysis` per iteration, and the per-phase breakdown of
-    // one run of that same call.
+    // The cold-analysis sweep: `warm()` from a fresh `Analysis` per
+    // iteration, and the per-phase breakdown of one run of that same call.
     let mut cold_rows: Vec<ColdRow> = Vec::new();
     for (family, make) in [
         (
@@ -266,7 +269,6 @@ fn main() {
             let cold_warm = |p: &jumpslice_lang::Program| {
                 let a = Analysis::new(p);
                 a.warm();
-                a.closure_index();
                 a.stats().pdg_builds
             };
             let warm_seq_ns = r.bench(&format!("json/cold/{family}/{n}/sequential-warm"), || {
@@ -359,7 +361,7 @@ fn main() {
             let dense_ns = r.bench(&format!("json/sparse/{family}/{n}/dense-reference"), || {
                 let mut total = 0usize;
                 for c in &criteria {
-                    total += agrawal_slice_dense(black_box(&a), c).len();
+                    total += oracle::agrawal_slice_dense(black_box(&a), c).len();
                 }
                 black_box(total)
             });
@@ -381,10 +383,11 @@ fn main() {
     }
 
     // The closure microsweep: raw backward closures over the batch-sized
-    // criterion pool, answered by the direct PDG worklist walk vs the
-    // SCC-condensed reachability index. Both arms run on fully warm
-    // analyses, so the measurement isolates closure answering; the
-    // condensation build itself is timed by the cold-analysis sweep.
+    // criterion pool, answered by the oracle's direct walk over PDG edges
+    // vs the product's walk over the PDG's condensation. Both arms read one
+    // warm analysis, so the measurement isolates closure answering; the
+    // condensation is built inside `pdg_build`, which the cold-analysis
+    // sweep times.
     let mut closure_rows: Vec<ClosureRow> = Vec::new();
     for (family, make) in [
         (
@@ -400,9 +403,6 @@ fn main() {
             let p = make(size);
             let a = Analysis::new(&p);
             a.warm();
-            let b = Analysis::new(&p);
-            b.warm();
-            b.closure_index();
             let seeds: Vec<StmtId> = criterion_pool(&p, &a, BATCH)
                 .iter()
                 .map(|c| c.stmt)
@@ -411,14 +411,14 @@ fn main() {
             let direct_ns = r.bench(&format!("json/closure/{family}/{n}/direct-walk"), || {
                 let mut total = 0usize;
                 for &s in &seeds {
-                    total += a.pdg().backward_closure([black_box(s)]).len();
+                    total += oracle::backward_closure(a.pdg(), [black_box(s)]).len();
                 }
                 black_box(total)
             });
             let condensed_ns = r.bench(&format!("json/closure/{family}/{n}/condensed"), || {
                 let mut total = 0usize;
                 for &s in &seeds {
-                    total += b.backward_closure([black_box(s)]).len();
+                    total += a.pdg().backward_closure([black_box(s)]).len();
                 }
                 black_box(total)
             });
@@ -869,7 +869,7 @@ fn main() {
     }
     for row in &cold_rows {
         println!(
-            "  {:<12} {:>5} stmts: cold warm {:.1}ms (warm + closure index)",
+            "  {:<12} {:>5} stmts: cold warm {:.1}ms",
             row.family,
             row.stmts,
             row.warm_seq_ns / 1e6
@@ -907,4 +907,17 @@ fn main() {
         serve_sweep.2 / 1e3,
         serve_sweep.1
     );
+    // Both sparse-sweep arms share every analysis artifact; on goto-dense
+    // programs the kernel wins by walking the PDG's condensation where the
+    // oracle walks raw edges. A kernel whose closures fell back to raw
+    // edges fails here, after the report is written.
+    for row in &sparse_rows {
+        let speedup = row.dense_ns / row.sparse_ns;
+        assert!(
+            row.family != "unstructured" || row.stmts < 1000 || speedup >= 2.0,
+            "unstructured-{}: sparse kernel only {speedup:.2}x the dense oracle \
+             (floor 2x); are closures walking raw edges?",
+            row.stmts
+        );
+    }
 }

@@ -11,7 +11,7 @@
 //! difftest --family unstructured --record-expected
 //! difftest --mode incr --seeds 170 # incremental-vs-scratch equivalence
 //! difftest --mode sparse --seeds 100 # sparse-vs-dense Figure-7 equality
-//! difftest --mode closure --seeds 100 # condensed-vs-direct closure equality
+//! difftest --mode closure --seeds 100 # product-vs-oracle closure equality
 //! ```
 
 use jumpslice_difftest::{
@@ -25,7 +25,7 @@ fn usage() -> ! {
         "usage: difftest [options]
   --mode NAME          diff (default) | incr (incremental-vs-scratch equality)
                        | sparse (sparse-vs-dense Figure-7 kernel equality)
-                       | closure (condensed-vs-direct closure equality)
+                       | closure (product-vs-oracle closure equality)
   --smoke              fixed-seed smoke configuration (CI)
   --seeds N            number of seeds (default 25; one program per family each)
   --start N            first seed (default 0)
@@ -278,7 +278,7 @@ fn run_sparse_mode(cli: &Cli) -> ! {
     std::process::exit(0)
 }
 
-/// Runs the condensed-vs-direct closure equality mode and exits.
+/// Runs the product-vs-oracle closure equality mode and exits.
 fn run_closure_mode(cli: &Cli) -> ! {
     let mut ccfg = if cli.smoke {
         ClosureConfig::smoke()
@@ -318,7 +318,7 @@ fn run_closure_mode(cli: &Cli) -> ! {
     );
     for f in &report.findings {
         println!(
-            "\n[FINDING] condensed ≠ direct (seed {}, {} family)",
+            "\n[FINDING] product closure ≠ oracle (seed {}, {} family)",
             f.seed,
             f.family.name()
         );
@@ -335,10 +335,10 @@ fn run_closure_mode(cli: &Cli) -> ! {
         }
     }
     if !report.findings.is_empty() {
-        eprintln!("\n{} condensation mismatch(es)", report.findings.len());
+        eprintln!("\n{} closure mismatch(es)", report.findings.len());
         std::process::exit(1);
     }
-    println!("\nno condensation mismatches");
+    println!("\nno closure mismatches");
     std::process::exit(0)
 }
 

@@ -41,13 +41,14 @@ const SERVE_GATED_METRICS: &[&str] = &["serve_ns_per_request"];
 /// gated — only the restore path is a product promise.
 const STORE_GATED_METRICS: &[&str] = &["snapshot_restore_ns"];
 
-/// Metrics compared per cold-analysis-sweep row: `warm()` plus the PDG
-/// condensation, the cold build of the threaded batch engine.
+/// Metrics compared per cold-analysis-sweep row: one `warm()` of a fresh
+/// analysis, the PDG's condensation included — the cold build every
+/// daemon load and batch pays.
 const COLD_GATED_METRICS: &[&str] = &["cold_warm_sequential_ns"];
 
 /// Metrics compared per closure-microsweep row. `direct_closure_ns`
-/// measures the walk the condensation exists to beat (and the fallback
-/// kept for index-free analyses), so only the condensed path is gated.
+/// times the difftest oracle's direct walk over raw PDG edges, which is
+/// not a product path, so only the product's condensed walk is gated.
 const CLOSURE_GATED_METRICS: &[&str] = &["condensed_closure_ns"];
 
 /// Gated metrics whose wall-clock depends on a worker-thread count, each
@@ -669,12 +670,12 @@ mod tests {
         assert!(report.passes());
         assert_eq!(report.compared, 1, "only the condensed metric gates");
 
-        // A slower direct walk never trips the gate...
+        // A slower oracle walk never trips the gate...
         let mut slow_direct = base.clone();
         inject_slowdown(&mut slow_direct, 1.0); // no-op; direct is ungated anyway
         assert!(compare(&base, &slow_direct, 0.25).unwrap().passes());
 
-        // ...but a slower condensed lookup does.
+        // ...but a slower product walk does.
         let slow = compare(&base, &doc_with_closure(6e5), 0.25).unwrap();
         assert_eq!(slow.regressions.len(), 1);
         assert_eq!(slow.regressions[0].metric, "condensed_closure_ns");

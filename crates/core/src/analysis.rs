@@ -7,7 +7,7 @@ use jumpslice_dataflow::{DataDeps, ReachingDefs, StmtSet};
 use jumpslice_graph::DomTree;
 use jumpslice_lang::{Program, StmtId, StmtKind, Structure};
 use jumpslice_obs as obs;
-use jumpslice_pdg::{ClosureIndex, ControlDeps, Pdg};
+use jumpslice_pdg::{Condensation, ControlDeps, Pdg};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
@@ -29,8 +29,6 @@ pub struct AnalysisStats {
     pub lst_builds: usize,
     /// Times the sparse kernel's jump-chain index was built.
     pub chain_index_builds: usize,
-    /// Times the SCC-condensed closure index was built.
-    pub closure_index_builds: usize,
 }
 
 /// Owned analysis artifacts detached from any program borrow.
@@ -112,11 +110,6 @@ pub struct Analysis<'p> {
     lst: OnceLock<LexSuccTree>,
     reaching: OnceLock<ReachingDefs>,
     chain_index: OnceLock<ChainIndex>,
-    /// SCC-condensed closure engine over the PDG. Deliberately *not* part
-    /// of [`AnalysisSeed`]: a stale index silently answers closures for
-    /// the pre-edit dependence graph, and the condensation is cheap
-    /// relative to the artifacts it is derived from.
-    closure_index: OnceLock<ClosureIndex>,
     /// Per-do-while body sets (`dowhile_bodies[d]` = statements lexically
     /// inside the do-while `d`), built on first hazard probe.
     dowhile_bodies: OnceLock<Vec<StmtSet>>,
@@ -125,7 +118,6 @@ pub struct Analysis<'p> {
     n_pdom: AtomicUsize,
     n_lst: AtomicUsize,
     n_chain: AtomicUsize,
-    n_closure: AtomicUsize,
 }
 
 impl<'p> Analysis<'p> {
@@ -175,14 +167,12 @@ impl<'p> Analysis<'p> {
             lst: OnceLock::new(),
             reaching: OnceLock::new(),
             chain_index: OnceLock::new(),
-            closure_index: OnceLock::new(),
             dowhile_bodies: OnceLock::new(),
             n_reaching: AtomicUsize::new(0),
             n_pdg: AtomicUsize::new(0),
             n_pdom: AtomicUsize::new(0),
             n_lst: AtomicUsize::new(0),
             n_chain: AtomicUsize::new(0),
-            n_closure: AtomicUsize::new(0),
         };
         if let Some(x) = seed.pdom {
             let _ = a.pdom.set(x);
@@ -289,76 +279,10 @@ impl<'p> Analysis<'p> {
         })
     }
 
-    /// The SCC-condensed closure index (computed on first use; forces the
-    /// PDG).
-    ///
-    /// Unlike the paper artifacts above, this is a pure acceleration
-    /// structure: it emits no cache hit/miss events (the exact cache
-    /// traces the observability tests pin enumerate paper artifacts only)
-    /// and is never carried across edits in an [`AnalysisSeed`]. Once
-    /// built, every closure routed through [`Analysis::backward_closure`]
-    /// and friends is answered from the condensation.
-    pub fn closure_index(&self) -> &ClosureIndex {
-        self.closure_index.get_or_init(|| {
-            self.n_closure.fetch_add(1, Ordering::Relaxed);
-            ClosureIndex::build(self.pdg())
-        })
-    }
-
-    /// [`Pdg::backward_closure`] answered from the condensed index when
-    /// one has been built ([`Analysis::closure_index`]) and from the direct
-    /// edge walk otherwise. The answers are identical.
-    pub fn backward_closure(&self, seeds: impl IntoIterator<Item = StmtId>) -> StmtSet {
-        match self.closure_index.get() {
-            Some(ci) => ci.backward_closure(seeds),
-            None => self.pdg().backward_closure(seeds),
-        }
-    }
-
-    /// [`Pdg::forward_closure`] routed like [`Analysis::backward_closure`].
-    pub fn forward_closure(&self, seeds: impl IntoIterator<Item = StmtId>) -> StmtSet {
-        match self.closure_index.get() {
-            Some(ci) => ci.forward_closure(seeds),
-            None => self.pdg().forward_closure(seeds),
-        }
-    }
-
-    /// [`Pdg::backward_closure_into_with_scratch`] routed through the
-    /// condensed index when built. **Contract:** `slice` must be empty or
-    /// closed under dependence — the condensed path unions the seeds'
-    /// full closures, which matches the direct walk's visited-mark
-    /// semantics only on closed targets (every fixpoint call site
-    /// qualifies; see `jumpslice_pdg::closure`).
-    pub(crate) fn backward_closure_into_closed(
-        &self,
-        seeds: impl IntoIterator<Item = StmtId>,
-        slice: &mut StmtSet,
-        work: &mut Vec<StmtId>,
-    ) {
-        match self.closure_index.get() {
-            Some(ci) => ci.backward_closure_into(seeds, slice),
-            None => self
-                .pdg()
-                .backward_closure_into_with_scratch(seeds, slice, work),
-        }
-    }
-
-    /// [`Pdg::backward_closure_delta`] under the same closed-target
-    /// contract as [`Analysis::backward_closure_into_closed`]. The direct
-    /// walk appends the delta in DFS pop order, the condensed path in
-    /// ascending statement order; the sparse kernel consumes deltas only
-    /// through set unions and counts, so the two are interchangeable.
-    pub(crate) fn backward_closure_delta_closed(
-        &self,
-        seeds: impl IntoIterator<Item = StmtId>,
-        slice: &mut StmtSet,
-        work: &mut Vec<StmtId>,
-        delta: &mut Vec<StmtId>,
-    ) {
-        match self.closure_index.get() {
-            Some(ci) => ci.backward_closure_delta(seeds, slice, delta),
-            None => self.pdg().backward_closure_delta(seeds, slice, work, delta),
-        }
+    /// The PDG's SCC condensation, which every backward closure walks
+    /// (forces the PDG).
+    pub fn closure_index(&self) -> &Condensation {
+        self.pdg().condensation()
     }
 
     /// The set of statements lexically inside do-while `d` (empty for any
@@ -400,14 +324,11 @@ impl<'p> Analysis<'p> {
             pdom_builds: self.n_pdom.load(Ordering::Relaxed),
             lst_builds: self.n_lst.load(Ordering::Relaxed),
             chain_index_builds: self.n_chain.load(Ordering::Relaxed),
-            closure_index_builds: self.n_closure.load(Ordering::Relaxed),
         }
     }
 
-    /// Forces every paper artifact and the chain index now, on the
-    /// calling thread. The condensed closure index is not among them:
-    /// callers that amortise it over many closures (the threaded batch
-    /// slicer) build it explicitly with [`Analysis::closure_index`].
+    /// Forces every paper artifact (the PDG with its condensation) and the
+    /// chain index now, on the calling thread.
     pub fn warm(&self) {
         let _ = (self.reaching(), self.pdg(), self.pdom(), self.lst());
         let _ = self.chain_index();
@@ -462,8 +383,14 @@ impl<'p> Analysis<'p> {
     /// The nearest postdominator of `s` that is in `slice` (`None` = exit,
     /// which is implicitly in every slice).
     pub fn nearest_pdom_in(&self, s: StmtId, slice: &StmtSet) -> SlicePoint {
+        self.nearest_in_pdom(self.pdom(), s, slice)
+    }
+
+    /// [`Analysis::nearest_pdom_in`] over a postdominator tree the caller
+    /// already holds, so a loop of queries probes the cache once.
+    pub(crate) fn nearest_in_pdom(&self, pdom: &DomTree, s: StmtId, slice: &StmtSet) -> SlicePoint {
         let node = self.cfg.node(s);
-        for a in self.pdom().ancestors(node) {
+        for a in pdom.ancestors(node) {
             if a == self.cfg.exit() {
                 return None;
             }
@@ -647,7 +574,6 @@ mod tests {
                 pdom_builds: 1,
                 lst_builds: 1,
                 chain_index_builds: 0,
-                closure_index_builds: 0,
             },
             "each artifact computed exactly once"
         );
@@ -655,24 +581,6 @@ mod tests {
             let _ = a.chain_index();
         }
         assert_eq!(a.stats().chain_index_builds, 1);
-    }
-
-    /// Once the condensation exists, the routed closure wrappers answer
-    /// from it — and agree with the direct walk bit for bit.
-    #[test]
-    fn routed_closures_match_direct_walks() {
-        let p = parse("read(c); while (c) { read(x); y = x; } write(y); write(c);").unwrap();
-        let a = Analysis::new(&p);
-        let direct: Vec<StmtSet> = p
-            .stmt_ids()
-            .map(|s| a.pdg().backward_closure([s]))
-            .collect();
-        let _ = a.closure_index();
-        assert_eq!(a.stats().closure_index_builds, 1);
-        for (i, s) in p.stmt_ids().enumerate() {
-            assert_eq!(a.backward_closure([s]), direct[i]);
-            assert_eq!(a.forward_closure([s]), a.pdg().forward_closure([s]));
-        }
     }
 
     #[test]

@@ -10,12 +10,11 @@
 //! shared immutable [`Analysis`] and an atomic work index. The sparse
 //! Figure-7 kernel's chain index rides the same cache: `warm()` (which the
 //! pool calls before spawning workers) forces it once, and every worker
-//! probes the one shared copy. The pool also builds the condensed closure
-//! index up front, so every worker's closures are bitset unions. A
-//! one-thread batch is a plain loop on the caller's thread, with no
-//! up-front warm and no closure index. Each worker's per-slice scratch
-//! (closure worklists and delta buffers, dirty-jump sets) lives in a
-//! thread-local pool so steady-state admissions allocate nothing. Each
+//! probes the one shared copy. Closures walk the PDG's own condensation,
+//! whichever the thread count. A one-thread batch is a plain loop on the
+//! caller's thread, with no up-front warm. Each worker's per-slice scratch
+//! (closure worklists and delta buffers, dirty-jump sets) lives in
+//! thread-local pools so steady-state admissions allocate nothing. Each
 //! worker allocates its own slice bitsets, so there is no cross-thread
 //! contention beyond the work counter.
 //!
@@ -280,11 +279,8 @@ impl<'a, 'p> BatchSlicer<'a, 'p> {
             return Ok((out, stats));
         }
         // Force every lazy artifact up front so workers never race to
-        // initialize one (OnceLock would serialize them on first touch),
-        // and condense the PDG so every worker's closures become bitset
-        // unions.
+        // initialize one (OnceLock would serialize them on first touch).
         a.warm();
-        let _ = a.closure_index();
 
         let next = AtomicUsize::new(0);
         let worker = || {
@@ -449,24 +445,36 @@ mod tests {
         assert_eq!(a.stats().chain_index_builds, 1);
     }
 
-    /// The threaded pool condenses the PDG once before it spawns workers;
-    /// the one-thread loop never does, so its closures walk the PDG.
+    /// Threads change nothing but wall time: on a goto-dense program, one
+    /// and two workers give identical slices and build the same artifacts.
+    /// Workers' trace sinks are empty, so the per-slice phases show only in
+    /// the one-thread run; every other phase must match.
     #[test]
-    fn only_a_threaded_batch_builds_the_closure_index() {
-        let p = corpus::fig10();
+    fn one_and_two_threads_slice_and_time_alike() {
+        let p = jumpslice_progen::gen_unstructured(
+            &jumpslice_progen::GenConfig::sized(3, 80).with_jump_density(0.4),
+        );
         let criteria: Vec<Criterion> = p.stmt_ids().map(Criterion::at_stmt).collect();
-        assert!(criteria.len() >= 2, "two threads survive the clamp");
-        for (threads, builds) in [(2, 1), (1, 0)] {
+        let run = |threads: usize| {
             let a = Analysis::new(&p);
-            let _ = BatchSlicer::new(&a)
-                .with_threads(threads)
-                .slice_all(agrawal_slice, &criteria);
-            assert_eq!(
-                a.stats().closure_index_builds,
-                builds,
-                "with_threads({threads})"
-            );
-        }
+            let (slices, events) = obs::capture(|| {
+                BatchSlicer::new(&a)
+                    .with_threads(threads)
+                    .slice_all(agrawal_slice, &criteria)
+            });
+            let per_slice = ["conventional_closure", "fixpoint_round", "label_reassoc"];
+            let phases: Vec<&str> = obs::Metrics::of(&events)
+                .phase_ns
+                .into_keys()
+                .filter(|p| !per_slice.contains(p))
+                .collect();
+            (slices, phases)
+        };
+        let (one, one_phases) = run(1);
+        let (two, two_phases) = run(2);
+        assert_eq!(one, two);
+        assert_eq!(one_phases, two_phases);
+        assert!(one.iter().any(|s| s.traversals > 0), "jumps were admitted");
     }
 
     #[test]

@@ -30,7 +30,7 @@ use jumpslice_lang::StmtId;
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 pub fn forward_slice(a: &Analysis<'_>, s: StmtId) -> Slice {
-    Slice::from_stmts(a.forward_closure([s]))
+    Slice::from_stmts(a.pdg().forward_closure([s]))
 }
 
 /// The chop from `source` to `sink`: statements lying on some dependence
@@ -50,8 +50,8 @@ pub fn forward_slice(a: &Analysis<'_>, s: StmtId) -> Slice {
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 pub fn chop(a: &Analysis<'_>, source: StmtId, sink: StmtId) -> Slice {
-    let fwd = a.forward_closure([source]);
-    let bwd = a.backward_closure([sink]);
+    let fwd = a.pdg().forward_closure([source]);
+    let bwd = a.pdg().backward_closure([sink]);
     Slice::from_stmts(fwd.intersection(&bwd))
 }
 
@@ -64,7 +64,7 @@ pub fn chop(a: &Analysis<'_>, source: StmtId, sink: StmtId) -> Slice {
 /// `sink`, as a program I can actually run".
 pub fn chop_executable(a: &Analysis<'_>, source: StmtId, sink: StmtId) -> Slice {
     let backward = agrawal_slice(a, &Criterion::at_stmt(sink));
-    let fwd = a.forward_closure([source]);
+    let fwd = a.pdg().forward_closure([source]);
     let stmts: StmtSet = backward
         .stmts
         .iter()

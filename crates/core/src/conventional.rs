@@ -83,7 +83,8 @@ impl Criterion {
 pub fn conventional_slice(a: &Analysis<'_>, crit: &Criterion) -> Slice {
     let stmts = {
         let _t = jumpslice_obs::phase(jumpslice_obs::Phase::ConventionalClosure);
-        a.backward_closure(crit.seeds(a))
+        let seeds = crit.seeds(a);
+        a.pdg().backward_closure(seeds)
     };
     // The paper's Figure 3-b renders the conventional slice with L14
     // re-associated; doing the same here keeps every slice executable.

@@ -11,8 +11,12 @@ use jumpslice_lang::{Label, StmtKind};
 /// Quoting Figure 7: *"For each goto statement, Goto L, in Slice, if the
 /// statement labeled L is not in Slice then associate the label L with its
 /// nearest postdominator in Slice."*
+///
+/// The postdominator tree is fetched at most once per call, and only when
+/// a label moves.
 pub fn reassociate_labels(a: &Analysis<'_>, slice: &StmtSet) -> Vec<(Label, SlicePoint)> {
     let mut moved: Vec<(Label, SlicePoint)> = Vec::new();
+    let mut pdom = None;
     for s in slice.iter() {
         let label = match a.prog().stmt(s).kind {
             StmtKind::Goto { target } | StmtKind::CondGoto { target, .. } => target,
@@ -28,7 +32,8 @@ pub fn reassociate_labels(a: &Analysis<'_>, slice: &StmtSet) -> Vec<(Label, Slic
         if slice.contains(target_stmt) {
             continue;
         }
-        let dest = a.nearest_pdom_in(target_stmt, slice);
+        let pdom = *pdom.get_or_insert_with(|| a.pdom());
+        let dest = a.nearest_in_pdom(pdom, target_stmt, slice);
         moved.push((label, dest));
     }
     moved

@@ -29,6 +29,7 @@
 use crate::{Analysis, Criterion, Slice, SlicePoint};
 use jumpslice_dataflow::StmtSet;
 use jumpslice_lang::{Program, StmtId};
+use jumpslice_pdg::Pdg;
 use std::fmt::Write as _;
 
 /// The first reason a statement entered the slice.
@@ -207,9 +208,9 @@ impl Listing {
     }
 }
 
-/// Internal recorder threaded through `sparse::figure7`: runs the same
-/// worklist closure as `Pdg::backward_closure_into`, remembering the first
-/// edge that inserted each statement.
+/// Internal recorder threaded through `sparse::figure7`: closes over raw
+/// PDG edges, not the condensation, remembering the first edge that
+/// inserted each statement.
 pub(crate) struct Recorder {
     why: Vec<Option<Why>>,
 }
@@ -221,15 +222,20 @@ impl Recorder {
         }
     }
 
-    /// The conventional closure from the criterion's seeds.
-    pub(crate) fn seed_closure(&mut self, a: &Analysis<'_>, crit: &Criterion) -> StmtSet {
+    /// The conventional closure from the criterion's `seeds`.
+    pub(crate) fn seed_closure(
+        &mut self,
+        pdg: &Pdg,
+        crit: &Criterion,
+        seeds: Vec<StmtId>,
+    ) -> StmtSet {
         let root = match crit.vars {
             None => Why::Criterion,
             Some(_) => Why::SeedDef,
         };
-        let mut slice = StmtSet::with_capacity(a.prog().len());
-        let seeds: Vec<(StmtId, Why)> = crit.seeds(a).into_iter().map(|s| (s, root)).collect();
-        self.closure_into(a, seeds, &mut slice, None);
+        let mut slice = StmtSet::with_capacity(self.why.len());
+        let seeds = seeds.into_iter().map(|s| (s, root)).collect();
+        self.closure_into(pdg, seeds, &mut slice, None);
         slice
     }
 
@@ -239,7 +245,7 @@ impl Recorder {
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn jump_closure_delta(
         &mut self,
-        a: &Analysis<'_>,
+        pdg: &Pdg,
         j: StmtId,
         round: u32,
         npd: SlicePoint,
@@ -254,20 +260,19 @@ impl Recorder {
             nls,
             via_hazard,
         };
-        self.closure_into(a, vec![(j, why)], slice, Some(delta));
+        self.closure_into(pdg, vec![(j, why)], slice, Some(delta));
     }
 
-    /// Mirror of `Pdg::backward_closure_into` carrying a `Why` per worklist
-    /// entry. Statements already in `slice` keep their original reason.
-    /// `delta`, when present, receives every newly inserted statement.
+    /// A worklist closure over raw PDG edges carrying a `Why` per entry.
+    /// Statements already in `slice` keep their original reason. `delta`,
+    /// when present, receives every newly inserted statement.
     fn closure_into(
         &mut self,
-        a: &Analysis<'_>,
+        pdg: &Pdg,
         seeds: Vec<(StmtId, Why)>,
         slice: &mut StmtSet,
         mut delta: Option<&mut Vec<StmtId>>,
     ) {
-        let pdg = a.pdg();
         let mut work = seeds;
         while let Some((s, why)) = work.pop() {
             if !slice.insert(s) {
@@ -363,16 +368,16 @@ mod tests {
     #[test]
     fn traced_slices_bypass_the_condensation_and_stay_valid() {
         // The provenance contract: the recorder walks raw PDG edges itself,
-        // so forcing the SCC-condensed closure index must change nothing —
-        // not the slice, not any per-statement reason — and every witness
-        // chain must still follow real dependence edges to a root.
+        // while the plain kernel walks the condensation. The two must agree
+        // on the slice, and a second analysis must give every statement the
+        // same reason; every witness chain must follow real dependence
+        // edges to a root.
         for (p, line) in [
             (corpus::fig1(), 12),
             (corpus::fig3(), 15),
             (corpus::fig10(), 9),
         ] {
             let a = Analysis::new(&p);
-            a.closure_index(); // every routed closure now answers condensed
             let crit = Criterion::at_stmt(p.at_line(line));
             let plain = agrawal_slice(&a, &crit);
             let (traced, prov) = agrawal_slice_traced(&a, &crit);
@@ -380,7 +385,7 @@ mod tests {
             assert_eq!(plain.traversals, traced.traversals);
             assert_eq!(plain.moved_labels, traced.moved_labels);
 
-            // Bit-identical to a condensation-free analysis.
+            // Bit-identical on a fresh analysis.
             let b = Analysis::new(&p);
             let (ref_traced, ref_prov) = agrawal_slice_traced(&b, &crit);
             assert_eq!(traced.stmts, ref_traced.stmts);

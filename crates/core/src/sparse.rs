@@ -600,11 +600,10 @@ fn chain_mask(
     }
 }
 
-/// Per-thread reusable buffers: the closure work/delta vectors and the
+/// Per-thread reusable buffers: the closure delta vector and the
 /// dirty-jump worklists. Pooled so the batch engine's workers run the whole
 /// fixpoint allocation-free after the first criterion.
 struct Scratch {
-    work: Vec<StmtId>,
     delta: Vec<StmtId>,
     cur: BitSet,
     next: BitSet,
@@ -613,7 +612,6 @@ struct Scratch {
 impl Default for Scratch {
     fn default() -> Scratch {
         Scratch {
-            work: Vec::new(),
             delta: Vec::new(),
             cur: BitSet::new(0),
             next: BitSet::new(0),
@@ -636,24 +634,21 @@ thread_local! {
 /// `tests/equivalence.rs` hold the two together.
 pub(crate) fn figure7(a: &Analysis<'_>, crit: &Criterion, mut rec: Option<&mut Recorder>) -> Slice {
     let Scratch {
-        mut work,
         mut delta,
         mut cur,
         mut next,
     } = SCRATCH.with(|s| s.take());
 
-    let mut stmts = {
+    // One PDG lookup per slice; every closure below walks it.
+    let (pdg, mut stmts) = {
         let _t = obs::phase(obs::Phase::ConventionalClosure);
-        match rec.as_deref_mut() {
-            Some(r) => r.seed_closure(a, crit),
-            None => {
-                let mut s = StmtSet::with_capacity(a.prog().len());
-                // An empty target is trivially dependence-closed, so the
-                // routed (possibly condensed) closure applies.
-                a.backward_closure_into_closed(crit.seeds(a), &mut s, &mut work);
-                s
-            }
-        }
+        let seeds = crit.seeds(a);
+        let pdg = a.pdg();
+        let stmts = match rec.as_deref_mut() {
+            Some(r) => r.seed_closure(pdg, crit, seeds),
+            None => pdg.backward_closure(seeds),
+        };
+        (pdg, stmts)
     };
 
     let mut traversals = 0usize;
@@ -735,19 +730,13 @@ pub(crate) fn figure7(a: &Analysis<'_>, crit: &Criterion, mut rec: Option<&mut R
                         delta.clear();
                         match rec.as_deref_mut() {
                             Some(r) => r.jump_closure_delta(
-                                a, j, round, npd, nls, !disagree, &mut stmts, &mut delta,
+                                pdg, j, round, npd, nls, !disagree, &mut stmts, &mut delta,
                             ),
-                            // The slice is closed under dependence at every
-                            // admission, so the routed delta closure applies;
-                            // the condensed path reports the delta in
-                            // ascending order, which the masked unions below
-                            // absorb.
-                            None => a.backward_closure_delta_closed(
-                                [j],
-                                &mut stmts,
-                                &mut work,
-                                &mut delta,
-                            ),
+                            // The slice is a union of closures, hence closed
+                            // under dependence, as the condensed walk needs.
+                            // Its delta comes in no particular order; the
+                            // masked unions below do not care.
+                            None => pdg.backward_closure_delta([j], &mut stmts, &mut delta),
                         }
                         admitted += 1;
                         // Dirty every jump whose chain the delta touched. A
@@ -792,14 +781,7 @@ pub(crate) fn figure7(a: &Analysis<'_>, crit: &Criterion, mut rec: Option<&mut R
         reassociate_labels(a, &stmts)
     };
 
-    SCRATCH.with(|s| {
-        *s.borrow_mut() = Scratch {
-            work,
-            delta,
-            cur,
-            next,
-        }
-    });
+    SCRATCH.with(|s| *s.borrow_mut() = Scratch { delta, cur, next });
 
     Slice {
         stmts,

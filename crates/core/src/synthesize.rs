@@ -131,12 +131,9 @@ pub fn synthesize_slice(
     let next = loop {
         match compute_next(prog, cfg, &slice) {
             Ok(next) => break next,
-            Err(divergent) => {
-                let inserted = slice.insert(divergent);
-                debug_assert!(inserted, "divergent predicate already in slice");
-                // Its data/control closure keeps predicate inputs meaningful.
-                a.pdg().backward_closure_into([divergent], &mut slice);
-            }
+            // The predicate joins with its data/control closure, which
+            // keeps its inputs meaningful.
+            Err(divergent) => a.pdg().backward_closure_into([divergent], &mut slice),
         }
     };
 

@@ -1,37 +1,35 @@
-//! The condensed-vs-direct closure differential mode (`difftest --mode
-//! closure`).
+//! The closure differential mode (`difftest --mode closure`).
 //!
-//! `jumpslice_core::Analysis` answers dependence closures two ways: a
-//! direct worklist walk over the PDG, and — once
-//! `Analysis::closure_index` has been forced — a lookup into the
-//! SCC-condensed reachability index. The two must be observably
-//! identical: same closure sets, same slices from every registered
-//! slicer (statements, traversal counts, moved labels), same chops, and
-//! identical traced provenance (the recorder bypasses the condensation
-//! by contract, walking raw PDG edges; this mode proves the bypass holds
-//! and that every witness chain still ends at a root).
+//! Every backward closure in the product walks the PDG's SCC condensation
+//! (`jumpslice_pdg::Condensation`). This mode holds that walk against the
+//! direct walk over raw PDG edges in [`crate::oracle`], on three things:
 //!
-//! Two sweeps per seed. The *cold* sweep compares a plain analysis
-//! against a second analysis of the same program with the condensation
-//! forced up front. The *edit* sweep drives a
-//! [`jumpslice_incr::EditSession`] through a random edit script and,
-//! after every accepted edit, forces the condensation on the session's
-//! (selectively patched) analysis and holds it against a cold direct
-//! analysis — a stale index surviving a re-solve would surface here.
-//! Mismatches are minimized like the incremental mode's: greedy edit
-//! drops, then the shared statement shrinker.
+//! * the backward closure of each criterion statement;
+//! * closures layered onto a dependence-closed target (a criterion's
+//!   closure), seeded by the next criterion and by every live
+//!   unconditional jump, as the Figure-7 kernel's admissions are: the same
+//!   resulting set, and a delta listing each newly inserted statement
+//!   exactly once;
+//! * chops between consecutive criteria.
+//!
+//! Two sweeps per seed. The *cold* sweep compares on a fresh analysis. The
+//! *edit* sweep drives a [`jumpslice_incr::EditSession`] through a random
+//! edit script and, after every accepted edit, holds the session's
+//! (selectively patched) analysis against the oracle on a cold analysis of
+//! the same program, so a condensation left stale by an invalidation path
+//! surfaces here. Mismatches are minimized like the incremental mode's:
+//! greedy edit drops, then the shared statement shrinker.
 
 use crate::harness::{pick_criteria, DiffConfig, Family};
+use crate::oracle;
 use crate::shrink::{is_valid_candidate, shrink};
-use crate::ALGOS;
-use jumpslice_core::{
-    agrawal_slice_traced, chop, chop_executable, Analysis, BatchSlicer, Criterion, Why,
-};
+use jumpslice_core::{chop, Analysis};
+use jumpslice_dataflow::StmtSet;
 use jumpslice_incr::{random_edit, Edit, EditSession};
 use jumpslice_lang::{print_program, Program};
 use jumpslice_testkit::Rng;
 
-/// Knobs for one condensed-vs-direct differential session.
+/// Knobs for one closure differential session.
 #[derive(Clone, Debug)]
 pub struct ClosureConfig {
     /// First seed (inclusive).
@@ -98,7 +96,7 @@ impl ClosureConfig {
     }
 }
 
-/// One condensed-vs-direct violation, minimized when enabled.
+/// One closure mismatch, minimized when enabled.
 #[derive(Clone, Debug)]
 pub struct ClosureFinding {
     /// Seed of the generating draw.
@@ -114,7 +112,7 @@ pub struct ClosureFinding {
     pub script: Vec<Edit>,
 }
 
-/// Aggregate statistics of one condensed-vs-direct session.
+/// Aggregate statistics of one closure differential session.
 #[derive(Clone, Debug, Default)]
 pub struct ClosureReport {
     /// Programs swept (one per seed × family).
@@ -123,177 +121,86 @@ pub struct ClosureReport {
     pub states: usize,
     /// Edits accepted across all edit sweeps.
     pub edits_applied: usize,
-    /// Individual equality checks executed (closure sets, slices, chops,
-    /// per-statement provenance).
+    /// Individual equality checks executed (closures, layered closures and
+    /// their deltas, chops).
     pub comparisons: usize,
-    /// Confirmed condensed-vs-direct mismatches.
+    /// Confirmed product-vs-oracle mismatches.
     pub findings: Vec<ClosureFinding>,
 }
 
-/// Compares `direct` (condensation never forced) against `cond`
-/// (condensation forced by the caller) on `p`: raw closures, chops, all
-/// eight slicers, and traced provenance. Returns the comparison count or
-/// the first mismatch.
-fn compare_analyses(
+/// Holds the closures of `product` against the oracle's direct walk over
+/// `reference`'s PDG, both analyses of `p`. Returns the comparison count
+/// or the first mismatch.
+fn compare(
     p: &Program,
-    direct: &Analysis<'_>,
-    cond: &Analysis<'_>,
+    product: &Analysis<'_>,
+    reference: &Analysis<'_>,
     max_criteria: usize,
 ) -> Result<usize, String> {
-    let stmts = pick_criteria(p, direct, max_criteria);
-    if stmts.is_empty() {
-        return Ok(0);
-    }
-    let criteria: Vec<Criterion> = stmts.iter().copied().map(Criterion::at_stmt).collect();
+    let stmts = pick_criteria(p, reference, max_criteria);
+    let (pdg, ref_pdg) = (product.pdg(), reference.pdg());
+    let jumps = reference.jumps_in_pdom_preorder();
     let mut comparisons = 0;
 
-    // Raw backward/forward closures, statement by statement. The direct
-    // side walks the PDG explicitly so it can never fall through to a
-    // condensation the batch engine might have built behind our back.
-    for &c in &stmts {
+    for (i, &c) in stmts.iter().enumerate() {
         let line = p.line_of(c);
-        comparisons += 2;
-        if direct.pdg().backward_closure([c]) != cond.backward_closure([c]) {
-            return Err(format!(
-                "backward closure at line {line}: condensed ≠ direct"
-            ));
+        let base = oracle::backward_closure(ref_pdg, [c]);
+        comparisons += 1;
+        if pdg.backward_closure([c]) != base {
+            return Err(format!("backward closure at line {line}: product ≠ oracle"));
         }
-        if direct.pdg().forward_closure([c]) != cond.forward_closure([c]) {
-            return Err(format!(
-                "forward closure at line {line}: condensed ≠ direct"
-            ));
+
+        // Layer closures onto `base`, which is closed under dependence.
+        let next = stmts[(i + 1) % stmts.len()];
+        for seed in std::iter::once(next).chain(jumps.iter().copied()) {
+            let at = format!("line {} onto the closure of line {line}", p.line_of(seed));
+            let mut want = base.clone();
+            oracle::backward_closure_into(ref_pdg, [seed], &mut want);
+            let mut got = base.clone();
+            let mut delta = Vec::new();
+            pdg.backward_closure_delta([seed], &mut got, &mut delta);
+            comparisons += 2;
+            if got != want {
+                return Err(format!("layered closure of {at}: product ≠ oracle"));
+            }
+            let fresh: StmtSet = want.iter().filter(|&s| !base.contains(s)).collect();
+            if delta.len() != fresh.len() || delta.into_iter().collect::<StmtSet>() != fresh {
+                return Err(format!(
+                    "delta of {at}: not the newly inserted statements, each once"
+                ));
+            }
         }
     }
 
-    // Chops (plain and executable) between consecutive criteria.
     for w in stmts.windows(2) {
         let (src, sink) = (w[0], w[1]);
-        let at = format!("lines {}→{}", p.line_of(src), p.line_of(sink));
-        comparisons += 2;
-        if chop(direct, src, sink).stmts != chop(cond, src, sink).stmts {
-            return Err(format!("chop {at}: condensed ≠ direct"));
-        }
-        let (d, c) = (
-            chop_executable(direct, src, sink),
-            chop_executable(cond, src, sink),
-        );
-        if d.stmts != c.stmts || d.moved_labels != c.moved_labels {
-            return Err(format!("executable chop {at}: condensed ≠ direct"));
-        }
-    }
-
-    // Every registered slicer, through the sequential batch engine so a
-    // deterministic slicer panic is a verdict, not a crash.
-    let db = BatchSlicer::new(direct).with_threads(1);
-    let cb = BatchSlicer::new(cond).with_threads(1);
-    for algo in ALGOS {
-        match (
-            db.try_slice_all(algo.f, &criteria),
-            cb.try_slice_all(algo.f, &criteria),
-        ) {
-            (Ok(d), Ok(c)) => {
-                for (i, (ds, cs)) in d.iter().zip(&c).enumerate() {
-                    comparisons += 1;
-                    if ds.stmts != cs.stmts
-                        || ds.traversals != cs.traversals
-                        || ds.moved_labels != cs.moved_labels
-                    {
-                        return Err(format!(
-                            "{} at line {}: condensed {} stmts vs direct {} stmts \
-                             (traversals {} vs {})",
-                            algo.name,
-                            p.line_of(stmts[i]),
-                            cs.len(),
-                            ds.len(),
-                            cs.traversals,
-                            ds.traversals
-                        ));
-                    }
-                }
-            }
-            // A deterministic panic in both worlds is the projection
-            // fuzzer's finding, not a condensation bug.
-            (Err(_), Err(_)) => {}
-            (Ok(_), Err(_)) => {
-                return Err(format!("{}: panics only with the condensation", algo.name));
-            }
-            (Err(_), Ok(_)) => {
-                return Err(format!(
-                    "{}: panics only without the condensation",
-                    algo.name
-                ));
-            }
-        }
-    }
-
-    // Traced provenance with the condensation enabled: the recorder must
-    // bypass the index (it walks PDG edges itself), so the slice, every
-    // per-statement reason, and every chain root must match the direct
-    // world exactly.
-    for &c in &stmts {
-        let line = p.line_of(c);
-        let crit = Criterion::at_stmt(c);
-        let (ds, dp) = agrawal_slice_traced(direct, &crit);
-        let (cs, cp) = agrawal_slice_traced(cond, &crit);
+        let want = ref_pdg
+            .forward_closure([src])
+            .intersection(&oracle::backward_closure(ref_pdg, [sink]));
         comparisons += 1;
-        if ds != cs {
+        if chop(product, src, sink).stmts != want {
             return Err(format!(
-                "criterion line {line}: traced slice differs under condensation"
+                "chop lines {}→{}: product ≠ oracle",
+                p.line_of(src),
+                p.line_of(sink)
             ));
         }
-        for s in p.stmt_ids() {
-            comparisons += 1;
-            if dp.why(s) != cp.why(s) {
-                return Err(format!(
-                    "criterion line {line}: provenance for line {} differs \
-                     (condensed {:?} vs direct {:?})",
-                    p.line_of(s),
-                    cp.why(s),
-                    dp.why(s)
-                ));
-            }
-        }
-        for s in cs.stmts.iter() {
-            comparisons += 1;
-            let chain = cp.chain(s).ok_or_else(|| {
-                format!(
-                    "criterion line {line}: sliced line {} has no witness chain \
-                     under condensation",
-                    p.line_of(s)
-                )
-            })?;
-            let (_, root) = chain.last().expect("chains are non-empty");
-            if !matches!(root, Why::Criterion | Why::SeedDef | Why::Jump { .. }) {
-                return Err(format!(
-                    "criterion line {line}: chain for line {} ends at non-root {root:?}",
-                    p.line_of(s)
-                ));
-            }
-        }
     }
-
     Ok(comparisons)
 }
 
-/// The cold sweep: two fresh analyses of `p`, condensation forced on one.
+/// The cold sweep: one fresh analysis of `p`, against itself.
 fn cold_sweep(p: &Program, max_criteria: usize) -> Result<usize, String> {
-    let direct = Analysis::new(p);
-    let cond = Analysis::new(p);
-    // Force the condensation before any closure is asked for: every
-    // routed closure on `cond` now answers from the index.
-    cond.closure_index();
-    compare_analyses(p, &direct, &cond, max_criteria)
+    let a = Analysis::new(p);
+    compare(p, &a, &a, max_criteria)
 }
 
-/// One edit-state comparison: force the condensation on the session's
-/// selectively-patched analysis, hold it against a cold direct analysis.
+/// One edit-state comparison: the session's selectively-patched analysis
+/// against the oracle on a cold analysis of the same program.
 fn edit_sweep(session: &mut EditSession, max_criteria: usize) -> Result<usize, String> {
     let p = session.prog().clone();
     let cold = Analysis::new(&p);
-    session.with_analysis(|a| {
-        a.closure_index();
-        compare_analyses(&p, &cold, a, max_criteria)
-    })
+    session.with_analysis(|a| compare(&p, a, &cold, max_criteria))
 }
 
 /// Replays `script` on a fresh session over `p` (cold sweep first, edit
@@ -340,7 +247,7 @@ fn shrink_pair(p: &Program, script: &[Edit], max_criteria: usize) -> (Program, V
     (small, cur)
 }
 
-/// Runs the condensed-vs-direct differential session described by `cfg`.
+/// Runs the closure differential session described by `cfg`.
 pub fn run_closuretest(cfg: &ClosureConfig) -> ClosureReport {
     run_closuretest_with(cfg, |_| {})
 }

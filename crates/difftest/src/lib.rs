@@ -19,11 +19,11 @@
 //! Figure-7 kernel against the paper's round-based loop in [`oracle`],
 //! demanding identical slices, traversal counts, moved labels, and traced
 //! provenance on every generated program. A fourth mode
-//! ([`run_closuretest`]) holds the SCC-condensed closure engine against
-//! the direct PDG walk — identical closures, slices, chops, and traced
-//! provenance on every generated program *and* across incremental edit
-//! states, so a condensation staleness bug surviving an `EditSession`
-//! re-solve would be caught.
+//! ([`run_closuretest`]) holds the product's closures, which walk the
+//! PDG's SCC condensation, against the direct walk over raw PDG edges in
+//! [`oracle`] — identical closures, layered closures and their deltas, and
+//! chops on every generated program *and* across incremental edit states,
+//! so a condensation left stale by an `EditSession` edit would be caught.
 //!
 //! In the tradition of differential testing of program analyzers (Chalupa's
 //! cross-checked control-dependence algorithms; SymPas's

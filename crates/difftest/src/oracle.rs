@@ -4,10 +4,15 @@
 //! [`figure7`] is Figure 7 as the paper states it. Each round it re-tests
 //! every out-of-slice jump of a visit order with
 //! [`Analysis::nearest_pdom_in`], [`Analysis::nearest_lexsucc_in`] and
-//! [`Analysis::dowhile_hazard`], and it closes over raw PDG edges. It is
+//! [`Analysis::dowhile_hazard`], and it closes over raw PDG edges with
+//! [`backward_closure_into`], not over the PDG's condensation. It is
 //! written against core's public API only, so it shares nothing with the
 //! kernel it checks beyond the analysis artifacts themselves. It emits no
 //! obs events; `tests/observability.rs` pins the kernel's.
+//!
+//! [`backward_closure`] and [`backward_closure_into`] are also the oracle
+//! for the product's closures, which walk the condensation
+//! (`difftest --mode closure`).
 //!
 //! The paper notes that the preorder of the lexical successor tree works
 //! "equally well" as the postdominator tree's (§3). That is a property to
@@ -41,7 +46,34 @@ use jumpslice_core::{reassociate_labels, Analysis, Criterion, Slice, Why};
 use jumpslice_dataflow::{BitSet, StmtSet};
 use jumpslice_graph::NodeId;
 use jumpslice_lang::{Name, Program, StmtId};
+use jumpslice_pdg::Pdg;
 use std::collections::HashMap;
+
+/// The backward closure of `seeds` by a direct worklist walk over raw PDG
+/// edges: the oracle for [`Pdg::backward_closure`].
+pub fn backward_closure(pdg: &Pdg, seeds: impl IntoIterator<Item = StmtId>) -> StmtSet {
+    let mut slice = StmtSet::with_capacity(pdg.control().num_stmts());
+    backward_closure_into(pdg, seeds, &mut slice);
+    slice
+}
+
+/// Adds the backward closure of `seeds` to `slice` by the direct walk.
+/// Statements already in `slice` act as visited marks, so unlike
+/// [`Pdg::backward_closure_into`] any target is allowed; on an empty or
+/// dependence-closed target the two agree.
+pub fn backward_closure_into(
+    pdg: &Pdg,
+    seeds: impl IntoIterator<Item = StmtId>,
+    slice: &mut StmtSet,
+) {
+    let mut work: Vec<StmtId> = seeds.into_iter().collect();
+    while let Some(s) = work.pop() {
+        if slice.insert(s) {
+            work.extend(pdg.data().deps(s));
+            work.extend(pdg.control().deps(s));
+        }
+    }
+}
 
 /// Figure 7 driven by the jump visit `order`: starting from the
 /// conventional closure, every round tests each out-of-slice jump in
@@ -61,7 +93,6 @@ pub fn figure7(
     mut why: Option<&mut [Option<Why>]>,
 ) -> Slice {
     let pdg = a.pdg();
-    let mut work = Vec::new();
     let mut stmts = StmtSet::with_capacity(a.prog().len());
     let seeds = crit.seeds(a);
     match why.as_deref_mut() {
@@ -73,7 +104,7 @@ pub fn figure7(
             let seeds = seeds.into_iter().map(|s| (s, root)).collect();
             close_recording(a, seeds, &mut stmts, w);
         }
-        None => pdg.backward_closure_into_with_scratch(seeds, &mut stmts, &mut work),
+        None => backward_closure_into(pdg, seeds, &mut stmts),
     }
 
     let mut traversals = 0usize;
@@ -99,7 +130,7 @@ pub fn figure7(
                         };
                         close_recording(a, vec![(j, reason)], &mut stmts, w);
                     }
-                    None => pdg.backward_closure_into_with_scratch([j], &mut stmts, &mut work),
+                    None => backward_closure_into(pdg, [j], &mut stmts),
                 }
                 admitted = true;
             }

@@ -1,15 +1,18 @@
-//! Tarjan strongly-connected components and graph condensation.
+//! Tarjan strongly-connected components.
 //!
-//! Used by the program generator to reject accidentally-irreducible loop
-//! soups and by the CFG crate's diagnostics.
+//! Used by the PDG's condensation, which every backward dependence closure
+//! walks.
 
-use crate::{DiGraph, NodeId};
+use crate::NodeId;
 
-/// Computes strongly-connected components with Tarjan's algorithm.
+/// Computes strongly-connected components with Tarjan's algorithm over the
+/// nodes `0..n`, reading each node's successors from `succs`. A successor
+/// listed twice is harmless.
 ///
 /// Returns the components in reverse topological order (callees/loop bodies
-/// first), each component listing its member nodes. Singleton components
-/// without a self-loop are trivial.
+/// first), each component listing its member nodes in ascending order, all
+/// in one flat [`Sccs`]. Singleton components without a self-loop are
+/// trivial.
 ///
 /// # Examples
 ///
@@ -19,109 +22,123 @@ use crate::{DiGraph, NodeId};
 /// g.add_edge(0.into(), 1.into());
 /// g.add_edge(1.into(), 0.into());
 /// g.add_edge(1.into(), 2.into());
-/// let sccs = tarjan_scc(&g);
-/// assert_eq!(sccs.len(), 2);
+/// let sccs = tarjan_scc(g.len(), |v| g.succs(v).iter().copied());
+/// assert_eq!(sccs.iter().count(), 2);
 /// assert!(sccs.iter().any(|c| c.len() == 2));
 /// ```
-pub fn tarjan_scc(g: &DiGraph) -> Vec<Vec<NodeId>> {
+pub fn tarjan_scc<I>(n: usize, succs: impl Fn(NodeId) -> I) -> Sccs
+where
+    I: Iterator<Item = NodeId>,
+{
+    // A node's `index` is UNVISITED, its DFS number while it is on the
+    // stack, then DONE once its component is emitted. DONE exceeds every
+    // DFS number, so an edge into a finished component never lowers a
+    // lowlink and needs no on-stack test.
     const UNVISITED: u32 = u32::MAX;
-    let n = g.len();
+    const DONE: u32 = u32::MAX - 1;
     let mut index = vec![UNVISITED; n];
     let mut lowlink = vec![0u32; n];
-    let mut on_stack = vec![false; n];
     let mut stack: Vec<NodeId> = Vec::new();
-    let mut sccs = Vec::new();
+    let mut members = Vec::with_capacity(n);
+    let mut start = vec![0];
     let mut counter = 0u32;
 
-    // Iterative Tarjan: frames carry (node, next-successor-index).
-    for start in g.nodes() {
-        if index[start.index()] != UNVISITED {
+    // Iterative Tarjan: frames carry (node, its remaining successors).
+    let mut call: Vec<(NodeId, I)> = Vec::new();
+    for root in (0..n).map(NodeId::new) {
+        if index[root.index()] != UNVISITED {
             continue;
         }
-        let mut call: Vec<(NodeId, usize)> = vec![(start, 0)];
-        while let Some(&mut (v, ref mut i)) = call.last_mut() {
-            if *i == 0 {
+        let mut open = Some(root);
+        loop {
+            if let Some(v) = open.take() {
                 index[v.index()] = counter;
                 lowlink[v.index()] = counter;
                 counter += 1;
                 stack.push(v);
-                on_stack[v.index()] = true;
+                call.push((v, succs(v)));
             }
-            if let Some(&w) = g.succs(v).get(*i) {
-                *i += 1;
+            let Some((v, rest)) = call.last_mut() else {
+                break;
+            };
+            let v = *v;
+            // Scan successors until one is unvisited; visited ones only
+            // lower the node's lowlink.
+            let mut low = lowlink[v.index()];
+            for w in rest.by_ref() {
                 if index[w.index()] == UNVISITED {
-                    call.push((w, 0));
-                } else if on_stack[w.index()] {
-                    lowlink[v.index()] = lowlink[v.index()].min(index[w.index()]);
+                    open = Some(w);
+                    break;
                 }
-            } else {
-                if lowlink[v.index()] == index[v.index()] {
-                    let mut comp = Vec::new();
-                    loop {
-                        let w = stack.pop().expect("tarjan stack invariant");
-                        on_stack[w.index()] = false;
-                        comp.push(w);
-                        if w == v {
-                            break;
-                        }
+                low = low.min(index[w.index()]);
+            }
+            lowlink[v.index()] = low;
+            if open.is_some() {
+                continue;
+            }
+            if low == index[v.index()] {
+                let first = members.len();
+                loop {
+                    let w = stack.pop().expect("tarjan stack invariant");
+                    index[w.index()] = DONE;
+                    members.push(w);
+                    if w == v {
+                        break;
                     }
-                    comp.sort();
-                    sccs.push(comp);
                 }
-                call.pop();
-                if let Some(&(p, _)) = call.last() {
-                    lowlink[p.index()] = lowlink[p.index()].min(lowlink[v.index()]);
-                }
+                members[first..].sort_unstable();
+                start.push(members.len());
+            }
+            call.pop();
+            if let Some(&(p, _)) = call.last() {
+                lowlink[p.index()] = lowlink[p.index()].min(low);
             }
         }
     }
-    sccs
+    Sccs { members, start }
 }
 
-/// Builds the condensation (SCC quotient DAG) of `g`.
-///
-/// Returns the quotient graph together with the component index of every
-/// original node.
-pub fn condensation(g: &DiGraph) -> (DiGraph, Vec<usize>) {
-    let sccs = tarjan_scc(g);
-    let mut comp_of = vec![0usize; g.len()];
-    for (ci, comp) in sccs.iter().enumerate() {
-        for &v in comp {
-            comp_of[v.index()] = ci;
-        }
+/// Strongly connected components, as [`tarjan_scc`] emits them: in
+/// reverse topological order, each listing its members in ascending order.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Sccs {
+    /// Every node, component by component.
+    pub members: Vec<NodeId>,
+    /// Component `c` is `members[start[c]..start[c + 1]]`.
+    pub start: Vec<usize>,
+}
+
+impl Sccs {
+    /// The components in emission order.
+    pub fn iter(&self) -> impl Iterator<Item = &[NodeId]> {
+        self.start.windows(2).map(|w| &self.members[w[0]..w[1]])
     }
-    let mut q = DiGraph::with_nodes(sccs.len());
-    for (a, b) in g.edges() {
-        let (ca, cb) = (comp_of[a.index()], comp_of[b.index()]);
-        if ca != cb {
-            q.add_edge(ca.into(), cb.into());
-        }
-    }
-    (q, comp_of)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::DiGraph;
+
+    fn sccs_of(n: usize, edges: &[(usize, usize)]) -> Vec<Vec<NodeId>> {
+        let mut g = DiGraph::with_nodes(n);
+        for &(a, b) in edges {
+            g.add_edge(a.into(), b.into());
+        }
+        let sccs = tarjan_scc(g.len(), |v| g.succs(v).iter().copied());
+        sccs.iter().map(<[NodeId]>::to_vec).collect()
+    }
 
     #[test]
     fn dag_gives_singletons() {
-        let mut g = DiGraph::with_nodes(4);
-        for (a, b) in [(0, 1), (1, 2), (0, 3), (3, 2)] {
-            g.add_edge(a.into(), b.into());
-        }
-        let sccs = tarjan_scc(&g);
+        let sccs = sccs_of(4, &[(0, 1), (1, 2), (0, 3), (3, 2)]);
         assert_eq!(sccs.len(), 4);
         assert!(sccs.iter().all(|c| c.len() == 1));
     }
 
     #[test]
     fn single_cycle_is_one_component() {
-        let mut g = DiGraph::with_nodes(3);
-        for (a, b) in [(0, 1), (1, 2), (2, 0)] {
-            g.add_edge(a.into(), b.into());
-        }
-        let sccs = tarjan_scc(&g);
+        let sccs = sccs_of(3, &[(0, 1), (1, 2), (2, 0)]);
         assert_eq!(sccs.len(), 1);
         assert_eq!(sccs[0].len(), 3);
     }
@@ -130,11 +147,7 @@ mod tests {
     fn reverse_topological_order() {
         // 0 -> 1 <-> 2, 1 -> 3: components {0}, {1,2}, {3}; {3} must come
         // before {1,2}, which must come before {0}.
-        let mut g = DiGraph::with_nodes(4);
-        for (a, b) in [(0, 1), (1, 2), (2, 1), (1, 3)] {
-            g.add_edge(a.into(), b.into());
-        }
-        let sccs = tarjan_scc(&g);
+        let sccs = sccs_of(4, &[(0, 1), (1, 2), (2, 1), (1, 3)]);
         let pos = |v: usize| {
             sccs.iter()
                 .position(|c| c.contains(&NodeId::new(v)))
@@ -146,24 +159,31 @@ mod tests {
     }
 
     #[test]
-    fn condensation_is_acyclic() {
-        let mut g = DiGraph::with_nodes(5);
-        for (a, b) in [(0, 1), (1, 2), (2, 1), (2, 3), (3, 4), (4, 3)] {
-            g.add_edge(a.into(), b.into());
-        }
-        let (q, comp_of) = condensation(&g);
-        assert_eq!(q.len(), 3);
-        assert_eq!(comp_of[1], comp_of[2]);
-        assert_eq!(comp_of[3], comp_of[4]);
-        // The quotient of SCCs never has nontrivial SCCs.
-        let qs = tarjan_scc(&q);
-        assert!(qs.iter().all(|c| c.len() == 1));
+    fn repeated_successors_and_self_loops_are_harmless() {
+        // Node 0 lists 1 twice (as a PDG node can list a statement as both
+        // a data and a control dependence); 2 loops on itself.
+        let succ: [&[usize]; 3] = [&[1, 1], &[0], &[2, 0]];
+        let sccs = tarjan_scc(3, |v| succ[v.index()].iter().map(|&w| NodeId::new(w)));
+        assert_eq!(
+            sccs.iter().map(<[NodeId]>::to_vec).collect::<Vec<_>>(),
+            vec![vec![NodeId::new(0), NodeId::new(1)], vec![NodeId::new(2)]]
+        );
+    }
+
+    #[test]
+    fn cross_edges_into_finished_components_do_not_merge_them() {
+        // DFS from 0 finishes {1} first; the later cross edge 2 -> 1 must
+        // leave it alone while 2 -> 0 closes the cycle {0, 2}.
+        let sccs = sccs_of(3, &[(0, 1), (0, 2), (2, 1), (2, 0)]);
+        assert_eq!(
+            sccs,
+            vec![vec![NodeId::new(1)], vec![NodeId::new(0), NodeId::new(2)]]
+        );
     }
 
     #[test]
     fn disconnected_graph_covered() {
-        let g = DiGraph::with_nodes(3);
-        let sccs = tarjan_scc(&g);
+        let sccs = sccs_of(3, &[]);
         assert_eq!(sccs.len(), 3);
     }
 }

@@ -88,7 +88,8 @@ impl Artifact {
 pub enum Phase {
     /// The reaching-definitions fixpoint.
     ReachingDefs,
-    /// Program-dependence-graph assembly (data + control halves).
+    /// Program-dependence-graph assembly (data + control halves and their
+    /// SCC condensation).
     PdgBuild,
     /// Postdominator-tree construction.
     Postdominators,
@@ -109,9 +110,6 @@ pub enum Phase {
     /// One request handled by the serve daemon (parse, cache probe, slice
     /// work, response encoding).
     ServeRequest,
-    /// SCC condensation of the PDG plus per-component reachability bitsets
-    /// (the condensed closure engine's one-time build).
-    ClosureIndexBuild,
 }
 
 impl Phase {
@@ -128,7 +126,6 @@ impl Phase {
             Phase::LabelReassoc => "label_reassoc",
             Phase::BatchRun => "batch_run",
             Phase::ServeRequest => "serve_request",
-            Phase::ClosureIndexBuild => "closure_index_build",
         }
     }
 
@@ -145,7 +142,6 @@ impl Phase {
             Phase::LabelReassoc,
             Phase::BatchRun,
             Phase::ServeRequest,
-            Phase::ClosureIndexBuild,
         ]
         .into_iter()
         .find(|p| p.name() == s)
@@ -542,8 +538,6 @@ const KNOWN_COUNTS: &[&str] = &[
     "serve.store.corrupt",
     "serve.store.write",
     "store.corrupt_fallback",
-    "closure.condensed.components",
-    "closure.condensed.queries",
     "edges",
 ];
 

@@ -37,9 +37,9 @@ use jumpslice_dataflow::{DataDeps, ReachingDefs, StmtSet};
 use jumpslice_graph::{DiGraph, DomTree};
 use jumpslice_lang::{Program, StmtId};
 
-pub mod closure;
+mod condensation;
 
-pub use closure::ClosureIndex;
+pub use condensation::Condensation;
 
 /// Control-dependence edges between statements.
 #[derive(Clone, Debug)]
@@ -262,11 +262,13 @@ impl ControlDeps {
     }
 }
 
-/// A program dependence graph: data plus control dependence.
+/// A program dependence graph: data plus control dependence, and the SCC
+/// condensation of their union that backward closures walk.
 #[derive(Clone, Debug)]
 pub struct Pdg {
     data: DataDeps,
     control: ControlDeps,
+    cond: Condensation,
 }
 
 impl Pdg {
@@ -290,7 +292,7 @@ impl Pdg {
         )
     }
 
-    /// Assembles a PDG from already-computed halves.
+    /// Assembles a PDG from already-computed halves and condenses it.
     ///
     /// The batch engine caches `ReachingDefs` per program and derives data
     /// dependence once via [`DataDeps::from_reaching`]; this constructor
@@ -304,7 +306,12 @@ impl Pdg {
             name: "pdg.control_edges",
             value: control.edges().count() as u64,
         });
-        Pdg { data, control }
+        let cond = Condensation::build(&data, &control);
+        Pdg {
+            data,
+            control,
+            cond,
+        }
     }
 
     /// The data-dependence half.
@@ -316,8 +323,8 @@ impl Pdg {
     /// *uses* of statement `u` (an expression replacement under an
     /// unchanged flowgraph shape): recomputes `u`'s incoming data edges
     /// from `rd` and leaves every control edge and every other statement's
-    /// data edges untouched. Returns the number of data edges now entering
-    /// `u`.
+    /// data edges untouched, then re-condenses. Returns the number of data
+    /// edges now entering `u`.
     pub fn repoint_data_uses(
         &mut self,
         prog: &Program,
@@ -326,6 +333,7 @@ impl Pdg {
         u: StmtId,
     ) -> usize {
         let n = self.data.repoint_uses(prog, cfg, rd, u);
+        self.cond = Condensation::build(&self.data, &self.control);
         jumpslice_obs::record(|| jumpslice_obs::Event::Count {
             name: "pdg.patched_data_edges",
             value: n as u64,
@@ -349,6 +357,11 @@ impl Pdg {
         out
     }
 
+    /// The condensation every backward closure walks.
+    pub fn condensation(&self) -> &Condensation {
+        &self.cond
+    }
+
     /// The transitive closure of data and control dependence from `seeds` —
     /// the conventional slicing kernel (paper, §2). The dense [`StmtSet`]
     /// iterates in ascending id order, so downstream consumers see the same
@@ -359,66 +372,33 @@ impl Pdg {
         slice
     }
 
-    /// [`Pdg::backward_closure`] accumulating into a caller-provided set —
-    /// the allocation-free form the batch engine uses with per-thread
-    /// scratch sets. `slice` is *not* cleared: statements already present
-    /// act as visited marks, so closures can be layered.
+    /// Adds the backward closure of `seeds` to `slice`, walking the
+    /// condensation. `slice` must be empty or closed under dependence, as
+    /// a union of closures is: a component whose first member is already
+    /// in `slice` is skipped whole.
     pub fn backward_closure_into(
         &self,
         seeds: impl IntoIterator<Item = StmtId>,
         slice: &mut StmtSet,
     ) {
-        let mut work = Vec::new();
-        self.backward_closure_into_with_scratch(seeds, slice, &mut work);
+        self.cond.close(seeds, slice, |_| {});
     }
 
-    /// [`Pdg::backward_closure_into`] reusing a caller-provided work vector,
-    /// so hot loops that run one closure per jump admission (the Figure-7
-    /// fixpoint, the batch engine's workers) stop allocating a fresh
-    /// `Vec` each time. `work` is cleared on entry; its contents on return
-    /// are unspecified.
-    pub fn backward_closure_into_with_scratch(
-        &self,
-        seeds: impl IntoIterator<Item = StmtId>,
-        slice: &mut StmtSet,
-        work: &mut Vec<StmtId>,
-    ) {
-        work.clear();
-        work.extend(seeds);
-        while let Some(s) = work.pop() {
-            if !slice.insert(s) {
-                continue;
-            }
-            work.extend(self.data.deps(s).iter().copied());
-            work.extend(self.control.deps(s).iter().copied());
-        }
-    }
-
-    /// [`Pdg::backward_closure_into_with_scratch`] that additionally appends
-    /// every *newly inserted* statement to `delta` (which is **not**
-    /// cleared). The sparse Figure-7 kernel feeds the delta to its dirty-jump
-    /// index so only tests whose inputs changed are re-run.
+    /// [`Pdg::backward_closure_into`] that also appends every *newly
+    /// inserted* statement to `delta` (which is **not** cleared), in no
+    /// particular order. The sparse Figure-7 kernel feeds the delta to its
+    /// dirty-jump index so only tests whose inputs changed are re-run.
     pub fn backward_closure_delta(
         &self,
         seeds: impl IntoIterator<Item = StmtId>,
         slice: &mut StmtSet,
-        work: &mut Vec<StmtId>,
         delta: &mut Vec<StmtId>,
     ) {
-        work.clear();
-        work.extend(seeds);
-        while let Some(s) = work.pop() {
-            if !slice.insert(s) {
-                continue;
-            }
-            delta.push(s);
-            work.extend(self.data.deps(s).iter().copied());
-            work.extend(self.control.deps(s).iter().copied());
-        }
+        self.cond.close(seeds, slice, |s| delta.push(s));
     }
 
-    /// Forward closure: everything affected by `seeds` (used by the
-    /// forward-slicing example).
+    /// Forward closure: everything affected by `seeds`, by a direct walk
+    /// over the dependents (forward slices and chops).
     pub fn forward_closure(&self, seeds: impl IntoIterator<Item = StmtId>) -> StmtSet {
         let mut slice = StmtSet::with_capacity(self.control.num_stmts());
         let mut work: Vec<StmtId> = seeds.into_iter().collect();
@@ -629,27 +609,23 @@ mod tests {
     }
 
     #[test]
-    fn scratch_and_delta_closures_match_the_plain_one() {
+    fn delta_closure_matches_the_plain_one() {
         let p = parse("read(c); while (c) { read(x); y = x; } write(y);").unwrap();
         let cfg = Cfg::build(&p);
         let pdg = Pdg::build(&p, &cfg);
         let plain = pdg.backward_closure([p.at_line(5)]);
 
-        let mut work = vec![p.at_line(1); 8]; // dirty scratch must not leak in
-        let mut via_scratch = StmtSet::with_capacity(p.len());
-        pdg.backward_closure_into_with_scratch([p.at_line(5)], &mut via_scratch, &mut work);
-        assert_eq!(via_scratch, plain);
-
         // The delta form reports exactly the newly inserted statements,
-        // layered on top of a pre-populated slice (line 1 is in the
-        // closure; pre-seeding it keeps it out of the delta).
+        // layered on top of a closed slice (line 1 is its own closure and
+        // in the closure of line 5; pre-seeding keeps it out of the delta).
         let mut layered: StmtSet = [p.at_line(1)].into_iter().collect();
         let mut delta = Vec::new();
-        pdg.backward_closure_delta([p.at_line(5)], &mut layered, &mut work, &mut delta);
+        pdg.backward_closure_delta([p.at_line(5)], &mut layered, &mut delta);
         assert_eq!(layered, plain);
         let mut delta_set: StmtSet = delta.iter().copied().collect();
         delta_set.insert(p.at_line(1));
         assert_eq!(delta_set, plain, "delta == inserted statements");
+        assert_eq!(delta.len(), plain.len() - 1, "each listed once");
         assert!(
             !delta.contains(&p.at_line(1)),
             "pre-seeded stmt not re-reported"

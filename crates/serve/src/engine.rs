@@ -591,12 +591,13 @@ mod tests {
             .to_owned()
     }
 
-    /// A request runs on one thread and builds nothing a later request
-    /// could not reuse: neither a cold `load` + `slice` nor a `slice` after
-    /// an edit that leaves the analysis cold condenses the PDG, and every
-    /// answer is the Figure-7 slice of a fresh analysis.
+    /// Every daemon slice equals the Figure-7 slice of a fresh analysis:
+    /// after a cold load, and after an edit down each of the three
+    /// invalidation paths (a jump toggle rebuilds, an insert re-solves
+    /// seeded, an expression replacement patches the PDG and its
+    /// condensation in place).
     #[test]
-    fn cold_slices_do_not_build_the_closure_index() {
+    fn slices_after_every_invalidation_path_match_a_fresh_analysis() {
         fn fig7_lines(prog: &Program) -> Vec<String> {
             let a = jumpslice_core::Analysis::new(prog);
             (1..=prog.len())
@@ -625,62 +626,52 @@ mod tests {
                 .map(|s| s.get("lines").expect("lines").write_compact())
                 .collect()
         }
-        fn assert_cold_without_index(events: &[obs::Event], what: &str) {
-            let m = obs::Metrics::of(events);
-            let builds = ["reaching_defs", "pdg_build", "postdominators", "lst_build"];
-            assert!(
-                builds.iter().any(|b| m.phase_ns.contains_key(b)),
-                "{what}: the request rebuilt part of the analysis"
-            );
-            assert!(
-                !m.phase_ns.contains_key("closure_index_build"),
-                "{what}: phases {:?}",
-                m.phase_ns.keys()
-            );
-            assert!(
-                !m.counts.contains_key("closure.condensed.components"),
-                "{what}: counts {:?}",
-                m.counts.keys()
-            );
-        }
 
         let src = "read(n); i = 0; s = 0;
                    while (i < n) { read(x); if (x < 0) { y = 1; } s = s + x; i = i + 1; }
                    write(s); write(i);";
         let e = Engine::new(usize::MAX);
         let mut prog = parse(src).unwrap();
-        let ((mut key, got), events) = obs::capture(|| {
-            let key = load(&e, src);
-            let got = slice_every_line(&e, &key, prog.len());
-            (key, got)
-        });
-        assert_cold_without_index(&events, "cold load + slice");
-        assert_eq!(got, fig7_lines(&prog));
+        let mut key = load(&e, src);
+        assert_eq!(slice_every_line(&e, &key, prog.len()), fig7_lines(&prog));
 
-        for edit in [
-            r#"{"kind":"toggle_jump","path":[["body",3],["body",1],["then",0]],"jump":"break"}"#,
-            r#"{"kind":"insert","path":[["body",2]],"stmt":{"kind":"assign","var":"s","expr":"n + 1"}}"#,
+        for (edit, path) in [
+            (
+                r#"{"kind":"toggle_jump","path":[["body",3],["body",1],["then",0]],"jump":"break"}"#,
+                "full_rebuild",
+            ),
+            (
+                r#"{"kind":"insert","path":[["body",2]],"stmt":{"kind":"assign","var":"s","expr":"n + 1"}}"#,
+                "seeded_resolve",
+            ),
+            (
+                r#"{"kind":"replace_expr","path":[["body",5]],"expr":"n"}"#,
+                "expr_patch",
+            ),
         ] {
             let edit_json = Json::parse(edit).unwrap();
             prog =
                 jumpslice_incr::apply_edit(&prog, &crate::proto::parse_edit(&edit_json).unwrap())
                     .unwrap()
                     .prog;
-            let ((new_key, got), events) = obs::capture(|| {
-                let resp = ok(&e.handle_line(&format!(
-                    r#"{{"op":"edit","program":"{key}","edit":{edit}}}"#
-                )));
-                let new_key = resp
-                    .get("program")
-                    .and_then(Json::as_str)
-                    .expect("key")
-                    .to_owned();
-                let got = slice_every_line(&e, &new_key, prog.len());
-                (new_key, got)
-            });
-            assert_cold_without_index(&events, edit);
-            assert_eq!(got, fig7_lines(&prog), "{edit}");
-            key = new_key;
+            let resp = ok(&e.handle_line(&format!(
+                r#"{{"op":"edit","program":"{key}","edit":{edit}}}"#
+            )));
+            assert_eq!(
+                resp.get("path").and_then(Json::as_str),
+                Some(path),
+                "{edit}"
+            );
+            key = resp
+                .get("program")
+                .and_then(Json::as_str)
+                .expect("key")
+                .to_owned();
+            assert_eq!(
+                slice_every_line(&e, &key, prog.len()),
+                fig7_lines(&prog),
+                "{edit}"
+            );
         }
     }
 
