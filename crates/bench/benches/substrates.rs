@@ -8,7 +8,7 @@ use jumpslice_bench::sized_structured;
 use jumpslice_cfg::Cfg;
 use jumpslice_dataflow::{DataDeps, LiveVars, ReachingDefs};
 use jumpslice_interp::{run, Input};
-use jumpslice_lang::{parse, print_program, Structure};
+use jumpslice_lang::{parse, print_program};
 use jumpslice_pdg::ControlDeps;
 use std::hint::black_box;
 
@@ -20,7 +20,6 @@ fn main() {
         let p = sized_structured(size);
         let src = print_program(&p);
         let cfg = Cfg::build(&p);
-        let structure = Structure::of(&p);
         let n = p.len();
 
         r.bench(&format!("substrates/parse/{n}"), || {
@@ -42,10 +41,7 @@ fn main() {
             black_box(ControlDeps::compute(black_box(&p), &cfg))
         });
         r.bench(&format!("substrates/lexsucc-tree/{n}"), || {
-            black_box(jumpslice_core::LexSuccTree::build(
-                black_box(&p),
-                &structure,
-            ))
+            black_box(jumpslice_core::LexSuccTree::build(black_box(&p)))
         });
         let input = Input {
             fuel: 20_000,

@@ -23,6 +23,10 @@
 //! * the incremental sweep: one edit followed by a re-slice of a criterion
 //!   pool, through a warm [`jumpslice_incr::EditSession`] (expression patch
 //!   and seeded re-solve paths) vs edit-then-`Analysis::new` from scratch;
+//! * the serve sweep: in-process daemon time per request on a warm cache —
+//!   a mixed slice/stats session over two 120-statement programs, and
+//!   single-criterion Figure-7 slices on one ~5k-statement program per
+//!   family, where per-request work that scales with the program shows;
 //! * the store sweep: first-slice latency through a store-enabled daemon
 //!   on a miss (parse + analyze + warm + write-behind persist) vs on a
 //!   snapshot hit (store load + decode + seeded analysis) — the daemon's
@@ -54,6 +58,8 @@ const BATCH: usize = 120;
 /// not like a batch audit, so the measurement isolates edit-to-answer
 /// latency instead of drowning it in slice evaluation common to both arms.
 const INCR_CRITERIA: usize = 4;
+/// Single-criterion slice requests per ~5k-statement serve row.
+const SERVE_CRITERIA: usize = 16;
 /// Criteria per program in the sparse-vs-dense sweep. Enough to amortize
 /// the one-time chain-index build into the sparse arm without making the
 /// dense reference arm dominate the whole benchmark run.
@@ -94,6 +100,13 @@ struct ClosureRow {
     criteria: usize,
     direct_ns: f64,
     condensed_ns: f64,
+}
+
+struct ServeRow {
+    family: &'static str,
+    stmts: usize,
+    requests: usize,
+    ns_per_request: f64,
 }
 
 struct StoreRow {
@@ -286,10 +299,12 @@ fn main() {
     }
 
     // The serve sweep: in-process daemon engine throughput over a mixed
-    // request session (two cached programs, slice + stats traffic). One
-    // engine per measurement would re-pay analysis; the cache is the
-    // product, so it stays warm across iterations like a real daemon.
-    let serve_sweep = {
+    // request session (two cached programs, slice + stats traffic), then
+    // single-criterion fig7 slices on one ~5k-statement program per
+    // family. One engine per measurement would re-pay analysis; the cache
+    // is the product, so it stays warm across iterations like a real
+    // daemon.
+    let serve_rows = {
         use jumpslice_serve::engine::Engine;
         let src_a = jumpslice_lang::print_program(&sized_structured(120));
         let src_b = jumpslice_lang::print_program(&sized_unstructured(120));
@@ -328,14 +343,53 @@ fn main() {
                 }
             })
             .collect();
-        let total_ns = r.bench("json/serve/mixed/120/warm-cache", || {
-            let mut bytes = 0usize;
-            for req in &requests {
-                bytes += engine.handle_line(black_box(req)).len();
-            }
-            black_box(bytes)
-        });
-        (120usize, REQUESTS, total_ns / REQUESTS as f64)
+        let mut serve = |name: &str, requests: &[String]| {
+            let total_ns = r.bench(name, || {
+                let mut bytes = 0usize;
+                for req in requests {
+                    bytes += engine.handle_line(black_box(req)).len();
+                }
+                black_box(bytes)
+            });
+            total_ns / requests.len() as f64
+        };
+        let mut rows = vec![ServeRow {
+            family: "mixed",
+            stmts: 120,
+            requests: REQUESTS,
+            ns_per_request: serve("json/serve/mixed/120/warm-cache", &requests),
+        }];
+        for (family, make) in [
+            (
+                "structured",
+                sized_structured as fn(usize) -> jumpslice_lang::Program,
+            ),
+            (
+                "unstructured",
+                sized_unstructured as fn(usize) -> jumpslice_lang::Program,
+            ),
+        ] {
+            let src = jumpslice_lang::print_program(&make(5000));
+            let key = load(&src);
+            let p = jumpslice_lang::parse(&src).expect("round-trips");
+            let requests: Vec<String> = criterion_pool(&p, &Analysis::new(&p), SERVE_CRITERIA)
+                .iter()
+                .map(|c| {
+                    let line = p.line_of(c.stmt);
+                    format!(
+                        r#"{{"op":"slice","program":"{key}","algo":"fig7","criteria":[{{"line":{line}}}]}}"#
+                    )
+                })
+                .collect();
+            let n = p.len();
+            rows.push(ServeRow {
+                family,
+                stmts: n,
+                requests: requests.len(),
+                ns_per_request: serve(&format!("json/serve/{family}/{n}/warm-cache"), &requests),
+            });
+        }
+        rows
     };
 
     // The sparse sweep: the change-driven Figure-7 kernel behind
@@ -749,19 +803,23 @@ fn main() {
         let _ = writeln!(out, "    }}{comma}");
     }
     out.push_str("  ],\n");
-    {
-        let (stmts, requests, ns_per_req) = serve_sweep;
-        out.push_str("  \"serve_sweeps\": [\n");
+    out.push_str("  \"serve_sweeps\": [\n");
+    for (i, row) in serve_rows.iter().enumerate() {
+        let comma = if i + 1 == serve_rows.len() { "" } else { "," };
         out.push_str("    {\n");
-        let _ = writeln!(out, "      \"family\": \"mixed\",");
-        let _ = writeln!(out, "      \"stmts\": {stmts},");
-        let _ = writeln!(out, "      \"requests\": {requests},");
+        let _ = writeln!(out, "      \"family\": \"{}\",", row.family);
+        let _ = writeln!(out, "      \"stmts\": {},", row.stmts);
+        let _ = writeln!(out, "      \"requests\": {},", row.requests);
         let _ = writeln!(out, "      \"serve_workers_used\": 1,");
         let _ = writeln!(out, "      \"available_parallelism\": {threads},");
-        let _ = writeln!(out, "      \"serve_ns_per_request\": {ns_per_req:.1}");
-        out.push_str("    }\n");
-        out.push_str("  ],\n");
+        let _ = writeln!(
+            out,
+            "      \"serve_ns_per_request\": {:.1}",
+            row.ns_per_request
+        );
+        let _ = writeln!(out, "    }}{comma}");
     }
+    out.push_str("  ],\n");
     out.push_str("  \"sparse_sweeps\": [\n");
     for (i, row) in sparse_rows.iter().enumerate() {
         let comma = if i + 1 == sparse_rows.len() { "" } else { "," };
@@ -902,11 +960,15 @@ fn main() {
             row.record_bytes
         );
     }
-    println!(
-        "  serve: {:.1}us/request over a warm 2-program cache ({} mixed requests)",
-        serve_sweep.2 / 1e3,
-        serve_sweep.1
-    );
+    for row in &serve_rows {
+        println!(
+            "  serve: {:<12} {:>5} stmts: {:.1}us/request on a warm cache ({} requests)",
+            row.family,
+            row.stmts,
+            row.ns_per_request / 1e3,
+            row.requests
+        );
+    }
     // Both sparse-sweep arms share every analysis artifact; on goto-dense
     // programs the kernel wins by walking the PDG's condensation where the
     // oracle walks raw edges. A kernel whose closures fell back to raw

@@ -57,6 +57,11 @@ pub struct Cfg {
     /// Fall-through node per jump node (`None` for non-jumps).
     fallthrough: Vec<Option<NodeId>>,
     num_stmts: usize,
+    /// Per node: reachable from `Entry`. Derived when the graph is made;
+    /// never persisted, like the verdict below.
+    reachable: Vec<bool>,
+    /// Whether every node reachable from `Entry` reaches `Exit`.
+    all_reach_exit: bool,
 }
 
 impl Cfg {
@@ -91,13 +96,35 @@ impl Cfg {
         {
             return None;
         }
-        Some(Cfg {
+        Some(Cfg::new(graph, fallthrough, num_stmts))
+    }
+
+    /// Assembles a flowgraph over the fixed node layout and records its
+    /// reachability facts: one forward pass from `Entry` over successor
+    /// lists, and one backward pass from `Exit` over predecessor lists.
+    fn new(graph: DiGraph, fallthrough: Vec<Option<NodeId>>, num_stmts: usize) -> Cfg {
+        let (entry, exit) = (NodeId::new(0), NodeId::new(1));
+        let reachable = reachable_from(&graph, entry);
+        let mut reaches_exit = vec![false; graph.len()];
+        reaches_exit[exit.index()] = true;
+        let mut stack = vec![exit];
+        while let Some(n) = stack.pop() {
+            for &p in graph.preds(n) {
+                if !std::mem::replace(&mut reaches_exit[p.index()], true) {
+                    stack.push(p);
+                }
+            }
+        }
+        let all_reach_exit = reachable.iter().zip(&reaches_exit).all(|(&r, &e)| !r || e);
+        Cfg {
             graph,
-            entry: NodeId::new(0),
-            exit: NodeId::new(1),
+            entry,
+            exit,
             fallthrough,
             num_stmts,
-        })
+            reachable,
+            all_reach_exit,
+        }
     }
 
     /// The underlying directed graph.
@@ -178,11 +205,6 @@ impl Cfg {
         DomTree::iterative(&self.graph.reversed(), self.exit)
     }
 
-    /// The dominator tree rooted at `Entry`.
-    pub fn dominators(&self) -> DomTree {
-        DomTree::iterative(&self.graph, self.entry)
-    }
-
     /// The Ball–Horwitz / Choi–Ferrante *augmented* flowgraph: every
     /// unconditional jump gets an additional (never-executed) edge to its
     /// fall-through node, turning it into a pseudo-predicate.
@@ -202,18 +224,15 @@ impl Cfg {
 
     /// Whether every node reachable from `Entry` can reach `Exit` (no
     /// genuinely infinite loops). The slicing algorithms require this; the
-    /// program generator guarantees it.
+    /// program generator guarantees it. Recorded when the graph is made.
     pub fn all_reach_exit(&self) -> bool {
-        let fwd = reachable_from(&self.graph, self.entry);
-        let back = reachable_from(&self.graph.reversed(), self.exit);
-        self.graph
-            .nodes()
-            .all(|n| !fwd[n.index()] || back[n.index()])
+        self.all_reach_exit
     }
 
-    /// Nodes reachable from `Entry`.
-    pub fn reachable(&self) -> Vec<bool> {
-        reachable_from(&self.graph, self.entry)
+    /// Per node, by index: whether it is reachable from `Entry`. Recorded
+    /// when the graph is made.
+    pub fn reachable(&self) -> &[bool] {
+        &self.reachable
     }
 }
 
@@ -279,13 +298,7 @@ impl<'p> Builder<'p> {
         let body = self.prog.body().to_vec();
         let first = self.wire_block(&body, self.exit, ctx);
         self.graph.add_edge(self.entry, first);
-        Cfg {
-            graph: self.graph,
-            entry: self.entry,
-            exit: self.exit,
-            fallthrough: self.fallthrough,
-            num_stmts: self.prog.len(),
-        }
+        Cfg::new(self.graph, self.fallthrough, self.prog.len())
     }
 
     /// Wires a statement list whose normal continuation is `follow`; returns
@@ -408,6 +421,8 @@ mod tests {
         assert_eq!(back.entry(), built.entry());
         assert_eq!(back.exit(), built.exit());
         assert_eq!(back.num_stmts(), built.num_stmts());
+        assert_eq!(back.reachable(), built.reachable());
+        assert_eq!(back.all_reach_exit(), built.all_reach_exit());
         for node in built.graph().nodes() {
             assert_eq!(back.graph().succs(node), built.graph().succs(node));
             assert_eq!(back.fallthrough(node), built.fallthrough(node));

@@ -5,7 +5,7 @@ use crate::{LexSuccTree, SlicePoint};
 use jumpslice_cfg::Cfg;
 use jumpslice_dataflow::{DataDeps, ReachingDefs, StmtSet};
 use jumpslice_graph::DomTree;
-use jumpslice_lang::{Program, StmtId, StmtKind, Structure};
+use jumpslice_lang::{Program, StmtId, StmtKind};
 use jumpslice_obs as obs;
 use jumpslice_pdg::{Condensation, ControlDeps, Pdg};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -97,14 +97,7 @@ impl AnalysisSeed {
 #[derive(Debug)]
 pub struct Analysis<'p> {
     prog: &'p Program,
-    structure: Structure,
     cfg: Cfg,
-    /// Per-node entry reachability.
-    live: Vec<bool>,
-    /// Whether the program contains any `do-while` — the only construct
-    /// that can make [`Analysis::dowhile_hazard`] fire. Checked eagerly so
-    /// the hazard guard on paper-language programs never forces the LST.
-    has_dowhile: bool,
     pdom: OnceLock<DomTree>,
     pdg: OnceLock<Pdg>,
     lst: OnceLock<LexSuccTree>,
@@ -123,9 +116,10 @@ pub struct Analysis<'p> {
 impl<'p> Analysis<'p> {
     /// Analyzes `prog`.
     ///
-    /// Only the flowgraph and lexical structure are computed here; the
-    /// heavier artifacts (PDG, postdominators, LST, reaching definitions)
-    /// are built on first use and cached.
+    /// Only the flowgraph is built here (its reachability facts with it);
+    /// the lexical structure was derived when the program was made, and
+    /// the heavier artifacts (PDG, postdominators, LST, reaching
+    /// definitions) are built on first use and cached.
     ///
     /// # Panics
     ///
@@ -140,28 +134,22 @@ impl<'p> Analysis<'p> {
     /// Analyzes `prog`, pre-filling the lazy caches with the artifacts in
     /// `seed` (see [`AnalysisSeed`] for the correctness contract). Seeded
     /// artifacts do **not** count as builds in [`Analysis::stats`], so tests
-    /// can assert reuse by checking the counters stay at zero.
+    /// can assert reuse by checking the counters stay at zero. With a
+    /// seeded flowgraph this walks nothing: the analyzability check reads
+    /// the verdict the flowgraph recorded when it was made.
     ///
     /// # Panics
     ///
     /// Panics under the same condition as [`Analysis::new`].
     pub fn with_seed(prog: &'p Program, seed: AnalysisSeed) -> Analysis<'p> {
-        let structure = Structure::of(prog);
         let cfg = seed.cfg.unwrap_or_else(|| Cfg::build(prog));
         assert!(
             cfg.all_reach_exit(),
             "program has statements that cannot reach the exit; postdominators are undefined"
         );
-        let live = cfg.reachable();
-        let has_dowhile = prog
-            .stmt_ids()
-            .any(|s| matches!(prog.stmt(s).kind, StmtKind::DoWhile { .. }));
         let a = Analysis {
             prog,
-            structure,
             cfg,
-            live,
-            has_dowhile,
             pdom: OnceLock::new(),
             pdg: OnceLock::new(),
             lst: OnceLock::new(),
@@ -211,11 +199,6 @@ impl<'p> Analysis<'p> {
         self.prog
     }
 
-    /// Lexical-structure queries.
-    pub fn structure(&self) -> &Structure {
-        &self.structure
-    }
-
     /// The flowgraph.
     pub fn cfg(&self) -> &Cfg {
         &self.cfg
@@ -253,7 +236,7 @@ impl<'p> Analysis<'p> {
         self.lst.get_or_init(|| {
             self.n_lst.fetch_add(1, Ordering::Relaxed);
             let _t = obs::phase(obs::Phase::LstBuild);
-            LexSuccTree::build(self.prog, &self.structure)
+            LexSuccTree::build(self.prog)
         })
     }
 
@@ -290,16 +273,17 @@ impl<'p> Analysis<'p> {
     pub(crate) fn dowhile_body(&self, d: StmtId) -> &StmtSet {
         let bodies = self.dowhile_bodies.get_or_init(|| {
             let n = self.prog.len();
+            let st = self.prog.structure();
             let mut out = vec![StmtSet::with_capacity(0); n];
             // One ancestor walk per statement instead of one full program
             // scan per do-while.
             for s in self.prog.stmt_ids() {
-                let mut cur = self.structure.parent(s);
+                let mut cur = st.parent(s);
                 while let Some(t) = cur {
                     if matches!(self.prog.stmt(t).kind, StmtKind::DoWhile { .. }) {
                         out[t.index()].insert(s);
                     }
-                    cur = self.structure.parent(t);
+                    cur = st.parent(t);
                 }
             }
             out
@@ -369,12 +353,13 @@ impl<'p> Analysis<'p> {
             }
             StmtKind::Break => {
                 let b = self
-                    .structure
+                    .prog
+                    .structure()
                     .enclosing_breakable(s)
                     .expect("validated: break inside breakable");
                 self.lst().immediate(b)
             }
-            StmtKind::Continue => self.structure.enclosing_loop(s),
+            StmtKind::Continue => self.prog.structure().enclosing_loop(s),
             StmtKind::Return { .. } => None,
             _ => None,
         }
@@ -424,7 +409,8 @@ impl<'p> Analysis<'p> {
     /// guard never fires — and for programs without any `do-while` it
     /// returns immediately, without forcing the lexical successor tree.
     pub fn dowhile_hazard(&self, j: StmtId, slice: &StmtSet) -> bool {
-        if !self.has_dowhile {
+        let st = self.prog.structure();
+        if !st.has_do_while() {
             return false;
         }
         let mut prev = j;
@@ -436,7 +422,7 @@ impl<'p> Analysis<'p> {
             // condition (the last-body-statement rule); reaching a do-while
             // from outside enters its body, which is harmless.
             if matches!(self.prog.stmt(t).kind, StmtKind::DoWhile { .. })
-                && self.structure.contains(t, prev)
+                && st.contains(t, prev)
                 && self.dowhile_body(t).intersects(slice)
             {
                 return true;
@@ -451,7 +437,7 @@ impl<'p> Analysis<'p> {
     /// including one without its (removed) guards would change the residual
     /// program's flow.
     pub fn is_live(&self, s: StmtId) -> bool {
-        self.live[self.cfg.node(s).index()]
+        self.cfg.reachable()[self.cfg.node(s).index()]
     }
 
     /// *Unconditional* jump statements in preorder of the postdominator
@@ -598,7 +584,7 @@ mod tests {
                 assert_eq!(
                     body.contains(s),
                     matches!(p.stmt(t).kind, StmtKind::DoWhile { .. })
-                        && a.structure().contains(t, s),
+                        && p.structure().contains(t, s),
                     "body set of line {} at line {}",
                     p.line_of(t),
                     p.line_of(s)
@@ -624,8 +610,8 @@ mod tests {
                     return false;
                 }
                 if matches!(p.stmt(t).kind, StmtKind::DoWhile { .. })
-                    && a.structure().contains(t, prev)
-                    && slice.iter().any(|s| a.structure().contains(t, s))
+                    && p.structure().contains(t, prev)
+                    && slice.iter().any(|s| p.structure().contains(t, s))
                 {
                     return true;
                 }

@@ -16,11 +16,10 @@ use jumpslice_lang::{Program, StmtId, StmtKind, Structure};
 ///
 /// ```
 /// use jumpslice_core::LexSuccTree;
-/// use jumpslice_lang::{parse, Structure};
+/// use jumpslice_lang::parse;
 ///
 /// let p = parse("while (c) { x = 1; y = 2; } write(x);")?;
-/// let s = Structure::of(&p);
-/// let lst = LexSuccTree::build(&p, &s);
+/// let lst = LexSuccTree::build(&p);
 /// // Deleting the last body statement sends control back to the predicate.
 /// assert_eq!(lst.immediate(p.at_line(3)), Some(p.at_line(1)));
 /// // Deleting the loop itself sends control to the write.
@@ -36,17 +35,20 @@ pub struct LexSuccTree {
 }
 
 impl LexSuccTree {
-    /// Builds the tree for `prog` (syntax-directed, no flowgraph needed).
-    pub fn build(prog: &Program, structure: &Structure) -> LexSuccTree {
+    /// Builds the tree for `prog` (syntax-directed, no flowgraph needed):
+    /// one pass over the statements, reading the structure links recorded
+    /// when the program was made.
+    pub fn build(prog: &Program) -> LexSuccTree {
+        let st = prog.structure();
         let mut parent = vec![None; prog.len()];
         for s in prog.stmt_ids() {
-            parent[s.index()] = Self::successor_of(prog, structure, s);
+            parent[s.index()] = Self::successor_of(prog, st, s);
         }
         LexSuccTree { parent }
     }
 
     /// Computes the immediate lexical successor of one statement.
-    fn successor_of(prog: &Program, st: &Structure, s: StmtId) -> SlicePoint {
+    fn successor_of(prog: &Program, st: Structure<'_>, s: StmtId) -> SlicePoint {
         // Inside a switch arm, a last statement falls through into the next
         // arm's first statement (C semantics), so that is where control goes
         // when `s` is deleted.
@@ -184,8 +186,7 @@ mod tests {
 
     fn lst_of(src: &str) -> (Program, LexSuccTree) {
         let p = parse(src).unwrap();
-        let s = Structure::of(&p);
-        let t = LexSuccTree::build(&p, &s);
+        let t = LexSuccTree::build(&p);
         (p, t)
     }
 

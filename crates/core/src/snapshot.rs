@@ -22,9 +22,10 @@
 //!   what makes a key collision harmless.
 //! * **Decoding validates, never trusts.** Every count is bounded, every
 //!   index is range-checked, and the decoded program must pass
-//!   [`Program::from_parts`]'s structural audit (block-tree bijection,
-//!   label consistency, intern-table well-formedness); any violation is a
-//!   [`SnapshotError`] — the caller falls back to analyzing from source.
+//!   [`Program::from_parts`]'s audit (block-tree bijection, label
+//!   consistency, intern-table well-formedness, and the parser's jump and
+//!   switch-guard rules); any violation is a [`SnapshotError`] — the
+//!   caller falls back to analyzing from source.
 //!   Semantic fidelity (that these artifacts really belong to this source)
 //!   is the job of the store's whole-record checksum one layer up, and
 //!   analyzability (every statement reaches the exit) is re-established by
@@ -53,8 +54,8 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SnapshotError {
     /// A field ended early, a count exceeded its bound, an index was out of
-    /// range, the program section failed its structural audit, or trailing
-    /// bytes followed the last artifact.
+    /// range, the program section failed its audit, or trailing bytes
+    /// followed the last artifact.
     Malformed,
     /// The embedded source text is not UTF-8.
     BadSource,
@@ -155,8 +156,8 @@ fn framed(out: &mut Vec<u8>, body: impl FnOnce(&mut Vec<u8>)) {
     out[mark..mark + 4].copy_from_slice(&len.to_le_bytes());
 }
 
-/// Decodes a snapshot payload, validating the program section structurally
-/// and every artifact against it. Any malformation is an error, not a
+/// Decodes a snapshot payload, validating the program section as
+/// [`Program::from_parts`] does and every artifact against it. Any malformation is an error, not a
 /// panic; the caller is expected to fall back to a from-source build.
 pub fn decode_snapshot(bytes: &[u8]) -> Result<Snapshot, SnapshotError> {
     use SnapshotError::*;
@@ -1148,6 +1149,49 @@ L14: write(positives);";
         assert_eq!(got, Err(SnapshotError::Malformed));
         let fine = panic_as_malformed(|| exact(Some(&[][..]), |_| Ok(7)));
         assert_eq!(fine, Ok(Some(7)));
+    }
+
+    /// A payload that is well framed, with a flowgraph section of the right
+    /// shape and no artifact sections, but whose program no parse could
+    /// produce: `break; write(1);`, a top-level break. The program section
+    /// fails `Program::from_parts`, so the payload is malformed; the same
+    /// payload with a `;` in the break's place decodes.
+    #[test]
+    fn program_with_a_top_level_break_is_malformed() {
+        let payload = |first: StmtKind| {
+            let mut out = Vec::new();
+            wire::put_bytes(&mut out, b"break; write(1);");
+            wire::put_len(&mut out, 0); // names
+            wire::put_len(&mut out, 0); // labels
+            let stmts = [first, StmtKind::Write { arg: Expr::Num(1) }];
+            wire::put_len(&mut out, stmts.len());
+            for kind in stmts {
+                let s = Stmt {
+                    kind,
+                    labels: vec![],
+                    line: 1,
+                };
+                encode_stmt(&mut out, &s);
+            }
+            put_stmt_ids(&mut out, &[StmtId::from_index(0), StmtId::from_index(1)]);
+            // Entry 0, exit 1, the break 2 (falling through to 3), the
+            // write 3.
+            let n = NodeId::new;
+            let mut g = DiGraph::with_nodes(4);
+            for (from, to) in [(0, 1), (0, 2), (2, 1), (3, 1)] {
+                g.add_edge(n(from), n(to));
+            }
+            let fallthrough = vec![None, None, Some(n(3)), None];
+            let cfg = Cfg::from_parts(2, g, fallthrough).expect("shaped for two statements");
+            encode_cfg(&mut out, &cfg);
+            wire::put_u32(&mut out, 0); // no artifact sections
+            out
+        };
+        assert_eq!(
+            decode_snapshot(&payload(StmtKind::Break)).unwrap_err(),
+            SnapshotError::Malformed
+        );
+        assert!(decode_snapshot(&payload(StmtKind::Skip)).is_ok());
     }
 
     /// An empty-but-valid suffix (no artifacts) decodes to a bare seed; the

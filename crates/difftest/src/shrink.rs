@@ -21,7 +21,7 @@
 
 use crate::rewrite::{expr_size, replace_expr, simpler_candidates, stmt_expr};
 use jumpslice_cfg::Cfg;
-use jumpslice_lang::{parse, print_with_options, PrintOptions, Program, StmtKind, Structure};
+use jumpslice_lang::{parse, print_with_options, PrintOptions, Program, StmtKind};
 
 /// Upper bound on candidate evaluations per shrink run, so a pathological
 /// predicate cannot stall the whole fuzzing session.
@@ -47,12 +47,8 @@ pub fn is_valid_candidate(p: &Program) -> bool {
 
 /// The candidate program with statement `victim` (and its nested block)
 /// deleted, or `None` if the result does not survive reparse + validation.
-fn drop_subtree(
-    p: &Program,
-    structure: &Structure,
-    victim: jumpslice_lang::StmtId,
-) -> Option<Program> {
-    let keep = |s: jumpslice_lang::StmtId| s != victim && !structure.contains(victim, s);
+fn drop_subtree(p: &Program, victim: jumpslice_lang::StmtId) -> Option<Program> {
+    let keep = |s: jumpslice_lang::StmtId| s != victim && !p.structure().contains(victim, s);
     let text = print_with_options(
         p,
         &PrintOptions {
@@ -77,7 +73,7 @@ pub fn shrink(p: &Program, fails: &dyn Fn(&Program) -> bool) -> Program {
         // Phase 1: subtree deletion, largest subtrees first so one accepted
         // candidate can erase many statements at once.
         'deletion: loop {
-            let structure = Structure::of(&cur);
+            let structure = cur.structure();
             let mut victims: Vec<_> = cur.stmt_ids().collect();
             victims.sort_by_key(|&v| {
                 std::cmp::Reverse(cur.stmt_ids().filter(|&s| structure.contains(v, s)).count())
@@ -87,7 +83,7 @@ pub fn shrink(p: &Program, fails: &dyn Fn(&Program) -> bool) -> Program {
                     return cur;
                 }
                 budget -= 1;
-                if let Some(q) = drop_subtree(&cur, &structure, v) {
+                if let Some(q) = drop_subtree(&cur, v) {
                     if q.len() < cur.len() && fails(&q) {
                         cur = q;
                         progressed = true;

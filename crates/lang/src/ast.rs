@@ -5,6 +5,7 @@
 //! all key off these ids, so a slice is simply a set of `StmtId`s.
 
 use crate::intern::Interner;
+use crate::structure::Layout;
 use std::fmt;
 
 /// A stable handle to a statement in a [`Program`]'s arena.
@@ -351,8 +352,10 @@ pub struct Stmt {
 /// A complete (single-procedure) program.
 ///
 /// Holds the statement arena, the top-level statement list, the interned
-/// name/label tables, the label-to-statement resolution, and the line
-/// table that numbers the statements as the paper does.
+/// name/label tables, the label-to-statement resolution, and what one walk
+/// of the block tree derives when the program is made: the line table that
+/// numbers the statements as the paper does, and the links behind
+/// [`Program::structure`].
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct Program {
     pub(crate) stmts: Vec<Stmt>,
@@ -361,20 +364,12 @@ pub struct Program {
     pub(crate) labels: Interner,
     /// Per-label resolved target statement.
     pub(crate) label_targets: Vec<Option<StmtId>>,
-    /// Derived from `stmts` and `body` whenever a program is made
-    /// ([`Program::number_lines`]); never persisted.
-    lines: LineTable,
-}
-
-/// Paper-style line numbers: "line n" is the `n`-th statement of the
-/// lexical (preorder) walk, where a compound statement precedes the
-/// statements of its branches/body.
-#[derive(Clone, Debug, Default, PartialEq)]
-struct LineTable {
-    /// The statement on each line, by line number - 1.
-    order: Vec<StmtId>,
-    /// The line of each statement, by arena index (0: not in the body).
-    line: Vec<u32>,
+    /// Derived from `stmts` and `body` whenever a program is made (end of
+    /// validation, [`Program::from_parts`]); never persisted. Its line
+    /// table gives paper-style line numbers: "line n" is the `n`-th
+    /// statement of the lexical (preorder) walk, where a compound
+    /// statement precedes the statements of its branches/body.
+    pub(crate) layout: Layout,
 }
 
 impl Program {
@@ -457,7 +452,7 @@ impl Program {
     /// figures, so the `n`-th element (1-based) is the statement the paper
     /// calls "line n".
     pub fn lexical_order(&self) -> &[StmtId] {
-        &self.lines.order
+        &self.layout.order
     }
 
     /// The statement at a paper-style line number (1-based lexical index).
@@ -476,7 +471,7 @@ impl Program {
     /// is 0 or past the end of the program — the bounds-checked form of
     /// [`at_line`](Program::at_line).
     pub fn try_at_line(&self, line: usize) -> Option<StmtId> {
-        self.lines.order.get(line.checked_sub(1)?).copied()
+        self.layout.order.get(line.checked_sub(1)?).copied()
     }
 
     /// Paper-style line number (1-based lexical position) of a statement.
@@ -486,50 +481,10 @@ impl Program {
     /// Panics with "statement not in program body" if `id` is not a
     /// statement of this program's body.
     pub fn line_of(&self, id: StmtId) -> usize {
-        match self.lines.line.get(id.index()) {
+        match self.layout.line.get(id.index()) {
             Some(&n) if n > 0 => n as usize,
             _ => panic!("statement not in program body"),
         }
-    }
-
-    /// Fills the line table from the block tree: one preorder walk over an
-    /// explicit stack of open blocks, so nesting depth costs heap, not call
-    /// stack. Runs whenever a program is made — at the end of validation
-    /// (parser and builder) and in [`Program::from_parts`].
-    pub(crate) fn number_lines(&mut self) {
-        let mut order = Vec::with_capacity(self.stmts.len());
-        let mut open = vec![self.body.iter()];
-        while let Some(block) = open.last_mut() {
-            let Some(&id) = block.next() else {
-                open.pop();
-                continue;
-            };
-            order.push(id);
-            // Nested blocks are pushed last-first, so the first one is
-            // walked next.
-            match &self.stmts[id.index()].kind {
-                StmtKind::If {
-                    then_branch,
-                    else_branch,
-                    ..
-                } => {
-                    open.push(else_branch.iter());
-                    open.push(then_branch.iter());
-                }
-                StmtKind::While { body, .. } | StmtKind::DoWhile { body, .. } => {
-                    open.push(body.iter());
-                }
-                StmtKind::Switch { arms, .. } => {
-                    open.extend(arms.iter().rev().map(|arm| arm.body.iter()));
-                }
-                _ => {}
-            }
-        }
-        let mut line = vec![0; self.stmts.len()];
-        for (i, id) in order.iter().enumerate() {
-            line[id.index()] = i as u32 + 1;
-        }
-        self.lines = LineTable { order, line };
     }
 
     /// All variables defined anywhere in the program.
@@ -562,8 +517,8 @@ impl Program {
     /// reading them back through the public accessors (`stmt`, `body`,
     /// `name_str`, `label_str`, `label_target`). This is the trust
     /// boundary for *persisted* programs: a snapshot codec hands in parts
-    /// decoded from disk, and every structural invariant the parser would
-    /// have established is re-checked here. Any violation returns `None`.
+    /// decoded from disk, and every invariant the parser would have
+    /// established is re-checked here. Any violation returns `None`.
     ///
     /// Checked invariants:
     ///
@@ -575,7 +530,9 @@ impl Program {
     /// * every [`Name`] and [`Label`] a statement or expression mentions
     ///   is in bounds, and every `goto` target resolves to a statement;
     /// * a label is attached to a statement iff `label_targets` maps it
-    ///   there.
+    ///   there;
+    /// * `break` sits inside a loop or switch, `continue` inside a loop,
+    ///   and no switch guards a `case` value or `default` twice.
     ///
     /// What this deliberately does *not* check is fidelity to any source
     /// text — callers persisting a program next to its source rely on
@@ -667,16 +624,15 @@ impl Program {
         {
             return None;
         }
-        let mut prog = Program {
+        let layout = Layout::of(&stmts, &body).ok()?;
+        Some(Program {
             stmts,
             body,
             names,
             labels,
             label_targets,
-            lines: LineTable::default(),
-        };
-        prog.number_lines();
-        Some(prog)
+            layout,
+        })
     }
 
     /// Variables used (read) by a statement — the right-hand side, branch
@@ -910,5 +866,59 @@ mod tests {
 
         // The untampered parts still pass (the fixture itself is valid).
         assert!(Program::from_parts(ok.0, ok.1, ok.2, ok.3, ok.4).is_some());
+    }
+
+    #[test]
+    fn from_parts_rejects_what_validation_rejects() {
+        let stmt = |kind| Stmt {
+            kind,
+            labels: vec![],
+            line: 1,
+        };
+        let c = || Expr::Var(Name::from_index(0));
+        let arm = |guard, at: usize| SwitchArm {
+            guards: vec![guard],
+            body: vec![StmtId::from_index(at)],
+        };
+        let switch = |g1, g2| {
+            vec![
+                stmt(StmtKind::Switch {
+                    scrutinee: c(),
+                    arms: vec![arm(g1, 1), arm(g2, 2)],
+                }),
+                stmt(StmtKind::Skip),
+                stmt(StmtKind::Skip),
+            ]
+        };
+        let accepts = |stmts: Vec<Stmt>| {
+            let body = vec![StmtId::from_index(0)];
+            let names = vec!["c".to_owned()];
+            Program::from_parts(stmts, body, names, vec![], vec![]).is_some()
+        };
+
+        // `break; write(1);` — a top-level break.
+        let stmts = vec![
+            stmt(StmtKind::Break),
+            stmt(StmtKind::Write { arg: Expr::Num(1) }),
+        ];
+        let body = vec![StmtId::from_index(0), StmtId::from_index(1)];
+        assert!(Program::from_parts(stmts, body, vec![], vec![], vec![]).is_none());
+
+        // `switch (c) { case 1: continue; }` — a continue in a switch but
+        // outside any loop.
+        let stmts = vec![
+            stmt(StmtKind::Switch {
+                scrutinee: c(),
+                arms: vec![arm(CaseGuard::Case(1), 1)],
+            }),
+            stmt(StmtKind::Continue),
+        ];
+        assert!(!accepts(stmts));
+
+        // A duplicate `case` value, a duplicate `default`; distinct guards
+        // pass.
+        assert!(!accepts(switch(CaseGuard::Case(1), CaseGuard::Case(1))));
+        assert!(!accepts(switch(CaseGuard::Default, CaseGuard::Default)));
+        assert!(accepts(switch(CaseGuard::Case(1), CaseGuard::Default)));
     }
 }

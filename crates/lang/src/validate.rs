@@ -1,18 +1,17 @@
-//! Post-parse semantic validation: label resolution, jump-context checks,
-//! and switch well-formedness.
+//! Post-parse semantic validation: label resolution, then the structure
+//! walk's jump-context and switch-guard checks.
 
 use crate::ast::*;
 use crate::error::{Error, ErrorKind};
-use std::collections::HashSet;
+use crate::structure::Layout;
 
-/// Resolves labels, checks semantic rules, and numbers the lines. Called by
-/// both the parser and the builder before a [`Program`] is released to
-/// users.
+/// Resolves labels, then walks the block tree once: the walk checks the
+/// jump contexts and switch guards and derives the line table and the
+/// structure links. Called by both the parser and the builder before a
+/// [`Program`] is released to users.
 pub(crate) fn validate(prog: &mut Program) -> Result<(), Error> {
     resolve_labels(prog)?;
-    let body = prog.body.clone();
-    check_block(prog, &body, &Ctx::default())?;
-    prog.number_lines();
+    prog.layout = Layout::of(&prog.stmts, &prog.body)?;
     Ok(())
 }
 
@@ -52,76 +51,6 @@ fn resolve_labels(prog: &mut Program) -> Result<(), Error> {
     Ok(())
 }
 
-#[derive(Clone, Copy, Default)]
-struct Ctx {
-    in_loop: bool,
-    in_breakable: bool,
-}
-
-fn check_block(prog: &Program, block: &[StmtId], ctx: &Ctx) -> Result<(), Error> {
-    for &id in block {
-        check_stmt(prog, id, ctx)?;
-    }
-    Ok(())
-}
-
-fn check_stmt(prog: &Program, id: StmtId, ctx: &Ctx) -> Result<(), Error> {
-    let stmt = prog.stmt(id);
-    match &stmt.kind {
-        StmtKind::Break if !ctx.in_breakable => {
-            return Err(Error::new(ErrorKind::BreakOutsideLoop, stmt.line, 0));
-        }
-        StmtKind::Continue if !ctx.in_loop => {
-            return Err(Error::new(ErrorKind::ContinueOutsideLoop, stmt.line, 0));
-        }
-        StmtKind::If {
-            then_branch,
-            else_branch,
-            ..
-        } => {
-            check_block(prog, then_branch, ctx)?;
-            check_block(prog, else_branch, ctx)?;
-        }
-        StmtKind::While { body, .. } | StmtKind::DoWhile { body, .. } => {
-            let inner = Ctx {
-                in_loop: true,
-                in_breakable: true,
-            };
-            check_block(prog, body, &inner)?;
-        }
-        StmtKind::Switch { arms, .. } => {
-            let mut seen = HashSet::new();
-            let mut saw_default = false;
-            for arm in arms {
-                for g in &arm.guards {
-                    match g {
-                        CaseGuard::Case(v) => {
-                            if !seen.insert(*v) {
-                                return Err(Error::new(ErrorKind::DuplicateCase(*v), stmt.line, 0));
-                            }
-                        }
-                        CaseGuard::Default => {
-                            if saw_default {
-                                return Err(Error::new(ErrorKind::DuplicateDefault, stmt.line, 0));
-                            }
-                            saw_default = true;
-                        }
-                    }
-                }
-            }
-            let inner = Ctx {
-                in_loop: ctx.in_loop,
-                in_breakable: true,
-            };
-            for arm in arms {
-                check_block(prog, &arm.body, &inner)?;
-            }
-        }
-        _ => {}
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use crate::error::ErrorKind;
@@ -155,6 +84,28 @@ mod tests {
     fn cond_goto_target_checked() {
         let err = parse("if (x) goto MISSING;").unwrap_err();
         assert_eq!(err.kind, ErrorKind::UndefinedLabel("MISSING".into()));
+    }
+
+    /// Labels resolve first; then the first violation in lexical order is
+    /// the error, a switch's guards before its arms.
+    #[test]
+    fn first_violation_in_lexical_order_wins() {
+        for (src, kind, line) in [
+            (
+                "if (x) {\n continue;\n} else {\n break;\n}",
+                ErrorKind::ContinueOutsideLoop,
+                2,
+            ),
+            (
+                "switch (c) {\n case 1: continue;\n case 1: x = 1;\n}",
+                ErrorKind::DuplicateCase(1),
+                1,
+            ),
+            ("break;\ngoto M;", ErrorKind::UndefinedLabel("M".into()), 2),
+        ] {
+            let err = parse(src).unwrap_err();
+            assert_eq!((err.kind, err.line), (kind, line), "{src:?}");
+        }
     }
 
     #[test]

@@ -56,7 +56,7 @@ pub struct ControlDeps {
 impl ControlDeps {
     /// Computes control dependence from the standard flowgraph.
     pub fn compute(prog: &Program, cfg: &Cfg) -> ControlDeps {
-        Self::compute_from_graph(prog, cfg, cfg.graph())
+        Self::compute_with_pdom(prog, cfg, &cfg.postdominators())
     }
 
     /// Computes control dependence from an alternative flowgraph sharing the
@@ -69,25 +69,29 @@ impl ControlDeps {
     /// edges still participate, as Ball–Horwitz require.
     pub fn compute_from_graph(prog: &Program, cfg: &Cfg, graph: &DiGraph) -> ControlDeps {
         let pdom = DomTree::iterative(&graph.reversed(), cfg.exit());
-        Self::from_graph_and_pdom(prog, cfg, graph, &pdom)
+        let live = jumpslice_graph::reachable_from(graph, cfg.entry());
+        Self::from_graph_and_pdom(prog, cfg, graph, &pdom, &live)
     }
 
     /// Computes control dependence over the standard flowgraph reusing an
     /// already-built postdominator tree (which must be
     /// [`Cfg::postdominators`] of `cfg`). The incremental session uses this
     /// to build the tree once and share it between control dependence and
-    /// the analysis cache.
+    /// the analysis cache. Entry reachability is the flowgraph's recorded
+    /// one.
     pub fn compute_with_pdom(prog: &Program, cfg: &Cfg, pdom: &DomTree) -> ControlDeps {
-        Self::from_graph_and_pdom(prog, cfg, cfg.graph(), pdom)
+        Self::from_graph_and_pdom(prog, cfg, cfg.graph(), pdom, cfg.reachable())
     }
 
+    /// The edge walk over `graph`, whose nodes reachable from the entry are
+    /// `live`.
     fn from_graph_and_pdom(
         prog: &Program,
         cfg: &Cfg,
         graph: &DiGraph,
         pdom: &DomTree,
+        live: &[bool],
     ) -> ControlDeps {
-        let live = jumpslice_graph::reachable_from(graph, cfg.entry());
         let mut deps = vec![Vec::new(); prog.len()];
         let mut dependents = vec![Vec::new(); prog.len()];
         let mut entry_controlled = Vec::new();
