@@ -1,7 +1,5 @@
 //! Ablations for the design choices DESIGN.md §5 calls out:
 //!
-//! * `dominators`: Lengauer–Tarjan vs the iterative Cooper–Harvey–Kennedy
-//!   construction (the workspace default) on real flowgraphs;
 //! * `traversal_tree`: Figure 7 driven by the postdominator tree's preorder
 //!   vs the lexical successor tree's (§3: either is admissible), both
 //!   through the paper's round-based loop in `jumpslice_difftest::oracle`
@@ -17,27 +15,9 @@ use jumpslice_bench::harness::Runner;
 use jumpslice_bench::{live_writes, sized_structured, sized_unstructured};
 use jumpslice_core::{Analysis, Criterion};
 use jumpslice_difftest::oracle;
-use jumpslice_graph::DomTree;
 use jumpslice_lang::StmtId;
 use std::collections::BTreeSet;
 use std::hint::black_box;
-
-fn dominators(r: &mut Runner) {
-    for size in [200usize, 800, 3200] {
-        let p = sized_unstructured(size);
-        let cfg = jumpslice_cfg::Cfg::build(&p);
-        let rev = cfg.graph().reversed();
-        let exit = cfg.exit();
-        r.bench(
-            &format!("ablation/dominators/iterative/{}", p.len()),
-            || black_box(DomTree::iterative(&rev, exit)),
-        );
-        r.bench(
-            &format!("ablation/dominators/lengauer-tarjan/{}", p.len()),
-            || black_box(DomTree::lengauer_tarjan(&rev, exit)),
-        );
-    }
-}
 
 fn traversal_tree(r: &mut Runner) {
     for size in [200usize, 800] {
@@ -113,7 +93,6 @@ fn control_dependence(r: &mut Runner) {
 
 fn main() {
     let mut r = Runner::from_args();
-    dominators(&mut r);
     traversal_tree(&mut r);
     closure(&mut r);
     control_dependence(&mut r);

@@ -6,7 +6,7 @@
 use jumpslice_bench::harness::Runner;
 use jumpslice_bench::sized_structured;
 use jumpslice_cfg::Cfg;
-use jumpslice_dataflow::{DataDeps, LiveVars, ReachingDefs};
+use jumpslice_dataflow::{DataDeps, ReachingDefs};
 use jumpslice_interp::{run, Input};
 use jumpslice_lang::{parse, print_program};
 use jumpslice_pdg::ControlDeps;
@@ -33,9 +33,6 @@ fn main() {
         });
         r.bench(&format!("substrates/data-deps/{n}"), || {
             black_box(DataDeps::compute(black_box(&p), &cfg))
-        });
-        r.bench(&format!("substrates/live-vars/{n}"), || {
-            black_box(LiveVars::compute(black_box(&p), &cfg))
         });
         r.bench(&format!("substrates/control-deps/{n}"), || {
             black_box(ControlDeps::compute(black_box(&p), &cfg))

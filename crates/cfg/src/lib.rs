@@ -7,11 +7,12 @@
 //! statement control dependent on `Entry` — the paper's "dummy predicate
 //! node, viz., node 0".
 //!
-//! The builder records, for every jump statement, the node that would execute
-//! next *if the jump were deleted* (its fall-through). That is exactly the
-//! augmentation edge Ball–Horwitz and Choi–Ferrante add, so
-//! [`Cfg::augmented_graph`] is a one-liner over this data, and it is also the
-//! "immediate lexical successor" seed the LST construction cross-checks.
+//! The graph is wired from the program's immediate lexical successors
+//! ([`Structure::lexical_successors`](jumpslice_lang::Structure::lexical_successors)):
+//! a statement's normal continuation is the node its lexical successor
+//! hands control to. For a jump that node is its fall-through, where
+//! control would go if the jump were deleted, which is exactly the edge
+//! Ball–Horwitz and Choi–Ferrante add ([`Cfg::augmented_graph`]).
 //!
 //! # Examples
 //!
@@ -35,7 +36,7 @@ mod dot;
 pub use dot::cfg_dot;
 
 use jumpslice_graph::{reachable_from, DiGraph, DomTree, NodeId};
-use jumpslice_lang::{Program, StmtId, StmtKind};
+use jumpslice_lang::{CaseGuard, LexSucc, Program, StmtId, StmtKind};
 
 /// What a flowgraph node stands for.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -48,61 +49,113 @@ pub enum CfgNode {
     Stmt(StmtId),
 }
 
-/// A control-flow graph over the statements of one [`Program`].
+/// A control-flow graph over the statements of one [`Program`]. Never
+/// persisted: it is derived from the program wherever it is needed.
 #[derive(Clone, Debug)]
 pub struct Cfg {
     graph: DiGraph,
     entry: NodeId,
     exit: NodeId,
-    /// Fall-through node per jump node (`None` for non-jumps).
-    fallthrough: Vec<Option<NodeId>>,
     num_stmts: usize,
-    /// Per node: reachable from `Entry`. Derived when the graph is made;
-    /// never persisted, like the verdict below.
+    /// Per node: reachable from `Entry`. Derived when the graph is made,
+    /// like the verdict below.
     reachable: Vec<bool>,
     /// Whether every node reachable from `Entry` reaches `Exit`.
     all_reach_exit: bool,
 }
 
 impl Cfg {
-    /// Builds the flowgraph of `prog`.
+    /// Builds the flowgraph of `prog`: one loop over the statements in
+    /// lexical order, each given its out-edges by its kind, then the graph
+    /// assembled at once from the successor lists. The taken/true edge of
+    /// a two-way predicate comes first, as [`Cfg::branch_succs`] relies on.
     ///
     /// Node layout: node 0 is `Entry`, node 1 is `Exit`, and statement `s`
     /// maps to node `s.index() + 2`.
     pub fn build(prog: &Program) -> Cfg {
-        Builder::new(prog).build()
+        let Wiring { enter, cont } = Wiring::of(prog);
+        let st = prog.structure();
+        let exit = NodeId::new(1);
+        // Where a block begins; an empty block falls to what follows it.
+        let block_entry =
+            |block: &[StmtId], follow: NodeId| block.first().map_or(follow, |f| enter[f.index()]);
+        let mut succs = vec![Vec::new(); prog.len() + 2];
+        // The dummy-predicate edge first: every top-level statement becomes
+        // control dependent on Entry.
+        push_new(&mut succs[0], exit);
+        push_new(&mut succs[0], block_entry(prog.body(), exit));
+        // The (break, continue) targets in effect at each statement, filled
+        // parents first; validation put every break and continue inside
+        // its construct, so the top level's placeholder is never read.
+        let mut jump_to = vec![(exit, exit); prog.len()];
+        for &s in prog.lexical_order() {
+            let i = s.index();
+            if let Some(p) = st.parent(s) {
+                let j = p.index();
+                jump_to[i] = match &prog.stmt(p).kind {
+                    StmtKind::While { .. } | StmtKind::DoWhile { .. } => (cont[j], stmt_node(p)),
+                    StmtKind::Switch { .. } => (cont[j], jump_to[j].1),
+                    _ => jump_to[j],
+                };
+            }
+            let label_entry = |l| {
+                let target = prog
+                    .label_target(l)
+                    .expect("validated programs have resolved labels");
+                enter[target.index()]
+            };
+            let out = &mut succs[i + 2];
+            match &prog.stmt(s).kind {
+                StmtKind::Assign { .. }
+                | StmtKind::Read { .. }
+                | StmtKind::Write { .. }
+                | StmtKind::Skip => push_new(out, cont[i]),
+                StmtKind::Goto { target } => push_new(out, label_entry(*target)),
+                StmtKind::CondGoto { target, .. } => {
+                    push_new(out, label_entry(*target));
+                    push_new(out, cont[i]);
+                }
+                StmtKind::Break => push_new(out, jump_to[i].0),
+                StmtKind::Continue => push_new(out, jump_to[i].1),
+                StmtKind::Return { .. } => push_new(out, exit),
+                StmtKind::If {
+                    then_branch,
+                    else_branch,
+                    ..
+                } => {
+                    push_new(out, block_entry(then_branch, cont[i]));
+                    push_new(out, block_entry(else_branch, cont[i]));
+                }
+                // Predicate true -> the body (a do-while loops back to its
+                // body's entry); false -> fall out.
+                StmtKind::While { body, .. } | StmtKind::DoWhile { body, .. } => {
+                    push_new(out, block_entry(body, stmt_node(s)));
+                    push_new(out, cont[i]);
+                }
+                StmtKind::Switch { arms, .. } => {
+                    // An empty arm runs into the next one (C semantics), the
+                    // last into what follows the switch.
+                    let mut entries = vec![cont[i]; arms.len() + 1];
+                    for (k, arm) in arms.iter().enumerate().rev() {
+                        entries[k] = block_entry(&arm.body, entries[k + 1]);
+                    }
+                    for &e in &entries[..arms.len()] {
+                        push_new(out, e);
+                    }
+                    if !arms.iter().any(|a| a.guards.contains(&CaseGuard::Default)) {
+                        push_new(out, cont[i]);
+                    }
+                }
+            }
+        }
+        let graph = DiGraph::from_succs(succs).expect("distinct in-bounds successors");
+        Cfg::new(graph, prog.len())
     }
 
-    /// Reassembles a flowgraph from persisted parts, for codecs restoring
-    /// an analysis without re-running [`Cfg::build`]. The node layout is
-    /// fixed (entry 0, exit 1, statement `s` at `s.index() + 2`), so a
-    /// graph over `num_stmts + 2` nodes plus the per-node fall-through
-    /// array is the whole state. Returns `None` when the shapes disagree —
-    /// wrong node count, fall-through array of a different graph, or a
-    /// fall-through target out of bounds. Edge-level fidelity to any
-    /// particular program is the caller's integrity check, not this one.
-    pub fn from_parts(
-        num_stmts: usize,
-        graph: DiGraph,
-        fallthrough: Vec<Option<NodeId>>,
-    ) -> Option<Cfg> {
-        if num_stmts.checked_add(2)? != graph.len() || fallthrough.len() != graph.len() {
-            return None;
-        }
-        if fallthrough
-            .iter()
-            .flatten()
-            .any(|t| t.index() >= graph.len())
-        {
-            return None;
-        }
-        Some(Cfg::new(graph, fallthrough, num_stmts))
-    }
-
-    /// Assembles a flowgraph over the fixed node layout and records its
-    /// reachability facts: one forward pass from `Entry` over successor
-    /// lists, and one backward pass from `Exit` over predecessor lists.
-    fn new(graph: DiGraph, fallthrough: Vec<Option<NodeId>>, num_stmts: usize) -> Cfg {
+    /// Records a flowgraph's reachability facts over the fixed node layout:
+    /// one forward pass from `Entry` over successor lists, and one backward
+    /// pass from `Exit` over predecessor lists.
+    fn new(graph: DiGraph, num_stmts: usize) -> Cfg {
         let (entry, exit) = (NodeId::new(0), NodeId::new(1));
         let reachable = reachable_from(&graph, entry);
         let mut reaches_exit = vec![false; graph.len()];
@@ -120,7 +173,6 @@ impl Cfg {
             graph,
             entry,
             exit,
-            fallthrough,
             num_stmts,
             reachable,
             all_reach_exit,
@@ -149,7 +201,7 @@ impl Cfg {
 
     /// The flowgraph node of a statement.
     pub fn node(&self, s: StmtId) -> NodeId {
-        NodeId::new(s.index() + 2)
+        stmt_node(s)
     }
 
     /// What a node stands for.
@@ -167,15 +219,6 @@ impl Cfg {
             CfgNode::Stmt(s) => Some(s),
             _ => None,
         }
-    }
-
-    /// The fall-through node of a jump node: where control would go if the
-    /// jump were deleted. `None` for non-jump nodes.
-    ///
-    /// For a fused conditional goto this coincides with its false-edge
-    /// successor.
-    pub fn fallthrough(&self, n: NodeId) -> Option<NodeId> {
-        self.fallthrough[n.index()]
     }
 
     /// The (true, false) successors of a two-way predicate node (`if`,
@@ -205,18 +248,19 @@ impl Cfg {
         DomTree::iterative(&self.graph.reversed(), self.exit)
     }
 
-    /// The Ball–Horwitz / Choi–Ferrante *augmented* flowgraph: every
-    /// unconditional jump gets an additional (never-executed) edge to its
-    /// fall-through node, turning it into a pseudo-predicate.
+    /// The Ball–Horwitz / Choi–Ferrante *augmented* flowgraph of `prog`
+    /// (whose flowgraph this is): every jump gets an additional
+    /// (never-executed) edge to its fall-through node, the continuation it
+    /// would reach if deleted, turning it into a pseudo-predicate.
     ///
     /// The baseline slicer computes control dependence from this graph while
     /// keeping data dependence on the unaugmented one.
-    pub fn augmented_graph(&self) -> DiGraph {
+    pub fn augmented_graph(&self, prog: &Program) -> DiGraph {
+        let cont = Wiring::of(prog).cont;
         let mut g = self.graph.clone();
-        for n in self.graph.nodes() {
-            if let (Some(ft), Some(s)) = (self.fallthrough[n.index()], self.stmt(n)) {
-                let _ = s;
-                g.add_edge(n, ft);
+        for s in prog.stmt_ids() {
+            if prog.stmt(s).kind.is_jump() {
+                g.add_edge(stmt_node(s), cont[s.index()]);
             }
         }
         g
@@ -236,167 +280,55 @@ impl Cfg {
     }
 }
 
-struct Builder<'p> {
-    prog: &'p Program,
-    graph: DiGraph,
-    entry: NodeId,
-    exit: NodeId,
-    fallthrough: Vec<Option<NodeId>>,
+/// The flowgraph node of a statement in the fixed layout.
+fn stmt_node(s: StmtId) -> NodeId {
+    NodeId::new(s.index() + 2)
 }
 
-#[derive(Clone, Copy)]
-struct JumpCtx {
-    break_to: Option<NodeId>,
-    continue_to: Option<NodeId>,
+/// Appends `t` to a successor list unless it was just appended. A list's
+/// repeats are always adjacent: the two arms of a branch, or a run of empty
+/// switch arms falling into the same statement (and, past the last arm,
+/// into the switch's continuation), so one comparison keeps a switch of
+/// any width linear.
+fn push_new(out: &mut Vec<NodeId>, t: NodeId) {
+    if out.last() != Some(&t) {
+        out.push(t);
+    }
 }
 
-impl<'p> Builder<'p> {
-    fn new(prog: &'p Program) -> Self {
-        let n = prog.len() + 2;
-        let graph = DiGraph::with_nodes(n);
-        Builder {
-            prog,
-            graph,
-            entry: NodeId::new(0),
-            exit: NodeId::new(1),
-            fallthrough: vec![None; n],
-        }
-    }
+/// Where control goes around each statement, by arena index.
+struct Wiring {
+    /// The node where executing the statement begins: its own, except for
+    /// a `do-while`, whose body runs before its predicate.
+    enter: Vec<NodeId>,
+    /// The node the statement's lexical successor hands control to: that
+    /// successor's entry node, the predicate of the loop it returns to, or
+    /// `Exit`. For a jump this is its fall-through.
+    cont: Vec<NodeId>,
+}
 
-    fn node(&self, s: StmtId) -> NodeId {
-        NodeId::new(s.index() + 2)
-    }
-
-    /// The node where execution of `s` begins: the statement's own node,
-    /// except for `do-while`, whose body runs before its predicate.
-    fn first_node(&self, s: StmtId) -> NodeId {
-        match &self.prog.stmt(s).kind {
-            StmtKind::DoWhile { body, .. } => match body.first() {
-                Some(&f) => self.first_node(f),
-                None => self.node(s),
-            },
-            _ => self.node(s),
-        }
-    }
-
-    fn label_entry(&self, l: jumpslice_lang::Label) -> NodeId {
-        let target = self
-            .prog
-            .label_target(l)
-            .expect("validated programs have resolved labels");
-        self.first_node(target)
-    }
-
-    fn build(mut self) -> Cfg {
-        // The dummy-predicate edge: every top-level statement becomes
-        // control dependent on Entry.
-        self.graph.add_edge(self.entry, self.exit);
-        let ctx = JumpCtx {
-            break_to: None,
-            continue_to: None,
-        };
-        let body = self.prog.body().to_vec();
-        let first = self.wire_block(&body, self.exit, ctx);
-        self.graph.add_edge(self.entry, first);
-        Cfg::new(self.graph, self.fallthrough, self.prog.len())
-    }
-
-    /// Wires a statement list whose normal continuation is `follow`; returns
-    /// the block's entry node.
-    fn wire_block(&mut self, block: &[StmtId], follow: NodeId, ctx: JumpCtx) -> NodeId {
-        let mut next = follow;
-        for &s in block.iter().rev() {
-            self.wire_stmt(s, next, ctx);
-            next = self.first_node(s);
-        }
-        next
-    }
-
-    fn wire_stmt(&mut self, s: StmtId, follow: NodeId, ctx: JumpCtx) {
-        let n = self.node(s);
-        match &self.prog.stmt(s).kind.clone() {
-            StmtKind::Assign { .. }
-            | StmtKind::Read { .. }
-            | StmtKind::Write { .. }
-            | StmtKind::Skip => {
-                self.graph.add_edge(n, follow);
-            }
-            StmtKind::Goto { target } => {
-                self.graph.add_edge(n, self.label_entry(*target));
-                self.fallthrough[n.index()] = Some(follow);
-            }
-            StmtKind::CondGoto { target, .. } => {
-                self.graph.add_edge(n, self.label_entry(*target));
-                self.graph.add_edge(n, follow);
-                self.fallthrough[n.index()] = Some(follow);
-            }
-            StmtKind::Break => {
-                let to = ctx.break_to.expect("validated: break inside breakable");
-                self.graph.add_edge(n, to);
-                self.fallthrough[n.index()] = Some(follow);
-            }
-            StmtKind::Continue => {
-                let to = ctx.continue_to.expect("validated: continue inside loop");
-                self.graph.add_edge(n, to);
-                self.fallthrough[n.index()] = Some(follow);
-            }
-            StmtKind::Return { .. } => {
-                self.graph.add_edge(n, self.exit);
-                self.fallthrough[n.index()] = Some(follow);
-            }
-            StmtKind::If {
-                then_branch,
-                else_branch,
-                ..
-            } => {
-                let t = self.wire_block(then_branch, follow, ctx);
-                let e = self.wire_block(else_branch, follow, ctx);
-                self.graph.add_edge(n, t);
-                self.graph.add_edge(n, e);
-            }
-            StmtKind::While { body, .. } => {
-                let inner = JumpCtx {
-                    break_to: Some(follow),
-                    continue_to: Some(n),
-                };
-                let b = self.wire_block(body, n, inner);
-                self.graph.add_edge(n, b);
-                self.graph.add_edge(n, follow);
-            }
-            StmtKind::DoWhile { body, .. } => {
-                let inner = JumpCtx {
-                    break_to: Some(follow),
-                    continue_to: Some(n),
-                };
-                let b = self.wire_block(body, n, inner);
-                // Predicate true -> loop back to the body entry; false ->
-                // fall out.
-                self.graph.add_edge(n, b);
-                self.graph.add_edge(n, follow);
-            }
-            StmtKind::Switch { arms, .. } => {
-                let inner = JumpCtx {
-                    break_to: Some(follow),
-                    continue_to: ctx.continue_to,
-                };
-                // Wire arms back-to-front so each arm knows its fall-through
-                // continuation (C semantics: run into the next arm's body).
-                let mut entries = vec![follow; arms.len() + 1];
-                for (i, arm) in arms.iter().enumerate().rev() {
-                    entries[i] = self.wire_block(&arm.body, entries[i + 1], inner);
-                }
-                let mut has_default = false;
-                for (i, arm) in arms.iter().enumerate() {
-                    self.graph.add_edge(n, entries[i]);
-                    if arm.guards.contains(&jumpslice_lang::CaseGuard::Default) {
-                        has_default = true;
-                    }
-                }
-                if !has_default {
-                    self.graph.add_edge(n, follow);
+impl Wiring {
+    fn of(prog: &Program) -> Wiring {
+        let mut enter: Vec<NodeId> = prog.stmt_ids().map(stmt_node).collect();
+        // Children first, so a do-while reads its body's settled entry.
+        for &s in prog.lexical_order().iter().rev() {
+            if let StmtKind::DoWhile { body, .. } = &prog.stmt(s).kind {
+                if let Some(first) = body.first() {
+                    enter[s.index()] = enter[first.index()];
                 }
             }
         }
+        let cont = prog
+            .structure()
+            .lexical_successors()
+            .into_iter()
+            .map(|succ| match succ {
+                LexSucc::Enter(t) => enter[t.index()],
+                LexSucc::Loop(l) => stmt_node(l),
+                LexSucc::Exit => NodeId::new(1),
+            })
+            .collect();
+        Wiring { enter, cont }
     }
 }
 
@@ -407,36 +339,6 @@ mod tests {
 
     fn n(cfg: &Cfg, p: &Program, line: usize) -> NodeId {
         cfg.node(p.at_line(line))
-    }
-
-    #[test]
-    fn from_parts_round_trips_a_built_graph() {
-        let p = parse("L: read(x); while (x) { if (x > 1) break; goto L; } write(x);").unwrap();
-        let built = Cfg::build(&p);
-        let fallthrough: Vec<_> = (0..built.graph().len())
-            .map(|i| built.fallthrough(NodeId::new(i)))
-            .collect();
-        let back = Cfg::from_parts(p.len(), built.graph().clone(), fallthrough.clone())
-            .expect("a built graph's own parts are valid");
-        assert_eq!(back.entry(), built.entry());
-        assert_eq!(back.exit(), built.exit());
-        assert_eq!(back.num_stmts(), built.num_stmts());
-        assert_eq!(back.reachable(), built.reachable());
-        assert_eq!(back.all_reach_exit(), built.all_reach_exit());
-        for node in built.graph().nodes() {
-            assert_eq!(back.graph().succs(node), built.graph().succs(node));
-            assert_eq!(back.fallthrough(node), built.fallthrough(node));
-        }
-
-        // Shape lies are rejected: wrong statement count, short or
-        // out-of-bounds fall-through.
-        assert!(Cfg::from_parts(p.len() + 1, built.graph().clone(), fallthrough.clone()).is_none());
-        assert!(
-            Cfg::from_parts(p.len(), built.graph().clone(), fallthrough[1..].to_vec()).is_none()
-        );
-        let mut bad = fallthrough;
-        bad[0] = Some(NodeId::new(built.graph().len()));
-        assert!(Cfg::from_parts(p.len(), built.graph().clone(), bad).is_none());
     }
 
     #[test]
@@ -510,8 +412,9 @@ mod tests {
         assert!(cfg.graph().has_edge(cont, w));
         // Fall-throughs: break's is the statement after the if; continue's
         // is x = 1.
-        assert_eq!(cfg.fallthrough(brk), Some(n(&cfg, &p, 4)));
-        assert_eq!(cfg.fallthrough(cont), Some(n(&cfg, &p, 6)));
+        let aug = cfg.augmented_graph(&p);
+        assert_eq!(aug.succs(brk), &[after, n(&cfg, &p, 4)]);
+        assert_eq!(aug.succs(cont), &[w, n(&cfg, &p, 6)]);
     }
 
     #[test]
@@ -525,8 +428,10 @@ mod tests {
         assert!(cfg.graph().has_edge(cj, wr), "true edge to L14");
         assert!(cfg.graph().has_edge(cj, asn), "false edge falls through");
         assert!(cfg.graph().has_edge(gt, cj), "goto back to L3");
-        assert_eq!(cfg.fallthrough(gt), Some(wr));
-        assert_eq!(cfg.fallthrough(cj), Some(asn));
+        // A conditional goto's fall-through is its false edge already.
+        let aug = cfg.augmented_graph(&p);
+        assert_eq!(aug.succs(gt), &[cj, wr]);
+        assert_eq!(aug.succs(cj), cfg.graph().succs(cj));
     }
 
     #[test]
@@ -535,7 +440,8 @@ mod tests {
         let cfg = Cfg::build(&p);
         let ret = n(&cfg, &p, 2);
         assert!(cfg.graph().has_edge(ret, cfg.exit()));
-        assert_eq!(cfg.fallthrough(ret), Some(n(&cfg, &p, 3)));
+        let aug = cfg.augmented_graph(&p);
+        assert_eq!(aug.succs(ret), &[cfg.exit(), n(&cfg, &p, 3)]);
     }
 
     #[test]
@@ -587,7 +493,7 @@ mod tests {
         let gt = n(&cfg, &p, 2);
         let wr = n(&cfg, &p, 3);
         assert!(!cfg.graph().has_edge(gt, wr));
-        let aug = cfg.augmented_graph();
+        let aug = cfg.augmented_graph(&p);
         assert!(aug.has_edge(gt, wr));
         // Original stays intact (the point of the paper's algorithm).
         assert!(!cfg.graph().has_edge(gt, wr));

@@ -8,7 +8,7 @@
 //! flowgraph/PDG modifications Ball–Horwitz and Choi–Ferrante require.
 
 use crate::SlicePoint;
-use jumpslice_lang::{Program, StmtId, StmtKind, Structure};
+use jumpslice_lang::{LexSucc, Program, StmtId};
 
 /// The lexical successor tree of a program.
 ///
@@ -35,75 +35,16 @@ pub struct LexSuccTree {
 }
 
 impl LexSuccTree {
-    /// Builds the tree for `prog` (syntax-directed, no flowgraph needed):
-    /// one pass over the statements, reading the structure links recorded
-    /// when the program was made.
+    /// Builds the tree for `prog` (syntax-directed, no flowgraph needed)
+    /// from the program's one lexical-successor pass,
+    /// [`Structure::lexical_successors`](jumpslice_lang::Structure::lexical_successors).
     pub fn build(prog: &Program) -> LexSuccTree {
-        let st = prog.structure();
-        let mut parent = vec![None; prog.len()];
-        for s in prog.stmt_ids() {
-            parent[s.index()] = Self::successor_of(prog, st, s);
-        }
-        LexSuccTree { parent }
-    }
-
-    /// Computes the immediate lexical successor of one statement.
-    fn successor_of(prog: &Program, st: Structure<'_>, s: StmtId) -> SlicePoint {
-        // Inside a switch arm, a last statement falls through into the next
-        // arm's first statement (C semantics), so that is where control goes
-        // when `s` is deleted.
-        if let Some(next) = st.next_in_block(s) {
-            return Some(next);
-        }
-        let mut cur = s;
-        loop {
-            let Some(p) = st.parent(cur) else {
-                return None; // last top-level statement: exit
-            };
-            match &prog.stmt(p).kind {
-                // Deleting the last body statement of a loop hands control
-                // back to the loop predicate.
-                StmtKind::While { .. } | StmtKind::DoWhile { .. } => return Some(p),
-                StmtKind::Switch { arms, .. } => {
-                    // `cur` ends some arm: fall through into the next
-                    // non-empty arm, else continue past the switch.
-                    let arm_idx = arms
-                        .iter()
-                        .position(|a| a.body.contains(&cur))
-                        .expect("statement is in one arm");
-                    for arm in &arms[arm_idx + 1..] {
-                        if let Some(&first) = arm.body.first() {
-                            return Some(first);
-                        }
-                    }
-                    if let Some(next) = st.next_in_block(p) {
-                        return Some(next);
-                    }
-                    cur = p;
-                }
-                StmtKind::If { .. } => {
-                    if let Some(next) = st.next_in_block(p) {
-                        return Some(next);
-                    }
-                    cur = p;
-                }
-                _ => unreachable!("only compound statements have children"),
-            }
-        }
-    }
-
-    /// The whole parent array, indexed by statement (`None` = exit) — the
-    /// snapshot codec reads the tree out through this.
-    pub(crate) fn parents(&self) -> &[SlicePoint] {
-        &self.parent
-    }
-
-    /// Reassembles a tree from its parent array — the snapshot-restore
-    /// constructor, inverse of [`LexSuccTree::parents`]. The caller is
-    /// responsible for the array describing the program's actual lexical
-    /// structure; indices must be in range (the snapshot decoder validates
-    /// them before calling).
-    pub(crate) fn from_parents(parent: Vec<SlicePoint>) -> LexSuccTree {
+        let parent = prog
+            .structure()
+            .lexical_successors()
+            .into_iter()
+            .map(LexSucc::stmt)
+            .collect();
         LexSuccTree { parent }
     }
 

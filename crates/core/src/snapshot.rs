@@ -2,21 +2,24 @@
 //!
 //! A snapshot captures everything expensive about a finished analysis — the
 //! reaching-definitions solution, both PDG halves, the postdominator tree,
-//! the lexical successor tree, and the sparse kernel's chain index — next
-//! to the program source it was computed from. The daemon's snapshot store
-//! persists these payloads so a restarted process can serve its first slice
-//! without re-running any fixpoint.
+//! and the sparse kernel's chain index — next to the program source it was
+//! computed from. The daemon's snapshot store persists these payloads so a
+//! restarted process can serve its first slice without re-running any
+//! fixpoint.
 //!
 //! Two properties make the format safe and the restore fast:
 //!
-//! * **The program and its flowgraph travel with the artifacts.** An
-//!   earlier draft of this codec stored only the source text and re-parsed
-//!   it at decode time ("the source is the schema"), but the re-parse and
-//!   flowgraph rebuild dominated restore latency — exactly the cost a
-//!   snapshot exists to avoid. The payload therefore carries the parsed
-//!   [`Program`] in wire form (intern tables, statement arena, block tree,
-//!   label map) and the [`Cfg`] (successor lists, fall-throughs), next to
-//!   the source text itself. The source stays embedded because callers
+//! * **The program travels with the artifacts; what it determines does
+//!   not.** An earlier draft of this codec stored only the source text and
+//!   re-parsed it at decode time ("the source is the schema"), but the
+//!   re-parse dominated restore latency — exactly the cost a snapshot
+//!   exists to avoid. The payload therefore carries the parsed [`Program`]
+//!   in wire form (intern tables, statement arena, block tree, label map)
+//!   next to the source text itself. The flowgraph and the lexical
+//!   successor tree are not stored: both follow from the program's lexical
+//!   successors in one linear pass each, so the decoder derives them
+//!   ([`Cfg::build`], [`LexSuccTree::build`]) and no stored copy can
+//!   disagree with the program. The source stays embedded because callers
 //!   that map snapshots by content hash must compare it against the
 //!   request's source byte-for-byte — that comparison, not the hash, is
 //!   what makes a key collision harmless.
@@ -40,7 +43,7 @@ use crate::wire::{self, Reader};
 use crate::{AnalysisSeed, LexSuccTree, SlicePoint};
 use jumpslice_cfg::Cfg;
 use jumpslice_dataflow::{BitSet, DataDeps, ReachingDefs};
-use jumpslice_graph::{DiGraph, DomTree, NodeId};
+use jumpslice_graph::{DomTree, NodeId};
 use jumpslice_lang::{
     BinOp, CaseGuard, Expr, Label, Name, Program, Stmt, StmtId, StmtKind, SwitchArm, UnOp,
     MAX_DEPTH,
@@ -83,42 +86,32 @@ pub struct Snapshot {
     /// parse of `source`, statement ids and all — parsing is deterministic
     /// and the encoder reads the parts straight off the parsed program.
     pub prog: Program,
-    /// The restored artifacts (always includes the flowgraph; absent
-    /// artifacts were never forced before the snapshot was taken).
+    /// The restored artifacts. The flowgraph and the lexical successor tree
+    /// are always present, derived from `prog`; other absent artifacts were
+    /// never forced before the snapshot was taken.
     pub seed: AnalysisSeed,
 }
 
 const HAS_REACHING: u32 = 1 << 0;
 const HAS_PDG: u32 = 1 << 1;
 const HAS_PDOM: u32 = 1 << 2;
-const HAS_LST: u32 = 1 << 3;
-const HAS_CHAIN: u32 = 1 << 4;
-const KNOWN_BITS: u32 = HAS_REACHING | HAS_PDG | HAS_PDOM | HAS_LST | HAS_CHAIN;
+const HAS_CHAIN: u32 = 1 << 3;
+const KNOWN_BITS: u32 = HAS_REACHING | HAS_PDG | HAS_PDOM | HAS_CHAIN;
 
 /// Serializes `seed`'s artifacts (with `source` and `prog` embedded) into a
 /// snapshot payload. `prog` must be the parse of `source` that the seed's
 /// artifacts were computed against; absent artifacts are simply skipped.
-/// The flowgraph is encoded from the seed (or built here if the seed never
-/// carried one) so the decoder can skip [`Cfg::build`] entirely.
+/// The seed's flowgraph and lexical successor tree are not written: the
+/// decoder derives both from `prog`.
 pub fn encode_snapshot(source: &str, prog: &Program, seed: &AnalysisSeed) -> Vec<u8> {
     let mut out = Vec::new();
     wire::put_bytes(&mut out, source.as_bytes());
     encode_program(&mut out, prog);
-    let built;
-    let cfg = match &seed.cfg {
-        Some(c) => c,
-        None => {
-            built = Cfg::build(prog);
-            &built
-        }
-    };
-    encode_cfg(&mut out, cfg);
     let mut bits = 0u32;
     for (bit, present) in [
         (HAS_REACHING, seed.reaching.is_some()),
         (HAS_PDG, seed.pdg.is_some()),
         (HAS_PDOM, seed.pdom.is_some()),
-        (HAS_LST, seed.lst.is_some()),
         (HAS_CHAIN, seed.chain_index.is_some()),
     ] {
         if present {
@@ -134,9 +127,6 @@ pub fn encode_snapshot(source: &str, prog: &Program, seed: &AnalysisSeed) -> Vec
     }
     if let Some(pdom) = &seed.pdom {
         framed(&mut out, |out| encode_pdom(out, pdom));
-    }
-    if let Some(lst) = &seed.lst {
-        framed(&mut out, |out| encode_lst(out, lst));
     }
     if let Some(ci) = &seed.chain_index {
         framed(&mut out, |out| ci.encode_into(out));
@@ -157,8 +147,10 @@ fn framed(out: &mut Vec<u8>, body: impl FnOnce(&mut Vec<u8>)) {
 }
 
 /// Decodes a snapshot payload, validating the program section as
-/// [`Program::from_parts`] does and every artifact against it. Any malformation is an error, not a
-/// panic; the caller is expected to fall back to a from-source build.
+/// [`Program::from_parts`] does and every artifact against it, and derives
+/// the flowgraph and the lexical successor tree from the decoded program.
+/// Any malformation is an error, not a panic; the caller is expected to
+/// fall back to a from-source build.
 pub fn decode_snapshot(bytes: &[u8]) -> Result<Snapshot, SnapshotError> {
     use SnapshotError::*;
     let mut r = Reader::new(bytes);
@@ -166,7 +158,6 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<Snapshot, SnapshotError> {
         .map_err(|_| BadSource)?
         .to_owned();
     let prog = decode_program(&mut r)?;
-    let cfg = decode_cfg(&mut r, prog.len())?;
     let bits = r.u32().ok_or(Malformed)?;
     if bits & !KNOWN_BITS != 0 {
         return Err(Malformed);
@@ -185,19 +176,18 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<Snapshot, SnapshotError> {
     let reaching_b = section(&mut r, bits, HAS_REACHING)?;
     let pdg_b = section(&mut r, bits, HAS_PDG)?;
     let pdom_b = section(&mut r, bits, HAS_PDOM)?;
-    let lst_b = section(&mut r, bits, HAS_LST)?;
     let chain_b = section(&mut r, bits, HAS_CHAIN)?;
     if r.remaining() != 0 {
         return Err(Malformed);
     }
 
     let n = prog.len();
-    let (reaching, pdg, pdom, lst, chain) = panic_as_malformed(|| {
+    let cfg = Cfg::build(&prog);
+    let (reaching, pdg, pdom, chain) = panic_as_malformed(|| {
         Ok((
             exact(reaching_b, |r| decode_reaching(r, &prog, &cfg))?,
             exact(pdg_b, |r| decode_pdg(r, n))?,
             exact(pdom_b, |r| decode_pdom(r, &cfg))?,
-            exact(lst_b, |r| decode_lst(r, n))?,
             exact(chain_b, |r| {
                 crate::sparse::ChainIndex::decode_from(r, n).ok_or(Malformed)
             })?,
@@ -208,7 +198,7 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<Snapshot, SnapshotError> {
         cfg: Some(cfg),
         pdom,
         pdg,
-        lst,
+        lst: Some(LexSuccTree::build(&prog)),
         reaching,
         chain_index: chain,
     };
@@ -610,77 +600,12 @@ fn raw_opt_stmt(r: &mut Reader<'_>) -> Result<SlicePoint, SnapshotError> {
     })
 }
 
-// ---- flowgraph section -------------------------------------------------
-
-fn encode_cfg(out: &mut Vec<u8>, cfg: &Cfg) {
-    let g = cfg.graph();
-    for node in g.nodes() {
-        let succs = g.succs(node);
-        wire::put_len(out, succs.len());
-        for &t in succs {
-            wire::put_len(out, t.index());
-        }
-    }
-    for node in g.nodes() {
-        match cfg.fallthrough(node) {
-            Some(t) => wire::put_len(out, t.index()),
-            None => wire::put_u32(out, u32::MAX),
-        }
-    }
-}
-
-fn decode_cfg(r: &mut Reader<'_>, num_stmts: usize) -> Result<Cfg, SnapshotError> {
-    use SnapshotError::Malformed;
-    let n = num_stmts.checked_add(2).ok_or(Malformed)?;
-    // Successors are distinct, so the node count bounds each list; bounds
-    // and duplicate checks are `DiGraph::from_succs`'s audit.
-    let mut succs = Vec::with_capacity(n);
-    for _ in 0..n {
-        let n_succ = r.len(n).ok_or(Malformed)?;
-        let raw = r
-            .bytes(n_succ.checked_mul(4).ok_or(Malformed)?)
-            .ok_or(Malformed)?;
-        succs.push(
-            raw.chunks_exact(4)
-                .map(|c| {
-                    NodeId::new(u32::from_le_bytes(c.try_into().expect("chunks_exact(4)")) as usize)
-                })
-                .collect::<Vec<_>>(),
-        );
-    }
-    let graph = DiGraph::from_succs(succs).ok_or(Malformed)?;
-    let fallthrough = (0..n)
-        .map(|_| {
-            let v = r.u32().ok_or(Malformed)?;
-            if v == u32::MAX {
-                Ok(None)
-            } else if (v as usize) < n {
-                Ok(Some(NodeId::new(v as usize)))
-            } else {
-                Err(Malformed)
-            }
-        })
-        .collect::<Result<Vec<_>, _>>()?;
-    Cfg::from_parts(num_stmts, graph, fallthrough).ok_or(Malformed)
-}
-
 // ---- artifact sections -------------------------------------------------
 
 fn put_opt_stmt(out: &mut Vec<u8>, s: SlicePoint) {
     match s {
         Some(t) => wire::put_len(out, t.index()),
         None => wire::put_u32(out, u32::MAX),
-    }
-}
-
-fn opt_stmt(r: &mut Reader<'_>, n: usize) -> Result<SlicePoint, SnapshotError> {
-    let v = r.u32().ok_or(SnapshotError::Malformed)?;
-    if v == u32::MAX {
-        Ok(None)
-    } else if (v as usize) < n {
-        Ok(Some(StmtId::from_index(v as usize)))
-    } else {
-        Err(SnapshotError::Malformed)
     }
 }
 
@@ -854,24 +779,6 @@ fn decode_pdom(r: &mut Reader<'_>, cfg: &Cfg) -> Result<DomTree, SnapshotError> 
     DomTree::from_idom_array(n, cfg.exit(), idom).ok_or(Malformed)
 }
 
-fn encode_lst(out: &mut Vec<u8>, lst: &LexSuccTree) {
-    let parents = lst.parents();
-    wire::put_len(out, parents.len());
-    for &p in parents {
-        put_opt_stmt(out, p);
-    }
-}
-
-fn decode_lst(r: &mut Reader<'_>, n: usize) -> Result<LexSuccTree, SnapshotError> {
-    if r.len(n).ok_or(SnapshotError::Malformed)? != n {
-        return Err(SnapshotError::Malformed);
-    }
-    let parents = (0..n)
-        .map(|_| opt_stmt(r, n))
-        .collect::<Result<Vec<_>, _>>()?;
-    Ok(LexSuccTree::from_parents(parents))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -903,15 +810,13 @@ L14: write(positives);";
         encode_snapshot(src, &prog, &seed)
     }
 
-    /// A payload prefix that is valid through the program and flowgraph
-    /// sections, for crafting targeted suffixes.
+    /// A payload prefix that is valid through the program section, for
+    /// crafting targeted suffixes.
     fn valid_prefix(src: &str) -> Vec<u8> {
         let prog = parse(src).unwrap();
-        let cfg = Cfg::build(&prog);
         let mut out = Vec::new();
         wire::put_bytes(&mut out, src.as_bytes());
         encode_program(&mut out, &prog);
-        encode_cfg(&mut out, &cfg);
         out
     }
 
@@ -960,7 +865,9 @@ L14: write(positives);";
     }
 
     /// Artifacts that were never forced stay absent through the round trip
-    /// (the presence bitmap, not padding, carries the schema).
+    /// (the presence bitmap, not padding, carries the schema). The flowgraph
+    /// and the lexical successor tree are derived from the program on
+    /// decode, so they are always present.
     #[test]
     fn partial_seeds_round_trip_their_presence() {
         let prog = parse(GOTO_SRC).unwrap();
@@ -972,9 +879,9 @@ L14: write(positives);";
         assert!(snap.seed.reaching.is_some());
         assert!(snap.seed.pdg.is_none());
         assert!(snap.seed.pdom.is_none());
-        assert!(snap.seed.lst.is_none());
         assert!(snap.seed.chain_index.is_none());
-        assert!(snap.seed.cfg.is_some(), "the flowgraph always travels");
+        assert!(snap.seed.cfg.is_some(), "the flowgraph is always derived");
+        assert!(snap.seed.lst.is_some(), "and so is the LST");
     }
 
     /// Truncation at every prefix length is an error, never a panic — the
@@ -1151,11 +1058,11 @@ L14: write(positives);";
         assert_eq!(fine, Ok(Some(7)));
     }
 
-    /// A payload that is well framed, with a flowgraph section of the right
-    /// shape and no artifact sections, but whose program no parse could
-    /// produce: `break; write(1);`, a top-level break. The program section
-    /// fails `Program::from_parts`, so the payload is malformed; the same
-    /// payload with a `;` in the break's place decodes.
+    /// A payload that is well framed, with no artifact sections, but whose
+    /// program no parse could produce: `break; write(1);`, a top-level
+    /// break. The program section fails `Program::from_parts`, so the
+    /// payload is malformed; the same payload with a `;` in the break's
+    /// place decodes.
     #[test]
     fn program_with_a_top_level_break_is_malformed() {
         let payload = |first: StmtKind| {
@@ -1174,16 +1081,6 @@ L14: write(positives);";
                 encode_stmt(&mut out, &s);
             }
             put_stmt_ids(&mut out, &[StmtId::from_index(0), StmtId::from_index(1)]);
-            // Entry 0, exit 1, the break 2 (falling through to 3), the
-            // write 3.
-            let n = NodeId::new;
-            let mut g = DiGraph::with_nodes(4);
-            for (from, to) in [(0, 1), (0, 2), (2, 1), (3, 1)] {
-                g.add_edge(n(from), n(to));
-            }
-            let fallthrough = vec![None, None, Some(n(3)), None];
-            let cfg = Cfg::from_parts(2, g, fallthrough).expect("shaped for two statements");
-            encode_cfg(&mut out, &cfg);
             wire::put_u32(&mut out, 0); // no artifact sections
             out
         };
@@ -1194,14 +1091,17 @@ L14: write(positives);";
         assert!(decode_snapshot(&payload(StmtKind::Skip)).is_ok());
     }
 
-    /// An empty-but-valid suffix (no artifacts) decodes to a bare seed; the
-    /// engine then pays the normal lazy builds, no worse than a cache miss.
+    /// An empty-but-valid suffix (no artifacts) decodes to a seed holding
+    /// only what the decoder derives (the flowgraph, and the LST, the one
+    /// lazy artifact it counts); the engine then pays the other lazy
+    /// builds, no worse than a cache miss.
     #[test]
     fn artifact_free_snapshot_is_valid() {
         let mut crafted = valid_prefix(STRUCTURED_SRC);
         wire::put_u32(&mut crafted, 0);
         let snap = decode_snapshot(&crafted).unwrap();
-        assert_eq!(snap.seed.reused_phases(), 0);
+        assert_eq!(snap.seed.reused_phases(), 1);
+        assert!(snap.seed.lst.is_some());
         let a = Analysis::with_seed(&snap.prog, snap.seed);
         let crit = Criterion::at_stmt(snap.prog.at_line(4));
         assert!(!agrawal_slice(&a, &crit).stmts.is_empty());

@@ -405,11 +405,13 @@ impl ChainIndex {
     }
 
     /// Decodes an index for a program of `n` statements, validating every
-    /// stored index against its array's bounds (sentinels pass through).
-    /// `None` means the bytes are malformed — the caller falls back to
-    /// rebuilding from source. Deeper cross-array invariants are not
-    /// re-derived here; they are covered by the snapshot layer's
-    /// whole-record checksum.
+    /// stored index against its array's bounds (sentinels pass through)
+    /// and the walks the kernel makes over them: the parent arrays must be
+    /// acyclic, and every hazard skip pointer must follow the build's
+    /// recurrence, so every probe reaches its sentinel. `None` means the
+    /// bytes are malformed — the caller falls back to rebuilding from
+    /// source. Whether the chains are this program's is the snapshot
+    /// layer's whole-record checksum's concern.
     pub(crate) fn decode_from(r: &mut Reader<'_>, n: usize) -> Option<ChainIndex> {
         fn u32_array(r: &mut Reader<'_>, len: usize, bound: usize) -> Option<Vec<u32>> {
             (0..len)
@@ -450,6 +452,22 @@ impl ChainIndex {
             .iter()
             .any(|&v| v != NO_BODY && v as usize >= n_bodies)
         {
+            return None;
+        }
+        if !acyclic(&pnext) || !acyclic(&lnext) {
+            return None;
+        }
+        // The build sets `hz_skip[s]` to the sentinel, to `s` itself (its
+        // edge enters a do-while's predicate from that do-while's body,
+        // with a body id), or to its lexical successor's pointer. Along an
+        // acyclic `lnext` that keeps every `hazard` walk on the chain.
+        let skip_ok = |s: usize| {
+            let (h, t) = (hz_skip[s], lnext[s]);
+            h == NO_STMT
+                || t != NO_STMT
+                    && (h as usize == s && hz_body[s] != NO_BODY || h == hz_skip[t as usize])
+        };
+        if !(0..n).all(skip_ok) {
             return None;
         }
         let stmt_words = n.div_ceil(64);
@@ -526,6 +544,32 @@ impl ChainIndex {
             }
         }
     }
+}
+
+/// Whether following `next` from every statement reaches [`NO_STMT`]: one
+/// pass in which each statement is entered once, marked on the walk that
+/// first reaches it and settled when that walk ends.
+fn acyclic(next: &[u32]) -> bool {
+    const NEW: u8 = 0;
+    const ON_WALK: u8 = 1;
+    const SETTLED: u8 = 2;
+    let mut state = vec![NEW; next.len()];
+    for start in 0..next.len() {
+        let mut s = start as u32;
+        while s != NO_STMT && state[s as usize] == NEW {
+            state[s as usize] = ON_WALK;
+            s = next[s as usize];
+        }
+        if s != NO_STMT && state[s as usize] == ON_WALK {
+            return false;
+        }
+        let mut s = start as u32;
+        while s != NO_STMT && state[s as usize] == ON_WALK {
+            state[s as usize] = SETTLED;
+            s = next[s as usize];
+        }
+    }
+    true
 }
 
 /// First statement on `j`'s `next`-chain that is in `slice`, gated by a
@@ -952,6 +996,61 @@ mod tests {
             let mut r = Reader::new(&bytes);
             assert_eq!(ChainIndex::decode_from(&mut r, p.len() + 1), None);
         }
+    }
+
+    /// Fig 3's statement count, chain index and encoded index, and the
+    /// offset of the encoding's `pnext` array (after the statement count,
+    /// the jump count and one u32 per jump).
+    fn fig3_index_bytes() -> (usize, ChainIndex, Vec<u8>, usize) {
+        let p = corpus::fig3();
+        let ci = Analysis::new(&p).chain_index().clone();
+        let mut bytes = Vec::new();
+        ci.encode_into(&mut bytes);
+        let pnext_at = 8 + 4 * ci.jumps.len();
+        (p.len(), ci, bytes, pnext_at)
+    }
+
+    fn put_word(bytes: &mut [u8], at: usize, v: u32) {
+        bytes[at..at + 4].copy_from_slice(&v.to_le_bytes());
+    }
+
+    /// A forged `lnext` that maps a jump to itself would spin the
+    /// lexical-successor probe forever; the decoder refuses it.
+    #[test]
+    fn chain_index_decoder_rejects_an_lnext_self_loop() {
+        let (n, ci, mut bytes, pnext_at) = fig3_index_bytes();
+        let j = ci.jumps[0].index();
+        put_word(&mut bytes, pnext_at + 4 * (n + j), j as u32);
+        assert_eq!(ChainIndex::decode_from(&mut Reader::new(&bytes), n), None);
+    }
+
+    /// A two-statement cycle in `pnext` is refused just the same.
+    #[test]
+    fn chain_index_decoder_rejects_a_pnext_two_cycle() {
+        let (n, ci, mut bytes, pnext_at) = fig3_index_bytes();
+        let j = ci.jumps[0];
+        let t = ci.pnext[j.index()];
+        assert_ne!(t, NO_STMT, "the first jump has a pdom chain");
+        put_word(&mut bytes, pnext_at + 4 * t as usize, j.index() as u32);
+        assert_eq!(ChainIndex::decode_from(&mut Reader::new(&bytes), n), None);
+    }
+
+    /// A hazard skip pointer that is neither the sentinel, the statement
+    /// itself, nor its lexical successor's pointer is refused: the
+    /// `hazard` walk would leave the chain.
+    #[test]
+    fn chain_index_decoder_rejects_a_stray_hazard_skip() {
+        let (n, ci, mut bytes, pnext_at) = fig3_index_bytes();
+        // A statement whose lexical successor is another statement: point
+        // its skip at a third one, off that recurrence.
+        let s = (0..n)
+            .find(|&s| ci.lnext[s] != NO_STMT)
+            .expect("fig 3 has a lexical chain");
+        let stray = (0..n)
+            .find(|&t| t != s && t as u32 != ci.hz_skip[ci.lnext[s] as usize])
+            .unwrap();
+        put_word(&mut bytes, pnext_at + 4 * (2 * n + s), stray as u32);
+        assert_eq!(ChainIndex::decode_from(&mut Reader::new(&bytes), n), None);
     }
 
     /// A record whose jump list names a statement twice is malformed: the

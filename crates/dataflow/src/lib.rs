@@ -1,11 +1,11 @@
-//! Dataflow analyses over the flowgraph: reaching definitions, def-use
-//! chains (data dependence), and live variables.
+//! Dataflow analyses over the flowgraph: reaching definitions and def-use
+//! chains (data dependence).
 //!
 //! The data-dependence edges produced here are one half of the program
 //! dependence graph (paper, §2): statement `u` is *data dependent* on
 //! statement `d` when `d` defines a variable that may reach a use of the same
-//! variable at `u`. Both analyses are classic iterative fixpoints over
-//! compact bitsets.
+//! variable at `u`. Reaching definitions are a classic iterative fixpoint
+//! over compact bitsets.
 //!
 //! # Examples
 //!
@@ -26,11 +26,9 @@
 #![warn(missing_docs)]
 
 mod bitset;
-mod live;
 mod reaching;
 mod stmtset;
 
 pub use bitset::BitSet;
-pub use live::LiveVars;
 pub use reaching::{DataDeps, ReachingDefs, VarTable};
 pub use stmtset::StmtSet;

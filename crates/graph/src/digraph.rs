@@ -100,10 +100,11 @@ impl DiGraph {
     }
 
     /// Builds a graph directly from complete successor lists, deriving the
-    /// predecessor lists in one counting pass. Equivalent to `with_nodes`
-    /// followed by `add_edge` for every entry, but without the per-edge
-    /// duplicate scan and incremental pushes — codecs restoring a persisted
-    /// graph already hold the full adjacency and want the bulk path.
+    /// predecessor lists in one counting pass, each in source-node order.
+    /// Equivalent to `with_nodes` followed by `add_edge` for every entry
+    /// (up to predecessor order), but without the per-edge duplicate scan
+    /// and incremental pushes — builders that produce the full adjacency
+    /// first, such as the flowgraph's, want the bulk path.
     ///
     /// Returns `None` if any target is out of bounds or a successor list
     /// contains duplicates (the edge-coalescing invariant `add_edge`
@@ -118,10 +119,13 @@ impl DiGraph {
     pub fn from_succs(succs: Vec<Vec<NodeId>>) -> Option<Self> {
         let n = succs.len();
         let mut counts = vec![0usize; n];
+        // The last source seen pointing at each target: a repeat within one
+        // list finds its own source there, in O(1) however long the list.
+        let mut last_source = vec![usize::MAX; n];
         let mut num_edges = 0;
-        for list in &succs {
-            for (i, &t) in list.iter().enumerate() {
-                if t.index() >= n || list[..i].contains(&t) {
+        for (u, list) in succs.iter().enumerate() {
+            for &t in list {
+                if t.index() >= n || std::mem::replace(&mut last_source[t.index()], u) == u {
                     return None;
                 }
                 counts[t.index()] += 1;
@@ -283,6 +287,23 @@ mod tests {
         assert_eq!(g.num_edges(), 1);
         assert_eq!(g.succs(0.into()).len(), 1);
         assert_eq!(g.preds(1.into()).len(), 1);
+    }
+
+    #[test]
+    fn from_succs_matches_add_edge_and_rejects_repeats() {
+        let n = NodeId::new;
+        let lists = vec![vec![n(1), n(2)], vec![n(2), n(0)], vec![n(2)]];
+        let g = DiGraph::from_succs(lists.clone()).expect("distinct in-bounds lists");
+        let mut h = DiGraph::with_nodes(3);
+        for (u, list) in lists.iter().enumerate() {
+            for &t in list {
+                h.add_edge(n(u), t);
+            }
+        }
+        assert_eq!(g, h);
+        // A repeat anywhere in one list, or a target out of bounds.
+        assert!(DiGraph::from_succs(vec![vec![n(1), n(0), n(1)], vec![]]).is_none());
+        assert!(DiGraph::from_succs(vec![vec![n(2)], vec![]]).is_none());
     }
 
     #[test]

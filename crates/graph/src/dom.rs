@@ -49,9 +49,8 @@ impl DomTree {
     /// Builds the dominator tree with the iterative Cooper–Harvey–Kennedy
     /// algorithm ("A Simple, Fast Dominance Algorithm").
     ///
-    /// This is the default construction used by the rest of the workspace;
-    /// [`DomTree::lengauer_tarjan`] is the independent implementation used to
-    /// cross-check it (and benched in `ablation.rs`).
+    /// This is the one construction the workspace uses; the tests hold it
+    /// to [`dominators_brute_force`](crate::dominators_brute_force).
     pub fn iterative(g: &DiGraph, root: NodeId) -> DomTree {
         let rpo = reverse_postorder(g, root);
         let mut rpo_num = vec![UNREACHED; g.len()];
@@ -103,13 +102,6 @@ impl DomTree {
             name: "domtree.fixpoint_passes",
             value: passes,
         });
-        Self::from_idoms(g.len(), root, idom)
-    }
-
-    /// Builds the dominator tree with the Lengauer–Tarjan algorithm
-    /// (simple path-compression variant, O(m·α(m,n))).
-    pub fn lengauer_tarjan(g: &DiGraph, root: NodeId) -> DomTree {
-        let idom = crate::lt::lengauer_tarjan_idoms(g, root);
         Self::from_idoms(g.len(), root, idom)
     }
 
@@ -421,31 +413,67 @@ mod tests {
         assert!(DomTree::from_idom_array(6, 0.into(), bad).is_none());
     }
 
+    fn graph_of(n: usize, edges: &[(usize, usize)]) -> DiGraph {
+        let mut g = DiGraph::with_nodes(n);
+        for &(a, b) in edges {
+            g.add_edge(a.into(), b.into());
+        }
+        g
+    }
+
+    /// The iterative construction against the definition, on hand-picked
+    /// shapes: two loop nests, the 13-node example of Lengauer and Tarjan's
+    /// paper, a cross edge that defeats semidominator shortcuts, and a
+    /// predecessor unreachable from the root.
     #[test]
-    fn iterative_matches_lengauer_tarjan_on_fixtures() {
-        for g in [chk_graph(), {
-            let mut g = DiGraph::with_nodes(8);
-            for (a, b) in [
-                (0, 1),
-                (1, 2),
-                (1, 3),
-                (2, 7),
-                (3, 4),
-                (4, 5),
-                (4, 6),
-                (5, 7),
-                (6, 4),
-                (7, 1),
-            ] {
-                g.add_edge(a.into(), b.into());
-            }
-            g
-        }] {
-            let a = DomTree::iterative(&g, 0.into());
-            let b = DomTree::lengauer_tarjan(&g, 0.into());
+    fn iterative_matches_brute_force_on_fixtures() {
+        let names = "RABCDEFGHIJKL";
+        let lt_paper: Vec<(usize, usize)> = [
+            "RA", "RB", "RC", "AD", "BA", "BD", "BE", "CF", "CG", "DL", "EH", "FI", "GI", "GJ",
+            "HE", "HK", "IK", "JI", "KI", "KR", "LH",
+        ]
+        .iter()
+        .map(|e| {
+            let mut c = e.chars().map(|c| names.find(c).unwrap());
+            (c.next().unwrap(), c.next().unwrap())
+        })
+        .collect();
+        let fixtures = [
+            chk_graph(),
+            graph_of(
+                8,
+                &[
+                    (0, 1),
+                    (1, 2),
+                    (1, 3),
+                    (2, 7),
+                    (3, 4),
+                    (4, 5),
+                    (4, 6),
+                    (5, 7),
+                    (6, 4),
+                    (7, 1),
+                ],
+            ),
+            graph_of(13, &lt_paper),
+            graph_of(5, &[(0, 1), (0, 3), (1, 2), (2, 3), (2, 4), (3, 4), (4, 2)]),
+            graph_of(4, &[(0, 1), (3, 1), (1, 2)]),
+        ];
+        for g in &fixtures {
+            let dom = DomTree::iterative(g, 0.into());
+            let brute = crate::dominators_brute_force(g, 0.into());
             for n in g.nodes() {
-                assert_eq!(a.idom(n), b.idom(n), "idom mismatch at {n:?}");
+                assert_eq!(dom.idom(n), brute[n.index()], "idom mismatch at {n:?}");
             }
         }
+        // Published answers for the paper's example: idom(K) = idom(I) =
+        // idom(H) = R. The unreachable node has no immediate dominator.
+        let dom = DomTree::iterative(&fixtures[2], 0.into());
+        for c in ['K', 'I', 'H'] {
+            assert_eq!(dom.idom(names.find(c).unwrap().into()), Some(0.into()));
+        }
+        let dom = DomTree::iterative(&fixtures[4], 0.into());
+        assert_eq!(dom.idom(3.into()), None);
+        assert_eq!(dom.idom(2.into()), Some(1.into()));
     }
 }

@@ -3,11 +3,10 @@
 //! This crate provides the graph substrate that every analysis in the
 //! workspace is built on: a compact adjacency-list [`DiGraph`], depth-first
 //! traversal orders, reachability, Tarjan strongly-connected components, and
-//! two independent dominator-tree constructions (the iterative
-//! Cooper–Harvey–Kennedy algorithm and the classic Lengauer–Tarjan
-//! algorithm). Postdominator trees — the structure at the heart of Agrawal's
-//! PLDI'94 slicing algorithm — are obtained by running either construction on
-//! the [reverse graph](DiGraph::reversed).
+//! the iterative Cooper–Harvey–Kennedy dominator-tree construction, held to
+//! a brute-force reference by the tests. Postdominator trees — the
+//! structure at the heart of Agrawal's PLDI'94 slicing algorithm — are
+//! obtained by running it on the [reverse graph](DiGraph::reversed).
 //!
 //! # Examples
 //!
@@ -34,7 +33,6 @@ mod brute;
 mod digraph;
 mod dom;
 mod frontier;
-mod lt;
 mod scc;
 mod traversal;
 

@@ -54,4 +54,4 @@ pub use lexer::{Lexer, Span, Token, TokenKind};
 pub use parser::{parse, MAX_DEPTH};
 pub use path::{path_of, BlockSel, PathStep, StmtPath};
 pub use print::{print_program, print_slice, print_with_options, PrintOptions};
-pub use structure::Structure;
+pub use structure::{LexSucc, Structure};

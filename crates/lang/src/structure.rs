@@ -4,9 +4,10 @@
 //! links every statement to its parent and to the next statement of its
 //! block, notes whether any `do-while` occurs, and rejects `break`/
 //! `continue` outside their constructs and duplicate switch guards.
-//! [`Structure`] answers queries from those links: the lexical successor
-//! tree, the targets of `break` and `continue`, and do-while bodies read
-//! them.
+//! [`Structure`] answers queries from those links: the targets of `break`
+//! and `continue` and do-while bodies read them. It also gives every
+//! statement its immediate lexical successor ([`LexSucc`]), the one rule
+//! both the flowgraph and the lexical successor tree are built from.
 
 use crate::ast::*;
 use crate::error::{Error, ErrorKind};
@@ -139,6 +140,30 @@ fn check_guards(arms: &[SwitchArm], line: u32) -> Result<(), Error> {
     Ok(())
 }
 
+/// A statement's immediate lexical successor: where control passes from
+/// the statement's location when the statement is deleted. See
+/// [`Structure::lexical_successors`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub enum LexSucc {
+    /// Control enters this statement: a `do-while` at its body's first
+    /// statement, anything else at its own node.
+    Enter(StmtId),
+    /// Control returns to this enclosing loop's predicate.
+    Loop(StmtId),
+    /// Control leaves the program.
+    Exit,
+}
+
+impl LexSucc {
+    /// The successor statement, `None` for the exit.
+    pub fn stmt(self) -> Option<StmtId> {
+        match self {
+            LexSucc::Enter(s) | LexSucc::Loop(s) => Some(s),
+            LexSucc::Exit => None,
+        }
+    }
+}
+
 impl Program {
     /// Lexical-structure queries, answered from the links recorded when
     /// the program was made.
@@ -206,6 +231,70 @@ impl Structure<'_> {
     /// Whether the program contains any `do-while`.
     pub fn has_do_while(&self) -> bool {
         self.prog.layout.has_do_while
+    }
+
+    /// Every statement's immediate lexical successor (paper, §3), by arena
+    /// index: where control passes from the statement's location when the
+    /// statement is deleted, which is also a jump's fall-through.
+    ///
+    /// One pass over the lexical order, parents first: a statement's answer
+    /// is its next sibling, or for the last statement of a block it is read
+    /// from the block's owner. A loop body's last statement returns to the
+    /// loop, a switch arm's falls into the next non-empty arm (C
+    /// semantics), and an `if` branch's continues with the `if`'s own
+    /// answer. No recursion and no walk up the parents, so any nesting
+    /// depth costs O(statements).
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use jumpslice_lang::{parse, LexSucc};
+    /// let p = parse("while (c) { x = 1; } write(x);")?;
+    /// let succ = p.structure().lexical_successors();
+    /// assert_eq!(succ[p.at_line(1).index()], LexSucc::Enter(p.at_line(3)));
+    /// assert_eq!(succ[p.at_line(2).index()], LexSucc::Loop(p.at_line(1)));
+    /// assert_eq!(succ[p.at_line(3).index()], LexSucc::Exit);
+    /// # Ok::<(), jumpslice_lang::Error>(())
+    /// ```
+    pub fn lexical_successors(&self) -> Vec<LexSucc> {
+        let prog = self.prog;
+        let mut succ = vec![LexSucc::Exit; prog.len()];
+        fn chain(succ: &mut [LexSucc], block: &[StmtId], follow: LexSucc) {
+            for pair in block.windows(2) {
+                succ[pair[0].index()] = LexSucc::Enter(pair[1]);
+            }
+            if let Some(&last) = block.last() {
+                succ[last.index()] = follow;
+            }
+        }
+        chain(&mut succ, prog.body(), LexSucc::Exit);
+        for &s in prog.lexical_order() {
+            let own = succ[s.index()];
+            match &prog.stmt(s).kind {
+                StmtKind::If {
+                    then_branch,
+                    else_branch,
+                    ..
+                } => {
+                    chain(&mut succ, then_branch, own);
+                    chain(&mut succ, else_branch, own);
+                }
+                StmtKind::While { body, .. } | StmtKind::DoWhile { body, .. } => {
+                    chain(&mut succ, body, LexSucc::Loop(s));
+                }
+                StmtKind::Switch { arms, .. } => {
+                    let mut follow = own;
+                    for arm in arms.iter().rev() {
+                        chain(&mut succ, &arm.body, follow);
+                        if let Some(&first) = arm.body.first() {
+                            follow = LexSucc::Enter(first);
+                        }
+                    }
+                }
+                _ => {}
+            }
+        }
+        succ
     }
 
     /// The nearest proper ancestor of `id` that satisfies `pick`.

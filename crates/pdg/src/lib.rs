@@ -289,7 +289,7 @@ impl Pdg {
     /// baseline: control dependence from the augmented flowgraph, data
     /// dependence from the standard one (paper, §5).
     pub fn build_augmented(prog: &Program, cfg: &Cfg) -> Pdg {
-        let aug = cfg.augmented_graph();
+        let aug = cfg.augmented_graph(prog);
         Pdg::from_parts(
             DataDeps::compute(prog, cfg),
             ControlDeps::compute_from_graph(prog, cfg, &aug),

@@ -894,6 +894,32 @@ mod tests {
         ));
         assert_eq!(resp.get("restored").and_then(Json::as_bool), Some(true));
         assert_eq!(slice_lines(&warm, &key, 4), lines_cold);
+
+        // The restored session derives its flowgraph and lexical successor
+        // tree from the decoded program. Every algorithm, a chop and an
+        // explanation must answer as a fresh engine's do.
+        let fresh = Engine::new(usize::MAX);
+        assert_eq!(load(&fresh, &src), key);
+        let mut requests: Vec<String> = ["fig7", "fig12", "fig13", "conventional"]
+            .iter()
+            .flat_map(|algo| {
+                [4, 14, 15].map(|line| {
+                    format!(
+                        r#"{{"op":"slice","program":"{key}","algo":"{algo}","criteria":[{{"line":{line}}}]}}"#
+                    )
+                })
+            })
+            .collect();
+        requests.push(format!(
+            r#"{{"op":"chop","program":"{key}","source_line":4,"sink_line":15}}"#
+        ));
+        requests.push(format!(r#"{{"op":"explain","program":"{key}","line":15}}"#));
+        for req in &requests {
+            let reply = warm.handle_line(req);
+            assert!(reply.starts_with(r#"{"ok":true"#), "{req}: {reply}");
+            assert_eq!(reply, fresh.handle_line(req), "{req}");
+        }
+
         let stats = ok(&warm.handle_line(r#"{"op":"stats"}"#));
         let store_stats = stats.get("store").expect("store object in stats");
         assert_eq!(store_stats.get("hits").and_then(Json::as_num), Some(1.0));

@@ -63,7 +63,7 @@ pub use jumpslice_graph as graph;
 /// Control-flow graph construction.
 pub use jumpslice_cfg as cfg;
 
-/// Reaching definitions, data dependence, live variables.
+/// Reaching definitions and data dependence.
 pub use jumpslice_dataflow as dataflow;
 
 /// Control dependence and program dependence graphs.
