@@ -258,7 +258,7 @@ impl<'p> Analysis<'p> {
         self.cache_probe(obs::Artifact::ChainIndex, self.chain_index.get().is_some());
         self.chain_index.get_or_init(|| {
             self.n_chain.fetch_add(1, Ordering::Relaxed);
-            ChainIndex::build(self)
+            ChainIndex::build(self.prog, &self.cfg, self.pdom(), || self.lst())
         })
     }
 

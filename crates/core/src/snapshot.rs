@@ -1,11 +1,10 @@
 //! The analysis-snapshot codec: [`AnalysisSeed`] ⇄ a flat byte payload.
 //!
-//! A snapshot captures everything expensive about a finished analysis — the
-//! reaching-definitions solution, both PDG halves, the postdominator tree,
-//! and the sparse kernel's chain index — next to the program source it was
-//! computed from. The daemon's snapshot store persists these payloads so a
-//! restarted process can serve its first slice without re-running any
-//! fixpoint.
+//! A snapshot captures what is expensive to recompute about a finished
+//! analysis — the reaching-definitions solution and the PDG's data edges —
+//! next to the program source it was computed from. The daemon's snapshot
+//! store persists these payloads so a restarted process can serve its
+//! first slice without re-running the reaching-definitions fixpoint.
 //!
 //! Two properties make the format safe and the restore fast:
 //!
@@ -15,10 +14,11 @@
 //!   re-parse dominated restore latency — exactly the cost a snapshot
 //!   exists to avoid. The payload therefore carries the parsed [`Program`]
 //!   in wire form (intern tables, statement arena, block tree, label map)
-//!   next to the source text itself. The flowgraph and the lexical
-//!   successor tree are not stored: both follow from the program's lexical
-//!   successors in one linear pass each, so the decoder derives them
-//!   ([`Cfg::build`], [`LexSuccTree::build`]) and no stored copy can
+//!   next to the source text itself. Everything that follows from the
+//!   program alone is derived on decode, never stored: the flowgraph and
+//!   the lexical successor tree ([`Cfg::build`], [`LexSuccTree::build`])
+//!   and, next to stored data edges, the postdominator tree, the control
+//!   dependences and the sparse kernel's chain index. No stored copy can
 //!   disagree with the program. The source stays embedded because callers
 //!   that map snapshots by content hash must compare it against the
 //!   request's source byte-for-byte — that comparison, not the hash, is
@@ -27,23 +27,24 @@
 //!   index is range-checked, and the decoded program must pass
 //!   [`Program::from_parts`]'s audit (block-tree bijection, label
 //!   consistency, intern-table well-formedness, and the parser's jump and
-//!   switch-guard rules); any violation is a [`SnapshotError`] — the
-//!   caller falls back to analyzing from source.
-//!   Semantic fidelity (that these artifacts really belong to this source)
-//!   is the job of the store's whole-record checksum one layer up, and
-//!   analyzability (every statement reaches the exit) is re-established by
-//!   whoever builds a session from the seed; this module only defines the
-//!   payload.
+//!   switch-guard rules) and nest no deeper than the parser's
+//!   [`MAX_DEPTH`]; any violation is a [`SnapshotError`] — the caller
+//!   falls back to analyzing from source.
+//!   Semantic fidelity (that the reaching solution and the data edges
+//!   really belong to this source) is the job of the store's whole-record
+//!   checksum one layer up, and analyzability (every statement reaches the
+//!   exit) is re-established by whoever builds a session from the seed;
+//!   this module only defines the payload.
 //!
 //! The encoding is little-endian throughout: counts and indices as `u32`
 //! (`u32::MAX` = "none"), tags as single bytes, strings length-prefixed,
 //! bitsets as their capacity plus raw words.
 
+use crate::sparse::ChainIndex;
 use crate::wire::{self, Reader};
 use crate::{AnalysisSeed, LexSuccTree, SlicePoint};
 use jumpslice_cfg::Cfg;
 use jumpslice_dataflow::{BitSet, DataDeps, ReachingDefs};
-use jumpslice_graph::{DomTree, NodeId};
 use jumpslice_lang::{
     BinOp, CaseGuard, Expr, Label, Name, Program, Stmt, StmtId, StmtKind, SwitchArm, UnOp,
     MAX_DEPTH,
@@ -87,22 +88,22 @@ pub struct Snapshot {
     /// and the encoder reads the parts straight off the parsed program.
     pub prog: Program,
     /// The restored artifacts. The flowgraph and the lexical successor tree
-    /// are always present, derived from `prog`; other absent artifacts were
-    /// never forced before the snapshot was taken.
+    /// are always present, derived from `prog`. The PDG, the postdominator
+    /// tree and the chain index are present when the payload carried data
+    /// edges: the decoder derives the rest of them. Other absent artifacts
+    /// were never forced before the snapshot was taken.
     pub seed: AnalysisSeed,
 }
 
 const HAS_REACHING: u32 = 1 << 0;
-const HAS_PDG: u32 = 1 << 1;
-const HAS_PDOM: u32 = 1 << 2;
-const HAS_CHAIN: u32 = 1 << 3;
-const KNOWN_BITS: u32 = HAS_REACHING | HAS_PDG | HAS_PDOM | HAS_CHAIN;
+const HAS_DATA_DEPS: u32 = 1 << 1;
+const KNOWN_BITS: u32 = HAS_REACHING | HAS_DATA_DEPS;
 
 /// Serializes `seed`'s artifacts (with `source` and `prog` embedded) into a
 /// snapshot payload. `prog` must be the parse of `source` that the seed's
 /// artifacts were computed against; absent artifacts are simply skipped.
-/// The seed's flowgraph and lexical successor tree are not written: the
-/// decoder derives both from `prog`.
+/// Only the reaching-definitions solution and the PDG's data edges are
+/// written: the decoder derives everything else from `prog`.
 pub fn encode_snapshot(source: &str, prog: &Program, seed: &AnalysisSeed) -> Vec<u8> {
     let mut out = Vec::new();
     wire::put_bytes(&mut out, source.as_bytes());
@@ -110,9 +111,7 @@ pub fn encode_snapshot(source: &str, prog: &Program, seed: &AnalysisSeed) -> Vec
     let mut bits = 0u32;
     for (bit, present) in [
         (HAS_REACHING, seed.reaching.is_some()),
-        (HAS_PDG, seed.pdg.is_some()),
-        (HAS_PDOM, seed.pdom.is_some()),
-        (HAS_CHAIN, seed.chain_index.is_some()),
+        (HAS_DATA_DEPS, seed.pdg.is_some()),
     ] {
         if present {
             bits |= bit;
@@ -123,13 +122,7 @@ pub fn encode_snapshot(source: &str, prog: &Program, seed: &AnalysisSeed) -> Vec
         framed(&mut out, |out| encode_reaching(out, rd));
     }
     if let Some(pdg) = &seed.pdg {
-        framed(&mut out, |out| encode_pdg(out, prog, pdg));
-    }
-    if let Some(pdom) = &seed.pdom {
-        framed(&mut out, |out| encode_pdom(out, pdom));
-    }
-    if let Some(ci) = &seed.chain_index {
-        framed(&mut out, |out| ci.encode_into(out));
+        framed(&mut out, |out| encode_data_deps(out, prog, pdg.data()));
     }
     out
 }
@@ -147,10 +140,13 @@ fn framed(out: &mut Vec<u8>, body: impl FnOnce(&mut Vec<u8>)) {
 }
 
 /// Decodes a snapshot payload, validating the program section as
-/// [`Program::from_parts`] does and every artifact against it, and derives
-/// the flowgraph and the lexical successor tree from the decoded program.
-/// Any malformation is an error, not a panic; the caller is expected to
-/// fall back to a from-source build.
+/// [`Program::from_parts`] does (and its nesting against [`MAX_DEPTH`])
+/// and every artifact against it, and derives the flowgraph and the
+/// lexical successor tree from the decoded program. Next to data edges it
+/// also derives the postdominator tree, the control dependences and the
+/// chain index, so the restored seed is as warm as the one encoded. Any
+/// malformation is an error, not a panic; the caller is expected to fall
+/// back to a from-source build.
 pub fn decode_snapshot(bytes: &[u8]) -> Result<Snapshot, SnapshotError> {
     use SnapshotError::*;
     let mut r = Reader::new(bytes);
@@ -174,33 +170,44 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<Snapshot, SnapshotError> {
         Ok(Some(r.bytes(n).ok_or(SnapshotError::Malformed)?))
     }
     let reaching_b = section(&mut r, bits, HAS_REACHING)?;
-    let pdg_b = section(&mut r, bits, HAS_PDG)?;
-    let pdom_b = section(&mut r, bits, HAS_PDOM)?;
-    let chain_b = section(&mut r, bits, HAS_CHAIN)?;
+    let data_b = section(&mut r, bits, HAS_DATA_DEPS)?;
     if r.remaining() != 0 {
         return Err(Malformed);
     }
 
     let n = prog.len();
     let cfg = Cfg::build(&prog);
-    let (reaching, pdg, pdom, chain) = panic_as_malformed(|| {
+    let lst = LexSuccTree::build(&prog);
+    let (reaching, data) = panic_as_malformed(|| {
         Ok((
             exact(reaching_b, |r| decode_reaching(r, &prog, &cfg))?,
-            exact(pdg_b, |r| decode_pdg(r, n))?,
-            exact(pdom_b, |r| decode_pdom(r, &cfg))?,
-            exact(chain_b, |r| {
-                crate::sparse::ChainIndex::decode_from(r, n).ok_or(Malformed)
-            })?,
+            exact(data_b, |r| decode_data_deps(r, n))?,
         ))
     })?;
+    let (pdom, pdg, chain_index) = match data {
+        // Postdominators are undefined where a statement cannot reach the
+        // exit, and no analysis ever wrote data edges for such a program.
+        Some(_) if !cfg.all_reach_exit() => return Err(Malformed),
+        Some(data) => {
+            let pdom = cfg.postdominators();
+            let control = ControlDeps::compute_with_pdom(&prog, &cfg, &pdom);
+            let chain = ChainIndex::build(&prog, &cfg, &pdom, || &lst);
+            (
+                Some(pdom),
+                Some(Pdg::from_parts(data, control)),
+                Some(chain),
+            )
+        }
+        None => (None, None, None),
+    };
 
     let seed = AnalysisSeed {
         cfg: Some(cfg),
         pdom,
         pdg,
-        lst: Some(LexSuccTree::build(&prog)),
+        lst: Some(lst),
         reaching,
-        chain_index: chain,
+        chain_index,
     };
     Ok(Snapshot { source, prog, seed })
 }
@@ -284,7 +291,13 @@ fn decode_program(r: &mut Reader<'_>) -> Result<Program, SnapshotError> {
         .map(|_| decode_stmt(r))
         .collect::<Result<Vec<_>, _>>()?;
     let body = raw_stmt_list(r)?;
-    Program::from_parts(stmts, body, names, labels, label_targets).ok_or(Malformed)
+    let prog = Program::from_parts(stmts, body, names, labels, label_targets).ok_or(Malformed)?;
+    // Walkers over statements recurse or hold per-level state, so a record
+    // nests no deeper than any parse could.
+    if prog.structure().depth() > MAX_DEPTH {
+        return Err(Malformed);
+    }
+    Ok(prog)
 }
 
 fn put_stmt_ids(out: &mut Vec<u8>, ids: &[StmtId]) {
@@ -701,82 +714,26 @@ fn decode_reaching(
     ReachingDefs::from_parts(prog, &def_sites, in_sets, &vars).ok_or(Malformed)
 }
 
-fn encode_pdg(out: &mut Vec<u8>, prog: &Program, pdg: &Pdg) {
+fn encode_data_deps(out: &mut Vec<u8>, prog: &Program, data: &DataDeps) {
     wire::put_len(out, prog.len());
     for s in prog.stmt_ids() {
-        let d = pdg.data().deps(s);
+        let d = data.deps(s);
         wire::put_len(out, d.len());
         for &t in d {
             wire::put_len(out, t.index());
         }
     }
-    for s in prog.stmt_ids() {
-        let d = pdg.control().deps(s);
-        wire::put_len(out, d.len());
-        for &t in d {
-            wire::put_len(out, t.index());
-        }
-    }
-    let ec = pdg.control().entry_controlled();
-    wire::put_len(out, ec.len());
-    for &t in ec {
-        wire::put_len(out, t.index());
-    }
 }
 
-fn decode_pdg(r: &mut Reader<'_>, n: usize) -> Result<Pdg, SnapshotError> {
+fn decode_data_deps(r: &mut Reader<'_>, n: usize) -> Result<DataDeps, SnapshotError> {
     use SnapshotError::Malformed;
     if r.len(n).ok_or(Malformed)? != n {
         return Err(Malformed);
     }
-    let data_deps = (0..n)
+    let deps = (0..n)
         .map(|_| stmt_list(r, n))
         .collect::<Result<Vec<_>, _>>()?;
-    let control_deps = (0..n)
-        .map(|_| stmt_list(r, n))
-        .collect::<Result<Vec<_>, _>>()?;
-    let entry_controlled = stmt_list(r, n)?;
-    Ok(Pdg::from_parts(
-        DataDeps::from_deps(data_deps),
-        ControlDeps::from_parts(control_deps, entry_controlled),
-    ))
-}
-
-fn encode_pdom(out: &mut Vec<u8>, pdom: &DomTree) {
-    let n = pdom.num_nodes();
-    wire::put_len(out, n);
-    wire::put_len(out, pdom.root().index());
-    for i in 0..n {
-        match pdom.idom(NodeId::new(i)) {
-            Some(d) => wire::put_len(out, d.index()),
-            None => wire::put_u32(out, u32::MAX),
-        }
-    }
-}
-
-fn decode_pdom(r: &mut Reader<'_>, cfg: &Cfg) -> Result<DomTree, SnapshotError> {
-    use SnapshotError::Malformed;
-    let n = cfg.graph().len();
-    if r.len(n).ok_or(Malformed)? != n {
-        return Err(Malformed);
-    }
-    let root = r.u32().ok_or(Malformed)? as usize;
-    // The postdominator tree of this flowgraph is rooted at its exit; any
-    // other root is a different graph's tree.
-    if root != cfg.exit().index() {
-        return Err(Malformed);
-    }
-    let idom = (0..n)
-        .map(|_| {
-            let v = r.u32().ok_or(Malformed)?;
-            Ok(if v == u32::MAX {
-                None
-            } else {
-                Some(NodeId::new(v as usize))
-            })
-        })
-        .collect::<Result<Vec<_>, SnapshotError>>()?;
-    DomTree::from_idom_array(n, cfg.exit(), idom).ok_or(Malformed)
+    Ok(DataDeps::from_deps(deps))
 }
 
 #[cfg(test)]
@@ -1005,6 +962,93 @@ L14: write(positives);";
             decode_snapshot(&encode_snapshot("", &prog, &seed)).err(),
             Some(SnapshotError::Malformed)
         );
+    }
+
+    /// Statements nested in `MAX_DEPTH` compound statements, as deep as a
+    /// parse goes, decode; one level deeper, which only a builder makes, is
+    /// malformed.
+    #[test]
+    fn statement_nesting_past_the_bound_is_malformed() {
+        let nest = |depth: usize| {
+            let stmts: Vec<Stmt> = (0..depth)
+                .map(|i| Stmt {
+                    kind: StmtKind::While {
+                        cond: Expr::Num(0),
+                        body: vec![StmtId::from_index(i + 1)],
+                    },
+                    labels: vec![],
+                    line: i as u32 + 1,
+                })
+                .chain(std::iter::once(Stmt {
+                    kind: StmtKind::Break,
+                    labels: vec![],
+                    line: depth as u32 + 1,
+                }))
+                .collect();
+            let prog =
+                Program::from_parts(stmts, vec![StmtId::from_index(0)], vec![], vec![], vec![])
+                    .expect("a well-formed nest");
+            assert_eq!(prog.structure().depth(), depth);
+            let a = Analysis::new(&prog);
+            a.warm();
+            encode_snapshot("", &prog, &a.into_seed())
+        };
+        let snap = decode_snapshot(&nest(MAX_DEPTH)).expect("a nest at the bound decodes");
+        assert!(snap.seed.chain_index.is_some());
+        assert_eq!(
+            decode_snapshot(&nest(MAX_DEPTH + 1)).err(),
+            Some(SnapshotError::Malformed)
+        );
+    }
+
+    /// A warm record carries the reaching solution and the data edges and
+    /// nothing else; the decoder derives the postdominator tree, the
+    /// control dependences and the chain index, equal to the encoder's.
+    #[test]
+    fn warm_records_carry_only_reaching_and_data_edges() {
+        for src in [GOTO_SRC, DOWHILE_SRC, STRUCTURED_SRC] {
+            let bytes = warm_snapshot(src);
+            let at = valid_prefix(src).len();
+            assert_eq!(
+                bytes[at..at + 4],
+                (HAS_REACHING | HAS_DATA_DEPS).to_le_bytes()
+            );
+            let prog = parse(src).unwrap();
+            let a = Analysis::new(&prog);
+            a.warm();
+            let fresh = a.into_seed();
+            let snap = decode_snapshot(&bytes).unwrap();
+            assert_eq!(snap.seed.chain_index, fresh.chain_index, "{src}");
+            let (pdom, got) = (fresh.pdom.unwrap(), snap.seed.pdom.unwrap());
+            for i in 0..pdom.num_nodes() {
+                let n = jumpslice_graph::NodeId::new(i);
+                assert_eq!(got.idom(n), pdom.idom(n), "{src}");
+            }
+            let (pdg, got) = (fresh.pdg.unwrap(), snap.seed.pdg.unwrap());
+            for s in prog.stmt_ids() {
+                assert_eq!(got.control().deps(s), pdg.control().deps(s), "{src}");
+            }
+        }
+    }
+
+    /// Data edges for a program whose statements cannot all reach the exit
+    /// come from no analysis: postdominators are undefined there.
+    #[test]
+    fn data_edges_of_an_unanalyzable_program_are_malformed() {
+        let src = "L: x = x + 1; goto L; write(x);";
+        let prog = parse(src).unwrap();
+        let seed = AnalysisSeed {
+            pdg: Some(Pdg::from_parts(
+                DataDeps::from_deps(vec![Vec::new(); prog.len()]),
+                ControlDeps::compute(&prog, &Cfg::build(&prog)),
+            )),
+            ..AnalysisSeed::default()
+        };
+        assert_eq!(
+            decode_snapshot(&encode_snapshot(src, &prog, &seed)).err(),
+            Some(SnapshotError::Malformed)
+        );
+        assert!(decode_snapshot(&encode_snapshot(src, &prog, &AnalysisSeed::default())).is_ok());
     }
 
     /// A reaching section must describe the embedded program: its def

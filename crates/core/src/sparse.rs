@@ -14,13 +14,17 @@
 //!
 //! This module exploits that in two layers:
 //!
-//! * [`ChainIndex`] captures each live unconditional jump's two chains as
-//!   per-statement parent arrays (chains share suffixes in both trees)
-//!   plus per-chain span-trimmed masks, so "nearest pdom/lexical successor
-//!   *in the slice*" becomes a word-parallel `mask ∩ slice` probe (usually
-//!   answering `None` immediately) followed by a short parent-array walk;
-//!   and it inverts the chains into `affected`: statement → the jumps
-//!   whose test that statement can change.
+//! * [`ChainIndex`] holds both trees as per-statement parent arrays (chains
+//!   share suffixes, so a chain is a walk up one array) and turns chain
+//!   membership around with preorder intervals. A statement lies on a
+//!   jump's pdom chain exactly when the jump lies in the statement's
+//!   proper pdom subtree; jumps are numbered in pdom preorder, so those
+//!   jumps are one run of chain ids. Likewise a statement's proper LST
+//!   subtree is one run of LST ranks, mapped to chain ids through a
+//!   permutation. The do-while guard adds, for each do-while around the
+//!   statement, the LST subtrees of that do-while's candidates (body
+//!   statements whose lexical successor is the do-while), ranked as one
+//!   run. The index is O(statements + jumps) words.
 //! * [`figure7`] replays the round-based loop's rounds, but each round
 //!   only re-tests the *dirty* jumps — those whose chains intersect the
 //!   delta of statements admitted since their last test — in
@@ -28,33 +32,41 @@
 //!   Deltas flow out of the dependence closures
 //!   (`Pdg::backward_closure_delta`), and a dirty jump the current round
 //!   has already passed is deferred to the next round, exactly when the
-//!   dense loop would re-test it. Admission order, rounds, provenance,
-//!   `traversals`: all bit-identical.
+//!   dense loop would re-test it. Per slice, two bits per jump say whether
+//!   the slice touches its pdom chain and its LST chain at all; a clear
+//!   bit answers "exit" without walking. Admission order, rounds,
+//!   provenance, `traversals`: all bit-identical.
 //!
-//! Complexity: O(admissions × affected-jumps) probe work instead of
-//! O(rounds × jumps × depth); the confirming final round costs only the
-//! (empty) worklist check instead of a full traversal.
+//! Complexity: the seed costs O(closure + jumps); each statement an
+//! admission adds marks its two intervals, O(1 + interval words) apiece,
+//! plus one interval per enclosing do-while; each newly dirty jump costs
+//! O(1). That replaces O(rounds × jumps × depth) walks, and the confirming
+//! final round costs only the (empty) worklist check instead of a full
+//! traversal.
 
 use crate::provenance::Recorder;
-use crate::wire::{self, Reader};
-use crate::{reassociate_labels, Analysis, Criterion, Slice};
+use crate::{reassociate_labels, Analysis, Criterion, LexSuccTree, Slice};
+use jumpslice_cfg::Cfg;
 use jumpslice_dataflow::{BitSet, StmtSet};
-use jumpslice_lang::{StmtId, StmtKind};
+use jumpslice_graph::DomTree;
+use jumpslice_lang::{Program, StmtId, StmtKind};
 use jumpslice_obs as obs;
 use std::cell::RefCell;
-
-/// Sentinel for "no do-while body" in the body-id arrays of [`ChainIndex`].
-const NO_BODY: u32 = u32::MAX;
 
 /// Sentinel for "the chain ends here (exit)" in the parent arrays.
 const NO_STMT: u32 = u32::MAX;
 
-/// Checked narrowing for the indices the chain index stores as `u32`
-/// (statement ids in the parent arrays, do-while body ids). `u32::MAX`
-/// itself is excluded: it is the [`NO_STMT`]/[`NO_BODY`] sentinel, so a
-/// silent `as u32` truncation — or an exact collision with the sentinel —
-/// would corrupt the chain walks instead of failing. No real program gets near 2³²−1 statements, so this panics
-/// rather than plumbing a `Result` through the builder.
+/// Sentinel for "no enclosing do-while" in the do-while links.
+const NO_DW: u32 = u32::MAX;
+
+/// Checked narrowing for the indices the chain index stores as `u32`.
+/// `u32::MAX` itself is excluded: it is the [`NO_STMT`]/[`NO_DW`]
+/// sentinel, so a silent `as u32` truncation — or an exact collision with
+/// the sentinel — would corrupt the chain walks instead of failing. The
+/// builder checks the statement count once, which bounds every statement
+/// index, jump count and do-while count it stores. No real program gets
+/// near 2³²−1 statements, so this panics rather than plumbing a `Result`
+/// through the builder.
 #[inline]
 fn index_u32(i: usize, what: &str) -> u32 {
     assert!(
@@ -66,59 +78,34 @@ fn index_u32(i: usize, what: &str) -> u32 {
     i as u32
 }
 
-/// A span-trimmed statement mask: `words[i]` covers statement indices
-/// `(off + i) * 64 ..`, with leading and trailing zero words dropped.
-/// Chains occupy a contiguous tail of the program on goto-heavy inputs, so
-/// probing a full-width [`StmtSet`] would wade through the zero prefix on
-/// every test; trimming makes the common dense-slice probe O(1).
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-struct Mask {
-    off: usize,
-    words: Vec<u64>,
+/// A half-open run `lo..hi` of chain ids (pdom tree) or LST ranks.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+struct Span {
+    lo: u32,
+    hi: u32,
 }
 
-impl Mask {
-    fn from_set(set: &StmtSet) -> Mask {
-        let w = set.words();
-        let Some(first) = w.iter().position(|&x| x != 0) else {
-            return Mask::default();
-        };
-        let last = w.iter().rposition(|&x| x != 0).expect("some word is set");
-        Mask {
-            off: first,
-            words: w[first..=last].to_vec(),
-        }
+impl Span {
+    fn range(self) -> std::ops::Range<usize> {
+        self.lo as usize..self.hi as usize
     }
+}
 
-    /// Whether the mask shares a statement with `slice`, scanning only the
-    /// mask's own span.
-    fn intersects(&self, slice: &StmtSet) -> bool {
-        match slice.words().get(self.off..) {
-            Some(sw) => self.words.iter().zip(sw).any(|(a, b)| a & b != 0),
-            None => false,
-        }
-    }
-
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        wire::put_len(out, self.off);
-        wire::put_len(out, self.words.len());
-        for &w in &self.words {
-            wire::put_u64(out, w);
-        }
-    }
-
-    /// Decodes a mask whose span must fit a statement universe of
-    /// `stmt_words` words; a span past that bound is malformed.
-    fn decode_from(r: &mut Reader<'_>, stmt_words: usize) -> Option<Mask> {
-        let off = r.len(stmt_words)?;
-        let n = r.len(stmt_words - off)?;
-        let raw = r.bytes(n.checked_mul(8)?)?;
-        let words = raw
-            .chunks_exact(8)
-            .map(|w| u64::from_le_bytes(w.try_into().expect("chunks_exact(8)")))
-            .collect();
-        Some(Mask { off, words })
-    }
+/// One `do-while` of the program, as the hazard guard sees it.
+#[derive(Clone, Debug, PartialEq, Eq)]
+struct DoWhile {
+    /// The nearest do-while lexically enclosing this one, or [`NO_DW`].
+    up: u32,
+    /// Its candidates' subtrees, one run of LST ranks: the candidates are
+    /// the statements inside its body whose lexical successor is the
+    /// do-while itself (deleting one lands on the loop condition), and the
+    /// build ranks them last among the do-while's LST children.
+    cands: Span,
+    /// Its body as a span-trimmed statement mask: the run
+    /// `ChainIndex::body_words[words]`, whose first word covers statements
+    /// from `first_word * 64` on.
+    first_word: u32,
+    words: Span,
 }
 
 /// Flattened per-jump chain data, built once per program and cached on
@@ -127,226 +114,269 @@ impl Mask {
 /// Opaque outside this crate: it appears in [`crate::AnalysisSeed`] so the
 /// incremental edit session can carry it across edits that leave the jump
 /// structure, postdominators, and lexical successor tree intact, but its
-/// contents are an implementation detail of the sparse kernel.
-#[derive(Clone, Debug, PartialEq, Eq)]
+/// contents are an implementation detail of the sparse kernel. It is never
+/// persisted: a restored snapshot derives it from the program.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ChainIndex {
     /// The indexed jumps — every live unconditional jump, in pdom preorder,
     /// which is Figure 7's visit order. A chain id is an index into this
-    /// (and every per-chain) vector, so it is also the jump's visit rank.
+    /// vector, so it is also the jump's visit rank.
     jumps: Vec<StmtId>,
-    /// Statement index → the next statement-bearing proper pdom ancestor
-    /// ([`NO_STMT`] = the exit). Chains share suffixes in the pdom tree, so
-    /// one parent array replaces per-jump chain vectors: a chain is the
-    /// walk `pnext[j]`, `pnext[pnext[j]]`, … Filled only along the paths
-    /// from indexed jumps; untouched entries stay [`NO_STMT`], which a walk
-    /// reads as "exit" and never follows further.
+    /// Statement index → its pdom parent ([`NO_STMT`] = the exit). Chains
+    /// share suffixes in the pdom tree, so one parent array replaces
+    /// per-jump chain vectors: a chain is the walk `pnext[j]`,
+    /// `pnext[pnext[j]]`, …
     pnext: Vec<u32>,
     /// Statement index → the immediate lexical successor ([`NO_STMT`] =
     /// the exit); the LST's own parent pointers, re-indexed by statement.
     lnext: Vec<u32>,
-    /// Per chain: the pdom-chain statements as a mask for the word-parallel
-    /// "does the slice touch this chain at all?" probe.
-    pdom_masks: Vec<Mask>,
-    /// Per chain: the lexical-successor chain as a mask.
-    lst_masks: Vec<Mask>,
     /// Statement index → the nearest statement at-or-after it on the
     /// lexical-successor chain whose outgoing edge enters a do-while *from
     /// inside its body* (the hazard guard's candidate shape — a static
     /// property of the edge), or [`NO_STMT`]. Chains share suffixes, so one
     /// skip pointer per statement replaces a candidate list per chain.
     hz_skip: Vec<u32>,
-    /// Statement index → the body index of that candidate edge's do-while
-    /// (meaningful only where `hz_skip[s] == s`).
-    hz_body: Vec<u32>,
-    /// The do-while body sets the hazard candidates refer to.
-    bodies: Vec<Mask>,
-    /// Per chain: everything that can change the jump's test — both chains
-    /// plus the candidate bodies — as one mask, for the O(span words) "does
-    /// this slice touch the jump at all?" seed probe.
-    touch_masks: Vec<Mask>,
-    /// Statement index → the chain ids whose jump test can change when this
-    /// statement enters the slice (`touch_masks` inverted), as a bitset over
-    /// chain ids so delta dirtying is a word-parallel union.
-    affected: Vec<BitSet>,
+    /// Statement index → the nearest do-while lexically enclosing it, an
+    /// index into `dws` ([`NO_DW`] if none). At a hazard candidate this is
+    /// the do-while its edge enters: that do-while is the candidate's
+    /// nearest enclosing loop.
+    dw_of: Vec<u32>,
+    /// The program's do-whiles, outer ones first.
+    dws: Vec<DoWhile>,
+    /// The do-while body masks, back to back.
+    body_words: Vec<u64>,
+    /// Statement index → the chain ids of the jumps in its proper pdom
+    /// subtree: the jumps whose pdom chain passes through it.
+    pspan: Vec<Span>,
+    /// Statement index → the LST ranks of the jumps in its proper LST
+    /// subtree: the jumps whose lexical-successor chain passes through it.
+    lspan: Vec<Span>,
+    /// Chain id → LST rank.
+    lrank: Vec<u32>,
+    /// LST rank → chain id.
+    lperm: Vec<u32>,
 }
 
 impl ChainIndex {
-    /// Builds the index; forces the postdominator tree and (when the
-    /// program has any indexed jump) the lexical successor tree.
-    pub(crate) fn build(a: &Analysis<'_>) -> ChainIndex {
+    /// Builds the index from the program's flowgraph and postdominator
+    /// tree. `lst` is asked for the lexical successor tree only when the
+    /// program has an indexed jump.
+    pub(crate) fn build<'t>(
+        prog: &Program,
+        cfg: &Cfg,
+        pdom: &DomTree,
+        lst: impl FnOnce() -> &'t LexSuccTree,
+    ) -> ChainIndex {
         let _t = obs::phase(obs::Phase::ChainIndexBuild);
-        let prog = a.prog();
         let n = prog.len();
-        let jumps = a.jumps_in_pdom_preorder();
+        index_u32(n, "statement count");
+        let indexed = |s: StmtId| {
+            prog.stmt(s).kind.is_unconditional_jump() && cfg.reachable()[cfg.node(s).index()]
+        };
 
-        let mut pdom_masks = Vec::with_capacity(jumps.len());
-        let mut lst_masks = Vec::with_capacity(jumps.len());
-        let mut touch_masks = Vec::with_capacity(jumps.len());
-        // Full-width body sets kept through the build for the touch unions;
-        // only the trimmed masks survive into the index.
-        let mut body_sets: Vec<StmtSet> = Vec::new();
-        let mut body_of: Vec<u32> = vec![NO_BODY; n];
+        // The pdom tree in preorder numbers the jumps and opens each
+        // statement's span just past itself; in reverse preorder every
+        // statement has heard from all of its descendants, so its span's
+        // `hi` (a jump count until then) can be closed and handed up. The
+        // exit is the root and the entry a leaf, so every other node is a
+        // statement.
+        let mut jumps: Vec<StmtId> = Vec::new();
         let mut pnext = vec![NO_STMT; n];
-        let mut lnext = vec![NO_STMT; n];
-        let mut hz_skip = vec![NO_STMT; n];
-        let mut hz_body = vec![NO_BODY; n];
+        let mut pspan = vec![Span::default(); n];
         let mut chain_stmts = 0u64;
-
+        for v in pdom.preorder() {
+            let Some(s) = cfg.stmt(v) else { continue };
+            if let Some(t) = pdom.idom(v).and_then(|p| cfg.stmt(p)) {
+                pnext[s.index()] = t.index() as u32;
+            }
+            if indexed(s) {
+                jumps.push(s);
+                chain_stmts += u64::from(pdom.depth(v) - 1);
+            }
+            pspan[s.index()].lo = jumps.len() as u32;
+        }
         if jumps.is_empty() {
-            // Listing the jumps has forced the pdom tree; a jump-free
-            // program skips the LST and the chain walks.
-            return ChainIndex {
-                jumps,
-                pnext,
-                lnext,
-                pdom_masks,
-                lst_masks,
-                hz_skip,
-                hz_body,
-                bodies: Vec::new(),
-                touch_masks,
-                affected: Vec::new(),
-            };
+            // A jump-free program: no chain is ever tested, and the LST
+            // is never asked for.
+            return ChainIndex::default();
         }
-
-        let cfg = a.cfg();
-        let pdom = a.pdom();
-        let lst = a.lst();
-
-        // Parent arrays. The LST hands its parent pointers over directly;
-        // pdom chains are filled by walking up from each jump, stopping as
-        // soon as the walk enters territory an earlier jump already mapped
-        // (chains in a tree share suffixes), so the total is O(distinct
-        // chain statements), not O(sum of chain lengths).
-        for s in prog.stmt_ids() {
-            lnext[s.index()] = match lst.immediate(s) {
-                Some(t) => index_u32(t.index(), "statement index"),
-                None => NO_STMT,
-            };
-        }
-        for &j in jumps.iter() {
-            let mut prev = j;
-            for anc in pdom.ancestors(cfg.node(j)) {
-                if anc == cfg.exit() {
-                    break;
-                }
-                let Some(t) = cfg.stmt(anc) else { continue };
-                pnext[prev.index()] = index_u32(t.index(), "statement index");
-                prev = t;
-                if pnext[prev.index()] != NO_STMT {
-                    break;
-                }
+        jumps.shrink_to_fit();
+        for v in pdom.preorder().rev() {
+            let Some(s) = cfg.stmt(v) else { continue };
+            let span = &mut pspan[s.index()];
+            let below = span.hi;
+            span.hi = span.lo + below;
+            let own = u32::from(indexed(s));
+            if let Some(p) = pdom.idom(v).and_then(|p| cfg.stmt(p)) {
+                pspan[p.index()].hi += below + own;
             }
         }
 
-        // Chain masks by memoized suffix-sharing DP: the mask of a
-        // statement is its parent's mask plus the parent — one word-parallel
-        // copy per distinct chain statement instead of per-element inserts
-        // per jump.
-        let mut pmask_memo: Vec<Option<StmtSet>> = vec![None; n];
-        let mut lmask_memo: Vec<Option<StmtSet>> = vec![None; n];
-        // Hazard DP over the LST: whether a chain step enters a do-while
-        // from inside its body depends only on the edge, and every statement
-        // has exactly one outgoing chain edge, so candidacy is a
-        // per-statement fact. `hz_skip[s]` skips to the nearest candidate
-        // at-or-after `s` — suffix-shared across chains with no list copies.
-        let mut hz_done = vec![false; n];
-        let mut path: Vec<StmtId> = Vec::new();
-        let mut touch_sets: Vec<StmtSet> = Vec::with_capacity(jumps.len());
-
-        for &j in &jumps {
-            chain_mask(j, &pnext, &mut pmask_memo, &mut path, n);
-            chain_mask(j, &lnext, &mut lmask_memo, &mut path, n);
-
-            // Hazard skip pointers, deepest unresolved statement first.
-            path.clear();
-            let mut cur = j;
-            while !hz_done[cur.index()] {
-                path.push(cur);
-                let t = lnext[cur.index()];
-                if t == NO_STMT {
-                    break;
-                }
-                cur = StmtId::from_index(t as usize);
-            }
-            while let Some(u) = path.pop() {
-                let t = lnext[u.index()];
-                hz_skip[u.index()] = if t == NO_STMT {
-                    NO_STMT
-                } else {
-                    let t = StmtId::from_index(t as usize);
-                    if matches!(prog.stmt(t).kind, StmtKind::DoWhile { .. })
-                        && a.dowhile_body(t).contains(u)
-                    {
-                        hz_body[u.index()] = if body_of[t.index()] == NO_BODY {
-                            let idx = index_u32(body_sets.len(), "do-while body id");
-                            body_of[t.index()] = idx;
-                            body_sets.push(a.dowhile_body(t).clone());
-                            idx
-                        } else {
-                            body_of[t.index()]
-                        };
-                        index_u32(u.index(), "statement index")
-                    } else {
-                        hz_skip[t.index()]
-                    }
+        // The do-whiles, outer ones first, and the nearest one around each
+        // statement (parents precede children in the lexical order).
+        let st = prog.structure();
+        let mut dw_of = vec![NO_DW; n];
+        let mut dws: Vec<DoWhile> = Vec::new();
+        {
+            let mut dw_index = vec![NO_DW; n];
+            for &s in prog.lexical_order() {
+                let up = match st.parent(s) {
+                    Some(p) if dw_index[p.index()] != NO_DW => dw_index[p.index()],
+                    Some(p) => dw_of[p.index()],
+                    None => NO_DW,
                 };
-                hz_done[u.index()] = true;
-            }
-
-            let pm = pmask_memo[j.index()].as_ref().expect("just ensured");
-            let lm = lmask_memo[j.index()].as_ref().expect("just ensured");
-            chain_stmts += (pm.len() + lm.len()) as u64;
-
-            let mut touch = pm.clone();
-            touch.union_with(lm);
-            let mut v = hz_skip[j.index()];
-            while v != NO_STMT {
-                touch.union_with(&body_sets[hz_body[v as usize] as usize]);
-                v = hz_skip[lnext[v as usize] as usize];
-            }
-            touch_masks.push(Mask::from_set(&touch));
-            touch_sets.push(touch);
-            pdom_masks.push(Mask::from_set(pm));
-            lst_masks.push(Mask::from_set(lm));
-        }
-        let bodies = body_sets.iter().map(Mask::from_set).collect();
-
-        // `affected` is the touch matrix transposed (statement → chains),
-        // produced 64×64 bit-block at a time instead of bit-by-bit.
-        let chain_words = jumps.len().div_ceil(64);
-        let stmt_words = n.div_ceil(64);
-        let mut aff_words: Vec<Vec<u64>> = vec![vec![0; chain_words]; n];
-        let mut block = [0u64; 64];
-        for cb in 0..chain_words {
-            for w in 0..stmt_words {
-                block.fill(0);
-                let mut any = false;
-                for (r, set) in touch_sets[cb * 64..].iter().take(64).enumerate() {
-                    let v = set.words().get(w).copied().unwrap_or(0);
-                    block[r] = v;
-                    any |= v != 0;
-                }
-                if !any {
-                    continue;
-                }
-                // transpose64 works in MSB-first row order; bracketing it
-                // with row reversals yields the LSB-first transpose
-                // (bit b of row r → bit r of row b).
-                block.reverse();
-                transpose64(&mut block);
-                block.reverse();
-                for (b, &v) in block.iter().enumerate() {
-                    if v != 0 {
-                        aff_words[w * 64 + b][cb] = v;
-                    }
+                dw_of[s.index()] = up;
+                if matches!(prog.stmt(s).kind, StmtKind::DoWhile { .. }) {
+                    dw_index[s.index()] = dws.len() as u32;
+                    dws.push(DoWhile {
+                        up,
+                        cands: Span::default(),
+                        first_word: 0,
+                        words: Span::default(),
+                    });
                 }
             }
         }
-        let affected: Vec<BitSet> = aff_words
-            .into_iter()
-            .map(|ws| BitSet::from_words(jumps.len(), ws))
+
+        // The LST, depth first from the exit with children by statement
+        // index, walked through first-child/next-sibling links and the
+        // parent pointers, so no stack grows with the tree's depth: rank
+        // the jumps, span every statement's subtree, and fill the hazard
+        // skip pointers parents first.
+        let lst = lst();
+        let mut lnext = vec![NO_STMT; n];
+        for (s, next) in lnext.iter_mut().enumerate() {
+            *next = lst
+                .immediate(StmtId::from_index(s))
+                .map_or(NO_STMT, |t| t.index() as u32);
+        }
+        let candidate: Vec<bool> = (0..n)
+            .map(|u| {
+                let t = lnext[u];
+                t != NO_STMT
+                    && matches!(
+                        prog.stmt(StmtId::from_index(t as usize)).kind,
+                        StmtKind::DoWhile { .. }
+                    )
+                    // Entering from before the do-while enters its body;
+                    // only its own body statements follow it in the lexical
+                    // order.
+                    && prog.line_of(StmtId::from_index(u))
+                        > prog.line_of(StmtId::from_index(t as usize))
+            })
             .collect();
+        // Children by statement index, a do-while's candidates after its
+        // other children (each pass prepends, so the candidates' pass runs
+        // first), so that their subtrees form one run of ranks.
+        let mut first_kid = vec![NO_STMT; n + 1];
+        let mut next_sib = vec![NO_STMT; n];
+        for pass in [true, false] {
+            for s in (0..n).rev().filter(|&s| candidate[s] == pass) {
+                let p = lnext[s].min(n as u32) as usize;
+                next_sib[s] = first_kid[p];
+                first_kid[p] = s as u32;
+            }
+        }
+        let mut chain_of = vec![NO_STMT; n];
+        for (c, &j) in jumps.iter().enumerate() {
+            chain_of[j.index()] = c as u32;
+        }
+        let mut lrank = vec![0u32; jumps.len()];
+        let mut lperm: Vec<u32> = Vec::with_capacity(jumps.len());
+        let mut lspan = vec![Span::default(); n];
+        let mut hz_skip = vec![NO_STMT; n];
+        let mut depth = 0u64;
+        let mut u = first_kid[n];
+        while u != NO_STMT {
+            let v = u as usize;
+            let c = chain_of[v];
+            if c != NO_STMT {
+                lrank[c as usize] = lperm.len() as u32;
+                lperm.push(c);
+                chain_stmts += depth;
+            }
+            lspan[v].lo = lperm.len() as u32;
+            hz_skip[v] = match lnext[v] {
+                NO_STMT => NO_STMT,
+                _ if candidate[v] => u,
+                t => hz_skip[t as usize],
+            };
+            if first_kid[v] != NO_STMT {
+                u = first_kid[v];
+                depth += 1;
+                continue;
+            }
+            // Leave `u` and every ancestor whose last child it closes.
+            loop {
+                lspan[u as usize].hi = lperm.len() as u32;
+                if next_sib[u as usize] != NO_STMT {
+                    u = next_sib[u as usize];
+                    break;
+                }
+                u = lnext[u as usize];
+                if u == NO_STMT {
+                    break;
+                }
+                depth -= 1;
+            }
+        }
+        drop((first_kid, next_sib));
+
+        // Each do-while's candidates, as the one run of ranks their
+        // subtrees fill.
+        for u in (0..n).filter(|&u| candidate[u]) {
+            // The do-while a candidate enters is its nearest enclosing
+            // loop, so its nearest enclosing do-while.
+            let dw = &mut dws[dw_of[u] as usize];
+            let own = u32::from(chain_of[u] != NO_STMT);
+            let lo = lspan[u].lo - own;
+            dw.cands = if dw.cands.lo == dw.cands.hi {
+                Span {
+                    lo,
+                    hi: lspan[u].hi,
+                }
+            } else {
+                Span {
+                    lo: dw.cands.lo.min(lo),
+                    hi: dw.cands.hi.max(lspan[u].hi),
+                }
+            };
+        }
+        drop((candidate, chain_of));
+
+        // Body masks: the statement-index extent of each body, then its
+        // bits, each statement walking up its enclosing do-whiles.
+        let mut extent = vec![(u32::MAX, 0u32); dws.len()];
+        for (s, &inner) in dw_of.iter().enumerate() {
+            let mut k = inner;
+            while k != NO_DW {
+                let e = &mut extent[k as usize];
+                *e = (e.0.min(s as u32), e.1.max(s as u32));
+                k = dws[k as usize].up;
+            }
+        }
+        let mut words = 0u32;
+        for (dw, &(lo, hi)) in dws.iter_mut().zip(&extent) {
+            if lo <= hi {
+                dw.first_word = lo / 64;
+                dw.words = Span {
+                    lo: words,
+                    hi: words + hi / 64 - lo / 64 + 1,
+                };
+                words = dw.words.hi;
+            }
+        }
+        drop(extent);
+        let mut body_words = vec![0u64; words as usize];
+        for (s, &inner) in dw_of.iter().enumerate() {
+            let mut k = inner;
+            while k != NO_DW {
+                let dw = &dws[k as usize];
+                body_words[dw.words.lo as usize + s / 64 - dw.first_word as usize] |= 1 << (s % 64);
+                k = dw.up;
+            }
+        }
+        dws.shrink_to_fit();
 
         obs::record(|| obs::Event::Count {
             name: "sparse.chains",
@@ -361,158 +391,30 @@ impl ChainIndex {
             jumps,
             pnext,
             lnext,
-            pdom_masks,
-            lst_masks,
             hz_skip,
-            hz_body,
-            bodies,
-            touch_masks,
-            affected,
+            dw_of,
+            dws,
+            body_words,
+            pspan,
+            lspan,
+            lrank,
+            lperm,
         }
     }
 
-    /// Serializes the index for the analysis snapshot store. The layout is
-    /// private to this crate; [`ChainIndex::decode_from`] is the only
-    /// reader.
-    pub(crate) fn encode_into(&self, out: &mut Vec<u8>) {
-        let n = self.pnext.len();
-        wire::put_len(out, n);
-        wire::put_len(out, self.jumps.len());
-        for &j in &self.jumps {
-            wire::put_u32(out, index_u32(j.index(), "statement index"));
-        }
-        for arr in [&self.pnext, &self.lnext, &self.hz_skip, &self.hz_body] {
-            debug_assert_eq!(arr.len(), n);
-            for &v in arr.iter() {
-                wire::put_u32(out, v);
-            }
-        }
-        wire::put_len(out, self.bodies.len());
-        for group in [
-            &self.pdom_masks,
-            &self.lst_masks,
-            &self.touch_masks,
-            &self.bodies,
-        ] {
-            for m in group.iter() {
-                m.encode_into(out);
-            }
-        }
-        wire::put_len(out, self.affected.len());
-        for set in &self.affected {
-            set.encode_into(out);
-        }
-    }
-
-    /// Decodes an index for a program of `n` statements, validating every
-    /// stored index against its array's bounds (sentinels pass through)
-    /// and the walks the kernel makes over them: the parent arrays must be
-    /// acyclic, and every hazard skip pointer must follow the build's
-    /// recurrence, so every probe reaches its sentinel. `None` means the
-    /// bytes are malformed — the caller falls back to rebuilding from
-    /// source. Whether the chains are this program's is the snapshot
-    /// layer's whole-record checksum's concern.
-    pub(crate) fn decode_from(r: &mut Reader<'_>, n: usize) -> Option<ChainIndex> {
-        fn u32_array(r: &mut Reader<'_>, len: usize, bound: usize) -> Option<Vec<u32>> {
-            (0..len)
-                .map(|_| {
-                    let v = r.u32()?;
-                    (v == u32::MAX || (v as usize) < bound).then_some(v)
-                })
-                .collect()
-        }
-        fn masks(r: &mut Reader<'_>, len: usize, stmt_words: usize) -> Option<Vec<Mask>> {
-            (0..len).map(|_| Mask::decode_from(r, stmt_words)).collect()
-        }
-
-        if r.len(n)? != n {
-            return None;
-        }
-        let jc = r.len(n)?;
-        let jumps = (0..jc)
-            .map(|_| {
-                let v = r.u32()? as usize;
-                (v < n).then(|| StmtId::from_index(v))
-            })
-            .collect::<Option<Vec<StmtId>>>()?;
-        // A statement listed twice would be visited twice per round.
-        let mut listed = StmtSet::with_capacity(n);
-        if !jumps.iter().all(|&j| listed.insert(j)) {
-            return None;
-        }
-        let pnext = u32_array(r, n, n)?;
-        let lnext = u32_array(r, n, n)?;
-        let hz_skip = u32_array(r, n, n)?;
-        // Body ids are bounded by the statement count (one body per
-        // distinct do-while); the exact bound is re-checked below once the
-        // body count has been read.
-        let hz_body = u32_array(r, n, n)?;
-        let n_bodies = r.len(n)?;
-        if hz_body
-            .iter()
-            .any(|&v| v != NO_BODY && v as usize >= n_bodies)
-        {
-            return None;
-        }
-        if !acyclic(&pnext) || !acyclic(&lnext) {
-            return None;
-        }
-        // The build sets `hz_skip[s]` to the sentinel, to `s` itself (its
-        // edge enters a do-while's predicate from that do-while's body,
-        // with a body id), or to its lexical successor's pointer. Along an
-        // acyclic `lnext` that keeps every `hazard` walk on the chain.
-        let skip_ok = |s: usize| {
-            let (h, t) = (hz_skip[s], lnext[s]);
-            h == NO_STMT
-                || t != NO_STMT
-                    && (h as usize == s && hz_body[s] != NO_BODY || h == hz_skip[t as usize])
-        };
-        if !(0..n).all(skip_ok) {
-            return None;
-        }
-        let stmt_words = n.div_ceil(64);
-        let pdom_masks = masks(r, jc, stmt_words)?;
-        let lst_masks = masks(r, jc, stmt_words)?;
-        let touch_masks = masks(r, jc, stmt_words)?;
-        let bodies = masks(r, n_bodies, stmt_words)?;
-        let n_affected = r.len(n)?;
-        if n_affected != if jc == 0 { 0 } else { n } {
-            return None;
-        }
-        let affected = (0..n_affected)
-            .map(|_| {
-                let set = r.bitset()?;
-                (set.capacity() == jc).then_some(set)
-            })
-            .collect::<Option<Vec<BitSet>>>()?;
-        Some(ChainIndex {
-            jumps,
-            pnext,
-            lnext,
-            pdom_masks,
-            lst_masks,
-            hz_skip,
-            hz_body,
-            bodies,
-            touch_masks,
-            affected,
-        })
-    }
-
-    /// `Analysis::nearest_pdom_in`, answered by a parent-array walk gated
-    /// on the chain mask.
+    /// `Analysis::nearest_pdom_in`, answered by a parent-array walk.
     fn nearest_pdom_in(&self, c: usize, slice: &StmtSet) -> Option<StmtId> {
-        nearest_in(self.jumps[c], &self.pnext, &self.pdom_masks[c], slice)
+        nearest_in(self.jumps[c], &self.pnext, slice)
     }
 
     /// `Analysis::nearest_lexsucc_in`, answered the same way over the LST
     /// parent array.
     fn nearest_lexsucc_in(&self, c: usize, slice: &StmtSet) -> Option<StmtId> {
-        nearest_in(self.jumps[c], &self.lnext, &self.lst_masks[c], slice)
+        nearest_in(self.jumps[c], &self.lnext, slice)
     }
 
     /// `Analysis::dowhile_hazard`, answered from the precomputed skip
-    /// pointers and body bitsets. Walks chain statements up to the last
+    /// pointers and body masks. Walks chain statements up to the last
     /// candidate do-while, bailing on the first one already in the slice.
     fn hazard(&self, c: usize, slice: &StmtSet) -> bool {
         let mut v = self.hz_skip[self.jumps[c].index()];
@@ -535,7 +437,7 @@ impl ChainIndex {
                     break;
                 }
             }
-            if self.bodies[self.hz_body[v as usize] as usize].intersects(slice) {
+            if self.body_meets(self.dw_of[v as usize], slice) {
                 return true;
             }
             v = self.hz_skip[d as usize];
@@ -544,41 +446,34 @@ impl ChainIndex {
             }
         }
     }
-}
 
-/// Whether following `next` from every statement reaches [`NO_STMT`]: one
-/// pass in which each statement is entered once, marked on the walk that
-/// first reaches it and settled when that walk ends.
-fn acyclic(next: &[u32]) -> bool {
-    const NEW: u8 = 0;
-    const ON_WALK: u8 = 1;
-    const SETTLED: u8 = 2;
-    let mut state = vec![NEW; next.len()];
-    for start in 0..next.len() {
-        let mut s = start as u32;
-        while s != NO_STMT && state[s as usize] == NEW {
-            state[s as usize] = ON_WALK;
-            s = next[s as usize];
-        }
-        if s != NO_STMT && state[s as usize] == ON_WALK {
-            return false;
-        }
-        let mut s = start as u32;
-        while s != NO_STMT && state[s as usize] == ON_WALK {
-            state[s as usize] = SETTLED;
-            s = next[s as usize];
+    /// Whether do-while `k`'s body shares a statement with `slice`,
+    /// scanning only the body's own span.
+    fn body_meets(&self, k: u32, slice: &StmtSet) -> bool {
+        let dw = &self.dws[k as usize];
+        let body = &self.body_words[dw.words.range()];
+        match slice.words().get(dw.first_word as usize..) {
+            Some(sw) => body.iter().zip(sw).any(|(a, b)| a & b != 0),
+            None => false,
         }
     }
-    true
+
+    /// The do-whiles lexically enclosing statement `s`, innermost first.
+    fn enclosing(&self, s: usize) -> impl Iterator<Item = u32> + '_ {
+        let mut k = self.dw_of[s];
+        std::iter::from_fn(move || {
+            (k != NO_DW).then(|| {
+                let this = k;
+                k = self.dws[k as usize].up;
+                this
+            })
+        })
+    }
 }
 
-/// First statement on `j`'s `next`-chain that is in `slice`, gated by a
-/// word-parallel mask probe. `None` means the walk would fall through to
-/// the exit.
-fn nearest_in(j: StmtId, next: &[u32], mask: &Mask, slice: &StmtSet) -> Option<StmtId> {
-    if !mask.intersects(slice) {
-        return None;
-    }
+/// First statement on `j`'s `next`-chain that is in `slice`. `None` means
+/// the walk fell through to the exit.
+fn nearest_in(j: StmtId, next: &[u32], slice: &StmtSet) -> Option<StmtId> {
     let mut s = next[j.index()];
     while s != NO_STMT {
         let t = StmtId::from_index(s as usize);
@@ -590,76 +485,228 @@ fn nearest_in(j: StmtId, next: &[u32], mask: &Mask, slice: &StmtSet) -> Option<S
     None
 }
 
-/// In-place 64×64 bit-matrix transpose (Hacker's Delight 7-3): afterwards
-/// bit `r` of `a[b]` is what bit `b` of `a[r]` was.
-fn transpose64(a: &mut [u64; 64]) {
-    let mut j = 32usize;
-    let mut m = 0x0000_0000_FFFF_FFFFu64;
-    while j != 0 {
-        let mut k = 0usize;
-        while k < 64 {
-            let t = (a[k] ^ (a[k + j] >> j)) & m;
-            a[k] ^= t;
-            a[k + j] ^= t << j;
-            k = (k + j + 1) & !j;
-        }
-        j >>= 1;
-        m ^= m << j;
-    }
-}
-
-/// Ensures `memo[s]` holds the set of statements on the `next`-chain
-/// strictly after `s`, resolving every statement on the path below the
-/// first already-resolved one — a suffix-sharing DP where each distinct
-/// chain statement costs one word-parallel copy of its parent's mask
-/// instead of a per-jump element walk.
-fn chain_mask(
-    s: StmtId,
-    next: &[u32],
-    memo: &mut [Option<StmtSet>],
-    path: &mut Vec<StmtId>,
-    n: usize,
-) {
-    path.clear();
-    let mut cur = s;
-    while memo[cur.index()].is_none() {
-        path.push(cur);
-        let t = next[cur.index()];
-        if t == NO_STMT {
-            break;
-        }
-        cur = StmtId::from_index(t as usize);
-    }
-    while let Some(u) = path.pop() {
-        let t = next[u.index()];
-        let set = if t == NO_STMT {
-            StmtSet::with_capacity(n)
-        } else {
-            let t = StmtId::from_index(t as usize);
-            let mut set = memo[t.index()].as_ref().expect("resolved before u").clone();
-            set.insert(t);
-            set
-        };
-        memo[u.index()] = Some(set);
-    }
-}
-
-/// Per-thread reusable buffers: the closure delta vector and the
-/// dirty-jump worklists. Pooled so the batch engine's workers run the whole
-/// fixpoint allocation-free after the first criterion.
-struct Scratch {
-    delta: Vec<StmtId>,
+/// The dirty-jump worklists. `cur` holds the jumps this round still has
+/// to test, all past the cursor; `next` those deferred to the next round,
+/// none past it. A jump is in at most one of them, and `ldirty` mirrors
+/// their union in LST-rank space, so marking an LST span touches only the
+/// jumps it newly dirties.
+#[derive(Default)]
+struct Worklist {
     cur: BitSet,
     next: BitSet,
+    ldirty: BitSet,
 }
 
-impl Default for Scratch {
-    fn default() -> Scratch {
-        Scratch {
-            delta: Vec::new(),
-            cur: BitSet::new(0),
-            next: BitSet::new(0),
+impl Worklist {
+    /// Dirties every jump whose test can change when statement `s` enters
+    /// the slice: chain ids below `split` wait for the next round, the rest
+    /// are tested in this one. Returns how many jumps became dirty.
+    fn dirty(&mut self, ci: &ChainIndex, s: usize, split: u32) -> u64 {
+        let Worklist { cur, next, ldirty } = self;
+        let mut marks = 0u64;
+        let p = ci.pspan[s];
+        let mid = split.clamp(p.lo, p.hi) as usize;
+        for (set, lo, hi) in [
+            (&mut *next, p.lo as usize, mid),
+            (&mut *cur, mid, p.hi as usize),
+        ] {
+            set.insert_range(lo, hi, |c| {
+                ldirty.insert(ci.lrank[c] as usize);
+                marks += 1;
+            });
         }
+        let mut dirty_lst = |span: Span| {
+            ldirty.insert_range(span.lo as usize, span.hi as usize, |r| {
+                let c = ci.lperm[r];
+                (if c < split { &mut *next } else { &mut *cur }).insert(c as usize);
+                marks += 1;
+            });
+        };
+        dirty_lst(ci.lspan[s]);
+        for k in ci.enclosing(s) {
+            dirty_lst(ci.dws[k as usize].cands);
+        }
+        marks
+    }
+
+    /// Takes chain `c` off the current round's list.
+    fn take(&mut self, ci: &ChainIndex, c: usize) {
+        self.cur.remove(c);
+        self.ldirty.remove(ci.lrank[c] as usize);
+    }
+}
+
+/// Per slice: whether the slice meets each jump's pdom chain (`pdom`, by
+/// chain id) and its lexical-successor chain (`lst`, by LST rank). The
+/// union of the spans of the slice's statements, which is what a chain
+/// mask probe would answer.
+#[derive(Default)]
+struct Touched {
+    pdom: BitSet,
+    lst: BitSet,
+}
+
+impl Touched {
+    /// Marks statement `s`'s pdom span and LST span, each only if asked.
+    fn mark(&mut self, ci: &ChainIndex, s: usize, pdom: bool, lst: bool) {
+        for (set, span, on) in [
+            (&mut self.pdom, ci.pspan[s], pdom),
+            (&mut self.lst, ci.lspan[s], lst),
+        ] {
+            if on {
+                set.insert_range(span.lo as usize, span.hi as usize, |_| {});
+            }
+        }
+    }
+}
+
+/// Seed dirtying: the whole conventional closure is one delta against the
+/// empty slice, so every dirty jump waits for round 1. A jump outside the
+/// closure is dirty when the closure meets its pdom chain, its LST chain or
+/// a body its hazard guard reads. Returns how many jumps that dirties.
+///
+/// The touched bits are the union of the closure statements' spans. They
+/// are counted (+1 at `lo`, -1 at `hi`, then one pass over the jumps), one
+/// visit per closure statement. A closure that outnumbers the jumps (the
+/// goto-heavy case) meets most chains within a step or two, so there each
+/// jump's two chains are walked up to the closure first, and the counting
+/// runs only if the walks take more steps than the closure has statements.
+/// Each do-while whose body the closure meets marks its candidates' span
+/// (in `ldirty`, scratch until the final pass).
+fn seed(
+    ci: &ChainIndex,
+    closure: &StmtSet,
+    work: &mut Worklist,
+    touched: &mut Touched,
+    seen: &mut BitSet,
+    counts: &mut Vec<i32>,
+) -> u64 {
+    let n_jumps = ci.jumps.len();
+    let count = closure.len() <= n_jumps || !walk_to_closure(ci, closure, touched);
+    counts.clear();
+    if count {
+        counts.resize(2 * (n_jumps + 1), 0);
+    }
+    let half = counts.len() / 2;
+    let (pcount, lcount) = counts.split_at_mut(half);
+    if count || !ci.dws.is_empty() {
+        for s in closure.iter() {
+            let s = s.index();
+            if count {
+                let (p, l) = (ci.pspan[s], ci.lspan[s]);
+                pcount[p.lo as usize] += 1;
+                pcount[p.hi as usize] -= 1;
+                lcount[l.lo as usize] += 1;
+                lcount[l.hi as usize] -= 1;
+            }
+            for k in ci.enclosing(s) {
+                if seen.contains(k as usize) {
+                    break;
+                }
+                seen.insert(k as usize);
+                let span = ci.dws[k as usize].cands;
+                work.ldirty
+                    .insert_range(span.lo as usize, span.hi as usize, |_| {});
+            }
+        }
+    }
+    if count {
+        for (count, set) in [(&*pcount, &mut touched.pdom), (&*lcount, &mut touched.lst)] {
+            let mut covering = 0;
+            for (i, &d) in count[..n_jumps].iter().enumerate() {
+                covering += d;
+                if covering > 0 {
+                    set.insert(i);
+                }
+            }
+        }
+    }
+    work.ldirty.union_with(&touched.lst);
+    for c in touched.pdom.iter() {
+        work.ldirty.insert(ci.lrank[c] as usize);
+    }
+    let mut marks = 0;
+    let mut r = 0;
+    while let Some(at) = work.ldirty.next_at_or_after(r) {
+        let c = ci.lperm[at] as usize;
+        if closure.contains(ci.jumps[c]) {
+            work.ldirty.remove(at);
+        } else {
+            work.next.insert(c);
+            marks += 1;
+        }
+        r = at + 1;
+    }
+    marks
+}
+
+/// Sets the touched bits of every jump outside `closure` by walking its
+/// two chains up to the closure, as long as the walks take no more steps
+/// in all than the closure has statements; `false` when they would.
+fn walk_to_closure(ci: &ChainIndex, closure: &StmtSet, touched: &mut Touched) -> bool {
+    let mut budget = closure.len();
+    // Whether the walk from `s` up `next` meets the closure before the
+    // exit; `None` once the budget runs out.
+    let mut meets = |mut s: u32, next: &[u32]| -> Option<bool> {
+        while s != NO_STMT {
+            if closure.contains(StmtId::from_index(s as usize)) {
+                return Some(true);
+            }
+            budget = budget.checked_sub(1)?;
+            s = next[s as usize];
+        }
+        Some(false)
+    };
+    for (c, &j) in ci.jumps.iter().enumerate() {
+        // A jump in the closure is never tested; its bits go unread.
+        if closure.contains(j) {
+            continue;
+        }
+        let Some(p) = meets(ci.pnext[j.index()], &ci.pnext) else {
+            return false;
+        };
+        let Some(l) = meets(ci.lnext[j.index()], &ci.lnext) else {
+            return false;
+        };
+        if p {
+            touched.pdom.insert(c);
+        }
+        if l {
+            touched.lst.insert(ci.lrank[c] as usize);
+        }
+    }
+    true
+}
+
+/// Whether `s`'s pdom parent and its LST parent lie outside `slice` (the
+/// exit counts as outside). A statement whose parent in a tree is in the
+/// slice adds nothing to that tree's spans: the parent's proper subtree
+/// contains the statement's.
+fn parents_outside(ci: &ChainIndex, s: usize, slice: &StmtSet) -> (bool, bool) {
+    let outside = |t: u32| t == NO_STMT || !slice.contains(StmtId::from_index(t as usize));
+    (outside(ci.pnext[s]), outside(ci.lnext[s]))
+}
+
+/// Per-thread reusable buffers: the closure delta vector, the worklists,
+/// the touched bits, and the seed's do-while marks and span counts. Pooled
+/// so the batch engine's workers run the whole fixpoint allocation-free
+/// after the first criterion.
+#[derive(Default)]
+struct Scratch {
+    delta: Vec<StmtId>,
+    work: Worklist,
+    touched: Touched,
+    seen: BitSet,
+    counts: Vec<i32>,
+}
+
+/// Empties `set` for positions `0..len`, keeping its allocation when it
+/// already has that size.
+fn reset(set: &mut BitSet, len: usize) {
+    if set.capacity() == len {
+        set.clear();
+    } else {
+        *set = BitSet::new(len);
     }
 }
 
@@ -679,8 +726,10 @@ thread_local! {
 pub(crate) fn figure7(a: &Analysis<'_>, crit: &Criterion, mut rec: Option<&mut Recorder>) -> Slice {
     let Scratch {
         mut delta,
-        mut cur,
-        mut next,
+        mut work,
+        mut touched,
+        mut seen,
+        mut counts,
     } = SCRATCH.with(|s| s.take());
 
     // One PDG lookup per slice; every closure below walks it.
@@ -714,26 +763,20 @@ pub(crate) fn figure7(a: &Analysis<'_>, crit: &Criterion, mut rec: Option<&mut R
             admitted: 0,
         });
     } else {
-        if cur.capacity() < jumps.len() {
-            cur = BitSet::new(jumps.len());
-            next = BitSet::new(jumps.len());
-        } else {
-            // Both drained empty when the previous fixpoint converged; clear
-            // anyway in case a panic unwound mid-round.
-            cur.clear();
-            next.clear();
-        }
-
-        // Seed dirtying: the whole conventional closure is one delta against
-        // the empty slice. Probing each jump's touch mask against it costs
-        // O(jumps × words) — iterating the closure through `affected` would
-        // be O(|closure| × jumps) on goto-dense programs, whose chains span
-        // most of the program.
-        for (c, &j) in jumps.iter().enumerate() {
-            if !stmts.contains(j) && ci.touch_masks[c].intersects(&stmts) {
-                dirty_marks += u64::from(next.insert(c));
+        let n_jumps = jumps.len();
+        // The worklists drain empty whenever a fixpoint finishes (a panic
+        // drops the taken scratch), so only their size may need changing.
+        for set in [&mut work.cur, &mut work.next, &mut work.ldirty] {
+            debug_assert!(set.is_empty());
+            if set.capacity() != n_jumps {
+                *set = BitSet::new(n_jumps);
             }
         }
+        reset(&mut touched.pdom, n_jumps);
+        reset(&mut touched.lst, n_jumps);
+        reset(&mut seen, ci.dws.len());
+
+        dirty_marks += seed(ci, &stmts, &mut work, &mut touched, &mut seen, &mut counts);
 
         loop {
             round += 1;
@@ -743,19 +786,29 @@ pub(crate) fn figure7(a: &Analysis<'_>, crit: &Criterion, mut rec: Option<&mut R
             let mut admitted: u32 = 0;
             {
                 let _t = obs::phase_round(obs::Phase::FixpointRound, round);
-                std::mem::swap(&mut cur, &mut next);
+                std::mem::swap(&mut work.cur, &mut work.next);
                 let mut pos = 0usize;
-                while let Some(c) = cur.next_at_or_after(pos) {
+                while let Some(c) = work.cur.next_at_or_after(pos) {
                     crate::cancel::checkpoint();
-                    cur.remove(c);
+                    work.take(ci, c);
                     pos = c;
                     let j = jumps[c];
                     if stmts.contains(j) {
                         continue;
                     }
                     retests += 1;
-                    let npd = ci.nearest_pdom_in(c, &stmts);
-                    let nls = ci.nearest_lexsucc_in(c, &stmts);
+                    // A clear touched bit means no chain statement is in
+                    // the slice: the walk would reach the exit.
+                    let npd = if touched.pdom.contains(c) {
+                        ci.nearest_pdom_in(c, &stmts)
+                    } else {
+                        None
+                    };
+                    let nls = if touched.lst.contains(ci.lrank[c] as usize) {
+                        ci.nearest_lexsucc_in(c, &stmts)
+                    } else {
+                        None
+                    };
                     let disagree = npd != nls;
                     if disagree || ci.hazard(c, &stmts) {
                         obs::record(|| obs::Event::JumpAdmitted {
@@ -779,7 +832,7 @@ pub(crate) fn figure7(a: &Analysis<'_>, crit: &Criterion, mut rec: Option<&mut R
                             // The slice is a union of closures, hence closed
                             // under dependence, as the condensed walk needs.
                             // Its delta comes in no particular order; the
-                            // masked unions below do not care.
+                            // span marking below does not care.
                             None => pdg.backward_closure_delta([j], &mut stmts, &mut delta),
                         }
                         admitted += 1;
@@ -789,13 +842,14 @@ pub(crate) fn figure7(a: &Analysis<'_>, crit: &Criterion, mut rec: Option<&mut R
                         // cursor waits for the next round, as in the paper's
                         // traversal. Already-admitted jumps may be enqueued;
                         // the drain skips them.
-                        let before = cur.len() + next.len();
+                        // A parent in the slice already marked its touched
+                        // span, but it may have been tested since, so every
+                        // delta statement dirties all of its spans.
                         for &s in &delta {
-                            let m = &ci.affected[s.index()];
-                            cur.union_range(m, c + 1, jumps.len());
-                            next.union_range(m, 0, c + 1);
+                            let (p, l) = parents_outside(ci, s.index(), &stmts);
+                            touched.mark(ci, s.index(), p, l);
+                            dirty_marks += work.dirty(ci, s.index(), c as u32 + 1);
                         }
-                        dirty_marks += (cur.len() + next.len() - before) as u64;
                     }
                 }
             }
@@ -825,7 +879,15 @@ pub(crate) fn figure7(a: &Analysis<'_>, crit: &Criterion, mut rec: Option<&mut R
         reassociate_labels(a, &stmts)
     };
 
-    SCRATCH.with(|s| *s.borrow_mut() = Scratch { delta, cur, next });
+    SCRATCH.with(|s| {
+        *s.borrow_mut() = Scratch {
+            delta,
+            work,
+            touched,
+            seen,
+            counts,
+        }
+    });
 
     Slice {
         stmts,
@@ -901,30 +963,192 @@ mod tests {
         assert!(fired, "the hazard case is actually exercised");
     }
 
-    /// The transposed `affected` inversion agrees with the touch masks it
-    /// was derived from, on a program with more than 64 chains (so the
-    /// block transpose crosses a chain-word boundary).
-    #[test]
-    fn affected_inversion_matches_touch_masks_past_64_chains() {
-        let mut src = String::from("read(x);\n");
+    /// Programs with more than 64 jumps (so spans cross chain words), goto
+    /// runs, and nested do-whiles whose bodies end in `break`.
+    fn many_jump_programs() -> Vec<Program> {
+        let mut gotos = String::from("read(x);\n");
         for k in 0..70 {
-            src.push_str(&format!("goto L{k};\nL{k}: x = x + {k};\n"));
+            gotos.push_str(&format!("goto L{k};\nL{k}: x = x + {k};\n"));
         }
-        src.push_str("write(x);");
-        let p = parse(&src).unwrap();
-        let a = Analysis::new(&p);
-        let ci = a.chain_index();
-        assert!(ci.jumps.len() > 64, "need a second chain word");
-        for s in p.stmt_ids() {
-            let single: StmtSet = [s].into_iter().collect();
-            for c in 0..ci.jumps.len() {
+        gotos.push_str("write(x);");
+        let mut nested = String::from("read(x); read(c);\n");
+        for k in 0..24 {
+            nested.push_str(&format!(
+                "do {{ x = x + {k}; if (c) break; do {{ if (x) {{ c = c - 1; break; }} \
+                 if (c) continue; x = x - 1; break; }} while (c); if (x) break; }} while (x);\n"
+            ));
+        }
+        nested.push_str("write(x); write(c);");
+        vec![parse(&gotos).unwrap(), parse(&nested).unwrap()]
+    }
+
+    /// A goto into a do-while nest, a switch inside one, and a do-while
+    /// inside a while.
+    fn mixed_program() -> Program {
+        parse(
+            "read(x); L: do { do { if (x) goto M; x = x - 1; if (x) break; } while (x); \
+                     switch (x) { case 1: break; default: x = 2; } break; } while (x); \
+             M: if (x) goto L; while (x) { x = x - 1; do { break; } while (x); } write(x);",
+        )
+        .unwrap()
+    }
+
+    /// The jumps a statement dirties, and the touched bits it sets, equal
+    /// what walking the trees says: jump `j` is dirtied by `s` when `s` is
+    /// a proper pdom ancestor of `j`, a proper lexical successor of `j`, or
+    /// in the body of the do-while a candidate on `j`'s lexical-successor
+    /// chain (`j` included) enters.
+    #[test]
+    fn span_marks_match_tree_walks_past_64_chains() {
+        let progs = many_jump_programs();
+        assert!(progs.iter().all(|p| {
+            let a = Analysis::new(p);
+            a.chain_index().jumps.len() > 64
+        }));
+        let others = [mixed_program(), corpus::fig3(), corpus::fig16()];
+        for p in progs.iter().chain(&others) {
+            let a = Analysis::new(p);
+            let ci = a.chain_index();
+            let st = p.structure();
+            let n_jumps = ci.jumps.len();
+            for s in p.stmt_ids() {
+                let on_pdom = |j: StmtId| {
+                    a.pdom()
+                        .ancestors(a.cfg().node(j))
+                        .any(|n| a.cfg().stmt(n) == Some(s))
+                };
+                let on_lst = |j: StmtId| a.lst().successors(j).any(|t| t == s);
+                let in_candidate_body = |j: StmtId| {
+                    std::iter::once(j).chain(a.lst().successors(j)).any(|u| {
+                        match a.lst().immediate(u) {
+                            Some(d) => {
+                                matches!(p.stmt(d).kind, StmtKind::DoWhile { .. })
+                                    && st.contains(d, u)
+                                    && a.dowhile_body(d).contains(s)
+                            }
+                            None => false,
+                        }
+                    })
+                };
+                let want: Vec<usize> = (0..n_jumps)
+                    .filter(|&c| {
+                        let j = ci.jumps[c];
+                        on_pdom(j) || on_lst(j) || in_candidate_body(j)
+                    })
+                    .collect();
+
+                let empty = || BitSet::new(n_jumps);
+                let mut work = Worklist {
+                    cur: empty(),
+                    next: empty(),
+                    ldirty: empty(),
+                };
+                let mut touched = Touched {
+                    pdom: empty(),
+                    lst: empty(),
+                };
+                let marks = work.dirty(ci, s.index(), n_jumps as u32);
                 assert_eq!(
-                    ci.affected[s.index()].contains(c),
-                    ci.touch_masks[c].intersects(&single),
-                    "stmt {s:?} chain {c}"
+                    work.next.iter().collect::<Vec<_>>(),
+                    want,
+                    "line {}",
+                    p.line_of(s)
                 );
+                assert_eq!(marks, want.len() as u64);
+                assert_eq!(work.cur.iter().count(), 0, "all before the split");
+                let mirrored: Vec<usize> =
+                    work.ldirty.iter().map(|r| ci.lperm[r] as usize).collect();
+                assert_eq!(mirrored.len(), want.len());
+                assert!(mirrored.iter().all(|c| want.contains(c)));
+
+                touched.mark(ci, s.index(), true, true);
+                for (c, &j) in ci.jumps.iter().enumerate() {
+                    assert_eq!(touched.pdom.contains(c), on_pdom(j));
+                    assert_eq!(touched.lst.contains(ci.lrank[c] as usize), on_lst(j));
+                }
             }
         }
+    }
+
+    /// A split inside a span sends the jumps below it to the next round
+    /// and the rest to this one, and a second marking of the same span
+    /// dirties nothing new.
+    #[test]
+    fn dirty_marks_split_at_the_cursor_once() {
+        let p = &many_jump_programs()[0];
+        let a = Analysis::new(p);
+        let ci = a.chain_index();
+        let n_jumps = ci.jumps.len();
+        let last = p.at_line(p.len());
+        let mut work = Worklist {
+            cur: BitSet::new(n_jumps),
+            next: BitSet::new(n_jumps),
+            ldirty: BitSet::new(n_jumps),
+        };
+        let split = 40u32;
+        let marks = work.dirty(ci, last.index(), split);
+        assert_eq!(
+            marks, n_jumps as u64,
+            "the last statement follows every jump"
+        );
+        assert!(work.next.iter().all(|c| c < split as usize));
+        assert!(work.cur.iter().all(|c| c >= split as usize));
+        assert_eq!(work.next.iter().count() + work.cur.iter().count(), n_jumps);
+        assert_eq!(work.dirty(ci, last.index(), split), 0);
+        for c in work.cur.iter().collect::<Vec<_>>() {
+            work.take(ci, c);
+        }
+        assert_eq!(work.ldirty.iter().count(), split as usize);
+    }
+
+    /// LST ranks and chain ids are inverse permutations of the jumps, and
+    /// each do-while's candidate span is exactly the ranks of the jumps in
+    /// its candidates' LST subtrees.
+    #[test]
+    fn lst_ranks_permute_the_chains_and_candidates_form_one_run() {
+        let mut progs = many_jump_programs();
+        progs.extend([mixed_program(), corpus::fig14(), corpus::fig16()]);
+        for p in &progs {
+            let a = Analysis::new(p);
+            let ci = a.chain_index();
+            assert_eq!(ci.lrank.len(), ci.jumps.len());
+            assert_eq!(ci.lperm.len(), ci.jumps.len());
+            for (c, &r) in ci.lrank.iter().enumerate() {
+                assert_eq!(ci.lperm[r as usize] as usize, c);
+            }
+            let st = p.structure();
+            let mut k = 0;
+            for &d in p.lexical_order() {
+                if !matches!(p.stmt(d).kind, StmtKind::DoWhile { .. }) {
+                    continue;
+                }
+                let want: Vec<u32> = (0..ci.jumps.len())
+                    .filter(|&c| {
+                        let j = ci.jumps[c];
+                        std::iter::once(j)
+                            .chain(a.lst().successors(j))
+                            .any(|u| a.lst().immediate(u) == Some(d) && st.contains(d, u))
+                    })
+                    .map(|c| ci.lrank[c])
+                    .collect();
+                let mut got: Vec<u32> = ci.dws[k].cands.range().map(|r| r as u32).collect();
+                got.sort_unstable();
+                let mut want = want;
+                want.sort_unstable();
+                assert_eq!(got, want, "do-while at line {}", p.line_of(d));
+                k += 1;
+            }
+            assert_eq!(k, ci.dws.len());
+        }
+    }
+
+    /// A jump-free program indexes nothing and never asks for the LST.
+    #[test]
+    fn jump_free_programs_skip_the_lst() {
+        let p = parse("read(x); do { x = x - 1; } while (x); write(x);").unwrap();
+        let a = Analysis::new(&p);
+        assert_eq!(a.chain_index(), &ChainIndex::default());
+        assert_eq!(a.stats().lst_builds, 0);
     }
 
     /// The checked narrowing itself: in-range indices pass through, the
@@ -943,7 +1167,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "chain index overflow")]
     fn index_guard_rejects_the_sentinel_collision() {
-        // u32::MAX is exactly NO_STMT/NO_BODY: a cast would not even
+        // u32::MAX is exactly NO_STMT/NO_DW: a cast would not even
         // truncate here, it would silently *become* the sentinel.
         index_u32(u32::MAX as usize, "statement index");
     }
@@ -955,120 +1179,6 @@ mod tests {
         if usize::BITS <= 32 {
             panic!("chain index overflow: not representable on this target");
         }
-        index_u32(u32::MAX as usize + 1, "do-while body id");
-    }
-
-    /// The wire codec reproduces the index field-for-field on jump-heavy,
-    /// do-while, and jump-free programs, and rejects truncation at every
-    /// prefix length instead of panicking.
-    #[test]
-    fn chain_index_codec_round_trips_and_rejects_truncation() {
-        let dowhile =
-            parse("read(x); do { x = x + 1; if (c) break; y = 2; } while (x < 10); write(y);")
-                .unwrap();
-        let jumpfree = parse("a = 1; write(a);").unwrap();
-        for p in [
-            corpus::fig3(),
-            corpus::fig8(),
-            corpus::fig10(),
-            dowhile,
-            jumpfree,
-        ] {
-            let a = Analysis::new(&p);
-            let ci = a.chain_index();
-            let mut bytes = Vec::new();
-            ci.encode_into(&mut bytes);
-
-            let mut r = Reader::new(&bytes);
-            let back = ChainIndex::decode_from(&mut r, p.len()).expect("well-formed bytes decode");
-            assert_eq!(r.remaining(), 0, "codec consumed exactly its record");
-            assert_eq!(&back, ci);
-
-            for cut in 0..bytes.len() {
-                let mut r = Reader::new(&bytes[..cut]);
-                assert_eq!(
-                    ChainIndex::decode_from(&mut r, p.len()),
-                    None,
-                    "truncation at {cut} must be rejected"
-                );
-            }
-            // A mismatched statement count is a stale record, not a panic.
-            let mut r = Reader::new(&bytes);
-            assert_eq!(ChainIndex::decode_from(&mut r, p.len() + 1), None);
-        }
-    }
-
-    /// Fig 3's statement count, chain index and encoded index, and the
-    /// offset of the encoding's `pnext` array (after the statement count,
-    /// the jump count and one u32 per jump).
-    fn fig3_index_bytes() -> (usize, ChainIndex, Vec<u8>, usize) {
-        let p = corpus::fig3();
-        let ci = Analysis::new(&p).chain_index().clone();
-        let mut bytes = Vec::new();
-        ci.encode_into(&mut bytes);
-        let pnext_at = 8 + 4 * ci.jumps.len();
-        (p.len(), ci, bytes, pnext_at)
-    }
-
-    fn put_word(bytes: &mut [u8], at: usize, v: u32) {
-        bytes[at..at + 4].copy_from_slice(&v.to_le_bytes());
-    }
-
-    /// A forged `lnext` that maps a jump to itself would spin the
-    /// lexical-successor probe forever; the decoder refuses it.
-    #[test]
-    fn chain_index_decoder_rejects_an_lnext_self_loop() {
-        let (n, ci, mut bytes, pnext_at) = fig3_index_bytes();
-        let j = ci.jumps[0].index();
-        put_word(&mut bytes, pnext_at + 4 * (n + j), j as u32);
-        assert_eq!(ChainIndex::decode_from(&mut Reader::new(&bytes), n), None);
-    }
-
-    /// A two-statement cycle in `pnext` is refused just the same.
-    #[test]
-    fn chain_index_decoder_rejects_a_pnext_two_cycle() {
-        let (n, ci, mut bytes, pnext_at) = fig3_index_bytes();
-        let j = ci.jumps[0];
-        let t = ci.pnext[j.index()];
-        assert_ne!(t, NO_STMT, "the first jump has a pdom chain");
-        put_word(&mut bytes, pnext_at + 4 * t as usize, j.index() as u32);
-        assert_eq!(ChainIndex::decode_from(&mut Reader::new(&bytes), n), None);
-    }
-
-    /// A hazard skip pointer that is neither the sentinel, the statement
-    /// itself, nor its lexical successor's pointer is refused: the
-    /// `hazard` walk would leave the chain.
-    #[test]
-    fn chain_index_decoder_rejects_a_stray_hazard_skip() {
-        let (n, ci, mut bytes, pnext_at) = fig3_index_bytes();
-        // A statement whose lexical successor is another statement: point
-        // its skip at a third one, off that recurrence.
-        let s = (0..n)
-            .find(|&s| ci.lnext[s] != NO_STMT)
-            .expect("fig 3 has a lexical chain");
-        let stray = (0..n)
-            .find(|&t| t != s && t as u32 != ci.hz_skip[ci.lnext[s] as usize])
-            .unwrap();
-        put_word(&mut bytes, pnext_at + 4 * (2 * n + s), stray as u32);
-        assert_eq!(ChainIndex::decode_from(&mut Reader::new(&bytes), n), None);
-    }
-
-    /// A record whose jump list names a statement twice is malformed: the
-    /// kernel would visit that jump twice per round.
-    #[test]
-    fn chain_index_decoder_rejects_a_repeated_jump() {
-        let p = corpus::fig3();
-        let a = Analysis::new(&p);
-        let ci = a.chain_index();
-        assert!(ci.jumps.len() >= 2);
-        let mut bytes = Vec::new();
-        ci.encode_into(&mut bytes);
-        // Layout: statement count, jump count, then one u32 per jump.
-        let first: [u8; 4] = bytes[8..12].try_into().unwrap();
-        bytes[12..16].copy_from_slice(&first);
-        assert_eq!(
-            ChainIndex::decode_from(&mut Reader::new(&bytes), p.len()),
-            None
-        );
+        index_u32(u32::MAX as usize + 1, "statement count");
     }
 }

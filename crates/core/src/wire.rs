@@ -1,14 +1,11 @@
-//! Little-endian wire primitives shared by the snapshot codec
-//! ([`crate::snapshot`]) and the chain-index codec in [`crate::sparse`].
+//! Little-endian wire primitives for the snapshot codec
+//! ([`crate::snapshot`]).
 //!
 //! Encoding appends to a plain `Vec<u8>`; decoding goes through [`Reader`],
 //! a cursor that answers `None` on any out-of-bounds read so decoders can
 //! propagate truncation with `?` instead of panicking. Integers are
 //! little-endian; counts and indices travel as `u32` (`u32::MAX` doubles as
-//! the `None` sentinel for optional ids, matching the in-memory sparse
-//! kernel's convention).
-
-use jumpslice_dataflow::BitSet;
+//! the `None` sentinel for optional ids).
 
 /// Appends a single tag byte.
 pub(crate) fn put_u8(out: &mut Vec<u8>, v: u8) {
@@ -89,13 +86,6 @@ impl<'a> Reader<'a> {
         let n = self.len(self.remaining())?;
         self.bytes(n)
     }
-
-    /// A [`BitSet`] via [`BitSet::decode_from`], advancing past it.
-    pub(crate) fn bitset(&mut self) -> Option<BitSet> {
-        let (set, used) = BitSet::decode_from(self.buf)?;
-        self.buf = &self.buf[used..];
-        Some(set)
-    }
 }
 
 #[cfg(test)]
@@ -110,10 +100,6 @@ mod tests {
         put_u64(&mut out, u64::MAX - 7);
         put_len(&mut out, 3);
         put_bytes(&mut out, b"abc");
-        let mut set = BitSet::new(130);
-        set.insert(0);
-        set.insert(129);
-        set.encode_into(&mut out);
 
         let mut r = Reader::new(&out);
         assert_eq!(r.u8(), Some(7));
@@ -121,7 +107,6 @@ mod tests {
         assert_eq!(r.u64(), Some(u64::MAX - 7));
         assert_eq!(r.len(10), Some(3));
         assert_eq!(r.byte_str(), Some(&b"abc"[..]));
-        assert_eq!(r.bitset(), Some(set));
         assert_eq!(r.remaining(), 0);
         assert_eq!(r.u32(), None, "exhausted reader answers None");
     }

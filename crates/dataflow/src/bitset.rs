@@ -12,7 +12,7 @@
 /// assert!(s.contains(3));
 /// assert_eq!(s.iter().collect::<Vec<_>>(), vec![3, 70]);
 /// ```
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct BitSet {
     words: Vec<u64>,
     capacity: usize,
@@ -125,27 +125,34 @@ impl BitSet {
         self.words.iter().zip(&other.words).any(|(a, b)| a & b != 0)
     }
 
-    /// Unions `other`'s elements in `[start, end)` into `self`,
-    /// word-parallel with masked boundary words. Positions past either
-    /// capacity contribute nothing.
-    pub fn union_range(&mut self, other: &BitSet, start: usize, end: usize) {
-        let end = end.min(self.capacity).min(other.capacity);
+    /// Inserts every element of `start..end`, calling `fresh` with each one
+    /// that was not already present, ascending: word-parallel, so a run
+    /// that is already in the set costs one step per word.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `end > capacity` (for a non-empty run).
+    pub fn insert_range(&mut self, start: usize, end: usize, mut fresh: impl FnMut(usize)) {
         if start >= end {
             return;
         }
-        let w0 = start / 64;
-        let w1 = (end - 1) / 64;
-        let lo = !0u64 << (start % 64);
-        let hi = !0u64 >> (63 - (end - 1) % 64);
-        if w0 == w1 {
-            self.words[w0] |= other.words[w0] & lo & hi;
-            return;
+        assert!(end <= self.capacity, "bitset range out of range");
+        let (w0, w1) = (start / 64, (end - 1) / 64);
+        for w in w0..=w1 {
+            let mut mask = !0u64;
+            if w == w0 {
+                mask &= !0u64 << (start % 64);
+            }
+            if w == w1 {
+                mask &= !0u64 >> (63 - (end - 1) % 64);
+            }
+            let mut new = mask & !self.words[w];
+            self.words[w] |= mask;
+            while new != 0 {
+                fresh(w * 64 + new.trailing_zeros() as usize);
+                new &= new - 1;
+            }
         }
-        self.words[w0] |= other.words[w0] & lo;
-        for w in w0 + 1..w1 {
-            self.words[w] |= other.words[w];
-        }
-        self.words[w1] |= other.words[w1] & hi;
     }
 
     /// The smallest element `>= v`, or `None` if there is none. A linear
@@ -198,39 +205,6 @@ impl BitSet {
     /// full-width set).
     pub fn words(&self) -> &[u64] {
         &self.words
-    }
-
-    /// Appends the little-endian wire form — `capacity` as a `u32`
-    /// followed by exactly `capacity.div_ceil(64)` backing words — to
-    /// `out`. The inverse of [`BitSet::decode_from`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` does not fit in a `u32` (no analysis in this
-    /// workspace gets near that).
-    pub fn encode_into(&self, out: &mut Vec<u8>) {
-        let cap = u32::try_from(self.capacity).expect("bitset capacity fits u32 on the wire");
-        out.extend_from_slice(&cap.to_le_bytes());
-        for w in &self.words {
-            out.extend_from_slice(&w.to_le_bytes());
-        }
-    }
-
-    /// Reads one [`BitSet::encode_into`] record from the front of `input`,
-    /// returning the set and the bytes consumed, or `None` if `input` is
-    /// truncated. Never panics on hostile bytes — the caller treats `None`
-    /// as corruption.
-    pub fn decode_from(input: &[u8]) -> Option<(BitSet, usize)> {
-        let cap_bytes: [u8; 4] = input.get(..4)?.try_into().ok()?;
-        let capacity = u32::from_le_bytes(cap_bytes) as usize;
-        let n_words = capacity.div_ceil(64);
-        let end = 4 + n_words.checked_mul(8)?;
-        let body = input.get(4..end)?;
-        let words = body
-            .chunks_exact(8)
-            .map(|c| u64::from_le_bytes(c.try_into().expect("chunks_exact(8)")))
-            .collect();
-        Some((BitSet::from_words(capacity, words), end))
     }
 
     /// Iterates the elements in ascending order.
@@ -392,48 +366,30 @@ mod tests {
     }
 
     #[test]
-    fn union_range_masks_boundary_words() {
-        let mut src = BitSet::new(200);
-        for v in [0, 63, 64, 65, 127, 128, 199] {
-            src.insert(v);
+    fn insert_range_reports_exactly_the_new_elements() {
+        let before = [0usize, 1, 5, 63, 64, 100, 129];
+        for start in 0..=130 {
+            for end in start..=130 {
+                let mut set = BitSet::new(130);
+                for v in before {
+                    set.insert(v);
+                }
+                let mut fresh = Vec::new();
+                set.insert_range(start, end, |v| fresh.push(v));
+                let want: Vec<usize> = (start..end).filter(|v| !before.contains(v)).collect();
+                assert_eq!(fresh, want, "[{start},{end})");
+                let all: Vec<usize> = (0..130)
+                    .filter(|v| before.contains(v) || (start..end).contains(v))
+                    .collect();
+                assert_eq!(set.iter().collect::<Vec<_>>(), all, "[{start},{end})");
+            }
         }
-        // Same-word range.
-        let mut t = BitSet::new(200);
-        t.union_range(&src, 63, 64);
-        assert_eq!(t.iter().collect::<Vec<_>>(), vec![63]);
-        // Cross-word range with both boundaries masked.
-        let mut t = BitSet::new(200);
-        t.union_range(&src, 64, 199);
-        assert_eq!(t.iter().collect::<Vec<_>>(), vec![64, 65, 127, 128]);
-        // Full range == union_with.
-        let mut t = BitSet::new(200);
-        t.union_range(&src, 0, 200);
-        assert_eq!(t, src);
-        // Empty and out-of-capacity ranges are no-ops.
-        let mut t = BitSet::new(200);
-        t.union_range(&src, 10, 10);
-        t.union_range(&src, 300, 400);
-        assert!(t.is_empty());
-        // End past the shorter capacity is clamped.
-        let mut narrow = BitSet::new(66);
-        narrow.union_range(&src, 0, 500);
-        assert_eq!(narrow.iter().collect::<Vec<_>>(), vec![0, 63, 64, 65]);
     }
 
     #[test]
-    fn union_range_matches_filtered_insert_exhaustively() {
-        let mut src = BitSet::new(130);
-        for v in [0, 1, 5, 63, 64, 100, 129] {
-            src.insert(v);
-        }
-        for start in 0..=130 {
-            for end in start..=130 {
-                let mut got = BitSet::new(130);
-                got.union_range(&src, start, end);
-                let want: Vec<usize> = src.iter().filter(|&v| v >= start && v < end).collect();
-                assert_eq!(got.iter().collect::<Vec<_>>(), want, "[{start},{end})");
-            }
-        }
+    #[should_panic(expected = "bitset range out of range")]
+    fn insert_range_past_capacity_panics() {
+        BitSet::new(70).insert_range(60, 71, |_| {});
     }
 
     #[test]
@@ -454,49 +410,5 @@ mod tests {
     fn contains_out_of_range_is_false() {
         let s = BitSet::new(5);
         assert!(!s.contains(1000));
-    }
-
-    #[test]
-    fn encode_decode_round_trips() {
-        for cap in [0usize, 1, 63, 64, 65, 130, 200] {
-            let mut s = BitSet::new(cap);
-            for v in (0..cap).step_by(7) {
-                s.insert(v);
-            }
-            let mut bytes = vec![0xAA]; // prefix survives untouched
-            s.encode_into(&mut bytes);
-            let (back, used) = BitSet::decode_from(&bytes[1..]).expect("well-formed");
-            assert_eq!(back, s, "capacity {cap}");
-            assert_eq!(used, bytes.len() - 1, "whole record consumed");
-        }
-    }
-
-    #[test]
-    fn decode_rejects_truncation_at_every_length() {
-        let mut s = BitSet::new(130);
-        s.insert(0);
-        s.insert(129);
-        let mut bytes = Vec::new();
-        s.encode_into(&mut bytes);
-        for cut in 0..bytes.len() {
-            assert!(
-                BitSet::decode_from(&bytes[..cut]).is_none(),
-                "truncation at {cut} must be detected"
-            );
-        }
-        // Trailing garbage is left for the caller's cursor, not consumed.
-        bytes.push(0xFF);
-        let (_, used) = BitSet::decode_from(&bytes).expect("full record present");
-        assert_eq!(used, bytes.len() - 1);
-    }
-
-    #[test]
-    fn decode_never_panics_on_hostile_capacity() {
-        // A capacity claiming ~4 billion elements with no backing words:
-        // the length check fails before any allocation-by-trust.
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(&u32::MAX.to_le_bytes());
-        bytes.extend_from_slice(&[0u8; 16]);
-        assert!(BitSet::decode_from(&bytes).is_none());
     }
 }

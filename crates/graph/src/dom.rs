@@ -155,31 +155,6 @@ impl DomTree {
         }
     }
 
-    /// Rebuilds a tree from a raw immediate-dominator array — the
-    /// snapshot-restore constructor, inverse of reading [`DomTree::idom`]
-    /// for every node. Derived structures (children, preorder, interval
-    /// numbering, depths) are recomputed deterministically, exactly as the
-    /// algorithmic constructors build them.
-    ///
-    /// Returns `None` when the array is not a well-formed tree over `n`
-    /// nodes rooted at `root`: wrong length, out-of-range root or parent, a
-    /// parent on the root, or a parent cycle (nodes whose idom chain never
-    /// reaches the root) — hostile bytes decode to a clean rejection, never
-    /// a panic or a hang.
-    pub fn from_idom_array(n: usize, root: NodeId, idom: Vec<Option<NodeId>>) -> Option<DomTree> {
-        if idom.len() != n || root.index() >= n || idom[root.index()].is_some() {
-            return None;
-        }
-        if idom.iter().flatten().any(|d| d.index() >= n) {
-            return None;
-        }
-        let tree = Self::from_idoms(n, root, idom);
-        // Every node claiming a parent must actually hang off the root: a
-        // parent cycle's members never appear in the root's DFS preorder.
-        let claimed = tree.idom.iter().filter(|d| d.is_some()).count();
-        (tree.preorder.len() == claimed + 1).then_some(tree)
-    }
-
     /// The root of the tree (entry node for dominators, exit for
     /// postdominators).
     pub fn root(&self) -> NodeId {
@@ -227,8 +202,9 @@ impl DomTree {
     }
 
     /// Preorder traversal of the tree (parents before children) — the visit
-    /// order required by the paper's Figure 7 algorithm.
-    pub fn preorder(&self) -> impl Iterator<Item = NodeId> + '_ {
+    /// order required by the paper's Figure 7 algorithm. Reversed, it
+    /// visits every node after all of its descendants.
+    pub fn preorder(&self) -> impl DoubleEndedIterator<Item = NodeId> + '_ {
         self.preorder.iter().copied()
     }
 
@@ -374,43 +350,6 @@ mod tests {
                 assert!(pi < ni, "parent {d:?} must precede child {n:?}");
             }
         }
-    }
-
-    #[test]
-    fn from_idom_array_round_trips_and_rejects_malformed_input() {
-        let g = chk_graph();
-        let dom = DomTree::iterative(&g, 0.into());
-        let raw: Vec<Option<NodeId>> = g.nodes().map(|n| dom.idom(n)).collect();
-        let back = DomTree::from_idom_array(g.len(), 0.into(), raw.clone()).expect("well-formed");
-        for n in g.nodes() {
-            assert_eq!(dom.idom(n), back.idom(n));
-            assert_eq!(dom.depth(n), back.depth(n));
-            for m in g.nodes() {
-                assert_eq!(dom.dominates(n, m), back.dominates(n, m), "{n:?} vs {m:?}");
-            }
-        }
-        assert_eq!(
-            dom.preorder().collect::<Vec<_>>(),
-            back.preorder().collect::<Vec<_>>(),
-            "derived preorder is deterministic"
-        );
-
-        // Wrong length.
-        assert!(DomTree::from_idom_array(4, 0.into(), raw.clone()).is_none());
-        // Root out of range / root with a parent.
-        assert!(DomTree::from_idom_array(6, 99.into(), raw.clone()).is_none());
-        let mut bad = raw.clone();
-        bad[0] = Some(1.into());
-        assert!(DomTree::from_idom_array(6, 0.into(), bad).is_none());
-        // Out-of-range parent.
-        let mut bad = raw.clone();
-        bad[3] = Some(99.into());
-        assert!(DomTree::from_idom_array(6, 0.into(), bad).is_none());
-        // A parent cycle detached from the root must not hang or pass.
-        let mut bad = raw;
-        bad[3] = Some(4.into());
-        bad[4] = Some(3.into());
-        assert!(DomTree::from_idom_array(6, 0.into(), bad).is_none());
     }
 
     fn graph_of(n: usize, edges: &[(usize, usize)]) -> DiGraph {

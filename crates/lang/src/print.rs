@@ -60,13 +60,17 @@ pub fn print_slice(
 }
 
 /// Prints with full control over filtering, label placement, and numbering.
+///
+/// The walk keeps its open blocks on an explicit stack, so any nesting
+/// depth costs heap, not call stack.
 pub fn print_with_options(prog: &Program, opts: &PrintOptions<'_>) -> String {
     let mut p = Printer {
         prog,
         opts,
+        visible: opts.filter.map(|f| visibility(prog, f)),
         out: String::new(),
     };
-    p.block(prog.body(), 0);
+    p.program();
     // Labels re-targeted past the last statement (their new target is the
     // program exit) print as trailing label-only lines.
     for &(l, dest) in opts.moved_labels {
@@ -77,42 +81,101 @@ pub fn print_with_options(prog: &Program, opts: &PrintOptions<'_>) -> String {
     p.out
 }
 
+/// Per statement: whether the filter accepts it or one of its descendants.
+/// One pass over the lexical order backwards, so children come before
+/// their parents.
+fn visibility(prog: &Program, filter: &dyn Fn(StmtId) -> bool) -> Vec<bool> {
+    let st = prog.structure();
+    let mut visible = vec![false; prog.len()];
+    for &s in prog.lexical_order().iter().rev() {
+        if visible[s.index()] || filter(s) {
+            visible[s.index()] = true;
+            if let Some(p) = st.parent(s) {
+                visible[p.index()] = true;
+            }
+        }
+    }
+    visible
+}
+
 struct Printer<'a> {
     prog: &'a Program,
     opts: &'a PrintOptions<'a>,
+    /// Per statement, when filtering: whether it is printed.
+    visible: Option<Vec<bool>>,
     out: String,
 }
 
-impl Printer<'_> {
+/// What is left to print of an open construct, innermost on top of the
+/// walk's stack.
+enum Open<'a> {
+    /// The rest of a block, at an indentation depth.
+    Block(std::slice::Iter<'a, StmtId>, usize),
+    /// An `if`'s else branch, printed only if some statement in it is.
+    Else(&'a [StmtId], usize),
+    /// The rest of a switch's arms.
+    Arms(std::slice::Iter<'a, SwitchArm>, usize),
+    /// A do-while's closing line.
+    DoWhileEnd(&'a Expr, usize),
+    /// A closing brace.
+    Close(usize),
+}
+
+impl<'a> Printer<'a> {
     fn visible(&self, id: StmtId) -> bool {
-        match self.opts.filter {
-            None => true,
-            Some(f) => f(id) || self.any_descendant_included(id, f),
-        }
+        self.visible.as_ref().is_none_or(|v| v[id.index()])
     }
 
-    fn any_descendant_included(&self, id: StmtId, f: &dyn Fn(StmtId) -> bool) -> bool {
-        let check = |block: &[StmtId]| {
-            block
-                .iter()
-                .any(|&s| f(s) || self.any_descendant_included(s, f))
-        };
-        match &self.prog.stmt(id).kind {
-            StmtKind::If {
-                then_branch,
-                else_branch,
-                ..
-            } => check(then_branch) || check(else_branch),
-            StmtKind::While { body, .. } | StmtKind::DoWhile { body, .. } => check(body),
-            StmtKind::Switch { arms, .. } => arms.iter().any(|a| check(&a.body)),
-            _ => false,
-        }
-    }
-
-    fn block(&mut self, stmts: &[StmtId], depth: usize) {
-        for &id in stmts {
-            if self.visible(id) {
-                self.stmt(id, depth);
+    fn program(&mut self) {
+        let mut stack = vec![Open::Block(self.prog.body().iter(), 0)];
+        while let Some(open) = stack.pop() {
+            match open {
+                Open::Block(mut rest, depth) => {
+                    if let Some(&id) = rest.next() {
+                        stack.push(Open::Block(rest, depth));
+                        if self.visible(id) {
+                            self.stmt(id, depth, &mut stack);
+                        }
+                    }
+                }
+                Open::Else(branch, depth) => {
+                    if branch.iter().any(|&s| self.visible(s)) {
+                        self.indent(depth);
+                        if self.opts.line_numbers {
+                            self.out.push_str("     ");
+                        }
+                        self.out.push_str("} else {\n");
+                        stack.push(Open::Block(branch.iter(), depth + 1));
+                    }
+                }
+                Open::Arms(mut rest, depth) => {
+                    if let Some(arm) = rest.next() {
+                        stack.push(Open::Arms(rest, depth));
+                        for g in &arm.guards {
+                            self.indent(depth + 1);
+                            if self.opts.line_numbers {
+                                self.out.push_str("     ");
+                            }
+                            match g {
+                                CaseGuard::Case(v) => {
+                                    let _ = writeln!(self.out, "case {v}:");
+                                }
+                                CaseGuard::Default => {
+                                    let _ = writeln!(self.out, "default:");
+                                }
+                            }
+                        }
+                        stack.push(Open::Block(arm.body.iter(), depth + 2));
+                    }
+                }
+                Open::DoWhileEnd(cond, depth) => {
+                    self.indent(depth);
+                    if self.opts.line_numbers {
+                        self.out.push_str("     ");
+                    }
+                    let _ = writeln!(self.out, "}} while ({});", self.expr_str(cond));
+                }
+                Open::Close(depth) => self.close_brace(depth),
             }
         }
     }
@@ -140,7 +203,9 @@ impl Printer<'_> {
         }
     }
 
-    fn stmt(&mut self, id: StmtId, depth: usize) {
+    /// Prints statement `id`'s own line; a compound statement pushes what
+    /// follows its header onto `stack`, last part first.
+    fn stmt(&mut self, id: StmtId, depth: usize, stack: &mut Vec<Open<'a>>) {
         self.stmt_prefix(id, depth);
         match &self.prog.stmt(id).kind {
             StmtKind::Assign { lhs, rhs } => {
@@ -166,51 +231,24 @@ impl Printer<'_> {
                 else_branch,
             } => {
                 let _ = writeln!(self.out, "if ({}) {{", self.expr_str(cond));
-                self.block(then_branch, depth + 1);
-                if else_branch.iter().any(|&s| self.visible(s)) {
-                    self.indent(depth);
-                    if self.opts.line_numbers {
-                        self.out.push_str("     ");
-                    }
-                    self.out.push_str("} else {\n");
-                    self.block(else_branch, depth + 1);
-                }
-                self.close_brace(depth);
+                stack.push(Open::Close(depth));
+                stack.push(Open::Else(else_branch, depth));
+                stack.push(Open::Block(then_branch.iter(), depth + 1));
             }
             StmtKind::While { cond, body } => {
                 let _ = writeln!(self.out, "while ({}) {{", self.expr_str(cond));
-                self.block(body, depth + 1);
-                self.close_brace(depth);
+                stack.push(Open::Close(depth));
+                stack.push(Open::Block(body.iter(), depth + 1));
             }
             StmtKind::DoWhile { body, cond } => {
                 self.out.push_str("do {\n");
-                self.block(body, depth + 1);
-                self.indent(depth);
-                if self.opts.line_numbers {
-                    self.out.push_str("     ");
-                }
-                let _ = writeln!(self.out, "}} while ({});", self.expr_str(cond));
+                stack.push(Open::DoWhileEnd(cond, depth));
+                stack.push(Open::Block(body.iter(), depth + 1));
             }
             StmtKind::Switch { scrutinee, arms } => {
                 let _ = writeln!(self.out, "switch ({}) {{", self.expr_str(scrutinee));
-                for arm in arms {
-                    for g in &arm.guards {
-                        self.indent(depth + 1);
-                        if self.opts.line_numbers {
-                            self.out.push_str("     ");
-                        }
-                        match g {
-                            CaseGuard::Case(v) => {
-                                let _ = writeln!(self.out, "case {v}:");
-                            }
-                            CaseGuard::Default => {
-                                let _ = writeln!(self.out, "default:");
-                            }
-                        }
-                    }
-                    self.block(&arm.body, depth + 2);
-                }
-                self.close_brace(depth);
+                stack.push(Open::Close(depth));
+                stack.push(Open::Arms(arms.iter(), depth));
             }
             StmtKind::Goto { target } => {
                 let _ = writeln!(self.out, "goto {};", self.prog.label_str(*target));

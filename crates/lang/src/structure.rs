@@ -2,8 +2,9 @@
 //!
 //! One preorder walk, run whenever a program is made, numbers its lines,
 //! links every statement to its parent and to the next statement of its
-//! block, notes whether any `do-while` occurs, and rejects `break`/
-//! `continue` outside their constructs and duplicate switch guards.
+//! block, notes whether any `do-while` occurs and how deep statements
+//! nest, and rejects `break`/`continue` outside their constructs and
+//! duplicate switch guards.
 //! [`Structure`] answers queries from those links: the targets of `break`
 //! and `continue` and do-while bodies read them. It also gives every
 //! statement its immediate lexical successor ([`LexSucc`]), the one rule
@@ -28,6 +29,8 @@ pub(crate) struct Layout {
     next_in_block: Vec<u32>,
     /// Whether any statement is a `do-while`.
     has_do_while: bool,
+    /// The most compound statements any statement is nested in.
+    depth: u32,
 }
 
 fn link(id: Option<&StmtId>) -> u32 {
@@ -39,10 +42,12 @@ fn unlink(l: u32) -> Option<StmtId> {
 }
 
 /// An open block of the walk: its statements not yet visited, its parent's
-/// link, and whether it sits inside a loop, and inside a loop or a switch.
+/// link, how many compound statements enclose it, and whether it sits
+/// inside a loop, and inside a loop or a switch.
 struct Open<'a> {
     rest: std::slice::Iter<'a, StmtId>,
     parent: u32,
+    depth: u32,
     in_loop: bool,
     in_breakable: bool,
 }
@@ -60,9 +65,11 @@ impl Layout {
         let mut parent = vec![0; n];
         let mut next_in_block = vec![0; n];
         let mut has_do_while = false;
+        let mut depth = 0;
         let mut open = vec![Open {
             rest: body.iter(),
             parent: 0,
+            depth: 0,
             in_loop: false,
             in_breakable: false,
         }];
@@ -74,10 +81,13 @@ impl Layout {
             order.push(id);
             parent[id.index()] = block.parent;
             next_in_block[id.index()] = link(block.rest.as_slice().first());
+            depth = depth.max(block.depth);
             let (in_loop, in_breakable) = (block.in_loop, block.in_breakable);
+            let inner_depth = block.depth + 1;
             let inner = |block: &'a [StmtId], in_loop, in_breakable| Open {
                 rest: block.iter(),
                 parent: id.0 + 1,
+                depth: inner_depth,
                 in_loop,
                 in_breakable,
             };
@@ -121,6 +131,7 @@ impl Layout {
             parent,
             next_in_block,
             has_do_while,
+            depth,
         })
     }
 }
@@ -231,6 +242,13 @@ impl Structure<'_> {
     /// Whether the program contains any `do-while`.
     pub fn has_do_while(&self) -> bool {
         self.prog.layout.has_do_while
+    }
+
+    /// The most compound statements (`if`, `while`, `do-while`, `switch`)
+    /// that any one statement is nested in: 0 for a flat program. The
+    /// parser accepts up to [`MAX_DEPTH`](crate::MAX_DEPTH).
+    pub fn depth(&self) -> usize {
+        self.prog.layout.depth as usize
     }
 
     /// Every statement's immediate lexical successor (paper, §3), by arena

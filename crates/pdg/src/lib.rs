@@ -194,48 +194,6 @@ impl ControlDeps {
         }
     }
 
-    /// Rebuilds the edge set from the forward direction plus the entry
-    /// list, deriving the inverse index — the snapshot-restore constructor.
-    /// `deps[i]` lists the predicates statement `i` is directly control
-    /// dependent on; lists are sorted and deduplicated here, so wire forms
-    /// need not be trusted.
-    pub fn from_parts(
-        mut deps: Vec<Vec<StmtId>>,
-        mut entry_controlled: Vec<StmtId>,
-    ) -> ControlDeps {
-        let n = deps.len();
-        let mut counts = vec![0usize; n];
-        for v in deps.iter_mut() {
-            // Our own wire forms arrive strictly sorted; one ordering scan
-            // keeps the sort off the restore path for all but hostile bytes.
-            if !v.windows(2).all(|w| w[0] < w[1]) {
-                v.sort();
-                v.dedup();
-            }
-            for p in v.iter() {
-                counts[p.index()] += 1;
-            }
-        }
-        // Filling in ascending `t` over deduplicated forward lists leaves
-        // every reverse list strictly sorted — no post-pass needed.
-        let mut dependents: Vec<Vec<StmtId>> =
-            counts.iter().map(|&c| Vec::with_capacity(c)).collect();
-        for (t, ps) in deps.iter().enumerate() {
-            for &p in ps {
-                dependents[p.index()].push(StmtId::from_index(t));
-            }
-        }
-        if !entry_controlled.windows(2).all(|w| w[0] < w[1]) {
-            entry_controlled.sort();
-            entry_controlled.dedup();
-        }
-        ControlDeps {
-            deps,
-            dependents,
-            entry_controlled,
-        }
-    }
-
     /// The predicates `s` is directly control dependent on (sorted;
     /// excluding `Entry`).
     pub fn deps(&self, s: StmtId) -> &[StmtId] {
@@ -634,22 +592,6 @@ mod tests {
             !delta.contains(&p.at_line(1)),
             "pre-seeded stmt not re-reported"
         );
-    }
-
-    #[test]
-    fn control_deps_from_parts_round_trips() {
-        let src = "read(c); while (c) { read(x); if (x) break; y = x; } write(y);";
-        let p = parse(src).unwrap();
-        let cfg = Cfg::build(&p);
-        let cd = ControlDeps::compute(&p, &cfg);
-        let fwd: Vec<Vec<StmtId>> = p.stmt_ids().map(|s| cd.deps(s).to_vec()).collect();
-        let back = ControlDeps::from_parts(fwd, cd.entry_controlled().to_vec());
-        for s in p.stmt_ids() {
-            assert_eq!(cd.deps(s), back.deps(s), "deps of {s:?}");
-            assert_eq!(cd.dependents(s), back.dependents(s), "dependents of {s:?}");
-        }
-        assert_eq!(cd.entry_controlled(), back.entry_controlled());
-        assert_eq!(cd.num_stmts(), back.num_stmts());
     }
 
     #[test]

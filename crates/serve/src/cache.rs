@@ -56,10 +56,13 @@ impl Entry {
 }
 
 /// Resident-size estimate for one cached program: the source text plus the
-/// analysis artifacts. The dominant warm artifacts are bitset-quadratic
-/// (reaching-defs IN sets, PDG closures scratch, chain masks ≈ n²/8 bits
-/// each), plus per-statement structures; the constants here deliberately
-/// round *up* so the budget errs toward evicting.
+/// analysis artifacts. The one quadratic warm artifact is the
+/// reaching-definitions IN sets (one bit per flowgraph node and definition
+/// site); the PDG is as large as its edge lists, which jump-dense programs
+/// make near-quadratic; the rest, the chain index included (a few words per
+/// statement), is linear. The `n²/2` term deliberately rounds *up* so the
+/// budget errs toward evicting: it over-predicts the measured warm seed
+/// several times, and the eviction it drives is tuned to it.
 pub fn estimate_bytes(source_len: usize, stmts: usize) -> usize {
     source_len + 512 + stmts * 256 + (stmts * stmts) / 2
 }

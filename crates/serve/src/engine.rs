@@ -1021,6 +1021,65 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// A well-framed record under a shallow source whose program section
+    /// nests one level deeper than any parse: `if` statements inside
+    /// `MAX_DEPTH + 1` bodies. The decoder refuses it, so the load rebuilds
+    /// from source, and the edit after it (which prints the program) and
+    /// `stats` are answered.
+    #[test]
+    fn a_record_nested_past_the_parser_bound_falls_back_to_the_source_build() {
+        use jumpslice_lang::{Expr, Stmt, StmtId, StmtKind, MAX_DEPTH};
+        let dir = tmpdir("deep-record");
+        let depth = MAX_DEPTH + 1;
+        let stmts: Vec<Stmt> = (0..depth)
+            .map(|i| Stmt {
+                kind: StmtKind::If {
+                    cond: Expr::Num(1),
+                    then_branch: vec![StmtId::from_index(i + 1)],
+                    else_branch: vec![],
+                },
+                labels: vec![],
+                line: i as u32 + 1,
+            })
+            .chain(std::iter::once(Stmt {
+                kind: StmtKind::Skip,
+                labels: vec![],
+                line: depth as u32 + 1,
+            }))
+            .collect();
+        let deep = Program::from_parts(stmts, vec![StmtId::from_index(0)], vec![], vec![], vec![])
+            .expect("a well-formed nest");
+        assert_eq!(deep.structure().depth(), MAX_DEPTH + 1);
+        let src = "read(x);\nwrite(x);\n";
+        let store = jumpslice_store::SnapshotStore::open(&dir, u64::MAX).unwrap();
+        let seed = jumpslice_core::AnalysisSeed::default();
+        store
+            .save(content_hash(src), &encode_snapshot(src, &deep, &seed))
+            .unwrap();
+
+        let e = Engine::new(usize::MAX).with_store(store);
+        let resp = ok(&e.handle_line(
+            &Json::Obj(vec![
+                ("op".to_owned(), Json::Str("load".to_owned())),
+                ("source".to_owned(), Json::Str(src.to_owned())),
+            ])
+            .write_compact(),
+        ));
+        assert_eq!(resp.get("restored").and_then(Json::as_bool), Some(false));
+        let key = resp.get("program").and_then(Json::as_str).expect("key");
+        let edited = ok(&e.handle_line(&format!(
+            r#"{{"op":"edit","program":"{key}","edit":{{"kind":"replace_expr","path":[["body",1]],"expr":"x + 1"}}}}"#
+        )));
+        assert!(edited.get("program").is_some());
+        let stats = ok(&e.handle_line(r#"{"op":"stats"}"#));
+        let store_stats = stats.get("store").expect("store object in stats");
+        assert_eq!(
+            store_stats.get("fallbacks").and_then(Json::as_num),
+            Some(1.0)
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
     #[test]
     fn an_expired_deadline_degrades_to_a_fig13_answer() {
         let e = Engine::new(usize::MAX);

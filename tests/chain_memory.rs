@@ -1,0 +1,142 @@
+//! Heap of the Figure-7 chain index, measured by a counting global
+//! allocator. The index is O(statements + jumps) words: per statement its
+//! parent links and its two preorder spans, per jump its rank in each
+//! tree. Per-chain statement masks and a statements × jumps matrix would
+//! cost hundreds of bytes per statement here and fail the bounds, and so
+//! would full-width scratch sets kept through the build.
+//!
+//! The allocator counts the whole process, so this binary holds exactly
+//! one test.
+
+use jumpslice::prelude::*;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicUsize, Ordering};
+
+static LIVE: AtomicUsize = AtomicUsize::new(0);
+static PEAK: AtomicUsize = AtomicUsize::new(0);
+
+struct Counting;
+
+fn grew(bytes: usize) {
+    let live = LIVE.fetch_add(bytes, Ordering::Relaxed) + bytes;
+    PEAK.fetch_max(live, Ordering::Relaxed);
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract; the counters are statistics only.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        // SAFETY: the caller upholds `alloc`'s contract for `layout`.
+        let p = unsafe { System.alloc(layout) };
+        if !p.is_null() {
+            grew(layout.size());
+        }
+        p
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        // SAFETY: the caller upholds `alloc_zeroed`'s contract for `layout`.
+        let p = unsafe { System.alloc_zeroed(layout) };
+        if !p.is_null() {
+            grew(layout.size());
+        }
+        p
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` was allocated by `System` with `layout` (every
+        // allocation in this process goes through the methods above).
+        unsafe { System.dealloc(ptr, layout) };
+        LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        // SAFETY: `ptr` came from `System` with `layout`, and the caller
+        // upholds `realloc`'s contract for `new_size`.
+        let p = unsafe { System.realloc(ptr, layout, new_size) };
+        if !p.is_null() {
+            LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
+            grew(new_size);
+        }
+        p
+    }
+}
+
+#[global_allocator]
+static ALLOC: Counting = Counting;
+
+/// The most heap the finished index may keep, per statement.
+const MAX_INDEX_BYTES_PER_STMT: f64 = 80.0;
+
+/// The most heap its build may hold at once, over what it keeps.
+const MAX_BUILD_PEAK_OVER_INDEX: f64 = 2.0;
+
+/// The most heap a whole cold warm may hold at once, over the seed it
+/// leaves behind.
+const MAX_WARM_PEAK_OVER_SEED: f64 = 1.5;
+
+/// Runs `f`, returning its result, the heap it left allocated and the most
+/// it held at once, both counted from the call.
+fn measured<T>(f: impl FnOnce() -> T) -> (T, usize, usize) {
+    let before = LIVE.load(Ordering::Relaxed);
+    PEAK.store(before, Ordering::Relaxed);
+    let out = f();
+    let live = LIVE.load(Ordering::Relaxed) - before;
+    let peak = PEAK.load(Ordering::Relaxed) - before;
+    (out, live, peak)
+}
+
+const MIB: f64 = (1 << 20) as f64;
+
+#[test]
+fn chain_index_is_linear_and_warm_peaks_near_the_seed() {
+    let s20k = gen_structured(&GenConfig::sized(7, 20_000));
+    let u20k = gen_unstructured(&GenConfig::sized(7, 20_000).with_jump_density(0.25));
+    for (what, p) in [("s20k", s20k), ("u20k", u20k)] {
+        let n = p.len();
+
+        // The index alone: every other artifact first, then `warm()`
+        // builds only the chain index.
+        let a = Analysis::new(&p);
+        let _ = (a.reaching(), a.pdg(), a.pdom(), a.lst());
+        let ((), index, build_peak) = measured(|| a.warm());
+        assert_eq!(a.stats().chain_index_builds, 1);
+        drop(a);
+        let per_stmt = index as f64 / n as f64;
+        let build_ratio = build_peak as f64 / index as f64;
+        println!(
+            "{what}: {n} statements, index {:.2} MiB ({per_stmt:.1} B/statement), \
+             build peak {build_ratio:.2}x the index",
+            index as f64 / MIB
+        );
+        assert!(
+            per_stmt <= MAX_INDEX_BYTES_PER_STMT,
+            "{what}: the index keeps {per_stmt:.1} bytes per statement \
+             (bound {MAX_INDEX_BYTES_PER_STMT})"
+        );
+        assert!(
+            build_ratio <= MAX_BUILD_PEAK_OVER_INDEX,
+            "{what}: the build peaked at {build_ratio:.2}x the index \
+             (bound {MAX_BUILD_PEAK_OVER_INDEX}x)"
+        );
+
+        // The whole cold warm, from `Analysis::new` to `into_seed`.
+        let (seed, retained, peak) = measured(|| {
+            let a = Analysis::new(&p);
+            a.warm();
+            a.into_seed()
+        });
+        assert!(seed.chain_index.is_some());
+        let warm_ratio = peak as f64 / retained as f64;
+        println!(
+            "{what}: seed {:.2} MiB, warm peak {:.2} MiB ({warm_ratio:.2}x the seed)",
+            retained as f64 / MIB,
+            peak as f64 / MIB
+        );
+        assert!(
+            warm_ratio <= MAX_WARM_PEAK_OVER_SEED,
+            "{what}: a cold warm peaked at {warm_ratio:.2}x its seed \
+             (bound {MAX_WARM_PEAK_OVER_SEED}x)"
+        );
+    }
+}

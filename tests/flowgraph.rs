@@ -7,7 +7,8 @@
 //! lexical-successor walk up the parent links — on the paper's figures,
 //! both generator families, every kind of edit, a snapshot round trip and
 //! hand-written edge cases. A builder-made nest far deeper than any parse
-//! must build in linear time on a default test-thread stack.
+//! must build in linear time on a default test-thread stack, and print on
+//! a small one.
 
 use jumpslice::cfg::Cfg;
 use jumpslice::core::{decode_snapshot, encode_snapshot, AnalysisSeed, LexSuccTree};
@@ -405,6 +406,27 @@ fn a_hundred_thousand_deep_nest_builds_in_linear_time() {
     }
     assert!(cfg.all_reach_exit());
     assert!(cfg.reachable().iter().all(|&r| r));
+}
+
+/// The printer walks with an explicit stack: a nest eight times deeper
+/// than any parse prints on a thread with a 128 KiB stack, which a
+/// printer recursing once per level overflows at about a thousand levels.
+#[test]
+fn a_two_thousand_deep_nest_prints_on_a_small_stack() {
+    const DEPTH: usize = 2_000;
+    let p = if_nest(DEPTH);
+    let text = std::thread::Builder::new()
+        .stack_size(128 << 10)
+        .spawn(move || print_program(&p))
+        .expect("thread starts")
+        .join()
+        .expect("printing does not overflow the stack");
+    let lines: Vec<&str> = text.lines().collect();
+    assert_eq!(lines.len(), 2 * DEPTH + 1);
+    assert_eq!(lines[0], "if (1) {");
+    assert_eq!(lines[DEPTH], format!("{};", "  ".repeat(DEPTH)));
+    assert_eq!(lines[2 * DEPTH], "}");
+    assert!(text.len() > 4_000_000, "{} bytes", text.len());
 }
 
 /// `switch (0) { case 0: ; case 1: case 2: ; ... }` with `arms` arms, every

@@ -7,7 +7,9 @@
 //! walk, and depth-first searches over the flowgraph and its reversal — on
 //! the paper's figures, both generator families, every kind of edit, a
 //! snapshot round trip, an unanalyzable program and programs with dead
-//! code.
+//! code. A decoded snapshot derives its postdominator tree, control
+//! dependences and chain index from the program; they must equal a fresh
+//! analysis' on the figures, both families and every kind of edit.
 
 use jumpslice::cfg::Cfg;
 use jumpslice::core::{decode_snapshot, encode_snapshot};
@@ -241,4 +243,78 @@ fn stored_facts_match_references_on_unanalyzable_and_dead_code() {
         assert!(cfg.all_reach_exit(), "{src}");
         assert!(cfg.reachable().iter().any(|&r| !r), "{src} has dead code");
     }
+}
+
+/// A snapshot of `p`'s warm analysis, decoded: its postdominator tree,
+/// control dependences and chain index (all derived on decode, none
+/// stored) equal the fresh analysis', and so does every Figure-7 slice.
+fn assert_restore_derives_the_fresh_artifacts(p: &Program) {
+    if !Cfg::build(p).all_reach_exit() {
+        return;
+    }
+    let fresh = Analysis::new(p);
+    fresh.warm();
+    let want: Vec<_> = p
+        .stmt_ids()
+        .map(|s| agrawal_slice(&fresh, &Criterion::at_stmt(s)))
+        .collect();
+    let seed = fresh.into_seed();
+    let back = decode_snapshot(&encode_snapshot(&print_program(p), p, &seed))
+        .expect("a fresh snapshot decodes");
+    let (pdom, got_pdom) = (
+        seed.pdom.as_ref().unwrap(),
+        back.seed.pdom.as_ref().unwrap(),
+    );
+    assert_eq!(got_pdom.num_nodes(), pdom.num_nodes());
+    for i in 0..pdom.num_nodes() {
+        let n = NodeId::new(i);
+        assert_eq!(got_pdom.idom(n), pdom.idom(n), "idom of node {i}");
+    }
+    let (pdg, got_pdg) = (seed.pdg.as_ref().unwrap(), back.seed.pdg.as_ref().unwrap());
+    for s in p.stmt_ids() {
+        assert_eq!(got_pdg.control().deps(s), pdg.control().deps(s), "{s:?}");
+        assert_eq!(got_pdg.data().deps(s), pdg.data().deps(s), "{s:?}");
+    }
+    assert_eq!(
+        got_pdg.control().entry_controlled(),
+        pdg.control().entry_controlled()
+    );
+    assert_eq!(back.seed.chain_index, seed.chain_index);
+    let restored = Analysis::with_seed(&back.prog, back.seed);
+    for (s, want) in p.stmt_ids().zip(&want) {
+        assert_eq!(&agrawal_slice(&restored, &Criterion::at_stmt(s)), want);
+    }
+    assert_eq!(
+        restored.stats(),
+        AnalysisStats::default(),
+        "nothing rebuilt"
+    );
+}
+
+#[test]
+fn restored_snapshots_derive_fresh_artifacts_on_figures_and_generators() {
+    for (_, p, _) in corpus::all() {
+        assert_restore_derives_the_fresh_artifacts(&p);
+    }
+    check(24, |rng| {
+        let cfg = GenConfig::sized(rng.next_u64(), rng.gen_range(1..120usize));
+        assert_restore_derives_the_fresh_artifacts(&gen_structured(&cfg));
+        assert_restore_derives_the_fresh_artifacts(&gen_unstructured(&cfg.with_jump_density(0.3)));
+    });
+}
+
+#[test]
+fn restored_snapshots_derive_fresh_artifacts_after_every_edit_kind() {
+    check(8, |rng| {
+        let mut p = generated(rng);
+        let mut applied = [0usize; 4];
+        while applied.iter().any(|&k| k < 2) {
+            let e = random_edit(rng, &p);
+            if let Ok(next) = apply_edit(&p, &e) {
+                p = next.prog;
+                applied[edit_kind(&e)] += 1;
+                assert_restore_derives_the_fresh_artifacts(&p);
+            }
+        }
+    });
 }
