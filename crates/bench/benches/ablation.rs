@@ -24,7 +24,7 @@ fn traversal_tree(r: &mut Runner) {
         let p = sized_unstructured(size);
         let a = Analysis::new(&p);
         let crit = Criterion::at_stmt(*live_writes(&p, &a).last().unwrap());
-        let pdom_order = a.jumps_in_pdom_preorder();
+        let pdom_order = oracle::jumps_in_pdom_preorder(&a);
         let lst_order = oracle::jumps_in_lst_preorder(&a);
         r.bench(
             &format!("ablation/traversal_tree/pdom-preorder/{}", p.len()),

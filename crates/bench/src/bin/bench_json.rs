@@ -13,7 +13,9 @@
 //!   differential oracle in `jumpslice_difftest::oracle`, both over the
 //!   same warm analysis and criterion pool. Every unstructured row of at
 //!   least 1,000 statements must show the kernel at least 2× faster, or
-//!   the run fails after writing its report;
+//!   the run fails after writing its report. The same rows time the
+//!   degraded answer, Figure 13, and on structured rows Figure 12
+//!   (`conservative_ns`, `structured_ns`; not gated);
 //! * the cold-analysis sweep: `Analysis::warm` (the PDG's condensation
 //!   included) from a fresh analysis, with the per-phase breakdown of that
 //!   same call;
@@ -43,7 +45,8 @@
 use jumpslice_bench::harness::Runner;
 use jumpslice_bench::{criterion_pool, sized_structured, sized_unstructured};
 use jumpslice_core::{
-    agrawal_slice, conservative_slice, conventional_slice, Analysis, BatchSlicer, Criterion,
+    agrawal_slice, conservative_slice, conventional_slice, structured_slice, Analysis, BatchSlicer,
+    Criterion, SliceFn,
 };
 use jumpslice_difftest::oracle;
 use jumpslice_incr::{apply_edit, Edit, EditExpr, EditSession, NewStmt};
@@ -84,6 +87,10 @@ struct SparseRow {
     criteria: usize,
     dense_ns: f64,
     sparse_ns: f64,
+    /// Figure 13, the daemon's degraded answer, over the same criteria.
+    conservative_ns: f64,
+    /// Figure 12, timed on structured rows only (its domain).
+    structured_ns: Option<f64>,
 }
 
 struct ColdRow {
@@ -419,19 +426,27 @@ fn main() {
                 }
                 black_box(total)
             });
-            let sparse_ns = r.bench(&format!("json/sparse/{family}/{n}/sparse-kernel"), || {
-                let mut total = 0usize;
-                for c in &criteria {
-                    total += agrawal_slice(black_box(&a), c).len();
-                }
-                black_box(total)
-            });
+            let mut time = |arm: &str, slicer: SliceFn| {
+                r.bench(&format!("json/sparse/{family}/{n}/{arm}"), || {
+                    let mut total = 0usize;
+                    for c in &criteria {
+                        total += slicer(black_box(&a), c).len();
+                    }
+                    black_box(total)
+                })
+            };
+            let sparse_ns = time("sparse-kernel", agrawal_slice);
+            let conservative_ns = time("conservative", conservative_slice);
+            let structured_ns =
+                (family == "structured").then(|| time("structured", structured_slice));
             sparse_rows.push(SparseRow {
                 family,
                 stmts: n,
                 criteria: criteria.len(),
                 dense_ns,
                 sparse_ns,
+                conservative_ns,
+                structured_ns,
             });
         }
     }
@@ -831,6 +846,14 @@ fn main() {
         let _ = writeln!(out, "      \"available_parallelism\": {threads},");
         let _ = writeln!(out, "      \"dense_reference_ns\": {:.1},", row.dense_ns);
         let _ = writeln!(out, "      \"sparse_kernel_ns\": {:.1},", row.sparse_ns);
+        let _ = writeln!(
+            out,
+            "      \"conservative_ns\": {:.1},",
+            row.conservative_ns
+        );
+        if let Some(ns) = row.structured_ns {
+            let _ = writeln!(out, "      \"structured_ns\": {ns:.1},");
+        }
         let _ = writeln!(out, "      \"speedup_sparse_vs_dense\": {speedup:.2}");
         let _ = writeln!(out, "    }}{comma}");
     }

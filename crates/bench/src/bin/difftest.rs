@@ -10,7 +10,7 @@
 //! difftest --seeds 200 --size 40   # a longer hunt
 //! difftest --family unstructured --record-expected
 //! difftest --mode incr --seeds 170 # incremental-vs-scratch equivalence
-//! difftest --mode sparse --seeds 100 # sparse-vs-dense Figure-7 equality
+//! difftest --mode sparse --seeds 100 # chain-index slicers vs dense walks (Figures 7/12/13)
 //! difftest --mode closure --seeds 100 # product-vs-oracle closure equality
 //! ```
 
@@ -24,7 +24,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: difftest [options]
   --mode NAME          diff (default) | incr (incremental-vs-scratch equality)
-                       | sparse (sparse-vs-dense Figure-7 kernel equality)
+                       | sparse (chain-index Figures 7/12/13 vs dense walks)
                        | closure (product-vs-oracle closure equality)
   --smoke              fixed-seed smoke configuration (CI)
   --seeds N            number of seeds (default 25; one program per family each)
@@ -221,7 +221,7 @@ fn run_incr_mode(cli: &Cli) -> ! {
     std::process::exit(0)
 }
 
-/// Runs the sparse-vs-dense Figure-7 equality mode and exits.
+/// Runs the sparse-vs-dense equality mode (Figures 7, 12 and 13) and exits.
 fn run_sparse_mode(cli: &Cli) -> ! {
     let mut scfg = if cli.smoke {
         SparseConfig::smoke()

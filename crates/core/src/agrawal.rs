@@ -11,10 +11,10 @@ use crate::{Analysis, Criterion, Slice};
 /// *unconditional* jump statement `J` not yet in the slice is added —
 /// together with the transitive closure of its dependences — when its
 /// *nearest postdominator in the slice* differs from its *nearest lexical
-/// successor in the slice* (or when the [`Analysis::dowhile_hazard`]
-/// extension guard fires). When a full traversal adds nothing, it
-/// re-associates the labels of in-slice `goto`s whose targets fell outside
-/// the slice.
+/// successor in the slice* (or when the do-while extension guard fires;
+/// the chain index answers it, and the difftest oracle states it as a
+/// tree walk). When a full traversal adds nothing, it re-associates the
+/// labels of in-slice `goto`s whose targets fell outside the slice.
 ///
 /// `Slice::traversals` reports the number of productive traversals; the
 /// paper's Figure 10 program is the canonical example needing two.

@@ -3,7 +3,7 @@
 use crate::sparse::ChainIndex;
 use crate::{LexSuccTree, SlicePoint};
 use jumpslice_cfg::Cfg;
-use jumpslice_dataflow::{DataDeps, ReachingDefs, StmtSet};
+use jumpslice_dataflow::{DataDeps, ReachingDefs};
 use jumpslice_graph::DomTree;
 use jumpslice_lang::{Program, StmtId, StmtKind};
 use jumpslice_obs as obs;
@@ -81,10 +81,12 @@ impl AnalysisSeed {
 /// Laziness matters for the cheap algorithms: `conservative_slice`
 /// (Figure 13) is advertised by the paper as needing neither the
 /// postdominator tree nor the lexical successor tree, and with this struct
-/// it no longer pays for the LST (the pdom tree is only forced if a label
-/// actually needs re-associating). `Criterion::vars_at` slices share one
-/// reaching-definitions fixpoint instead of re-running it per criterion,
-/// and the PDG's data half is derived from that same cached fixpoint.
+/// it builds neither the LST nor the chain index unless the program has a
+/// `do-while` or a label actually needs re-associating (the PDG's control
+/// half still needs the postdominator tree).
+/// `Criterion::vars_at` slices share one reaching-definitions fixpoint
+/// instead of re-running it per criterion, and the PDG's data half is
+/// derived from that same cached fixpoint.
 ///
 /// All lazy state lives in [`OnceLock`]s, so a fully materialized
 /// `Analysis` is `Sync` and can be shared by reference across the batch
@@ -103,9 +105,6 @@ pub struct Analysis<'p> {
     lst: OnceLock<LexSuccTree>,
     reaching: OnceLock<ReachingDefs>,
     chain_index: OnceLock<ChainIndex>,
-    /// Per-do-while body sets (`dowhile_bodies[d]` = statements lexically
-    /// inside the do-while `d`), built on first hazard probe.
-    dowhile_bodies: OnceLock<Vec<StmtSet>>,
     n_reaching: AtomicUsize,
     n_pdg: AtomicUsize,
     n_pdom: AtomicUsize,
@@ -155,7 +154,6 @@ impl<'p> Analysis<'p> {
             lst: OnceLock::new(),
             reaching: OnceLock::new(),
             chain_index: OnceLock::new(),
-            dowhile_bodies: OnceLock::new(),
             n_reaching: AtomicUsize::new(0),
             n_pdg: AtomicUsize::new(0),
             n_pdom: AtomicUsize::new(0),
@@ -251,9 +249,10 @@ impl<'p> Analysis<'p> {
         })
     }
 
-    /// The sparse Figure-7 kernel's flattened jump-chain index (computed on
-    /// first use; forces the postdominator tree, and — when the program has
-    /// any live unconditional jump — the lexical successor tree).
+    /// The flattened jump-chain index behind Figures 7, 12 and 13 and
+    /// label re-association (computed on first use; forces the
+    /// postdominator tree, and — when the program has any live
+    /// unconditional jump — the lexical successor tree).
     pub(crate) fn chain_index(&self) -> &ChainIndex {
         self.cache_probe(obs::Artifact::ChainIndex, self.chain_index.get().is_some());
         self.chain_index.get_or_init(|| {
@@ -266,29 +265,6 @@ impl<'p> Analysis<'p> {
     /// (forces the PDG).
     pub fn closure_index(&self) -> &Condensation {
         self.pdg().condensation()
-    }
-
-    /// The set of statements lexically inside do-while `d` (empty for any
-    /// other statement). Built once for all do-whiles on first use.
-    pub(crate) fn dowhile_body(&self, d: StmtId) -> &StmtSet {
-        let bodies = self.dowhile_bodies.get_or_init(|| {
-            let n = self.prog.len();
-            let st = self.prog.structure();
-            let mut out = vec![StmtSet::with_capacity(0); n];
-            // One ancestor walk per statement instead of one full program
-            // scan per do-while.
-            for s in self.prog.stmt_ids() {
-                let mut cur = st.parent(s);
-                while let Some(t) = cur {
-                    if matches!(self.prog.stmt(t).kind, StmtKind::DoWhile { .. }) {
-                        out[t.index()].insert(s);
-                    }
-                    cur = st.parent(t);
-                }
-            }
-            out
-        });
-        &bodies[d.index()]
     }
 
     /// Emits one cache hit/miss event for an artifact accessor. `hit` is
@@ -365,97 +341,12 @@ impl<'p> Analysis<'p> {
         }
     }
 
-    /// The nearest postdominator of `s` that is in `slice` (`None` = exit,
-    /// which is implicitly in every slice).
-    pub fn nearest_pdom_in(&self, s: StmtId, slice: &StmtSet) -> SlicePoint {
-        self.nearest_in_pdom(self.pdom(), s, slice)
-    }
-
-    /// [`Analysis::nearest_pdom_in`] over a postdominator tree the caller
-    /// already holds, so a loop of queries probes the cache once.
-    pub(crate) fn nearest_in_pdom(&self, pdom: &DomTree, s: StmtId, slice: &StmtSet) -> SlicePoint {
-        let node = self.cfg.node(s);
-        for a in pdom.ancestors(node) {
-            if a == self.cfg.exit() {
-                return None;
-            }
-            if let Some(t) = self.cfg.stmt(a) {
-                if slice.contains(t) {
-                    return Some(t);
-                }
-            }
-        }
-        None
-    }
-
-    /// The nearest lexical successor of `s` that is in `slice` (`None` =
-    /// exit).
-    pub fn nearest_lexsucc_in(&self, s: StmtId, slice: &StmtSet) -> SlicePoint {
-        self.lst().nearest_where(s, |t| slice.contains(t))
-    }
-
-    /// Extension guard for `do-while`, a construct outside the paper's
-    /// language: walking the lexical-successor chain from jump `j` toward
-    /// its nearest in-slice successor, returns `true` if the walk passes
-    /// through a `do-while` that is *not* in the slice but whose body
-    /// contains slice statements.
-    ///
-    /// Deleting such a jump makes control fall into the do-while's
-    /// *condition*, which may loop back and re-execute the in-slice body —
-    /// even when the condition was dead code in the original program (a
-    /// body ending in `break`). The paper's npd-vs-nls test cannot see
-    /// this because a do-while's entry (its body) differs from its
-    /// flowgraph node (its condition); for the paper's own constructs the
-    /// guard never fires — and for programs without any `do-while` it
-    /// returns immediately, without forcing the lexical successor tree.
-    pub fn dowhile_hazard(&self, j: StmtId, slice: &StmtSet) -> bool {
-        let st = self.prog.structure();
-        if !st.has_do_while() {
-            return false;
-        }
-        let mut prev = j;
-        for t in self.lst().successors(j) {
-            if slice.contains(t) {
-                return false;
-            }
-            // Only an arrival *from inside the body* lands on the loop
-            // condition (the last-body-statement rule); reaching a do-while
-            // from outside enters its body, which is harmless.
-            if matches!(self.prog.stmt(t).kind, StmtKind::DoWhile { .. })
-                && st.contains(t, prev)
-                && self.dowhile_body(t).intersects(slice)
-            {
-                return true;
-            }
-            prev = t;
-        }
-        false
-    }
-
     /// Whether `s` is reachable from the program entry. Dead statements are
     /// never considered for slice inclusion: they cannot execute, and
     /// including one without its (removed) guards would change the residual
     /// program's flow.
     pub fn is_live(&self, s: StmtId) -> bool {
         self.cfg.reachable()[self.cfg.node(s).index()]
-    }
-
-    /// *Unconditional* jump statements in preorder of the postdominator
-    /// tree — the visit order and candidate set of the paper's Figure 7.
-    ///
-    /// Conditional jumps are deliberately absent: §3 handles them through
-    /// the conventional algorithm's adaptation (the fused conditional goto
-    /// is included exactly when its predicate is), and the traversal
-    /// question is posed only for unconditional jumps. Examining fused
-    /// conditional gotos here would make the iteration order-dependent and
-    /// strictly coarser than Ball–Horwitz (an early npd ≠ nls judgement can
-    /// be invalidated by later closure additions). Dead jumps are skipped.
-    pub fn jumps_in_pdom_preorder(&self) -> Vec<StmtId> {
-        self.pdom()
-            .preorder()
-            .filter_map(|n| self.cfg.stmt(n))
-            .filter(|&s| self.prog.stmt(s).kind.is_unconditional_jump() && self.is_live(s))
-            .collect()
     }
 }
 
@@ -494,50 +385,10 @@ mod tests {
     }
 
     #[test]
-    fn nearest_queries() {
-        let p = parse("a = 1; b = 2; c = 3; d = 4;").unwrap();
-        let a = Analysis::new(&p);
-        let slice: StmtSet = [p.at_line(3)].into_iter().collect();
-        assert_eq!(a.nearest_pdom_in(p.at_line(1), &slice), Some(p.at_line(3)));
-        assert_eq!(
-            a.nearest_lexsucc_in(p.at_line(1), &slice),
-            Some(p.at_line(3))
-        );
-        assert_eq!(
-            a.nearest_pdom_in(p.at_line(3), &slice),
-            None,
-            "proper ancestors only"
-        );
-        assert_eq!(
-            a.nearest_pdom_in(p.at_line(4), &slice),
-            None,
-            "falls to exit"
-        );
-    }
-
-    #[test]
     #[should_panic(expected = "cannot reach the exit")]
     fn infinite_loop_rejected() {
         let p = parse("L: goto L;").unwrap();
         let _ = Analysis::new(&p);
-    }
-
-    #[test]
-    fn jump_orders_cover_unconditional_jumps_only() {
-        let p = parse("L3: if (eof()) goto L14; goto L3; L14: write(x);").unwrap();
-        let a = Analysis::new(&p);
-        // The fused conditional goto on line 1 is handled by the
-        // conventional adaptation, not the traversal; only `goto L3` is a
-        // traversal candidate.
-        assert_eq!(a.jumps_in_pdom_preorder(), vec![p.at_line(2)]);
-    }
-
-    #[test]
-    fn dead_jumps_excluded_from_orders() {
-        let p = parse("goto END; goto END; END: write(x);").unwrap();
-        let a = Analysis::new(&p);
-        assert!(!a.is_live(p.at_line(2)), "second goto is dead");
-        assert_eq!(a.jumps_in_pdom_preorder(), vec![p.at_line(1)]);
     }
 
     #[test]
@@ -567,78 +418,5 @@ mod tests {
             let _ = a.chain_index();
         }
         assert_eq!(a.stats().chain_index_builds, 1);
-    }
-
-    #[test]
-    fn dowhile_body_sets_match_structure_contains() {
-        let p = parse(
-            "read(x);
-             do { x = x + 1; do { y = 2; } while (y); } while (x < 3);
-             write(x);",
-        )
-        .unwrap();
-        let a = Analysis::new(&p);
-        for t in p.stmt_ids() {
-            let body = a.dowhile_body(t);
-            for s in p.stmt_ids() {
-                assert_eq!(
-                    body.contains(s),
-                    matches!(p.stmt(t).kind, StmtKind::DoWhile { .. })
-                        && p.structure().contains(t, s),
-                    "body set of line {} at line {}",
-                    p.line_of(t),
-                    p.line_of(s)
-                );
-            }
-        }
-    }
-
-    /// The satellite fix pinned: the hazard guard answers through the
-    /// precomputed body bitset exactly as the old O(|slice|) scan did, on
-    /// every slice state of a program where the hazard genuinely fires
-    /// (break inside a do-while, body statements sliced, loop head not).
-    #[test]
-    fn dowhile_hazard_matches_linear_scan() {
-        let p = parse("read(x); do { x = x + 1; if (c) break; y = 2; } while (x < 10); write(y);")
-            .unwrap();
-        let a = Analysis::new(&p);
-        let brk = p.at_line(5);
-        let old_scan = |j: StmtId, slice: &StmtSet| -> bool {
-            let mut prev = j;
-            for t in a.lst().successors(j) {
-                if slice.contains(t) {
-                    return false;
-                }
-                if matches!(p.stmt(t).kind, StmtKind::DoWhile { .. })
-                    && p.structure().contains(t, prev)
-                    && slice.iter().any(|s| p.structure().contains(t, s))
-                {
-                    return true;
-                }
-                prev = t;
-            }
-            false
-        };
-        let n = p.len();
-        let mut fired = false;
-        for mask in 0u32..(1 << n) {
-            let slice: StmtSet = p
-                .stmt_ids()
-                .filter(|s| mask & (1 << s.index()) != 0)
-                .collect();
-            let got = a.dowhile_hazard(brk, &slice);
-            assert_eq!(got, old_scan(brk, &slice), "slice mask {mask:#b}");
-            fired |= got;
-        }
-        assert!(fired, "the hazard case is actually exercised");
-    }
-
-    #[test]
-    fn dowhile_hazard_short_circuits_without_dowhile() {
-        let p = parse("x = 1; goto L; y = 2; L: write(x);").unwrap();
-        let a = Analysis::new(&p);
-        let slice: StmtSet = [p.at_line(4)].into_iter().collect();
-        assert!(!a.dowhile_hazard(p.at_line(2), &slice));
-        assert_eq!(a.stats().lst_builds, 0, "no LST forced by the fast path");
     }
 }

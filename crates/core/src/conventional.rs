@@ -1,6 +1,7 @@
 //! The conventional slicing algorithm (paper, §2).
 
 use crate::{Analysis, Slice};
+use jumpslice_dataflow::StmtSet;
 use jumpslice_lang::{Name, StmtId};
 
 /// A slicing criterion: a program location plus, optionally, a specific set
@@ -81,11 +82,7 @@ impl Criterion {
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 pub fn conventional_slice(a: &Analysis<'_>, crit: &Criterion) -> Slice {
-    let stmts = {
-        let _t = jumpslice_obs::phase(jumpslice_obs::Phase::ConventionalClosure);
-        let seeds = crit.seeds(a);
-        a.pdg().backward_closure(seeds)
-    };
+    let stmts = conventional_closure(a, crit);
     // The paper's Figure 3-b renders the conventional slice with L14
     // re-associated; doing the same here keeps every slice executable.
     let moved_labels = crate::reassociate_labels(a, &stmts);
@@ -94,6 +91,14 @@ pub fn conventional_slice(a: &Analysis<'_>, crit: &Criterion) -> Slice {
         moved_labels,
         traversals: 0,
     }
+}
+
+/// The conventional slice's statements: the dependence closure of the
+/// criterion's seeds, which Figures 12 and 13 then extend with jumps.
+pub(crate) fn conventional_closure(a: &Analysis<'_>, crit: &Criterion) -> StmtSet {
+    let _t = jumpslice_obs::phase(jumpslice_obs::Phase::ConventionalClosure);
+    let seeds = crit.seeds(a);
+    a.pdg().backward_closure(seeds)
 }
 
 #[cfg(test)]

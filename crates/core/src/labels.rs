@@ -12,29 +12,30 @@ use jumpslice_lang::{Label, StmtKind};
 /// statement labeled L is not in Slice then associate the label L with its
 /// nearest postdominator in Slice."*
 ///
-/// The postdominator tree is fetched at most once per call, and only when
-/// a label moves.
+/// Labels come out in slice order, each once. The chain index's pdom
+/// parents answer the walk; it is fetched at most once per call, and only
+/// when a label moves.
 pub fn reassociate_labels(a: &Analysis<'_>, slice: &StmtSet) -> Vec<(Label, SlicePoint)> {
+    let prog = a.prog();
     let mut moved: Vec<(Label, SlicePoint)> = Vec::new();
-    let mut pdom = None;
+    let mut seen = vec![false; prog.num_labels()];
+    let mut index = None;
     for s in slice.iter() {
-        let label = match a.prog().stmt(s).kind {
+        let label = match prog.stmt(s).kind {
             StmtKind::Goto { target } | StmtKind::CondGoto { target, .. } => target,
             _ => continue,
         };
-        if moved.iter().any(|&(l, _)| l == label) {
+        if std::mem::replace(&mut seen[label.index()], true) {
             continue;
         }
-        let target_stmt = a
-            .prog()
+        let target_stmt = prog
             .label_target(label)
             .expect("validated programs have resolved labels");
         if slice.contains(target_stmt) {
             continue;
         }
-        let pdom = *pdom.get_or_insert_with(|| a.pdom());
-        let dest = a.nearest_in_pdom(pdom, target_stmt, slice);
-        moved.push((label, dest));
+        let ci = *index.get_or_insert_with(|| a.chain_index());
+        moved.push((label, ci.nearest_pdom(target_stmt, slice)));
     }
     moved
 }
@@ -42,7 +43,10 @@ pub fn reassociate_labels(a: &Analysis<'_>, slice: &StmtSet) -> Vec<(Label, Slic
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Analysis;
+    use crate::{
+        agrawal_slice, conservative_slice, conventional_slice, structured_slice, Analysis,
+        Criterion,
+    };
     use jumpslice_dataflow::StmtSet;
     use jumpslice_lang::parse;
 
@@ -57,6 +61,23 @@ mod tests {
         let moved = reassociate_labels(&a, &slice);
         let l = p.label("L").unwrap();
         assert_eq!(moved, vec![(l, Some(p.at_line(5)))]);
+
+        // A fused conditional goto is the only jump, so the chain index
+        // indexes none; its label still moves, under every slicer.
+        let p = parse("read(c); L: x = 1; if (c) goto L; write(c);").unwrap();
+        let a = Analysis::new(&p);
+        let crit = Criterion::at_stmt(p.at_line(3));
+        let l = p.label("L").unwrap();
+        for slicer in [
+            conventional_slice,
+            agrawal_slice,
+            structured_slice,
+            conservative_slice,
+        ] {
+            let s = slicer(&a, &crit);
+            assert_eq!(s.lines(&p), vec![1, 3]);
+            assert_eq!(s.moved_labels, vec![(l, Some(p.at_line(3)))]);
+        }
     }
 
     #[test]

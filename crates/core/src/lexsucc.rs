@@ -63,12 +63,6 @@ impl LexSuccTree {
         }
     }
 
-    /// The nearest lexical successor of `s` satisfying `pred`; `None` means
-    /// the walk fell off the end (the exit).
-    pub fn nearest_where(&self, s: StmtId, mut pred: impl FnMut(StmtId) -> bool) -> SlicePoint {
-        self.successors(s).find(|&x| pred(x))
-    }
-
     /// Whether `anc` is a lexical successor of `s` (strictly).
     pub fn is_successor(&self, anc: StmtId, s: StmtId) -> bool {
         self.successors(s).any(|x| x == anc)
@@ -233,11 +227,6 @@ mod tests {
             !t.is_successor(p.at_line(2), x),
             "the if is not a successor"
         );
-        assert_eq!(
-            t.nearest_where(x, |s| p.line_of(s) == 1),
-            Some(p.at_line(1))
-        );
-        assert_eq!(t.nearest_where(x, |_| false), None);
     }
 
     #[test]

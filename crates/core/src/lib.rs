@@ -19,7 +19,7 @@
 //!   valid for structured programs;
 //! * [`conservative_slice`] — **Figure 13**: the on-the-fly approximation
 //!   that needs neither the postdominator tree nor the lexical successor
-//!   tree;
+//!   tree, unless the program has a `do-while` or a label moves;
 //! * the [`LexSuccTree`] itself (§3) and the structuredness classifier (§4);
 //! * the related-work baselines of §5 ([`baselines`]): Ball–Horwitz /
 //!   Choi–Ferrante augmented-PDG slicing, Lyle's, Gallagher's, and the
@@ -62,6 +62,7 @@ pub mod baselines;
 mod batch;
 pub mod cancel;
 mod chop;
+mod classify;
 mod conservative;
 mod conventional;
 pub mod corpus;
@@ -79,6 +80,7 @@ pub use agrawal::agrawal_slice;
 pub use analysis::{Analysis, AnalysisSeed, AnalysisStats};
 pub use batch::{BatchPanic, BatchRunStats, BatchSlicer, SliceFn};
 pub use chop::{chop, chop_executable, forward_slice};
+pub use classify::{has_pdom_lexsucc_pair, is_structured};
 pub use conservative::conservative_slice;
 pub use conventional::{conventional_slice, Criterion};
 pub use labels::reassociate_labels;
@@ -87,4 +89,4 @@ pub use provenance::{agrawal_slice_traced, Provenance, Why};
 pub use slice::{Slice, SlicePoint};
 pub use snapshot::{decode_snapshot, encode_snapshot, Snapshot, SnapshotError};
 pub use sparse::ChainIndex;
-pub use structured::{has_pdom_lexsucc_pair, is_structured, structured_slice};
+pub use structured::structured_slice;

@@ -45,7 +45,7 @@
 //! traversal.
 
 use crate::provenance::Recorder;
-use crate::{reassociate_labels, Analysis, Criterion, LexSuccTree, Slice};
+use crate::{reassociate_labels, Analysis, Criterion, LexSuccTree, Slice, SlicePoint};
 use jumpslice_cfg::Cfg;
 use jumpslice_dataflow::{BitSet, StmtSet};
 use jumpslice_graph::DomTree;
@@ -109,7 +109,9 @@ struct DoWhile {
 }
 
 /// Flattened per-jump chain data, built once per program and cached on
-/// [`Analysis`] (see `Analysis::chain_index`).
+/// [`Analysis`] (see `Analysis::chain_index`). It answers Figure 7's three
+/// tests for Figures 7, 12 and 13 alike, and its pdom parent array answers
+/// label re-association.
 ///
 /// Opaque outside this crate: it appears in [`crate::AnalysisSeed`] so the
 /// incremental edit session can carry it across edits that leave the jump
@@ -160,7 +162,8 @@ pub struct ChainIndex {
 impl ChainIndex {
     /// Builds the index from the program's flowgraph and postdominator
     /// tree. `lst` is asked for the lexical successor tree only when the
-    /// program has an indexed jump.
+    /// program has an indexed jump; without one, only the pdom parent
+    /// array is kept.
     pub(crate) fn build<'t>(
         prog: &Program,
         cfg: &Cfg,
@@ -196,9 +199,13 @@ impl ChainIndex {
             pspan[s.index()].lo = jumps.len() as u32;
         }
         if jumps.is_empty() {
-            // A jump-free program: no chain is ever tested, and the LST
-            // is never asked for.
-            return ChainIndex::default();
+            // No chain is ever tested, and the LST is never asked for. A
+            // fused conditional goto can still move a label, which reads
+            // the pdom parents.
+            return ChainIndex {
+                pnext,
+                ..ChainIndex::default()
+            };
         }
         jumps.shrink_to_fit();
         for v in pdom.preorder().rev() {
@@ -402,26 +409,47 @@ impl ChainIndex {
         }
     }
 
-    /// `Analysis::nearest_pdom_in`, answered by a parent-array walk.
-    fn nearest_pdom_in(&self, c: usize, slice: &StmtSet) -> Option<StmtId> {
-        nearest_in(self.jumps[c], &self.pnext, slice)
+    /// The indexed jumps: every live unconditional jump, in pdom preorder.
+    pub(crate) fn jumps(&self) -> &[StmtId] {
+        &self.jumps
     }
 
-    /// `Analysis::nearest_lexsucc_in`, answered the same way over the LST
+    /// The nearest proper postdominator of statement `s` in `slice`
+    /// (`None` = the exit, which is in every slice), by a walk up the pdom
     /// parent array.
-    fn nearest_lexsucc_in(&self, c: usize, slice: &StmtSet) -> Option<StmtId> {
-        nearest_in(self.jumps[c], &self.lnext, slice)
+    pub(crate) fn nearest_pdom(&self, s: StmtId, slice: &StmtSet) -> SlicePoint {
+        nearest_in(s, &self.pnext, slice)
     }
 
-    /// `Analysis::dowhile_hazard`, answered from the precomputed skip
-    /// pointers and body masks. Walks chain statements up to the last
-    /// candidate do-while, bailing on the first one already in the slice.
-    fn hazard(&self, c: usize, slice: &StmtSet) -> bool {
-        let mut v = self.hz_skip[self.jumps[c].index()];
+    /// The nearest proper lexical successor of the indexed jump `j` in
+    /// `slice` (`None` = the exit), the same walk over the LST parents.
+    pub(crate) fn nearest_lexsucc(&self, j: StmtId, slice: &StmtSet) -> SlicePoint {
+        nearest_in(j, &self.lnext, slice)
+    }
+
+    /// The do-while extension guard for the indexed jump `j`, a construct
+    /// outside the paper's language. Walking `j`'s lexical-successor chain
+    /// toward its nearest in-slice successor, it fires when the walk
+    /// enters an out-of-slice do-while *from inside its body* (landing on
+    /// the loop condition) and that body holds slice statements.
+    ///
+    /// Deleting such a jump makes control fall into the condition, which
+    /// may loop back and re-execute the in-slice body, even when the
+    /// condition was dead code in the original program (a body ending in
+    /// `break`). The npd-vs-nls test cannot see this because a do-while's
+    /// entry (its body) differs from its flowgraph node (its condition);
+    /// for the paper's own constructs the guard never fires.
+    ///
+    /// Answered from the skip pointers and body masks: walks chain
+    /// statements up to the last candidate do-while, bailing on the first
+    /// one already in the slice. In a program without do-whiles no chain
+    /// has a candidate, so the answer is immediate.
+    pub(crate) fn hazard(&self, j: StmtId, slice: &StmtSet) -> bool {
+        let mut v = self.hz_skip[j.index()];
         if v == NO_STMT {
             return false;
         }
-        let mut s = self.lnext[self.jumps[c].index()];
+        let mut s = self.lnext[j.index()];
         loop {
             // The candidate do-while is `lnext[v]`; every chain statement up
             // to and including it gets the membership check first, in order.
@@ -471,10 +499,10 @@ impl ChainIndex {
     }
 }
 
-/// First statement on `j`'s `next`-chain that is in `slice`. `None` means
+/// First statement on `s`'s `next`-chain that is in `slice`. `None` means
 /// the walk fell through to the exit.
-fn nearest_in(j: StmtId, next: &[u32], slice: &StmtSet) -> Option<StmtId> {
-    let mut s = next[j.index()];
+fn nearest_in(s: StmtId, next: &[u32], slice: &StmtSet) -> SlicePoint {
+    let mut s = next[s.index()];
     while s != NO_STMT {
         let t = StmtId::from_index(s as usize);
         if slice.contains(t) {
@@ -800,17 +828,17 @@ pub(crate) fn figure7(a: &Analysis<'_>, crit: &Criterion, mut rec: Option<&mut R
                     // A clear touched bit means no chain statement is in
                     // the slice: the walk would reach the exit.
                     let npd = if touched.pdom.contains(c) {
-                        ci.nearest_pdom_in(c, &stmts)
+                        ci.nearest_pdom(j, &stmts)
                     } else {
                         None
                     };
                     let nls = if touched.lst.contains(ci.lrank[c] as usize) {
-                        ci.nearest_lexsucc_in(c, &stmts)
+                        ci.nearest_lexsucc(j, &stmts)
                     } else {
                         None
                     };
                     let disagree = npd != nls;
-                    if disagree || ci.hazard(c, &stmts) {
+                    if disagree || ci.hazard(j, &stmts) {
                         obs::record(|| obs::Event::JumpAdmitted {
                             algo: "fig7",
                             line: a.prog().line_of(j) as u32,
@@ -902,9 +930,48 @@ mod tests {
     use crate::corpus;
     use jumpslice_lang::parse;
 
-    /// Chain probes answer exactly like the tree walks they replace, at
-    /// every slice state reachable by growing the slice one statement at a
-    /// time in id order.
+    /// The nearest proper postdominator of `s` in `slice`, walking the
+    /// pdom tree itself (the exit, its root, is no statement).
+    fn pdom_walk(a: &Analysis<'_>, s: StmtId, slice: &StmtSet) -> SlicePoint {
+        a.pdom()
+            .ancestors(a.cfg().node(s))
+            .filter_map(|n| a.cfg().stmt(n))
+            .find(|&t| slice.contains(t))
+    }
+
+    /// The nearest proper lexical successor of `s` in `slice`, walking the
+    /// LST itself.
+    fn lexsucc_walk(a: &Analysis<'_>, s: StmtId, slice: &StmtSet) -> SlicePoint {
+        a.lst().successors(s).find(|&t| slice.contains(t))
+    }
+
+    /// Whether `s` lies lexically inside the do-while `d`.
+    fn in_dowhile(p: &Program, d: StmtId, s: StmtId) -> bool {
+        matches!(p.stmt(d).kind, StmtKind::DoWhile { .. }) && p.structure().contains(d, s)
+    }
+
+    /// The do-while guard as a walk of `j`'s lexical successors: the walk
+    /// enters an out-of-slice do-while from inside its body before it
+    /// meets the slice, and the body holds a slice statement.
+    fn hazard_walk(a: &Analysis<'_>, j: StmtId, slice: &StmtSet) -> bool {
+        let p = a.prog();
+        let mut prev = j;
+        for t in a.lst().successors(j) {
+            if slice.contains(t) {
+                return false;
+            }
+            if in_dowhile(p, t, prev) && slice.iter().any(|s| in_dowhile(p, t, s)) {
+                return true;
+            }
+            prev = t;
+        }
+        false
+    }
+
+    /// Chain probes answer exactly like the tree walks, at every slice
+    /// state reachable by growing the slice one statement at a time in id
+    /// order. The pdom probe answers for every statement, the others for
+    /// every indexed jump.
     #[test]
     fn chain_probes_match_tree_walks() {
         for p in [
@@ -922,13 +989,12 @@ mod tests {
                 if let Some(s) = grow {
                     slice.insert(s);
                 }
-                for (c, &j) in ci.jumps.iter().enumerate() {
-                    assert_eq!(ci.nearest_pdom_in(c, &slice), a.nearest_pdom_in(j, &slice));
-                    assert_eq!(
-                        ci.nearest_lexsucc_in(c, &slice),
-                        a.nearest_lexsucc_in(j, &slice)
-                    );
-                    assert_eq!(ci.hazard(c, &slice), a.dowhile_hazard(j, &slice));
+                for s in p.stmt_ids() {
+                    assert_eq!(ci.nearest_pdom(s, &slice), pdom_walk(&a, s, &slice));
+                }
+                for &j in ci.jumps() {
+                    assert_eq!(ci.nearest_lexsucc(j, &slice), lexsucc_walk(&a, j, &slice));
+                    assert_eq!(ci.hazard(j, &slice), hazard_walk(&a, j, &slice));
                 }
             }
         }
@@ -944,11 +1010,7 @@ mod tests {
         let a = Analysis::new(&p);
         let ci = a.chain_index();
         let brk = p.at_line(5);
-        let c = ci
-            .jumps
-            .iter()
-            .position(|&j| j == brk)
-            .expect("break is indexed");
+        assert!(ci.jumps().contains(&brk), "break is indexed");
         let n = p.len();
         let mut fired = false;
         for mask in 0u32..(1 << n) {
@@ -956,8 +1018,8 @@ mod tests {
                 .stmt_ids()
                 .filter(|s| mask & (1 << s.index()) != 0)
                 .collect();
-            let got = ci.hazard(c, &slice);
-            assert_eq!(got, a.dowhile_hazard(brk, &slice), "slice mask {mask:#b}");
+            let got = ci.hazard(brk, &slice);
+            assert_eq!(got, hazard_walk(&a, brk, &slice), "slice mask {mask:#b}");
             fired |= got;
         }
         assert!(fired, "the hazard case is actually exercised");
@@ -1021,11 +1083,7 @@ mod tests {
                 let in_candidate_body = |j: StmtId| {
                     std::iter::once(j).chain(a.lst().successors(j)).any(|u| {
                         match a.lst().immediate(u) {
-                            Some(d) => {
-                                matches!(p.stmt(d).kind, StmtKind::DoWhile { .. })
-                                    && st.contains(d, u)
-                                    && a.dowhile_body(d).contains(s)
-                            }
+                            Some(d) => in_dowhile(p, d, u) && st.contains(d, s),
                             None => false,
                         }
                     })
@@ -1142,12 +1200,12 @@ mod tests {
         }
     }
 
-    /// A jump-free program indexes nothing and never asks for the LST.
+    /// A jump-free program indexes no jump and never asks for the LST.
     #[test]
     fn jump_free_programs_skip_the_lst() {
         let p = parse("read(x); do { x = x - 1; } while (x); write(x);").unwrap();
         let a = Analysis::new(&p);
-        assert_eq!(a.chain_index(), &ChainIndex::default());
+        assert!(a.chain_index().jumps().is_empty());
         assert_eq!(a.stats().lst_builds, 0);
     }
 

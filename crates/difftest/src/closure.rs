@@ -139,7 +139,7 @@ fn compare(
 ) -> Result<usize, String> {
     let stmts = pick_criteria(p, reference, max_criteria);
     let (pdg, ref_pdg) = (product.pdg(), reference.pdg());
-    let jumps = reference.jumps_in_pdom_preorder();
+    let jumps = oracle::jumps_in_pdom_preorder(reference);
     let mut comparisons = 0;
 
     for (i, &c) in stmts.iter().enumerate() {

@@ -1,14 +1,24 @@
 //! The paper's round-based Figure-7 loop: the oracle for the change-driven
-//! kernel behind [`jumpslice_core::agrawal_slice`].
+//! kernel behind [`jumpslice_core::agrawal_slice`], and the tree walks
+//! that answer Figure 7's tests in it.
 //!
 //! [`figure7`] is Figure 7 as the paper states it. Each round it re-tests
-//! every out-of-slice jump of a visit order with
-//! [`Analysis::nearest_pdom_in`], [`Analysis::nearest_lexsucc_in`] and
-//! [`Analysis::dowhile_hazard`], and it closes over raw PDG edges with
-//! [`backward_closure_into`], not over the PDG's condensation. It is
-//! written against core's public API only, so it shares nothing with the
-//! kernel it checks beyond the analysis artifacts themselves. It emits no
-//! obs events; `tests/observability.rs` pins the kernel's.
+//! every out-of-slice jump of a visit order with [`nearest_pdom_in`],
+//! [`nearest_lexsucc_in`] and [`dowhile_hazard`], walks over the
+//! postdominator tree and the lexical successor tree themselves, and it
+//! closes over raw PDG edges with [`backward_closure_into`], not over the
+//! PDG's condensation. It is written against core's public API only, so
+//! it shares nothing with the kernel it checks beyond the analysis
+//! artifacts themselves. It emits no obs events; `tests/observability.rs`
+//! pins the kernel's.
+//!
+//! The product answers the same tests, for Figures 7, 12 and 13 and for
+//! label re-association, from its chain index.
+//! [`structured_slice_dense`], [`conservative_slice_dense`] and
+//! [`reassociate_labels_dense`] restate Figures 12 and 13 and the label
+//! step on the walks, and `difftest --mode sparse` holds the product's
+//! [`jumpslice_core::structured_slice`],
+//! [`jumpslice_core::conservative_slice`] and moved labels to them.
 //!
 //! [`backward_closure`] and [`backward_closure_into`] are also the oracle
 //! for the product's closures, which walk the condensation
@@ -42,10 +52,10 @@
 //! `tests/reaching_oracle.rs` holds the solver to them bit for bit.
 
 use jumpslice_cfg::Cfg;
-use jumpslice_core::{reassociate_labels, Analysis, Criterion, Slice, Why};
+use jumpslice_core::{Analysis, Criterion, Slice, SlicePoint, Why};
 use jumpslice_dataflow::{BitSet, StmtSet};
 use jumpslice_graph::NodeId;
-use jumpslice_lang::{Name, Program, StmtId};
+use jumpslice_lang::{Label, Name, Program, StmtId, StmtKind};
 use jumpslice_pdg::Pdg;
 use std::collections::HashMap;
 
@@ -107,6 +117,7 @@ pub fn figure7(
         None => backward_closure_into(pdg, seeds, &mut stmts),
     }
 
+    let bodies = dowhile_bodies(a.prog());
     let mut traversals = 0usize;
     let mut round: u32 = 0;
     loop {
@@ -116,10 +127,10 @@ pub fn figure7(
             if stmts.contains(j) {
                 continue;
             }
-            let npd = a.nearest_pdom_in(j, &stmts);
-            let nls = a.nearest_lexsucc_in(j, &stmts);
+            let npd = nearest_pdom_in(a, j, &stmts);
+            let nls = nearest_lexsucc_in(a, j, &stmts);
             let disagree = npd != nls;
-            if disagree || a.dowhile_hazard(j, &stmts) {
+            if disagree || dowhile_hazard(a, &bodies, j, &stmts) {
                 match why.as_deref_mut() {
                     Some(w) => {
                         let reason = Why::Jump {
@@ -140,7 +151,7 @@ pub fn figure7(
         }
         traversals += 1;
     }
-    let moved_labels = reassociate_labels(a, &stmts);
+    let moved_labels = reassociate_labels_dense(a, &stmts);
     Slice {
         stmts,
         moved_labels,
@@ -178,7 +189,7 @@ fn close_recording(
 /// [`figure7`] in postdominator preorder: the dense counterpart of
 /// [`jumpslice_core::agrawal_slice`].
 pub fn agrawal_slice_dense(a: &Analysis<'_>, crit: &Criterion) -> Slice {
-    figure7(a, crit, &a.jumps_in_pdom_preorder(), None)
+    figure7(a, crit, &jumps_in_pdom_preorder(a), None)
 }
 
 /// [`agrawal_slice_dense`] with the reason each statement entered the
@@ -189,21 +200,214 @@ pub fn agrawal_slice_dense_traced(a: &Analysis<'_>, crit: &Criterion) -> (Slice,
     let slice = figure7(
         a,
         crit,
-        &a.jumps_in_pdom_preorder(),
+        &jumps_in_pdom_preorder(a),
         Some(why.as_mut_slice()),
     );
     (slice, why)
 }
 
-/// Unconditional jump statements in preorder of the lexical successor
-/// tree, the alternative visit order §3 mentions. Dead jumps are skipped,
-/// as in [`Analysis::jumps_in_pdom_preorder`].
+/// Figure 12 on the tree walks: the dense counterpart of
+/// [`jumpslice_core::structured_slice`]. One pass over the jumps in
+/// postdominator preorder admits a jump, with no closure, when the do-while
+/// guard fires, or when it is control dependent on an in-slice predicate
+/// and its nearest postdominator in the slice differs from its nearest
+/// lexical successor in the slice.
+pub fn structured_slice_dense(a: &Analysis<'_>, crit: &Criterion) -> Slice {
+    let mut stmts = backward_closure(a.pdg(), crit.seeds(a));
+    let bodies = dowhile_bodies(a.prog());
+    let mut added_any = false;
+    for j in jumps_in_pdom_preorder(a) {
+        if stmts.contains(j) {
+            continue;
+        }
+        let admit = dowhile_hazard(a, &bodies, j, &stmts)
+            || (on_included_predicate(a, j, &stmts)
+                && nearest_pdom_in(a, j, &stmts) != nearest_lexsucc_in(a, j, &stmts));
+        if admit {
+            stmts.insert(j);
+            added_any = true;
+        }
+    }
+    let moved_labels = reassociate_labels_dense(a, &stmts);
+    Slice {
+        stmts,
+        moved_labels,
+        traversals: usize::from(added_any),
+    }
+}
+
+/// Figure 13 on the tree walks: the dense counterpart of
+/// [`jumpslice_core::conservative_slice`]. One pass over the live
+/// unconditional jumps in statement order admits every jump control
+/// dependent on an in-slice predicate, and every jump the do-while guard
+/// fires on.
+pub fn conservative_slice_dense(a: &Analysis<'_>, crit: &Criterion) -> Slice {
+    let mut stmts = backward_closure(a.pdg(), crit.seeds(a));
+    let bodies = dowhile_bodies(a.prog());
+    for j in a.prog().stmt_ids() {
+        if !is_candidate(a, j) || stmts.contains(j) {
+            continue;
+        }
+        if on_included_predicate(a, j, &stmts) || dowhile_hazard(a, &bodies, j, &stmts) {
+            stmts.insert(j);
+        }
+    }
+    let moved_labels = reassociate_labels_dense(a, &stmts);
+    Slice {
+        stmts,
+        moved_labels,
+        traversals: 0,
+    }
+}
+
+/// Whether `j` is directly control dependent on a predicate in `slice`.
+fn on_included_predicate(a: &Analysis<'_>, j: StmtId, slice: &StmtSet) -> bool {
+    a.pdg().control().deps(j).iter().any(|&p| slice.contains(p))
+}
+
+/// Figure 7's final step on the postdominator walk: each label of an
+/// in-slice `goto` (plain or fused conditional) whose target is out of
+/// `slice` moves to the target's nearest postdominator in `slice`. Labels
+/// come out in slice order, each once: the dense counterpart of
+/// [`jumpslice_core::reassociate_labels`].
+pub fn reassociate_labels_dense(a: &Analysis<'_>, slice: &StmtSet) -> Vec<(Label, SlicePoint)> {
+    let mut moved: Vec<(Label, SlicePoint)> = Vec::new();
+    for s in slice.iter() {
+        let label = match a.prog().stmt(s).kind {
+            StmtKind::Goto { target } | StmtKind::CondGoto { target, .. } => target,
+            _ => continue,
+        };
+        if moved.iter().any(|&(l, _)| l == label) {
+            continue;
+        }
+        let target = a
+            .prog()
+            .label_target(label)
+            .expect("validated programs have resolved labels");
+        if !slice.contains(target) {
+            moved.push((label, nearest_pdom_in(a, target, slice)));
+        }
+    }
+    moved
+}
+
+/// Whether `s` is a traversal candidate: a live *unconditional* jump.
+///
+/// Conditional jumps are deliberately absent: §3 handles them through the
+/// conventional algorithm's adaptation (the fused conditional goto is
+/// included exactly when its predicate is), and the traversal question is
+/// posed only for unconditional jumps. Examining fused conditional gotos
+/// would make the iteration order-dependent and strictly coarser than
+/// Ball–Horwitz (an early npd ≠ nls judgement can be invalidated by later
+/// closure additions). Dead jumps are skipped.
+fn is_candidate(a: &Analysis<'_>, s: StmtId) -> bool {
+    a.prog().stmt(s).kind.is_unconditional_jump() && a.is_live(s)
+}
+
+/// The traversal candidates in preorder of the postdominator tree: the
+/// visit order of the paper's Figure 7.
+pub fn jumps_in_pdom_preorder(a: &Analysis<'_>) -> Vec<StmtId> {
+    a.pdom()
+        .preorder()
+        .filter_map(|n| a.cfg().stmt(n))
+        .filter(|&s| is_candidate(a, s))
+        .collect()
+}
+
+/// The traversal candidates in preorder of the lexical successor tree,
+/// the alternative visit order §3 mentions.
 pub fn jumps_in_lst_preorder(a: &Analysis<'_>) -> Vec<StmtId> {
     a.lst()
         .preorder()
         .into_iter()
-        .filter(|&s| a.prog().stmt(s).kind.is_unconditional_jump() && a.is_live(s))
+        .filter(|&s| is_candidate(a, s))
         .collect()
+}
+
+/// The nearest proper postdominator of `s` in `slice` (`None` = the exit,
+/// which is implicitly in every slice), by a walk up the postdominator
+/// tree.
+pub fn nearest_pdom_in(a: &Analysis<'_>, s: StmtId, slice: &StmtSet) -> SlicePoint {
+    let cfg = a.cfg();
+    for n in a.pdom().ancestors(cfg.node(s)) {
+        if n == cfg.exit() {
+            return None;
+        }
+        if let Some(t) = cfg.stmt(n) {
+            if slice.contains(t) {
+                return Some(t);
+            }
+        }
+    }
+    None
+}
+
+/// The nearest proper lexical successor of `s` in `slice` (`None` = the
+/// exit), by a walk up the lexical successor tree.
+pub fn nearest_lexsucc_in(a: &Analysis<'_>, s: StmtId, slice: &StmtSet) -> SlicePoint {
+    a.lst().successors(s).find(|&t| slice.contains(t))
+}
+
+/// Every statement's do-while body set: entry `d` holds the statements
+/// lexically inside the do-while `d`, and is empty for any other
+/// statement. One ancestor walk per statement; empty when the program has
+/// no do-while. Built once per oracle call and read by [`dowhile_hazard`].
+pub fn dowhile_bodies(prog: &Program) -> Vec<StmtSet> {
+    let st = prog.structure();
+    if !st.has_do_while() {
+        return Vec::new();
+    }
+    let mut out = vec![StmtSet::with_capacity(0); prog.len()];
+    for s in prog.stmt_ids() {
+        let mut cur = st.parent(s);
+        while let Some(t) = cur {
+            if matches!(prog.stmt(t).kind, StmtKind::DoWhile { .. }) {
+                out[t.index()].insert(s);
+            }
+            cur = st.parent(t);
+        }
+    }
+    out
+}
+
+/// The do-while extension guard, a construct outside the paper's
+/// language: walking the lexical-successor chain from jump `j` toward its
+/// nearest in-slice successor, returns `true` if the walk enters a
+/// `do-while` that is *not* in the slice from inside its body, and that
+/// body contains slice statements. `bodies` is [`dowhile_bodies`] of the
+/// analyzed program.
+///
+/// Deleting such a jump makes control fall into the do-while's
+/// *condition*, which may loop back and re-execute the in-slice body —
+/// even when the condition was dead code in the original program (a body
+/// ending in `break`). The paper's npd-vs-nls test cannot see this because
+/// a do-while's entry (its body) differs from its flowgraph node (its
+/// condition); for the paper's own constructs the guard never fires, and
+/// for programs without any `do-while` it returns at once, without forcing
+/// the lexical successor tree.
+pub fn dowhile_hazard(a: &Analysis<'_>, bodies: &[StmtSet], j: StmtId, slice: &StmtSet) -> bool {
+    let prog = a.prog();
+    let st = prog.structure();
+    if !st.has_do_while() {
+        return false;
+    }
+    let mut prev = j;
+    for t in a.lst().successors(j) {
+        if slice.contains(t) {
+            return false;
+        }
+        // Only an arrival *from inside the body* lands on the loop
+        // condition (the last-body-statement rule); reaching a do-while
+        // from outside enters its body, which is harmless.
+        if matches!(prog.stmt(t).kind, StmtKind::DoWhile { .. })
+            && st.contains(t, prev)
+            && bodies[t.index()].intersects(slice)
+        {
+            return true;
+        }
+        prev = t;
+    }
+    false
 }
 
 /// A reaching-definitions solution in the solver's layout: bit `i` of
@@ -335,6 +539,159 @@ mod tests {
             let by_lst = figure7(&a, &crit, &jumps_in_lst_preorder(&a), None);
             assert_eq!(by_pdom.stmts, by_lst.stmts);
         }
+    }
+
+    #[test]
+    fn nearest_queries() {
+        let p = parse("a = 1; b = 2; c = 3; d = 4;").unwrap();
+        let a = Analysis::new(&p);
+        let slice: StmtSet = [p.at_line(3)].into_iter().collect();
+        assert_eq!(
+            nearest_pdom_in(&a, p.at_line(1), &slice),
+            Some(p.at_line(3))
+        );
+        assert_eq!(
+            nearest_lexsucc_in(&a, p.at_line(1), &slice),
+            Some(p.at_line(3))
+        );
+        assert_eq!(
+            nearest_pdom_in(&a, p.at_line(3), &slice),
+            None,
+            "proper ancestors only"
+        );
+        assert_eq!(
+            nearest_pdom_in(&a, p.at_line(4), &slice),
+            None,
+            "falls to exit"
+        );
+    }
+
+    #[test]
+    fn nearest_lexsucc_walks_out_of_loops() {
+        let p = parse("while (c) { if (a) { x = 1; } y = 2; } write(y);").unwrap();
+        let a = Analysis::new(&p);
+        // Lines: 1 while, 2 if, 3 x=1, 4 y=2, 5 write; x's chain is 4, 1, 5.
+        let x = p.at_line(3);
+        let slice: StmtSet = [p.at_line(1), p.at_line(5)].into_iter().collect();
+        assert_eq!(nearest_lexsucc_in(&a, x, &slice), Some(p.at_line(1)));
+        assert_eq!(nearest_lexsucc_in(&a, x, &StmtSet::with_capacity(0)), None);
+    }
+
+    #[test]
+    fn pdom_order_covers_unconditional_jumps_only() {
+        let p = parse("L3: if (eof()) goto L14; goto L3; L14: write(x);").unwrap();
+        let a = Analysis::new(&p);
+        // The fused conditional goto on line 1 is handled by the
+        // conventional adaptation, not the traversal; only `goto L3` is a
+        // traversal candidate.
+        assert_eq!(jumps_in_pdom_preorder(&a), vec![p.at_line(2)]);
+        let dead = parse("goto END; goto END; END: write(x);").unwrap();
+        let a = Analysis::new(&dead);
+        assert!(!a.is_live(dead.at_line(2)), "second goto is dead");
+        assert_eq!(jumps_in_pdom_preorder(&a), vec![dead.at_line(1)]);
+    }
+
+    #[test]
+    fn dowhile_body_sets_match_structure_contains() {
+        let p = parse(
+            "read(x);
+             do { x = x + 1; do { y = 2; } while (y); } while (x < 3);
+             write(x);",
+        )
+        .unwrap();
+        let bodies = dowhile_bodies(&p);
+        for t in p.stmt_ids() {
+            for s in p.stmt_ids() {
+                assert_eq!(
+                    bodies[t.index()].contains(s),
+                    matches!(p.stmt(t).kind, StmtKind::DoWhile { .. })
+                        && p.structure().contains(t, s),
+                    "body set of line {} at line {}",
+                    p.line_of(t),
+                    p.line_of(s)
+                );
+            }
+        }
+        let flat = parse("read(x); while (x) { x = x - 1; } write(x);").unwrap();
+        assert!(dowhile_bodies(&flat).is_empty());
+    }
+
+    /// The hazard guard answers through the body sets exactly as a scan of
+    /// the slice does, on every slice state of a program where it fires
+    /// (break inside a do-while, body statements sliced, loop head not).
+    #[test]
+    fn dowhile_hazard_matches_linear_scan() {
+        let p = parse("read(x); do { x = x + 1; if (c) break; y = 2; } while (x < 10); write(y);")
+            .unwrap();
+        let a = Analysis::new(&p);
+        let bodies = dowhile_bodies(&p);
+        let brk = p.at_line(5);
+        let scan = |j: StmtId, slice: &StmtSet| -> bool {
+            let mut prev = j;
+            for t in a.lst().successors(j) {
+                if slice.contains(t) {
+                    return false;
+                }
+                if matches!(p.stmt(t).kind, StmtKind::DoWhile { .. })
+                    && p.structure().contains(t, prev)
+                    && slice.iter().any(|s| p.structure().contains(t, s))
+                {
+                    return true;
+                }
+                prev = t;
+            }
+            false
+        };
+        let mut fired = false;
+        for mask in 0u32..(1 << p.len()) {
+            let slice: StmtSet = p
+                .stmt_ids()
+                .filter(|s| mask & (1 << s.index()) != 0)
+                .collect();
+            let got = dowhile_hazard(&a, &bodies, brk, &slice);
+            assert_eq!(got, scan(brk, &slice), "slice mask {mask:#b}");
+            fired |= got;
+        }
+        assert!(fired, "the hazard case is actually exercised");
+    }
+
+    /// Without a do-while the guard answers at once, without the LST.
+    #[test]
+    fn dowhile_hazard_short_circuits_without_dowhile() {
+        let p = parse("x = 1; goto L; y = 2; L: write(x);").unwrap();
+        let a = Analysis::new(&p);
+        let slice: StmtSet = [p.at_line(4)].into_iter().collect();
+        assert!(!dowhile_hazard(
+            &a,
+            &dowhile_bodies(&p),
+            p.at_line(2),
+            &slice
+        ));
+        assert_eq!(a.stats().lst_builds, 0);
+    }
+
+    /// The dense Figures 12 and 13 and the dense label step reproduce the
+    /// paper's Figure 14 and Figure 3 answers.
+    #[test]
+    fn dense_figures_12_and_13_and_labels_on_the_paper() {
+        let p = corpus::fig14();
+        let a = Analysis::new(&p);
+        let crit = Criterion::at_stmt(p.at_line(9));
+        assert_eq!(
+            structured_slice_dense(&a, &crit).lines(&p),
+            vec![1, 3, 4, 9]
+        );
+        assert_eq!(
+            conservative_slice_dense(&a, &crit).lines(&p),
+            vec![1, 3, 4, 5, 7, 9]
+        );
+        let p = corpus::fig3();
+        let a = Analysis::new(&p);
+        let s = agrawal_slice_dense(&a, &Criterion::at_stmt(p.at_line(15)));
+        assert_eq!(
+            reassociate_labels_dense(&a, &s.stmts),
+            vec![(p.label("L14").unwrap(), Some(p.at_line(15)))]
+        );
     }
 
     #[test]

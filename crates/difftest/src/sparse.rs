@@ -5,15 +5,24 @@
 //! two must be bit-identical: same statements, same `traversals`, same
 //! `moved_labels`, and — through the traced pair — identical provenance
 //! (the same `Why`, including the admission round and the npd/nls pair,
-//! for every statement). This module sweeps seeded
-//! programs from the three projection-fuzzer families and asserts exactly
-//! that; a mismatch is shrunk with the shared statement shrinker before
-//! reporting.
+//! for every statement). Figures 12 and 13 read the kernel's chain index
+//! too, so `structured_slice` and `conservative_slice` are held the same
+//! way to the oracle's tree-walk restatements, on every family (Figure 12
+//! is well defined off its structured domain, just not always correct).
+//! This module sweeps seeded programs from the three projection-fuzzer
+//! families and asserts exactly that; a mismatch is shrunk with the shared
+//! statement shrinker before reporting.
 
 use crate::harness::{pick_criteria, DiffConfig, Family};
-use crate::oracle::{agrawal_slice_dense, agrawal_slice_dense_traced};
+use crate::oracle::{
+    agrawal_slice_dense, agrawal_slice_dense_traced, conservative_slice_dense,
+    structured_slice_dense,
+};
 use crate::shrink::{is_valid_candidate, shrink};
-use jumpslice_core::{agrawal_slice, agrawal_slice_traced, Analysis, Criterion};
+use jumpslice_core::{
+    agrawal_slice, agrawal_slice_traced, conservative_slice, structured_slice, Analysis, Criterion,
+    SliceFn,
+};
 use jumpslice_lang::{print_program, Program};
 
 /// Knobs for one sparse-vs-dense differential session.
@@ -100,12 +109,20 @@ pub struct SparseReport {
     pub programs: usize,
     /// Criteria compared across all programs.
     pub criteria: usize,
-    /// Individual equality checks executed (slice sets, traversal counts,
-    /// moved labels, per-statement provenance).
+    /// Individual equality checks executed (slice sets, traversal counts
+    /// and moved labels of Figures 7, 12 and 13; per-statement provenance
+    /// of Figure 7).
     pub comparisons: usize,
     /// Confirmed sparse-vs-dense mismatches.
     pub findings: Vec<SparseFinding>,
 }
+
+/// The product slicers held to a dense reference, with their names.
+const PAIRS: [(&str, SliceFn, SliceFn); 3] = [
+    ("fig7", agrawal_slice, agrawal_slice_dense),
+    ("fig12", structured_slice, structured_slice_dense),
+    ("fig13", conservative_slice, conservative_slice_dense),
+];
 
 /// Sweeps one program: every picked criterion, plain and traced, sparse
 /// against dense. Returns `(criteria, comparisons)` or the first mismatch.
@@ -117,28 +134,30 @@ fn sweep(p: &Program, max_criteria: usize) -> Result<(usize, usize), String> {
         let line = p.line_of(c);
         let crit = Criterion::at_stmt(c);
 
-        let sparse = agrawal_slice(&a, &crit);
-        let dense = agrawal_slice_dense(&a, &crit);
-        comparisons += 3;
-        if sparse.stmts != dense.stmts {
-            return Err(format!(
-                "criterion line {line}: sparse slice has {} stmts, dense {}",
-                sparse.len(),
-                dense.len()
-            ));
-        }
-        if sparse.traversals != dense.traversals {
-            return Err(format!(
-                "criterion line {line}: sparse took {} traversals, dense {}",
-                sparse.traversals, dense.traversals
-            ));
-        }
-        if sparse.moved_labels != dense.moved_labels {
-            return Err(format!(
-                "criterion line {line}: moved-label sets differ \
-                 (sparse {:?} vs dense {:?})",
-                sparse.moved_labels, dense.moved_labels
-            ));
+        for (algo, product, reference) in PAIRS {
+            let sparse = product(&a, &crit);
+            let dense = reference(&a, &crit);
+            comparisons += 3;
+            if sparse.stmts != dense.stmts {
+                return Err(format!(
+                    "{algo} at criterion line {line}: sparse slice has {} stmts, dense {}",
+                    sparse.len(),
+                    dense.len()
+                ));
+            }
+            if sparse.traversals != dense.traversals {
+                return Err(format!(
+                    "{algo} at criterion line {line}: sparse took {} traversals, dense {}",
+                    sparse.traversals, dense.traversals
+                ));
+            }
+            if sparse.moved_labels != dense.moved_labels {
+                return Err(format!(
+                    "{algo} at criterion line {line}: moved-label sets differ \
+                     (sparse {:?} vs dense {:?})",
+                    sparse.moved_labels, dense.moved_labels
+                ));
+            }
         }
 
         let (ts, tp) = agrawal_slice_traced(&a, &crit);

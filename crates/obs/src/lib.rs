@@ -169,8 +169,9 @@ pub enum AdmitReason {
         /// Line of the in-slice controlling predicate.
         predicate_line: u32,
     },
-    /// The workspace's do-while extension guard fired
-    /// (`Analysis::dowhile_hazard`).
+    /// The workspace's do-while extension guard fired (answered by the
+    /// chain index; `jumpslice_difftest::oracle::dowhile_hazard` states it
+    /// as a tree walk).
     DoWhileHazard,
 }
 

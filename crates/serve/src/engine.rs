@@ -482,9 +482,10 @@ impl Engine {
             Ok(slices) => (slices, false),
             Err(bp) if cancel::is_cancelled(&bp.message) => {
                 // Deadline blown mid-slice: degrade the WHOLE batch to the
-                // Figure-13 conservative answer, without a deadline — it
-                // needs neither the fixpoint nor the pdom traversal, so it
-                // terminates promptly even on inputs fig7 struggled with.
+                // Figure-13 conservative answer, without a deadline — one
+                // pass over the jumps, no fixpoint, reading the chain index
+                // only when the program has a do-while or a label moves, so
+                // it terminates promptly even on inputs fig7 struggled with.
                 let n = self.degraded.fetch_add(1, Ordering::SeqCst) + 1;
                 obs::record(|| obs::Event::Count {
                     name: "serve.degraded",

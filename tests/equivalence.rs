@@ -178,7 +178,7 @@ fn traversal_drivers_both_cover_ball_horwitz() {
     jumpslice_testkit::check(48, |rng| {
         let p = arb_unstructured(rng);
         let a = Analysis::new(&p);
-        let pdom_order = a.jumps_in_pdom_preorder();
+        let pdom_order = oracle::jumps_in_pdom_preorder(&a);
         let lst_order = oracle::jumps_in_lst_preorder(&a);
         for c in criteria(&p) {
             let crit = Criterion::at_stmt(c);

@@ -98,9 +98,11 @@ fn equivalence_exact_on_paper_fragment() {
 /// The soundness side of the do-while gap: a body that always `break`s
 /// leaves the loop condition dead, so the paper's npd-vs-nls test sees no
 /// reason to keep the break — but deleting it *resurrects* the loop. The
-/// `Analysis::dowhile_hazard` extension guard repairs all three paper
-/// algorithms; Ball–Horwitz needs no repair (its pseudo edge makes the
-/// condition control dependent on the break). Found by property testing.
+/// do-while extension guard, which all three paper algorithms read from the
+/// chain index (`jumpslice_difftest::oracle::dowhile_hazard` is its tree
+/// walk), repairs them; Ball–Horwitz needs no repair (its pseudo edge makes
+/// the condition control dependent on the break). Found by property
+/// testing.
 #[test]
 fn dowhile_dead_condition_break_is_kept() {
     let src = "read(v1);

@@ -6,6 +6,7 @@
 use jumpslice::obs;
 use jumpslice::prelude::*;
 use jumpslice_core::corpus;
+use jumpslice_difftest::oracle;
 
 /// The jump admissions an event stream contains, as `(algo, line, round)`.
 fn admissions(events: &[obs::Event]) -> Vec<(&'static str, u32, u32)> {
@@ -147,8 +148,8 @@ fn fig1_conventional_emits_no_jump_events() {
 /// is a hit. The first Figure-7 slice on a cold analysis misses all five
 /// artifacts (the four classic ones plus the sparse kernel's chain index,
 /// whose build forces the LST); an identical second slice misses none. The
-/// warm slice runs entirely off the chain index — it no longer touches the
-/// LST at all.
+/// warm slice runs entirely off the chain index — it touches neither the
+/// LST nor, though label L14 moves, the pdom tree.
 #[test]
 fn analysis_cache_events_are_exact() {
     let p = corpus::fig3();
@@ -172,7 +173,7 @@ fn analysis_cache_events_are_exact() {
         "warm analysis recomputes nothing: {:?}",
         m2.cache_misses
     );
-    for artifact in ["pdg", "pdom", "chain_index"] {
+    for artifact in ["pdg", "chain_index"] {
         assert!(
             m2.cache_hits.get(artifact).is_some_and(|&h| h >= 1),
             "warm analysis hits {artifact}"
@@ -183,6 +184,12 @@ fn analysis_cache_events_are_exact() {
         None,
         "the warm sparse kernel answers every nearest-successor query from \
          the chain index, never walking the LST"
+    );
+    assert_eq!(
+        m2.cache_hits.get("pdom"),
+        None,
+        "label re-association reads the chain index's pdom parents, never \
+         walking the pdom tree"
     );
 }
 
@@ -224,7 +231,7 @@ fn fig10_sparse_retests_stay_below_dense_budget() {
     let (s, events) = obs::capture(|| agrawal_slice(&a, &Criterion::at_stmt(p.at_line(9))));
     assert_eq!(s.traversals, 2);
     let m = obs::Metrics::of(&events);
-    let jumps = a.jumps_in_pdom_preorder().len() as u64;
+    let jumps = oracle::jumps_in_pdom_preorder(&a).len() as u64;
     let rounds = rounds(&events).len() as u64;
     let retests = m.counts["sparse.retests"];
     assert!(
