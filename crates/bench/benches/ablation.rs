@@ -8,8 +8,8 @@
 //!   walk over the PDG's SCC condensation) vs the `BTreeSet` recursion
 //!   over raw edges it replaced;
 //! * `control_dependence`: the Ferrante–Ottenstein–Warren edge walk vs the
-//!   postdominance-frontier construction (results are identical; the
-//!   pdg crate's tests cross-check them).
+//!   postdominance-frontier construction in `jumpslice_difftest::oracle`
+//!   (results are identical; the oracle's tests cross-check them).
 
 use jumpslice_bench::harness::Runner;
 use jumpslice_bench::{live_writes, sized_structured, sized_unstructured};
@@ -81,12 +81,7 @@ fn control_dependence(r: &mut Runner) {
         );
         r.bench(
             &format!("ablation/control_dependence/pdom-frontiers/{}", p.len()),
-            || {
-                black_box(jumpslice_pdg::ControlDeps::compute_via_frontiers(
-                    black_box(&p),
-                    &cfg,
-                ))
-            },
+            || black_box(oracle::control_deps_via_frontiers(black_box(&p), &cfg)),
         );
     }
 }

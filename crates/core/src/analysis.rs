@@ -38,6 +38,8 @@ pub struct AnalysisStats {
 /// [`Analysis::with_seed`]. The incremental edit session uses this pair to
 /// carry surviving artifacts across a program edit: whatever the edit left
 /// valid is moved into the next `Analysis` instead of being recomputed.
+/// A decoded snapshot ([`crate::decode_snapshot`]) is a seed too, holding
+/// everything [`Analysis::warm`] forces but no reaching definitions.
 ///
 /// Every field is optional; a missing artifact is simply computed lazily as
 /// usual. **Contract:** artifacts injected via `with_seed` must be correct
@@ -54,7 +56,9 @@ pub struct AnalysisSeed {
     pub pdg: Option<Pdg>,
     /// The lexical successor tree.
     pub lst: Option<LexSuccTree>,
-    /// The reaching-definitions solution.
+    /// The reaching-definitions solution. A cold PDG build leaves it here;
+    /// a restored snapshot never carries it, and the first `vars_at`
+    /// criterion or incremental edit that needs it solves it again.
     pub reaching: Option<ReachingDefs>,
     /// The sparse kernel's chain index (opaque; valid only while the jump
     /// structure, postdominators, and lexical successor tree are unchanged).
@@ -214,7 +218,8 @@ impl<'p> Analysis<'p> {
 
     /// The (unaugmented) program dependence graph (computed on first use;
     /// its data half reuses the cached reaching-definitions fixpoint, its
-    /// control half the cached postdominator tree).
+    /// control half the cached postdominator tree). A seeded PDG needs
+    /// neither.
     pub fn pdg(&self) -> &Pdg {
         self.cache_probe(obs::Artifact::Pdg, self.pdg.get().is_some());
         self.pdg.get_or_init(|| {
@@ -287,18 +292,20 @@ impl<'p> Analysis<'p> {
         }
     }
 
-    /// Forces every paper artifact (the PDG with its condensation) and the
-    /// chain index now, on the calling thread.
+    /// Forces what Figures 7, 12 and 13 read (the PDG with its
+    /// condensation, the postdominator tree, the LST) and the chain index
+    /// now, on the calling thread. A cold PDG solves reaching definitions
+    /// as its input and keeps them; a seeded one needs none, and they are
+    /// solved only when a `vars_at` criterion first asks.
     pub fn warm(&self) {
-        let _ = (self.reaching(), self.pdg(), self.pdom(), self.lst());
+        let _ = (self.pdg(), self.pdom(), self.lst());
         let _ = self.chain_index();
     }
 
     /// True when every artifact [`Analysis::warm`] computes is already
     /// cached.
     pub fn is_warm(&self) -> bool {
-        self.reaching.get().is_some()
-            && self.pdg.get().is_some()
+        self.pdg.get().is_some()
             && self.pdom.get().is_some()
             && self.lst.get().is_some()
             && self.chain_index.get().is_some()

@@ -1,14 +1,14 @@
 //! The analysis-snapshot codec: [`AnalysisSeed`] ⇄ a flat byte payload.
 //!
 //! A snapshot captures what is expensive to recompute about a finished
-//! analysis — the reaching-definitions solution and the PDG's data edges —
-//! next to the program source it was computed from. The daemon's snapshot
-//! store persists these payloads so a restarted process can serve its
-//! first slice without re-running the reaching-definitions fixpoint.
+//! analysis — the PDG's data edges — next to the program source it was
+//! computed from. The daemon's snapshot store persists these payloads so a
+//! restarted process can serve its first Figure-7 slice without running
+//! the reaching-definitions fixpoint or deriving the data edges.
 //!
 //! Two properties make the format safe and the restore fast:
 //!
-//! * **The program travels with the artifacts; what it determines does
+//! * **The program travels with the data edges; what it determines does
 //!   not.** An earlier draft of this codec stored only the source text and
 //!   re-parsed it at decode time ("the source is the schema"), but the
 //!   re-parse dominated restore latency — exactly the cost a snapshot
@@ -19,10 +19,13 @@
 //!   the lexical successor tree ([`Cfg::build`], [`LexSuccTree::build`])
 //!   and, next to stored data edges, the postdominator tree, the control
 //!   dependences and the sparse kernel's chain index. No stored copy can
-//!   disagree with the program. The source stays embedded because callers
-//!   that map snapshots by content hash must compare it against the
-//!   request's source byte-for-byte — that comparison, not the hash, is
-//!   what makes a key collision harmless.
+//!   disagree with the program. Reaching definitions are not stored
+//!   either: no Figure-7, 12 or 13 slice reads them, so a restored
+//!   analysis solves them only when a `vars_at` criterion or an
+//!   incremental edit first asks. The source stays embedded because
+//!   callers that map snapshots by content hash must compare it against
+//!   the request's source byte-for-byte — that comparison, not the hash,
+//!   is what makes a key collision harmless.
 //! * **Decoding validates, never trusts.** Every count is bounded, every
 //!   index is range-checked, and the decoded program must pass
 //!   [`Program::from_parts`]'s audit (block-tree bijection, label
@@ -30,21 +33,20 @@
 //!   switch-guard rules) and nest no deeper than the parser's
 //!   [`MAX_DEPTH`]; any violation is a [`SnapshotError`] — the caller
 //!   falls back to analyzing from source.
-//!   Semantic fidelity (that the reaching solution and the data edges
-//!   really belong to this source) is the job of the store's whole-record
-//!   checksum one layer up, and analyzability (every statement reaches the
-//!   exit) is re-established by whoever builds a session from the seed;
-//!   this module only defines the payload.
+//!   Semantic fidelity (that the data edges really belong to this source)
+//!   is the job of the store's whole-record checksum one layer up, and
+//!   analyzability (every statement reaches the exit) is re-established by
+//!   whoever builds a session from the seed; this module only defines the
+//!   payload.
 //!
 //! The encoding is little-endian throughout: counts and indices as `u32`
-//! (`u32::MAX` = "none"), tags as single bytes, strings length-prefixed,
-//! bitsets as their capacity plus raw words.
+//! (`u32::MAX` = "none"), tags as single bytes, strings length-prefixed.
 
 use crate::sparse::ChainIndex;
 use crate::wire::{self, Reader};
 use crate::{AnalysisSeed, LexSuccTree, SlicePoint};
 use jumpslice_cfg::Cfg;
-use jumpslice_dataflow::{BitSet, DataDeps, ReachingDefs};
+use jumpslice_dataflow::DataDeps;
 use jumpslice_lang::{
     BinOp, CaseGuard, Expr, Label, Name, Program, Stmt, StmtId, StmtKind, SwitchArm, UnOp,
     MAX_DEPTH,
@@ -90,46 +92,34 @@ pub struct Snapshot {
     /// The restored artifacts. The flowgraph and the lexical successor tree
     /// are always present, derived from `prog`. The PDG, the postdominator
     /// tree and the chain index are present when the payload carried data
-    /// edges: the decoder derives the rest of them. Other absent artifacts
-    /// were never forced before the snapshot was taken.
+    /// edges: the decoder derives the rest of them. Reaching definitions
+    /// are always absent: no record carries them.
     pub seed: AnalysisSeed,
 }
 
-const HAS_REACHING: u32 = 1 << 0;
-const HAS_DATA_DEPS: u32 = 1 << 1;
-const KNOWN_BITS: u32 = HAS_REACHING | HAS_DATA_DEPS;
+/// The presence word's one bit: the payload carries the PDG's data edges.
+const HAS_DATA_DEPS: u32 = 1;
 
 /// Serializes `seed`'s artifacts (with `source` and `prog` embedded) into a
 /// snapshot payload. `prog` must be the parse of `source` that the seed's
-/// artifacts were computed against; absent artifacts are simply skipped.
-/// Only the reaching-definitions solution and the PDG's data edges are
-/// written: the decoder derives everything else from `prog`.
+/// artifacts were computed against. Only the PDG's data edges are written,
+/// when the seed has a PDG: the decoder derives everything else from
+/// `prog`, and reaching definitions are solved again when first asked.
 pub fn encode_snapshot(source: &str, prog: &Program, seed: &AnalysisSeed) -> Vec<u8> {
     let mut out = Vec::new();
     wire::put_bytes(&mut out, source.as_bytes());
     encode_program(&mut out, prog);
-    let mut bits = 0u32;
-    for (bit, present) in [
-        (HAS_REACHING, seed.reaching.is_some()),
-        (HAS_DATA_DEPS, seed.pdg.is_some()),
-    ] {
-        if present {
-            bits |= bit;
-        }
-    }
+    let bits = if seed.pdg.is_some() { HAS_DATA_DEPS } else { 0 };
     wire::put_u32(&mut out, bits);
-    if let Some(rd) = &seed.reaching {
-        framed(&mut out, |out| encode_reaching(out, rd));
-    }
     if let Some(pdg) = &seed.pdg {
         framed(&mut out, |out| encode_data_deps(out, prog, pdg.data()));
     }
     out
 }
 
-/// Encodes one artifact section behind a byte-length prefix, patched in
+/// Encodes the artifact section behind a byte-length prefix, patched in
 /// after the section body is written (no staging buffer). The prefix lets
-/// the decoder split sections apart up front and check that each one is
+/// the decoder split the section off up front and check that it is
 /// consumed exactly.
 fn framed(out: &mut Vec<u8>, body: impl FnOnce(&mut Vec<u8>)) {
     let mark = out.len();
@@ -141,12 +131,12 @@ fn framed(out: &mut Vec<u8>, body: impl FnOnce(&mut Vec<u8>)) {
 
 /// Decodes a snapshot payload, validating the program section as
 /// [`Program::from_parts`] does (and its nesting against [`MAX_DEPTH`])
-/// and every artifact against it, and derives the flowgraph and the
+/// and the data edges against it, and derives the flowgraph and the
 /// lexical successor tree from the decoded program. Next to data edges it
 /// also derives the postdominator tree, the control dependences and the
-/// chain index, so the restored seed is as warm as the one encoded. Any
-/// malformation is an error, not a panic; the caller is expected to fall
-/// back to a from-source build.
+/// chain index, so the restored seed holds everything `warm()` forces.
+/// Any malformation is an error, not a panic; the caller is expected to
+/// fall back to a from-source build.
 pub fn decode_snapshot(bytes: &[u8]) -> Result<Snapshot, SnapshotError> {
     use SnapshotError::*;
     let mut r = Reader::new(bytes);
@@ -154,23 +144,14 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<Snapshot, SnapshotError> {
         .map_err(|_| BadSource)?
         .to_owned();
     let prog = decode_program(&mut r)?;
-    let bits = r.u32().ok_or(Malformed)?;
-    if bits & !KNOWN_BITS != 0 {
-        return Err(Malformed);
-    }
-    fn section<'a>(
-        r: &mut Reader<'a>,
-        bits: u32,
-        bit: u32,
-    ) -> Result<Option<&'a [u8]>, SnapshotError> {
-        if bits & bit == 0 {
-            return Ok(None);
+    let data_b = match r.u32().ok_or(Malformed)? {
+        0 => None,
+        HAS_DATA_DEPS => {
+            let n = r.len(r.remaining()).ok_or(Malformed)?;
+            Some(r.bytes(n).ok_or(Malformed)?)
         }
-        let n = r.len(r.remaining()).ok_or(SnapshotError::Malformed)?;
-        Ok(Some(r.bytes(n).ok_or(SnapshotError::Malformed)?))
-    }
-    let reaching_b = section(&mut r, bits, HAS_REACHING)?;
-    let data_b = section(&mut r, bits, HAS_DATA_DEPS)?;
+        _ => return Err(Malformed),
+    };
     if r.remaining() != 0 {
         return Err(Malformed);
     }
@@ -178,12 +159,7 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<Snapshot, SnapshotError> {
     let n = prog.len();
     let cfg = Cfg::build(&prog);
     let lst = LexSuccTree::build(&prog);
-    let (reaching, data) = panic_as_malformed(|| {
-        Ok((
-            exact(reaching_b, |r| decode_reaching(r, &prog, &cfg))?,
-            exact(data_b, |r| decode_data_deps(r, n))?,
-        ))
-    })?;
+    let data = panic_as_malformed(|| exact(data_b, |r| decode_data_deps(r, n)))?;
     let (pdom, pdg, chain_index) = match data {
         // Postdominators are undefined where a statement cannot reach the
         // exit, and no analysis ever wrote data edges for such a program.
@@ -206,13 +182,13 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<Snapshot, SnapshotError> {
         pdom,
         pdg,
         lst: Some(lst),
-        reaching,
+        reaching: None,
         chain_index,
     };
     Ok(Snapshot { source, prog, seed })
 }
 
-/// Runs the section decoders. A panicking decoder would be a bug, but the
+/// Runs the section decoder. A panicking decoder would be a bug, but the
 /// store's contract is that a bad record degrades to a from-source
 /// rebuild, so a panic classifies as malformed rather than failing the
 /// caller's load.
@@ -222,7 +198,7 @@ fn panic_as_malformed<T>(
     catch_unwind(AssertUnwindSafe(decode)).unwrap_or(Err(SnapshotError::Malformed))
 }
 
-/// Decodes one optional artifact section, which must be consumed exactly: a
+/// Decodes an optional artifact section, which must be consumed exactly: a
 /// length prefix lying either way about its section's extent is malformed.
 fn exact<T>(
     bytes: Option<&[u8]>,
@@ -642,78 +618,6 @@ fn stmt_list(r: &mut Reader<'_>, n: usize) -> Result<Vec<StmtId>, SnapshotError>
     Ok(out)
 }
 
-fn encode_reaching(out: &mut Vec<u8>, rd: &ReachingDefs) {
-    let vars = rd.vars();
-    wire::put_len(out, vars.len());
-    for i in 0..vars.len() {
-        wire::put_len(out, vars.var(i).index());
-    }
-    wire::put_len(out, rd.def_sites().len());
-    for &d in rd.def_sites() {
-        wire::put_len(out, d.index());
-    }
-    // Every IN set indexes `def_sites`, so one shared capacity implies each
-    // set's word count — the sets travel as one contiguous word blob.
-    wire::put_len(out, rd.in_sets().len());
-    for set in rd.in_sets() {
-        assert_eq!(
-            set.capacity(),
-            rd.def_sites().len(),
-            "IN sets index the def-site numbering"
-        );
-        for &w in set.words() {
-            wire::put_u64(out, w);
-        }
-    }
-}
-
-fn decode_reaching(
-    r: &mut Reader<'_>,
-    prog: &Program,
-    cfg: &Cfg,
-) -> Result<ReachingDefs, SnapshotError> {
-    use SnapshotError::Malformed;
-    // Vars travel as raw interner ids — the program section restored the
-    // interner, so an id out of its range cannot belong here.
-    let n_vars = r.len(r.remaining() / 4).ok_or(Malformed)?;
-    let raw_vars = r.bytes(n_vars * 4).ok_or(Malformed)?;
-    let mut vars = Vec::with_capacity(n_vars);
-    for c in raw_vars.chunks_exact(4) {
-        let v = u32::from_le_bytes(c.try_into().expect("chunks_exact(4)")) as usize;
-        if v >= prog.num_names() {
-            return Err(Malformed);
-        }
-        vars.push(Name::from_index(v));
-    }
-    let def_sites = stmt_list(r, prog.len())?;
-    let n_sets = r.len(cfg.graph().len()).ok_or(Malformed)?;
-    if n_sets != cfg.graph().len() {
-        return Err(Malformed);
-    }
-    let cap = def_sites.len();
-    let words_per_set = cap.div_ceil(64);
-    let raw = r
-        .bytes(n_sets.checked_mul(words_per_set * 8).ok_or(Malformed)?)
-        .ok_or(Malformed)?;
-    let in_sets = if words_per_set == 0 {
-        vec![BitSet::new(0); n_sets]
-    } else {
-        raw.chunks_exact(words_per_set * 8)
-            .map(|chunk| {
-                let words = chunk
-                    .chunks_exact(8)
-                    .map(|w| u64::from_le_bytes(w.try_into().expect("chunks_exact(8)")))
-                    .collect();
-                BitSet::from_words(cap, words)
-            })
-            .collect()
-    };
-    // Consumers read a variable's reaching definitions through the def-site
-    // numbering, so a section whose sites or variables are not this
-    // program's would answer for the wrong statements.
-    ReachingDefs::from_parts(prog, &def_sites, in_sets, &vars).ok_or(Malformed)
-}
-
 fn encode_data_deps(out: &mut Vec<u8>, prog: &Program, data: &DataDeps) {
     wire::put_len(out, prog.len());
     for s in prog.stmt_ids() {
@@ -743,7 +647,7 @@ mod tests {
         agrawal_slice, conservative_slice, conventional_slice, structured_slice, Analysis,
         AnalysisStats, Criterion,
     };
-    use jumpslice_lang::parse;
+    use jumpslice_lang::{parse, print_program};
 
     const GOTO_SRC: &str = "positives = 0;
 L3: if (eof()) goto L14;
@@ -824,7 +728,8 @@ L14: write(positives);";
     /// Artifacts that were never forced stay absent through the round trip
     /// (the presence bitmap, not padding, carries the schema). The flowgraph
     /// and the lexical successor tree are derived from the program on
-    /// decode, so they are always present.
+    /// decode, so they are always present. Reaching definitions are never
+    /// written: a seed holding only them encodes as a program-only record.
     #[test]
     fn partial_seeds_round_trip_their_presence() {
         let prog = parse(GOTO_SRC).unwrap();
@@ -832,13 +737,44 @@ L14: write(positives);";
         let _ = a.reaching(); // force exactly one artifact
         let seed = a.into_seed();
         let bytes = encode_snapshot(GOTO_SRC, &prog, &seed);
+        let mut program_only = valid_prefix(GOTO_SRC);
+        wire::put_u32(&mut program_only, 0);
+        assert_eq!(bytes, program_only);
         let snap = decode_snapshot(&bytes).unwrap();
-        assert!(snap.seed.reaching.is_some());
+        assert!(snap.seed.reaching.is_none());
         assert!(snap.seed.pdg.is_none());
         assert!(snap.seed.pdom.is_none());
         assert!(snap.seed.chain_index.is_none());
         assert!(snap.seed.cfg.is_some(), "the flowgraph is always derived");
         assert!(snap.seed.lst.is_some(), "and so is the LST");
+    }
+
+    /// A restored analysis computes nothing under `warm()`: no Figure-7,
+    /// 12 or 13 slice reads reaching definitions. The first `vars_at`
+    /// slice solves them once, and later ones reuse the solution.
+    #[test]
+    fn restored_analyses_solve_reaching_definitions_only_when_asked() {
+        let bytes = warm_snapshot(GOTO_SRC);
+        let snap = decode_snapshot(&bytes).unwrap();
+        assert!(snap.seed.reaching.is_none(), "no record carries them");
+        let a = Analysis::with_seed(&snap.prog, snap.seed);
+        a.warm();
+        assert!(a.is_warm());
+        assert_eq!(a.stats(), AnalysisStats::default());
+        let positives = snap.prog.name("positives").unwrap();
+        let crit = Criterion::vars_at(snap.prog.at_line(8), vec![positives]);
+        let fresh_prog = parse(GOTO_SRC).unwrap();
+        let fresh = Analysis::new(&fresh_prog);
+        for _ in 0..2 {
+            assert_eq!(agrawal_slice(&a, &crit), agrawal_slice(&fresh, &crit));
+            assert_eq!(
+                a.stats(),
+                AnalysisStats {
+                    reaching_defs: 1,
+                    ..AnalysisStats::default()
+                }
+            );
+        }
     }
 
     /// Truncation at every prefix length is an error, never a panic — the
@@ -1001,18 +937,15 @@ L14: write(positives);";
         );
     }
 
-    /// A warm record carries the reaching solution and the data edges and
-    /// nothing else; the decoder derives the postdominator tree, the
-    /// control dependences and the chain index, equal to the encoder's.
+    /// A warm record carries the data edges and nothing else; the decoder
+    /// derives the postdominator tree, the control dependences and the
+    /// chain index, equal to the encoder's.
     #[test]
-    fn warm_records_carry_only_reaching_and_data_edges() {
+    fn warm_records_carry_only_data_edges() {
         for src in [GOTO_SRC, DOWHILE_SRC, STRUCTURED_SRC] {
             let bytes = warm_snapshot(src);
             let at = valid_prefix(src).len();
-            assert_eq!(
-                bytes[at..at + 4],
-                (HAS_REACHING | HAS_DATA_DEPS).to_le_bytes()
-            );
+            assert_eq!(bytes[at..at + 4], HAS_DATA_DEPS.to_le_bytes());
             let prog = parse(src).unwrap();
             let a = Analysis::new(&prog);
             a.warm();
@@ -1051,41 +984,38 @@ L14: write(positives);";
         assert!(decode_snapshot(&encode_snapshot(src, &prog, &AnalysisSeed::default())).is_ok());
     }
 
-    /// A reaching section must describe the embedded program: its def
-    /// sites exactly the program's definition statements in statement
-    /// order, its variable table the program's. A section solved for
-    /// another program of the same shape, whose second site is this
-    /// program's `write(y)`, would send `vars_at` seeds to a statement that
-    /// defines nothing; a reordered variable table would read each
-    /// variable's definitions from the other's words.
+    /// Every one-word rewrite past the embedded source of a warm record
+    /// (Figure 3's, and a do-while that ends in `break` and holds a
+    /// `goto`) is refused, or decodes to an unanalyzable program, or
+    /// decodes to a session that answers Figures 7, 12 and 13 at every
+    /// line. A rewritten data edge may change a slice (the store's checksum
+    /// guards their fidelity), but no rewrite may panic or hang a slicer.
     #[test]
-    fn reaching_sections_that_do_not_fit_the_program_are_rejected() {
-        let src = "read(y); write(y); write(y);";
-        let prog = parse(src).unwrap();
-        let a = Analysis::new(&prog);
-        a.warm();
-        let mut seed = a.into_seed();
-        let other = parse("read(y); read(y); write(y);").unwrap();
-        seed.reaching = Some(ReachingDefs::compute(&other, &Cfg::build(&other)));
-        assert_eq!(
-            decode_snapshot(&encode_snapshot(src, &prog, &seed)).err(),
-            Some(SnapshotError::Malformed)
-        );
-
-        let src = "read(x); read(y); write(x + y);";
-        let bytes = warm_snapshot(src);
-        // The variable count follows the prefix, the presence bits and the
-        // section length; the two interner ids follow it.
-        let at = valid_prefix(src).len() + 8;
-        assert_eq!(bytes[at..at + 4], 2u32.to_le_bytes(), "two variables");
-        let mut swapped = bytes.clone();
-        swapped[at + 4..at + 8].copy_from_slice(&bytes[at + 8..at + 12]);
-        swapped[at + 8..at + 12].copy_from_slice(&bytes[at + 4..at + 8]);
-        assert_ne!(swapped, bytes);
-        assert_eq!(
-            decode_snapshot(&swapped).err(),
-            Some(SnapshotError::Malformed)
-        );
+    fn one_word_rewrites_are_refused_or_answer_every_line() {
+        let dowhile = "read(x); read(y); do { y = y + x; if (y) { goto OUT; } x = x - 1; break; } while (x); OUT: write(y); write(x);";
+        for src in [print_program(&crate::corpus::fig3()), dowhile.to_owned()] {
+            let bytes = warm_snapshot(&src);
+            for at in 4 + src.len()..=bytes.len() - 4 {
+                let word = u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap());
+                for forged in [0, u32::MAX, word.wrapping_add(1), word.wrapping_sub(1)] {
+                    let mut rewritten = bytes.clone();
+                    rewritten[at..at + 4].copy_from_slice(&forged.to_le_bytes());
+                    let Ok(snap) = decode_snapshot(&rewritten) else {
+                        continue;
+                    };
+                    if !snap.seed.cfg.as_ref().is_some_and(Cfg::all_reach_exit) {
+                        continue;
+                    }
+                    let a = Analysis::with_seed(&snap.prog, snap.seed);
+                    for line in 1..=snap.prog.len() {
+                        let crit = Criterion::at_stmt(snap.prog.at_line(line));
+                        agrawal_slice(&a, &crit);
+                        structured_slice(&a, &crit);
+                        conservative_slice(&a, &crit);
+                    }
+                }
+            }
+        }
     }
 
     /// A section decoder that panics (a decoder bug, never expected) still

@@ -32,21 +32,6 @@ impl BitSet {
         self.capacity
     }
 
-    /// Builds a set over `0..capacity` directly from backing words in the
-    /// [`BitSet::words`] layout. The vector is resized to fit and bits at
-    /// or past `capacity` are cleared — word-parallel constructors (e.g. a
-    /// bit-matrix transpose) can hand over whole words without edge-masking
-    /// themselves.
-    pub fn from_words(capacity: usize, mut words: Vec<u64>) -> BitSet {
-        words.resize(capacity.div_ceil(64), 0);
-        if capacity % 64 != 0 {
-            if let Some(last) = words.last_mut() {
-                *last &= !0u64 >> (64 - capacity % 64);
-            }
-        }
-        BitSet { words, capacity }
-    }
-
     /// Inserts `v`; returns `true` if it was newly inserted.
     ///
     /// # Panics
@@ -346,23 +331,6 @@ mod tests {
         a.insert(65);
         assert!(a.intersects(&b));
         assert!(b.intersects(&a), "symmetric across capacities");
-    }
-
-    #[test]
-    fn from_words_resizes_and_clears_past_capacity() {
-        let s = BitSet::from_words(70, vec![0b1010, !0u64]);
-        assert_eq!(s.capacity(), 70);
-        assert_eq!(
-            s.iter().collect::<Vec<_>>(),
-            vec![1, 3, 64, 65, 66, 67, 68, 69]
-        );
-        // Too few words: padded with zeros.
-        let s = BitSet::from_words(130, vec![1]);
-        assert_eq!(s.iter().collect::<Vec<_>>(), vec![0]);
-        assert!(!s.contains(129));
-        // Too many words: truncated.
-        let s = BitSet::from_words(64, vec![2, !0u64, !0u64]);
-        assert_eq!(s.iter().collect::<Vec<_>>(), vec![1]);
     }
 
     #[test]

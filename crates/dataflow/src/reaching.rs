@@ -83,9 +83,9 @@ pub struct ReachingDefs {
 }
 
 /// The static part of the reaching-definitions problem, shared by the cold
-/// solve, the seeded re-solve and the snapshot constructor: the def-site
-/// numbering and each variable's site words. A defining node generates its
-/// own site and kills its variable's words, so no per-node set is stored.
+/// solve and the seeded re-solve: the def-site numbering and each
+/// variable's site words. A defining node generates its own site and kills
+/// its variable's words, so no per-node set is stored.
 struct GenKill {
     vars: VarTable,
     def_sites: Vec<StmtId>,
@@ -378,11 +378,6 @@ impl ReachingDefs {
         )
     }
 
-    /// The variable table used by this analysis.
-    pub fn vars(&self) -> &VarTable {
-        &self.vars
-    }
-
     /// The definition sites, in discovery order — bit `i` of every IN set
     /// refers to `def_sites()[i]`.
     pub fn def_sites(&self) -> &[StmtId] {
@@ -392,38 +387,6 @@ impl ReachingDefs {
     /// The IN set of every flowgraph node, indexed by node.
     pub fn in_sets(&self) -> &[BitSet] {
         &self.in_sets
-    }
-
-    /// Reassembles a solution for `prog` from its raw parts — the
-    /// snapshot-restore constructor, inverse of [`ReachingDefs::def_sites`]
-    /// / [`ReachingDefs::in_sets`] / [`ReachingDefs::vars`]. Returns `None`
-    /// unless `def_sites` are exactly `prog`'s definition statements in
-    /// statement order, `vars` is `prog`'s variable table in discovery
-    /// order, and every IN set spans the def sites. The caller is
-    /// responsible for there being one IN set per flowgraph node and for
-    /// the bits being the solution for `prog`.
-    pub fn from_parts(
-        prog: &Program,
-        def_sites: &[StmtId],
-        in_sets: Vec<BitSet>,
-        vars: &[Name],
-    ) -> Option<ReachingDefs> {
-        let gk = GenKill::of(prog);
-        let same_vars = (0..gk.vars.len())
-            .map(|i| gk.vars.var(i))
-            .eq(vars.iter().copied());
-        if !same_vars
-            || gk.def_sites != def_sites
-            || in_sets.iter().any(|s| s.capacity() != def_sites.len())
-        {
-            return None;
-        }
-        Some(ReachingDefs {
-            def_sites: gk.def_sites,
-            in_sets,
-            vars: gk.vars,
-            var_words: gk.var_words,
-        })
     }
 
     /// The definitions of `v` reaching the entry of `node`, in statement
@@ -930,33 +893,6 @@ mod tests {
         let p = parse("x = 1; y = x; while (y < 9) { y = y + x; } write(y);").unwrap();
         let cfg = Cfg::build(&p);
         let rd = ReachingDefs::compute(&p, &cfg);
-        let vars: Vec<Name> = (0..rd.vars().len()).map(|i| rd.vars().var(i)).collect();
-        let rebuilt =
-            ReachingDefs::from_parts(&p, rd.def_sites(), rd.in_sets().to_vec(), &vars).unwrap();
-        assert_eq!(rd.in_sets(), rebuilt.in_sets());
-        let (x, y) = (p.name("x").unwrap(), p.name("y").unwrap());
-        for node in (0..cfg.graph().len()).map(jumpslice_graph::NodeId::new) {
-            for v in [x, y] {
-                assert_eq!(
-                    rd.reaching_var(node, v).collect::<Vec<_>>(),
-                    rebuilt.reaching_var(node, v).collect::<Vec<_>>(),
-                    "node {node:?}"
-                );
-            }
-        }
-
-        // Parts that do not describe this program are refused.
-        let mut swapped = vars.clone();
-        swapped.reverse();
-        assert!(
-            ReachingDefs::from_parts(&p, rd.def_sites(), rd.in_sets().to_vec(), &swapped).is_none()
-        );
-        let mut sites = rd.def_sites().to_vec();
-        sites.pop();
-        assert!(ReachingDefs::from_parts(&p, &sites, rd.in_sets().to_vec(), &vars).is_none());
-        let narrow = vec![BitSet::new(1); rd.in_sets().len()];
-        assert!(ReachingDefs::from_parts(&p, rd.def_sites(), narrow, &vars).is_none());
-
         let dd = DataDeps::from_reaching(&p, &cfg, &rd);
         let fwd_only: Vec<Vec<StmtId>> = p.stmt_ids().map(|s| dd.deps(s).to_vec()).collect();
         let back = DataDeps::from_deps(fwd_only);

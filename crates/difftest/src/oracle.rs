@@ -50,11 +50,17 @@
 //! round-robin fixpoint over stored IN and OUT sets, and edges found by
 //! filtering every reaching definition through the use's variables.
 //! `tests/reaching_oracle.rs` holds the solver to them bit for bit.
+//!
+//! [`control_deps_via_frontiers`] is the oracle for the control half of
+//! the PDG: control dependence read off postdominance frontiers
+//! ([`dominance_frontiers`] over the reverse flowgraph), a construction
+//! independent of the product's edge walk
+//! ([`jumpslice_pdg::ControlDeps::compute`]).
 
 use jumpslice_cfg::Cfg;
 use jumpslice_core::{Analysis, Criterion, Slice, SlicePoint, Why};
 use jumpslice_dataflow::{BitSet, StmtSet};
-use jumpslice_graph::NodeId;
+use jumpslice_graph::{DiGraph, DomTree, NodeId};
 use jumpslice_lang::{Label, Name, Program, StmtId, StmtKind};
 use jumpslice_pdg::Pdg;
 use std::collections::HashMap;
@@ -515,11 +521,182 @@ pub fn data_deps_dense(prog: &Program, cfg: &Cfg, rd: &DenseReaching) -> DenseDe
     DenseDeps { deps, dependents }
 }
 
+/// The dominance frontier of every node, given the graph and its
+/// dominator tree (the two must match): `DF(d)` holds the nodes `n` such
+/// that `d` dominates a predecessor of `n` but does not strictly dominate
+/// `n`. For each node, every dominator-tree ancestor of each of its
+/// predecessors, up to but excluding its own immediate dominator, has it
+/// in its frontier (Cytron et al.). Each list is sorted.
+pub fn dominance_frontiers(g: &DiGraph, dom: &DomTree) -> Vec<Vec<NodeId>> {
+    let mut df: Vec<Vec<NodeId>> = vec![Vec::new(); g.len()];
+    for n in g.nodes() {
+        if !dom.is_reachable(n) {
+            continue;
+        }
+        // The walk from a predecessor stops at once when it is idom(n);
+        // back edges into the root (idom = None) walk to the root.
+        let idom_n = dom.idom(n);
+        for &p in g.preds(n) {
+            let mut runner = Some(p).filter(|&p| dom.is_reachable(p));
+            while let Some(r) = runner {
+                if Some(r) == idom_n {
+                    break;
+                }
+                if !df[r.index()].contains(&n) {
+                    df[r.index()].push(n);
+                }
+                runner = dom.idom(r);
+            }
+        }
+    }
+    for v in &mut df {
+        v.sort();
+    }
+    df
+}
+
+/// Control dependences as plain per-statement lists, each sorted and
+/// deduplicated: the layout of [`jumpslice_pdg::ControlDeps`]' accessors.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct FrontierControl {
+    /// The predicates each statement is directly control dependent on.
+    pub deps: Vec<Vec<StmtId>>,
+    /// The statements directly control dependent on each predicate.
+    pub dependents: Vec<Vec<StmtId>>,
+    /// The statements control dependent on the entry.
+    pub entry_controlled: Vec<StmtId>,
+}
+
+/// Control dependence through postdominance frontiers: `b` is control
+/// dependent on a live node `a` exactly when `a` lies in `b`'s dominance
+/// frontier over the reverse flowgraph.
+pub fn control_deps_via_frontiers(prog: &Program, cfg: &Cfg) -> FrontierControl {
+    let graph = cfg.graph();
+    let rev = graph.reversed();
+    let pdom = DomTree::iterative(&rev, cfg.exit());
+    let frontiers = dominance_frontiers(&rev, &pdom);
+    let live = cfg.reachable();
+    let mut deps = vec![Vec::new(); prog.len()];
+    let mut dependents = vec![Vec::new(); prog.len()];
+    let mut entry_controlled = Vec::new();
+    for b in graph.nodes() {
+        let Some(target) = cfg.stmt(b) else { continue };
+        for &a in frontiers[b.index()].iter().filter(|a| live[a.index()]) {
+            match cfg.stmt(a) {
+                Some(src) => {
+                    deps[target.index()].push(src);
+                    dependents[src.index()].push(target);
+                }
+                None if a == cfg.entry() => entry_controlled.push(target),
+                None => {}
+            }
+        }
+    }
+    for v in deps
+        .iter_mut()
+        .chain(dependents.iter_mut())
+        .chain(std::iter::once(&mut entry_controlled))
+    {
+        v.sort();
+        v.dedup();
+    }
+    FrontierControl {
+        deps,
+        dependents,
+        entry_controlled,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use jumpslice_core::{agrawal_slice, corpus};
     use jumpslice_lang::parse;
+    use jumpslice_pdg::ControlDeps;
+    use jumpslice_testkit::Rng;
+
+    /// Frontier membership straight from the definition.
+    fn df_brute(g: &DiGraph, dom: &DomTree, d: NodeId) -> Vec<NodeId> {
+        g.nodes()
+            .filter(|&n| dom.is_reachable(n))
+            .filter(|&n| {
+                let dominates_a_pred = g
+                    .preds(n)
+                    .iter()
+                    .any(|&p| dom.is_reachable(p) && dom.dominates(d, p));
+                dominates_a_pred && !dom.strictly_dominates(d, n)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn frontiers_match_their_definition() {
+        // 0 -> {1, 2} -> 3: 1 dominates a predecessor of 3, not 3.
+        let mut g = DiGraph::with_nodes(4);
+        for (a, b) in [(0, 1), (0, 2), (1, 3), (2, 3)] {
+            g.add_edge(a.into(), b.into());
+        }
+        let df = dominance_frontiers(&g, &DomTree::iterative(&g, 0.into()));
+        assert_eq!(df[1], vec![NodeId::new(3)]);
+        assert!(df[3].is_empty());
+        // 0 -> 1 -> 2 -> 1, 1 -> 3: a loop header is in its own frontier.
+        let mut g = DiGraph::with_nodes(4);
+        for (a, b) in [(0, 1), (1, 2), (2, 1), (1, 3)] {
+            g.add_edge(a.into(), b.into());
+        }
+        let df = dominance_frontiers(&g, &DomTree::iterative(&g, 0.into()));
+        assert_eq!(df[2], vec![NodeId::new(1)]);
+        assert_eq!(df[1], vec![NodeId::new(1)]);
+        // An unreachable node has an empty frontier.
+        let mut g = DiGraph::with_nodes(3);
+        g.add_edge(0.into(), 1.into());
+        g.add_edge(2.into(), 1.into());
+        let df = dominance_frontiers(&g, &DomTree::iterative(&g, 0.into()));
+        assert!(df[2].is_empty());
+        jumpslice_testkit::check(64, |rng: &mut Rng| {
+            let mut g = DiGraph::with_nodes(12);
+            for i in 0..11 {
+                g.add_edge(i.into(), (i + 1).into());
+            }
+            for i in 0..12 {
+                for _ in 0..rng.gen_range(0..4usize) {
+                    g.add_edge(i.into(), rng.gen_range(0..12usize).into());
+                }
+            }
+            let dom = DomTree::iterative(&g, 0.into());
+            let df = dominance_frontiers(&g, &dom);
+            for d in g.nodes().filter(|&d| dom.is_reachable(d)) {
+                assert_eq!(df[d.index()], df_brute(&g, &dom, d), "node {d:?}");
+            }
+        });
+    }
+
+    #[test]
+    fn frontier_construction_agrees_with_the_edge_walk() {
+        for src in [
+            "read(c); if (c) { x = 1; } else { x = 2; } write(x);",
+            "read(c); while (c) { read(c); if (c) break; } write(c);",
+            "L3: if (eof()) goto L14; read(x); if (x > 0) goto L8; x = 1; goto L3;
+             L8: x = 2; goto L3; L14: write(x);",
+            "switch (c) { case 1: x = 1; case 2: y = 2; break; default: z = 3; } write(y);",
+            "do { read(x); if (x) continue; x = 1; } while (!eof()); write(x);",
+        ] {
+            let p = parse(src).unwrap();
+            let cfg = Cfg::build(&p);
+            let walk = ControlDeps::compute(&p, &cfg);
+            let df = control_deps_via_frontiers(&p, &cfg);
+            for s in p.stmt_ids() {
+                assert_eq!(
+                    walk.deps(s),
+                    df.deps[s.index()],
+                    "deps of line {}",
+                    p.line_of(s)
+                );
+                assert_eq!(walk.dependents(s), df.dependents[s.index()]);
+            }
+            assert_eq!(walk.entry_controlled(), df.entry_controlled);
+        }
+    }
 
     /// §3: driving the traversal by the lexical successor tree's preorder
     /// gives the same slice on the paper's figures.

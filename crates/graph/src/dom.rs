@@ -219,15 +219,6 @@ impl DomTree {
             cur: self.idom(n),
         }
     }
-
-    /// The nearest proper ancestor of `n` satisfying `pred`, if any.
-    pub fn nearest_ancestor_where(
-        &self,
-        n: NodeId,
-        mut pred: impl FnMut(NodeId) -> bool,
-    ) -> Option<NodeId> {
-        self.ancestors(n).find(|&a| pred(a))
-    }
 }
 
 /// Iterator over proper ancestors in a [`DomTree`], produced by
@@ -305,10 +296,6 @@ mod tests {
         assert_eq!(dom.depth(3.into()), 3);
         let anc: Vec<usize> = dom.ancestors(3.into()).map(|n| n.index()).collect();
         assert_eq!(anc, vec![2, 1, 0]);
-        assert_eq!(
-            dom.nearest_ancestor_where(3.into(), |a| a.index() < 2),
-            Some(1.into())
-        );
     }
 
     #[test]

@@ -32,13 +32,11 @@
 mod brute;
 mod digraph;
 mod dom;
-mod frontier;
 mod scc;
 mod traversal;
 
 pub use brute::dominators_brute_force;
 pub use digraph::{DiGraph, NodeId};
 pub use dom::DomTree;
-pub use frontier::dominance_frontiers;
 pub use scc::{tarjan_scc, Sccs};
 pub use traversal::{dfs_postorder, dfs_preorder, reachable_from, reverse_postorder};

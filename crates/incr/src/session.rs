@@ -23,6 +23,10 @@
 //!   recomputing everything. The fallback is counted, so tests can assert
 //!   exactly when the fast paths were taken.
 //!
+//! Both fast paths read a reaching solution of the unedited program. A
+//! session restored from a snapshot holds the PDG without one, so its
+//! first fast-path edit solves reaching definitions before applying.
+//!
 //! The invariant behind all three: after every `apply`, slicing through
 //! the session is **identical** to slicing a freshly analyzed copy of the
 //! edited program. `difftest --mode incr` fuzzes exactly this.
@@ -208,7 +212,16 @@ impl EditSession {
             return Err(EditError::Unanalyzable);
         }
 
-        let outcome = match self.classify(edit, &applied) {
+        let path = self.classify(edit, &applied);
+        // A restored session holds the PDG without the reaching solution
+        // both fast paths read: solve it on the unedited program.
+        if path != ApplyPath::FullRebuild && self.seed.pdg.is_some() && self.seed.reaching.is_none()
+        {
+            self.with_analysis(|a| {
+                a.reaching();
+            });
+        }
+        let outcome = match path {
             ApplyPath::ExprPatch => self.patch_expr(applied, new_cfg),
             ApplyPath::SeededResolve => self.seeded_resolve(edit, applied, new_cfg),
             ApplyPath::FullRebuild => self.full_rebuild(applied, new_cfg),
@@ -273,18 +286,9 @@ impl EditSession {
         let target = touched.expect("replace always touches a statement");
         let mut seed = std::mem::take(&mut self.seed);
         let reused = seed.reused_phases();
-        match (&mut seed.pdg, &seed.reaching) {
-            (Some(pdg), Some(rd)) => {
-                pdg.repoint_data_uses(&prog, &new_cfg, rd, target);
-            }
-            (pdg @ Some(_), None) => {
-                // A PDG without its reaching solution cannot be patched;
-                // drop it and let it rebuild lazily. Unreachable through
-                // this crate (forcing the PDG forces reaching), but a
-                // hand-built seed could get here.
-                *pdg = None;
-            }
-            (None, _) => {}
+        if let Some(pdg) = &mut seed.pdg {
+            let rd = seed.reaching.as_ref().expect("solved before the patch");
+            pdg.repoint_data_uses(&prog, &new_cfg, rd, target);
         }
         seed.cfg = Some(new_cfg);
         self.prog = prog;

@@ -148,52 +148,6 @@ impl ControlDeps {
         }
     }
 
-    /// Computes control dependence through *postdominance frontiers*
-    /// instead of the edge walk: `b` is control dependent on `a` exactly
-    /// when `a` lies in `b`'s dominance frontier over the reverse graph.
-    ///
-    /// An independent construction kept for cross-checking
-    /// [`ControlDeps::compute_from_graph`] (the property tests assert the
-    /// two agree on random programs) and for the ablation bench.
-    pub fn compute_via_frontiers(prog: &Program, cfg: &Cfg) -> ControlDeps {
-        let graph = cfg.graph();
-        let rev = graph.reversed();
-        let pdom = DomTree::iterative(&rev, cfg.exit());
-        let frontiers = jumpslice_graph::dominance_frontiers(&rev, &pdom);
-        let live = jumpslice_graph::reachable_from(graph, cfg.entry());
-
-        let mut deps = vec![Vec::new(); prog.len()];
-        let mut dependents = vec![Vec::new(); prog.len()];
-        let mut entry_controlled = Vec::new();
-        for b in graph.nodes() {
-            let Some(target) = cfg.stmt(b) else { continue };
-            for &a in &frontiers[b.index()] {
-                if !live[a.index()] {
-                    continue;
-                }
-                match cfg.stmt(a) {
-                    Some(src) => {
-                        deps[target.index()].push(src);
-                        dependents[src.index()].push(target);
-                    }
-                    None if a == cfg.entry() => entry_controlled.push(target),
-                    None => {}
-                }
-            }
-        }
-        for v in deps.iter_mut().chain(dependents.iter_mut()) {
-            v.sort();
-            v.dedup();
-        }
-        entry_controlled.sort();
-        entry_controlled.dedup();
-        ControlDeps {
-            deps,
-            dependents,
-            entry_controlled,
-        }
-    }
-
     /// The predicates `s` is directly control dependent on (sorted;
     /// excluding `Entry`).
     pub fn deps(&self, s: StmtId) -> &[StmtId] {
@@ -614,35 +568,5 @@ mod tests {
             assert!(dot.contains(&format!("label=\"{line}\"")));
         }
         assert!(dot.contains("style=dashed"));
-    }
-}
-
-#[cfg(test)]
-mod frontier_crosscheck {
-    use super::*;
-    use jumpslice_lang::parse;
-
-    fn agree(src: &str) {
-        let p = parse(src).unwrap();
-        let cfg = Cfg::build(&p);
-        let walk = ControlDeps::compute(&p, &cfg);
-        let df = ControlDeps::compute_via_frontiers(&p, &cfg);
-        for s in p.stmt_ids() {
-            assert_eq!(walk.deps(s), df.deps(s), "deps of line {}", p.line_of(s));
-            assert_eq!(walk.dependents(s), df.dependents(s));
-        }
-        assert_eq!(walk.entry_controlled(), df.entry_controlled());
-    }
-
-    #[test]
-    fn frontier_construction_agrees_on_fixtures() {
-        agree("read(c); if (c) { x = 1; } else { x = 2; } write(x);");
-        agree("read(c); while (c) { read(c); if (c) break; } write(c);");
-        agree(
-            "L3: if (eof()) goto L14; read(x); if (x > 0) goto L8; x = 1; goto L3;
-             L8: x = 2; goto L3; L14: write(x);",
-        );
-        agree("switch (c) { case 1: x = 1; case 2: y = 2; break; default: z = 3; } write(y);");
-        agree("do { read(x); if (x) continue; x = 1; } while (!eof()); write(x);");
     }
 }

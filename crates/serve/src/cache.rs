@@ -62,7 +62,10 @@ impl Entry {
 /// make near-quadratic; the rest, the chain index included (a few words per
 /// statement), is linear. The `n²/2` term deliberately rounds *up* so the
 /// budget errs toward evicting: it over-predicts the measured warm seed
-/// several times, and the eviction it drives is tuned to it.
+/// several times, and the eviction it drives is tuned to it. An entry
+/// restored from the snapshot store holds no IN sets until a `vars`
+/// criterion or a fast-path edit solves them; the formula is kept for it
+/// too, so both kinds of entry evict alike.
 pub fn estimate_bytes(source_len: usize, stmts: usize) -> usize {
     source_len + 512 + stmts * 256 + (stmts * stmts) / 2
 }

@@ -468,9 +468,10 @@ impl Engine {
             Some(SliceFault::None) | None => None,
         };
         let attempt = entry.session.with_analysis(|a| {
-            // Every artifact, so the write-behind snapshot carries them
-            // all. A request runs on one thread, cold warm included:
-            // concurrency lives across requests, not within one.
+            // Everything Figures 7, 12 and 13 read, so the write-behind
+            // snapshot has the data edges to persist. A request runs on
+            // one thread, cold warm included: concurrency lives across
+            // requests, not within one.
             a.warm();
             BatchSlicer::new(a)
                 .with_threads(1)
@@ -973,38 +974,33 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// A well-framed record whose reaching section was solved for another
-    /// program of the same shape: its second definition site is this
-    /// program's `write(y)`. The decoder refuses it, so the load rebuilds
-    /// from source and the `vars` slice is right, instead of the first
-    /// reaching-definitions read finding a site that defines nothing.
+    /// A record carries no reaching definitions, so a restored session
+    /// solves them when first asked. A `vars` slice reads them, and a
+    /// fast-path edit solves them on the unedited program first, so it
+    /// keeps its path. After each edit, the restored session slices every
+    /// line as a cold engine does after the same edit.
     #[test]
-    fn a_reaching_section_of_another_program_falls_back_to_the_source_build() {
-        let dir = tmpdir("forged-reaching");
+    fn a_restored_session_solves_reaching_definitions_when_asked() {
+        let dir = tmpdir("restored-reaching");
         let src = "read(y);\nwrite(y);\nwrite(y);\n";
-        let prog = parse(src).unwrap();
-        let a = jumpslice_core::Analysis::new(&prog);
-        a.warm();
-        let mut seed = a.into_seed();
-        let other = parse("read(y); read(y); write(y);").unwrap();
-        let b = jumpslice_core::Analysis::new(&other);
-        let _ = b.reaching();
-        seed.reaching = b.into_seed().reaching;
-        let store = jumpslice_store::SnapshotStore::open(&dir, u64::MAX).unwrap();
-        store
-            .save(content_hash(src), &encode_snapshot(src, &prog, &seed))
-            .unwrap();
+        let store = || SnapshotStore::open(&dir, u64::MAX).unwrap();
+        let writer = Engine::new(usize::MAX).with_store(store());
+        let key = load(&writer, src);
+        slice_lines(&writer, &key, 3); // the slice writes the warm record behind
+        let restored = || {
+            let e = Engine::new(usize::MAX).with_store(store());
+            let resp = ok(&e.handle_line(
+                &Json::Obj(vec![
+                    ("op".to_owned(), Json::Str("load".to_owned())),
+                    ("source".to_owned(), Json::Str(src.to_owned())),
+                ])
+                .write_compact(),
+            ));
+            assert_eq!(resp.get("restored").and_then(Json::as_bool), Some(true));
+            e
+        };
 
-        let e = Engine::new(usize::MAX).with_store(store);
-        let resp = ok(&e.handle_line(
-            &Json::Obj(vec![
-                ("op".to_owned(), Json::Str("load".to_owned())),
-                ("source".to_owned(), Json::Str(src.to_owned())),
-            ])
-            .write_compact(),
-        ));
-        assert_eq!(resp.get("restored").and_then(Json::as_bool), Some(false));
-        let key = resp.get("program").and_then(Json::as_str).expect("key");
+        let e = restored();
         let slice = ok(&e.handle_line(&format!(
             r#"{{"op":"slice","program":"{key}","algo":"fig7","criteria":[{{"line":3,"vars":["y"]}}]}}"#
         )));
@@ -1013,12 +1009,35 @@ mod tests {
             .expect("lines")
             .write_compact();
         assert_eq!(lines, "[1]", "only read(y) defines the y that line 3 sees");
-        let stats = ok(&e.handle_line(r#"{"op":"stats"}"#));
-        let store_stats = stats.get("store").expect("store object in stats");
-        assert_eq!(
-            store_stats.get("fallbacks").and_then(Json::as_num),
-            Some(1.0)
-        );
+
+        for (edit, path) in [
+            (
+                r#"{"kind":"replace_expr","path":[["body",1]],"expr":"y + 1"}"#,
+                "expr_patch",
+            ),
+            (
+                r#"{"kind":"insert","path":[["body",2]],"stmt":{"kind":"assign","var":"y","expr":"5"}}"#,
+                "seeded_resolve",
+            ),
+        ] {
+            let e = restored();
+            let cold = Engine::new(usize::MAX);
+            assert_eq!(load(&cold, src), key);
+            let req = format!(r#"{{"op":"edit","program":"{key}","edit":{edit}}}"#);
+            let reply = e.handle_line(&req);
+            assert!(reply.contains(&format!(r#""path":"{path}""#)), "{reply}");
+            assert_eq!(reply, cold.handle_line(&req));
+            let reply = ok(&reply);
+            let edited = reply.get("program").and_then(Json::as_str).expect("key");
+            let stmts = reply.get("stmts").and_then(Json::as_num).expect("stmts");
+            for line in 1..=stmts as usize {
+                assert_eq!(
+                    slice_lines(&e, edited, line),
+                    slice_lines(&cold, edited, line),
+                    "{path}: line {line}"
+                );
+            }
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 

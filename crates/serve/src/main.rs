@@ -19,8 +19,9 @@
 //! versioned, checksummed records, and a restarted daemon pointed at the
 //! same directory serves its first slice without re-running
 //! reaching-definitions, PDG, postdominator, or lexical-successor
-//! construction. `--store-bytes N` caps the directory (LRU by mtime;
-//! default 1 GiB).
+//! construction; only a `vars` criterion or a fast-path edit solves
+//! reaching definitions again, once. `--store-bytes N` caps the directory
+//! (LRU by mtime; default 1 GiB).
 //!
 //! `--replay-dir DIR` is not a daemon mode at all: it replays every
 //! difftest program artifact (`*.prog.txt`) in DIR through the serve

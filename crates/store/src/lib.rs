@@ -166,7 +166,7 @@ impl StoreIo for RealIo {
 /// The record format version this build reads and writes. Bump on any
 /// payload- or header-layout change: old records then fail the version
 /// check and fall back to a from-source rebuild instead of misdecoding.
-pub const FORMAT_VERSION: u32 = 4;
+pub const FORMAT_VERSION: u32 = 5;
 
 /// Record files start with these four bytes.
 pub const MAGIC: [u8; 4] = *b"JSST";
