@@ -107,6 +107,8 @@ struct ClosureRow {
     criteria: usize,
     direct_ns: f64,
     condensed_ns: f64,
+    direct_forward_ns: f64,
+    forward_ns: f64,
 }
 
 struct ServeRow {
@@ -451,12 +453,13 @@ fn main() {
         }
     }
 
-    // The closure microsweep: raw backward closures over the batch-sized
-    // criterion pool, answered by the oracle's direct walk over PDG edges
-    // vs the product's walk over the PDG's condensation. Both arms read one
-    // warm analysis, so the measurement isolates closure answering; the
-    // condensation is built inside `pdg_build`, which the cold-analysis
-    // sweep times.
+    // The closure microsweep: raw backward and forward closures over the
+    // batch-sized criterion pool, answered by the oracle's direct walks over
+    // PDG edges vs the product's walks over the PDG's condensation. Both
+    // arms read one warm analysis, so the measurement isolates closure
+    // answering; the condensation is built inside `pdg_build`, which the
+    // cold-analysis sweep times, and the oracle's inverted raw edges are
+    // built once, outside the timed loop.
     let mut closure_rows: Vec<ClosureRow> = Vec::new();
     for (family, make) in [
         (
@@ -491,12 +494,32 @@ fn main() {
                 }
                 black_box(total)
             });
+            let dependents = oracle::dependents(a.pdg());
+            let direct_forward_ns = r.bench(
+                &format!("json/closure/{family}/{n}/direct-forward-walk"),
+                || {
+                    let mut total = 0usize;
+                    for &s in &seeds {
+                        total += oracle::forward_closure(&dependents, [black_box(s)]).len();
+                    }
+                    black_box(total)
+                },
+            );
+            let forward_ns = r.bench(&format!("json/closure/{family}/{n}/forward"), || {
+                let mut total = 0usize;
+                for &s in &seeds {
+                    total += a.pdg().forward_closure([black_box(s)]).len();
+                }
+                black_box(total)
+            });
             closure_rows.push(ClosureRow {
                 family,
                 stmts: n,
                 criteria: seeds.len(),
                 direct_ns,
                 condensed_ns,
+                direct_forward_ns,
+                forward_ns,
             });
         }
     }
@@ -873,6 +896,12 @@ fn main() {
             "      \"condensed_closure_ns\": {:.1},",
             row.condensed_ns
         );
+        let _ = writeln!(
+            out,
+            "      \"direct_forward_ns\": {:.1},",
+            row.direct_forward_ns
+        );
+        let _ = writeln!(out, "      \"forward_closure_ns\": {:.1},", row.forward_ns);
         let _ = writeln!(out, "      \"speedup_condensed_vs_direct\": {speedup:.2}");
         let _ = writeln!(out, "    }}{comma}");
     }

@@ -46,9 +46,12 @@ const STORE_GATED_METRICS: &[&str] = &["snapshot_restore_ns"];
 /// daemon load and batch pays.
 const COLD_GATED_METRICS: &[&str] = &["cold_warm_sequential_ns"];
 
-/// Metrics compared per closure-microsweep row. `direct_closure_ns`
-/// times the difftest oracle's direct walk over raw PDG edges, which is
-/// not a product path, so only the product's condensed walk is gated.
+/// Metrics compared per closure-microsweep row. `direct_closure_ns` and
+/// `direct_forward_ns` time the difftest oracle's direct walks over raw
+/// PDG edges, which are not product paths, so only the product's
+/// condensed walks count. Of those, `forward_closure_ns` is recorded but
+/// not gated: forward closures serve only chops and forward slices, and
+/// it joins the gate when the gate compares two builds on one host.
 const CLOSURE_GATED_METRICS: &[&str] = &["condensed_closure_ns"];
 
 /// Gated metrics whose wall-clock depends on a worker-thread count, each

@@ -130,7 +130,9 @@ pub type SliceFn = fn(&Analysis<'_>, &Criterion) -> Slice;
 #[derive(Clone, Copy, Debug)]
 pub struct BatchSlicer<'a, 'p> {
     analysis: &'a Analysis<'p>,
-    threads: usize,
+    /// `None`: the machine's available parallelism, asked for by each run
+    /// (on Linux that reads cgroup files, which one-thread callers skip).
+    threads: Option<usize>,
     /// Cooperative deadline installed on every worker for the duration of
     /// each slicer call (`None` = run to completion). Deadlines are
     /// thread-local, so the coordinating thread's own deadline would never
@@ -147,12 +149,9 @@ impl<'a, 'p> BatchSlicer<'a, 'p> {
     /// A batch slicer over `analysis` using the machine's available
     /// parallelism (at least one thread).
     pub fn new(analysis: &'a Analysis<'p>) -> BatchSlicer<'a, 'p> {
-        let threads = std::thread::available_parallelism()
-            .map(NonZeroUsize::get)
-            .unwrap_or(1);
         BatchSlicer {
             analysis,
-            threads,
+            threads: None,
             deadline: None,
             checkpoint_fuel: None,
         }
@@ -163,7 +162,7 @@ impl<'a, 'p> BatchSlicer<'a, 'p> {
     /// baseline the benches compare against.
     pub fn with_threads(self, threads: usize) -> BatchSlicer<'a, 'p> {
         BatchSlicer {
-            threads: threads.max(1),
+            threads: Some(threads.max(1)),
             ..self
         }
     }
@@ -242,7 +241,8 @@ impl<'a, 'p> BatchSlicer<'a, 'p> {
     ) -> Result<(Vec<Slice>, BatchRunStats), BatchPanic> {
         let a = self.analysis;
         let n = criteria.len();
-        let threads = self.threads.min(n).max(1);
+        let available = || std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
+        let threads = self.threads.unwrap_or_else(available).min(n).max(1);
         let _run = obs::phase(obs::Phase::BatchRun);
         let run_start = Instant::now();
 

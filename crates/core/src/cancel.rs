@@ -5,11 +5,12 @@
 //! hostile request must not stall the queue behind it. The mechanism here
 //! is deliberately minimal — a **thread-local deadline** plus explicit
 //! [`checkpoint`] calls at the natural round boundaries of the fixpoint
-//! loops. When the deadline passes, the checkpoint panics with the fixed
+//! loops. When the deadline passes, the checkpoint unwinds with the fixed
 //! [`CANCELLED`] payload; the batch engine's existing panic-attribution
 //! net (`BatchSlicer::try_slice_all`) catches it and the caller classifies
 //! it with [`is_cancelled`], distinguishing a blown deadline (degrade to a
-//! cheaper, sound slicer) from a genuine bug (report it).
+//! cheaper, sound slicer) from a genuine bug (report it). The unwind skips
+//! the panic hook ([`std::panic::resume_unwind`]), so it prints nothing.
 //!
 //! With no deadline installed — the default everywhere outside the serve
 //! daemon — a checkpoint is one thread-local read and a branch; the clock
@@ -19,7 +20,7 @@
 //! For *deterministic* expiry — fault injection that must fire on the same
 //! checkpoint on every run regardless of machine speed — there is a second,
 //! clock-free trigger: [`fuel`] installs a countdown of checkpoint visits,
-//! and the visit that exhausts it panics with the same [`CANCELLED`]
+//! and the visit that exhausts it unwinds with the same [`CANCELLED`]
 //! sentinel. Wall-clock deadlines express "this request has 50ms"; fuel
 //! expresses "this request dies at exactly its 37th checkpoint", which is
 //! what a replayable chaos schedule needs.
@@ -46,7 +47,7 @@
 use std::cell::Cell;
 use std::time::Instant;
 
-/// The panic payload a fired [`checkpoint`] unwinds with. A `&'static str`,
+/// The payload a fired [`checkpoint`] unwinds with. A `&'static str`,
 /// so it survives the batch engine's `panic_message` rendering verbatim and
 /// [`is_cancelled`] can classify it at the request boundary.
 pub const CANCELLED: &str = "jumpslice: deadline exceeded";
@@ -99,7 +100,7 @@ impl Drop for FuelGuard {
 
 /// Installs a checkpoint-count budget on the current thread for the
 /// guard's lifetime: each [`checkpoint`] visit consumes one unit, and the
-/// visit that finds the tank empty panics with [`CANCELLED`]. `fuel(0)`
+/// visit that finds the tank empty unwinds with [`CANCELLED`]. `fuel(0)`
 /// therefore fires on the very next checkpoint. Entirely clock-free, so a
 /// cancellation injected this way lands on the same statement of the same
 /// fixpoint round on every machine and every run.
@@ -113,7 +114,7 @@ pub fn fuel_active() -> bool {
     FUEL.with(|f| f.get().is_some())
 }
 
-/// Panics with [`CANCELLED`] if this thread's deadline has passed or its
+/// Unwinds with [`CANCELLED`] if this thread's deadline has passed or its
 /// checkpoint fuel is exhausted. The slicing kernels call this at every
 /// fixpoint round boundary and worklist drain step; with neither trigger
 /// installed it is two thread-local reads and branches.
@@ -121,7 +122,7 @@ pub fn fuel_active() -> bool {
 pub fn checkpoint() {
     if let Some(left) = FUEL.with(|f| f.get()) {
         if left == 0 {
-            std::panic::panic_any(CANCELLED);
+            std::panic::resume_unwind(Box::new(CANCELLED));
         }
         FUEL.with(|f| f.set(Some(left - 1)));
     }
@@ -129,7 +130,7 @@ pub fn checkpoint() {
         if Instant::now() >= d {
             // The payload is the fixed sentinel so `is_cancelled` can
             // classify the unwind wherever it is caught.
-            std::panic::panic_any(CANCELLED);
+            std::panic::resume_unwind(Box::new(CANCELLED));
         }
     }
 }

@@ -438,13 +438,11 @@ impl ReachingDefs {
 }
 
 /// Data-dependence edges: `u` depends on `d` when a definition at `d`
-/// reaches a use of the same variable at `u`.
+/// reaches a use of the same variable at `u`. Each is stored once, at `u`.
 #[derive(Clone, Debug)]
 pub struct DataDeps {
     /// For each statement, the definition statements it depends on (sorted).
     deps: Vec<Vec<StmtId>>,
-    /// Reverse direction: statements depending on each statement (sorted).
-    dependents: Vec<Vec<StmtId>>,
 }
 
 impl DataDeps {
@@ -464,15 +462,15 @@ impl DataDeps {
             .stmt_ids()
             .map(|u| rd.reaching_uses(cfg.node(u), &prog.uses(u), &mut mask))
             .collect();
-        Self::with_inverse(deps)
+        DataDeps { deps }
     }
 
-    /// Rebuilds the edge set from the forward direction only, deriving the
-    /// inverse index — the snapshot-restore constructor. `deps[i]` lists
-    /// the definitions statement `i` depends on; lists are sorted and
-    /// deduplicated here, so wire forms need not be trusted. Our own wire
-    /// forms always arrive strictly sorted, so the sort is guarded by a
-    /// single ordering scan — restore pays for it only on hostile bytes.
+    /// Rebuilds the edge set from per-statement lists — the
+    /// snapshot-restore constructor. `deps[i]` lists the definitions
+    /// statement `i` depends on; lists are sorted and deduplicated here,
+    /// so wire forms need not be trusted. Our own wire forms always arrive
+    /// strictly sorted, so the sort is guarded by a single ordering scan —
+    /// restore pays for it only on hostile bytes.
     pub fn from_deps(mut deps: Vec<Vec<StmtId>>) -> DataDeps {
         for v in deps.iter_mut() {
             if !v.windows(2).all(|w| w[0] < w[1]) {
@@ -480,35 +478,12 @@ impl DataDeps {
                 v.dedup();
             }
         }
-        Self::with_inverse(deps)
-    }
-
-    /// Pairs strictly sorted forward lists with their inverse index.
-    /// Filling in ascending `u` leaves every reverse list strictly sorted —
-    /// no post-pass needed.
-    fn with_inverse(deps: Vec<Vec<StmtId>>) -> DataDeps {
-        let mut counts = vec![0usize; deps.len()];
-        for d in deps.iter().flatten() {
-            counts[d.index()] += 1;
-        }
-        let mut dependents: Vec<Vec<StmtId>> =
-            counts.iter().map(|&c| Vec::with_capacity(c)).collect();
-        for (u, ds) in deps.iter().enumerate() {
-            for &d in ds {
-                dependents[d.index()].push(StmtId::from_index(u));
-            }
-        }
-        DataDeps { deps, dependents }
+        DataDeps { deps }
     }
 
     /// The definitions statement `s` depends on.
     pub fn deps(&self, s: StmtId) -> &[StmtId] {
         &self.deps[s.index()]
-    }
-
-    /// The statements that depend on `s`.
-    pub fn dependents(&self, s: StmtId) -> &[StmtId] {
-        &self.dependents[s.index()]
     }
 
     /// All edges as `(def, use)` pairs.
@@ -595,14 +570,14 @@ impl DataDeps {
             repointed += 1;
             deps[u.index()] = rd.reaching_uses(cfg.node(u), &used, &mut mask);
         }
-        (Self::with_inverse(deps), repointed)
+        (DataDeps { deps }, repointed)
     }
 
     /// Recomputes the *incoming* edges of `u` from `rd` and replaces the
-    /// stored ones, fixing the inverse index. This is the data-dependence
-    /// patch for an edit that changes only the uses of one statement (an
-    /// expression replacement): every other statement's edges are untouched.
-    /// Returns the number of edges now pointing into `u`.
+    /// stored ones. This is the data-dependence patch for an edit that
+    /// changes only the uses of one statement (an expression replacement):
+    /// every other statement's edges are untouched. Returns the number of
+    /// edges now pointing into `u`.
     pub fn repoint_uses(
         &mut self,
         prog: &Program,
@@ -610,19 +585,8 @@ impl DataDeps {
         rd: &ReachingDefs,
         u: StmtId,
     ) -> usize {
-        for &d in &self.deps[u.index()] {
-            self.dependents[d.index()].retain(|&x| x != u);
-        }
-        let new_deps = rd.reaching_uses(cfg.node(u), &prog.uses(u), &mut Vec::new());
-        for &d in &new_deps {
-            let inv = &mut self.dependents[d.index()];
-            if let Err(at) = inv.binary_search(&u) {
-                inv.insert(at, u);
-            }
-        }
-        let n = new_deps.len();
-        self.deps[u.index()] = new_deps;
-        n
+        self.deps[u.index()] = rd.reaching_uses(cfg.node(u), &prog.uses(u), &mut Vec::new());
+        self.deps[u.index()].len()
     }
 }
 
@@ -714,21 +678,6 @@ mod tests {
     }
 
     #[test]
-    fn dependents_is_inverse() {
-        let p = parse("x = 1; y = x; z = x + y;").unwrap();
-        let cfg = Cfg::build(&p);
-        let dd = DataDeps::compute(&p, &cfg);
-        let x = p.at_line(1);
-        let dep_lines: Vec<usize> = dd.dependents(x).iter().map(|&s| p.line_of(s)).collect();
-        assert_eq!(dep_lines, vec![2, 3]);
-        for (d, u) in dd.edges() {
-            assert!(dd.deps(u).contains(&d));
-            assert!(dd.dependents(d).contains(&u));
-        }
-        assert_eq!(dd.num_edges(), 3);
-    }
-
-    #[test]
     fn var_table_counts() {
         let p = parse("x = 1; y = x + z;").unwrap();
         let vt = VarTable::of(&p);
@@ -815,11 +764,6 @@ mod tests {
         let fresh = DataDeps::from_reaching(&new, &new_cfg, &rd);
         for s in new.stmt_ids() {
             assert_eq!(patched.deps(s), fresh.deps(s), "deps of {s:?}");
-            assert_eq!(
-                patched.dependents(s),
-                fresh.dependents(s),
-                "dependents of {s:?}"
-            );
         }
         // write(x) lost its dep on the deleted def and must repoint;
         // write(y) is untouched and must be carried.
@@ -847,11 +791,6 @@ mod tests {
         let fresh = DataDeps::from_reaching(&after, &acfg, &rd);
         for s in after.stmt_ids() {
             assert_eq!(patched.deps(s), fresh.deps(s), "deps of {s:?}");
-            assert_eq!(
-                patched.dependents(s),
-                fresh.dependents(s),
-                "dependents of {s:?}"
-            );
         }
         // The first write(x) sits before the insertion point — outside the
         // dirty region — so despite using the dirty variable it is carried;
@@ -870,7 +809,7 @@ mod tests {
     }
 
     #[test]
-    fn repoint_uses_patches_both_directions() {
+    fn repoint_uses_replaces_the_edited_row() {
         // Rewriting `write(y)` to read x instead of y.
         let before = parse("x = 1; y = 2; write(y);").unwrap();
         let after = parse("x = 1; y = 2; write(x);").unwrap();
@@ -884,7 +823,6 @@ mod tests {
         let fresh = DataDeps::from_reaching(&after, &cfg, &rd);
         for s in after.stmt_ids() {
             assert_eq!(dd.deps(s), fresh.deps(s), "deps of {s:?}");
-            assert_eq!(dd.dependents(s), fresh.dependents(s), "dependents of {s:?}");
         }
     }
 
@@ -898,7 +836,6 @@ mod tests {
         let back = DataDeps::from_deps(fwd_only);
         for s in p.stmt_ids() {
             assert_eq!(dd.deps(s), back.deps(s), "deps of {s:?}");
-            assert_eq!(dd.dependents(s), back.dependents(s), "dependents of {s:?}");
         }
     }
 

@@ -1,10 +1,11 @@
 //! The closure differential mode (`difftest --mode closure`).
 //!
-//! Every backward closure in the product walks the PDG's SCC condensation
-//! (`jumpslice_pdg::Condensation`). This mode holds that walk against the
-//! direct walk over raw PDG edges in [`crate::oracle`], on three things:
+//! Every closure in the product, backward and forward, walks the PDG's SCC
+//! condensation (`jumpslice_pdg::Condensation`). This mode holds that walk
+//! against the direct walks over raw PDG edges in [`crate::oracle`], on
+//! four things:
 //!
-//! * the backward closure of each criterion statement;
+//! * the backward and the forward closure of each criterion statement;
 //! * closures layered onto a dependence-closed target (a criterion's
 //!   closure), seeded by the next criterion and by every live
 //!   unconditional jump, as the Figure-7 kernel's admissions are: the same
@@ -121,14 +122,14 @@ pub struct ClosureReport {
     pub states: usize,
     /// Edits accepted across all edit sweeps.
     pub edits_applied: usize,
-    /// Individual equality checks executed (closures, layered closures and
-    /// their deltas, chops).
+    /// Individual equality checks executed (backward and forward closures,
+    /// layered closures and their deltas, chops).
     pub comparisons: usize,
     /// Confirmed product-vs-oracle mismatches.
     pub findings: Vec<ClosureFinding>,
 }
 
-/// Holds the closures of `product` against the oracle's direct walk over
+/// Holds the closures of `product` against the oracle's direct walks over
 /// `reference`'s PDG, both analyses of `p`. Returns the comparison count
 /// or the first mismatch.
 fn compare(
@@ -140,14 +141,18 @@ fn compare(
     let stmts = pick_criteria(p, reference, max_criteria);
     let (pdg, ref_pdg) = (product.pdg(), reference.pdg());
     let jumps = oracle::jumps_in_pdom_preorder(reference);
+    let dependents = oracle::dependents(ref_pdg);
     let mut comparisons = 0;
 
     for (i, &c) in stmts.iter().enumerate() {
         let line = p.line_of(c);
         let base = oracle::backward_closure(ref_pdg, [c]);
-        comparisons += 1;
+        comparisons += 2;
         if pdg.backward_closure([c]) != base {
             return Err(format!("backward closure at line {line}: product ≠ oracle"));
+        }
+        if pdg.forward_closure([c]) != oracle::forward_closure(&dependents, [c]) {
+            return Err(format!("forward closure at line {line}: product ≠ oracle"));
         }
 
         // Layer closures onto `base`, which is closed under dependence.
@@ -174,8 +179,7 @@ fn compare(
 
     for w in stmts.windows(2) {
         let (src, sink) = (w[0], w[1]);
-        let want = ref_pdg
-            .forward_closure([src])
+        let want = oracle::forward_closure(&dependents, [src])
             .intersection(&oracle::backward_closure(ref_pdg, [sink]));
         comparisons += 1;
         if chop(product, src, sink).stmts != want {

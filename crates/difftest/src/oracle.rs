@@ -20,9 +20,9 @@
 //! [`jumpslice_core::structured_slice`],
 //! [`jumpslice_core::conservative_slice`] and moved labels to them.
 //!
-//! [`backward_closure`] and [`backward_closure_into`] are also the oracle
-//! for the product's closures, which walk the condensation
-//! (`difftest --mode closure`).
+//! [`backward_closure`], [`backward_closure_into`] and
+//! [`forward_closure`] are also the oracle for the product's closures,
+//! which walk the condensation (`difftest --mode closure`).
 //!
 //! The paper notes that the preorder of the lexical successor tree works
 //! "equally well" as the postdominator tree's (§3). That is a property to
@@ -89,6 +89,39 @@ pub fn backward_closure_into(
             work.extend(pdg.control().deps(s));
         }
     }
+}
+
+/// The PDG's raw data and control edges turned around: per statement, the
+/// statements directly dependent on it, ascending. The PDG stores each
+/// edge once, at its dependent, so the forward oracle inverts them here.
+pub fn dependents(pdg: &Pdg) -> Vec<Vec<StmtId>> {
+    let mut out = vec![Vec::new(); pdg.control().num_stmts()];
+    for u in (0..out.len()).map(StmtId::from_index) {
+        for &d in pdg.data().deps(u).iter().chain(pdg.control().deps(u)) {
+            out[d.index()].push(u);
+        }
+    }
+    for v in &mut out {
+        v.dedup();
+    }
+    out
+}
+
+/// The forward closure of `seeds` by a direct worklist walk over raw edges
+/// turned around by [`dependents`]: the oracle for
+/// [`Pdg::forward_closure`], which walks the condensation.
+pub fn forward_closure(
+    dependents: &[Vec<StmtId>],
+    seeds: impl IntoIterator<Item = StmtId>,
+) -> StmtSet {
+    let mut slice = StmtSet::with_capacity(dependents.len());
+    let mut work: Vec<StmtId> = seeds.into_iter().collect();
+    while let Some(s) = work.pop() {
+        if slice.insert(s) {
+            work.extend(&dependents[s.index()]);
+        }
+    }
+    slice
 }
 
 /// Figure 7 driven by the jump visit `order`: starting from the
@@ -486,39 +519,25 @@ pub fn reaching_dense(prog: &Program, cfg: &Cfg) -> DenseReaching {
     DenseReaching { def_sites, in_sets }
 }
 
-/// Data-dependence edges in both directions, indexed by statement:
-/// `deps[u]` holds the definitions `u` depends on, `dependents[d]` the
-/// statements depending on `d`, each sorted.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct DenseDeps {
-    /// Incoming edges per statement.
-    pub deps: Vec<Vec<StmtId>>,
-    /// Outgoing edges per statement.
-    pub dependents: Vec<Vec<StmtId>>,
-}
-
-/// The edges of `rd`: every definition reaching a statement whose
-/// variable the statement uses, found by testing each reaching bit, then
-/// sorted and deduplicated in both directions.
-pub fn data_deps_dense(prog: &Program, cfg: &Cfg, rd: &DenseReaching) -> DenseDeps {
-    let n = prog.len();
-    let mut deps = vec![Vec::new(); n];
-    let mut dependents = vec![Vec::new(); n];
+/// The edges of `rd`, indexed by statement: `deps[u]` holds the
+/// definitions reaching `u` whose variable `u` uses, found by testing
+/// each reaching bit, then sorted and deduplicated.
+pub fn data_deps_dense(prog: &Program, cfg: &Cfg, rd: &DenseReaching) -> Vec<Vec<StmtId>> {
+    let mut deps = vec![Vec::new(); prog.len()];
     for u in prog.stmt_ids() {
         let used = prog.uses(u);
         for bit in rd.in_sets[cfg.node(u).index()].iter() {
             let d = rd.def_sites[bit];
             if used.contains(&prog.defs(d).expect("def site")) {
                 deps[u.index()].push(d);
-                dependents[d.index()].push(u);
             }
         }
     }
-    for v in deps.iter_mut().chain(dependents.iter_mut()) {
+    for v in &mut deps {
         v.sort();
         v.dedup();
     }
-    DenseDeps { deps, dependents }
+    deps
 }
 
 /// The dominance frontier of every node, given the graph and its
@@ -561,8 +580,6 @@ pub fn dominance_frontiers(g: &DiGraph, dom: &DomTree) -> Vec<Vec<NodeId>> {
 pub struct FrontierControl {
     /// The predicates each statement is directly control dependent on.
     pub deps: Vec<Vec<StmtId>>,
-    /// The statements directly control dependent on each predicate.
-    pub dependents: Vec<Vec<StmtId>>,
     /// The statements control dependent on the entry.
     pub entry_controlled: Vec<StmtId>,
 }
@@ -577,16 +594,12 @@ pub fn control_deps_via_frontiers(prog: &Program, cfg: &Cfg) -> FrontierControl 
     let frontiers = dominance_frontiers(&rev, &pdom);
     let live = cfg.reachable();
     let mut deps = vec![Vec::new(); prog.len()];
-    let mut dependents = vec![Vec::new(); prog.len()];
     let mut entry_controlled = Vec::new();
     for b in graph.nodes() {
         let Some(target) = cfg.stmt(b) else { continue };
         for &a in frontiers[b.index()].iter().filter(|a| live[a.index()]) {
             match cfg.stmt(a) {
-                Some(src) => {
-                    deps[target.index()].push(src);
-                    dependents[src.index()].push(target);
-                }
+                Some(src) => deps[target.index()].push(src),
                 None if a == cfg.entry() => entry_controlled.push(target),
                 None => {}
             }
@@ -594,7 +607,6 @@ pub fn control_deps_via_frontiers(prog: &Program, cfg: &Cfg) -> FrontierControl 
     }
     for v in deps
         .iter_mut()
-        .chain(dependents.iter_mut())
         .chain(std::iter::once(&mut entry_controlled))
     {
         v.sort();
@@ -602,7 +614,6 @@ pub fn control_deps_via_frontiers(prog: &Program, cfg: &Cfg) -> FrontierControl 
     }
     FrontierControl {
         deps,
-        dependents,
         entry_controlled,
     }
 }
@@ -692,7 +703,6 @@ mod tests {
                     "deps of line {}",
                     p.line_of(s)
                 );
-                assert_eq!(walk.dependents(s), df.dependents[s.index()]);
             }
             assert_eq!(walk.entry_controlled(), df.entry_controlled);
         }

@@ -13,7 +13,7 @@ const UNREACHED: u32 = u32::MAX;
 /// An immediate-dominator tree over a [`DiGraph`].
 ///
 /// Supports O(1) `dominates` queries via preorder/postorder interval
-/// numbering, parent/child navigation, and ancestor iteration — the exact
+/// numbering, parent navigation, and ancestor iteration — the exact
 /// operations Agrawal's Figure 7 needs ("nearest postdominator in Slice",
 /// preorder traversal of the postdominator tree).
 ///
@@ -38,7 +38,6 @@ const UNREACHED: u32 = u32::MAX;
 pub struct DomTree {
     root: NodeId,
     idom: Vec<Option<NodeId>>,
-    children: Vec<Vec<NodeId>>,
     pre: Vec<u32>,
     post: Vec<u32>,
     depth: Vec<u32>,
@@ -105,18 +104,16 @@ impl DomTree {
         Self::from_idoms(g.len(), root, idom)
     }
 
-    /// Assembles the derived structures (children lists, preorder, interval
-    /// numbering, depths) from an immediate-dominator array.
+    /// Assembles the derived structures (preorder, interval numbering,
+    /// depths) from an immediate-dominator array. The child lists the
+    /// numbering walks are local: no query reads them.
     pub(crate) fn from_idoms(n: usize, root: NodeId, idom: Vec<Option<NodeId>>) -> DomTree {
+        // Pushed in ascending node order, so each list is sorted by index.
         let mut children = vec![Vec::new(); n];
         for (i, d) in idom.iter().enumerate() {
             if let Some(d) = d {
                 children[d.index()].push(NodeId::new(i));
             }
-        }
-        // Deterministic child order: by node index.
-        for c in &mut children {
-            c.sort();
         }
 
         let mut pre = vec![UNREACHED; n];
@@ -147,7 +144,6 @@ impl DomTree {
         DomTree {
             root,
             idom,
-            children,
             pre,
             post,
             depth,
@@ -189,11 +185,6 @@ impl DomTree {
     /// Whether `a` dominates `b` and `a != b`.
     pub fn strictly_dominates(&self, a: NodeId, b: NodeId) -> bool {
         a != b && self.dominates(a, b)
-    }
-
-    /// Children of `n` in the dominator tree, sorted by node index.
-    pub fn children(&self, n: NodeId) -> &[NodeId] {
-        &self.children[n.index()]
     }
 
     /// Depth of `n` below the root (root has depth 0).

@@ -1,14 +1,14 @@
-//! The PDG's SCC condensation: the graph every backward closure walks.
+//! The PDG's SCC condensation: the graph every closure walks.
 //!
-//! A backward slice is reachability over the dependence edges, and all
-//! statements of one strongly connected component reach exactly the same
-//! statements. So [`Pdg::from_parts`](crate::Pdg::from_parts) collapses
-//! each component to one node with [`tarjan_scc`], and a closure walks
-//! components, inserting each one's members wholesale, instead of
-//! re-traversing every raw edge inside a component. On goto-dense
-//! programs most statements sit in a few large loops: unstructured-5482
-//! has 395,803 raw dependence edges but 2,484 edges between its 2,042
-//! components.
+//! A backward slice is reachability over the dependence edges, a forward
+//! slice the same run the other way, and all statements of one strongly
+//! connected component reach exactly the same statements. So
+//! [`Pdg::from_parts`](crate::Pdg::from_parts) collapses each component to
+//! one node with [`tarjan_scc`], and a closure walks components, inserting
+//! each one's members wholesale, instead of re-traversing every raw edge
+//! inside a component. On goto-dense programs most statements sit in a few
+//! large loops: unstructured-5482 has 395,803 raw dependence edges but
+//! 2,484 edges between its 2,042 components, kept both ways.
 //!
 //! # The closed-target contract
 //!
@@ -16,10 +16,10 @@
 //! is already there, without looking at the rest of it. That is exact when
 //! the target is empty or **closed under dependence**: such a target holds
 //! either all of a component and everything it depends on, or none of it.
-//! Every product call site layers closures onto a union of closures, which
-//! is closed. The direct walk over raw edges, which treats every statement
-//! already in the target as a visited mark, is the oracle
-//! `jumpslice_difftest::oracle::backward_closure_into`.
+//! Every product call site layers backward closures onto a union of
+//! closures, which is closed; a forward closure starts empty. The direct
+//! walks over raw edges, which treat every statement already in the target
+//! as visited, are the oracles in `jumpslice_difftest::oracle`.
 //!
 //! A closure's delta lists the newly inserted statements component by
 //! component, in no particular order; the sparse Figure-7 kernel reads
@@ -48,10 +48,14 @@ pub struct Condensation {
     /// `deps[dep_start[c]..dep_start[c + 1]]`.
     dep_start: Vec<usize>,
     deps: Vec<u32>,
+    /// The same edges reversed, each list ascending: the components
+    /// directly depending on `c` are `rdeps[rdep_start[c]..rdep_start[c + 1]]`.
+    rdep_start: Vec<usize>,
+    rdeps: Vec<u32>,
 }
 
 thread_local! {
-    /// The component worklist of [`Condensation::close`], kept per thread
+    /// The component worklist of [`Condensation::walk`], kept per thread
     /// so the closures of a hot loop allocate nothing.
     static WORK: Cell<Vec<u32>> = const { Cell::new(Vec::new()) };
 }
@@ -100,12 +104,31 @@ impl Condensation {
             }
             dep_start.push(deps.len());
         }
+
+        // One counting pass reverses them, filling in ascending `c`.
+        let mut rdep_start = vec![0usize; k + 1];
+        for &d in &deps {
+            rdep_start[d as usize + 1] += 1;
+        }
+        for c in 0..k {
+            rdep_start[c + 1] += rdep_start[c];
+        }
+        let mut next = rdep_start.clone();
+        let mut rdeps = vec![0u32; deps.len()];
+        for c in 0..k {
+            for &d in &deps[dep_start[c]..dep_start[c + 1]] {
+                rdeps[next[d as usize]] = c as u32;
+                next[d as usize] += 1;
+            }
+        }
         Condensation {
             comp_of,
             member_start,
             members,
             dep_start,
             deps,
+            rdep_start,
+            rdeps,
         }
     }
 
@@ -119,6 +142,25 @@ impl Condensation {
     /// every statement it inserts.
     pub(crate) fn close(
         &self,
+        seeds: impl IntoIterator<Item = StmtId>,
+        slice: &mut StmtSet,
+        new: impl FnMut(StmtId),
+    ) {
+        self.walk(&self.dep_start, &self.deps, seeds, slice, new);
+    }
+
+    /// The forward closure of `seeds`.
+    pub(crate) fn forward_closure(&self, seeds: impl IntoIterator<Item = StmtId>) -> StmtSet {
+        let mut slice = StmtSet::with_capacity(self.comp_of.len());
+        self.walk(&self.rdep_start, &self.rdeps, seeds, &mut slice, |_| {});
+        slice
+    }
+
+    /// The component walk along the edges `edges[start[c]..start[c + 1]]`.
+    fn walk(
+        &self,
+        start: &[usize],
+        edges: &[u32],
         seeds: impl IntoIterator<Item = StmtId>,
         slice: &mut StmtSet,
         mut new: impl FnMut(StmtId),
@@ -136,7 +178,7 @@ impl Condensation {
                 new(m);
             }
             let c = c as usize;
-            work.extend_from_slice(&self.deps[self.dep_start[c]..self.dep_start[c + 1]]);
+            work.extend_from_slice(&edges[start[c]..start[c + 1]]);
         }
         WORK.set(work);
     }
@@ -168,6 +210,23 @@ mod tests {
         }
     }
 
+    /// The direct walk the other way: every statement with a raw
+    /// dependence path from `seed`, by a fixpoint over the forward edges.
+    fn direct_forward(p: &Program, pdg: &Pdg, seed: StmtId) -> StmtSet {
+        let mut reached: StmtSet = [seed].into_iter().collect();
+        let mut grew = true;
+        while grew {
+            grew = false;
+            for s in p.stmt_ids() {
+                if !reached.contains(s) && pdg.deps(s).iter().any(|&d| reached.contains(d)) {
+                    reached.insert(s);
+                    grew = true;
+                }
+            }
+        }
+        reached
+    }
+
     const SRCS: [&str; 4] = [
         "read(c); if (c) { x = 1; } else { x = 2; } write(x);",
         "read(c); while (c) { read(c); if (c) break; y = c; } write(y);",
@@ -185,6 +244,21 @@ mod tests {
                 assert_eq!(
                     pdg.backward_closure([s]),
                     want,
+                    "line {} of {src:?}",
+                    p.line_of(s)
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn forward_component_walk_matches_the_direct_walk_on_every_seed() {
+        for src in SRCS {
+            let (p, pdg) = pdg_of(src);
+            for s in p.stmt_ids() {
+                assert_eq!(
+                    pdg.forward_closure([s]),
+                    direct_forward(&p, &pdg, s),
                     "line {} of {src:?}",
                     p.line_of(s)
                 );
@@ -225,5 +299,13 @@ mod tests {
         assert_eq!(component(4), &body, "members ascending");
         assert_eq!(component(1), &[p.at_line(1)]);
         assert_eq!(cond.dep_start.len() - 1, p.len() - 1, "components");
+        // Each component edge is kept both ways.
+        let comp = |line: usize| cond.comp_of[p.at_line(line).index()] as usize;
+        let (c4, c5) = (comp(4), comp(5));
+        assert!(cond.deps[cond.dep_start[c5]..cond.dep_start[c5 + 1]].contains(&(c4 as u32)));
+        assert_eq!(
+            &cond.rdeps[cond.rdep_start[c4]..cond.rdep_start[c4 + 1]],
+            &[c5 as u32]
+        );
     }
 }

@@ -41,13 +41,12 @@ mod condensation;
 
 pub use condensation::Condensation;
 
-/// Control-dependence edges between statements.
+/// Control-dependence edges between statements, each stored once, at its
+/// dependent statement.
 #[derive(Clone, Debug)]
 pub struct ControlDeps {
     /// Per statement: the predicates it is directly control dependent on.
     deps: Vec<Vec<StmtId>>,
-    /// Per statement: the statements directly control dependent on it.
-    dependents: Vec<Vec<StmtId>>,
     /// Statements control dependent on `Entry` (the paper's node 0): the
     /// top-level statements.
     entry_controlled: Vec<StmtId>,
@@ -93,7 +92,6 @@ impl ControlDeps {
         live: &[bool],
     ) -> ControlDeps {
         let mut deps = vec![Vec::new(); prog.len()];
-        let mut dependents = vec![Vec::new(); prog.len()];
         let mut entry_controlled = Vec::new();
 
         // Per-source stamps over flowgraph nodes: `visited[r] == stamp(a)`
@@ -123,10 +121,7 @@ impl ControlDeps {
                     visited[r.index()] = stamp;
                     if let Some(target) = cfg.stmt(r) {
                         match cfg.stmt(a) {
-                            Some(src) => {
-                                deps[target.index()].push(src);
-                                dependents[src.index()].push(target);
-                            }
+                            Some(src) => deps[target.index()].push(src),
                             None if a == cfg.entry() => entry_controlled.push(target),
                             None => {}
                         }
@@ -136,14 +131,13 @@ impl ControlDeps {
             }
         }
 
-        for v in deps.iter_mut().chain(dependents.iter_mut()) {
+        for v in &mut deps {
             v.sort();
             v.dedup();
         }
         entry_controlled.sort();
         ControlDeps {
             deps,
-            dependents,
             entry_controlled,
         }
     }
@@ -152,11 +146,6 @@ impl ControlDeps {
     /// excluding `Entry`).
     pub fn deps(&self, s: StmtId) -> &[StmtId] {
         &self.deps[s.index()]
-    }
-
-    /// The statements directly control dependent on `s` (sorted).
-    pub fn dependents(&self, s: StmtId) -> &[StmtId] {
-        &self.dependents[s.index()]
     }
 
     /// Statements control dependent on `Entry` (paper's node 0).
@@ -179,7 +168,7 @@ impl ControlDeps {
 }
 
 /// A program dependence graph: data plus control dependence, and the SCC
-/// condensation of their union that backward closures walk.
+/// condensation of their union that closures walk in both directions.
 #[derive(Clone, Debug)]
 pub struct Pdg {
     data: DataDeps,
@@ -273,7 +262,7 @@ impl Pdg {
         out
     }
 
-    /// The condensation every backward closure walks.
+    /// The condensation every closure walks.
     pub fn condensation(&self) -> &Condensation {
         &self.cond
     }
@@ -313,19 +302,10 @@ impl Pdg {
         self.cond.close(seeds, slice, |s| delta.push(s));
     }
 
-    /// Forward closure: everything affected by `seeds`, by a direct walk
-    /// over the dependents (forward slices and chops).
+    /// Forward closure: everything affected by `seeds` (forward slices and
+    /// chops), by the backward closures' walk over reversed component edges.
     pub fn forward_closure(&self, seeds: impl IntoIterator<Item = StmtId>) -> StmtSet {
-        let mut slice = StmtSet::with_capacity(self.control.num_stmts());
-        let mut work: Vec<StmtId> = seeds.into_iter().collect();
-        while let Some(s) = work.pop() {
-            if !slice.insert(s) {
-                continue;
-            }
-            work.extend(self.data.dependents(s).iter().copied());
-            work.extend(self.control.dependents(s).iter().copied());
-        }
-        slice
+        self.cond.forward_closure(seeds)
     }
 }
 
@@ -484,16 +464,16 @@ mod tests {
         let aug = Pdg::build_augmented(&p, &cfg);
         let std = Pdg::build(&p, &cfg);
         let goto = p.at_line(4);
+        let dependents_of_goto = |pdg: &Pdg| -> Vec<usize> {
+            p.stmt_ids()
+                .filter(|&s| pdg.control().deps(s).contains(&goto))
+                .map(|s| p.line_of(s))
+                .collect()
+        };
         // Standard PDG: nothing is control dependent on the goto.
-        assert!(std.control().dependents(goto).is_empty());
+        assert!(dependents_of_goto(&std).is_empty());
         // Augmented PDG: the skipped statement (line 5) is.
-        let aug_deps: Vec<usize> = aug
-            .control()
-            .dependents(goto)
-            .iter()
-            .map(|&s| p.line_of(s))
-            .collect();
-        assert_eq!(aug_deps, vec![5]);
+        assert_eq!(dependents_of_goto(&aug), vec![5]);
     }
 
     #[test]

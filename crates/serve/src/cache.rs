@@ -58,9 +58,9 @@ impl Entry {
 /// Resident-size estimate for one cached program: the source text plus the
 /// analysis artifacts. The one quadratic warm artifact is the
 /// reaching-definitions IN sets (one bit per flowgraph node and definition
-/// site); the PDG is as large as its edge lists, which jump-dense programs
-/// make near-quadratic; the rest, the chain index included (a few words per
-/// statement), is linear. The `n²/2` term deliberately rounds *up* so the
+/// site); the PDG is as large as its one edge list (each edge stored once),
+/// which jump-dense programs make near-quadratic; the rest, the chain index
+/// included (a few words per statement), is linear. The `n²/2` term deliberately rounds *up* so the
 /// budget errs toward evicting: it over-predicts the measured warm seed
 /// several times, and the eviction it drives is tuned to it. An entry
 /// restored from the snapshot store holds no IN sets until a `vars`

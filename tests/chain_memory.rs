@@ -1,9 +1,14 @@
-//! Heap of the Figure-7 chain index, measured by a counting global
-//! allocator. The index is O(statements + jumps) words: per statement its
-//! parent links and its two preorder spans, per jump its rank in each
-//! tree. Per-chain statement masks and a statements × jumps matrix would
-//! cost hundreds of bytes per statement here and fail the bounds, and so
-//! would full-width scratch sets kept through the build.
+//! Heap of the Figure-7 chain index, the PDG and the postdominator tree,
+//! measured by a counting global allocator. The index is O(statements +
+//! jumps) words: per statement its parent links and its two preorder
+//! spans, per jump its rank in each tree. Per-chain statement masks and a
+//! statements × jumps matrix would cost hundreds of bytes per statement
+//! here and fail the bounds, and so would full-width scratch sets kept
+//! through the build. The PDG stores each dependence edge once, at its
+//! dependent, plus its condensation's component edges both ways; an
+//! inverse index of the raw edges would cost about 4 more bytes per edge
+//! and fail its bound on the goto-dense program. The postdominator tree
+//! keeps parent links and interval numbers, no child lists.
 //!
 //! The allocator counts the whole process, so this binary holds exactly
 //! one test.
@@ -75,6 +80,13 @@ const MAX_BUILD_PEAK_OVER_INDEX: f64 = 2.0;
 /// leaves behind.
 const MAX_WARM_PEAK_OVER_SEED: f64 = 1.5;
 
+/// The most heap the goto-dense program's PDG, with its condensation, may
+/// keep per dependence edge (data plus control).
+const MAX_PDG_BYTES_PER_EDGE: f64 = 8.0;
+
+/// The most heap the postdominator tree may keep per flowgraph node.
+const MAX_PDOM_BYTES_PER_NODE: f64 = 32.0;
+
 /// Runs `f`, returning its result, the heap it left allocated and the most
 /// it held at once, both counted from the call.
 fn measured<T>(f: impl FnOnce() -> T) -> (T, usize, usize) {
@@ -95,13 +107,43 @@ fn chain_index_is_linear_and_warm_peaks_near_the_seed() {
     for (what, p) in [("s20k", s20k), ("u20k", u20k)] {
         let n = p.len();
 
-        // The index alone: every other artifact first, then `warm()`
-        // builds only the chain index.
+        // One artifact at a time, each over the ones it reads: the
+        // postdominator tree over the flowgraph `Analysis::new` built, the
+        // PDG over it and reaching definitions, and with the LST the chain
+        // index, all that `warm()` has left to build.
         let a = Analysis::new(&p);
-        let _ = (a.reaching(), a.pdg(), a.pdom(), a.lst());
+        let (nodes, pdom, _) = measured(|| a.pdom().num_nodes());
+        let _ = a.reaching();
+        let (_, pdg, _) = measured(|| {
+            let _ = a.pdg();
+        });
+        let edges = a.pdg().data().num_edges() + a.pdg().control().edges().count();
+        let _ = a.lst();
         let ((), index, build_peak) = measured(|| a.warm());
         assert_eq!(a.stats().chain_index_builds, 1);
         drop(a);
+
+        let per_node = pdom as f64 / nodes as f64;
+        let per_edge = pdg as f64 / edges as f64;
+        println!(
+            "{what}: pdom tree {:.2} MiB ({per_node:.1} B/node), PDG {:.2} MiB \
+             ({per_edge:.1} B/edge over {edges} edges)",
+            pdom as f64 / MIB,
+            pdg as f64 / MIB
+        );
+        assert!(
+            per_node <= MAX_PDOM_BYTES_PER_NODE,
+            "{what}: the pdom tree keeps {per_node:.1} bytes per node \
+             (bound {MAX_PDOM_BYTES_PER_NODE})"
+        );
+        if what == "u20k" {
+            assert!(
+                per_edge <= MAX_PDG_BYTES_PER_EDGE,
+                "{what}: the PDG keeps {per_edge:.1} bytes per edge \
+                 (bound {MAX_PDG_BYTES_PER_EDGE})"
+            );
+        }
+
         let per_stmt = index as f64 / n as f64;
         let build_ratio = build_peak as f64 / index as f64;
         println!(
