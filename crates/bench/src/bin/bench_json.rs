@@ -21,7 +21,8 @@
 //!   same call;
 //! * the closure microsweep: raw backward closures through the oracle's
 //!   direct walk over PDG edges vs the product's walk over the PDG's SCC
-//!   condensation, on one warm analysis;
+//!   condensation, on one warm analysis; the forward rows do the same from
+//!   live statements spread evenly over the program;
 //! * the incremental sweep: one edit followed by a re-slice of a criterion
 //!   pool, through a warm [`jumpslice_incr::EditSession`] (expression patch
 //!   and seeded re-solve paths) vs edit-then-`Analysis::new` from scratch;
@@ -32,7 +33,8 @@
 //! * the store sweep: first-slice latency through a store-enabled daemon
 //!   on a miss (parse + analyze + warm + write-behind persist) vs on a
 //!   snapshot hit (store load + decode + seeded analysis) — the daemon's
-//!   cold-start-vs-warm-restart story;
+//!   cold-start-vs-warm-restart story — and, not gated, the first `vars_at`
+//!   Figure-7 slice on a freshly restored analysis;
 //! * the per-phase breakdown (`per_phase_ns`): one captured cold analysis,
 //!   warm and one-thread batch per family, with `unattributed_ns` the
 //!   call's wall time minus its top-level phases.
@@ -63,6 +65,8 @@ const BATCH: usize = 120;
 const INCR_CRITERIA: usize = 4;
 /// Single-criterion slice requests per ~5k-statement serve row.
 const SERVE_CRITERIA: usize = 16;
+/// Restored analyses timed for each store row's first `vars_at` slice.
+const VARS_SLICE_RUNS: usize = 11;
 /// Criteria per program in the sparse-vs-dense sweep. Enough to amortize
 /// the one-time chain-index build into the sparse arm without making the
 /// dense reference arm dominate the whole benchmark run.
@@ -124,6 +128,8 @@ struct StoreRow {
     record_bytes: usize,
     cold_ns: f64,
     restore_ns: f64,
+    /// The first `vars_at` slice on a restored analysis, decode excluded.
+    vars_slice_ns: f64,
 }
 
 struct IncrRow {
@@ -479,6 +485,12 @@ fn main() {
                 .iter()
                 .map(|c| c.stmt)
                 .collect();
+            // The pool lists live writes first, and nothing depends on a
+            // write, so forward closures start from live statements spread
+            // evenly over the program instead.
+            let live: Vec<StmtId> = p.stmt_ids().filter(|&s| a.is_live(s)).collect();
+            let k = BATCH.min(live.len());
+            let sources: Vec<StmtId> = (0..k).map(|i| live[i * live.len() / k]).collect();
             let n = p.len();
             let direct_ns = r.bench(&format!("json/closure/{family}/{n}/direct-walk"), || {
                 let mut total = 0usize;
@@ -499,7 +511,7 @@ fn main() {
                 &format!("json/closure/{family}/{n}/direct-forward-walk"),
                 || {
                     let mut total = 0usize;
-                    for &s in &seeds {
+                    for &s in &sources {
                         total += oracle::forward_closure(&dependents, [black_box(s)]).len();
                     }
                     black_box(total)
@@ -507,7 +519,7 @@ fn main() {
             );
             let forward_ns = r.bench(&format!("json/closure/{family}/{n}/forward"), || {
                 let mut total = 0usize;
-                for &s in &seeds {
+                for &s in &sources {
                     total += a.pdg().forward_closure([black_box(s)]).len();
                 }
                 black_box(total)
@@ -575,12 +587,38 @@ fn main() {
                 let crit = Criterion::at_stmt(snap.prog.at_line(crit_line));
                 black_box(agrawal_slice(&a, &crit).len())
             });
+            // The first `vars_at` slice on a restored analysis, observing
+            // the uses of the last statement that has any. Each run decodes
+            // a fresh seed untimed; the median of the runs is reported.
+            let vars_stmt = prog
+                .stmt_ids()
+                .filter(|&s| !prog.uses(s).is_empty())
+                .max_by_key(|&s| prog.line_of(s))
+                .expect("corpus uses a variable");
+            let (vars_line, vars) = (prog.line_of(vars_stmt), prog.uses(vars_stmt));
+            let mut runs: Vec<f64> = (0..VARS_SLICE_RUNS)
+                .map(|_| {
+                    let snap = jumpslice_core::decode_snapshot(&payload).expect("snapshot decodes");
+                    let a = Analysis::with_seed(&snap.prog, snap.seed);
+                    let crit = Criterion::vars_at(snap.prog.at_line(vars_line), vars.clone());
+                    let t = Instant::now();
+                    black_box(agrawal_slice(&a, &crit).len());
+                    t.elapsed().as_nanos() as f64
+                })
+                .collect();
+            runs.sort_by(f64::total_cmp);
+            let vars_slice_ns = runs[runs.len() / 2];
+            println!(
+                "json/store/{family}/{n}/vars-slice: {} (median of {VARS_SLICE_RUNS} restores)",
+                jumpslice_bench::harness::fmt_ns(vars_slice_ns)
+            );
             store_rows.push(StoreRow {
                 family,
                 stmts: n,
                 record_bytes,
                 cold_ns,
                 restore_ns,
+                vars_slice_ns,
             });
         }
         std::fs::remove_dir_all(&dir).ok();
@@ -917,6 +955,7 @@ fn main() {
         let _ = writeln!(out, "      \"record_bytes\": {},", row.record_bytes);
         let _ = writeln!(out, "      \"cold_start_ns\": {:.1},", row.cold_ns);
         let _ = writeln!(out, "      \"snapshot_restore_ns\": {:.1},", row.restore_ns);
+        let _ = writeln!(out, "      \"vars_slice_ns\": {:.1},", row.vars_slice_ns);
         let _ = writeln!(out, "      \"speedup_restore_vs_cold\": {speedup:.2}");
         let _ = writeln!(out, "    }}{comma}");
     }

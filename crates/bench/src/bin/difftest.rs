@@ -194,6 +194,10 @@ fn run_incr_mode(cli: &Cli) -> ! {
         report.scripts, report.edits_applied, report.edits_rejected, report.comparisons
     );
     println!(
+        "  data edges: {} rows held to a whole-program solve · {} vars_at seed comparisons",
+        report.data_rows, report.vars_seeds
+    );
+    println!(
         "  apply paths: {} expression patches, {} seeded re-solves, {} full rebuilds",
         report.expr_patches, report.seeded_resolves, report.full_rebuilds
     );

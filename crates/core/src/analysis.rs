@@ -16,7 +16,9 @@ use std::sync::OnceLock;
 /// Each counter records how many times the corresponding artifact was
 /// *computed* (not how often it was used). The caching contract — one
 /// program, one computation — is asserted by the test suite through this
-/// probe: repeated `vars_at` slices must leave `reaching_defs` at 1.
+/// probe. `reaching_defs` counts the solves behind a cold PDG build (and
+/// explicit [`Analysis::reaching`] calls); a `vars_at` criterion solves
+/// nothing, so `vars_at` slices on a restored analysis leave it at 0.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct AnalysisStats {
     /// Times the reaching-definitions fixpoint ran.
@@ -39,7 +41,9 @@ pub struct AnalysisStats {
 /// carry surviving artifacts across a program edit: whatever the edit left
 /// valid is moved into the next `Analysis` instead of being recomputed.
 /// A decoded snapshot ([`crate::decode_snapshot`]) is a seed too, holding
-/// everything [`Analysis::warm`] forces but no reaching definitions.
+/// everything [`Analysis::warm`] forces. No seed holds reaching
+/// definitions: their IN sets are quadratic in the program, and nothing
+/// past the request that solved them reads them.
 ///
 /// Every field is optional; a missing artifact is simply computed lazily as
 /// usual. **Contract:** artifacts injected via `with_seed` must be correct
@@ -56,9 +60,10 @@ pub struct AnalysisSeed {
     pub pdg: Option<Pdg>,
     /// The lexical successor tree.
     pub lst: Option<LexSuccTree>,
-    /// The reaching-definitions solution. A cold PDG build leaves it here;
-    /// a restored snapshot never carries it, and the first `vars_at`
-    /// criterion or incremental edit that needs it solves it again.
+    /// A reaching-definitions solution to pre-fill [`Analysis::reaching`]
+    /// with. [`Analysis::into_seed`], the edit session and the snapshot
+    /// decoder always leave it `None`; the field stays for callers that
+    /// mirror the analysis phase by phase.
     pub reaching: Option<ReachingDefs>,
     /// The sparse kernel's chain index (opaque; valid only while the jump
     /// structure, postdominators, and lexical successor tree are unchanged).
@@ -66,14 +71,15 @@ pub struct AnalysisSeed {
 }
 
 impl AnalysisSeed {
-    /// How many of the four lazy artifacts are present (the flowgraph is
-    /// not counted — it is always built eagerly anyway; the chain index is
-    /// not counted either, being derived entirely from the others).
+    /// How many of the three lazy artifacts a seed can carry are present:
+    /// the postdominator tree, the PDG and the LST. The flowgraph is not
+    /// counted (it is always built eagerly anyway), nor the chain index
+    /// (derived entirely from the others), nor reaching definitions (no
+    /// seed keeps them).
     pub fn reused_phases(&self) -> usize {
         usize::from(self.pdom.is_some())
             + usize::from(self.pdg.is_some())
             + usize::from(self.lst.is_some())
-            + usize::from(self.reaching.is_some())
     }
 }
 
@@ -88,9 +94,11 @@ impl AnalysisSeed {
 /// it builds neither the LST nor the chain index unless the program has a
 /// `do-while` or a label actually needs re-associating (the PDG's control
 /// half still needs the postdominator tree).
-/// `Criterion::vars_at` slices share one reaching-definitions fixpoint
-/// instead of re-running it per criterion, and the PDG's data half is
-/// derived from that same cached fixpoint.
+/// Reaching definitions are the input of the PDG's data half only: a cold
+/// PDG build solves them once per analysis, and they are dropped with it
+/// ([`Analysis::into_seed`] does not keep them). A `Criterion::vars_at`
+/// criterion reads its one statement's reaching definitions with a
+/// backward search ([`jumpslice_dataflow::reaching_defs_at`]) instead.
 ///
 /// All lazy state lives in [`OnceLock`]s, so a fully materialized
 /// `Analysis` is `Sync` and can be shared by reference across the batch
@@ -184,14 +192,15 @@ impl<'p> Analysis<'p> {
 
     /// Consumes the analysis, harvesting every materialized artifact (plus
     /// the flowgraph) into an owned [`AnalysisSeed`]. Artifacts never forced
-    /// come back `None`.
+    /// come back `None`, and so do reaching definitions, which are freed
+    /// here: the PDG already holds the data edges derived from them.
     pub fn into_seed(self) -> AnalysisSeed {
         AnalysisSeed {
             cfg: Some(self.cfg),
             pdom: self.pdom.into_inner(),
             pdg: self.pdg.into_inner(),
             lst: self.lst.into_inner(),
-            reaching: self.reaching.into_inner(),
+            reaching: None,
             chain_index: self.chain_index.into_inner(),
         }
     }
@@ -243,8 +252,10 @@ impl<'p> Analysis<'p> {
         })
     }
 
-    /// The reaching-definitions fixpoint (computed on first use). Shared by
-    /// every `vars_at` criterion and by the PDG's data-dependence half.
+    /// The reaching-definitions fixpoint (computed on first use): the input
+    /// of a cold PDG build's data half, which reads it through here, so
+    /// every criterion of a batch shares one solve. Nothing else in the
+    /// product calls it, and [`Analysis::into_seed`] drops it.
     pub fn reaching(&self) -> &ReachingDefs {
         self.cache_probe(obs::Artifact::ReachingDefs, self.reaching.get().is_some());
         self.reaching.get_or_init(|| {
@@ -295,8 +306,8 @@ impl<'p> Analysis<'p> {
     /// Forces what Figures 7, 12 and 13 read (the PDG with its
     /// condensation, the postdominator tree, the LST) and the chain index
     /// now, on the calling thread. A cold PDG solves reaching definitions
-    /// as its input and keeps them; a seeded one needs none, and they are
-    /// solved only when a `vars_at` criterion first asks.
+    /// as its input, and they live until the analysis ends; a seeded PDG
+    /// needs none.
     pub fn warm(&self) {
         let _ = (self.pdg(), self.pdom(), self.lst());
         let _ = self.chain_index();

@@ -1,7 +1,7 @@
 //! The conventional slicing algorithm (paper, §2).
 
 use crate::{Analysis, Slice};
-use jumpslice_dataflow::StmtSet;
+use jumpslice_dataflow::{reaching_defs_at, StmtSet};
 use jumpslice_lang::{Name, StmtId};
 
 /// A slicing criterion: a program location plus, optionally, a specific set
@@ -37,25 +37,14 @@ impl Criterion {
     }
 
     /// The closure seeds this criterion induces: the statement itself, or
-    /// the reaching definitions of the named variables at the statement.
+    /// the reaching definitions of the named variables at the statement,
+    /// sorted and deduplicated.
     pub fn seeds(&self, a: &Analysis<'_>) -> Vec<StmtId> {
         match &self.vars {
             None => vec![self.stmt],
-            Some(vars) => {
-                // One fixpoint per program, not per criterion: the analysis
-                // caches ReachingDefs and every vars_at slice shares it.
-                let rd = a.reaching();
-                let node = a.cfg().node(self.stmt);
-                let mut seeds: Vec<StmtId> = vars
-                    .iter()
-                    .flat_map(|&v| rd.reaching_var(node, v))
-                    .collect();
-                if vars.len() > 1 {
-                    seeds.sort_unstable();
-                    seeds.dedup();
-                }
-                seeds
-            }
+            // A backward search from the one statement: no whole-program
+            // solve, and nothing kept past the call.
+            Some(vars) => reaching_defs_at(a.prog(), a.cfg(), a.cfg().node(self.stmt), vars),
         }
     }
 }

@@ -20,9 +20,10 @@
 //!   and, next to stored data edges, the postdominator tree, the control
 //!   dependences and the sparse kernel's chain index. No stored copy can
 //!   disagree with the program. Reaching definitions are not stored
-//!   either: no Figure-7, 12 or 13 slice reads them, so a restored
-//!   analysis solves them only when a `vars_at` criterion or an
-//!   incremental edit first asks. The source stays embedded because
+//!   either, and a restored analysis never solves them: no Figure-7, 12
+//!   or 13 slice reads them, a `vars_at` criterion searches backward from
+//!   its statement, and an incremental edit solves only for the edited
+//!   statement's variables. The source stays embedded because
 //!   callers that map snapshots by content hash must compare it against
 //!   the request's source byte-for-byte — that comparison, not the hash,
 //!   is what makes a key collision harmless.
@@ -104,7 +105,7 @@ const HAS_DATA_DEPS: u32 = 1;
 /// snapshot payload. `prog` must be the parse of `source` that the seed's
 /// artifacts were computed against. Only the PDG's data edges are written,
 /// when the seed has a PDG: the decoder derives everything else from
-/// `prog`, and reaching definitions are solved again when first asked.
+/// `prog`, and nothing restored reads reaching definitions.
 pub fn encode_snapshot(source: &str, prog: &Program, seed: &AnalysisSeed) -> Vec<u8> {
     let mut out = Vec::new();
     wire::put_bytes(&mut out, source.as_bytes());
@@ -729,7 +730,8 @@ L14: write(positives);";
     /// (the presence bitmap, not padding, carries the schema). The flowgraph
     /// and the lexical successor tree are derived from the program on
     /// decode, so they are always present. Reaching definitions are never
-    /// written: a seed holding only them encodes as a program-only record.
+    /// harvested: an analysis that forced only them leaves a seed that
+    /// encodes as a program-only record.
     #[test]
     fn partial_seeds_round_trip_their_presence() {
         let prog = parse(GOTO_SRC).unwrap();
@@ -750,10 +752,11 @@ L14: write(positives);";
     }
 
     /// A restored analysis computes nothing under `warm()`: no Figure-7,
-    /// 12 or 13 slice reads reaching definitions. The first `vars_at`
-    /// slice solves them once, and later ones reuse the solution.
+    /// 12 or 13 slice reads reaching definitions. A `vars_at` slice reads
+    /// its criterion's reaching definitions with a backward search, so it
+    /// solves nothing either, and answers as a fresh analysis does.
     #[test]
-    fn restored_analyses_solve_reaching_definitions_only_when_asked() {
+    fn restored_analyses_answer_vars_slices_without_solving() {
         let bytes = warm_snapshot(GOTO_SRC);
         let snap = decode_snapshot(&bytes).unwrap();
         assert!(snap.seed.reaching.is_none(), "no record carries them");
@@ -767,13 +770,7 @@ L14: write(positives);";
         let fresh = Analysis::new(&fresh_prog);
         for _ in 0..2 {
             assert_eq!(agrawal_slice(&a, &crit), agrawal_slice(&fresh, &crit));
-            assert_eq!(
-                a.stats(),
-                AnalysisStats {
-                    reaching_defs: 1,
-                    ..AnalysisStats::default()
-                }
-            );
+            assert_eq!(a.stats(), AnalysisStats::default());
         }
     }
 

@@ -74,17 +74,6 @@ impl BitSet {
         changed
     }
 
-    /// Unions `other ∩ mask` into `self`, word-parallel. `other` and `mask`
-    /// must share a capacity; it may differ from `self`'s, in which case
-    /// every bit of `mask` must lie below `min(self.capacity,
-    /// other.capacity)` — words past the shorter operand are ignored.
-    pub fn union_masked(&mut self, other: &BitSet, mask: &BitSet) {
-        debug_assert_eq!(other.capacity, mask.capacity);
-        for ((a, b), m) in self.words.iter_mut().zip(&other.words).zip(&mask.words) {
-            *a |= b & m;
-        }
-    }
-
     /// Unions `other` into `self` with the `(word, mask)` pairs of `kill`
     /// (ascending by word, each word in range) removed from `other` first:
     /// the reaching-definitions transfer of a defining node, applied on
@@ -240,35 +229,6 @@ mod tests {
         assert!(a.union_with(&b));
         assert!(!a.union_with(&b));
         assert!(a.contains(3));
-    }
-
-    #[test]
-    fn union_masked_filters_and_tolerates_capacity_mismatch() {
-        // Wider source into a narrower target: the mask confines every
-        // surviving bit to the shared range.
-        let mut target = BitSet::new(70);
-        let mut src = BitSet::new(130);
-        let mut mask = BitSet::new(130);
-        for v in [0, 3, 64, 69] {
-            src.insert(v);
-        }
-        for v in [3, 64] {
-            mask.insert(v);
-        }
-        target.union_masked(&src, &mask);
-        assert_eq!(target.iter().collect::<Vec<_>>(), vec![3, 64]);
-
-        // Narrower source into a wider target leaves high bits alone.
-        let mut wide = BitSet::new(200);
-        wide.insert(199);
-        let mut small = BitSet::new(10);
-        small.insert(2);
-        let mut all = BitSet::new(10);
-        for v in 0..10 {
-            all.insert(v);
-        }
-        wide.union_masked(&small, &all);
-        assert_eq!(wide.iter().collect::<Vec<_>>(), vec![2, 199]);
     }
 
     #[test]

@@ -30,5 +30,5 @@ mod reaching;
 mod stmtset;
 
 pub use bitset::BitSet;
-pub use reaching::{DataDeps, ReachingDefs, VarTable};
+pub use reaching::{reaching_defs_at, DataDeps, ReachingDefs, VarTable};
 pub use stmtset::StmtSet;

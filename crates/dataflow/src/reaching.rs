@@ -17,17 +17,21 @@ pub struct VarTable {
 impl VarTable {
     /// Collects every variable defined or used anywhere in `prog`.
     pub fn of(prog: &Program) -> VarTable {
+        Self::with(
+            prog,
+            prog.stmt_ids()
+                .flat_map(|s| prog.defs(s).into_iter().chain(prog.uses(s))),
+        )
+    }
+
+    /// Numbers `names`, in order, without scanning `prog`.
+    fn with(prog: &Program, names: impl IntoIterator<Item = Name>) -> VarTable {
         let mut t = VarTable {
             vars: Vec::new(),
             index: vec![None; prog.num_names()],
         };
-        for s in prog.stmt_ids() {
-            if let Some(d) = prog.defs(s) {
-                t.add(d);
-            }
-            for u in prog.uses(s) {
-                t.add(u);
-            }
+        for n in names {
+            t.add(n);
         }
         t
     }
@@ -70,6 +74,11 @@ impl VarTable {
 /// keeps, per variable, the words its sites occupy in an IN set, so a
 /// consumer reads one variable's reaching definitions without scanning the
 /// others' ([`ReachingDefs::reaching_var`]).
+///
+/// The IN sets hold one bit per flowgraph node and definition site, so a
+/// solution is quadratic in the program. It is the input of the PDG's
+/// data half and is dropped with the analysis that solved it; a single
+/// node's reaching definitions come from [`reaching_defs_at`] instead.
 #[derive(Clone, Debug)]
 pub struct ReachingDefs {
     /// Definition sites, in discovery order.
@@ -82,10 +91,9 @@ pub struct ReachingDefs {
     var_words: Vec<Vec<(usize, u64)>>,
 }
 
-/// The static part of the reaching-definitions problem, shared by the cold
-/// solve and the seeded re-solve: the def-site numbering and each
-/// variable's site words. A defining node generates its own site and kills
-/// its variable's words, so no per-node set is stored.
+/// The static part of the reaching-definitions problem: the def-site
+/// numbering and each variable's site words. A defining node generates its
+/// own site and kills its variable's words, so no per-node set is stored.
 struct GenKill {
     vars: VarTable,
     def_sites: Vec<StmtId>,
@@ -96,24 +104,31 @@ struct GenKill {
 }
 
 impl GenKill {
-    fn of(prog: &Program) -> GenKill {
-        let vars = VarTable::of(prog);
+    /// Numbers the definition sites of `prog`, or only those of the
+    /// variables in `only`.
+    fn of(prog: &Program, only: Option<&[Name]>) -> GenKill {
+        let vars = match only {
+            None => VarTable::of(prog),
+            Some(o) => VarTable::with(prog, o.iter().copied()),
+        };
         let mut def_sites = Vec::new();
         let mut site_of_stmt: Vec<Option<usize>> = vec![None; prog.len()];
         let mut site_var = Vec::new();
         let mut var_words: Vec<Vec<(usize, u64)>> = vec![Vec::new(); vars.len()];
         for s in prog.stmt_ids() {
-            if let Some(v) = prog.defs(s) {
-                let idx = def_sites.len();
-                let vi = vars.index_of(v).expect("collected");
-                def_sites.push(s);
-                site_of_stmt[s.index()] = Some(idx);
-                site_var.push(vi);
-                let (w, bit) = (idx / 64, 1u64 << (idx % 64));
-                match var_words[vi].last_mut() {
-                    Some((last, mask)) if *last == w => *mask |= bit,
-                    _ => var_words[vi].push((w, bit)),
-                }
+            let Some(v) = prog.defs(s) else { continue };
+            if only.is_some_and(|o| !o.contains(&v)) {
+                continue;
+            }
+            let idx = def_sites.len();
+            let vi = vars.index_of(v).expect("collected");
+            def_sites.push(s);
+            site_of_stmt[s.index()] = Some(idx);
+            site_var.push(vi);
+            let (w, bit) = (idx / 64, 1u64 << (idx % 64));
+            match var_words[vi].last_mut() {
+                Some((last, mask)) if *last == w => *mask |= bit,
+                _ => var_words[vi].push((w, bit)),
             }
         }
         GenKill {
@@ -129,158 +144,20 @@ impl GenKill {
 impl ReachingDefs {
     /// Runs the fixpoint on `prog`'s flowgraph.
     pub fn compute(prog: &Program, cfg: &Cfg) -> ReachingDefs {
-        let gk = GenKill::of(prog);
-        let in_sets = vec![BitSet::new(gk.def_sites.len()); cfg.graph().len()];
-        Self::solve(cfg, gk, in_sets, "reaching.fixpoint_passes")
+        Self::solve(cfg, GenKill::of(prog, None))
     }
 
-    /// Re-solves the fixpoint for an edited program, warm-started from the
-    /// previous solution. See [`ReachingDefs::compute_seeded_tracked`] for
-    /// the parameters; this variant discards the change tracking.
-    pub fn compute_seeded(
-        prog: &Program,
-        cfg: &Cfg,
-        old_cfg: &Cfg,
-        old: &ReachingDefs,
-        fwd: &[Option<StmtId>],
-        dirty_vars: &[Name],
-        dirty_from: Option<NodeId>,
-    ) -> ReachingDefs {
-        Self::compute_seeded_tracked(prog, cfg, old_cfg, old, fwd, dirty_vars, dirty_from).0
+    /// Runs the fixpoint for the variables in `vars` alone: the definition
+    /// sites are only theirs, so each IN set is only as wide as they are.
+    /// Every other variable reads as having no reaching definition. At
+    /// each node the answer for a variable in `vars` equals
+    /// [`ReachingDefs::compute`]'s, since no other variable's definition
+    /// generates or kills its sites.
+    pub fn compute_for(prog: &Program, cfg: &Cfg, vars: &[Name]) -> ReachingDefs {
+        Self::solve(cfg, GenKill::of(prog, Some(vars)))
     }
 
-    /// Re-solves the fixpoint for an edited program, warm-started from the
-    /// previous solution, and reports which nodes' IN sets ended up
-    /// different from the translated seed.
-    ///
-    /// `fwd` maps each old-arena statement index to its surviving id in
-    /// `prog` (`None` for deleted statements). `dirty_vars` are the
-    /// variables (in `prog`'s interner) that gained a definition in the
-    /// edit; `dirty_from` is the flowgraph node of that new definition
-    /// (`None` drops dirty bits everywhere).
-    ///
-    /// Soundness: the seed must sit at or below the new least fixpoint so
-    /// monotone iteration converges to it exactly. Translating the old
-    /// solution is below the new one for every bit whose definition variable
-    /// is *clean*: the edit only splices nodes into or out of paths and
-    /// removes no kills of clean variables. A *deleted* definition needs no
-    /// dirty variable at all — removing a definition removes kills, so every
-    /// surviving definition's reach can only grow and the translated bits
-    /// stay below the fixpoint (the deleted site itself has no forward
-    /// image and drops out of the translation). An *inserted* definition
-    /// kills other definitions of its variable, but only along paths that
-    /// pass through it — so bits owned by dirty variables are cleared only
-    /// at nodes reachable from `dirty_from`, and the first iteration
-    /// regenerates whatever genuinely still reaches. Statements with no old
-    /// counterpart start at bottom, which is trivially safe.
-    ///
-    /// The returned flags are indexed by `cfg` node: `true` means the
-    /// node's fixpoint IN set differs from its seed, or the node had no old
-    /// counterpart to seed from. Callers patching per-statement facts (see
-    /// [`DataDeps::patch_seeded`]) may keep facts at unflagged nodes.
-    pub fn compute_seeded_tracked(
-        prog: &Program,
-        cfg: &Cfg,
-        old_cfg: &Cfg,
-        old: &ReachingDefs,
-        fwd: &[Option<StmtId>],
-        dirty_vars: &[Name],
-        dirty_from: Option<NodeId>,
-    ) -> (ReachingDefs, Vec<bool>) {
-        let gk = GenKill::of(prog);
-        let nsites = gk.def_sites.len();
-        let n = cfg.graph().len();
-        let mut in_sets = vec![BitSet::new(nsites); n];
-
-        // Translate old site indices to new ones across the statement map;
-        // sites of deleted statements drop out here.
-        let mut site_map: Vec<Option<usize>> = vec![None; old.def_sites.len()];
-        let mut dirty_old_site = vec![false; old.def_sites.len()];
-        for (old_idx, &old_stmt) in old.def_sites.iter().enumerate() {
-            let Some(new_stmt) = fwd.get(old_stmt.index()).copied().flatten() else {
-                continue;
-            };
-            let Some(new_idx) = gk.site_of_stmt[new_stmt.index()] else {
-                continue;
-            };
-            site_map[old_idx] = Some(new_idx);
-            let v = prog.defs(new_stmt).expect("def site maps to def site");
-            dirty_old_site[old_idx] = dirty_vars.contains(&v);
-        }
-        let affected: Option<Vec<bool>> =
-            dirty_from.map(|v| jumpslice_graph::reachable_from(cfg.graph(), v));
-        let in_region = |node: NodeId| affected.as_ref().is_none_or(|a| a[node.index()]);
-
-        let mut seeded_bits = 0u64;
-        let masked_identity = site_map
-            .iter()
-            .enumerate()
-            .all(|(i, m)| m.is_none() || *m == Some(i));
-        if masked_identity {
-            // Every surviving site keeps its index (edits at the end of the
-            // program), so the translation is a word-parallel masked union
-            // instead of a per-bit loop.
-            let old_nsites = old.def_sites.len();
-            let mut clean = BitSet::new(old_nsites);
-            let mut safe = BitSet::new(old_nsites);
-            for (i, m) in site_map.iter().enumerate() {
-                if m.is_some() {
-                    clean.insert(i);
-                    if !dirty_old_site[i] {
-                        safe.insert(i);
-                    }
-                }
-            }
-            for (old_stmt_idx, &new_stmt) in fwd.iter().enumerate() {
-                let Some(new_stmt) = new_stmt else { continue };
-                let old_node = old_cfg.node(StmtId::from_index(old_stmt_idx));
-                let new_node = cfg.node(new_stmt);
-                let mask = if in_region(new_node) { &safe } else { &clean };
-                in_sets[new_node.index()].union_masked(&old.in_sets[old_node.index()], mask);
-            }
-            seeded_bits = in_sets.iter().map(|s| s.len() as u64).sum();
-        } else {
-            for (old_stmt_idx, &new_stmt) in fwd.iter().enumerate() {
-                let Some(new_stmt) = new_stmt else { continue };
-                let old_node = old_cfg.node(StmtId::from_index(old_stmt_idx));
-                let new_node = cfg.node(new_stmt);
-                let dirty_here = in_region(new_node);
-                let target = &mut in_sets[new_node.index()];
-                for old_bit in old.in_sets[old_node.index()].iter() {
-                    if dirty_here && dirty_old_site[old_bit] {
-                        continue;
-                    }
-                    if let Some(new_bit) = site_map[old_bit] {
-                        target.insert(new_bit);
-                        seeded_bits += 1;
-                    }
-                }
-            }
-        }
-
-        jumpslice_obs::record(|| jumpslice_obs::Event::Count {
-            name: "reaching.seeded_bits",
-            value: seeded_bits,
-        });
-        let (rd, mut in_changed) = Self::solve_tracked(cfg, gk, in_sets, "reaching.seeded_passes");
-        let mut has_old = vec![false; n];
-        for &new_stmt in fwd.iter().flatten() {
-            has_old[cfg.node(new_stmt).index()] = true;
-        }
-        for (i, flag) in in_changed.iter_mut().enumerate() {
-            *flag |= !has_old[i];
-        }
-        (rd, in_changed)
-    }
-
-    /// Worklist iteration to the least fixpoint from `in_sets` (which must
-    /// be at or below it).
-    fn solve(cfg: &Cfg, gk: GenKill, in_sets: Vec<BitSet>, counter: &'static str) -> ReachingDefs {
-        Self::solve_tracked(cfg, gk, in_sets, counter).0
-    }
-
-    /// [`ReachingDefs::solve`], additionally reporting per node whether its
-    /// IN set at the fixpoint differs from the seed it started from.
+    /// Worklist iteration to the least fixpoint from empty IN sets.
     ///
     /// No OUT set is stored: a node's OUT is its IN, except that a defining
     /// node clears its variable's words and sets its own site, and that
@@ -290,12 +167,7 @@ impl ReachingDefs {
     /// changed. Sweeping every node each time evaluates the same sequence
     /// of IN sets, since a node none of whose predecessors changed would
     /// recompute the IN it already has.
-    fn solve_tracked(
-        cfg: &Cfg,
-        gk: GenKill,
-        mut in_sets: Vec<BitSet>,
-        counter: &'static str,
-    ) -> (ReachingDefs, Vec<bool>) {
+    fn solve(cfg: &Cfg, gk: GenKill) -> ReachingDefs {
         let GenKill {
             vars,
             def_sites,
@@ -303,21 +175,15 @@ impl ReachingDefs {
             site_var,
             var_words,
         } = gk;
+        let n = cfg.graph().len();
+        let mut in_sets = vec![BitSet::new(def_sites.len()); n];
         // Nodes unreachable from entry are excluded and keep empty sets:
         // applying their transfer would let dead definitions leak into
         // reachable fall-through successors.
         let order = jumpslice_graph::reverse_postorder(cfg.graph(), cfg.entry());
-        let n = cfg.graph().len();
         let mut pos = vec![usize::MAX; n];
         for (j, &node) in order.iter().enumerate() {
             pos[node.index()] = j;
-        }
-        let mut in_changed = vec![false; n];
-        for (i, set) in in_sets.iter_mut().enumerate() {
-            if pos[i] == usize::MAX && !set.is_empty() {
-                in_changed[i] = true;
-                set.clear();
-            }
         }
         let site_of_node = |p: NodeId| cfg.stmt(p).and_then(|s| site_of_stmt[s.index()]);
 
@@ -350,7 +216,6 @@ impl ReachingDefs {
                 }
                 let i = node.index();
                 if scratch != in_sets[i] {
-                    in_changed[i] = true;
                     std::mem::swap(&mut in_sets[i], &mut scratch);
                     for &s in cfg.graph().succs(node) {
                         let k = pos[s.index()];
@@ -364,18 +229,15 @@ impl ReachingDefs {
         }
 
         jumpslice_obs::record(|| jumpslice_obs::Event::Count {
-            name: counter,
+            name: "reaching.fixpoint_passes",
             value: passes,
         });
-        (
-            ReachingDefs {
-                def_sites,
-                in_sets,
-                vars,
-                var_words,
-            },
-            in_changed,
-        )
+        ReachingDefs {
+            def_sites,
+            in_sets,
+            vars,
+            var_words,
+        }
     }
 
     /// The definition sites, in discovery order — bit `i` of every IN set
@@ -435,6 +297,51 @@ impl ReachingDefs {
             }
         }
     }
+}
+
+/// The definitions of `vars` reaching the entry of `node`, sorted and
+/// deduplicated: the same answer as [`ReachingDefs::compute`] at that node,
+/// found without a whole-program solve. For each variable a backward
+/// search walks predecessors from `node` and stops at each definition of
+/// that variable, which reaches `node` along the def-clear path walked.
+/// Nodes unreachable from entry are skipped, and an unreachable `node`
+/// has no reaching definitions, because the solver gives those nodes
+/// empty IN sets. The search visits each node at most once per variable
+/// and resets its marks through the list of nodes it touched.
+pub fn reaching_defs_at(prog: &Program, cfg: &Cfg, node: NodeId, vars: &[Name]) -> Vec<StmtId> {
+    let live = cfg.reachable();
+    let mut out = Vec::new();
+    if !live[node.index()] {
+        return out;
+    }
+    let mut seen = vec![false; cfg.graph().len()];
+    // The nodes marked for the current variable, in visiting order: the
+    // search's queue, and the list its marks are reset from.
+    let mut touched: Vec<NodeId> = Vec::new();
+    let mark_preds = |n: NodeId, seen: &mut [bool], touched: &mut Vec<NodeId>| {
+        for &p in cfg.graph().preds(n) {
+            if live[p.index()] && !std::mem::replace(&mut seen[p.index()], true) {
+                touched.push(p);
+            }
+        }
+    };
+    for &v in vars {
+        mark_preds(node, &mut seen, &mut touched);
+        let mut next = 0;
+        while let Some(&p) = touched.get(next) {
+            next += 1;
+            match cfg.stmt(p) {
+                Some(s) if prog.defs(s) == Some(v) => out.push(s),
+                _ => mark_preds(p, &mut seen, &mut touched),
+            }
+        }
+        for p in touched.drain(..) {
+            seen[p.index()] = false;
+        }
+    }
+    out.sort_unstable();
+    out.dedup();
+    out
 }
 
 /// Data-dependence edges: `u` depends on `d` when a definition at `d`
@@ -499,95 +406,101 @@ impl DataDeps {
         self.deps.iter().map(Vec::len).sum()
     }
 
-    /// Rebuilds the edge set for an edited program from these (old) edges
-    /// plus a warm reaching solution, recomputing incoming edges only for
-    /// statements whose reaching facts could have changed. Returns the new
-    /// edges and the number of statements actually repointed.
+    /// Carries these edges, computed for the program before an insertion
+    /// or deletion of one simple statement, over to the edited `prog`, and
+    /// re-derives only the rows the edit can change. Returns the new edges
+    /// and the number of re-derived rows.
     ///
-    /// `fwd`, `in_changed`, `dirty_vars`, and `dirty_from` must be the
-    /// statement map, the flags reported by
-    /// [`ReachingDefs::compute_seeded_tracked`], and the same dirty
-    /// variables and region origin that call was given.
+    /// `fwd` maps each old statement index to its id in `prog` (`None` for
+    /// the deleted statement). `vars` must hold the variable the inserted
+    /// or deleted statement defines, if any, and every variable an
+    /// inserted statement uses, and `rd` must be
+    /// [`ReachingDefs::compute_for`] of `prog` over `vars`. `from` is the
+    /// first node of `cfg` whose reaching definitions the splice changes:
+    /// the inserted statement's, or the deleted statement's successor's.
     ///
-    /// A surviving statement keeps its translated old edges when its node
-    /// is unflagged, it uses no dirty variable (checked only at nodes
-    /// reachable from `dirty_from` — elsewhere the seed kept every dirty
-    /// bit), and none of its old deps was deleted. Those three conditions
-    /// cover every way an edge can appear or vanish: a new reaching
-    /// definition flips the node's IN set (flagged), a definition of a
-    /// dirty variable may have been silently dropped from the seed (dirty
-    /// use in region), and a deleted definition leaves its dependents' IN
-    /// sets untouched when nothing replaces it (deleted dep).
-    #[allow(clippy::too_many_arguments)]
-    pub fn patch_seeded(
+    /// Every surviving row is translated through `fwd`; a dependence with
+    /// no image is on the deleted definition, whose variable is in `vars`.
+    /// A row at a node reachable from `from` whose statement uses a
+    /// variable in `vars`, and so the inserted statement's row, drops that
+    /// variable's dependences and re-reads them from `rd`.
+    ///
+    /// Why only those variables: the edit splices one node into or out of
+    /// flowgraph paths and changes no other node's reachability. Each path
+    /// of one flowgraph maps to a path of the other that only adds or
+    /// skips that node, and a node that does not define a variable cannot
+    /// end a def-clear path of it. So every variable the statement does
+    /// not define keeps exactly its def-clear paths, and its dependences
+    /// translate verbatim. Why only those rows: a def-clear path that the
+    /// splice adds, cuts or ends runs through the spliced position and so
+    /// on through `from`. An insertion after a `goto` is dead code: `rd`
+    /// gives it an empty IN set, as the whole-program solve does.
+    pub fn rederive(
         &self,
         prog: &Program,
         cfg: &Cfg,
-        rd: &ReachingDefs,
         fwd: &[Option<StmtId>],
-        in_changed: &[bool],
-        dirty_vars: &[Name],
-        dirty_from: Option<NodeId>,
+        vars: &[Name],
+        rd: &ReachingDefs,
+        from: NodeId,
     ) -> (DataDeps, usize) {
-        let n = prog.len();
-        let affected: Option<Vec<bool>> =
-            dirty_from.map(|v| jumpslice_graph::reachable_from(cfg.graph(), v));
-        let mut deps: Vec<Vec<StmtId>> = vec![Vec::new(); n];
-        let mut carried = vec![false; n];
-        'old: for (old_idx, &new_id) in fwd.iter().enumerate() {
-            let Some(u) = new_id else { continue };
-            let node = cfg.node(u);
-            let dirty_here = affected.as_ref().is_none_or(|a| a[node.index()]);
-            if in_changed[node.index()]
-                || (dirty_here && prog.uses(u).iter().any(|v| dirty_vars.contains(v)))
-            {
-                continue;
+        let mut deps: Vec<Vec<StmtId>> = vec![Vec::new(); prog.len()];
+        for (old, &new) in fwd.iter().enumerate() {
+            if let Some(u) = new {
+                let row = &mut deps[u.index()];
+                row.reserve_exact(self.deps[old].len());
+                row.extend(self.deps[old].iter().filter_map(|d| fwd[d.index()]));
             }
-            let old_deps = &self.deps[StmtId::from_index(old_idx).index()];
-            let mut translated = Vec::with_capacity(old_deps.len());
-            for &d in old_deps {
-                match fwd.get(d.index()).copied().flatten() {
-                    Some(nd) => translated.push(nd),
-                    None => continue 'old, // a dep was deleted: repoint
-                }
-            }
-            translated.sort();
-            translated.dedup();
-            deps[u.index()] = translated;
-            carried[u.index()] = true;
         }
-
-        let mut repointed = 0;
+        // The definitions of `vars`, whose dependents re-read them.
+        let of_vars: Vec<bool> = prog
+            .stmt_ids()
+            .map(|s| prog.defs(s).is_some_and(|v| vars.contains(&v)))
+            .collect();
+        let region = jumpslice_graph::reachable_from(cfg.graph(), from);
+        let mut rederived = 0;
         let mut mask = Vec::new();
         for u in prog.stmt_ids() {
-            if carried[u.index()] {
+            if !region[cfg.node(u).index()] {
                 continue;
             }
-            let used = prog.uses(u);
+            let mut used = prog.uses(u);
+            used.retain(|v| vars.contains(v));
             if used.is_empty() {
                 continue;
             }
-            repointed += 1;
-            deps[u.index()] = rd.reaching_uses(cfg.node(u), &used, &mut mask);
+            let mut kept = std::mem::take(&mut deps[u.index()]);
+            kept.retain(|d| !of_vars[d.index()]);
+            let fresh = rd.reaching_uses(cfg.node(u), &used, &mut mask);
+            deps[u.index()] = merge_sorted(kept, fresh);
+            rederived += 1;
         }
-        (DataDeps { deps }, repointed)
+        (DataDeps::from_deps(deps), rederived)
     }
 
-    /// Recomputes the *incoming* edges of `u` from `rd` and replaces the
-    /// stored ones. This is the data-dependence patch for an edit that
-    /// changes only the uses of one statement (an expression replacement):
-    /// every other statement's edges are untouched. Returns the number of
-    /// edges now pointing into `u`.
-    pub fn repoint_uses(
-        &mut self,
-        prog: &Program,
-        cfg: &Cfg,
-        rd: &ReachingDefs,
-        u: StmtId,
-    ) -> usize {
-        self.deps[u.index()] = rd.reaching_uses(cfg.node(u), &prog.uses(u), &mut Vec::new());
+    /// Recomputes the *incoming* edges of `u` with [`reaching_defs_at`]
+    /// and replaces the stored ones. This is the data-dependence patch for
+    /// an edit that changes only the uses of one statement (an expression
+    /// replacement): every other statement's edges are untouched. Returns
+    /// the number of edges now pointing into `u`.
+    pub fn repoint_uses(&mut self, prog: &Program, cfg: &Cfg, u: StmtId) -> usize {
+        self.deps[u.index()] = reaching_defs_at(prog, cfg, cfg.node(u), &prog.uses(u));
         self.deps[u.index()].len()
     }
+}
+
+/// Merges two sorted lists with no element in common into one sorted list.
+fn merge_sorted(a: Vec<StmtId>, b: Vec<StmtId>) -> Vec<StmtId> {
+    let mut out = Vec::with_capacity(a.len() + b.len());
+    let mut b = b.into_iter().peekable();
+    for x in a {
+        while let Some(y) = b.next_if(|&y| y < x) {
+            out.push(y);
+        }
+        out.push(x);
+    }
+    out.extend(b);
+    out
 }
 
 #[cfg(test)]
@@ -687,124 +600,137 @@ mod tests {
         assert_eq!(vt.var(vt.index_of(x).unwrap()), x);
     }
 
+    /// Every variable's reaching definitions at every node, from the
+    /// search and from the fixpoint, on loops, a `goto` over dead code and
+    /// a dead loop.
     #[test]
-    fn seeded_identity_map_matches_cold_solve() {
-        let src = "x = 0; i = 0;
-                   while (i < 9) {
-                     if (i % 2 == 0) { x = x + i; } else { read(x); }
-                     i = i + 1;
-                   }
-                   write(x); write(i);";
-        let p = parse(src).unwrap();
-        let cfg = Cfg::build(&p);
-        let cold = ReachingDefs::compute(&p, &cfg);
-        let fwd: Vec<Option<StmtId>> = p.stmt_ids().map(Some).collect();
-        let (warm, in_changed) =
-            ReachingDefs::compute_seeded_tracked(&p, &cfg, &cfg, &cold, &fwd, &[], None);
-        // An identity edit seeds the exact fixpoint: no statement node may
-        // be reported as changed.
-        for s in p.stmt_ids() {
-            assert!(!in_changed[cfg.node(s).index()], "{s:?} spuriously dirty");
+    fn reaching_defs_at_matches_the_solve() {
+        for src in [
+            "x = 0; i = 0; while (i < 9) { if (i % 2 == 0) { x = x + i; } else { read(x); } i = i + 1; } write(x); write(i);",
+            "x = 1; goto L; x = 2; while (x) { x = x - 1; } L: write(x);",
+            "read(c); do { x = c; if (x) break; c = c - 1; } while (c); write(x);",
+        ] {
+            let p = parse(src).unwrap();
+            let cfg = Cfg::build(&p);
+            let rd = ReachingDefs::compute(&p, &cfg);
+            let vars: Vec<Name> = p.all_names().collect();
+            for node in cfg.graph().nodes() {
+                for &v in &vars {
+                    let want: Vec<StmtId> = rd.reaching_var(node, v).collect();
+                    assert_eq!(reaching_defs_at(&p, &cfg, node, &[v]), want, "{src}: {node:?}");
+                }
+                let mut want: Vec<StmtId> = rd.reaching_uses(node, &vars, &mut Vec::new());
+                want.sort_unstable();
+                assert_eq!(reaching_defs_at(&p, &cfg, node, &vars), want, "{src}: {node:?}");
+            }
         }
-        assert_eq!(cold.in_sets(), warm.in_sets());
     }
 
-    #[test]
-    fn seeded_solve_after_simulated_delete() {
-        // Delete the killing redefinition `x = 2`; the surviving def must
-        // reach the write even though the old solution said it was killed.
-        let old = parse("x = 1; x = 2; write(x);").unwrap();
-        let new = parse("x = 1; write(x);").unwrap();
-        let old_cfg = Cfg::build(&old);
-        let new_cfg = Cfg::build(&new);
-        let old_rd = ReachingDefs::compute(&old, &old_cfg);
-        // A deletion needs no dirty variables: the deleted site drops out of
-        // the translation, and surviving reaches only grow.
-        let fwd = vec![Some(new.at_line(1)), None, Some(new.at_line(2))];
-        let warm = ReachingDefs::compute_seeded(&new, &new_cfg, &old_cfg, &old_rd, &fwd, &[], None);
-        let dd = DataDeps::from_reaching(&new, &new_cfg, &warm);
-        let lines: Vec<usize> = dd
-            .deps(new.at_line(2))
-            .iter()
-            .map(|&s| new.line_of(s))
+    /// Re-derives `before`'s edges for `after`, one statement inserted or
+    /// deleted, and holds them to a whole-program solve. `line` maps each
+    /// line of `before` to its line in `after` (`None` for the deleted
+    /// one); `vars` names the edit's variables. Returns the number of
+    /// re-derived rows.
+    fn rederive_matches_compute(
+        before: &str,
+        after: &str,
+        line: impl Fn(usize) -> Option<usize>,
+        vars: &[&str],
+    ) -> usize {
+        let old = parse(before).unwrap();
+        let new = parse(after).unwrap();
+        let fwd: Vec<Option<StmtId>> = old
+            .stmt_ids()
+            .map(|s| line(old.line_of(s)).map(|l| new.at_line(l)))
             .collect();
-        assert_eq!(lines, vec![1]);
+        let vars: Vec<Name> = vars.iter().map(|v| new.name(v).unwrap()).collect();
+        let (old_cfg, cfg) = (Cfg::build(&old), Cfg::build(&new));
+        // The inserted statement, or the deleted one's successor.
+        let from = match new.stmt_ids().find(|s| !fwd.contains(&Some(*s))) {
+            Some(s) => cfg.node(s),
+            None => {
+                let gone = old.stmt_ids().find(|s| fwd[s.index()].is_none()).unwrap();
+                let next = old_cfg.graph().succs(old_cfg.node(gone))[0];
+                old_cfg
+                    .stmt(next)
+                    .map_or(cfg.exit(), |s| cfg.node(fwd[s.index()].unwrap()))
+            }
+        };
+        let rd = ReachingDefs::compute_for(&new, &cfg, &vars);
+        let (got, rederived) =
+            DataDeps::compute(&old, &old_cfg).rederive(&new, &cfg, &fwd, &vars, &rd, from);
+        let want = DataDeps::compute(&new, &cfg);
+        for s in new.stmt_ids() {
+            assert_eq!(
+                got.deps(s),
+                want.deps(s),
+                "line {} of {after}",
+                new.line_of(s)
+            );
+        }
+        rederived
     }
 
-    /// Simulates the session's seeded path end to end — tracked re-solve
-    /// plus data-dependence patch — and checks the patch against a cold
-    /// rebuild, for both a deletion and an insertion.
-    #[test]
-    fn patch_seeded_matches_cold_rebuild() {
-        // Delete the killing redefinition `x = 2` (line 2 of `old`).
-        let old = parse("x = 1; x = 2; y = 3; write(x); write(y);").unwrap();
-        let new = parse("x = 1; y = 3; write(x); write(y);").unwrap();
-        let old_cfg = Cfg::build(&old);
-        let new_cfg = Cfg::build(&new);
-        let old_rd = ReachingDefs::compute(&old, &old_cfg);
-        let old_dd = DataDeps::from_reaching(&old, &old_cfg, &old_rd);
-        let fwd = vec![
-            Some(new.at_line(1)),
-            None,
-            Some(new.at_line(2)),
-            Some(new.at_line(3)),
-            Some(new.at_line(4)),
-        ];
-        let (rd, in_changed) = ReachingDefs::compute_seeded_tracked(
-            &new,
-            &new_cfg,
-            &old_cfg,
-            &old_rd,
-            &fwd,
-            &[],
-            None,
-        );
-        let (patched, repointed) =
-            old_dd.patch_seeded(&new, &new_cfg, &rd, &fwd, &in_changed, &[], None);
-        let fresh = DataDeps::from_reaching(&new, &new_cfg, &rd);
-        for s in new.stmt_ids() {
-            assert_eq!(patched.deps(s), fresh.deps(s), "deps of {s:?}");
-        }
-        // write(x) lost its dep on the deleted def and must repoint;
-        // write(y) is untouched and must be carried.
-        assert!(repointed >= 1, "the deleted def's dependent repoints");
-        assert!(repointed < 4, "clean statements are carried, not repointed");
+    /// Lines at and after `at` move down one.
+    fn inserted_at(at: usize) -> impl Fn(usize) -> Option<usize> {
+        move |l| Some(if l >= at { l + 1 } else { l })
+    }
 
-        // Insert `x = 9` between the two writes: kills reach only forward.
-        let before = parse("x = 1; write(x); write(x);").unwrap();
-        let after = parse("x = 1; write(x); x = 9; write(x);").unwrap();
-        let bcfg = Cfg::build(&before);
-        let acfg = Cfg::build(&after);
-        let brd = ReachingDefs::compute(&before, &bcfg);
-        let bdd = DataDeps::from_reaching(&before, &bcfg, &brd);
-        let fwd = vec![
-            Some(after.at_line(1)),
-            Some(after.at_line(2)),
-            Some(after.at_line(4)),
-        ];
-        let dirty = vec![after.name("x").unwrap()];
-        let from = Some(acfg.node(after.at_line(3)));
-        let (rd, in_changed) =
-            ReachingDefs::compute_seeded_tracked(&after, &acfg, &bcfg, &brd, &fwd, &dirty, from);
-        let (patched, repointed) =
-            bdd.patch_seeded(&after, &acfg, &rd, &fwd, &in_changed, &dirty, from);
-        let fresh = DataDeps::from_reaching(&after, &acfg, &rd);
-        for s in after.stmt_ids() {
-            assert_eq!(patched.deps(s), fresh.deps(s), "deps of {s:?}");
-        }
-        // The first write(x) sits before the insertion point — outside the
-        // dirty region — so despite using the dirty variable it is carried;
-        // only the second write (whose IN set the new def flipped) repoints.
-        assert_eq!(repointed, 1, "exactly the downstream use repoints");
-        assert_eq!(
-            fresh.deps(after.at_line(2)),
-            &[after.at_line(1)],
-            "sanity: first write still sees the original def"
+    /// Line `at` is gone and later lines move up one.
+    fn deleted_at(at: usize) -> impl Fn(usize) -> Option<usize> {
+        move |l| (l != at).then(|| if l > at { l - 1 } else { l })
+    }
+
+    #[test]
+    fn rederive_after_inserting_a_definition_before_a_loop() {
+        let n = rederive_matches_compute(
+            "x = 0; y = 1; while (x < 9) { x = x + y; } write(x); write(y);",
+            "x = 0; x = 5; y = 1; while (x < 9) { x = x + y; } write(x); write(y);",
+            inserted_at(2),
+            &["x"],
         );
-        assert_eq!(
-            fresh.deps(after.at_line(4)),
-            &[after.at_line(3)],
-            "sanity: second write sees only the inserted def"
+        assert_eq!(n, 3, "the loop test, its body and write(x); y's rows carry");
+    }
+
+    #[test]
+    fn rederive_after_inserting_a_write() {
+        // A write defines nothing: only its own uses are re-solved.
+        let n = rederive_matches_compute(
+            "read(y); x = y; while (x < 3) { x = x + y; } write(x);",
+            "read(y); x = y; write(x + y); while (x < 3) { x = x + y; } write(x);",
+            inserted_at(3),
+            &["x", "y"],
+        );
+        assert_eq!(n, 4, "x = y comes before the insertion and carries");
+    }
+
+    #[test]
+    fn rederive_after_inserting_dead_code_after_a_goto() {
+        rederive_matches_compute(
+            "x = 1; goto L; x = 2; L: write(x);",
+            "x = 1; goto L; x = x + 3; x = 2; L: write(x);",
+            inserted_at(3),
+            &["x"],
+        );
+    }
+
+    #[test]
+    fn rederive_after_deleting_a_definition_inside_a_loop() {
+        rederive_matches_compute(
+            "x = 0; i = 0; while (i < 9) { x = x + i; i = i + 1; x = x * 2; } write(x); write(i);",
+            "x = 0; i = 0; while (i < 9) { x = x + i; i = i + 1; } write(x); write(i);",
+            deleted_at(6),
+            &["x"],
+        );
+    }
+
+    #[test]
+    fn rederive_after_deleting_a_variables_only_definition() {
+        rederive_matches_compute(
+            "read(y); x = y; write(x); write(y);",
+            "x = y; write(x); write(y);",
+            deleted_at(1),
+            &["y"],
         );
     }
 
@@ -814,13 +740,11 @@ mod tests {
         let before = parse("x = 1; y = 2; write(y);").unwrap();
         let after = parse("x = 1; y = 2; write(x);").unwrap();
         let cfg = Cfg::build(&after);
-        let rd = ReachingDefs::compute(&after, &cfg);
         // Start from the stale edges of the *old* expression.
         let mut dd = DataDeps::compute(&before, &Cfg::build(&before));
-        let w = after.at_line(3);
-        let n = dd.repoint_uses(&after, &cfg, &rd, w);
+        let n = dd.repoint_uses(&after, &cfg, after.at_line(3));
         assert_eq!(n, 1);
-        let fresh = DataDeps::from_reaching(&after, &cfg, &rd);
+        let fresh = DataDeps::compute(&after, &cfg);
         for s in after.stmt_ids() {
             assert_eq!(dd.deps(s), fresh.deps(s), "deps of {s:?}");
         }

@@ -8,7 +8,10 @@
 //! seeded programs from the same three families as the projection fuzzer,
 //! random edit scripts from [`jumpslice_incr::random_edit`], and after
 //! **every accepted edit** a full equality sweep of all eight slicers
-//! against a cold [`Analysis`].
+//! against a cold [`Analysis`]. The same sweep holds the session's PDG
+//! data edges, row by row, to [`DataDeps::compute`] of the edited program,
+//! and the seeds of a `vars_at(s, uses(s))` criterion at each picked
+//! statement to the cold analysis's.
 //!
 //! A mismatch is minimized on two axes before reporting
 //! ([`shrink_script`]): the edit script (greedy single-edit drops, then
@@ -18,9 +21,11 @@
 use crate::harness::{pick_criteria, DiffConfig, Family};
 use crate::shrink::{is_valid_candidate, shrink};
 use crate::ALGOS;
+use jumpslice_cfg::Cfg;
 use jumpslice_core::{Analysis, BatchSlicer, Criterion};
+use jumpslice_dataflow::DataDeps;
 use jumpslice_incr::{random_edit, Edit, EditExpr, EditSession, NewStmt};
-use jumpslice_lang::{print_program, Program};
+use jumpslice_lang::{print_program, Program, StmtId};
 use jumpslice_testkit::Rng;
 
 /// Knobs for one incremental fuzzing session.
@@ -122,22 +127,85 @@ pub struct IncrReport {
     pub full_rebuilds: usize,
     /// (slicer, criterion) identity comparisons executed.
     pub comparisons: usize,
+    /// Statements whose PDG data edges were compared with a whole-program
+    /// solve (sessions holding a PDG only).
+    pub data_rows: usize,
+    /// `vars_at` criteria whose seeds were compared.
+    pub vars_seeds: usize,
     /// Confirmed incremental-vs-scratch mismatches.
     pub findings: Vec<IncrFinding>,
 }
 
+/// What one [`sweep`] compared.
+#[derive(Clone, Copy, Debug, Default)]
+struct Swept {
+    slices: usize,
+    data_rows: usize,
+    vars_seeds: usize,
+}
+
 /// Compares every registered slicer through `session` against a cold
-/// analysis of the same program. Returns the comparison count, or the
-/// first mismatch.
-fn sweep(session: &mut EditSession, max_criteria: usize) -> Result<usize, String> {
+/// analysis of the same program, then the seeds of a `vars_at` criterion
+/// at each picked statement, then the session's PDG data edges (when it
+/// holds a PDG) with a whole-program solve. Returns the comparison
+/// counts, or the first mismatch.
+fn sweep(session: &mut EditSession, max_criteria: usize) -> Result<Swept, String> {
     let p = session.prog().clone();
     let cold = Analysis::new(&p);
     let stmts = pick_criteria(&p, &cold, max_criteria);
+    let mut swept = Swept {
+        slices: slices(session, &cold, &stmts)?,
+        ..Swept::default()
+    };
+    for &s in &stmts {
+        let c = Criterion::vars_at(s, p.uses(s));
+        let (want, got) = (c.seeds(&cold), session.with_analysis(|a| c.seeds(a)));
+        if got != want {
+            return Err(format!(
+                "vars_at seeds at line {}: incremental {:?} vs scratch {:?}",
+                p.line_of(s),
+                lines(&p, &got),
+                lines(&p, &want)
+            ));
+        }
+        swept.vars_seeds += 1;
+    }
+    if let Some(pdg) = &session.seed().pdg {
+        let want = DataDeps::compute(&p, &Cfg::build(&p));
+        for s in p.stmt_ids() {
+            let got = pdg.data().deps(s);
+            if got != want.deps(s) {
+                return Err(format!(
+                    "data edges into line {}: incremental {:?} vs scratch {:?}",
+                    p.line_of(s),
+                    lines(&p, got),
+                    lines(&p, want.deps(s))
+                ));
+            }
+            swept.data_rows += 1;
+        }
+    }
+    Ok(swept)
+}
+
+/// The lines of `stmts`, for mismatch reports.
+fn lines(p: &Program, stmts: &[StmtId]) -> Vec<usize> {
+    stmts.iter().map(|&s| p.line_of(s)).collect()
+}
+
+/// The slicer half of [`sweep`]: every registered slicer at the statement
+/// criteria `stmts`, through `session` and through `cold`.
+fn slices(
+    session: &mut EditSession,
+    cold: &Analysis<'_>,
+    stmts: &[StmtId],
+) -> Result<usize, String> {
+    let p = cold.prog();
     let criteria: Vec<Criterion> = stmts.iter().copied().map(Criterion::at_stmt).collect();
     if criteria.is_empty() {
         return Ok(0);
     }
-    let cold_batch = BatchSlicer::new(&cold);
+    let cold_batch = BatchSlicer::new(cold);
     let mut done = 0;
     for algo in ALGOS {
         let scratch = cold_batch.try_slice_all(algo.f, &criteria);
@@ -169,6 +237,14 @@ fn sweep(session: &mut EditSession, max_criteria: usize) -> Result<usize, String
         }
     }
     Ok(done)
+}
+
+impl IncrReport {
+    fn add(&mut self, swept: Swept) {
+        self.comparisons += swept.slices;
+        self.data_rows += swept.data_rows;
+        self.vars_seeds += swept.vars_seeds;
+    }
 }
 
 /// Replays `script` on a fresh session over `p`. Returns the mismatch
@@ -288,7 +364,7 @@ pub fn run_incrtest_with(cfg: &IncrConfig, mut progress: impl FnMut(&IncrReport)
 
             let mut mismatch = match sweep(&mut session, cfg.max_criteria) {
                 Ok(n) => {
-                    report.comparisons += n;
+                    report.add(n);
                     None
                 }
                 Err(detail) => Some(detail),
@@ -303,7 +379,7 @@ pub fn run_incrtest_with(cfg: &IncrConfig, mut progress: impl FnMut(&IncrReport)
                     script.push(edit);
                     report.edits_applied += 1;
                     match sweep(&mut session, cfg.max_criteria) {
-                        Ok(n) => report.comparisons += n,
+                        Ok(n) => report.add(n),
                         Err(detail) => {
                             mismatch = Some(detail);
                             break;
@@ -354,6 +430,8 @@ mod tests {
         assert_eq!(report.scripts, 12);
         assert!(report.edits_applied > 0, "{report:?}");
         assert!(report.comparisons > 0, "{report:?}");
+        assert!(report.data_rows > 0, "{report:?}");
+        assert!(report.vars_seeds > 0, "{report:?}");
         assert!(report.findings.is_empty(), "{:#?}", report.findings);
     }
 

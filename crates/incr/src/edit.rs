@@ -81,17 +81,6 @@ pub enum NewStmt {
     Skip,
 }
 
-impl NewStmt {
-    /// The variable this statement defines, if any — the edit's dirty
-    /// variable for the seeded reaching-definitions re-solve.
-    pub fn defined_var(&self) -> Option<&str> {
-        match self {
-            NewStmt::Assign { var, .. } | NewStmt::Read { var } => Some(var),
-            NewStmt::Write { .. } | NewStmt::Skip => None,
-        }
-    }
-}
-
 /// The jump statement a [`Edit::ToggleJump`] turns its target into.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum JumpKind {

@@ -7,25 +7,25 @@
 //!
 //! * **Expression patch** — a [`Edit::ReplaceExpr`] changes the *uses* of
 //!   one statement and nothing else: ids, flowgraph shape, definitions,
-//!   postdominators, control dependence, the LST, and the entire
-//!   reaching-definitions solution all survive. Only the PDG's data edges
-//!   into the edited statement are repointed, in place.
+//!   postdominators, control dependence and the LST all survive. Only the
+//!   PDG's data edges into the edited statement are repointed, in place,
+//!   by a backward search from it.
 //! * **Seeded re-solve** — inserting or deleting one simple, unlabeled,
 //!   non-jump statement shifts ids and splices the flowgraph, so the
-//!   structural artifacts are rebuilt (cheap, linear); the expensive
-//!   reaching-definitions fixpoint is instead *re-solved from a seed*
-//!   translated out of the old solution across the statement map (word
-//!   parallel when ids only shift at the end), and the PDG's data half is
-//!   *patched*: only statements whose reaching facts the solve actually
-//!   moved are repointed.
+//!   structural artifacts are rebuilt (cheap, linear). The PDG's data
+//!   edges are carried across the statement map, and reaching definitions
+//!   are solved only for the variables the statement defines or (when
+//!   inserted) uses; only the rows using those variables at nodes the
+//!   edit site reaches are re-derived
+//!   ([`jumpslice_dataflow::DataDeps::rederive`]).
 //! * **Full rebuild** — anything that changes jump structure (toggles,
 //!   edits to labeled or compound or jump statements) falls back to
 //!   recomputing everything. The fallback is counted, so tests can assert
 //!   exactly when the fast paths were taken.
 //!
-//! Both fast paths read a reaching solution of the unedited program. A
-//! session restored from a snapshot holds the PDG without one, so its
-//! first fast-path edit solves reaching definitions before applying.
+//! Neither fast path reads a reaching-definitions solution of the
+//! unedited program, so a session restored from a snapshot (which holds
+//! none) edits exactly as a cold one, and no session keeps one.
 //!
 //! The invariant behind all three: after every `apply`, slicing through
 //! the session is **identical** to slicing a freshly analyzed copy of the
@@ -36,7 +36,7 @@ use crate::edit::{Edit, EditError};
 use jumpslice_cfg::Cfg;
 use jumpslice_core::{Analysis, AnalysisSeed};
 use jumpslice_dataflow::ReachingDefs;
-use jumpslice_lang::{Name, Program, StmtId};
+use jumpslice_lang::{Program, StmtId};
 use jumpslice_obs as obs;
 use jumpslice_pdg::{ControlDeps, Pdg};
 
@@ -45,8 +45,10 @@ use jumpslice_pdg::{ControlDeps, Pdg};
 pub enum ApplyPath {
     /// Everything reused; PDG data edges of one statement repointed.
     ExprPatch,
-    /// Structural artifacts rebuilt; reaching definitions re-solved from a
-    /// seed; PDG derived from the warm solution.
+    /// Structural artifacts rebuilt; the PDG's data edges carried across
+    /// the statement map, with reaching definitions solved and rows
+    /// re-derived only for the edited statement's variables. The wire
+    /// protocol calls this path `"seeded_resolve"`.
     SeededResolve,
     /// Explicit fallback: every artifact recomputed lazily from scratch.
     FullRebuild,
@@ -72,15 +74,16 @@ pub struct IncrStats {
 pub struct EditOutcome {
     /// The invalidation path taken.
     pub path: ApplyPath,
-    /// Statements whose cached dataflow facts had to be recomputed: the
-    /// edit site for an expression patch, the edit site plus every
+    /// The size of the edit's dirty region, as the wire protocol reports
+    /// it: the edit site for an expression patch, the edit site plus every
     /// definition of an inserted definition's variable for a seeded
-    /// re-solve (deletions dirty no variable), and the whole program for a
-    /// full rebuild.
+    /// re-solve (a deletion counts only its site), and the whole program
+    /// for a full rebuild.
     pub dirty_stmts: usize,
-    /// Analysis phases carried over from before the edit (of the four lazy
-    /// ones: reaching defs, PDG, postdominators, LST). Phases never forced
-    /// before the edit are not counted — there was nothing to reuse.
+    /// Analysis phases carried over from before the edit (of the three
+    /// lazy ones a seed carries: PDG, postdominators, LST). Phases never
+    /// forced before the edit are not counted — there was nothing to
+    /// reuse.
     pub reused_phases: usize,
     /// New id of the statement the edit produced or modified (`None` for a
     /// deletion).
@@ -213,14 +216,6 @@ impl EditSession {
         }
 
         let path = self.classify(edit, &applied);
-        // A restored session holds the PDG without the reaching solution
-        // both fast paths read: solve it on the unedited program.
-        if path != ApplyPath::FullRebuild && self.seed.pdg.is_some() && self.seed.reaching.is_none()
-        {
-            self.with_analysis(|a| {
-                a.reaching();
-            });
-        }
         let outcome = match path {
             ApplyPath::ExprPatch => self.patch_expr(applied, new_cfg),
             ApplyPath::SeededResolve => self.seeded_resolve(edit, applied, new_cfg),
@@ -287,8 +282,7 @@ impl EditSession {
         let mut seed = std::mem::take(&mut self.seed);
         let reused = seed.reused_phases();
         if let Some(pdg) = &mut seed.pdg {
-            let rd = seed.reaching.as_ref().expect("solved before the patch");
-            pdg.repoint_data_uses(&prog, &new_cfg, rd, target);
+            pdg.repoint_data_uses(&prog, &new_cfg, target);
         }
         seed.cfg = Some(new_cfg);
         self.prog = prog;
@@ -302,82 +296,65 @@ impl EditSession {
     }
 
     /// [`ApplyPath::SeededResolve`]: rebuild the structural artifacts,
-    /// warm-start the reaching-definitions fixpoint from the old solution,
-    /// and derive the PDG from it.
+    /// carry the PDG's data edges across the statement map, and re-derive
+    /// the rows of the edited statement's variables.
     fn seeded_resolve(&mut self, edit: &Edit, applied: Applied, new_cfg: Cfg) -> EditOutcome {
         let Applied { prog, map, touched } = applied;
-        let old_seed = std::mem::take(&mut self.seed);
-        let old_cfg = old_seed.cfg.unwrap_or_else(|| Cfg::build(&self.prog));
-
-        // The dirty variable: the definition an *insertion* added. A
-        // deletion dirties nothing — removing a definition removes kills,
-        // so every surviving definition's reach only grows and the old
-        // solution stays a sound seed (the deleted site itself drops out
-        // of the translation). Write/skip insertions define nothing.
-        let dirty: Vec<Name> = match edit {
-            Edit::InsertStmt { stmt, .. } => stmt
-                .defined_var()
-                .and_then(|v| prog.name(v))
-                .into_iter()
-                .collect(),
-            _ => Vec::new(),
+        let old = std::mem::take(&mut self.seed);
+        // The variable the inserted or deleted statement defines, plus an
+        // inserted statement's uses, which have no old row to translate;
+        // and the first node whose reaching definitions the splice
+        // changes. No other variable's def-clear paths change, and no
+        // node's outside what that node reaches (`rederive` says why).
+        // Names are stable across the edit, so the old program's name of
+        // a deleted definition means the same in `prog`.
+        let (defined, mut vars, from) = match (edit, touched) {
+            (Edit::InsertStmt { .. }, Some(t)) => (prog.defs(t), prog.uses(t), new_cfg.node(t)),
+            (Edit::DeleteStmt { at }, _) => {
+                let gone = at.resolve(&self.prog).expect("classified on this path");
+                let old_cfg = old.cfg.unwrap_or_else(|| Cfg::build(&self.prog));
+                // A simple statement has one successor, and the splice
+                // sends its predecessors there.
+                let next = old_cfg.graph().succs(old_cfg.node(gone))[0];
+                let from = old_cfg.stmt(next).map_or(new_cfg.exit(), |s| {
+                    new_cfg.node(map.get(s).expect("only the deleted statement has no image"))
+                });
+                (self.prog.defs(gone), Vec::new(), from)
+            }
+            _ => unreachable!("only inserts and deletes take the seeded path"),
         };
-        // An inserted definition kills only along paths through itself, so
-        // seeding (and dependence patching) treat as dirty only the region
-        // reachable from the insertion point.
-        let dirty_from = match edit {
-            Edit::InsertStmt { .. } => touched.map(|t| new_cfg.node(t)),
-            _ => None,
+        vars.extend(defined.filter(|v| !vars.contains(v)));
+        // The wire's dirty region: an inserted definition dirties every
+        // definition of its variable.
+        let dirty_sites = match (edit, defined) {
+            (Edit::InsertStmt { .. }, Some(v)) => {
+                prog.stmt_ids().filter(|&s| prog.defs(s) == Some(v)).count()
+            }
+            _ => 0,
         };
-        let dirty_sites = prog
-            .stmt_ids()
-            .filter(|&s| prog.defs(s).is_some_and(|v| dirty.contains(&v)))
-            .count();
 
-        let mut reused = 0;
-        let mut in_changed = None;
-        let reaching = old_seed.reaching.map(|old_rd| {
-            reused += 1;
-            let (rd, changed) = ReachingDefs::compute_seeded_tracked(
-                &prog,
-                &new_cfg,
-                &old_cfg,
-                &old_rd,
-                map.fwd(),
-                &dirty,
-                dirty_from,
-            );
-            in_changed = Some(changed);
-            rd
-        });
-        // With a warm reaching solution in hand, the PDG's data half is
-        // *patched*: only statements whose reaching facts moved are
-        // repointed, everything else keeps its translated edges. The
-        // splice changed the flowgraph, so postdominators and control
+        // The splice changed the flowgraph, so postdominators and control
         // dependence are rebuilt; the tree is built once here and shared
         // between the control dependence walk and the analysis cache.
-        let (pdg, pdom) = match (&reaching, old_seed.pdg) {
-            (Some(rd), Some(old_pdg)) => {
-                reused += 1;
-                let (data, repointed) = old_pdg.data().patch_seeded(
-                    &prog,
-                    &new_cfg,
-                    rd,
-                    map.fwd(),
-                    in_changed.as_ref().expect("tracked alongside reaching"),
-                    &dirty,
-                    dirty_from,
-                );
+        let (pdg, pdom) = match old.pdg {
+            Some(old_pdg) => {
+                let rd = ReachingDefs::compute_for(&prog, &new_cfg, &vars);
+                let fwd = map.fwd();
+                let (data, rows) = old_pdg
+                    .data()
+                    .rederive(&prog, &new_cfg, fwd, &vars, &rd, from);
+                drop((rd, old_pdg));
                 obs::record(|| obs::Event::Count {
                     name: "incr.data_deps_repointed",
-                    value: repointed as u64,
+                    value: rows as u64,
                 });
                 let pdom = new_cfg.postdominators();
                 let control = ControlDeps::compute_with_pdom(&prog, &new_cfg, &pdom);
                 (Some(Pdg::from_parts(data, control)), Some(pdom))
             }
-            _ => (None, None),
+            None => (None, None),
         };
+        let reused = usize::from(pdg.is_some());
 
         self.prog = prog;
         self.seed = AnalysisSeed {
@@ -385,7 +362,7 @@ impl EditSession {
             pdom,
             lst: None, // lexical positions shifted: recompute lazily
             pdg,
-            reaching,
+            reaching: None,
             // The chain index embeds LST chains, so it shifted too.
             chain_index: None,
         };
@@ -462,7 +439,7 @@ mod tests {
             .unwrap();
         assert_eq!(out.path, ApplyPath::ExprPatch);
         assert_eq!(out.dirty_stmts, 1);
-        assert_eq!(out.reused_phases, 4, "all four lazy artifacts survive");
+        assert_eq!(out.reused_phases, 3, "all three lazy artifacts survive");
         // The seeded analysis must not recompute anything.
         let stats = s.with_analysis(|a| {
             a.warm();
@@ -491,7 +468,7 @@ mod tests {
             })
             .unwrap();
         assert_eq!(out.path, ApplyPath::SeededResolve);
-        assert!(out.reused_phases >= 1, "reaching was warm-started");
+        assert_eq!(out.reused_phases, 1, "the PDG's data edges were carried");
         assert_matches_scratch(&mut s);
 
         // Delete the statement we just inserted.
@@ -504,6 +481,55 @@ mod tests {
         assert_matches_scratch(&mut s);
         assert_eq!(s.stats().seeded_resolves, 2);
         assert_eq!(s.stats().full_rebuilds, 0);
+    }
+
+    /// No session keeps reaching definitions: not after a cold warm, a
+    /// `vars` slice, or an edit on any path.
+    #[test]
+    fn no_seed_keeps_reaching_definitions() {
+        let p = parse("read(c); x = c + 1; while (x < 9) { x = x + 2; } write(x);").unwrap();
+        let mut s = EditSession::new(p);
+        s.with_analysis(|a| a.warm());
+        assert!(s.seed().reaching.is_none(), "after a cold warm");
+        let x = s.prog().name("x").unwrap();
+        let crit = Criterion::vars_at(s.prog().at_line(5), vec![x]);
+        s.with_analysis(|a| agrawal_slice(a, &crit));
+        assert!(s.seed().reaching.is_none(), "after a vars slice");
+        for edit in [
+            Edit::ReplaceExpr {
+                at: StmtPath::root(1),
+                with: EditExpr::Var("c".into()),
+            },
+            Edit::InsertStmt {
+                at: StmtPath::root(2),
+                stmt: NewStmt::Assign {
+                    var: "x".into(),
+                    rhs: EditExpr::Num(0),
+                },
+            },
+            Edit::DeleteStmt {
+                at: StmtPath::root(2),
+            },
+            Edit::ToggleJump {
+                at: StmtPath::root(2).child(jumpslice_lang::BlockSel::Body, 0),
+                jump: JumpKind::Break,
+            },
+        ] {
+            let out = s.apply(&edit).unwrap();
+            assert!(s.seed().reaching.is_none(), "after {:?}", out.path);
+            s.with_analysis(|a| a.warm());
+            assert!(
+                s.seed().reaching.is_none(),
+                "after a warm past {:?}",
+                out.path
+            );
+            assert_matches_scratch(&mut s);
+        }
+        let st = s.stats();
+        assert_eq!(
+            (st.expr_patches, st.seeded_resolves, st.full_rebuilds),
+            (1, 2, 1)
+        );
     }
 
     #[test]

@@ -33,7 +33,7 @@
 #![warn(missing_docs)]
 
 use jumpslice_cfg::Cfg;
-use jumpslice_dataflow::{DataDeps, ReachingDefs, StmtSet};
+use jumpslice_dataflow::{DataDeps, StmtSet};
 use jumpslice_graph::{DiGraph, DomTree};
 use jumpslice_lang::{Program, StmtId};
 
@@ -227,17 +227,12 @@ impl Pdg {
     /// Patches the data half in place after an edit that changed only the
     /// *uses* of statement `u` (an expression replacement under an
     /// unchanged flowgraph shape): recomputes `u`'s incoming data edges
-    /// from `rd` and leaves every control edge and every other statement's
-    /// data edges untouched, then re-condenses. Returns the number of data
-    /// edges now entering `u`.
-    pub fn repoint_data_uses(
-        &mut self,
-        prog: &Program,
-        cfg: &Cfg,
-        rd: &ReachingDefs,
-        u: StmtId,
-    ) -> usize {
-        let n = self.data.repoint_uses(prog, cfg, rd, u);
+    /// with a backward search from `u` ([`DataDeps::repoint_uses`]) and
+    /// leaves every control edge and every other statement's data edges
+    /// untouched, then re-condenses. Returns the number of data edges now
+    /// entering `u`.
+    pub fn repoint_data_uses(&mut self, prog: &Program, cfg: &Cfg, u: StmtId) -> usize {
+        let n = self.data.repoint_uses(prog, cfg, u);
         self.cond = Condensation::build(&self.data, &self.control);
         jumpslice_obs::record(|| jumpslice_obs::Event::Count {
             name: "pdg.patched_data_edges",

@@ -56,16 +56,14 @@ impl Entry {
 }
 
 /// Resident-size estimate for one cached program: the source text plus the
-/// analysis artifacts. The one quadratic warm artifact is the
-/// reaching-definitions IN sets (one bit per flowgraph node and definition
-/// site); the PDG is as large as its one edge list (each edge stored once),
-/// which jump-dense programs make near-quadratic; the rest, the chain index
-/// included (a few words per statement), is linear. The `n²/2` term deliberately rounds *up* so the
-/// budget errs toward evicting: it over-predicts the measured warm seed
-/// several times, and the eviction it drives is tuned to it. An entry
-/// restored from the snapshot store holds no IN sets until a `vars`
-/// criterion or a fast-path edit solves them; the formula is kept for it
-/// too, so both kinds of entry evict alike.
+/// analysis artifacts. No entry keeps reaching-definitions IN sets, so the
+/// `n²/2` term stands for the PDG's data edges alone: the PDG is as
+/// large as its one edge list (each edge stored once), which jump-dense
+/// programs make near-quadratic; the rest, the chain index included (a few
+/// words per statement), is linear. The term deliberately rounds *up* so
+/// the budget errs toward evicting: it over-predicts the measured warm
+/// seed many times, and the eviction it drives is tuned to it, so the
+/// formula stays as it was until it is re-derived from measured seeds.
 pub fn estimate_bytes(source_len: usize, stmts: usize) -> usize {
     source_len + 512 + stmts * 256 + (stmts * stmts) / 2
 }

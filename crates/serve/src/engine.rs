@@ -974,13 +974,13 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// A record carries no reaching definitions, so a restored session
-    /// solves them when first asked. A `vars` slice reads them, and a
-    /// fast-path edit solves them on the unedited program first, so it
-    /// keeps its path. After each edit, the restored session slices every
-    /// line as a cold engine does after the same edit.
+    /// A record carries no reaching definitions, and a restored session
+    /// needs none: a `vars` slice searches backward from its line, and
+    /// each fast-path edit keeps its path and answers as a cold engine's
+    /// does. After each edit, the restored session slices every line as a
+    /// cold engine does after the same edit.
     #[test]
-    fn a_restored_session_solves_reaching_definitions_when_asked() {
+    fn a_restored_session_answers_vars_slices_and_edits() {
         let dir = tmpdir("restored-reaching");
         let src = "read(y);\nwrite(y);\nwrite(y);\n";
         let store = || SnapshotStore::open(&dir, u64::MAX).unwrap();

@@ -19,8 +19,8 @@
 //! versioned, checksummed records, and a restarted daemon pointed at the
 //! same directory serves its first slice without re-running
 //! reaching-definitions, PDG, postdominator, or lexical-successor
-//! construction; only a `vars` criterion or a fast-path edit solves
-//! reaching definitions again, once. `--store-bytes N` caps the directory
+//! construction, and its `vars` criteria and fast-path edits solve no
+//! whole-program reaching definitions either. `--store-bytes N` caps the directory
 //! (LRU by mtime; default 1 GiB).
 //!
 //! `--replay-dir DIR` is not a daemon mode at all: it replays every

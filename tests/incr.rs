@@ -88,8 +88,8 @@ fn fast_paths_reuse_warm_artifacts() {
     let mut s = EditSession::new(p);
     s.with_analysis(|a| a.warm());
 
-    // An expression patch keeps all four lazy artifacts: the next warm()
-    // must recompute nothing.
+    // An expression patch keeps all three lazy artifacts: the next warm()
+    // must recompute nothing, reaching definitions included.
     s.apply(&Edit::ReplaceExpr {
         at: StmtPath::root(2),
         with: EditExpr::Num(9),
@@ -104,8 +104,9 @@ fn fast_paths_reuse_warm_artifacts() {
     assert_eq!(st.pdom_builds, 0);
     assert_eq!(st.lst_builds, 0);
 
-    // A seeded re-solve carries reaching and the PDG over pre-resolved;
-    // only the LST is rebuilt lazily.
+    // A seeded re-solve carries the PDG over re-derived and rebuilds the
+    // pdom tree; only the LST is rebuilt lazily, and warm() solves no
+    // reaching definitions.
     s.apply(&Edit::InsertStmt {
         at: StmtPath::root(4),
         stmt: NewStmt::Write {
@@ -117,7 +118,7 @@ fn fast_paths_reuse_warm_artifacts() {
         a.warm();
         a.stats()
     });
-    assert_eq!(st.reaching_defs, 0, "reaching arrived warm from the seed");
+    assert_eq!(st.reaching_defs, 0, "the carried PDG needs no solve");
     assert_eq!(st.pdg_builds, 0, "the PDG was patched, not rebuilt");
     assert_eq!(
         st.pdom_builds, 0,

@@ -1,7 +1,9 @@
 //! The reaching-definitions solver and everything that reads it, held bit
 //! for bit against the dense gen/kill oracle in `jumpslice_difftest::oracle`:
-//! the def-site numbering, every IN set, the data-dependence edges, and
-//! the seeds of `vars_at` criteria.
+//! the def-site numbering, every IN set, the data-dependence edges, the
+//! backward search `reaching_defs_at` at every flowgraph node, the solve
+//! restricted to random variable subsets, and the seeds of `vars_at`
+//! criteria.
 //!
 //! Inputs: both generator families at 30–1000 statements with 1–12
 //! variables (the structured family's defaults emit `do-while` and
@@ -10,11 +12,13 @@
 
 use jumpslice::prelude::*;
 use jumpslice_cfg::Cfg;
-use jumpslice_dataflow::{DataDeps, ReachingDefs};
+use jumpslice_dataflow::{reaching_defs_at, DataDeps, ReachingDefs, VarTable};
 use jumpslice_difftest::oracle;
+use jumpslice_graph::NodeId;
 use jumpslice_lang::{Name, StmtKind};
+use jumpslice_testkit::Rng;
 
-fn assert_matches_oracle(p: &Program, what: &str) {
+fn assert_matches_oracle(p: &Program, what: &str, rng: &mut Rng) {
     let cfg = Cfg::build(p);
     let rd = ReachingDefs::compute(p, &cfg);
     let dense = oracle::reaching_dense(p, &cfg);
@@ -27,19 +31,53 @@ fn assert_matches_oracle(p: &Program, what: &str) {
         assert_eq!(dd.deps(s), want[s.index()], "{what}: deps of {s:?}");
     }
 
+    // The dense IN set of `node` restricted to the definitions of `vars`.
+    let dense_at = |node: NodeId, vars: &[Name]| -> Vec<StmtId> {
+        dense.in_sets[node.index()]
+            .iter()
+            .map(|bit| dense.def_sites[bit])
+            .filter(|&d| vars.contains(&p.defs(d).expect("def site")))
+            .collect()
+    };
+    let table = VarTable::of(p);
+    let names: Vec<Name> = (0..table.len()).map(|i| table.var(i)).collect();
+    for node in cfg.graph().nodes() {
+        for &v in &names {
+            assert_eq!(
+                reaching_defs_at(p, &cfg, node, &[v]),
+                dense_at(node, &[v]),
+                "{what}: reaching_defs_at {node:?}"
+            );
+        }
+    }
+    for _ in 0..3 {
+        let subset: Vec<Name> = names
+            .iter()
+            .copied()
+            .filter(|_| rng.gen_bool(0.5))
+            .collect();
+        let part = ReachingDefs::compute_for(p, &cfg, &subset);
+        for node in cfg.graph().nodes() {
+            let got: Vec<StmtId> = part.in_sets()[node.index()]
+                .iter()
+                .map(|bit| part.def_sites()[bit])
+                .collect();
+            assert_eq!(
+                got,
+                dense_at(node, &subset),
+                "{what}: compute_for at {node:?}"
+            );
+        }
+    }
+
     let a = Analysis::new(p);
     let mut all_vars: Vec<Name> = p.stmt_ids().filter_map(|s| p.defs(s)).collect();
     all_vars.sort();
     all_vars.dedup();
     for s in p.stmt_ids() {
-        let reaching = &dense.in_sets[cfg.node(s).index()];
         // A criterion may name a variable twice; its seeds stay distinct.
         for vars in [p.uses(s), all_vars.clone(), all_vars.repeat(2)] {
-            let want: Vec<StmtId> = reaching
-                .iter()
-                .map(|bit| dense.def_sites[bit])
-                .filter(|&d| vars.contains(&p.defs(d).expect("def site")))
-                .collect();
+            let want = dense_at(cfg.node(s), &vars);
             let got = Criterion::vars_at(s, vars).seeds(&a);
             assert_eq!(got, want, "{what}: vars_at seeds at {s:?}");
         }
@@ -53,6 +91,7 @@ fn has(p: &Program, pred: impl Fn(&StmtKind) -> bool) -> bool {
 #[test]
 fn reaching_and_data_deps_match_the_dense_oracle() {
     let (mut dowhile, mut switch) = (false, false);
+    let mut rng = Rng::seed_from_u64(17);
     for target_stmts in [30, 100, 300, 1000] {
         for num_vars in 1..=12 {
             let cfg = GenConfig {
@@ -67,7 +106,7 @@ fn reaching_and_data_deps_match_the_dense_oracle() {
             ] {
                 dowhile |= has(&p, |k| matches!(k, StmtKind::DoWhile { .. }));
                 switch |= has(&p, |k| matches!(k, StmtKind::Switch { .. }));
-                assert_matches_oracle(&p, &format!("{family} {target_stmts}/{num_vars}"));
+                assert_matches_oracle(&p, &format!("{family} {target_stmts}/{num_vars}"), &mut rng);
             }
         }
     }
@@ -77,5 +116,5 @@ fn reaching_and_data_deps_match_the_dense_oracle() {
     );
 
     let straight = format!("read(x); {} write(x);", "x = x + 1; ".repeat(300));
-    assert_matches_oracle(&parse(&straight).unwrap(), "straight line");
+    assert_matches_oracle(&parse(&straight).unwrap(), "straight line", &mut rng);
 }
