@@ -6,7 +6,8 @@
 //!   so the ablation compares drivers, not kernels;
 //! * `closure`: the conventional slicer's closure (a bitset filled by a
 //!   walk over the PDG's SCC condensation) vs the `BTreeSet` recursion
-//!   over raw edges it replaced;
+//!   over explicit edges it replaced (the data half's rows expanded
+//!   through its φs once, untimed);
 //! * `control_dependence`: the Ferrante–Ottenstein–Warren edge walk vs the
 //!   postdominance-frontier construction in `jumpslice_difftest::oracle`
 //!   (results are identical; the oracle's tests cross-check them).
@@ -26,28 +27,34 @@ fn traversal_tree(r: &mut Runner) {
         let crit = Criterion::at_stmt(*live_writes(&p, &a).last().unwrap());
         let pdom_order = oracle::jumps_in_pdom_preorder(&a);
         let lst_order = oracle::jumps_in_lst_preorder(&a);
+        let deps = oracle::DenseDeps::of(&p, a.cfg());
         r.bench(
             &format!("ablation/traversal_tree/pdom-preorder/{}", p.len()),
-            || black_box(oracle::figure7(&a, &crit, &pdom_order, None)),
+            || black_box(oracle::figure7(&a, &deps, &crit, &pdom_order, None)),
         );
         r.bench(
             &format!("ablation/traversal_tree/lst-preorder/{}", p.len()),
-            || black_box(oracle::figure7(&a, &crit, &lst_order, None)),
+            || black_box(oracle::figure7(&a, &deps, &crit, &lst_order, None)),
         );
     }
 }
 
 /// The pre-bitset closure: recursion over a `BTreeSet`, kept only as this
-/// ablation's baseline.
-fn recursive_closure(a: &Analysis<'_>, seed: StmtId, out: &mut BTreeSet<StmtId>) {
+/// ablation's baseline. `data` holds each statement's explicit data row.
+fn recursive_closure(
+    a: &Analysis<'_>,
+    data: &[Vec<StmtId>],
+    seed: StmtId,
+    out: &mut BTreeSet<StmtId>,
+) {
     if !out.insert(seed) {
         return;
     }
-    for &d in a.pdg().data().deps(seed) {
-        recursive_closure(a, d, out);
+    for &d in &data[seed.index()] {
+        recursive_closure(a, data, d, out);
     }
     for &d in a.pdg().control().deps(seed) {
-        recursive_closure(a, d, out);
+        recursive_closure(a, data, d, out);
     }
 }
 
@@ -56,6 +63,7 @@ fn closure(r: &mut Runner) {
         let p = sized_structured(size);
         let a = Analysis::new(&p);
         let crit = *live_writes(&p, &a).last().unwrap();
+        let data: Vec<Vec<StmtId>> = p.stmt_ids().map(|s| a.pdg().data().deps(s)).collect();
         r.bench(
             &format!("ablation/closure/condensed-bitset/{}", p.len()),
             || black_box(a.pdg().backward_closure([crit])),
@@ -64,7 +72,7 @@ fn closure(r: &mut Runner) {
             &format!("ablation/closure/btreeset-recursive/{}", p.len()),
             || {
                 let mut out = BTreeSet::new();
-                recursive_closure(&a, crit, &mut out);
+                recursive_closure(&a, &data, crit, &mut out);
                 black_box(out)
             },
         );

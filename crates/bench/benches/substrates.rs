@@ -1,12 +1,13 @@
 //! Microbenchmarks for every substrate the slicer stands on: parsing, CFG
-//! construction, reaching definitions, control dependence, the lexical
-//! successor tree, and the interpreter. These bound where end-to-end time
+//! construction, the data half of the PDG (reaching definitions in
+//! factored form: φ placement and renaming), control dependence, the
+//! lexical successor tree, and the interpreter. These bound where end-to-end time
 //! goes and catch regressions in any one layer.
 
 use jumpslice_bench::harness::Runner;
 use jumpslice_bench::sized_structured;
 use jumpslice_cfg::Cfg;
-use jumpslice_dataflow::{DataDeps, ReachingDefs};
+use jumpslice_dataflow::DataDeps;
 use jumpslice_interp::{run, Input};
 use jumpslice_lang::{parse, print_program};
 use jumpslice_pdg::ControlDeps;
@@ -27,9 +28,6 @@ fn main() {
         });
         r.bench(&format!("substrates/cfg-build/{n}"), || {
             black_box(Cfg::build(black_box(&p)))
-        });
-        r.bench(&format!("substrates/reaching-defs/{n}"), || {
-            black_box(ReachingDefs::compute(black_box(&p), &cfg))
         });
         r.bench(&format!("substrates/data-deps/{n}"), || {
             black_box(DataDeps::compute(black_box(&p), &cfg))

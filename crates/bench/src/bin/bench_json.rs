@@ -18,11 +18,13 @@
 //!   (`conservative_ns`, `structured_ns`; not gated);
 //! * the cold-analysis sweep: `Analysis::warm` (the PDG's condensation
 //!   included) from a fresh analysis, with the per-phase breakdown of that
-//!   same call;
+//!   same call and, ungated, the exact sizes of what it built: statements,
+//!   φs, data operands (uses and φ operands), control edges, condensation
+//!   components and component edges;
 //! * the closure microsweep: raw backward closures through the oracle's
-//!   direct walk over PDG edges vs the product's walk over the PDG's SCC
-//!   condensation, on one warm analysis; the forward rows do the same from
-//!   live statements spread evenly over the program;
+//!   direct walk over explicit dependence edges vs the product's walk over
+//!   the PDG's SCC condensation, on one warm analysis; the forward rows do
+//!   the same from live statements spread evenly over the program;
 //! * the incremental sweep: one edit followed by a re-slice of a criterion
 //!   pool, through a warm [`jumpslice_incr::EditSession`] (expression patch
 //!   and seeded re-solve paths) vs edit-then-`Analysis::new` from scratch;
@@ -103,6 +105,8 @@ struct ColdRow {
     warm_seq_ns: f64,
     /// Per-phase breakdown of one run of the timed call.
     per_phase: Vec<(&'static str, u64)>,
+    /// Sizes of the PDG the call built, by name.
+    counts: [(&'static str, usize); 5],
 }
 
 struct ClosureRow {
@@ -304,11 +308,21 @@ fn main() {
             });
             let (_, events) = jumpslice_obs::capture(|| cold_warm(&p));
             let m = jumpslice_obs::Metrics::of(&events);
+            let a = Analysis::new(&p);
+            let (data, cond) = (a.pdg().data(), a.pdg().condensation());
+            let counts = [
+                ("phis", data.num_phis()),
+                ("data_operands", data.num_operands()),
+                ("control_edges", a.pdg().control().edges().count()),
+                ("components", cond.num_components()),
+                ("component_edges", cond.num_edges()),
+            ];
             cold_rows.push(ColdRow {
                 family,
                 stmts: n,
                 warm_seq_ns,
                 per_phase: m.phase_ns.into_iter().collect(),
+                counts,
             });
         }
     }
@@ -427,10 +441,13 @@ fn main() {
             a.warm();
             let criteria = criterion_pool(&p, &a, SPARSE_CRITERIA);
             let n = p.len();
+            // The oracle's explicit edges are built once, untimed, so the
+            // dense arm times the round-based loop's walks.
+            let deps = oracle::DenseDeps::of(&p, a.cfg());
             let dense_ns = r.bench(&format!("json/sparse/{family}/{n}/dense-reference"), || {
                 let mut total = 0usize;
                 for c in &criteria {
-                    total += oracle::agrawal_slice_dense(black_box(&a), c).len();
+                    total += oracle::agrawal_slice_dense(black_box(&a), &deps, c).len();
                 }
                 black_box(total)
             });
@@ -461,11 +478,11 @@ fn main() {
 
     // The closure microsweep: raw backward and forward closures over the
     // batch-sized criterion pool, answered by the oracle's direct walks over
-    // PDG edges vs the product's walks over the PDG's condensation. Both
-    // arms read one warm analysis, so the measurement isolates closure
+    // explicit edges vs the product's walks over the PDG's condensation.
+    // Both arms read one program, so the measurement isolates closure
     // answering; the condensation is built inside `pdg_build`, which the
-    // cold-analysis sweep times, and the oracle's inverted raw edges are
-    // built once, outside the timed loop.
+    // cold-analysis sweep times, and the oracle's explicit edges and their
+    // inversion are built once, outside the timed loop.
     let mut closure_rows: Vec<ClosureRow> = Vec::new();
     for (family, make) in [
         (
@@ -492,10 +509,11 @@ fn main() {
             let k = BATCH.min(live.len());
             let sources: Vec<StmtId> = (0..k).map(|i| live[i * live.len() / k]).collect();
             let n = p.len();
+            let dense = oracle::DenseDeps::of(&p, a.cfg());
             let direct_ns = r.bench(&format!("json/closure/{family}/{n}/direct-walk"), || {
                 let mut total = 0usize;
                 for &s in &seeds {
-                    total += oracle::backward_closure(a.pdg(), [black_box(s)]).len();
+                    total += oracle::backward_closure(&dense, [black_box(s)]).len();
                 }
                 black_box(total)
             });
@@ -506,7 +524,7 @@ fn main() {
                 }
                 black_box(total)
             });
-            let dependents = oracle::dependents(a.pdg());
+            let dependents = oracle::dependents(&dense);
             let direct_forward_ns = r.bench(
                 &format!("json/closure/{family}/{n}/direct-forward-walk"),
                 || {
@@ -540,14 +558,14 @@ fn main() {
     // cache miss vs on a snapshot hit. Both arms end at the same place —
     // one Figure-7 answer on a fully warm analysis — and replay exactly
     // what the serve loop does in each state. The cold arm is the miss
-    // path: parse + reaching-defs + PDG + pdom + LST, then the write-behind
-    // persist (encode + `SnapshotStore::save`, a distinct key per
-    // iteration so every write really hits disk). The restore arm is the
-    // hit path: `SnapshotStore::load` (disk read + whole-record checksum),
-    // snapshot decode, and a seeded analysis. The family is the
-    // jump-heavy generator — unstructured control flow is the workload
-    // this repo exists for, and it is where from-source analysis is
-    // superlinear while snapshot decode stays linear in the record.
+    // path: parse + PDG (data half and control half) + pdom + LST, then
+    // the write-behind persist (encode + `SnapshotStore::save`, a distinct
+    // key per iteration so every write really hits disk). The restore arm
+    // is the hit path: `SnapshotStore::load` (disk read + whole-record
+    // checksum), snapshot decode, which derives every artifact from the
+    // decoded program without parsing, and a seeded analysis. The family
+    // is the jump-heavy generator — unstructured control flow is the
+    // workload this repo exists for.
     let mut store_rows: Vec<StoreRow> = Vec::new();
     {
         use jumpslice_store::{fnv1a, SnapshotStore};
@@ -875,6 +893,12 @@ fn main() {
             };
             let _ = writeln!(out, "        \"{phase}\": {ns}{c}");
         }
+        out.push_str("      },\n");
+        out.push_str("      \"counts\": {\n");
+        for (j, (name, count)) in row.counts.iter().enumerate() {
+            let c = if j + 1 == row.counts.len() { "" } else { "," };
+            let _ = writeln!(out, "        \"{name}\": {count}{c}");
+        }
         out.push_str("      }\n");
         let _ = writeln!(out, "    }}{comma}");
     }
@@ -1018,10 +1042,11 @@ fn main() {
     }
     for row in &cold_rows {
         println!(
-            "  {:<12} {:>5} stmts: cold warm {:.1}ms",
+            "  {:<12} {:>5} stmts: cold warm {:.1}ms, {:?}",
             row.family,
             row.stmts,
-            row.warm_seq_ns / 1e6
+            row.warm_seq_ns / 1e6,
+            row.counts
         );
     }
     for row in &closure_rows {

@@ -194,7 +194,7 @@ fn run_incr_mode(cli: &Cli) -> ! {
         report.scripts, report.edits_applied, report.edits_rejected, report.comparisons
     );
     println!(
-        "  data edges: {} rows held to a whole-program solve · {} vars_at seed comparisons",
+        "  data edges: {} rows held to the dense oracle · {} vars_at seed comparisons",
         report.data_rows, report.vars_seeds
     );
     println!(

@@ -62,7 +62,9 @@ fn main() {
             "  graphs: flowgraph {} nodes / {} edges; DDG {} edges; CDG {} edges (Fig. 2)",
             cfg.graph().len(),
             cfg.graph().num_edges(),
-            pdg.data().num_edges(),
+            p.stmt_ids()
+                .map(|s| pdg.data().deps(s).len())
+                .sum::<usize>(),
             pdg.control().edges().count(),
         );
         // Machine-readable dumps, should anyone want to diff the drawings.

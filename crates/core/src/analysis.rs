@@ -16,12 +16,15 @@ use std::sync::OnceLock;
 /// Each counter records how many times the corresponding artifact was
 /// *computed* (not how often it was used). The caching contract — one
 /// program, one computation — is asserted by the test suite through this
-/// probe. `reaching_defs` counts the solves behind a cold PDG build (and
-/// explicit [`Analysis::reaching`] calls); a `vars_at` criterion solves
-/// nothing, so `vars_at` slices on a restored analysis leave it at 0.
+/// probe. `reaching_defs` counts the builds of the PDG's data half — the
+/// factored reaching-definitions solution, φ placement and renaming — that
+/// a cold PDG build runs (plus explicit [`Analysis::reaching`] solves); a
+/// `vars_at` criterion reads the data half, so `vars_at` slices on a
+/// restored analysis leave it at 0.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct AnalysisStats {
-    /// Times the reaching-definitions fixpoint ran.
+    /// Times the data half's reaching definitions were built: φ placement
+    /// and renaming for a cold PDG, or an [`Analysis::reaching`] solve.
     pub reaching_defs: usize,
     /// Times the program dependence graph was assembled.
     pub pdg_builds: usize,
@@ -42,8 +45,8 @@ pub struct AnalysisStats {
 /// valid is moved into the next `Analysis` instead of being recomputed.
 /// A decoded snapshot ([`crate::decode_snapshot`]) is a seed too, holding
 /// everything [`Analysis::warm`] forces. No seed holds reaching
-/// definitions: their IN sets are quadratic in the program, and nothing
-/// past the request that solved them reads them.
+/// definitions as IN sets: the PDG's factored data half is their
+/// solution.
 ///
 /// Every field is optional; a missing artifact is simply computed lazily as
 /// usual. **Contract:** artifacts injected via `with_seed` must be correct
@@ -60,10 +63,11 @@ pub struct AnalysisSeed {
     pub pdg: Option<Pdg>,
     /// The lexical successor tree.
     pub lst: Option<LexSuccTree>,
-    /// A reaching-definitions solution to pre-fill [`Analysis::reaching`]
-    /// with. [`Analysis::into_seed`], the edit session and the snapshot
-    /// decoder always leave it `None`; the field stays for callers that
-    /// mirror the analysis phase by phase.
+    /// A bitset reaching-definitions solution to pre-fill
+    /// [`Analysis::reaching`] with. No product path reads one:
+    /// [`Analysis::into_seed`], the edit session and the snapshot decoder
+    /// always leave it `None`. The field stays for callers that mirror the
+    /// analysis phase by phase.
     pub reaching: Option<ReachingDefs>,
     /// The sparse kernel's chain index (opaque; valid only while the jump
     /// structure, postdominators, and lexical successor tree are unchanged).
@@ -85,8 +89,8 @@ impl AnalysisSeed {
 
 /// Everything the algorithms in this crate need, computed per program:
 /// the flowgraph eagerly, and the postdominator tree, the (unmodified)
-/// program dependence graph, the lexical successor tree, and reaching
-/// definitions *lazily, once, on first use*.
+/// program dependence graph and the lexical successor tree *lazily, once,
+/// on first use*.
 ///
 /// Laziness matters for the cheap algorithms: `conservative_slice`
 /// (Figure 13) is advertised by the paper as needing neither the
@@ -94,11 +98,10 @@ impl AnalysisSeed {
 /// it builds neither the LST nor the chain index unless the program has a
 /// `do-while` or a label actually needs re-associating (the PDG's control
 /// half still needs the postdominator tree).
-/// Reaching definitions are the input of the PDG's data half only: a cold
-/// PDG build solves them once per analysis, and they are dropped with it
-/// ([`Analysis::into_seed`] does not keep them). A `Criterion::vars_at`
-/// criterion reads its one statement's reaching definitions with a
-/// backward search ([`jumpslice_dataflow::reaching_defs_at`]) instead.
+/// Reaching definitions are the PDG's data half itself, in factored form
+/// ([`jumpslice_dataflow::DataDeps`]): a cold PDG build places φs and
+/// renames once per analysis, and a `Criterion::vars_at` criterion reads
+/// its statement's nearest definitions or φs from it.
 ///
 /// All lazy state lives in [`OnceLock`]s, so a fully materialized
 /// `Analysis` is `Sync` and can be shared by reference across the batch
@@ -129,8 +132,8 @@ impl<'p> Analysis<'p> {
     ///
     /// Only the flowgraph is built here (its reachability facts with it);
     /// the lexical structure was derived when the program was made, and
-    /// the heavier artifacts (PDG, postdominators, LST, reaching
-    /// definitions) are built on first use and cached.
+    /// the heavier artifacts (PDG, postdominators, LST) are built on first
+    /// use and cached.
     ///
     /// # Panics
     ///
@@ -192,8 +195,8 @@ impl<'p> Analysis<'p> {
 
     /// Consumes the analysis, harvesting every materialized artifact (plus
     /// the flowgraph) into an owned [`AnalysisSeed`]. Artifacts never forced
-    /// come back `None`, and so do reaching definitions, which are freed
-    /// here: the PDG already holds the data edges derived from them.
+    /// come back `None`, and so does an [`Analysis::reaching`] solution,
+    /// which is freed here: the PDG's data half is the same relation.
     pub fn into_seed(self) -> AnalysisSeed {
         AnalysisSeed {
             cfg: Some(self.cfg),
@@ -226,17 +229,25 @@ impl<'p> Analysis<'p> {
     }
 
     /// The (unaugmented) program dependence graph (computed on first use;
-    /// its data half reuses the cached reaching-definitions fixpoint, its
-    /// control half the cached postdominator tree). A seeded PDG needs
-    /// neither.
+    /// its control half reuses the cached postdominator tree). A seeded
+    /// PDG needs neither.
+    ///
+    /// The data half, φ placement and renaming over the forward dominator
+    /// tree, is the reaching-definitions solution in factored form: it is
+    /// timed as the `reaching_defs` phase, probed as that artifact and
+    /// counted in [`AnalysisStats::reaching_defs`].
     pub fn pdg(&self) -> &Pdg {
         self.cache_probe(obs::Artifact::Pdg, self.pdg.get().is_some());
         self.pdg.get_or_init(|| {
             self.n_pdg.fetch_add(1, Ordering::Relaxed);
-            let reaching = self.reaching();
+            let data = {
+                self.cache_probe(obs::Artifact::ReachingDefs, false);
+                self.n_reaching.fetch_add(1, Ordering::Relaxed);
+                let _t = obs::phase(obs::Phase::ReachingDefs);
+                DataDeps::compute(self.prog, &self.cfg)
+            };
             let pdom = self.pdom();
             let _t = obs::phase(obs::Phase::PdgBuild);
-            let data = DataDeps::from_reaching(self.prog, &self.cfg, reaching);
             let control = ControlDeps::compute_with_pdom(self.prog, &self.cfg, pdom);
             Pdg::from_parts(data, control)
         })
@@ -252,10 +263,10 @@ impl<'p> Analysis<'p> {
         })
     }
 
-    /// The reaching-definitions fixpoint (computed on first use): the input
-    /// of a cold PDG build's data half, which reads it through here, so
-    /// every criterion of a batch shares one solve. Nothing else in the
-    /// product calls it, and [`Analysis::into_seed`] drops it.
+    /// The bitset reaching-definitions fixpoint (computed on first use).
+    /// No product path calls it: the PDG's data half is built without it.
+    /// It stays for callers that mirror the analysis phase by phase, and
+    /// [`Analysis::into_seed`] drops it.
     pub fn reaching(&self) -> &ReachingDefs {
         self.cache_probe(obs::Artifact::ReachingDefs, self.reaching.get().is_some());
         self.reaching.get_or_init(|| {
@@ -305,9 +316,7 @@ impl<'p> Analysis<'p> {
 
     /// Forces what Figures 7, 12 and 13 read (the PDG with its
     /// condensation, the postdominator tree, the LST) and the chain index
-    /// now, on the calling thread. A cold PDG solves reaching definitions
-    /// as its input, and they live until the analysis ends; a seeded PDG
-    /// needs none.
+    /// now, on the calling thread.
     pub fn warm(&self) {
         let _ = (self.pdg(), self.pdom(), self.lst());
         let _ = self.chain_index();
@@ -418,7 +427,6 @@ mod tests {
             let _ = a.pdg();
             let _ = a.pdom();
             let _ = a.lst();
-            let _ = a.reaching();
         }
         let s = a.stats();
         assert_eq!(

@@ -1,7 +1,7 @@
 //! The conventional slicing algorithm (paper, §2).
 
 use crate::{Analysis, Slice};
-use jumpslice_dataflow::{reaching_defs_at, StmtSet};
+use jumpslice_dataflow::StmtSet;
 use jumpslice_lang::{Name, StmtId};
 
 /// A slicing criterion: a program location plus, optionally, a specific set
@@ -42,9 +42,9 @@ impl Criterion {
     pub fn seeds(&self, a: &Analysis<'_>) -> Vec<StmtId> {
         match &self.vars {
             None => vec![self.stmt],
-            // A backward search from the one statement: no whole-program
-            // solve, and nothing kept past the call.
-            Some(vars) => reaching_defs_at(a.prog(), a.cfg(), a.cfg().node(self.stmt), vars),
+            // Each variable's nearest definition or φ up the dominator
+            // tree, expanded through the φs.
+            Some(vars) => a.pdg().data().reaching(a.prog(), a.cfg(), self.stmt, vars),
         }
     }
 }

@@ -27,7 +27,7 @@
 //! ```
 
 use crate::{Analysis, Criterion, Slice, SlicePoint};
-use jumpslice_dataflow::StmtSet;
+use jumpslice_dataflow::{Expansion, StmtSet};
 use jumpslice_lang::{Program, StmtId};
 use jumpslice_pdg::Pdg;
 use std::fmt::Write as _;
@@ -213,12 +213,16 @@ impl Listing {
 /// inserted each statement.
 pub(crate) struct Recorder {
     why: Vec<Option<Why>>,
+    /// The data half's φ expansions, so each inserted statement's data
+    /// row is read off ready sets.
+    rows: Expansion,
 }
 
 impl Recorder {
-    pub(crate) fn new(num_stmts: usize) -> Recorder {
+    pub(crate) fn new(prog: &Program, pdg: &Pdg) -> Recorder {
         Recorder {
-            why: vec![None; num_stmts],
+            why: vec![None; prog.len()],
+            rows: pdg.data().expansion(prog),
         }
     }
 
@@ -263,7 +267,8 @@ impl Recorder {
         self.closure_into(pdg, vec![(j, why)], slice, Some(delta));
     }
 
-    /// A worklist closure over raw PDG edges carrying a `Why` per entry.
+    /// A worklist closure over explicit PDG edges (the data half expanded
+    /// through its φs) carrying a `Why` per entry.
     /// Statements already in `slice` keep their original reason. `delta`,
     /// when present, receives every newly inserted statement.
     fn closure_into(
@@ -282,7 +287,8 @@ impl Recorder {
             if let Some(d) = delta.as_deref_mut() {
                 d.push(s);
             }
-            work.extend(pdg.data().deps(s).iter().map(|&d| (d, Why::Data { to: s })));
+            let data = self.rows.deps(pdg.data(), s);
+            work.extend(data.into_iter().map(|d| (d, Why::Data { to: s })));
             work.extend(
                 pdg.control()
                     .deps(s)
@@ -305,7 +311,7 @@ impl Recorder {
 /// implementation, so the slice is always exactly what `agrawal_slice`
 /// returns.
 pub fn agrawal_slice_traced(a: &Analysis<'_>, crit: &Criterion) -> (Slice, Provenance) {
-    let mut rec = Recorder::new(a.prog().len());
+    let mut rec = Recorder::new(a.prog(), a.pdg());
     let slice = crate::sparse::figure7(a, crit, Some(&mut rec));
     let prov = rec.finish(crit);
     (slice, prov)

@@ -1,44 +1,37 @@
 //! The analysis-snapshot codec: [`AnalysisSeed`] ⇄ a flat byte payload.
 //!
-//! A snapshot captures what is expensive to recompute about a finished
-//! analysis — the PDG's data edges — next to the program source it was
-//! computed from. The daemon's snapshot store persists these payloads so a
-//! restarted process can serve its first Figure-7 slice without running
-//! the reaching-definitions fixpoint or deriving the data edges.
+//! A snapshot is a program: the source text it was parsed from, the parsed
+//! [`Program`] in wire form, and one word saying whether the analysis that
+//! wrote it was warm. The daemon's snapshot store persists these payloads
+//! so a restarted process can serve its first Figure-7 slice without
+//! parsing.
 //!
 //! Two properties make the format safe and the restore fast:
 //!
-//! * **The program travels with the data edges; what it determines does
-//!   not.** An earlier draft of this codec stored only the source text and
-//!   re-parsed it at decode time ("the source is the schema"), but the
-//!   re-parse dominated restore latency — exactly the cost a snapshot
-//!   exists to avoid. The payload therefore carries the parsed [`Program`]
+//! * **The program travels; what it determines does not.** An earlier
+//!   draft of this codec stored only the source text and re-parsed it at
+//!   decode time ("the source is the schema"), but the re-parse dominated
+//!   restore latency. The payload therefore carries the parsed [`Program`]
 //!   in wire form (intern tables, statement arena, block tree, label map)
 //!   next to the source text itself. Everything that follows from the
 //!   program alone is derived on decode, never stored: the flowgraph and
 //!   the lexical successor tree ([`Cfg::build`], [`LexSuccTree::build`])
-//!   and, next to stored data edges, the postdominator tree, the control
-//!   dependences and the sparse kernel's chain index. No stored copy can
-//!   disagree with the program. Reaching definitions are not stored
-//!   either, and a restored analysis never solves them: no Figure-7, 12
-//!   or 13 slice reads them, a `vars_at` criterion searches backward from
-//!   its statement, and an incremental edit solves only for the edited
-//!   statement's variables. The source stays embedded because
-//!   callers that map snapshots by content hash must compare it against
-//!   the request's source byte-for-byte — that comparison, not the hash,
-//!   is what makes a key collision harmless.
+//!   and, for a warm record, the PDG — its factored data half
+//!   ([`DataDeps::compute`]) and its control half — the postdominator
+//!   tree and the sparse kernel's chain index. No stored copy can
+//!   disagree with the program. The source stays embedded because callers
+//!   that map snapshots by content hash must compare it against the
+//!   request's source byte-for-byte — that comparison, not the hash, is
+//!   what makes a key collision harmless.
 //! * **Decoding validates, never trusts.** Every count is bounded, every
 //!   index is range-checked, and the decoded program must pass
 //!   [`Program::from_parts`]'s audit (block-tree bijection, label
 //!   consistency, intern-table well-formedness, and the parser's jump and
 //!   switch-guard rules) and nest no deeper than the parser's
 //!   [`MAX_DEPTH`]; any violation is a [`SnapshotError`] — the caller
-//!   falls back to analyzing from source.
-//!   Semantic fidelity (that the data edges really belong to this source)
-//!   is the job of the store's whole-record checksum one layer up, and
-//!   analyzability (every statement reaches the exit) is re-established by
-//!   whoever builds a session from the seed; this module only defines the
-//!   payload.
+//!   falls back to analyzing from source. That the program really is the
+//!   parse of the embedded source is the job of the store's whole-record
+//!   checksum one layer up; this module only defines the payload.
 //!
 //! The encoding is little-endian throughout: counts and indices as `u32`
 //! (`u32::MAX` = "none"), tags as single bytes, strings length-prefixed.
@@ -54,7 +47,6 @@ use jumpslice_lang::{
 };
 use jumpslice_pdg::{ControlDeps, Pdg};
 use std::fmt;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// Why a snapshot payload was rejected. Every variant is a clean "rebuild
 /// from source instead" signal; none of them is a panic.
@@ -62,7 +54,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 pub enum SnapshotError {
     /// A field ended early, a count exceeded its bound, an index was out of
     /// range, the program section failed its audit, or trailing bytes
-    /// followed the last artifact.
+    /// followed the presence word.
     Malformed,
     /// The embedded source text is not UTF-8.
     BadSource,
@@ -92,52 +84,36 @@ pub struct Snapshot {
     pub prog: Program,
     /// The restored artifacts. The flowgraph and the lexical successor tree
     /// are always present, derived from `prog`. The PDG, the postdominator
-    /// tree and the chain index are present when the payload carried data
-    /// edges: the decoder derives the rest of them. Reaching definitions
-    /// are always absent: no record carries them.
+    /// tree and the chain index are present when the record is warm: the
+    /// decoder derives them. Reaching definitions as IN sets are always
+    /// absent.
     pub seed: AnalysisSeed,
 }
 
-/// The presence word's one bit: the payload carries the PDG's data edges.
-const HAS_DATA_DEPS: u32 = 1;
+/// The presence word's one bit: the analysis that wrote the record had
+/// built its PDG, so the decoder derives everything `warm()` forces.
+const WARM: u32 = 1;
 
-/// Serializes `seed`'s artifacts (with `source` and `prog` embedded) into a
-/// snapshot payload. `prog` must be the parse of `source` that the seed's
-/// artifacts were computed against. Only the PDG's data edges are written,
-/// when the seed has a PDG: the decoder derives everything else from
-/// `prog`, and nothing restored reads reaching definitions.
+/// Serializes `seed` (with `source` and `prog` embedded) into a snapshot
+/// payload. `prog` must be the parse of `source` that the seed's
+/// artifacts were computed against. No artifact is written: the presence
+/// word records only whether the seed has a PDG, and the decoder derives
+/// every artifact from `prog`.
 pub fn encode_snapshot(source: &str, prog: &Program, seed: &AnalysisSeed) -> Vec<u8> {
     let mut out = Vec::new();
     wire::put_bytes(&mut out, source.as_bytes());
     encode_program(&mut out, prog);
-    let bits = if seed.pdg.is_some() { HAS_DATA_DEPS } else { 0 };
-    wire::put_u32(&mut out, bits);
-    if let Some(pdg) = &seed.pdg {
-        framed(&mut out, |out| encode_data_deps(out, prog, pdg.data()));
-    }
+    wire::put_u32(&mut out, if seed.pdg.is_some() { WARM } else { 0 });
     out
 }
 
-/// Encodes the artifact section behind a byte-length prefix, patched in
-/// after the section body is written (no staging buffer). The prefix lets
-/// the decoder split the section off up front and check that it is
-/// consumed exactly.
-fn framed(out: &mut Vec<u8>, body: impl FnOnce(&mut Vec<u8>)) {
-    let mark = out.len();
-    wire::put_u32(out, 0);
-    body(out);
-    let len = u32::try_from(out.len() - mark - 4).expect("section fits u32");
-    out[mark..mark + 4].copy_from_slice(&len.to_le_bytes());
-}
-
 /// Decodes a snapshot payload, validating the program section as
-/// [`Program::from_parts`] does (and its nesting against [`MAX_DEPTH`])
-/// and the data edges against it, and derives the flowgraph and the
-/// lexical successor tree from the decoded program. Next to data edges it
-/// also derives the postdominator tree, the control dependences and the
-/// chain index, so the restored seed holds everything `warm()` forces.
-/// Any malformation is an error, not a panic; the caller is expected to
-/// fall back to a from-source build.
+/// [`Program::from_parts`] does (and its nesting against [`MAX_DEPTH`]),
+/// and derives the flowgraph and the lexical successor tree from the
+/// decoded program. A warm record also gets the PDG, the postdominator
+/// tree and the chain index, so the restored seed holds everything
+/// `warm()` forces. Any malformation is an error, not a panic; the caller
+/// is expected to fall back to a from-source build.
 pub fn decode_snapshot(bytes: &[u8]) -> Result<Snapshot, SnapshotError> {
     use SnapshotError::*;
     let mut r = Reader::new(bytes);
@@ -145,37 +121,34 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<Snapshot, SnapshotError> {
         .map_err(|_| BadSource)?
         .to_owned();
     let prog = decode_program(&mut r)?;
-    let data_b = match r.u32().ok_or(Malformed)? {
-        0 => None,
-        HAS_DATA_DEPS => {
-            let n = r.len(r.remaining()).ok_or(Malformed)?;
-            Some(r.bytes(n).ok_or(Malformed)?)
-        }
+    let warm = match r.u32().ok_or(Malformed)? {
+        0 => false,
+        WARM => true,
         _ => return Err(Malformed),
     };
     if r.remaining() != 0 {
         return Err(Malformed);
     }
 
-    let n = prog.len();
     let cfg = Cfg::build(&prog);
     let lst = LexSuccTree::build(&prog);
-    let data = panic_as_malformed(|| exact(data_b, |r| decode_data_deps(r, n)))?;
-    let (pdom, pdg, chain_index) = match data {
-        // Postdominators are undefined where a statement cannot reach the
-        // exit, and no analysis ever wrote data edges for such a program.
-        Some(_) if !cfg.all_reach_exit() => return Err(Malformed),
-        Some(data) => {
-            let pdom = cfg.postdominators();
-            let control = ControlDeps::compute_with_pdom(&prog, &cfg, &pdom);
-            let chain = ChainIndex::build(&prog, &cfg, &pdom, || &lst);
-            (
-                Some(pdom),
-                Some(Pdg::from_parts(data, control)),
-                Some(chain),
-            )
-        }
-        None => (None, None, None),
+    // Postdominators are undefined where a statement cannot reach the
+    // exit, and no analysis of such a program was ever warm.
+    if warm && !cfg.all_reach_exit() {
+        return Err(Malformed);
+    }
+    let (pdom, pdg, chain_index) = if warm {
+        let pdom = cfg.postdominators();
+        let data = DataDeps::compute(&prog, &cfg);
+        let control = ControlDeps::compute_with_pdom(&prog, &cfg, &pdom);
+        let chain = ChainIndex::build(&prog, &cfg, &pdom, || &lst);
+        (
+            Some(pdom),
+            Some(Pdg::from_parts(data, control)),
+            Some(chain),
+        )
+    } else {
+        (None, None, None)
     };
 
     let seed = AnalysisSeed {
@@ -187,32 +160,6 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<Snapshot, SnapshotError> {
         chain_index,
     };
     Ok(Snapshot { source, prog, seed })
-}
-
-/// Runs the section decoder. A panicking decoder would be a bug, but the
-/// store's contract is that a bad record degrades to a from-source
-/// rebuild, so a panic classifies as malformed rather than failing the
-/// caller's load.
-fn panic_as_malformed<T>(
-    decode: impl FnOnce() -> Result<T, SnapshotError>,
-) -> Result<T, SnapshotError> {
-    catch_unwind(AssertUnwindSafe(decode)).unwrap_or(Err(SnapshotError::Malformed))
-}
-
-/// Decodes an optional artifact section, which must be consumed exactly: a
-/// length prefix lying either way about its section's extent is malformed.
-fn exact<T>(
-    bytes: Option<&[u8]>,
-    decode: impl FnOnce(&mut Reader<'_>) -> Result<T, SnapshotError>,
-) -> Result<Option<T>, SnapshotError> {
-    let Some(bytes) = bytes else { return Ok(None) };
-    let mut r = Reader::new(bytes);
-    let v = decode(&mut r)?;
-    if r.remaining() == 0 {
-        Ok(Some(v))
-    } else {
-        Err(SnapshotError::Malformed)
-    }
 }
 
 // ---- program section ---------------------------------------------------
@@ -599,48 +546,6 @@ fn put_opt_stmt(out: &mut Vec<u8>, s: SlicePoint) {
     }
 }
 
-fn stmt_list(r: &mut Reader<'_>, n: usize) -> Result<Vec<StmtId>, SnapshotError> {
-    use SnapshotError::Malformed;
-    // Dep lists are deduplicated per statement, so `n` bounds their length.
-    // Decoded in bulk: the PDG is quadratic in the worst case and its lists
-    // dominate the artifact payload, so this is the hot path of a restore.
-    let len = r.len(n).ok_or(Malformed)?;
-    let raw = r
-        .bytes(len.checked_mul(4).ok_or(Malformed)?)
-        .ok_or(Malformed)?;
-    let mut out = Vec::with_capacity(len);
-    for c in raw.chunks_exact(4) {
-        let v = u32::from_le_bytes(c.try_into().expect("chunks_exact(4)")) as usize;
-        if v >= n {
-            return Err(Malformed);
-        }
-        out.push(StmtId::from_index(v));
-    }
-    Ok(out)
-}
-
-fn encode_data_deps(out: &mut Vec<u8>, prog: &Program, data: &DataDeps) {
-    wire::put_len(out, prog.len());
-    for s in prog.stmt_ids() {
-        let d = data.deps(s);
-        wire::put_len(out, d.len());
-        for &t in d {
-            wire::put_len(out, t.index());
-        }
-    }
-}
-
-fn decode_data_deps(r: &mut Reader<'_>, n: usize) -> Result<DataDeps, SnapshotError> {
-    use SnapshotError::Malformed;
-    if r.len(n).ok_or(Malformed)? != n {
-        return Err(Malformed);
-    }
-    let deps = (0..n)
-        .map(|_| stmt_list(r, n))
-        .collect::<Result<Vec<_>, _>>()?;
-    Ok(DataDeps::from_deps(deps))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -729,14 +634,14 @@ L14: write(positives);";
     /// Artifacts that were never forced stay absent through the round trip
     /// (the presence bitmap, not padding, carries the schema). The flowgraph
     /// and the lexical successor tree are derived from the program on
-    /// decode, so they are always present. Reaching definitions are never
-    /// harvested: an analysis that forced only them leaves a seed that
-    /// encodes as a program-only record.
+    /// decode, so they are always present. Only a PDG makes a record warm:
+    /// an analysis that forced only the postdominator tree leaves a seed
+    /// that encodes as a program-only record.
     #[test]
     fn partial_seeds_round_trip_their_presence() {
         let prog = parse(GOTO_SRC).unwrap();
         let a = Analysis::new(&prog);
-        let _ = a.reaching(); // force exactly one artifact
+        let _ = a.pdom(); // force exactly one artifact
         let seed = a.into_seed();
         let bytes = encode_snapshot(GOTO_SRC, &prog, &seed);
         let mut program_only = valid_prefix(GOTO_SRC);
@@ -751,10 +656,10 @@ L14: write(positives);";
         assert!(snap.seed.lst.is_some(), "and so is the LST");
     }
 
-    /// A restored analysis computes nothing under `warm()`: no Figure-7,
-    /// 12 or 13 slice reads reaching definitions. A `vars_at` slice reads
-    /// its criterion's reaching definitions with a backward search, so it
-    /// solves nothing either, and answers as a fresh analysis does.
+    /// A restored analysis computes nothing under `warm()`: the decoder
+    /// derived the PDG. A `vars_at` slice reads its criterion's nearest
+    /// definitions or φs from the PDG's data half, so it builds nothing
+    /// either, and answers as a fresh analysis does.
     #[test]
     fn restored_analyses_answer_vars_slices_without_solving() {
         let bytes = warm_snapshot(GOTO_SRC);
@@ -934,15 +839,16 @@ L14: write(positives);";
         );
     }
 
-    /// A warm record carries the data edges and nothing else; the decoder
-    /// derives the postdominator tree, the control dependences and the
-    /// chain index, equal to the encoder's.
+    /// A warm record carries its program and the presence word, nothing
+    /// else; the decoder derives the postdominator tree, the PDG (its
+    /// factored data half and its control half) and the chain index, equal
+    /// to the encoder's.
     #[test]
-    fn warm_records_carry_only_data_edges() {
+    fn warm_records_carry_only_their_program() {
         for src in [GOTO_SRC, DOWHILE_SRC, STRUCTURED_SRC] {
             let bytes = warm_snapshot(src);
             let at = valid_prefix(src).len();
-            assert_eq!(bytes[at..at + 4], HAS_DATA_DEPS.to_le_bytes());
+            assert_eq!(bytes[at..], WARM.to_le_bytes());
             let prog = parse(src).unwrap();
             let a = Analysis::new(&prog);
             a.warm();
@@ -957,20 +863,22 @@ L14: write(positives);";
             let (pdg, got) = (fresh.pdg.unwrap(), snap.seed.pdg.unwrap());
             for s in prog.stmt_ids() {
                 assert_eq!(got.control().deps(s), pdg.control().deps(s), "{src}");
+                assert_eq!(got.data().deps(s), pdg.data().deps(s), "{src}");
             }
         }
     }
 
-    /// Data edges for a program whose statements cannot all reach the exit
-    /// come from no analysis: postdominators are undefined there.
+    /// A warm record of a program whose statements cannot all reach the
+    /// exit comes from no analysis: postdominators are undefined there.
     #[test]
-    fn data_edges_of_an_unanalyzable_program_are_malformed() {
+    fn warm_records_of_an_unanalyzable_program_are_malformed() {
         let src = "L: x = x + 1; goto L; write(x);";
         let prog = parse(src).unwrap();
+        let cfg = Cfg::build(&prog);
         let seed = AnalysisSeed {
             pdg: Some(Pdg::from_parts(
-                DataDeps::from_deps(vec![Vec::new(); prog.len()]),
-                ControlDeps::compute(&prog, &Cfg::build(&prog)),
+                DataDeps::compute(&prog, &cfg),
+                ControlDeps::compute(&prog, &cfg),
             )),
             ..AnalysisSeed::default()
         };
@@ -985,8 +893,9 @@ L14: write(positives);";
     /// (Figure 3's, and a do-while that ends in `break` and holds a
     /// `goto`) is refused, or decodes to an unanalyzable program, or
     /// decodes to a session that answers Figures 7, 12 and 13 at every
-    /// line. A rewritten data edge may change a slice (the store's checksum
-    /// guards their fidelity), but no rewrite may panic or hang a slicer.
+    /// line. A rewritten program may slice differently from its source (the
+    /// store's checksum guards their fidelity), but no rewrite may panic or
+    /// hang a slicer.
     #[test]
     fn one_word_rewrites_are_refused_or_answer_every_line() {
         let dowhile = "read(x); read(y); do { y = y + x; if (y) { goto OUT; } x = x - 1; break; } while (x); OUT: write(y); write(x);";
@@ -1013,20 +922,6 @@ L14: write(positives);";
                 }
             }
         }
-    }
-
-    /// A section decoder that panics (a decoder bug, never expected) still
-    /// yields `Malformed`, the rebuild-from-source signal, not an unwind.
-    #[test]
-    fn panicking_section_decoder_is_malformed() {
-        let got = panic_as_malformed(|| {
-            exact(Some(&[0u8][..]), |_| -> Result<(), _> {
-                panic!("decoder bug")
-            })
-        });
-        assert_eq!(got, Err(SnapshotError::Malformed));
-        let fine = panic_as_malformed(|| exact(Some(&[][..]), |_| Ok(7)));
-        assert_eq!(fine, Ok(Some(7)));
     }
 
     /// A payload that is well framed, with no artifact sections, but whose

@@ -9,9 +9,10 @@
 //! random edit scripts from [`jumpslice_incr::random_edit`], and after
 //! **every accepted edit** a full equality sweep of all eight slicers
 //! against a cold [`Analysis`]. The same sweep holds the session's PDG
-//! data edges, row by row, to [`DataDeps::compute`] of the edited program,
-//! and the seeds of a `vars_at(s, uses(s))` criterion at each picked
-//! statement to the cold analysis's.
+//! data dependences, expanded through their φs row by row, to the explicit
+//! edges of the dense oracle ([`oracle::DenseDeps`]) on the edited
+//! program, and the seeds of a `vars_at(s, uses(s))` criterion at each
+//! picked statement to the oracle's.
 //!
 //! A mismatch is minimized on two axes before reporting
 //! ([`shrink_script`]): the edit script (greedy single-edit drops, then
@@ -19,11 +20,10 @@
 //! shrinker, replaying the surviving script as the failure predicate).
 
 use crate::harness::{pick_criteria, DiffConfig, Family};
+use crate::oracle;
 use crate::shrink::{is_valid_candidate, shrink};
 use crate::ALGOS;
-use jumpslice_cfg::Cfg;
 use jumpslice_core::{Analysis, BatchSlicer, Criterion};
-use jumpslice_dataflow::DataDeps;
 use jumpslice_incr::{random_edit, Edit, EditExpr, EditSession, NewStmt};
 use jumpslice_lang::{print_program, Program, StmtId};
 use jumpslice_testkit::Rng;
@@ -127,8 +127,9 @@ pub struct IncrReport {
     pub full_rebuilds: usize,
     /// (slicer, criterion) identity comparisons executed.
     pub comparisons: usize,
-    /// Statements whose PDG data edges were compared with a whole-program
-    /// solve (sessions holding a PDG only).
+    /// Statements whose PDG data dependences, expanded through the φs,
+    /// were compared with the dense oracle's explicit edges (sessions
+    /// holding a PDG only).
     pub data_rows: usize,
     /// `vars_at` criteria whose seeds were compared.
     pub vars_seeds: usize,
@@ -146,9 +147,9 @@ struct Swept {
 
 /// Compares every registered slicer through `session` against a cold
 /// analysis of the same program, then the seeds of a `vars_at` criterion
-/// at each picked statement, then the session's PDG data edges (when it
-/// holds a PDG) with a whole-program solve. Returns the comparison
-/// counts, or the first mismatch.
+/// at each picked statement, then the session's PDG data dependences
+/// (when it holds a PDG), both against the dense oracle's explicit edges.
+/// Returns the comparison counts, or the first mismatch.
 fn sweep(session: &mut EditSession, max_criteria: usize) -> Result<Swept, String> {
     let p = session.prog().clone();
     let cold = Analysis::new(&p);
@@ -157,12 +158,16 @@ fn sweep(session: &mut EditSession, max_criteria: usize) -> Result<Swept, String
         slices: slices(session, &cold, &stmts)?,
         ..Swept::default()
     };
+    let dense = oracle::DenseDeps::of(&p, cold.cfg());
     for &s in &stmts {
         let c = Criterion::vars_at(s, p.uses(s));
-        let (want, got) = (c.seeds(&cold), session.with_analysis(|a| c.seeds(a)));
+        let (want, got) = (
+            dense.seeds(&cold, &c),
+            session.with_analysis(|a| c.seeds(a)),
+        );
         if got != want {
             return Err(format!(
-                "vars_at seeds at line {}: incremental {:?} vs scratch {:?}",
+                "vars_at seeds at line {}: incremental {:?} vs oracle {:?}",
                 p.line_of(s),
                 lines(&p, &got),
                 lines(&p, &want)
@@ -171,15 +176,14 @@ fn sweep(session: &mut EditSession, max_criteria: usize) -> Result<Swept, String
         swept.vars_seeds += 1;
     }
     if let Some(pdg) = &session.seed().pdg {
-        let want = DataDeps::compute(&p, &Cfg::build(&p));
         for s in p.stmt_ids() {
-            let got = pdg.data().deps(s);
-            if got != want.deps(s) {
+            let (got, want) = (pdg.data().deps(s), &dense.data[s.index()]);
+            if got != *want {
                 return Err(format!(
-                    "data edges into line {}: incremental {:?} vs scratch {:?}",
+                    "data edges into line {}: incremental {:?} vs oracle {:?}",
                     p.line_of(s),
-                    lines(&p, got),
-                    lines(&p, want.deps(s))
+                    lines(&p, &got),
+                    lines(&p, want)
                 ));
             }
             swept.data_rows += 1;

@@ -6,11 +6,14 @@
 //! every out-of-slice jump of a visit order with [`nearest_pdom_in`],
 //! [`nearest_lexsucc_in`] and [`dowhile_hazard`], walks over the
 //! postdominator tree and the lexical successor tree themselves, and it
-//! closes over raw PDG edges with [`backward_closure_into`], not over the
-//! PDG's condensation. It is written against core's public API only, so
-//! it shares nothing with the kernel it checks beyond the analysis
-//! artifacts themselves. It emits no obs events; `tests/observability.rs`
-//! pins the kernel's.
+//! closes over explicit dependence edges with [`backward_closure_into`],
+//! not over the PDG. The edges are a [`DenseDeps`]: data edges filtered
+//! from the dense reaching definitions, control edges read off
+//! postdominance frontiers, neither taken from the product's PDG, whose
+//! data half is factored through φs. It is written against core's public
+//! API only, so it shares nothing with the kernel it checks beyond the
+//! flowgraph, the postdominator tree and the LST. It emits no obs events;
+//! `tests/observability.rs` pins the kernel's.
 //!
 //! The product answers the same tests, for Figures 7, 12 and 13 and for
 //! label re-association, from its chain index.
@@ -40,16 +43,18 @@
 //! use jumpslice_difftest::oracle;
 //! let p = corpus::fig10();
 //! let a = Analysis::new(&p);
+//! let deps = oracle::DenseDeps::of(&p, a.cfg());
 //! let crit = Criterion::at_stmt(p.at_line(9));
-//! assert_eq!(oracle::agrawal_slice_dense(&a, &crit), agrawal_slice(&a, &crit));
+//! assert_eq!(oracle::agrawal_slice_dense(&a, &deps, &crit), agrawal_slice(&a, &crit));
 //! ```
 //!
 //! [`reaching_dense`] and [`data_deps_dense`] are the oracle for the
-//! reaching-definitions solver and the data-dependence edges in
+//! reaching-definitions solver and the data dependences in
 //! `jumpslice-dataflow`: the textbook per-node gen and kill sets, a
 //! round-robin fixpoint over stored IN and OUT sets, and edges found by
 //! filtering every reaching definition through the use's variables.
-//! `tests/reaching_oracle.rs` holds the solver to them bit for bit.
+//! `tests/reaching_oracle.rs` holds the solver to them bit for bit, and
+//! the factored data half's expanded rows and `vars_at` seeds to them.
 //!
 //! [`control_deps_via_frontiers`] is the oracle for the control half of
 //! the PDG: control dependence read off postdominance frontiers
@@ -62,14 +67,57 @@ use jumpslice_core::{Analysis, Criterion, Slice, SlicePoint, Why};
 use jumpslice_dataflow::{BitSet, StmtSet};
 use jumpslice_graph::{DiGraph, DomTree, NodeId};
 use jumpslice_lang::{Label, Name, Program, StmtId, StmtKind};
-use jumpslice_pdg::Pdg;
 use std::collections::HashMap;
 
-/// The backward closure of `seeds` by a direct worklist walk over raw PDG
+#[cfg(doc)]
+use jumpslice_pdg::Pdg;
+
+/// A program's explicit dependence edges, built independently of the
+/// product's PDG: the data edges of [`data_deps_dense`] over
+/// [`reaching_dense`] and the control edges of
+/// [`control_deps_via_frontiers`]. Every walk in this module reads them.
+#[derive(Clone, Debug)]
+pub struct DenseDeps {
+    /// Per statement, the definitions it is data dependent on, sorted.
+    pub data: Vec<Vec<StmtId>>,
+    /// Per statement, the predicates it is control dependent on, sorted.
+    pub control: Vec<Vec<StmtId>>,
+    /// The reaching definitions the data edges were filtered from.
+    pub reaching: DenseReaching,
+}
+
+impl DenseDeps {
+    /// The explicit edges of `prog` over its flowgraph `cfg`.
+    pub fn of(prog: &Program, cfg: &Cfg) -> DenseDeps {
+        let reaching = reaching_dense(prog, cfg);
+        DenseDeps {
+            data: data_deps_dense(prog, cfg, &reaching),
+            control: control_deps_via_frontiers(prog, cfg).deps,
+            reaching,
+        }
+    }
+
+    /// The closure seeds of `crit`: its statement, or the definitions of
+    /// its variables in the dense IN set of its statement, in statement
+    /// order.
+    pub fn seeds(&self, a: &Analysis<'_>, crit: &Criterion) -> Vec<StmtId> {
+        let Some(vars) = &crit.vars else {
+            return vec![crit.stmt];
+        };
+        let prog = a.prog();
+        self.reaching.in_sets[a.cfg().node(crit.stmt).index()]
+            .iter()
+            .map(|bit| self.reaching.def_sites[bit])
+            .filter(|&d| vars.contains(&prog.defs(d).expect("def site")))
+            .collect()
+    }
+}
+
+/// The backward closure of `seeds` by a direct worklist walk over explicit
 /// edges: the oracle for [`Pdg::backward_closure`].
-pub fn backward_closure(pdg: &Pdg, seeds: impl IntoIterator<Item = StmtId>) -> StmtSet {
-    let mut slice = StmtSet::with_capacity(pdg.control().num_stmts());
-    backward_closure_into(pdg, seeds, &mut slice);
+pub fn backward_closure(deps: &DenseDeps, seeds: impl IntoIterator<Item = StmtId>) -> StmtSet {
+    let mut slice = StmtSet::with_capacity(deps.data.len());
+    backward_closure_into(deps, seeds, &mut slice);
     slice
 }
 
@@ -78,26 +126,25 @@ pub fn backward_closure(pdg: &Pdg, seeds: impl IntoIterator<Item = StmtId>) -> S
 /// [`Pdg::backward_closure_into`] any target is allowed; on an empty or
 /// dependence-closed target the two agree.
 pub fn backward_closure_into(
-    pdg: &Pdg,
+    deps: &DenseDeps,
     seeds: impl IntoIterator<Item = StmtId>,
     slice: &mut StmtSet,
 ) {
     let mut work: Vec<StmtId> = seeds.into_iter().collect();
     while let Some(s) = work.pop() {
         if slice.insert(s) {
-            work.extend(pdg.data().deps(s));
-            work.extend(pdg.control().deps(s));
+            work.extend(&deps.data[s.index()]);
+            work.extend(&deps.control[s.index()]);
         }
     }
 }
 
-/// The PDG's raw data and control edges turned around: per statement, the
-/// statements directly dependent on it, ascending. The PDG stores each
-/// edge once, at its dependent, so the forward oracle inverts them here.
-pub fn dependents(pdg: &Pdg) -> Vec<Vec<StmtId>> {
-    let mut out = vec![Vec::new(); pdg.control().num_stmts()];
+/// The explicit data and control edges turned around: per statement, the
+/// statements directly dependent on it, ascending.
+pub fn dependents(deps: &DenseDeps) -> Vec<Vec<StmtId>> {
+    let mut out = vec![Vec::new(); deps.data.len()];
     for u in (0..out.len()).map(StmtId::from_index) {
-        for &d in pdg.data().deps(u).iter().chain(pdg.control().deps(u)) {
+        for &d in deps.data[u.index()].iter().chain(&deps.control[u.index()]) {
             out[d.index()].push(u);
         }
     }
@@ -137,13 +184,13 @@ pub fn forward_closure(
 /// depth-first order as [`jumpslice_core::agrawal_slice_traced`].
 pub fn figure7(
     a: &Analysis<'_>,
+    deps: &DenseDeps,
     crit: &Criterion,
     order: &[StmtId],
     mut why: Option<&mut [Option<Why>]>,
 ) -> Slice {
-    let pdg = a.pdg();
     let mut stmts = StmtSet::with_capacity(a.prog().len());
-    let seeds = crit.seeds(a);
+    let seeds = deps.seeds(a, crit);
     match why.as_deref_mut() {
         Some(w) => {
             let root = match crit.vars {
@@ -151,9 +198,9 @@ pub fn figure7(
                 Some(_) => Why::SeedDef,
             };
             let seeds = seeds.into_iter().map(|s| (s, root)).collect();
-            close_recording(a, seeds, &mut stmts, w);
+            close_recording(deps, seeds, &mut stmts, w);
         }
-        None => backward_closure_into(pdg, seeds, &mut stmts),
+        None => backward_closure_into(deps, seeds, &mut stmts),
     }
 
     let bodies = dowhile_bodies(a.prog());
@@ -178,9 +225,9 @@ pub fn figure7(
                             nls,
                             via_hazard: !disagree,
                         };
-                        close_recording(a, vec![(j, reason)], &mut stmts, w);
+                        close_recording(deps, vec![(j, reason)], &mut stmts, w);
                     }
-                    None => backward_closure_into(pdg, [j], &mut stmts),
+                    None => backward_closure_into(deps, [j], &mut stmts),
                 }
                 admitted = true;
             }
@@ -198,27 +245,30 @@ pub fn figure7(
     }
 }
 
-/// The dependence closure of `seeds` over raw PDG edges, recording why each
-/// newly inserted statement entered. Data dependences are pushed before
-/// control dependences and the worklist pops last-in first-out, as core's
-/// recorder does, so both assign every statement the same first reason.
+/// The dependence closure of `seeds` over explicit edges, recording why
+/// each newly inserted statement entered. Data dependences are pushed
+/// before control dependences and the worklist pops last-in first-out, as
+/// core's recorder does, so both assign every statement the same first
+/// reason.
 fn close_recording(
-    a: &Analysis<'_>,
+    deps: &DenseDeps,
     seeds: Vec<(StmtId, Why)>,
     slice: &mut StmtSet,
     why: &mut [Option<Why>],
 ) {
-    let pdg = a.pdg();
     let mut work = seeds;
     while let Some((s, reason)) = work.pop() {
         if !slice.insert(s) {
             continue;
         }
         why[s.index()] = Some(reason);
-        work.extend(pdg.data().deps(s).iter().map(|&d| (d, Why::Data { to: s })));
         work.extend(
-            pdg.control()
-                .deps(s)
+            deps.data[s.index()]
+                .iter()
+                .map(|&d| (d, Why::Data { to: s })),
+        );
+        work.extend(
+            deps.control[s.index()]
                 .iter()
                 .map(|&c| (c, Why::Control { to: s })),
         );
@@ -227,17 +277,22 @@ fn close_recording(
 
 /// [`figure7`] in postdominator preorder: the dense counterpart of
 /// [`jumpslice_core::agrawal_slice`].
-pub fn agrawal_slice_dense(a: &Analysis<'_>, crit: &Criterion) -> Slice {
-    figure7(a, crit, &jumps_in_pdom_preorder(a), None)
+pub fn agrawal_slice_dense(a: &Analysis<'_>, deps: &DenseDeps, crit: &Criterion) -> Slice {
+    figure7(a, deps, crit, &jumps_in_pdom_preorder(a), None)
 }
 
 /// [`agrawal_slice_dense`] with the reason each statement entered the
 /// slice, indexed by statement (`None` outside the slice): the dense
 /// counterpart of [`jumpslice_core::agrawal_slice_traced`].
-pub fn agrawal_slice_dense_traced(a: &Analysis<'_>, crit: &Criterion) -> (Slice, Vec<Option<Why>>) {
+pub fn agrawal_slice_dense_traced(
+    a: &Analysis<'_>,
+    deps: &DenseDeps,
+    crit: &Criterion,
+) -> (Slice, Vec<Option<Why>>) {
     let mut why = vec![None; a.prog().len()];
     let slice = figure7(
         a,
+        deps,
         crit,
         &jumps_in_pdom_preorder(a),
         Some(why.as_mut_slice()),
@@ -251,8 +306,8 @@ pub fn agrawal_slice_dense_traced(a: &Analysis<'_>, crit: &Criterion) -> (Slice,
 /// guard fires, or when it is control dependent on an in-slice predicate
 /// and its nearest postdominator in the slice differs from its nearest
 /// lexical successor in the slice.
-pub fn structured_slice_dense(a: &Analysis<'_>, crit: &Criterion) -> Slice {
-    let mut stmts = backward_closure(a.pdg(), crit.seeds(a));
+pub fn structured_slice_dense(a: &Analysis<'_>, deps: &DenseDeps, crit: &Criterion) -> Slice {
+    let mut stmts = backward_closure(deps, deps.seeds(a, crit));
     let bodies = dowhile_bodies(a.prog());
     let mut added_any = false;
     for j in jumps_in_pdom_preorder(a) {
@@ -260,7 +315,7 @@ pub fn structured_slice_dense(a: &Analysis<'_>, crit: &Criterion) -> Slice {
             continue;
         }
         let admit = dowhile_hazard(a, &bodies, j, &stmts)
-            || (on_included_predicate(a, j, &stmts)
+            || (on_included_predicate(deps, j, &stmts)
                 && nearest_pdom_in(a, j, &stmts) != nearest_lexsucc_in(a, j, &stmts));
         if admit {
             stmts.insert(j);
@@ -280,14 +335,14 @@ pub fn structured_slice_dense(a: &Analysis<'_>, crit: &Criterion) -> Slice {
 /// unconditional jumps in statement order admits every jump control
 /// dependent on an in-slice predicate, and every jump the do-while guard
 /// fires on.
-pub fn conservative_slice_dense(a: &Analysis<'_>, crit: &Criterion) -> Slice {
-    let mut stmts = backward_closure(a.pdg(), crit.seeds(a));
+pub fn conservative_slice_dense(a: &Analysis<'_>, deps: &DenseDeps, crit: &Criterion) -> Slice {
+    let mut stmts = backward_closure(deps, deps.seeds(a, crit));
     let bodies = dowhile_bodies(a.prog());
     for j in a.prog().stmt_ids() {
         if !is_candidate(a, j) || stmts.contains(j) {
             continue;
         }
-        if on_included_predicate(a, j, &stmts) || dowhile_hazard(a, &bodies, j, &stmts) {
+        if on_included_predicate(deps, j, &stmts) || dowhile_hazard(a, &bodies, j, &stmts) {
             stmts.insert(j);
         }
     }
@@ -300,8 +355,8 @@ pub fn conservative_slice_dense(a: &Analysis<'_>, crit: &Criterion) -> Slice {
 }
 
 /// Whether `j` is directly control dependent on a predicate in `slice`.
-fn on_included_predicate(a: &Analysis<'_>, j: StmtId, slice: &StmtSet) -> bool {
-    a.pdg().control().deps(j).iter().any(|&p| slice.contains(p))
+fn on_included_predicate(deps: &DenseDeps, j: StmtId, slice: &StmtSet) -> bool {
+    deps.control[j.index()].iter().any(|&p| slice.contains(p))
 }
 
 /// Figure 7's final step on the postdominator walk: each label of an
@@ -723,7 +778,8 @@ mod tests {
             let last = p.len();
             let crit = Criterion::at_stmt(p.at_line(last));
             let by_pdom = agrawal_slice(&a, &crit);
-            let by_lst = figure7(&a, &crit, &jumps_in_lst_preorder(&a), None);
+            let deps = DenseDeps::of(&p, a.cfg());
+            let by_lst = figure7(&a, &deps, &crit, &jumps_in_lst_preorder(&a), None);
             assert_eq!(by_pdom.stmts, by_lst.stmts);
         }
     }
@@ -863,18 +919,20 @@ mod tests {
     fn dense_figures_12_and_13_and_labels_on_the_paper() {
         let p = corpus::fig14();
         let a = Analysis::new(&p);
+        let deps = DenseDeps::of(&p, a.cfg());
         let crit = Criterion::at_stmt(p.at_line(9));
         assert_eq!(
-            structured_slice_dense(&a, &crit).lines(&p),
+            structured_slice_dense(&a, &deps, &crit).lines(&p),
             vec![1, 3, 4, 9]
         );
         assert_eq!(
-            conservative_slice_dense(&a, &crit).lines(&p),
+            conservative_slice_dense(&a, &deps, &crit).lines(&p),
             vec![1, 3, 4, 5, 7, 9]
         );
         let p = corpus::fig3();
         let a = Analysis::new(&p);
-        let s = agrawal_slice_dense(&a, &Criterion::at_stmt(p.at_line(15)));
+        let deps = DenseDeps::of(&p, a.cfg());
+        let s = agrawal_slice_dense(&a, &deps, &Criterion::at_stmt(p.at_line(15)));
         assert_eq!(
             reassociate_labels_dense(&a, &s.stmts),
             vec![(p.label("L14").unwrap(), Some(p.at_line(15)))]

@@ -16,12 +16,12 @@
 use crate::harness::{pick_criteria, DiffConfig, Family};
 use crate::oracle::{
     agrawal_slice_dense, agrawal_slice_dense_traced, conservative_slice_dense,
-    structured_slice_dense,
+    structured_slice_dense, DenseDeps,
 };
 use crate::shrink::{is_valid_candidate, shrink};
 use jumpslice_core::{
     agrawal_slice, agrawal_slice_traced, conservative_slice, structured_slice, Analysis, Criterion,
-    SliceFn,
+    Slice, SliceFn,
 };
 use jumpslice_lang::{print_program, Program};
 
@@ -117,8 +117,11 @@ pub struct SparseReport {
     pub findings: Vec<SparseFinding>,
 }
 
+/// A dense reference slicer over the oracle's explicit edges.
+type DenseFn = fn(&Analysis<'_>, &DenseDeps, &Criterion) -> Slice;
+
 /// The product slicers held to a dense reference, with their names.
-const PAIRS: [(&str, SliceFn, SliceFn); 3] = [
+const PAIRS: [(&str, SliceFn, DenseFn); 3] = [
     ("fig7", agrawal_slice, agrawal_slice_dense),
     ("fig12", structured_slice, structured_slice_dense),
     ("fig13", conservative_slice, conservative_slice_dense),
@@ -128,6 +131,7 @@ const PAIRS: [(&str, SliceFn, SliceFn); 3] = [
 /// against dense. Returns `(criteria, comparisons)` or the first mismatch.
 fn sweep(p: &Program, max_criteria: usize) -> Result<(usize, usize), String> {
     let a = Analysis::new(p);
+    let deps = DenseDeps::of(p, a.cfg());
     let stmts = pick_criteria(p, &a, max_criteria);
     let mut comparisons = 0;
     for &c in &stmts {
@@ -136,7 +140,7 @@ fn sweep(p: &Program, max_criteria: usize) -> Result<(usize, usize), String> {
 
         for (algo, product, reference) in PAIRS {
             let sparse = product(&a, &crit);
-            let dense = reference(&a, &crit);
+            let dense = reference(&a, &deps, &crit);
             comparisons += 3;
             if sparse.stmts != dense.stmts {
                 return Err(format!(
@@ -161,7 +165,7 @@ fn sweep(p: &Program, max_criteria: usize) -> Result<(usize, usize), String> {
         }
 
         let (ts, tp) = agrawal_slice_traced(&a, &crit);
-        let (rs, rp) = agrawal_slice_dense_traced(&a, &crit);
+        let (rs, rp) = agrawal_slice_dense_traced(&a, &deps, &crit);
         comparisons += 1;
         if ts != rs {
             return Err(format!(

@@ -57,6 +57,27 @@ impl DomTree {
             rpo_num[n.index()] = i as u32;
         }
 
+        // Each node's predecessors reachable from the root, latest in
+        // reverse postorder first. The running intersection then climbs
+        // once per node, not once per predecessor, when the predecessors
+        // lie on one dominator chain: the exit of an `if` nest `n` deep has
+        // `n` of them, and taking them shallowest first walks `n²/2` steps.
+        let mut pred_start = Vec::with_capacity(rpo.len() + 1);
+        let mut preds: Vec<NodeId> = Vec::new();
+        pred_start.push(0);
+        for &n in &rpo {
+            let first = preds.len();
+            preds.extend(
+                g.preds(n)
+                    .iter()
+                    .filter(|p| rpo_num[p.index()] != UNREACHED),
+            );
+            if preds.len() - first > 1 {
+                preds[first..].sort_unstable_by_key(|p| std::cmp::Reverse(rpo_num[p.index()]));
+            }
+            pred_start.push(preds.len());
+        }
+
         let mut idom: Vec<Option<NodeId>> = vec![None; g.len()];
         idom[root.index()] = Some(root); // temporary self-loop, cleared below
 
@@ -78,10 +99,10 @@ impl DomTree {
         while changed {
             changed = false;
             passes += 1;
-            for &n in rpo.iter().skip(1) {
+            for (i, &n) in rpo.iter().enumerate().skip(1) {
                 let mut new_idom: Option<NodeId> = None;
-                for &p in g.preds(n) {
-                    if rpo_num[p.index()] == UNREACHED || idom[p.index()].is_none() {
+                for &p in &preds[pred_start[i]..pred_start[i + 1]] {
+                    if idom[p.index()].is_none() {
                         continue;
                     }
                     new_idom = Some(match new_idom {
@@ -106,15 +127,26 @@ impl DomTree {
 
     /// Assembles the derived structures (preorder, interval numbering,
     /// depths) from an immediate-dominator array. The child lists the
-    /// numbering walks are local: no query reads them.
+    /// numbering walks are local, one flat table: no query reads them.
     pub(crate) fn from_idoms(n: usize, root: NodeId, idom: Vec<Option<NodeId>>) -> DomTree {
-        // Pushed in ascending node order, so each list is sorted by index.
-        let mut children = vec![Vec::new(); n];
+        // Filled in ascending node order, so each list is sorted by index.
+        let mut child_start = vec![0usize; n + 1];
+        for d in idom.iter().flatten() {
+            child_start[d.index() + 1] += 1;
+        }
+        for i in 0..n {
+            child_start[i + 1] += child_start[i];
+        }
+        let mut next = child_start.clone();
+        let mut flat = vec![root; child_start[n]];
         for (i, d) in idom.iter().enumerate() {
             if let Some(d) = d {
-                children[d.index()].push(NodeId::new(i));
+                flat[next[d.index()]] = NodeId::new(i);
+                next[d.index()] += 1;
             }
         }
+        drop(next);
+        let children = |v: NodeId| &flat[child_start[v.index()]..child_start[v.index() + 1]];
 
         let mut pre = vec![UNREACHED; n];
         let mut post = vec![UNREACHED; n];
@@ -127,7 +159,7 @@ impl DomTree {
         clock += 1;
         preorder.push(root);
         while let Some(&mut (v, ref mut i)) = stack.last_mut() {
-            if let Some(&c) = children[v.index()].get(*i) {
+            if let Some(&c) = children(v).get(*i) {
                 *i += 1;
                 pre[c.index()] = clock;
                 clock += 1;
@@ -209,6 +241,67 @@ impl DomTree {
             tree: self,
             cur: self.idom(n),
         }
+    }
+}
+
+/// The dominance frontier of every node of a graph, in one flat table:
+/// `DF(d)` holds the nodes `n` such that `d` dominates a predecessor of `n`
+/// but does not strictly dominate `n` (Cytron et al., TOPLAS 1991).
+/// Built by [`DomTree::frontiers`].
+#[derive(Clone, Debug)]
+pub struct Frontiers {
+    /// `DF(d)` is `nodes[start[d]..start[d + 1]]`.
+    start: Vec<u32>,
+    nodes: Vec<NodeId>,
+}
+
+impl Frontiers {
+    /// The dominance frontier of `d`, in no particular order and each node
+    /// once. Empty for a node unreachable from the root.
+    pub fn of(&self, d: NodeId) -> &[NodeId] {
+        &self.nodes[self.start[d.index()] as usize..self.start[d.index() + 1] as usize]
+    }
+}
+
+impl DomTree {
+    /// The dominance frontiers of `g`, which must be the graph this tree
+    /// was built over, by the Cooper–Harvey–Kennedy walk: every ancestor
+    /// of a predecessor of `n`, up to but excluding `idom(n)`, has `n` in
+    /// its frontier. A per-node stamp records which `n` last claimed a
+    /// node, so a walk stops where an earlier walk for the same `n`
+    /// passed, and no frontier is searched for duplicates. Nodes
+    /// unreachable from the root take no part.
+    pub fn frontiers(&self, g: &DiGraph) -> Frontiers {
+        let mut claimed = vec![UNREACHED; g.len()];
+        let mut pairs: Vec<(u32, NodeId)> = Vec::new();
+        for n in g.nodes().filter(|&n| self.is_reachable(n)) {
+            let stop = self.idom(n);
+            for &p in g.preds(n) {
+                let mut runner = Some(p).filter(|&p| self.is_reachable(p));
+                while let Some(r) = runner {
+                    if Some(r) == stop || claimed[r.index()] == n.index() as u32 {
+                        break;
+                    }
+                    claimed[r.index()] = n.index() as u32;
+                    pairs.push((r.index() as u32, n));
+                    runner = self.idom(r);
+                }
+            }
+        }
+        let mut start = vec![0u32; g.len() + 1];
+        for &(d, _) in &pairs {
+            start[d as usize + 1] += 1;
+        }
+        for i in 0..g.len() {
+            start[i + 1] += start[i];
+        }
+        let mut next = start.clone();
+        let mut nodes = vec![NodeId::new(0); pairs.len()];
+        for (d, n) in pairs {
+            nodes[next[d as usize] as usize] = n;
+            next[d as usize] += 1;
+        }
+        Frontiers { start, nodes }
     }
 }
 
@@ -328,6 +421,59 @@ mod tests {
                 assert!(pi < ni, "parent {d:?} must precede child {n:?}");
             }
         }
+    }
+
+    /// The frontiers against their definition on hand-made shapes: a
+    /// diamond, a loop whose header is in its own frontier, a back edge
+    /// into the root, and an unreachable predecessor.
+    #[test]
+    fn frontiers_match_their_definition() {
+        let shapes = [
+            graph_of(4, &[(0, 1), (0, 2), (1, 3), (2, 3)]),
+            graph_of(4, &[(0, 1), (1, 2), (2, 1), (1, 3)]),
+            graph_of(3, &[(0, 1), (1, 2), (2, 0)]),
+            graph_of(3, &[(0, 1), (2, 1)]),
+            chk_graph(),
+        ];
+        for g in &shapes {
+            let dom = DomTree::iterative(g, 0.into());
+            let df = dom.frontiers(g);
+            for d in g.nodes() {
+                let mut got = df.of(d).to_vec();
+                got.sort();
+                let want: Vec<NodeId> = g
+                    .nodes()
+                    .filter(|&n| dom.is_reachable(n) && dom.is_reachable(d))
+                    .filter(|&n| {
+                        g.preds(n).iter().any(|&p| dom.dominates(d, p))
+                            && !dom.strictly_dominates(d, n)
+                    })
+                    .collect();
+                assert_eq!(got, want, "DF({d:?})");
+            }
+        }
+    }
+
+    /// A node with a hundred thousand predecessors on one dominator chain
+    /// (the exit of a deep `if` nest) takes one climb, not one per
+    /// predecessor.
+    #[test]
+    fn a_deep_chain_of_joins_builds_in_linear_time() {
+        const DEPTH: usize = 100_000;
+        let exit = DEPTH + 1;
+        let mut g = DiGraph::with_nodes(DEPTH + 2);
+        for i in 0..DEPTH {
+            g.add_edge(i.into(), (i + 1).into());
+            g.add_edge(i.into(), exit.into());
+        }
+        g.add_edge(DEPTH.into(), exit.into());
+        let started = std::time::Instant::now();
+        let dom = DomTree::iterative(&g, 0.into());
+        let df = dom.frontiers(&g);
+        assert!(started.elapsed() < std::time::Duration::from_secs(1));
+        assert_eq!(dom.idom(exit.into()), Some(0.into()));
+        assert_eq!(dom.depth(DEPTH.into()), DEPTH as u32);
+        assert_eq!(df.of((DEPTH / 2).into()), &[NodeId::new(exit)]);
     }
 
     fn graph_of(n: usize, edges: &[(usize, usize)]) -> DiGraph {

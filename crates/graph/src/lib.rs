@@ -37,6 +37,6 @@ mod traversal;
 
 pub use brute::dominators_brute_force;
 pub use digraph::{DiGraph, NodeId};
-pub use dom::DomTree;
+pub use dom::{DomTree, Frontiers};
 pub use scc::{tarjan_scc, Sccs};
 pub use traversal::{dfs_postorder, dfs_preorder, reachable_from, reverse_postorder};

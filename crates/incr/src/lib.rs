@@ -1,14 +1,14 @@
 //! Incremental edit-and-reslice sessions.
 //!
 //! Serving slices interactively means the expensive analyses — the PDG
-//! and the reaching definitions behind its data edges, postdominators,
-//! the LST — must survive small program edits instead of being recomputed
+//! with its factored data half, postdominators, the LST — must survive
+//! small program edits instead of being recomputed
 //! from scratch after each one. This crate adds that layer on top of the
 //! per-program caching of [`jumpslice_core::Analysis`]: an [`EditSession`]
 //! owns a program and its warm artifacts, accepts edits from a small edit
 //! language expressed against [`jumpslice_lang::StmtPath`]s, computes what
-//! each edit dirties, and selectively patches or re-derives the PDG's data
-//! edges. Structure-changing
+//! each edit dirties, and selectively patches the PDG's data half or
+//! rebuilds it. Structure-changing
 //! edits fall back to a full rebuild — explicitly, and counted, so tests
 //! can assert exactly when the fast paths engaged.
 //!

@@ -7,25 +7,23 @@
 //!
 //! * **Expression patch** — a [`Edit::ReplaceExpr`] changes the *uses* of
 //!   one statement and nothing else: ids, flowgraph shape, definitions,
-//!   postdominators, control dependence and the LST all survive. Only the
-//!   PDG's data edges into the edited statement are repointed, in place,
-//!   by a backward search from it.
+//!   postdominators, control dependence, the φs and the LST all survive.
+//!   Only the edited statement's uses are re-read, in place: each its
+//!   nearest definition or φ up the dominator tree.
 //! * **Seeded re-solve** — inserting or deleting one simple, unlabeled,
 //!   non-jump statement shifts ids and splices the flowgraph, so the
-//!   structural artifacts are rebuilt (cheap, linear). The PDG's data
-//!   edges are carried across the statement map, and reaching definitions
-//!   are solved only for the variables the statement defines or (when
-//!   inserted) uses; only the rows using those variables at nodes the
-//!   edit site reaches are re-derived
-//!   ([`jumpslice_dataflow::DataDeps::rederive`]).
+//!   structural artifacts are rebuilt eagerly, each linear in the program:
+//!   the postdominator tree, shared by the control half, and the factored
+//!   data half ([`jumpslice_dataflow::DataDeps::compute`]). No
+//!   reaching-definitions fixpoint runs. The wire keeps calling this path
+//!   `"seeded_resolve"`.
 //! * **Full rebuild** — anything that changes jump structure (toggles,
 //!   edits to labeled or compound or jump statements) falls back to
 //!   recomputing everything. The fallback is counted, so tests can assert
 //!   exactly when the fast paths were taken.
 //!
-//! Neither fast path reads a reaching-definitions solution of the
-//! unedited program, so a session restored from a snapshot (which holds
-//! none) edits exactly as a cold one, and no session keeps one.
+//! Neither fast path reads anything a snapshot lacks, so a session
+//! restored from one edits exactly as a cold one.
 //!
 //! The invariant behind all three: after every `apply`, slicing through
 //! the session is **identical** to slicing a freshly analyzed copy of the
@@ -35,7 +33,7 @@ use crate::apply::{apply_edit, Applied};
 use crate::edit::{Edit, EditError};
 use jumpslice_cfg::Cfg;
 use jumpslice_core::{Analysis, AnalysisSeed};
-use jumpslice_dataflow::ReachingDefs;
+use jumpslice_dataflow::DataDeps;
 use jumpslice_lang::{Program, StmtId};
 use jumpslice_obs as obs;
 use jumpslice_pdg::{ControlDeps, Pdg};
@@ -43,12 +41,12 @@ use jumpslice_pdg::{ControlDeps, Pdg};
 /// Which invalidation path an accepted edit took.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ApplyPath {
-    /// Everything reused; PDG data edges of one statement repointed.
+    /// Everything reused; the edited statement's uses re-read.
     ExprPatch,
-    /// Structural artifacts rebuilt; the PDG's data edges carried across
-    /// the statement map, with reaching definitions solved and rows
-    /// re-derived only for the edited statement's variables. The wire
-    /// protocol calls this path `"seeded_resolve"`.
+    /// Structural artifacts rebuilt eagerly: the postdominator tree and the
+    /// PDG, its data half by φ placement and renaming over the edited
+    /// flowgraph, with no reaching-definitions fixpoint. The wire protocol
+    /// calls this path `"seeded_resolve"`.
     SeededResolve,
     /// Explicit fallback: every artifact recomputed lazily from scratch.
     FullRebuild,
@@ -80,10 +78,11 @@ pub struct EditOutcome {
     /// re-solve (a deletion counts only its site), and the whole program
     /// for a full rebuild.
     pub dirty_stmts: usize,
-    /// Analysis phases carried over from before the edit (of the three
-    /// lazy ones a seed carries: PDG, postdominators, LST). Phases never
-    /// forced before the edit are not counted — there was nothing to
-    /// reuse.
+    /// Analysis phases the next analysis finds built because the session
+    /// had them before the edit (of the three lazy ones a seed carries:
+    /// PDG, postdominators, LST): all three after an expression patch, and
+    /// the PDG, rebuilt in the edit, after a seeded re-solve. Phases never
+    /// forced before the edit are not counted.
     pub reused_phases: usize,
     /// New id of the statement the edit produced or modified (`None` for a
     /// deletion).
@@ -275,7 +274,7 @@ impl EditSession {
     }
 
     /// [`ApplyPath::ExprPatch`]: ids are stable, so every artifact survives
-    /// verbatim; only the PDG data edges into the edited statement change.
+    /// verbatim; only the edited statement's data dependences change.
     fn patch_expr(&mut self, applied: Applied, new_cfg: Cfg) -> EditOutcome {
         let Applied { prog, touched, .. } = applied;
         let target = touched.expect("replace always touches a statement");
@@ -295,38 +294,14 @@ impl EditSession {
         }
     }
 
-    /// [`ApplyPath::SeededResolve`]: rebuild the structural artifacts,
-    /// carry the PDG's data edges across the statement map, and re-derive
-    /// the rows of the edited statement's variables.
+    /// [`ApplyPath::SeededResolve`]: rebuild the structural artifacts, and
+    /// the PDG when the session had one, over the edited flowgraph.
     fn seeded_resolve(&mut self, edit: &Edit, applied: Applied, new_cfg: Cfg) -> EditOutcome {
-        let Applied { prog, map, touched } = applied;
+        let Applied { prog, touched, .. } = applied;
         let old = std::mem::take(&mut self.seed);
-        // The variable the inserted or deleted statement defines, plus an
-        // inserted statement's uses, which have no old row to translate;
-        // and the first node whose reaching definitions the splice
-        // changes. No other variable's def-clear paths change, and no
-        // node's outside what that node reaches (`rederive` says why).
-        // Names are stable across the edit, so the old program's name of
-        // a deleted definition means the same in `prog`.
-        let (defined, mut vars, from) = match (edit, touched) {
-            (Edit::InsertStmt { .. }, Some(t)) => (prog.defs(t), prog.uses(t), new_cfg.node(t)),
-            (Edit::DeleteStmt { at }, _) => {
-                let gone = at.resolve(&self.prog).expect("classified on this path");
-                let old_cfg = old.cfg.unwrap_or_else(|| Cfg::build(&self.prog));
-                // A simple statement has one successor, and the splice
-                // sends its predecessors there.
-                let next = old_cfg.graph().succs(old_cfg.node(gone))[0];
-                let from = old_cfg.stmt(next).map_or(new_cfg.exit(), |s| {
-                    new_cfg.node(map.get(s).expect("only the deleted statement has no image"))
-                });
-                (self.prog.defs(gone), Vec::new(), from)
-            }
-            _ => unreachable!("only inserts and deletes take the seeded path"),
-        };
-        vars.extend(defined.filter(|v| !vars.contains(v)));
         // The wire's dirty region: an inserted definition dirties every
         // definition of its variable.
-        let dirty_sites = match (edit, defined) {
+        let dirty_sites = match (edit, touched.and_then(|t| prog.defs(t))) {
             (Edit::InsertStmt { .. }, Some(v)) => {
                 prog.stmt_ids().filter(|&s| prog.defs(s) == Some(v)).count()
             }
@@ -338,17 +313,9 @@ impl EditSession {
         // between the control dependence walk and the analysis cache.
         let (pdg, pdom) = match old.pdg {
             Some(old_pdg) => {
-                let rd = ReachingDefs::compute_for(&prog, &new_cfg, &vars);
-                let fwd = map.fwd();
-                let (data, rows) = old_pdg
-                    .data()
-                    .rederive(&prog, &new_cfg, fwd, &vars, &rd, from);
-                drop((rd, old_pdg));
-                obs::record(|| obs::Event::Count {
-                    name: "incr.data_deps_repointed",
-                    value: rows as u64,
-                });
+                drop(old_pdg);
                 let pdom = new_cfg.postdominators();
+                let data = DataDeps::compute(&prog, &new_cfg);
                 let control = ControlDeps::compute_with_pdom(&prog, &new_cfg, &pdom);
                 (Some(Pdg::from_parts(data, control)), Some(pdom))
             }
@@ -468,7 +435,7 @@ mod tests {
             })
             .unwrap();
         assert_eq!(out.path, ApplyPath::SeededResolve);
-        assert_eq!(out.reused_phases, 1, "the PDG's data edges were carried");
+        assert_eq!(out.reused_phases, 1, "the PDG was rebuilt in the edit");
         assert_matches_scratch(&mut s);
 
         // Delete the statement we just inserted.

@@ -639,15 +639,23 @@ impl Program {
     /// condition, written expression, or return value.
     pub fn uses(&self, id: StmtId) -> Vec<Name> {
         let mut out = Vec::new();
+        self.uses_into(id, &mut out);
+        out
+    }
+
+    /// [`Program::uses`] into `out`, which is cleared first: a pass over
+    /// every statement reuses one buffer.
+    pub fn uses_into(&self, id: StmtId, out: &mut Vec<Name>) {
+        out.clear();
         match &self.stmt(id).kind {
-            StmtKind::Assign { rhs, .. } => rhs.collect_vars(&mut out),
-            StmtKind::Write { arg } => arg.collect_vars(&mut out),
+            StmtKind::Assign { rhs, .. } => rhs.collect_vars(out),
+            StmtKind::Write { arg } => arg.collect_vars(out),
             StmtKind::If { cond, .. }
             | StmtKind::While { cond, .. }
             | StmtKind::DoWhile { cond, .. }
-            | StmtKind::CondGoto { cond, .. } => cond.collect_vars(&mut out),
-            StmtKind::Switch { scrutinee, .. } => scrutinee.collect_vars(&mut out),
-            StmtKind::Return { value: Some(e) } => e.collect_vars(&mut out),
+            | StmtKind::CondGoto { cond, .. } => cond.collect_vars(out),
+            StmtKind::Switch { scrutinee, .. } => scrutinee.collect_vars(out),
+            StmtKind::Return { value: Some(e) } => e.collect_vars(out),
             StmtKind::Read { .. }
             | StmtKind::Skip
             | StmtKind::Goto { .. }
@@ -655,7 +663,6 @@ impl Program {
             | StmtKind::Continue
             | StmtKind::Return { value: None } => {}
         }
-        out
     }
 }
 

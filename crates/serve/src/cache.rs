@@ -56,14 +56,13 @@ impl Entry {
 }
 
 /// Resident-size estimate for one cached program: the source text plus the
-/// analysis artifacts. No entry keeps reaching-definitions IN sets, so the
-/// `n²/2` term stands for the PDG's data edges alone: the PDG is as
-/// large as its one edge list (each edge stored once), which jump-dense
-/// programs make near-quadratic; the rest, the chain index included (a few
-/// words per statement), is linear. The term deliberately rounds *up* so
-/// the budget errs toward evicting: it over-predicts the measured warm
-/// seed many times, and the eviction it drives is tuned to it, so the
-/// formula stays as it was until it is re-derived from measured seeds.
+/// analysis artifacts. Every artifact an entry keeps is linear in the
+/// program — the PDG's data half is factored through φs, and no entry
+/// keeps reaching-definitions IN sets — so the `n²/2` term stands for
+/// nothing a warm seed holds and over-predicts every entry. It stays only
+/// because the eviction it drives (how many programs stay resident under
+/// `--cache-bytes`) is tuned to it, until the formula is re-derived from
+/// measured seeds as part of admission by predicted cost.
 pub fn estimate_bytes(source_len: usize, stmts: usize) -> usize {
     source_len + 512 + stmts * 256 + (stmts * stmts) / 2
 }

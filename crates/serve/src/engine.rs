@@ -469,7 +469,7 @@ impl Engine {
         };
         let attempt = entry.session.with_analysis(|a| {
             // Everything Figures 7, 12 and 13 read, so the write-behind
-            // snapshot has the data edges to persist. A request runs on
+            // snapshot is a warm record. A request runs on
             // one thread, cold warm included: concurrency lives across
             // requests, not within one.
             a.warm();
@@ -974,10 +974,10 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// A record carries no reaching definitions, and a restored session
-    /// needs none: a `vars` slice searches backward from its line, and
-    /// each fast-path edit keeps its path and answers as a cold engine's
-    /// does. After each edit, the restored session slices every line as a
+    /// A record carries only its program, and a restored session needs
+    /// nothing more: a `vars` slice reads the nearest definitions or φs of
+    /// the derived data half, and each fast-path edit keeps its path and
+    /// answers as a cold engine's does. After each edit, the restored session slices every line as a
     /// cold engine does after the same edit.
     #[test]
     fn a_restored_session_answers_vars_slices_and_edits() {

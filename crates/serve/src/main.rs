@@ -17,11 +17,10 @@
 //! `--store-dir DIR` attaches the persistent snapshot store (DESIGN.md
 //! §11): completed analyses are written behind slice responses as
 //! versioned, checksummed records, and a restarted daemon pointed at the
-//! same directory serves its first slice without re-running
-//! reaching-definitions, PDG, postdominator, or lexical-successor
-//! construction, and its `vars` criteria and fast-path edits solve no
-//! whole-program reaching definitions either. `--store-bytes N` caps the directory
-//! (LRU by mtime; default 1 GiB).
+//! same directory serves its first slice without parsing: a record holds
+//! the parsed program, and restoring derives the flowgraph, the PDG, the
+//! postdominator tree and the lexical successor tree from it.
+//! `--store-bytes N` caps the directory (LRU by mtime; default 1 GiB).
 //!
 //! `--replay-dir DIR` is not a daemon mode at all: it replays every
 //! difftest program artifact (`*.prog.txt`) in DIR through the serve

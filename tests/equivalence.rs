@@ -180,10 +180,11 @@ fn traversal_drivers_both_cover_ball_horwitz() {
         let a = Analysis::new(&p);
         let pdom_order = oracle::jumps_in_pdom_preorder(&a);
         let lst_order = oracle::jumps_in_lst_preorder(&a);
+        let deps = oracle::DenseDeps::of(&p, a.cfg());
         for c in criteria(&p) {
             let crit = Criterion::at_stmt(c);
-            let by_pdom = oracle::figure7(&a, &crit, &pdom_order, None);
-            let by_lst = oracle::figure7(&a, &crit, &lst_order, None);
+            let by_pdom = oracle::figure7(&a, &deps, &crit, &pdom_order, None);
+            let by_lst = oracle::figure7(&a, &deps, &crit, &lst_order, None);
             let bh = ball_horwitz_slice(&a, &crit);
             assert!(bh.stmts.is_subset(&by_pdom.stmts));
             assert!(bh.stmts.is_subset(&by_lst.stmts));
@@ -305,10 +306,11 @@ fn sparse_equals_dense_on_paper_corpus() {
         corpus::fig16(),
     ] {
         let a = Analysis::new(&p);
+        let deps = oracle::DenseDeps::of(&p, a.cfg());
         for c in criteria(&p) {
             let crit = Criterion::at_stmt(c);
             let sparse = agrawal_slice(&a, &crit);
-            let dense = oracle::agrawal_slice_dense(&a, &crit);
+            let dense = oracle::agrawal_slice_dense(&a, &deps, &crit);
             assert_eq!(sparse, dense, "criterion line {}", p.line_of(c));
         }
     }
@@ -332,16 +334,17 @@ fn sparse_equals_dense_on_progen_families() {
             };
             for p in [gen_structured(&cfg), gen_unstructured(&cfg)] {
                 let a = Analysis::new(&p);
+                let deps = oracle::DenseDeps::of(&p, a.cfg());
                 for c in criteria(&p).into_iter().take(4) {
                     let crit = Criterion::at_stmt(c);
                     assert_eq!(
                         agrawal_slice(&a, &crit),
-                        oracle::agrawal_slice_dense(&a, &crit),
+                        oracle::agrawal_slice_dense(&a, &deps, &crit),
                         "density {density}, criterion line {}",
                         p.line_of(c)
                     );
                     let (ts, tp) = agrawal_slice_traced(&a, &crit);
-                    let (rs, rp) = oracle::agrawal_slice_dense_traced(&a, &crit);
+                    let (rs, rp) = oracle::agrawal_slice_dense_traced(&a, &deps, &crit);
                     assert_eq!(ts, rs, "traced slices agree");
                     for s in p.stmt_ids() {
                         assert_eq!(

@@ -8,13 +8,18 @@
 //! both generator families, every kind of edit, a snapshot round trip and
 //! hand-written edge cases. A builder-made nest far deeper than any parse
 //! must build in linear time on a default test-thread stack, and print on
-//! a small one.
+//! a small one. The factored data dependences of programs whose dominator
+//! tree is 100,000 deep, or whose join has 50,000 predecessors, must build
+//! and answer `vars_at` seeds the same way.
 
 use jumpslice::cfg::Cfg;
 use jumpslice::core::{decode_snapshot, encode_snapshot, AnalysisSeed, LexSuccTree};
+use jumpslice::dataflow::DataDeps;
 use jumpslice::graph::{DiGraph, NodeId};
 use jumpslice::incr::random_edit;
-use jumpslice::lang::{CaseGuard, Expr, Label, ProgramBuilder, Stmt, StmtKind, Structure};
+use jumpslice::lang::{
+    BinOp, CaseGuard, Expr, Label, Name, ProgramBuilder, Stmt, StmtKind, Structure,
+};
 use jumpslice::prelude::*;
 use jumpslice_testkit::{check, Rng};
 use std::time::{Duration, Instant};
@@ -482,4 +487,141 @@ fn a_hundred_thousand_arm_switch_builds_in_linear_time() {
     );
     assert_eq!(lst.immediate(StmtId::from_index(ARMS / 2 - 1)), None);
     assert!(cfg.all_reach_exit());
+}
+
+/// A statement of the one-variable programs below: `x` is name 0.
+fn stmt(kind: StmtKind, line: usize) -> Stmt {
+    Stmt {
+        kind,
+        labels: vec![],
+        line: line as u32,
+    }
+}
+
+/// The programs' one variable.
+fn x() -> Name {
+    Name::from_index(0)
+}
+
+/// `x = rhs;`
+fn assign_x(rhs: Expr, line: usize) -> Stmt {
+    stmt(StmtKind::Assign { lhs: x(), rhs }, line)
+}
+
+/// Builds the factored data dependences of `p` over its flowgraph and
+/// answers the `vars_at(last, [x])` seeds, the nearest definition or φ up
+/// the dominator tree expanded through the φs, within a second on the
+/// test thread's own stack (the flowgraph's own build is bounded above).
+/// Renaming or searching with one stack frame per dominator-tree level
+/// overflows it.
+fn seeds_at_the_last_statement(p: &Program) -> (DataDeps, Vec<StmtId>) {
+    let cfg = Cfg::build(p);
+    let started = Instant::now();
+    let data = DataDeps::compute(p, &cfg);
+    let last = StmtId::from_index(p.len() - 1);
+    let seeds = data.reaching(p, &cfg, last, &[x()]);
+    let took = started.elapsed();
+    assert!(took < Duration::from_secs(1), "took {took:?}");
+    (data, seeds)
+}
+
+/// `x = x + 1;` 100,000 times: the dominator tree is a path as deep as the
+/// program, and each statement reads the one before it.
+#[test]
+fn a_hundred_thousand_statement_straight_line_renames_in_linear_time() {
+    const LEN: usize = 100_000;
+    let incr = || Expr::Binary(BinOp::Add, Box::new(Expr::Var(x())), Box::new(Expr::Num(1)));
+    let stmts: Vec<Stmt> = (0..LEN).map(|i| assign_x(incr(), i + 1)).collect();
+    let body = (0..LEN).map(StmtId::from_index).collect();
+    let p = Program::from_parts(stmts, body, vec!["x".into()], vec![], vec![])
+        .expect("a well-formed straight line");
+    let (data, seeds) = seeds_at_the_last_statement(&p);
+    assert_eq!(seeds, [StmtId::from_index(LEN - 2)]);
+    assert_eq!(data.num_phis(), 0);
+    assert_eq!(data.deps(StmtId::from_index(0)), []);
+    assert_eq!(
+        data.deps(StmtId::from_index(LEN / 2)),
+        [StmtId::from_index(LEN / 2 - 1)]
+    );
+}
+
+/// `if (1) { x = 0; if (1) { x = 1; ... write(x); } }`, 100,000 levels
+/// deep: every level's `if` and assignment deepen the dominator tree.
+#[test]
+fn a_hundred_thousand_deep_assigning_nest_renames_in_linear_time() {
+    const DEPTH: usize = 100_000;
+    let mut stmts = Vec::with_capacity(2 * DEPTH + 1);
+    for i in 0..DEPTH {
+        let then_branch = vec![StmtId::from_index(2 * i + 1), StmtId::from_index(2 * i + 2)];
+        stmts.push(stmt(
+            StmtKind::If {
+                cond: Expr::Num(1),
+                then_branch,
+                else_branch: vec![],
+            },
+            2 * i + 1,
+        ));
+        stmts.push(assign_x(Expr::Num(i as i64), 2 * i + 2));
+    }
+    stmts.push(stmt(
+        StmtKind::Write {
+            arg: Expr::Var(x()),
+        },
+        2 * DEPTH + 1,
+    ));
+    let p = Program::from_parts(
+        stmts,
+        vec![StmtId::from_index(0)],
+        vec!["x".into()],
+        vec![],
+        vec![],
+    )
+    .expect("a well-formed nest");
+    let (data, seeds) = seeds_at_the_last_statement(&p);
+    assert_eq!(seeds, [StmtId::from_index(2 * DEPTH - 1)]);
+    // Every level's assignment reaches only the exit past the nest, which
+    // reads nothing: no φ anywhere.
+    assert_eq!(data.num_phis(), 0);
+}
+
+/// `switch (0) { case 0: x = 0; break; ... } write(x);` with 50,000 arms:
+/// the write's one φ has an operand per `break`.
+#[test]
+fn a_fifty_thousand_arm_switch_joins_in_one_phi() {
+    const ARMS: usize = 50_000;
+    let mut stmts = Vec::with_capacity(2 * ARMS + 2);
+    for i in 0..ARMS {
+        stmts.push(assign_x(Expr::Num(i as i64), 2 * i + 2));
+        stmts.push(stmt(StmtKind::Break, 2 * i + 3));
+    }
+    let arms = (0..ARMS)
+        .map(|i| jumpslice::lang::SwitchArm {
+            guards: vec![CaseGuard::Case(i as i64)],
+            body: vec![StmtId::from_index(2 * i), StmtId::from_index(2 * i + 1)],
+        })
+        .collect();
+    stmts.push(stmt(
+        StmtKind::Switch {
+            scrutinee: Expr::Num(0),
+            arms,
+        },
+        1,
+    ));
+    stmts.push(stmt(
+        StmtKind::Write {
+            arg: Expr::Var(x()),
+        },
+        2 * ARMS + 2,
+    ));
+    let body = vec![
+        StmtId::from_index(2 * ARMS),
+        StmtId::from_index(2 * ARMS + 1),
+    ];
+    let p = Program::from_parts(stmts, body, vec!["x".into()], vec![], vec![])
+        .expect("a well-formed switch");
+    let (data, seeds) = seeds_at_the_last_statement(&p);
+    let assignments: Vec<StmtId> = (0..ARMS).map(|i| StmtId::from_index(2 * i)).collect();
+    assert_eq!(seeds, assignments);
+    assert_eq!(data.num_phis(), 1);
+    assert_eq!(data.node_deps(p.len()).len(), ARMS, "one operand per break");
 }

@@ -104,9 +104,9 @@ fn fast_paths_reuse_warm_artifacts() {
     assert_eq!(st.pdom_builds, 0);
     assert_eq!(st.lst_builds, 0);
 
-    // A seeded re-solve carries the PDG over re-derived and rebuilds the
-    // pdom tree; only the LST is rebuilt lazily, and warm() solves no
-    // reaching definitions.
+    // A seeded re-solve rebuilds the pdom tree and the PDG in the edit,
+    // its data half by φ placement and renaming; only the LST is rebuilt
+    // lazily, and warm() builds no data half.
     s.apply(&Edit::InsertStmt {
         at: StmtPath::root(4),
         stmt: NewStmt::Write {
@@ -118,8 +118,8 @@ fn fast_paths_reuse_warm_artifacts() {
         a.warm();
         a.stats()
     });
-    assert_eq!(st.reaching_defs, 0, "the carried PDG needs no solve");
-    assert_eq!(st.pdg_builds, 0, "the PDG was patched, not rebuilt");
+    assert_eq!(st.reaching_defs, 0, "the edit built the data half");
+    assert_eq!(st.pdg_builds, 0, "the edit built the PDG");
     assert_eq!(
         st.pdom_builds, 0,
         "postdominators were shared from the re-solve"

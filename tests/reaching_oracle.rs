@@ -1,31 +1,33 @@
-//! The reaching-definitions solver and everything that reads it, held bit
-//! for bit against the dense gen/kill oracle in `jumpslice_difftest::oracle`:
-//! the def-site numbering, every IN set, the data-dependence edges, the
-//! backward search `reaching_defs_at` at every flowgraph node, the solve
-//! restricted to random variable subsets, and the seeds of `vars_at`
-//! criteria.
+//! The reaching-definitions solver and the factored data dependences,
+//! held to the dense gen/kill oracle in `jumpslice_difftest::oracle`: the
+//! def-site numbering and every IN set bit for bit; every statement's
+//! data dependences, expanded through the φs, against the explicit edges
+//! filtered from the dense IN sets; every variable's reaching definitions
+//! at every statement from the nearest definition or φ up the dominator
+//! tree; and the seeds of `vars_at` criteria.
 //!
 //! Inputs: both generator families at 30–1000 statements with 1–12
 //! variables (the structured family's defaults emit `do-while` and
-//! `switch`), and a straight-line program whose single variable has
-//! hundreds of definition sites spread over several words.
+//! `switch`), a straight-line program whose single variable has hundreds
+//! of definition sites spread over several words, a labeled
+//! `x = x + 1` that a `goto` loops back to, a use before any definition,
+//! and dead code after a `goto`.
 
 use jumpslice::prelude::*;
 use jumpslice_cfg::Cfg;
-use jumpslice_dataflow::{reaching_defs_at, DataDeps, ReachingDefs, VarTable};
+use jumpslice_dataflow::{DataDeps, ReachingDefs, VarTable};
 use jumpslice_difftest::oracle;
 use jumpslice_graph::NodeId;
 use jumpslice_lang::{Name, StmtKind};
-use jumpslice_testkit::Rng;
 
-fn assert_matches_oracle(p: &Program, what: &str, rng: &mut Rng) {
+fn assert_matches_oracle(p: &Program, what: &str) {
     let cfg = Cfg::build(p);
     let rd = ReachingDefs::compute(p, &cfg);
     let dense = oracle::reaching_dense(p, &cfg);
     assert_eq!(rd.def_sites(), dense.def_sites, "{what}: def sites");
     assert_eq!(rd.in_sets(), dense.in_sets, "{what}: IN sets");
 
-    let dd = DataDeps::from_reaching(p, &cfg, &rd);
+    let dd = DataDeps::compute(p, &cfg);
     let want = oracle::data_deps_dense(p, &cfg, &dense);
     for s in p.stmt_ids() {
         assert_eq!(dd.deps(s), want[s.index()], "{what}: deps of {s:?}");
@@ -41,31 +43,12 @@ fn assert_matches_oracle(p: &Program, what: &str, rng: &mut Rng) {
     };
     let table = VarTable::of(p);
     let names: Vec<Name> = (0..table.len()).map(|i| table.var(i)).collect();
-    for node in cfg.graph().nodes() {
+    for s in p.stmt_ids() {
         for &v in &names {
             assert_eq!(
-                reaching_defs_at(p, &cfg, node, &[v]),
-                dense_at(node, &[v]),
-                "{what}: reaching_defs_at {node:?}"
-            );
-        }
-    }
-    for _ in 0..3 {
-        let subset: Vec<Name> = names
-            .iter()
-            .copied()
-            .filter(|_| rng.gen_bool(0.5))
-            .collect();
-        let part = ReachingDefs::compute_for(p, &cfg, &subset);
-        for node in cfg.graph().nodes() {
-            let got: Vec<StmtId> = part.in_sets()[node.index()]
-                .iter()
-                .map(|bit| part.def_sites()[bit])
-                .collect();
-            assert_eq!(
-                got,
-                dense_at(node, &subset),
-                "{what}: compute_for at {node:?}"
+                dd.reaching(p, &cfg, s, &[v]),
+                dense_at(cfg.node(s), &[v]),
+                "{what}: reaching definitions at {s:?}"
             );
         }
     }
@@ -91,7 +74,6 @@ fn has(p: &Program, pred: impl Fn(&StmtKind) -> bool) -> bool {
 #[test]
 fn reaching_and_data_deps_match_the_dense_oracle() {
     let (mut dowhile, mut switch) = (false, false);
-    let mut rng = Rng::seed_from_u64(17);
     for target_stmts in [30, 100, 300, 1000] {
         for num_vars in 1..=12 {
             let cfg = GenConfig {
@@ -106,7 +88,7 @@ fn reaching_and_data_deps_match_the_dense_oracle() {
             ] {
                 dowhile |= has(&p, |k| matches!(k, StmtKind::DoWhile { .. }));
                 switch |= has(&p, |k| matches!(k, StmtKind::Switch { .. }));
-                assert_matches_oracle(&p, &format!("{family} {target_stmts}/{num_vars}"), &mut rng);
+                assert_matches_oracle(&p, &format!("{family} {target_stmts}/{num_vars}"));
             }
         }
     }
@@ -116,5 +98,12 @@ fn reaching_and_data_deps_match_the_dense_oracle() {
     );
 
     let straight = format!("read(x); {} write(x);", "x = x + 1; ".repeat(300));
-    assert_matches_oracle(&parse(&straight).unwrap(), "straight line", &mut rng);
+    assert_matches_oracle(&parse(&straight).unwrap(), "straight line");
+    for src in [
+        "L: x = x + 1; if (x < 9) goto L; write(x);",
+        "write(x); y = x; x = 1; write(y); write(x);",
+        "x = 1; goto L; x = x + 2; y = x; L: write(x); write(y);",
+    ] {
+        assert_matches_oracle(&parse(src).unwrap(), src);
+    }
 }
