@@ -30,9 +30,10 @@
 //!   delta of statements admitted since their last test — in
 //!   postdominator preorder, which is the order of the index's jump list.
 //!   Deltas flow out of the dependence closures
-//!   (`Pdg::backward_closure_delta`), and a dirty jump the current round
-//!   has already passed is deferred to the next round, exactly when the
-//!   dense loop would re-test it. Per slice, two bits per jump say whether
+//!   (`Pdg::backward_closure_delta`; they share the φ-only components
+//!   they entered, so each is walked once per slice), and a dirty jump
+//!   the current round has already passed is deferred to the next round,
+//!   exactly when the dense loop would re-test it. Per slice, two bits per jump say whether
 //!   the slice touches its pdom chain and its LST chain at all; a clear
 //!   bit answers "exit" without walking. Admission order, rounds,
 //!   provenance, `traversals`: all bit-identical.
@@ -726,6 +727,8 @@ struct Scratch {
     touched: Touched,
     seen: BitSet,
     counts: Vec<i32>,
+    /// The φ-only components the slice's closures entered.
+    entered: BitSet,
 }
 
 /// Empties `set` for positions `0..len`, keeping its allocation when it
@@ -758,16 +761,24 @@ pub(crate) fn figure7(a: &Analysis<'_>, crit: &Criterion, mut rec: Option<&mut R
         mut touched,
         mut seen,
         mut counts,
+        mut entered,
     } = SCRATCH.with(|s| s.take());
 
-    // One PDG lookup per slice; every closure below walks it.
+    // One PDG lookup per slice; every closure below walks it, and all of
+    // them share `entered`.
     let (pdg, mut stmts) = {
         let _t = obs::phase(obs::Phase::ConventionalClosure);
         let seeds = crit.seeds(a);
         let pdg = a.pdg();
+        reset(&mut entered, pdg.condensation().num_components());
         let stmts = match rec.as_deref_mut() {
             Some(r) => r.seed_closure(pdg, crit, seeds),
-            None => pdg.backward_closure(seeds),
+            None => {
+                let mut stmts = StmtSet::with_capacity(a.prog().len());
+                delta.clear();
+                pdg.backward_closure_delta(seeds, &mut stmts, &mut entered, &mut delta);
+                stmts
+            }
         };
         (pdg, stmts)
     };
@@ -861,7 +872,12 @@ pub(crate) fn figure7(a: &Analysis<'_>, crit: &Criterion, mut rec: Option<&mut R
                             // under dependence, as the condensed walk needs.
                             // Its delta comes in no particular order; the
                             // span marking below does not care.
-                            None => pdg.backward_closure_delta([j], &mut stmts, &mut delta),
+                            None => pdg.backward_closure_delta(
+                                [j],
+                                &mut stmts,
+                                &mut entered,
+                                &mut delta,
+                            ),
                         }
                         admitted += 1;
                         // Dirty every jump whose chain the delta touched. A
@@ -914,6 +930,7 @@ pub(crate) fn figure7(a: &Analysis<'_>, crit: &Criterion, mut rec: Option<&mut R
             touched,
             seen,
             counts,
+            entered,
         }
     });
 
