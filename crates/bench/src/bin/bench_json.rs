@@ -26,15 +26,16 @@
 //!   the PDG's SCC condensation, on one warm analysis; the forward rows do
 //!   the same from live statements spread evenly over the program;
 //! * the incremental sweep: one edit followed by a re-slice of a criterion
-//!   pool, through a warm [`jumpslice_incr::EditSession`] (expression patch
-//!   and seeded re-solve paths) vs edit-then-`Analysis::new` from scratch;
+//!   pool, through a warm [`jumpslice_incr::EditSession`] (an expression
+//!   patch, and the reset an insert or delete takes) vs
+//!   edit-then-`Analysis::new` from scratch;
 //! * the serve sweep: in-process daemon time per request on a warm cache —
 //!   a mixed slice/stats session over two 120-statement programs, and
 //!   single-criterion Figure-7 slices on one ~5k-statement program per
 //!   family, where per-request work that scales with the program shows;
 //! * the store sweep: first-slice latency through a store-enabled daemon
 //!   on a miss (parse + analyze + warm + write-behind persist) vs on a
-//!   snapshot hit (store load + decode + seeded analysis) — the daemon's
+//!   snapshot hit (store load + decode + analysis) — the daemon's
 //!   cold-start-vs-warm-restart story — and, not gated, the first `vars_at`
 //!   Figure-7 slice on a freshly restored analysis;
 //! * the per-phase breakdown (`per_phase_ns`): one captured cold analysis,
@@ -562,10 +563,11 @@ fn main() {
     // the write-behind persist (encode + `SnapshotStore::save`, a distinct
     // key per iteration so every write really hits disk). The restore arm
     // is the hit path: `SnapshotStore::load` (disk read + whole-record
-    // checksum), snapshot decode, which derives every artifact from the
-    // decoded program without parsing, and a seeded analysis. The family
-    // is the jump-heavy generator — unstructured control flow is the
-    // workload this repo exists for.
+    // checksum) and snapshot decode, which yields the program and its
+    // flowgraph without parsing; the slice then builds the analysis, as
+    // the cold arm's does. The two arms differ by the parse and the
+    // persist. The family is the jump-heavy generator — unstructured
+    // control flow is the workload this repo exists for.
     let mut store_rows: Vec<StoreRow> = Vec::new();
     {
         use jumpslice_store::{fnv1a, SnapshotStore};
@@ -607,7 +609,9 @@ fn main() {
             });
             // The first `vars_at` slice on a restored analysis, observing
             // the uses of the last statement that has any. Each run decodes
-            // a fresh seed untimed; the median of the runs is reported.
+            // a fresh seed and warms its analysis untimed, so the timer
+            // covers the `vars` read and the slice, not the build; the
+            // median of the runs is reported.
             let vars_stmt = prog
                 .stmt_ids()
                 .filter(|&s| !prog.uses(s).is_empty())
@@ -618,6 +622,7 @@ fn main() {
                 .map(|_| {
                     let snap = jumpslice_core::decode_snapshot(&payload).expect("snapshot decodes");
                     let a = Analysis::with_seed(&snap.prog, snap.seed);
+                    a.warm();
                     let crit = Criterion::vars_at(snap.prog.at_line(vars_line), vars.clone());
                     let t = Instant::now();
                     black_box(agrawal_slice(&a, &crit).len());
@@ -644,8 +649,9 @@ fn main() {
 
     // The incremental sweep: edit + re-slice through a warm session vs
     // edit + from-scratch analysis. Two edit shapes, matching the two
-    // fast paths: an expression replacement (everything reused) and an
-    // insert/delete cycle (seeded re-solve, steady-state program size).
+    // paths: an expression replacement (everything reused) and an
+    // insert/delete cycle (each a reset under the `seeded_resolve` label,
+    // steady-state program size).
     let mut incr_rows: Vec<IncrRow> = Vec::new();
     for (family, make) in [
         (
@@ -751,7 +757,7 @@ fn main() {
         assert_eq!(
             session.stats().full_rebuilds,
             0,
-            "insert/delete of a simple statement must stay on the seeded path"
+            "insert/delete of a simple statement must keep the seeded_resolve label"
         );
         incr_rows.push(IncrRow {
             family,

@@ -198,7 +198,7 @@ fn run_incr_mode(cli: &Cli) -> ! {
         report.data_rows, report.vars_seeds
     );
     println!(
-        "  apply paths: {} expression patches, {} seeded re-solves, {} full rebuilds",
+        "  apply paths: {} expression patches, resets {} seeded_resolve and {} full_rebuild",
         report.expr_patches, report.seeded_resolves, report.full_rebuilds
     );
     for f in &report.findings {

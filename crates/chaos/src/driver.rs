@@ -743,8 +743,8 @@ pub fn self_test_lease_eviction_detected() -> Result<(), String> {
 
 /// Known-bug self-test 2 (corruption class): plants a **forged snapshot**
 /// in the store — a record that passes the checksum, the version gate, the
-/// decoder, and the source byte-equality check, but whose analysis belongs
-/// to a different program — and demands the slice-identity invariant catch
+/// decoder, and the source byte-equality check, but whose program section
+/// holds a different program — and demands the slice-identity invariant catch
 /// it. This is the corruption no storage-layer defense can see; only
 /// comparing served answers against the direct library slice does. `Err`
 /// means the harness cannot be trusted to catch corruption violations.
@@ -757,7 +757,7 @@ pub fn self_test_forged_snapshot_detected(scratch: &Path) -> Result<(), String> 
     let dir = scratch.join("forged-snapshot");
     std::fs::create_dir_all(&dir).map_err(|e| format!("scratch dir: {e}"))?;
 
-    // Forge: the variant's analysis wearing the target's source.
+    // Forge: the variant's program wearing the target's source.
     {
         let prog = jumpslice_lang::parse(variant).map_err(|e| format!("variant parses: {e}"))?;
         let session =

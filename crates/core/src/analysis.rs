@@ -19,8 +19,7 @@ use std::sync::OnceLock;
 /// probe. `reaching_defs` counts the builds of the PDG's data half — the
 /// factored reaching-definitions solution, φ placement and renaming — that
 /// a cold PDG build runs (plus explicit [`Analysis::reaching`] solves); a
-/// `vars_at` criterion reads the data half, so `vars_at` slices on a
-/// restored analysis leave it at 0.
+/// `vars_at` criterion reads the data half and solves nothing of its own.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct AnalysisStats {
     /// Times the data half's reaching definitions were built: φ placement
@@ -44,8 +43,8 @@ pub struct AnalysisStats {
 /// carry surviving artifacts across a program edit: whatever the edit left
 /// valid is moved into the next `Analysis` instead of being recomputed.
 /// A decoded snapshot ([`crate::decode_snapshot`]) is a seed too, holding
-/// everything [`Analysis::warm`] forces. No seed holds reaching
-/// definitions as IN sets: the PDG's factored data half is their
+/// the flowgraph only, as a cold session's seed does. No seed holds
+/// reaching definitions as IN sets: the PDG's factored data half is their
 /// solution.
 ///
 /// Every field is optional; a missing artifact is simply computed lazily as

@@ -1,28 +1,25 @@
-//! The analysis-snapshot codec: [`AnalysisSeed`] ⇄ a flat byte payload.
+//! The analysis-snapshot codec: a program ⇄ a flat byte payload.
 //!
-//! A snapshot is a program: the source text it was parsed from, the parsed
-//! [`Program`] in wire form, and one word saying whether the analysis that
-//! wrote it was warm. The daemon's snapshot store persists these payloads
-//! so a restarted process can serve its first Figure-7 slice without
-//! parsing.
+//! A snapshot is a program: the source text it was parsed from and the
+//! parsed [`Program`] in wire form (intern tables, statement arena, block
+//! tree, label map). The daemon's snapshot store persists these payloads
+//! so a restarted process can open a session on a known program without
+//! parsing it.
 //!
-//! Two properties make the format safe and the restore fast:
+//! Two properties make the format safe:
 //!
-//! * **The program travels; what it determines does not.** An earlier
-//!   draft of this codec stored only the source text and re-parsed it at
-//!   decode time ("the source is the schema"), but the re-parse dominated
-//!   restore latency. The payload therefore carries the parsed [`Program`]
-//!   in wire form (intern tables, statement arena, block tree, label map)
-//!   next to the source text itself. Everything that follows from the
-//!   program alone is derived on decode, never stored: the flowgraph and
-//!   the lexical successor tree ([`Cfg::build`], [`LexSuccTree::build`])
-//!   and, for a warm record, the PDG — its factored data half
-//!   ([`DataDeps::compute`]) and its control half — the postdominator
-//!   tree and the sparse kernel's chain index. No stored copy can
-//!   disagree with the program. The source stays embedded because callers
-//!   that map snapshots by content hash must compare it against the
-//!   request's source byte-for-byte — that comparison, not the hash, is
-//!   what makes a key collision harmless.
+//! * **The program travels; what it determines does not.** The record
+//!   stores the parsed program because decoding it beats parsing its
+//!   source by 1.9–2.1× (EXPERIMENTS.md, "One builder (store format
+//!   7)"). Everything that follows from the program is built, never
+//!   stored: the decoder builds the flowgraph ([`Cfg::build`]), as a cold
+//!   load does, and [`crate::Analysis`] builds the postdominator tree, the
+//!   PDG, the lexical successor tree and the chain index on first use,
+//!   under its own phases, so a record holds nothing that could disagree
+//!   with its program. The source stays embedded because callers that map
+//!   snapshots by content hash must compare it against the request's
+//!   source byte-for-byte — that comparison, not the hash, is what makes
+//!   a key collision harmless.
 //! * **Decoding validates, never trusts.** Every count is bounded, every
 //!   index is range-checked, and the decoded program must pass
 //!   [`Program::from_parts`]'s audit (block-tree bijection, label
@@ -36,16 +33,13 @@
 //! The encoding is little-endian throughout: counts and indices as `u32`
 //! (`u32::MAX` = "none"), tags as single bytes, strings length-prefixed.
 
-use crate::sparse::ChainIndex;
 use crate::wire::{self, Reader};
-use crate::{AnalysisSeed, LexSuccTree, SlicePoint};
+use crate::{AnalysisSeed, SlicePoint};
 use jumpslice_cfg::Cfg;
-use jumpslice_dataflow::DataDeps;
 use jumpslice_lang::{
     BinOp, CaseGuard, Expr, Label, Name, Program, Stmt, StmtId, StmtKind, SwitchArm, UnOp,
     MAX_DEPTH,
 };
-use jumpslice_pdg::{ControlDeps, Pdg};
 use std::fmt;
 
 /// Why a snapshot payload was rejected. Every variant is a clean "rebuild
@@ -54,7 +48,7 @@ use std::fmt;
 pub enum SnapshotError {
     /// A field ended early, a count exceeded its bound, an index was out of
     /// range, the program section failed its audit, or trailing bytes
-    /// followed the presence word.
+    /// followed the program section.
     Malformed,
     /// The embedded source text is not UTF-8.
     BadSource,
@@ -72,47 +66,40 @@ impl fmt::Display for SnapshotError {
 impl std::error::Error for SnapshotError {}
 
 /// A decoded snapshot: the embedded source, its decoded program, and the
-/// restored artifacts ready for [`crate::Analysis::with_seed`].
+/// program's flowgraph, ready for [`crate::Analysis::with_seed`].
 #[derive(Debug)]
 pub struct Snapshot {
-    /// The program text the artifacts were computed from.
+    /// The program text the record was written for.
     pub source: String,
     /// The embedded program, decoded from its wire form (never re-parsed).
     /// For payloads produced by [`encode_snapshot`] this is equal to the
     /// parse of `source`, statement ids and all — parsing is deterministic
     /// and the encoder reads the parts straight off the parsed program.
     pub prog: Program,
-    /// The restored artifacts. The flowgraph and the lexical successor tree
-    /// are always present, derived from `prog`. The PDG, the postdominator
-    /// tree and the chain index are present when the record is warm: the
-    /// decoder derives them. Reaching definitions as IN sets are always
-    /// absent.
+    /// The flowgraph of `prog`, built by the decoder as a cold load builds
+    /// it. Every other field is `None`: the first analysis of the program
+    /// builds those artifacts when a request reads them.
     pub seed: AnalysisSeed,
 }
 
-/// The presence word's one bit: the analysis that wrote the record had
-/// built its PDG, so the decoder derives everything `warm()` forces.
-const WARM: u32 = 1;
-
-/// Serializes `seed` (with `source` and `prog` embedded) into a snapshot
-/// payload. `prog` must be the parse of `source` that the seed's
-/// artifacts were computed against. No artifact is written: the presence
-/// word records only whether the seed has a PDG, and the decoder derives
-/// every artifact from `prog`.
-pub fn encode_snapshot(source: &str, prog: &Program, seed: &AnalysisSeed) -> Vec<u8> {
+/// Serializes `prog`, with its source `source` embedded, into a snapshot
+/// payload. `prog` must be the parse of `source`. A record holds no
+/// artifact, so `_seed` is unused; the argument stays while jsbench's
+/// trace mirror (`jsbench/src/trace.rs`), which passes a session's seed,
+/// is still built against this signature.
+pub fn encode_snapshot(source: &str, prog: &Program, _seed: &AnalysisSeed) -> Vec<u8> {
     let mut out = Vec::new();
     wire::put_bytes(&mut out, source.as_bytes());
     encode_program(&mut out, prog);
-    wire::put_u32(&mut out, if seed.pdg.is_some() { WARM } else { 0 });
     out
 }
 
 /// Decodes a snapshot payload, validating the program section as
 /// [`Program::from_parts`] does (and its nesting against [`MAX_DEPTH`]),
-/// and derives the flowgraph and the lexical successor tree from the
-/// decoded program. A warm record also gets the PDG, the postdominator
-/// tree and the chain index, so the restored seed holds everything
-/// `warm()` forces. Any malformation is an error, not a panic; the caller
+/// and builds the decoded program's flowgraph, nothing more. Whether every
+/// statement can reach the exit is not checked here: the flowgraph records
+/// the verdict, and the session opened on the program refuses it as a
+/// cold load would. Any malformation is an error, not a panic; the caller
 /// is expected to fall back to a from-source build.
 pub fn decode_snapshot(bytes: &[u8]) -> Result<Snapshot, SnapshotError> {
     use SnapshotError::*;
@@ -121,43 +108,12 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<Snapshot, SnapshotError> {
         .map_err(|_| BadSource)?
         .to_owned();
     let prog = decode_program(&mut r)?;
-    let warm = match r.u32().ok_or(Malformed)? {
-        0 => false,
-        WARM => true,
-        _ => return Err(Malformed),
-    };
     if r.remaining() != 0 {
         return Err(Malformed);
     }
-
-    let cfg = Cfg::build(&prog);
-    let lst = LexSuccTree::build(&prog);
-    // Postdominators are undefined where a statement cannot reach the
-    // exit, and no analysis of such a program was ever warm.
-    if warm && !cfg.all_reach_exit() {
-        return Err(Malformed);
-    }
-    let (pdom, pdg, chain_index) = if warm {
-        let pdom = cfg.postdominators();
-        let data = DataDeps::compute(&prog, &cfg);
-        let control = ControlDeps::compute_with_pdom(&prog, &cfg, &pdom);
-        let chain = ChainIndex::build(&prog, &cfg, &pdom, || &lst);
-        (
-            Some(pdom),
-            Some(Pdg::from_parts(data, control)),
-            Some(chain),
-        )
-    } else {
-        (None, None, None)
-    };
-
     let seed = AnalysisSeed {
-        cfg: Some(cfg),
-        pdom,
-        pdg,
-        lst: Some(lst),
-        reaching: None,
-        chain_index,
+        cfg: Some(Cfg::build(&prog)),
+        ..AnalysisSeed::default()
     };
     Ok(Snapshot { source, prog, seed })
 }
@@ -228,6 +184,13 @@ fn put_stmt_ids(out: &mut Vec<u8>, ids: &[StmtId]) {
     wire::put_len(out, ids.len());
     for &s in ids {
         wire::put_len(out, s.index());
+    }
+}
+
+fn put_opt_stmt(out: &mut Vec<u8>, s: SlicePoint) {
+    match s {
+        Some(t) => wire::put_len(out, t.index()),
+        None => wire::put_u32(out, u32::MAX),
     }
 }
 
@@ -537,21 +500,12 @@ fn raw_opt_stmt(r: &mut Reader<'_>) -> Result<SlicePoint, SnapshotError> {
     })
 }
 
-// ---- artifact sections -------------------------------------------------
-
-fn put_opt_stmt(out: &mut Vec<u8>, s: SlicePoint) {
-    match s {
-        Some(t) => wire::put_len(out, t.index()),
-        None => wire::put_u32(out, u32::MAX),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::{
         agrawal_slice, conservative_slice, conventional_slice, structured_slice, Analysis,
-        AnalysisStats, Criterion,
+        Criterion,
     };
     use jumpslice_lang::{parse, print_program};
 
@@ -577,9 +531,9 @@ L14: write(positives);";
         encode_snapshot(src, &prog, &seed)
     }
 
-    /// A payload prefix that is valid through the program section, for
-    /// crafting targeted suffixes.
-    fn valid_prefix(src: &str) -> Vec<u8> {
+    /// The whole payload of `src`, written field by field: the source, then
+    /// the program section.
+    fn program_record(src: &str) -> Vec<u8> {
         let prog = parse(src).unwrap();
         let mut out = Vec::new();
         wire::put_bytes(&mut out, src.as_bytes());
@@ -587,12 +541,11 @@ L14: write(positives);";
         out
     }
 
-    /// The tentpole's core promise, at codec level: a decoded snapshot
-    /// yields the same slices as a fresh analysis for every slicer, and the
-    /// restored analysis performs **zero** artifact builds even after
-    /// `warm()` — the restart genuinely skips the fixpoints.
+    /// A decoded snapshot yields the same slices as a fresh analysis for
+    /// every slicer. The decoder builds only the flowgraph, so the restored
+    /// analysis builds what the fresh one builds, once each.
     #[test]
-    fn round_trip_restores_slices_without_any_rebuild() {
+    fn round_trip_restores_the_slices_of_a_fresh_analysis() {
         for (src, line) in [(GOTO_SRC, 8), (DOWHILE_SRC, 7), (STRUCTURED_SRC, 4)] {
             let bytes = warm_snapshot(src);
             let snap = decode_snapshot(&bytes).expect("well-formed snapshot");
@@ -601,13 +554,6 @@ L14: write(positives);";
             assert_eq!(snap.prog, parse(src).unwrap(), "{src:?}");
 
             let restored = Analysis::with_seed(&snap.prog, snap.seed);
-            restored.warm();
-            assert_eq!(
-                restored.stats(),
-                AnalysisStats::default(),
-                "restored analysis must not recompute anything ({src:?})"
-            );
-
             let fresh_prog = parse(src).unwrap();
             let fresh = Analysis::new(&fresh_prog);
             let crit = Criterion::at_stmt(fresh_prog.at_line(line));
@@ -628,55 +574,42 @@ L14: write(positives);";
                 structured_slice(&restored, &rcrit),
                 structured_slice(&fresh, &crit)
             );
+            assert_eq!(restored.stats(), fresh.stats(), "{src:?}");
         }
     }
 
-    /// Artifacts that were never forced stay absent through the round trip
-    /// (the presence bitmap, not padding, carries the schema). The flowgraph
-    /// and the lexical successor tree are derived from the program on
-    /// decode, so they are always present. Only a PDG makes a record warm:
-    /// an analysis that forced only the postdominator tree leaves a seed
-    /// that encodes as a program-only record.
+    /// A record is its source and its program section, whatever the
+    /// analysis that wrote it had built, and the decoded seed holds the
+    /// flowgraph only.
     #[test]
-    fn partial_seeds_round_trip_their_presence() {
-        let prog = parse(GOTO_SRC).unwrap();
-        let a = Analysis::new(&prog);
-        let _ = a.pdom(); // force exactly one artifact
-        let seed = a.into_seed();
-        let bytes = encode_snapshot(GOTO_SRC, &prog, &seed);
-        let mut program_only = valid_prefix(GOTO_SRC);
-        wire::put_u32(&mut program_only, 0);
-        assert_eq!(bytes, program_only);
-        let snap = decode_snapshot(&bytes).unwrap();
-        assert!(snap.seed.reaching.is_none());
-        assert!(snap.seed.pdg.is_none());
-        assert!(snap.seed.pdom.is_none());
-        assert!(snap.seed.chain_index.is_none());
-        assert!(snap.seed.cfg.is_some(), "the flowgraph is always derived");
-        assert!(snap.seed.lst.is_some(), "and so is the LST");
+    fn records_carry_only_their_source_and_program() {
+        for src in [GOTO_SRC, DOWHILE_SRC, STRUCTURED_SRC] {
+            let prog = parse(src).unwrap();
+            let cold = encode_snapshot(src, &prog, &Analysis::new(&prog).into_seed());
+            assert_eq!(cold, program_record(src), "{src}");
+            assert_eq!(warm_snapshot(src), cold, "{src}");
+            let seed = decode_snapshot(&cold).unwrap().seed;
+            assert!(seed.cfg.is_some(), "the decoder builds the flowgraph");
+            assert_eq!(seed.reused_phases(), 0, "{src}");
+            assert!(seed.chain_index.is_none() && seed.reaching.is_none());
+        }
     }
 
-    /// A restored analysis computes nothing under `warm()`: the decoder
-    /// derived the PDG. A `vars_at` slice reads its criterion's nearest
-    /// definitions or φs from the PDG's data half, so it builds nothing
-    /// either, and answers as a fresh analysis does.
+    /// A `vars_at` slice on a restored analysis reads its criterion's
+    /// nearest definitions or φs from the data half the analysis builds,
+    /// and answers as a fresh analysis does.
     #[test]
-    fn restored_analyses_answer_vars_slices_without_solving() {
-        let bytes = warm_snapshot(GOTO_SRC);
-        let snap = decode_snapshot(&bytes).unwrap();
-        assert!(snap.seed.reaching.is_none(), "no record carries them");
+    fn restored_analyses_answer_vars_slices_as_fresh_ones() {
+        let snap = decode_snapshot(&warm_snapshot(GOTO_SRC)).unwrap();
         let a = Analysis::with_seed(&snap.prog, snap.seed);
-        a.warm();
-        assert!(a.is_warm());
-        assert_eq!(a.stats(), AnalysisStats::default());
         let positives = snap.prog.name("positives").unwrap();
         let crit = Criterion::vars_at(snap.prog.at_line(8), vec![positives]);
         let fresh_prog = parse(GOTO_SRC).unwrap();
         let fresh = Analysis::new(&fresh_prog);
         for _ in 0..2 {
             assert_eq!(agrawal_slice(&a, &crit), agrawal_slice(&fresh, &crit));
-            assert_eq!(a.stats(), AnalysisStats::default());
         }
+        assert_eq!(a.stats(), fresh.stats());
     }
 
     /// Truncation at every prefix length is an error, never a panic — the
@@ -693,8 +626,10 @@ L14: write(positives);";
         }
     }
 
+    /// Nothing may follow the program section: not a stray byte, and not
+    /// the presence word that format 6 wrote there.
     #[test]
-    fn trailing_garbage_and_unknown_presence_bits_are_rejected() {
+    fn trailing_bytes_are_rejected() {
         let mut bytes = warm_snapshot(GOTO_SRC);
         bytes.push(0);
         assert_eq!(
@@ -702,12 +637,14 @@ L14: write(positives);";
             Some(SnapshotError::Malformed)
         );
 
-        let mut crafted = valid_prefix(STRUCTURED_SRC);
-        wire::put_u32(&mut crafted, 1 << 31);
-        assert_eq!(
-            decode_snapshot(&crafted).err(),
-            Some(SnapshotError::Malformed)
-        );
+        for word in [0, 1] {
+            let mut format6 = program_record(STRUCTURED_SRC);
+            wire::put_u32(&mut format6, word);
+            assert_eq!(
+                decode_snapshot(&format6).err(),
+                Some(SnapshotError::Malformed)
+            );
+        }
     }
 
     #[test]
@@ -827,71 +764,33 @@ L14: write(positives);";
                 Program::from_parts(stmts, vec![StmtId::from_index(0)], vec![], vec![], vec![])
                     .expect("a well-formed nest");
             assert_eq!(prog.structure().depth(), depth);
-            let a = Analysis::new(&prog);
-            a.warm();
-            encode_snapshot("", &prog, &a.into_seed())
+            encode_snapshot("", &prog, &AnalysisSeed::default())
         };
         let snap = decode_snapshot(&nest(MAX_DEPTH)).expect("a nest at the bound decodes");
-        assert!(snap.seed.chain_index.is_some());
+        let a = Analysis::with_seed(&snap.prog, snap.seed);
+        a.warm();
+        assert_eq!(a.stats().chain_index_builds, 1, "and analyzes");
         assert_eq!(
             decode_snapshot(&nest(MAX_DEPTH + 1)).err(),
             Some(SnapshotError::Malformed)
         );
     }
 
-    /// A warm record carries its program and the presence word, nothing
-    /// else; the decoder derives the postdominator tree, the PDG (its
-    /// factored data half and its control half) and the chain index, equal
-    /// to the encoder's.
+    /// The decoder refuses no program for failing to reach the exit: the
+    /// flowgraph it builds records the verdict, and the session opened on
+    /// the program refuses it, as a cold load's does.
     #[test]
-    fn warm_records_carry_only_their_program() {
-        for src in [GOTO_SRC, DOWHILE_SRC, STRUCTURED_SRC] {
-            let bytes = warm_snapshot(src);
-            let at = valid_prefix(src).len();
-            assert_eq!(bytes[at..], WARM.to_le_bytes());
-            let prog = parse(src).unwrap();
-            let a = Analysis::new(&prog);
-            a.warm();
-            let fresh = a.into_seed();
-            let snap = decode_snapshot(&bytes).unwrap();
-            assert_eq!(snap.seed.chain_index, fresh.chain_index, "{src}");
-            let (pdom, got) = (fresh.pdom.unwrap(), snap.seed.pdom.unwrap());
-            for i in 0..pdom.num_nodes() {
-                let n = jumpslice_graph::NodeId::new(i);
-                assert_eq!(got.idom(n), pdom.idom(n), "{src}");
-            }
-            let (pdg, got) = (fresh.pdg.unwrap(), snap.seed.pdg.unwrap());
-            for s in prog.stmt_ids() {
-                assert_eq!(got.control().deps(s), pdg.control().deps(s), "{src}");
-                assert_eq!(got.data().deps(s), pdg.data().deps(s), "{src}");
-            }
-        }
-    }
-
-    /// A warm record of a program whose statements cannot all reach the
-    /// exit comes from no analysis: postdominators are undefined there.
-    #[test]
-    fn warm_records_of_an_unanalyzable_program_are_malformed() {
+    fn records_of_an_unanalyzable_program_decode_with_their_verdict() {
         let src = "L: x = x + 1; goto L; write(x);";
         let prog = parse(src).unwrap();
-        let cfg = Cfg::build(&prog);
-        let seed = AnalysisSeed {
-            pdg: Some(Pdg::from_parts(
-                DataDeps::compute(&prog, &cfg),
-                ControlDeps::compute(&prog, &cfg),
-            )),
-            ..AnalysisSeed::default()
-        };
-        assert_eq!(
-            decode_snapshot(&encode_snapshot(src, &prog, &seed)).err(),
-            Some(SnapshotError::Malformed)
-        );
-        assert!(decode_snapshot(&encode_snapshot(src, &prog, &AnalysisSeed::default())).is_ok());
+        let snap = decode_snapshot(&encode_snapshot(src, &prog, &AnalysisSeed::default()))
+            .expect("the program section is well formed");
+        assert_eq!(snap.prog, prog);
+        assert!(!snap.seed.cfg.expect("the flowgraph").all_reach_exit());
     }
 
-    /// Every one-word rewrite past the embedded source of a warm record
-    /// (Figure 3's, and a do-while that ends in `break` and holds a
-    /// `goto`) is refused, or decodes to an unanalyzable program, or
+    /// Every one-word rewrite of a record's program section (Figure 3's,
+    /// and a do-while that ends in `break` and holds a `goto`) is refused, or decodes to an unanalyzable program, or
     /// decodes to a session that answers Figures 7, 12 and 13 at every
     /// line. A rewritten program may slice differently from its source (the
     /// store's checksum guards their fidelity), but no rewrite may panic or
@@ -924,11 +823,10 @@ L14: write(positives);";
         }
     }
 
-    /// A payload that is well framed, with no artifact sections, but whose
-    /// program no parse could produce: `break; write(1);`, a top-level
-    /// break. The program section fails `Program::from_parts`, so the
-    /// payload is malformed; the same payload with a `;` in the break's
-    /// place decodes.
+    /// A payload that is well framed but whose program no parse could
+    /// produce: `break; write(1);`, a top-level break. The program section
+    /// fails `Program::from_parts`, so the payload is malformed; the same
+    /// payload with a `;` in the break's place decodes.
     #[test]
     fn program_with_a_top_level_break_is_malformed() {
         let payload = |first: StmtKind| {
@@ -947,7 +845,6 @@ L14: write(positives);";
                 encode_stmt(&mut out, &s);
             }
             put_stmt_ids(&mut out, &[StmtId::from_index(0), StmtId::from_index(1)]);
-            wire::put_u32(&mut out, 0); // no artifact sections
             out
         };
         assert_eq!(
@@ -955,21 +852,5 @@ L14: write(positives);";
             SnapshotError::Malformed
         );
         assert!(decode_snapshot(&payload(StmtKind::Skip)).is_ok());
-    }
-
-    /// An empty-but-valid suffix (no artifacts) decodes to a seed holding
-    /// only what the decoder derives (the flowgraph, and the LST, the one
-    /// lazy artifact it counts); the engine then pays the other lazy
-    /// builds, no worse than a cache miss.
-    #[test]
-    fn artifact_free_snapshot_is_valid() {
-        let mut crafted = valid_prefix(STRUCTURED_SRC);
-        wire::put_u32(&mut crafted, 0);
-        let snap = decode_snapshot(&crafted).unwrap();
-        assert_eq!(snap.seed.reused_phases(), 1);
-        assert!(snap.seed.lst.is_some());
-        let a = Analysis::with_seed(&snap.prog, snap.seed);
-        let crit = Criterion::at_stmt(snap.prog.at_line(4));
-        assert!(!agrawal_slice(&a, &crit).stmts.is_empty());
     }
 }

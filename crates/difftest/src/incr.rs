@@ -3,8 +3,8 @@
 //! [`jumpslice_incr::EditSession`] promises one thing: slicing through a
 //! session after any sequence of edits is *identical* to slicing a freshly
 //! analyzed copy of the edited program — every registered slicer, every
-//! criterion, no matter which fast path (expression patch, seeded re-solve,
-//! full rebuild) each edit took. This module fuzzes exactly that contract:
+//! criterion, whichever path (expression patch, or a reset labelled
+//! `seeded_resolve` or `full_rebuild`) each edit took. This module fuzzes exactly that contract:
 //! seeded programs from the same three families as the projection fuzzer,
 //! random edit scripts from [`jumpslice_incr::random_edit`], and after
 //! **every accepted edit** a full equality sweep of all eight slicers
@@ -121,9 +121,11 @@ pub struct IncrReport {
     pub edits_rejected: usize,
     /// Accepted edits that took the expression-patch fast path.
     pub expr_patches: usize,
-    /// Accepted edits that took the seeded re-solve path.
+    /// Accepted edits that reset the session under the `seeded_resolve`
+    /// label (inserts, and deletes of simple statements).
     pub seeded_resolves: usize,
-    /// Accepted edits that fell back to a full rebuild.
+    /// Accepted edits that reset the session under the `full_rebuild`
+    /// label.
     pub full_rebuilds: usize,
     /// (slicer, criterion) identity comparisons executed.
     pub comparisons: usize,
@@ -448,8 +450,8 @@ mod tests {
         };
         let report = run_incrtest(&cfg);
         // Across 30 scripts the generator's 40% expression-replacement
-        // weight must hit the patch path, and inserts/deletes the seeded
-        // path — otherwise the fuzzer is exercising nothing but rebuilds.
+        // weight must hit the patch path, and inserts/deletes and toggles
+        // both reset labels — otherwise the fuzzer skips an edit kind.
         assert!(report.expr_patches > 0, "{report:?}");
         assert!(report.seeded_resolves > 0, "{report:?}");
         assert!(report.full_rebuilds > 0, "{report:?}");

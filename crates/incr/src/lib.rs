@@ -1,16 +1,16 @@
 //! Incremental edit-and-reslice sessions.
 //!
 //! Serving slices interactively means the expensive analyses — the PDG
-//! with its factored data half, postdominators, the LST — must survive
-//! small program edits instead of being recomputed
-//! from scratch after each one. This crate adds that layer on top of the
-//! per-program caching of [`jumpslice_core::Analysis`]: an [`EditSession`]
-//! owns a program and its warm artifacts, accepts edits from a small edit
-//! language expressed against [`jumpslice_lang::StmtPath`]s, computes what
-//! each edit dirties, and selectively patches the PDG's data half or
-//! rebuilds it. Structure-changing
-//! edits fall back to a full rebuild — explicitly, and counted, so tests
-//! can assert exactly when the fast paths engaged.
+//! with its factored data half, postdominators, the LST — should survive
+//! small program edits where they stay valid. This crate adds that layer
+//! on top of the per-program caching of [`jumpslice_core::Analysis`]: an
+//! [`EditSession`] owns a program and its warm artifacts and accepts edits
+//! from a small edit language expressed against
+//! [`jumpslice_lang::StmtPath`]s. An expression replacement patches the
+//! PDG's data half in place; every other edit resets the session to the
+//! edited program's flowgraph, and the next analysis rebuilds the rest —
+//! explicitly, and counted, so tests can assert exactly when the patch
+//! engaged.
 //!
 //! The correctness contract is blunt: **slicing through a session after
 //! any sequence of edits is identical to slicing a freshly analyzed copy

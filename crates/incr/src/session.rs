@@ -2,30 +2,25 @@
 //!
 //! An [`EditSession`] owns a program together with the analysis artifacts
 //! computed for it so far, applies edits from the edit language, and keeps
-//! whatever the edit left valid instead of recomputing it. Three paths,
-//! from cheapest to priciest:
+//! whatever the edit left valid instead of recomputing it. Two paths:
 //!
 //! * **Expression patch** — a [`Edit::ReplaceExpr`] changes the *uses* of
 //!   one statement and nothing else: ids, flowgraph shape, definitions,
 //!   postdominators, control dependence, the φs and the LST all survive.
 //!   Only the edited statement's uses are re-read, in place: each its
 //!   nearest definition or φ up the dominator tree.
-//! * **Seeded re-solve** — inserting or deleting one simple, unlabeled,
-//!   non-jump statement shifts ids and splices the flowgraph, so the
-//!   structural artifacts are rebuilt eagerly, each linear in the program:
-//!   the postdominator tree, shared by the control half, and the factored
-//!   data half ([`jumpslice_dataflow::DataDeps::compute`]). No
-//!   reaching-definitions fixpoint runs. The wire keeps calling this path
-//!   `"seeded_resolve"`.
-//! * **Full rebuild** — anything that changes jump structure (toggles,
-//!   edits to labeled or compound or jump statements) falls back to
-//!   recomputing everything. The fallback is counted, so tests can assert
-//!   exactly when the fast paths were taken.
+//! * **Reset** — every other edit shifts ids or changes jump structure, so
+//!   the session keeps only the edited program's flowgraph, as a cold load
+//!   does, and the next analysis builds everything else on use, under its
+//!   own phases. A reset is counted as a fallback. Its label tells the
+//!   edits apart for the wire: an insert, or the delete of a simple,
+//!   unlabeled, non-jump statement, is [`ApplyPath::SeededResolve`]
+//!   (`"seeded_resolve"`), and anything else [`ApplyPath::FullRebuild`].
 //!
-//! Neither fast path reads anything a snapshot lacks, so a session
-//! restored from one edits exactly as a cold one.
+//! A session restored from a snapshot holds what a cold one holds, so it
+//! edits exactly as a cold one.
 //!
-//! The invariant behind all three: after every `apply`, slicing through
+//! The invariant behind both paths: after every `apply`, slicing through
 //! the session is **identical** to slicing a freshly analyzed copy of the
 //! edited program. `difftest --mode incr` fuzzes exactly this.
 
@@ -33,22 +28,20 @@ use crate::apply::{apply_edit, Applied};
 use crate::edit::{Edit, EditError};
 use jumpslice_cfg::Cfg;
 use jumpslice_core::{Analysis, AnalysisSeed};
-use jumpslice_dataflow::DataDeps;
 use jumpslice_lang::{Program, StmtId};
 use jumpslice_obs as obs;
-use jumpslice_pdg::{ControlDeps, Pdg};
 
-/// Which invalidation path an accepted edit took.
+/// Which invalidation path an accepted edit took. The two reset labels
+/// take the same path and differ only in what the wire reports.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ApplyPath {
     /// Everything reused; the edited statement's uses re-read.
     ExprPatch,
-    /// Structural artifacts rebuilt eagerly: the postdominator tree and the
-    /// PDG, its data half by φ placement and renaming over the edited
-    /// flowgraph, with no reaching-definitions fixpoint. The wire protocol
-    /// calls this path `"seeded_resolve"`.
+    /// A reset after an insert, or after the delete of a simple,
+    /// unlabeled, non-jump statement. The wire protocol reports it as
+    /// `"seeded_resolve"`.
     SeededResolve,
-    /// Explicit fallback: every artifact recomputed lazily from scratch.
+    /// A reset after any other edit that is not an expression patch.
     FullRebuild,
 }
 
@@ -59,9 +52,9 @@ pub struct IncrStats {
     pub edits: usize,
     /// Edits that took [`ApplyPath::ExprPatch`].
     pub expr_patches: usize,
-    /// Edits that took [`ApplyPath::SeededResolve`].
+    /// Resets labelled [`ApplyPath::SeededResolve`].
     pub seeded_resolves: usize,
-    /// Edits that fell back to [`ApplyPath::FullRebuild`].
+    /// Resets labelled [`ApplyPath::FullRebuild`].
     pub full_rebuilds: usize,
     /// Edits rejected with an [`EditError`] (session state unchanged).
     pub rejected: usize,
@@ -73,16 +66,12 @@ pub struct EditOutcome {
     /// The invalidation path taken.
     pub path: ApplyPath,
     /// The size of the edit's dirty region, as the wire protocol reports
-    /// it: the edit site for an expression patch, the edit site plus every
-    /// definition of an inserted definition's variable for a seeded
-    /// re-solve (a deletion counts only its site), and the whole program
-    /// for a full rebuild.
+    /// it: 1, the edit site, for an expression patch, and the edited
+    /// program's length for a reset.
     pub dirty_stmts: usize,
-    /// Analysis phases the next analysis finds built because the session
-    /// had them before the edit (of the three lazy ones a seed carries:
-    /// PDG, postdominators, LST): all three after an expression patch, and
-    /// the PDG, rebuilt in the edit, after a seeded re-solve. Phases never
-    /// forced before the edit are not counted.
+    /// Phases the next analysis finds built (of the three lazy ones a seed
+    /// carries: PDG, postdominators, LST): after an expression patch, each
+    /// one the session had built before the edit, and none after a reset.
     pub reused_phases: usize,
     /// New id of the statement the edit produced or modified (`None` for a
     /// deletion).
@@ -124,26 +113,15 @@ impl EditSession {
     /// exit (postdominators, and with them every jump-aware slicer, are
     /// undefined for such programs).
     pub fn try_new(prog: Program) -> Result<EditSession, EditError> {
-        let cfg = Cfg::build(&prog);
-        if !cfg.all_reach_exit() {
-            return Err(EditError::Unanalyzable);
-        }
-        Ok(EditSession {
-            prog,
-            seed: AnalysisSeed {
-                cfg: Some(cfg),
-                ..AnalysisSeed::default()
-            },
-            stats: IncrStats::default(),
-        })
+        EditSession::try_with_seed(prog, AnalysisSeed::default())
     }
 
-    /// Opens a session on `prog` with analysis artifacts restored from a
-    /// snapshot (or any other trusted out-of-band source). The seed's
-    /// correctness contract is [`AnalysisSeed`]'s: every artifact present
-    /// must match `prog`. A seed without a flowgraph gets one built here,
-    /// under the same unanalyzable-program check as
-    /// [`try_new`](EditSession::try_new).
+    /// Opens a session on `prog` with the artifacts in `seed`: a decoded
+    /// snapshot's flowgraph, or any other trusted out-of-band source. The
+    /// seed's correctness contract is [`AnalysisSeed`]'s: every artifact
+    /// present must match `prog`. A seed without a flowgraph gets one built
+    /// here. Either way the session refuses an unanalyzable program, as
+    /// [`try_new`](EditSession::try_new) does.
     ///
     /// # Errors
     ///
@@ -166,8 +144,7 @@ impl EditSession {
     }
 
     /// The artifacts currently valid for the session's program — whatever
-    /// the last [`with_analysis`](EditSession::with_analysis) run forced
-    /// (the snapshot store serializes this after warming).
+    /// the last [`with_analysis`](EditSession::with_analysis) run forced.
     pub fn seed(&self) -> &AnalysisSeed {
         &self.seed
     }
@@ -214,11 +191,9 @@ impl EditSession {
             return Err(EditError::Unanalyzable);
         }
 
-        let path = self.classify(edit, &applied);
-        let outcome = match path {
+        let outcome = match self.classify(edit, &applied) {
             ApplyPath::ExprPatch => self.patch_expr(applied, new_cfg),
-            ApplyPath::SeededResolve => self.seeded_resolve(edit, applied, new_cfg),
-            ApplyPath::FullRebuild => self.full_rebuild(applied, new_cfg),
+            path => self.reset(path, applied, new_cfg),
         };
 
         self.stats.edits += 1;
@@ -237,16 +212,16 @@ impl EditSession {
         });
         obs::record(|| obs::Event::Count {
             name: match outcome.path {
-                ApplyPath::FullRebuild => "incr.fallback",
-                _ => "incr.fast_path",
+                ApplyPath::ExprPatch => "incr.fast_path",
+                _ => "incr.fallback",
             },
             value: 1,
         });
         Ok(outcome)
     }
 
-    /// Picks the invalidation path for an edit that already applied
-    /// cleanly.
+    /// Picks the invalidation path, and for a reset its wire label, for an
+    /// edit that already applied cleanly.
     fn classify(&self, edit: &Edit, applied: &Applied) -> ApplyPath {
         match edit {
             Edit::ReplaceExpr { .. } if applied.map.is_identity() => ApplyPath::ExprPatch,
@@ -255,8 +230,8 @@ impl EditSession {
             Edit::ReplaceExpr { .. } => ApplyPath::FullRebuild,
             Edit::InsertStmt { .. } => ApplyPath::SeededResolve,
             Edit::DeleteStmt { at } => {
-                // Fast path only for a simple, unlabeled, non-jump victim:
-                // those leave label structure and jump topology alone.
+                // A simple, unlabeled, non-jump victim leaves label
+                // structure and jump topology alone.
                 match at.resolve(&self.prog) {
                     Some(t) => {
                         let s = self.prog.stmt(t);
@@ -294,55 +269,9 @@ impl EditSession {
         }
     }
 
-    /// [`ApplyPath::SeededResolve`]: rebuild the structural artifacts, and
-    /// the PDG when the session had one, over the edited flowgraph.
-    fn seeded_resolve(&mut self, edit: &Edit, applied: Applied, new_cfg: Cfg) -> EditOutcome {
-        let Applied { prog, touched, .. } = applied;
-        let old = std::mem::take(&mut self.seed);
-        // The wire's dirty region: an inserted definition dirties every
-        // definition of its variable.
-        let dirty_sites = match (edit, touched.and_then(|t| prog.defs(t))) {
-            (Edit::InsertStmt { .. }, Some(v)) => {
-                prog.stmt_ids().filter(|&s| prog.defs(s) == Some(v)).count()
-            }
-            _ => 0,
-        };
-
-        // The splice changed the flowgraph, so postdominators and control
-        // dependence are rebuilt; the tree is built once here and shared
-        // between the control dependence walk and the analysis cache.
-        let (pdg, pdom) = match old.pdg {
-            Some(old_pdg) => {
-                drop(old_pdg);
-                let pdom = new_cfg.postdominators();
-                let data = DataDeps::compute(&prog, &new_cfg);
-                let control = ControlDeps::compute_with_pdom(&prog, &new_cfg, &pdom);
-                (Some(Pdg::from_parts(data, control)), Some(pdom))
-            }
-            None => (None, None),
-        };
-        let reused = usize::from(pdg.is_some());
-
-        self.prog = prog;
-        self.seed = AnalysisSeed {
-            cfg: Some(new_cfg),
-            pdom,
-            lst: None, // lexical positions shifted: recompute lazily
-            pdg,
-            reaching: None,
-            // The chain index embeds LST chains, so it shifted too.
-            chain_index: None,
-        };
-        EditOutcome {
-            path: ApplyPath::SeededResolve,
-            dirty_stmts: 1 + dirty_sites,
-            reused_phases: reused,
-            touched,
-        }
-    }
-
-    /// [`ApplyPath::FullRebuild`]: the counted fallback.
-    fn full_rebuild(&mut self, applied: Applied, new_cfg: Cfg) -> EditOutcome {
+    /// Both reset labels: keep the edited program's flowgraph and nothing
+    /// else, as [`try_new`](EditSession::try_new) does.
+    fn reset(&mut self, path: ApplyPath, applied: Applied, new_cfg: Cfg) -> EditOutcome {
         let dirty = applied.prog.len();
         self.prog = applied.prog;
         self.seed = AnalysisSeed {
@@ -350,7 +279,7 @@ impl EditSession {
             ..AnalysisSeed::default()
         };
         EditOutcome {
-            path: ApplyPath::FullRebuild,
+            path,
             dirty_stmts: dirty,
             reused_phases: 0,
             touched: applied.touched,
@@ -419,23 +348,32 @@ mod tests {
         assert_matches_scratch(&mut s);
     }
 
+    /// An insert and the delete of a simple statement reset the session
+    /// under the `seeded_resolve` label: the whole program is dirty,
+    /// nothing is reused, and each counts as a fallback.
     #[test]
-    fn insert_and_delete_take_the_seeded_path() {
+    fn insert_and_delete_reset_under_the_seeded_label() {
         let p = parse("x = 1; while (x < 9) { x = x + 2; } write(x);").unwrap();
         let mut s = EditSession::new(p);
         s.with_analysis(|a| a.warm());
 
-        let out = s
-            .apply(&Edit::InsertStmt {
+        let (out, events) = obs::capture(|| {
+            s.apply(&Edit::InsertStmt {
                 at: StmtPath::root(1),
                 stmt: NewStmt::Assign {
                     var: "x".into(),
                     rhs: EditExpr::Num(0),
                 },
             })
-            .unwrap();
+        });
+        let out = out.unwrap();
         assert_eq!(out.path, ApplyPath::SeededResolve);
-        assert_eq!(out.reused_phases, 1, "the PDG was rebuilt in the edit");
+        assert_eq!(out.dirty_stmts, s.prog().len());
+        assert_eq!(out.reused_phases, 0);
+        assert_eq!(s.seed().reused_phases(), 0);
+        let counts = obs::Metrics::of(&events).counts;
+        assert_eq!(counts.get("incr.fallback"), Some(&1));
+        assert_eq!(counts.get("incr.fast_path"), None);
         assert_matches_scratch(&mut s);
 
         // Delete the statement we just inserted.
@@ -445,6 +383,7 @@ mod tests {
             })
             .unwrap();
         assert_eq!(out.path, ApplyPath::SeededResolve);
+        assert_eq!(out.dirty_stmts, s.prog().len());
         assert_matches_scratch(&mut s);
         assert_eq!(s.stats().seeded_resolves, 2);
         assert_eq!(s.stats().full_rebuilds, 0);

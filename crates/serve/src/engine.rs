@@ -10,11 +10,13 @@
 //! # The persistent snapshot tier
 //!
 //! With [`Engine::with_store`], a [`SnapshotStore`] becomes a second
-//! cache tier below the in-memory [`AnalysisCache`]. A `load` whose key
-//! has a record on disk restores the parsed program and every persisted
-//! analysis artifact without recomputing them (`"restored": true` in the
-//! response); every successful `slice` writes the warm analysis behind
-//! the response so the *next* process start is the one that benefits.
+//! cache tier below the in-memory [`AnalysisCache`]. A record holds a
+//! program's source and its parsed form. A `load` whose key has a record
+//! on disk decodes the program instead of parsing the source
+//! (`"restored": true` in the response) and opens the session a cold load
+//! opens; the first request that reads the analysis builds it, as after a
+//! cold load. Every successful `slice` writes its program's record behind
+//! the response, so the *next* process start is the one that benefits.
 //! Anything wrong with a record — version skew, truncation, bit rot, an
 //! FNV collision, a payload the current decoder rejects — falls back to
 //! the ordinary from-source build and is counted
@@ -194,8 +196,8 @@ impl Engine {
                 deadline_ms,
             } => self.with_entry(program, |this, entry| {
                 let out = this.slice(entry, &algo, &criteria, deadline_ms)?;
-                // The slice warmed every artifact the snapshot format
-                // persists, so this is the cheapest moment to write behind.
+                // A program that has served a slice is worth a record: the
+                // next process can then skip its parse.
                 this.store_save(program, entry);
                 Ok(out)
             }),
@@ -346,11 +348,11 @@ impl Engine {
         ])
     }
 
-    /// Probes the snapshot store for `key` and rebuilds a session from the
-    /// persisted artifacts. Any failure past the record layer — payload
-    /// that no longer decodes, an FNV collision (embedded source differs
-    /// from the request's), a snapshot of a program the current analyzer
-    /// rejects — is counted as `store.corrupt_fallback` and answered with
+    /// Probes the snapshot store for `key` and opens a session on the
+    /// decoded program. Any failure past the record layer — payload that
+    /// no longer decodes, an FNV collision (embedded source differs from
+    /// the request's), a program whose statements cannot all reach the
+    /// exit — is counted as `store.corrupt_fallback` and answered with
     /// `None`, which sends the caller down the ordinary from-source path.
     fn restore(&self, key: u64, source: &str) -> Option<EditSession> {
         let store = self.store.as_ref()?;
@@ -394,8 +396,8 @@ impl Engine {
         }
     }
 
-    /// Write-behind: persist the warm analysis after a served slice. Best
-    /// effort — an I/O failure costs the next cold start, not this
+    /// Write-behind: persist the program's record after a served slice.
+    /// Best effort — an I/O failure costs the next cold start, not this
     /// response. Skips keys already on disk (content-addressed records
     /// never change, so the first write is the only one needed).
     fn store_save(&self, key: u64, entry: &Entry) {
@@ -468,9 +470,8 @@ impl Engine {
             Some(SliceFault::None) | None => None,
         };
         let attempt = entry.session.with_analysis(|a| {
-            // Everything Figures 7, 12 and 13 read, so the write-behind
-            // snapshot is a warm record. A request runs on
-            // one thread, cold warm included: concurrency lives across
+            // Everything Figures 7, 12 and 13 read. A request runs on one
+            // thread, cold warm included: concurrency lives across
             // requests, not within one.
             a.warm();
             BatchSlicer::new(a)
@@ -594,10 +595,10 @@ mod tests {
     }
 
     /// Every daemon slice equals the Figure-7 slice of a fresh analysis:
-    /// after a cold load, and after an edit down each of the three
-    /// invalidation paths (a jump toggle rebuilds, an insert re-solves
-    /// seeded, an expression replacement patches the PDG and its
-    /// condensation in place).
+    /// after a cold load, and after an edit under each of the three wire
+    /// labels (a jump toggle and an insert reset the session, an
+    /// expression replacement patches the PDG and its condensation in
+    /// place).
     #[test]
     fn slices_after_every_invalidation_path_match_a_fresh_analysis() {
         fn fig7_lines(prog: &Program) -> Vec<String> {
@@ -897,9 +898,9 @@ mod tests {
         assert_eq!(resp.get("restored").and_then(Json::as_bool), Some(true));
         assert_eq!(slice_lines(&warm, &key, 4), lines_cold);
 
-        // The restored session derives its flowgraph and lexical successor
-        // tree from the decoded program. Every algorithm, a chop and an
-        // explanation must answer as a fresh engine's do.
+        // The restored session builds its analysis from the decoded
+        // program. Every algorithm, a chop and an explanation must answer
+        // as a fresh engine's do.
         let fresh = Engine::new(usize::MAX);
         assert_eq!(load(&fresh, &src), key);
         let mut requests: Vec<String> = ["fig7", "fig12", "fig13", "conventional"]
@@ -976,9 +977,10 @@ mod tests {
 
     /// A record carries only its program, and a restored session needs
     /// nothing more: a `vars` slice reads the nearest definitions or φs of
-    /// the derived data half, and each fast-path edit keeps its path and
-    /// answers as a cold engine's does. After each edit, the restored session slices every line as a
-    /// cold engine does after the same edit.
+    /// the data half it builds, and each edit takes the label a cold
+    /// engine's takes and answers as a cold engine's does. After each
+    /// edit, the restored session slices every line as a cold engine does
+    /// after the same edit.
     #[test]
     fn a_restored_session_answers_vars_slices_and_edits() {
         let dir = tmpdir("restored-reaching");
@@ -986,7 +988,7 @@ mod tests {
         let store = || SnapshotStore::open(&dir, u64::MAX).unwrap();
         let writer = Engine::new(usize::MAX).with_store(store());
         let key = load(&writer, src);
-        slice_lines(&writer, &key, 3); // the slice writes the warm record behind
+        slice_lines(&writer, &key, 3); // the slice writes the record behind
         let restored = || {
             let e = Engine::new(usize::MAX).with_store(store());
             let resp = ok(&e.handle_line(
@@ -1091,6 +1093,46 @@ mod tests {
             r#"{{"op":"edit","program":"{key}","edit":{{"kind":"replace_expr","path":[["body",1]],"expr":"x + 1"}}}}"#
         )));
         assert!(edited.get("program").is_some());
+        let stats = ok(&e.handle_line(r#"{"op":"stats"}"#));
+        let store_stats = stats.get("store").expect("store object in stats");
+        assert_eq!(
+            store_stats.get("fallbacks").and_then(Json::as_num),
+            Some(1.0)
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// The decoder does not ask whether a program can reach the exit; the
+    /// session opened on it does. A well-framed record under an analyzable
+    /// source's key, holding a program with an infinite loop, decodes, is
+    /// refused by the session and counted as a fallback, and the load
+    /// rebuilds from source and slices as a cold engine does.
+    #[test]
+    fn an_unanalyzable_decoded_program_falls_back_to_the_source_build() {
+        let dir = tmpdir("unanalyzable-record");
+        let src = "read(x);\nx = x + 1;\nwrite(x);\n";
+        let stuck = parse("L: x = x + 1; goto L; write(x);").unwrap();
+        let store = SnapshotStore::open(&dir, u64::MAX).unwrap();
+        let seed = jumpslice_core::AnalysisSeed::default();
+        store
+            .save(content_hash(src), &encode_snapshot(src, &stuck, &seed))
+            .unwrap();
+
+        let e = Engine::new(usize::MAX).with_store(store);
+        let resp = ok(&e.handle_line(
+            &Json::Obj(vec![
+                ("op".to_owned(), Json::Str("load".to_owned())),
+                ("source".to_owned(), Json::Str(src.to_owned())),
+            ])
+            .write_compact(),
+        ));
+        assert_eq!(resp.get("restored").and_then(Json::as_bool), Some(false));
+        let key = resp.get("program").and_then(Json::as_str).expect("key");
+        let cold = Engine::new(usize::MAX);
+        assert_eq!(load(&cold, src), key);
+        for line in 1..=3 {
+            assert_eq!(slice_lines(&e, key, line), slice_lines(&cold, key, line));
+        }
         let stats = ok(&e.handle_line(r#"{"op":"stats"}"#));
         let store_stats = stats.get("store").expect("store object in stats");
         assert_eq!(

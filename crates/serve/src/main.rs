@@ -15,11 +15,11 @@
 //! and exits, even while other clients stay connected.
 //!
 //! `--store-dir DIR` attaches the persistent snapshot store (DESIGN.md
-//! §11): completed analyses are written behind slice responses as
-//! versioned, checksummed records, and a restarted daemon pointed at the
-//! same directory serves its first slice without parsing: a record holds
-//! the parsed program, and restoring derives the flowgraph, the PDG, the
-//! postdominator tree and the lexical successor tree from it.
+//! §11): each program that served a slice is written behind the response
+//! as a versioned, checksummed record of its source and parsed form, and a
+//! restarted daemon pointed at the same directory loads a known program
+//! without parsing it. The restored session is the one a cold load opens,
+//! and its first slice builds the analysis.
 //! `--store-bytes N` caps the directory (LRU by mtime; default 1 GiB).
 //!
 //! `--replay-dir DIR` is not a daemon mode at all: it replays every

@@ -1,5 +1,5 @@
-//! The persistent snapshot store: content-addressed analysis payloads on
-//! disk, so a restarted daemon serves its first slice warm.
+//! The persistent snapshot store: content-addressed program payloads on
+//! disk, so a restarted daemon opens a known program without parsing it.
 //!
 //! The store is deliberately dumb about *what* it holds — records are
 //! opaque byte payloads keyed by a caller-supplied 64-bit content key (the
@@ -166,7 +166,7 @@ impl StoreIo for RealIo {
 /// The record format version this build reads and writes. Bump on any
 /// payload- or header-layout change: old records then fail the version
 /// check and fall back to a from-source rebuild instead of misdecoding.
-pub const FORMAT_VERSION: u32 = 6;
+pub const FORMAT_VERSION: u32 = 7;
 
 /// Record files start with these four bytes.
 pub const MAGIC: [u8; 4] = *b"JSST";

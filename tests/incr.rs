@@ -1,8 +1,8 @@
 //! The incremental edit-and-reslice session, driven through the facade:
 //! the session's answers must be indistinguishable from a from-scratch
-//! analysis after every edit, the fast paths must actually engage, and
-//! structure-changing edits must take the counted rebuild path rather
-//! than serving stale postdominators or a stale lexical successor tree.
+//! analysis after every edit, the expression patch must actually reuse
+//! its artifacts, and every other edit must reset the session rather
+//! than serve stale postdominators or a stale lexical successor tree.
 
 use jumpslice::prelude::*;
 use jumpslice_lang::{BlockSel, StmtPath};
@@ -104,27 +104,30 @@ fn fast_paths_reuse_warm_artifacts() {
     assert_eq!(st.pdom_builds, 0);
     assert_eq!(st.lst_builds, 0);
 
-    // A seeded re-solve rebuilds the pdom tree and the PDG in the edit,
-    // its data half by φ placement and renaming; only the LST is rebuilt
-    // lazily, and warm() builds no data half.
-    s.apply(&Edit::InsertStmt {
-        at: StmtPath::root(4),
-        stmt: NewStmt::Write {
-            arg: EditExpr::Var("b".into()),
-        },
-    })
-    .unwrap();
+    // An insert resets the session (the wire still labels it
+    // `seeded_resolve`): the next warm() builds each artifact once, as a
+    // cold load's first warm does.
+    let out = s
+        .apply(&Edit::InsertStmt {
+            at: StmtPath::root(4),
+            stmt: NewStmt::Write {
+                arg: EditExpr::Var("b".into()),
+            },
+        })
+        .unwrap();
+    assert_eq!(out.path, ApplyPath::SeededResolve);
+    assert_eq!(out.reused_phases, 0);
     let st = s.with_analysis(|a| {
         a.warm();
         a.stats()
     });
-    assert_eq!(st.reaching_defs, 0, "the edit built the data half");
-    assert_eq!(st.pdg_builds, 0, "the edit built the PDG");
+    let cold = Analysis::new(s.prog());
+    cold.warm();
     assert_eq!(
-        st.pdom_builds, 0,
-        "postdominators were shared from the re-solve"
+        st,
+        cold.stats(),
+        "the reset rebuilt what a cold warm builds"
     );
-    assert_eq!(st.lst_builds, 1, "lexical positions shifted");
     assert_matches_scratch(&mut s);
 }
 
