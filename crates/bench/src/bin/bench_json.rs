@@ -4,7 +4,8 @@
 //! container):
 //!
 //! * single-slice latency for the paper's algorithms on a warm analysis —
-//!   the figure-scale and ~1k-statement numbers;
+//!   the figure-scale, ~1k- and ~5k-statement numbers, each at the
+//!   program's last live write;
 //! * the batch sweep (120 criteria per program): a naive per-criterion
 //!   `Analysis::new` loop vs `BatchSlicer` over one warm shared analysis,
 //!   sequentially and at available parallelism;
@@ -15,7 +16,9 @@
 //!   least 1,000 statements must show the kernel at least 2× faster, or
 //!   the run fails after writing its report. The same rows time the
 //!   degraded answer, Figure 13, and on structured rows Figure 12
-//!   (`conservative_ns`, `structured_ns`; not gated);
+//!   (`conservative_ns`, `structured_ns`), and count the kernel's retests
+//!   and memo writes over the pool in one untimed captured pass
+//!   (`retests`, `walk_steps`; none of these is gated);
 //! * the cold-analysis sweep: `Analysis::warm` (the PDG's condensation
 //!   included) from a fresh analysis, with the per-phase breakdown of that
 //!   same call and, ungated, the exact sizes of what it built: statements,
@@ -98,6 +101,10 @@ struct SparseRow {
     conservative_ns: f64,
     /// Figure 12, timed on structured rows only (its domain).
     structured_ns: Option<f64>,
+    /// The kernel's `sparse.retests` and `sparse.walk_steps`, summed over
+    /// the criteria.
+    retests: u64,
+    walk_steps: u64,
 }
 
 struct ColdRow {
@@ -168,7 +175,7 @@ fn main() {
             sized_unstructured as fn(usize) -> jumpslice_lang::Program,
         ),
     ] {
-        for size in [100usize, 1000] {
+        for size in [100usize, 1000, 5000] {
             let p = make(size);
             let a = Analysis::new(&p);
             a.warm();
@@ -465,6 +472,22 @@ fn main() {
             let conservative_ns = time("conservative", conservative_slice);
             let structured_ns =
                 (family == "structured").then(|| time("structured", structured_slice));
+            let (_, events) = jumpslice_obs::capture(|| {
+                for c in &criteria {
+                    agrawal_slice(&a, c);
+                }
+            });
+            let total = |counter: &str| -> u64 {
+                events
+                    .iter()
+                    .filter_map(|e| match e {
+                        jumpslice_obs::Event::Count { name, value } if *name == counter => {
+                            Some(*value)
+                        }
+                        _ => None,
+                    })
+                    .sum()
+            };
             sparse_rows.push(SparseRow {
                 family,
                 stmts: n,
@@ -473,6 +496,8 @@ fn main() {
                 sparse_ns,
                 conservative_ns,
                 structured_ns,
+                retests: total("sparse.retests"),
+                walk_steps: total("sparse.walk_steps"),
             });
         }
     }
@@ -945,6 +970,8 @@ fn main() {
         if let Some(ns) = row.structured_ns {
             let _ = writeln!(out, "      \"structured_ns\": {ns:.1},");
         }
+        let _ = writeln!(out, "      \"retests\": {},", row.retests);
+        let _ = writeln!(out, "      \"walk_steps\": {},", row.walk_steps);
         let _ = writeln!(out, "      \"speedup_sparse_vs_dense\": {speedup:.2}");
         let _ = writeln!(out, "    }}{comma}");
     }

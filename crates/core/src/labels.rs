@@ -1,5 +1,6 @@
 //! Label re-association (the final step of Figures 7, 12, and 13).
 
+use crate::sparse::Nearest;
 use crate::{Analysis, SlicePoint};
 use jumpslice_dataflow::StmtSet;
 use jumpslice_lang::{Label, StmtKind};
@@ -13,13 +14,13 @@ use jumpslice_lang::{Label, StmtKind};
 /// nearest postdominator in Slice."*
 ///
 /// Labels come out in slice order, each once. The chain index's pdom
-/// parents answer the walk; it is fetched at most once per call, and only
-/// when a label moves.
+/// parents answer the walk, through this thread's nearest-in-slice memo;
+/// both are fetched at most once per call, and only when a label moves.
 pub fn reassociate_labels(a: &Analysis<'_>, slice: &StmtSet) -> Vec<(Label, SlicePoint)> {
     let prog = a.prog();
     let mut moved: Vec<(Label, SlicePoint)> = Vec::new();
     let mut seen = vec![false; prog.num_labels()];
-    let mut index = None;
+    let mut probe = None;
     for s in slice.iter() {
         let label = match prog.stmt(s).kind {
             StmtKind::Goto { target } | StmtKind::CondGoto { target, .. } => target,
@@ -34,8 +35,12 @@ pub fn reassociate_labels(a: &Analysis<'_>, slice: &StmtSet) -> Vec<(Label, Slic
         if slice.contains(target_stmt) {
             continue;
         }
-        let ci = *index.get_or_insert_with(|| a.chain_index());
-        moved.push((label, ci.nearest_pdom(target_stmt, slice)));
+        let (ci, nearest) =
+            probe.get_or_insert_with(|| (a.chain_index(), Nearest::take(prog.len())));
+        moved.push((label, nearest.pdom(ci, target_stmt, slice)));
+    }
+    if let Some((_, nearest)) = probe {
+        nearest.put_back();
     }
     moved
 }

@@ -33,17 +33,19 @@
 //!   (`Pdg::backward_closure_delta`; they share the φ-only components
 //!   they entered, so each is walked once per slice), and a dirty jump
 //!   the current round has already passed is deferred to the next round,
-//!   exactly when the dense loop would re-test it. Per slice, two bits per jump say whether
-//!   the slice touches its pdom chain and its LST chain at all; a clear
-//!   bit answers "exit" without walking. Admission order, rounds,
-//!   provenance, `traversals`: all bit-identical.
+//!   exactly when the dense loop would re-test it. A retest asks
+//!   [`Nearest`], which keeps each statement's nearest proper ancestor in
+//!   the slice, per tree, until the slice next grows. Admission order,
+//!   rounds, provenance, `traversals`: all bit-identical.
 //!
-//! Complexity: the seed costs O(closure + jumps); each statement an
+//! Complexity: the seed costs O(closure + jumps), or O(statements) of
+//! memo walks when the closure outnumbers the jumps; each statement an
 //! admission adds marks its two intervals, O(1 + interval words) apiece,
 //! plus one interval per enclosing do-while; each newly dirty jump costs
-//! O(1). That replaces O(rounds × jumps × depth) walks, and the confirming
-//! final round costs only the (empty) worklist check instead of a full
-//! traversal.
+//! O(1); and between two admissions each tree's probes write each
+//! statement's memo entry at most once. That replaces O(rounds × jumps ×
+//! depth) walks, and the confirming final round costs only the (empty)
+//! worklist check instead of a full traversal.
 
 use crate::provenance::Recorder;
 use crate::{reassociate_labels, Analysis, Criterion, LexSuccTree, Slice, SlicePoint};
@@ -111,8 +113,9 @@ struct DoWhile {
 
 /// Flattened per-jump chain data, built once per program and cached on
 /// [`Analysis`] (see `Analysis::chain_index`). It answers Figure 7's three
-/// tests for Figures 7, 12 and 13 alike, and its pdom parent array answers
-/// label re-association.
+/// tests for Figures 7, 12 and 13 alike, its parent arrays through the
+/// kernel's nearest-in-slice memo, and its pdom parent array answers label
+/// re-association.
 ///
 /// Opaque outside this crate: it appears in [`crate::AnalysisSeed`] so the
 /// incremental edit session can carry it across edits that leave the jump
@@ -415,19 +418,6 @@ impl ChainIndex {
         &self.jumps
     }
 
-    /// The nearest proper postdominator of statement `s` in `slice`
-    /// (`None` = the exit, which is in every slice), by a walk up the pdom
-    /// parent array.
-    pub(crate) fn nearest_pdom(&self, s: StmtId, slice: &StmtSet) -> SlicePoint {
-        nearest_in(s, &self.pnext, slice)
-    }
-
-    /// The nearest proper lexical successor of the indexed jump `j` in
-    /// `slice` (`None` = the exit), the same walk over the LST parents.
-    pub(crate) fn nearest_lexsucc(&self, j: StmtId, slice: &StmtSet) -> SlicePoint {
-        nearest_in(j, &self.lnext, slice)
-    }
-
     /// The do-while extension guard for the indexed jump `j`, a construct
     /// outside the paper's language. Walking `j`'s lexical-successor chain
     /// toward its nearest in-slice successor, it fires when the walk
@@ -500,18 +490,99 @@ impl ChainIndex {
     }
 }
 
-/// First statement on `s`'s `next`-chain that is in `slice`. `None` means
-/// the walk fell through to the exit.
-fn nearest_in(s: StmtId, next: &[u32], slice: &StmtSet) -> SlicePoint {
-    let mut s = next[s.index()];
-    while s != NO_STMT {
-        let t = StmtId::from_index(s as usize);
-        if slice.contains(t) {
-            return Some(t);
-        }
-        s = next[s as usize];
+/// Every nearest-in-slice probe of Figures 7 and 12 and of label
+/// re-association, memoized (a nearest-marked-ancestor memo, after
+/// Alstrup, Husfeldt and Rauhe, FOCS 1998). Per tree (pdom, LST) and
+/// statement it keeps a stamp and the statement's nearest proper ancestor
+/// in the slice ([`NO_STMT`] = the exit), valid while the stamp equals
+/// `epoch`, which advances whenever the slice grows. A walk stops at the
+/// first parent in the slice or the first statement answered, and writes
+/// its answer on every statement it passed below that, so per slice
+/// state each tree's walks write each statement at most once. One per
+/// thread, sized for the largest program it has sliced: 16 bytes per
+/// statement.
+#[derive(Default)]
+pub(crate) struct Nearest {
+    epoch: u32,
+    memo: [Vec<(u32, u32)>; 2],
+    /// Memo entries written since the slice started (`sparse.walk_steps`).
+    steps: u64,
+}
+
+impl Nearest {
+    /// Takes this thread's memo for a new slice of an `n`-statement
+    /// program; [`Nearest::put_back`] returns it.
+    pub(crate) fn take(n: usize) -> Nearest {
+        let mut nearest = SCRATCH.with(|s| std::mem::take(&mut s.borrow_mut().nearest));
+        nearest.start(n);
+        nearest
     }
-    None
+
+    /// Hands the memo back to this thread's scratch.
+    pub(crate) fn put_back(self) {
+        SCRATCH.with(|s| s.borrow_mut().nearest = self);
+    }
+
+    /// Forgets the previous slice's answers, sized for `n` statements.
+    fn start(&mut self, n: usize) {
+        for memo in &mut self.memo {
+            if memo.len() < n {
+                memo.resize(n, (0, 0));
+            }
+        }
+        self.steps = 0;
+        self.grow();
+    }
+
+    /// Forgets every answer: the slice grew. A wrapping epoch clears every
+    /// stamp, so no entry of 2³² growths ago reads as current.
+    pub(crate) fn grow(&mut self) {
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            self.memo.iter_mut().flatten().for_each(|e| e.0 = 0);
+            self.epoch = 1;
+        }
+    }
+
+    /// The nearest proper postdominator of statement `s` in `slice`
+    /// (`None` = the exit, which is in every slice).
+    pub(crate) fn pdom(&mut self, ci: &ChainIndex, s: StmtId, slice: &StmtSet) -> SlicePoint {
+        self.walk(0, &ci.pnext, s.index(), slice)
+    }
+
+    /// The nearest proper lexical successor of the indexed jump `j` in
+    /// `slice` (`None` = the exit).
+    pub(crate) fn lexsucc(&mut self, ci: &ChainIndex, j: StmtId, slice: &StmtSet) -> SlicePoint {
+        self.walk(1, &ci.lnext, j.index(), slice)
+    }
+
+    fn walk(&mut self, tree: usize, next: &[u32], s: usize, slice: &StmtSet) -> SlicePoint {
+        let (epoch, memo) = (self.epoch, &mut self.memo[tree]);
+        // Up to a statement already answered, or to one whose parent is in
+        // the slice or the exit. The statements below it share its answer,
+        // so each gets it written; the top itself needs no entry, since
+        // asking it again costs one step either way.
+        let (mut top, mut below) = (s, 0);
+        let near = loop {
+            let (stamp, near) = memo[top];
+            if stamp == epoch {
+                break near;
+            }
+            let up = next[top];
+            if up == NO_STMT || slice.contains(StmtId::from_index(up as usize)) {
+                break up;
+            }
+            top = up as usize;
+            below += 1;
+        };
+        let mut v = s;
+        for _ in 0..below {
+            memo[v] = (epoch, near);
+            v = next[v] as usize;
+        }
+        self.steps += below;
+        (near != NO_STMT).then(|| StmtId::from_index(near as usize))
+    }
 }
 
 /// The dirty-jump worklists. `cur` holds the jumps this round still has
@@ -565,53 +636,28 @@ impl Worklist {
     }
 }
 
-/// Per slice: whether the slice meets each jump's pdom chain (`pdom`, by
-/// chain id) and its lexical-successor chain (`lst`, by LST rank). The
-/// union of the spans of the slice's statements, which is what a chain
-/// mask probe would answer.
-#[derive(Default)]
-struct Touched {
-    pdom: BitSet,
-    lst: BitSet,
-}
-
-impl Touched {
-    /// Marks statement `s`'s pdom span and LST span, each only if asked.
-    fn mark(&mut self, ci: &ChainIndex, s: usize, pdom: bool, lst: bool) {
-        for (set, span, on) in [
-            (&mut self.pdom, ci.pspan[s], pdom),
-            (&mut self.lst, ci.lspan[s], lst),
-        ] {
-            if on {
-                set.insert_range(span.lo as usize, span.hi as usize, |_| {});
-            }
-        }
-    }
-}
-
 /// Seed dirtying: the whole conventional closure is one delta against the
 /// empty slice, so every dirty jump waits for round 1. A jump outside the
 /// closure is dirty when the closure meets its pdom chain, its LST chain or
 /// a body its hazard guard reads. Returns how many jumps that dirties.
 ///
-/// The touched bits are the union of the closure statements' spans. They
-/// are counted (+1 at `lo`, -1 at `hi`, then one pass over the jumps), one
+/// The chains the closure meets are the union of its statements' spans,
+/// counted (+1 at `lo`, -1 at `hi`, then one pass over the jumps), one
 /// visit per closure statement. A closure that outnumbers the jumps (the
 /// goto-heavy case) meets most chains within a step or two, so there each
-/// jump's two chains are walked up to the closure first, and the counting
-/// runs only if the walks take more steps than the closure has statements.
+/// jump asks `nearest` instead, and round 1's retests reuse its answers.
 /// Each do-while whose body the closure meets marks its candidates' span
 /// (in `ldirty`, scratch until the final pass).
 fn seed(
     ci: &ChainIndex,
     closure: &StmtSet,
     work: &mut Worklist,
-    touched: &mut Touched,
+    nearest: &mut Nearest,
     seen: &mut BitSet,
     counts: &mut Vec<i32>,
 ) -> u64 {
     let n_jumps = ci.jumps.len();
-    let count = closure.len() <= n_jumps || !walk_to_closure(ci, closure, touched);
+    let count = closure.len() <= n_jumps;
     counts.clear();
     if count {
         counts.resize(2 * (n_jumps + 1), 0);
@@ -640,19 +686,27 @@ fn seed(
         }
     }
     if count {
-        for (count, set) in [(&*pcount, &mut touched.pdom), (&*lcount, &mut touched.lst)] {
-            let mut covering = 0;
-            for (i, &d) in count[..n_jumps].iter().enumerate() {
-                covering += d;
-                if covering > 0 {
-                    set.insert(i);
-                }
+        // `pcount` runs over chain ids, `lcount` over LST ranks.
+        let (mut on_pdom, mut on_lst) = (0, 0);
+        for r in 0..n_jumps {
+            on_pdom += pcount[r];
+            on_lst += lcount[r];
+            if on_pdom > 0 {
+                work.ldirty.insert(ci.lrank[r] as usize);
+            }
+            if on_lst > 0 {
+                work.ldirty.insert(r);
             }
         }
-    }
-    work.ldirty.union_with(&touched.lst);
-    for c in touched.pdom.iter() {
-        work.ldirty.insert(ci.lrank[c] as usize);
+    } else {
+        for (c, &j) in ci.jumps.iter().enumerate() {
+            if !closure.contains(j)
+                && (nearest.pdom(ci, j, closure).is_some()
+                    || nearest.lexsucc(ci, j, closure).is_some())
+            {
+                work.ldirty.insert(ci.lrank[c] as usize);
+            }
+        }
     }
     let mut marks = 0;
     let mut r = 0;
@@ -669,62 +723,15 @@ fn seed(
     marks
 }
 
-/// Sets the touched bits of every jump outside `closure` by walking its
-/// two chains up to the closure, as long as the walks take no more steps
-/// in all than the closure has statements; `false` when they would.
-fn walk_to_closure(ci: &ChainIndex, closure: &StmtSet, touched: &mut Touched) -> bool {
-    let mut budget = closure.len();
-    // Whether the walk from `s` up `next` meets the closure before the
-    // exit; `None` once the budget runs out.
-    let mut meets = |mut s: u32, next: &[u32]| -> Option<bool> {
-        while s != NO_STMT {
-            if closure.contains(StmtId::from_index(s as usize)) {
-                return Some(true);
-            }
-            budget = budget.checked_sub(1)?;
-            s = next[s as usize];
-        }
-        Some(false)
-    };
-    for (c, &j) in ci.jumps.iter().enumerate() {
-        // A jump in the closure is never tested; its bits go unread.
-        if closure.contains(j) {
-            continue;
-        }
-        let Some(p) = meets(ci.pnext[j.index()], &ci.pnext) else {
-            return false;
-        };
-        let Some(l) = meets(ci.lnext[j.index()], &ci.lnext) else {
-            return false;
-        };
-        if p {
-            touched.pdom.insert(c);
-        }
-        if l {
-            touched.lst.insert(ci.lrank[c] as usize);
-        }
-    }
-    true
-}
-
-/// Whether `s`'s pdom parent and its LST parent lie outside `slice` (the
-/// exit counts as outside). A statement whose parent in a tree is in the
-/// slice adds nothing to that tree's spans: the parent's proper subtree
-/// contains the statement's.
-fn parents_outside(ci: &ChainIndex, s: usize, slice: &StmtSet) -> (bool, bool) {
-    let outside = |t: u32| t == NO_STMT || !slice.contains(StmtId::from_index(t as usize));
-    (outside(ci.pnext[s]), outside(ci.lnext[s]))
-}
-
 /// Per-thread reusable buffers: the closure delta vector, the worklists,
-/// the touched bits, and the seed's do-while marks and span counts. Pooled
-/// so the batch engine's workers run the whole fixpoint allocation-free
-/// after the first criterion.
+/// the nearest-in-slice memo, and the seed's do-while marks and span
+/// counts. Pooled so the batch engine's workers run the whole fixpoint
+/// allocation-free after the first criterion.
 #[derive(Default)]
 struct Scratch {
     delta: Vec<StmtId>,
     work: Worklist,
-    touched: Touched,
+    nearest: Nearest,
     seen: BitSet,
     counts: Vec<i32>,
     /// The φ-only components the slice's closures entered.
@@ -758,7 +765,7 @@ pub(crate) fn figure7(a: &Analysis<'_>, crit: &Criterion, mut rec: Option<&mut R
     let Scratch {
         mut delta,
         mut work,
-        mut touched,
+        mut nearest,
         mut seen,
         mut counts,
         mut entered,
@@ -789,6 +796,7 @@ pub(crate) fn figure7(a: &Analysis<'_>, crit: &Criterion, mut rec: Option<&mut R
     let mut dirty_marks = 0u64;
     let ci = a.chain_index();
     let jumps = &ci.jumps;
+    nearest.start(a.prog().len());
 
     if jumps.is_empty() {
         // No candidates: only the confirming round runs.
@@ -811,11 +819,9 @@ pub(crate) fn figure7(a: &Analysis<'_>, crit: &Criterion, mut rec: Option<&mut R
                 *set = BitSet::new(n_jumps);
             }
         }
-        reset(&mut touched.pdom, n_jumps);
-        reset(&mut touched.lst, n_jumps);
         reset(&mut seen, ci.dws.len());
 
-        dirty_marks += seed(ci, &stmts, &mut work, &mut touched, &mut seen, &mut counts);
+        dirty_marks += seed(ci, &stmts, &mut work, &mut nearest, &mut seen, &mut counts);
 
         loop {
             round += 1;
@@ -836,18 +842,8 @@ pub(crate) fn figure7(a: &Analysis<'_>, crit: &Criterion, mut rec: Option<&mut R
                         continue;
                     }
                     retests += 1;
-                    // A clear touched bit means no chain statement is in
-                    // the slice: the walk would reach the exit.
-                    let npd = if touched.pdom.contains(c) {
-                        ci.nearest_pdom(j, &stmts)
-                    } else {
-                        None
-                    };
-                    let nls = if touched.lst.contains(ci.lrank[c] as usize) {
-                        ci.nearest_lexsucc(j, &stmts)
-                    } else {
-                        None
-                    };
+                    let npd = nearest.pdom(ci, j, &stmts);
+                    let nls = nearest.lexsucc(ci, j, &stmts);
                     let disagree = npd != nls;
                     if disagree || ci.hazard(j, &stmts) {
                         obs::record(|| obs::Event::JumpAdmitted {
@@ -879,6 +875,7 @@ pub(crate) fn figure7(a: &Analysis<'_>, crit: &Criterion, mut rec: Option<&mut R
                                 &mut delta,
                             ),
                         }
+                        nearest.grow();
                         admitted += 1;
                         // Dirty every jump whose chain the delta touched. A
                         // jump the current round has not reached yet is
@@ -886,12 +883,7 @@ pub(crate) fn figure7(a: &Analysis<'_>, crit: &Criterion, mut rec: Option<&mut R
                         // cursor waits for the next round, as in the paper's
                         // traversal. Already-admitted jumps may be enqueued;
                         // the drain skips them.
-                        // A parent in the slice already marked its touched
-                        // span, but it may have been tested since, so every
-                        // delta statement dirties all of its spans.
                         for &s in &delta {
-                            let (p, l) = parents_outside(ci, s.index(), &stmts);
-                            touched.mark(ci, s.index(), p, l);
                             dirty_marks += work.dirty(ci, s.index(), c as u32 + 1);
                         }
                     }
@@ -917,22 +909,26 @@ pub(crate) fn figure7(a: &Analysis<'_>, crit: &Criterion, mut rec: Option<&mut R
         name: "sparse.dirty_marks",
         value: dirty_marks,
     });
+    obs::record(|| obs::Event::Count {
+        name: "sparse.walk_steps",
+        value: nearest.steps,
+    });
 
-    let moved_labels = {
-        let _t = obs::phase(obs::Phase::LabelReassoc);
-        reassociate_labels(a, &stmts)
-    };
-
+    // Label re-association takes the memo back out of the scratch.
     SCRATCH.with(|s| {
         *s.borrow_mut() = Scratch {
             delta,
             work,
-            touched,
+            nearest,
             seen,
             counts,
             entered,
         }
     });
+    let moved_labels = {
+        let _t = obs::phase(obs::Phase::LabelReassoc);
+        reassociate_labels(a, &stmts)
+    };
 
     Slice {
         stmts,
@@ -988,7 +984,8 @@ mod tests {
     /// Chain probes answer exactly like the tree walks, at every slice
     /// state reachable by growing the slice one statement at a time in id
     /// order. The pdom probe answers for every statement, the others for
-    /// every indexed jump.
+    /// every indexed jump. Between two growths, each tree's memo walks
+    /// write each statement at most once.
     #[test]
     fn chain_probes_match_tree_walks() {
         for p in [
@@ -998,20 +995,90 @@ mod tests {
             corpus::fig10(),
             corpus::fig14(),
             corpus::fig16(),
+            mixed_program(),
         ] {
             let a = Analysis::new(&p);
             let ci = a.chain_index();
+            let mut nearest = Nearest::default();
+            nearest.start(p.len());
             let mut slice = StmtSet::with_capacity(p.len());
             for grow in std::iter::once(None).chain(p.stmt_ids().map(Some)) {
                 if let Some(s) = grow {
                     slice.insert(s);
+                    nearest.grow();
                 }
+                let before = nearest.steps;
+                // Twice, so the second pass reads the first one's entries.
+                for _ in 0..2 {
+                    for s in (0..p.len()).rev().map(StmtId::from_index) {
+                        assert_eq!(nearest.pdom(ci, s, &slice), pdom_walk(&a, s, &slice));
+                    }
+                    for &j in ci.jumps() {
+                        assert_eq!(nearest.lexsucc(ci, j, &slice), lexsucc_walk(&a, j, &slice));
+                        assert_eq!(ci.hazard(j, &slice), hazard_walk(&a, j, &slice));
+                    }
+                }
+                assert!(nearest.steps - before <= 2 * p.len() as u64);
+            }
+        }
+    }
+
+    /// Probes across an epoch wrap answer like the tree walks: the wrap
+    /// clears every stamp, so answers written at epoch 1 before it do not
+    /// read as current after it.
+    #[test]
+    fn probes_across_an_epoch_wrap_match_tree_walks() {
+        for p in [corpus::fig3(), corpus::fig8(), mixed_program()] {
+            let a = Analysis::new(&p);
+            let ci = a.chain_index();
+            let mut nearest = Nearest::default();
+            nearest.start(p.len());
+            assert_eq!(nearest.epoch, 1);
+            let mut slice = StmtSet::with_capacity(p.len());
+            let probe_all = |nearest: &mut Nearest, slice: &StmtSet| {
                 for s in p.stmt_ids() {
-                    assert_eq!(ci.nearest_pdom(s, &slice), pdom_walk(&a, s, &slice));
+                    assert_eq!(nearest.pdom(ci, s, slice), pdom_walk(&a, s, slice));
                 }
                 for &j in ci.jumps() {
-                    assert_eq!(ci.nearest_lexsucc(j, &slice), lexsucc_walk(&a, j, &slice));
-                    assert_eq!(ci.hazard(j, &slice), hazard_walk(&a, j, &slice));
+                    assert_eq!(nearest.lexsucc(ci, j, slice), lexsucc_walk(&a, j, slice));
+                }
+            };
+            probe_all(&mut nearest, &slice);
+            nearest.epoch = u32::MAX - 2;
+            let mut wrapped = false;
+            for s in p.stmt_ids() {
+                slice.insert(s);
+                nearest.grow();
+                wrapped |= nearest.epoch == 1;
+                probe_all(&mut nearest, &slice);
+            }
+            assert!(wrapped, "the epoch wrapped");
+        }
+    }
+
+    /// A Figure-7 slice cancelled at any checkpoint leaves nothing behind
+    /// on its thread: the next, uncancelled slice there equals a fresh
+    /// analysis's, moved labels and traversals included.
+    #[test]
+    fn a_cancelled_slice_leaves_the_next_one_exact() {
+        let mut progs = many_jump_programs();
+        progs.extend([mixed_program(), corpus::fig3(), corpus::fig10()]);
+        for p in &progs {
+            let a = Analysis::new(p);
+            let crit = Criterion::at_stmt(p.at_line(p.len()));
+            let want = crate::agrawal_slice(&Analysis::new(p), &crit);
+            for k in 0.. {
+                let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    let _fuel = crate::cancel::fuel(k);
+                    crate::agrawal_slice(&a, &crit)
+                }));
+                let got = crate::agrawal_slice(&a, &crit);
+                assert_eq!(got.stmts, want.stmts, "fuel {k}");
+                assert_eq!(got.moved_labels, want.moved_labels, "fuel {k}");
+                assert_eq!(got.traversals, want.traversals, "fuel {k}");
+                if run.is_ok() {
+                    assert!(k > 0, "the slice passes a checkpoint");
+                    break;
                 }
             }
         }
@@ -1072,11 +1139,11 @@ mod tests {
         .unwrap()
     }
 
-    /// The jumps a statement dirties, and the touched bits it sets, equal
-    /// what walking the trees says: jump `j` is dirtied by `s` when `s` is
-    /// a proper pdom ancestor of `j`, a proper lexical successor of `j`, or
-    /// in the body of the do-while a candidate on `j`'s lexical-successor
-    /// chain (`j` included) enters.
+    /// The jumps a statement dirties equal what walking the trees says:
+    /// jump `j` is dirtied by `s` when `s` is a proper pdom ancestor of
+    /// `j`, a proper lexical successor of `j`, or in the body of the
+    /// do-while a candidate on `j`'s lexical-successor chain (`j`
+    /// included) enters.
     #[test]
     fn span_marks_match_tree_walks_past_64_chains() {
         let progs = many_jump_programs();
@@ -1118,10 +1185,6 @@ mod tests {
                     next: empty(),
                     ldirty: empty(),
                 };
-                let mut touched = Touched {
-                    pdom: empty(),
-                    lst: empty(),
-                };
                 let marks = work.dirty(ci, s.index(), n_jumps as u32);
                 assert_eq!(
                     work.next.iter().collect::<Vec<_>>(),
@@ -1135,12 +1198,6 @@ mod tests {
                     work.ldirty.iter().map(|r| ci.lperm[r] as usize).collect();
                 assert_eq!(mirrored.len(), want.len());
                 assert!(mirrored.iter().all(|c| want.contains(c)));
-
-                touched.mark(ci, s.index(), true, true);
-                for (c, &j) in ci.jumps.iter().enumerate() {
-                    assert_eq!(touched.pdom.contains(c), on_pdom(j));
-                    assert_eq!(touched.lst.contains(ci.lrank[c] as usize), on_lst(j));
-                }
             }
         }
     }

@@ -1,6 +1,7 @@
 //! The simplified algorithm for structured programs (paper, §4, Figure 12).
 
 use crate::conventional::conventional_closure;
+use crate::sparse::Nearest;
 use crate::{reassociate_labels, Analysis, Criterion, Slice};
 use jumpslice_obs as obs;
 
@@ -13,7 +14,8 @@ use jumpslice_obs as obs;
 /// slice differs from its nearest lexical successor in the slice. No
 /// dependence closure is needed when adding (Property 2, §4: the
 /// dependences are already in the slice). The traversal and both nearest
-/// queries read the chain index that Figure 7's kernel reads.
+/// queries read the chain index that Figure 7's kernel reads, the queries
+/// through the same memo, which forgets its answers after each admission.
 ///
 /// For programs that are **not** structured (see [`crate::is_structured`])
 /// this simplification is not guaranteed to produce a correct slice; use
@@ -32,6 +34,7 @@ pub fn structured_slice(a: &Analysis<'_>, crit: &Criterion) -> Slice {
     let mut stmts = conventional_closure(a, crit);
     let ci = a.chain_index();
     let control = a.pdg().control();
+    let mut nearest = Nearest::take(a.prog().len());
     let mut added_any = false;
     for &j in ci.jumps() {
         if stmts.contains(j) {
@@ -42,37 +45,32 @@ pub fn structured_slice(a: &Analysis<'_>, crit: &Criterion) -> Slice {
         // condition dead, so the jump has no controlling predicate at all,
         // yet deleting it resurrects the loop (extension; the guard is the
         // one Figure 7 applies).
-        if ci.hazard(j, &stmts) {
-            obs::record(|| obs::Event::JumpAdmitted {
-                algo: "fig12",
-                line: a.prog().line_of(j) as u32,
-                round: 1,
-                reason: obs::AdmitReason::DoWhileHazard,
-            });
-            stmts.insert(j);
-            added_any = true;
+        let reason = if ci.hazard(j, &stmts) {
+            obs::AdmitReason::DoWhileHazard
+        } else if control.deps(j).iter().any(|&p| stmts.contains(p)) {
+            let npd = nearest.pdom(ci, j, &stmts);
+            let nls = nearest.lexsucc(ci, j, &stmts);
+            if npd == nls {
+                continue;
+            }
+            obs::AdmitReason::PdomLexsuccDisagree {
+                npd_line: npd.map(|s| a.prog().line_of(s) as u32),
+                nls_line: nls.map(|s| a.prog().line_of(s) as u32),
+            }
+        } else {
             continue;
-        }
-        let on_included_predicate = control.deps(j).iter().any(|&p| stmts.contains(p));
-        if !on_included_predicate {
-            continue;
-        }
-        let npd = ci.nearest_pdom(j, &stmts);
-        let nls = ci.nearest_lexsucc(j, &stmts);
-        if npd != nls {
-            obs::record(|| obs::Event::JumpAdmitted {
-                algo: "fig12",
-                line: a.prog().line_of(j) as u32,
-                round: 1,
-                reason: obs::AdmitReason::PdomLexsuccDisagree {
-                    npd_line: npd.map(|s| a.prog().line_of(s) as u32),
-                    nls_line: nls.map(|s| a.prog().line_of(s) as u32),
-                },
-            });
-            stmts.insert(j);
-            added_any = true;
-        }
+        };
+        obs::record(|| obs::Event::JumpAdmitted {
+            algo: "fig12",
+            line: a.prog().line_of(j) as u32,
+            round: 1,
+            reason,
+        });
+        stmts.insert(j);
+        nearest.grow();
+        added_any = true;
     }
+    nearest.put_back();
     let moved_labels = reassociate_labels(a, &stmts);
     Slice {
         stmts,

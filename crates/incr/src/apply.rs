@@ -2,9 +2,7 @@
 //!
 //! The language's programs are immutable value types, so an edit is applied
 //! by rebuilding through [`ProgramBuilder`], walking the old program and
-//! diverging only at the edit site. The walk records which new arena id
-//! each old statement was re-emitted as — the [`StmtMap`] every downstream
-//! analysis translation keys off.
+//! diverging only at the edit site.
 //!
 //! Two invariants make artifact reuse possible:
 //!
@@ -14,51 +12,21 @@
 //! * **Emit-order ids** — the builder assigns arena ids in push order, and
 //!   the walk re-emits in the old build order, so an edit that deletes or
 //!   inserts nothing (an expression replacement) reproduces every old id
-//!   exactly; the recorded map comes back as the identity.
+//!   exactly; the walk records whether it did ([`Applied::same_ids`]).
 
 use crate::edit::{Edit, EditError, EditExpr, JumpKind, NewStmt};
 use jumpslice_lang::{BlockSel, CaseGuard, Expr, Program, ProgramBuilder, StmtId, StmtKind};
 
-/// Old-arena to new-arena statement correspondence recorded while applying
-/// an edit. `None` means the old statement (or an ancestor) was deleted.
-#[derive(Clone, Debug)]
-pub struct StmtMap {
-    fwd: Vec<Option<StmtId>>,
-    new_len: usize,
-}
-
-impl StmtMap {
-    /// The forward map, indexed by old arena index.
-    pub fn fwd(&self) -> &[Option<StmtId>] {
-        &self.fwd
-    }
-
-    /// The new id of an old statement, or `None` if it was deleted.
-    pub fn get(&self, old: StmtId) -> Option<StmtId> {
-        self.fwd.get(old.index()).copied().flatten()
-    }
-
-    /// Whether every old statement kept its exact id and no statement was
-    /// added — the precondition for reusing id-addressed artifacts as-is.
-    pub fn is_identity(&self) -> bool {
-        self.new_len == self.fwd.len()
-            && self
-                .fwd
-                .iter()
-                .enumerate()
-                .all(|(i, &n)| n == Some(StmtId::from_index(i)))
-    }
-}
-
-/// The result of [`apply_edit`]: the edited program, the statement map,
-/// and the new id of the statement the edit produced or modified (`None`
-/// for a deletion).
+/// The result of [`apply_edit`]: the edited program, whether it kept every
+/// statement id, and the new id of the statement the edit produced or
+/// modified (`None` for a deletion).
 #[derive(Clone, Debug)]
 pub struct Applied {
     /// The edited program.
     pub prog: Program,
-    /// Old-to-new statement correspondence.
-    pub map: StmtMap,
+    /// Whether every old statement kept its exact id and no statement was
+    /// added — the precondition for reusing id-addressed artifacts as-is.
+    pub same_ids: bool,
     /// New id of the inserted / replaced / toggled statement.
     pub touched: Option<StmtId>,
 }
@@ -79,7 +47,7 @@ pub(crate) fn has_primary_expr(kind: &StmtKind) -> bool {
     )
 }
 
-/// Applies `edit` to `p`, returning the rebuilt program and statement map.
+/// Applies `edit` to `p`, returning the rebuilt program.
 ///
 /// # Errors
 ///
@@ -122,16 +90,15 @@ pub fn apply_edit(p: &Program, edit: &Edit) -> Result<Applied, EditError> {
         edit,
         target,
         slot,
-        fwd: vec![None; p.len()],
+        kept: 0,
         touched: None,
     };
     emit_block(&mut st, &mut b, None, BlockSel::Body, p.body());
-    let WalkState { fwd, touched, .. } = st;
+    let WalkState { kept, touched, .. } = st;
     let prog = b.build().map_err(|e| EditError::Invalid(e.to_string()))?;
-    let new_len = prog.len();
     Ok(Applied {
+        same_ids: kept == p.len() && prog.len() == p.len(),
         prog,
-        map: StmtMap { fwd, new_len },
         touched,
     })
 }
@@ -143,7 +110,8 @@ struct WalkState<'a> {
     target: Option<StmtId>,
     /// Resolved insertion slot: (owning old statement, block, index).
     slot: Option<(Option<StmtId>, BlockSel, usize)>,
-    fwd: Vec<Option<StmtId>>,
+    /// Old statements re-emitted under their own id.
+    kept: usize,
     touched: Option<StmtId>,
 }
 
@@ -198,7 +166,7 @@ fn emit_block(
             }
         }
         if matches!(st.edit, Edit::DeleteStmt { .. }) && st.target == Some(s) {
-            continue; // the whole subtree stays unmapped
+            continue; // the whole subtree is dropped
         }
         emit_stmt(st, b, s);
     }
@@ -229,7 +197,7 @@ fn emit_stmt(st: &mut WalkState<'_>, b: &mut ProgramBuilder, s: StmtId) {
                     JumpKind::Goto(label) => b.goto(label),
                 }
             };
-            st.fwd[s.index()] = Some(id);
+            st.kept += usize::from(id == s);
             st.touched = Some(id);
             return;
         }
@@ -301,7 +269,7 @@ fn emit_stmt(st: &mut WalkState<'_>, b: &mut ProgramBuilder, s: StmtId) {
             b.ret(v)
         }
     };
-    st.fwd[s.index()] = Some(id);
+    st.kept += usize::from(id == s);
     if st.target == Some(s) {
         st.touched = Some(id);
     }

@@ -157,8 +157,9 @@ pub enum EditError {
     /// The edited program failed semantic validation (undefined label,
     /// `break`/`continue` outside a loop, …).
     Invalid(String),
-    /// The edited program has statements that cannot reach the exit, so
-    /// postdominators — and every slicer — are undefined for it.
+    /// The program — edited, loaded or restored — has statements that
+    /// cannot reach the exit, so postdominators — and every slicer — are
+    /// undefined for it.
     Unanalyzable,
 }
 
@@ -170,10 +171,7 @@ impl fmt::Display for EditError {
             EditError::NotToggleable => write!(f, "cannot toggle a compound statement"),
             EditError::Invalid(msg) => write!(f, "edited program is invalid: {msg}"),
             EditError::Unanalyzable => {
-                write!(
-                    f,
-                    "edited program has statements that cannot reach the exit"
-                )
+                write!(f, "program has statements that cannot reach the exit")
             }
         }
     }

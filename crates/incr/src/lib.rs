@@ -56,7 +56,7 @@ mod edit;
 mod gen;
 mod session;
 
-pub use apply::{apply_edit, Applied, StmtMap};
+pub use apply::{apply_edit, Applied};
 pub use edit::{Edit, EditError, EditExpr, JumpKind, NewStmt};
 pub use gen::random_edit;
 pub use session::{ApplyPath, EditOutcome, EditSession, IncrStats};

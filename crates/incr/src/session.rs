@@ -224,7 +224,7 @@ impl EditSession {
     /// edit that already applied cleanly.
     fn classify(&self, edit: &Edit, applied: &Applied) -> ApplyPath {
         match edit {
-            Edit::ReplaceExpr { .. } if applied.map.is_identity() => ApplyPath::ExprPatch,
+            Edit::ReplaceExpr { .. } if applied.same_ids => ApplyPath::ExprPatch,
             // Identity can only fail for ReplaceExpr if the program did not
             // originate from the builder's emit order; fall back safely.
             Edit::ReplaceExpr { .. } => ApplyPath::FullRebuild,

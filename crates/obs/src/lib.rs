@@ -528,6 +528,7 @@ const KNOWN_COUNTS: &[&str] = &[
     "sparse.chain_stmts",
     "sparse.retests",
     "sparse.dirty_marks",
+    "sparse.walk_steps",
     "serve.cache.hit",
     "serve.cache.miss",
     "serve.cache.evict",

@@ -354,46 +354,38 @@ impl Engine {
     /// the request's), a program whose statements cannot all reach the
     /// exit — is counted as `store.corrupt_fallback` and answered with
     /// `None`, which sends the caller down the ordinary from-source path.
+    /// The refused record is deleted, so the next served slice writes a
+    /// good one in its place.
     fn restore(&self, key: u64, source: &str) -> Option<EditSession> {
         let store = self.store.as_ref()?;
         let payload = store.load(key)?;
-        let fallback = |why: &str| {
-            let n = self.store_fallbacks.fetch_add(1, Ordering::SeqCst) + 1;
-            obs::record(|| obs::Event::Count {
-                name: "store.corrupt_fallback",
-                value: n,
-            });
-            eprintln!(
-                "jumpslice-serve: snapshot {} unusable ({why}); rebuilding from source",
-                key_string(key)
-            );
-        };
-        let snap = match decode_snapshot(&payload) {
-            Ok(snap) => snap,
-            Err(e) => {
-                fallback(&e.to_string());
-                return None;
-            }
-        };
-        // The store checksum makes this near-impossible, but a genuine
-        // FNV-1a collision would otherwise serve slices of the *other*
-        // program. Byte equality is the last word.
-        if snap.source != source {
-            fallback("content key collision");
-            return None;
-        }
-        match EditSession::try_with_seed(snap.prog, snap.seed) {
-            Ok(session) => {
-                if let Some(hook) = &self.hook {
-                    hook.restored(key);
+        let why = match decode_snapshot(&payload) {
+            Err(e) => e.to_string(),
+            // The store checksum makes this near-impossible, but a genuine
+            // FNV-1a collision would otherwise serve slices of the *other*
+            // program. Byte equality is the last word.
+            Ok(snap) if snap.source != source => "content key collision".to_owned(),
+            Ok(snap) => match EditSession::try_with_seed(snap.prog, snap.seed) {
+                Ok(session) => {
+                    if let Some(hook) = &self.hook {
+                        hook.restored(key);
+                    }
+                    return Some(session);
                 }
-                Some(session)
-            }
-            Err(e) => {
-                fallback(&format!("unanalyzable: {e}"));
-                None
-            }
-        }
+                Err(e) => format!("unanalyzable: {e}"),
+            },
+        };
+        store.discard(key, &payload);
+        let n = self.store_fallbacks.fetch_add(1, Ordering::SeqCst) + 1;
+        obs::record(|| obs::Event::Count {
+            name: "store.corrupt_fallback",
+            value: n,
+        });
+        eprintln!(
+            "jumpslice-serve: snapshot {} unusable ({why}); rebuilding from source",
+            key_string(key)
+        );
+        None
     }
 
     /// Write-behind: persist the program's record after a served slice.
@@ -1138,6 +1130,27 @@ mod tests {
         assert_eq!(
             store_stats.get("fallbacks").and_then(Json::as_num),
             Some(1.0)
+        );
+
+        // The refused record was deleted and the slices above wrote a good
+        // one, so the next daemon restores it.
+        let next = Engine::new(usize::MAX).with_store(SnapshotStore::open(&dir, u64::MAX).unwrap());
+        let resp = ok(&next.handle_line(
+            &Json::Obj(vec![
+                ("op".to_owned(), Json::Str("load".to_owned())),
+                ("source".to_owned(), Json::Str(src.to_owned())),
+            ])
+            .write_compact(),
+        ));
+        assert_eq!(resp.get("restored").and_then(Json::as_bool), Some(true));
+        for line in 1..=3 {
+            assert_eq!(slice_lines(&next, key, line), slice_lines(&cold, key, line));
+        }
+        let stats = ok(&next.handle_line(r#"{"op":"stats"}"#));
+        let store_stats = stats.get("store").expect("store object in stats");
+        assert_eq!(
+            store_stats.get("fallbacks").and_then(Json::as_num),
+            Some(0.0)
         );
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -6,16 +6,10 @@
 //! it knows the daemon has seen. Keys print as fixed-width hex
 //! (`"a1b2…"`), the form every request's `program` field uses.
 
-/// FNV-1a 64-bit over the raw source bytes.
+/// FNV-1a 64-bit over the raw source bytes: the snapshot store's
+/// [`jumpslice_store::fnv1a`], so a record's key is its program's.
 pub fn content_hash(source: &str) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = OFFSET;
-    for &b in source.as_bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(PRIME);
-    }
-    h
+    jumpslice_store::fnv1a(source.as_bytes())
 }
 
 /// The wire form of a cache key: 16 lowercase hex digits.

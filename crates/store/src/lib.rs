@@ -346,11 +346,12 @@ pub struct SnapshotStore {
     corrupt: AtomicU64,
     writes: AtomicU64,
     /// Records and record bytes on disk: counted by a directory scan at
-    /// open and in every write's eviction pass, less each corrupt record
-    /// `load` deletes in between.
+    /// open and in every write's eviction pass, less each corrupt or
+    /// discarded record deleted in between.
     occupancy: Mutex<(usize, u64)>,
-    /// Serializes save + evict, and the deletion of corrupt records, so
-    /// two writers cannot double-evict and `occupancy` matches the scan.
+    /// Serializes save + evict, and the deletion of corrupt and discarded
+    /// records, so two writers cannot double-evict and `occupancy` matches
+    /// the scan.
     write_lock: Mutex<()>,
 }
 
@@ -458,19 +459,29 @@ impl SnapshotStore {
             _ => {
                 // Wrong key under this filename is corruption too: the
                 // payload belongs to some other program.
-                let _g = self.write_lock.lock().expect("store write lock");
-                if self.io.remove_file(&path).is_ok() {
-                    let mut occ = self.occupancy.lock().expect("store occupancy");
-                    // Saturating: a record another process wrote since the
-                    // last scan was never counted.
-                    *occ = (
-                        occ.0.saturating_sub(1),
-                        occ.1.saturating_sub(bytes.len() as u64),
-                    );
-                }
+                self.delete(&path, bytes.len() as u64);
                 self.bump(&self.corrupt, "serve.store.corrupt");
                 None
             }
+        }
+    }
+
+    /// Deletes the record [`load`](Self::load) just returned `payload`
+    /// from, for a caller that refuses the payload (it does not decode,
+    /// or it holds another program), so the next save can replace it.
+    pub fn discard(&self, key: u64, payload: &[u8]) {
+        self.delete(&self.path(key), (HEADER_LEN + payload.len()) as u64);
+    }
+
+    /// Removes the record file at `path`, `len` bytes long, and takes it
+    /// out of the occupancy, under the write lock.
+    fn delete(&self, path: &Path, len: u64) {
+        let _g = self.write_lock.lock().expect("store write lock");
+        if self.io.remove_file(path).is_ok() {
+            let mut occ = self.occupancy.lock().expect("store occupancy");
+            // Saturating: a record another process wrote since the last
+            // scan was never counted.
+            *occ = (occ.0.saturating_sub(1), occ.1.saturating_sub(len));
         }
     }
 
@@ -512,9 +523,9 @@ impl SnapshotStore {
     }
 
     /// Counter and occupancy snapshot. It touches no disk: occupancy is
-    /// the directory scan of the last open or write, less the corrupt
-    /// records deleted since, so records another process adds or removes
-    /// show after this store's next write.
+    /// the directory scan of the last open or write, less the corrupt and
+    /// discarded records deleted since, so records another process adds
+    /// or removes show after this store's next write.
     pub fn stats(&self) -> StoreStats {
         let (records, bytes) = *self.occupancy.lock().expect("store occupancy");
         StoreStats {
@@ -671,7 +682,7 @@ mod tests {
 
     /// `stats` reports what the store counted, with no listing of its own:
     /// the scan at open and in each write's eviction pass, less the corrupt
-    /// records `load` deleted.
+    /// records `load` deleted and the records a caller discarded.
     #[test]
     fn stats_count_the_last_scan_and_the_deletions_since() {
         let dir = tmpdir("occupancy");
@@ -711,6 +722,12 @@ mod tests {
         assert_eq!(store.load(4), None);
         assert_eq!(store.stats().corrupt, 1);
         assert_eq!(counted(), on_disk(), "corrupt record deleted");
+        store.save(5, &[5u8; 32]).unwrap();
+        let payload = store.load(5).unwrap();
+        store.discard(5, &payload);
+        assert!(!store.contains(5));
+        assert_eq!(counted(), on_disk(), "discarded record deleted");
+        assert!(store.save(5, &payload).unwrap(), "its key saves again");
         fs::remove_dir_all(&dir).ok();
     }
 
