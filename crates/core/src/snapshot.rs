@@ -40,6 +40,7 @@ use jumpslice_lang::{
     BinOp, CaseGuard, Expr, Label, Name, Program, Stmt, StmtId, StmtKind, SwitchArm, UnOp,
     MAX_DEPTH,
 };
+use jumpslice_obs as obs;
 use std::fmt;
 
 /// Why a snapshot payload was rejected. Every variant is a clean "rebuild
@@ -103,6 +104,7 @@ pub fn encode_snapshot(source: &str, prog: &Program, _seed: &AnalysisSeed) -> Ve
 /// is expected to fall back to a from-source build.
 pub fn decode_snapshot(bytes: &[u8]) -> Result<Snapshot, SnapshotError> {
     use SnapshotError::*;
+    let decode = obs::phase(obs::Phase::SnapshotDecode);
     let mut r = Reader::new(bytes);
     let source = std::str::from_utf8(r.byte_str().ok_or(Malformed)?)
         .map_err(|_| BadSource)?
@@ -111,6 +113,7 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<Snapshot, SnapshotError> {
     if r.remaining() != 0 {
         return Err(Malformed);
     }
+    drop(decode);
     let seed = AnalysisSeed {
         cfg: Some(Cfg::build(&prog)),
         ..AnalysisSeed::default()
@@ -139,7 +142,7 @@ fn encode_program(out: &mut Vec<u8>, prog: &Program) {
     }
     wire::put_len(out, prog.len());
     for s in prog.stmt_ids() {
-        encode_stmt(out, prog.stmt(s));
+        encode_stmt(out, prog.stmt(s), prog.labels_of(s));
     }
     wire::put_len(out, prog.body().len());
     for &s in prog.body() {
@@ -149,29 +152,27 @@ fn encode_program(out: &mut Vec<u8>, prog: &Program) {
 
 fn decode_program(r: &mut Reader<'_>) -> Result<Program, SnapshotError> {
     use SnapshotError::Malformed;
-    fn utf8_string(r: &mut Reader<'_>) -> Result<String, SnapshotError> {
-        Ok(std::str::from_utf8(r.byte_str().ok_or(Malformed)?)
-            .map_err(|_| Malformed)?
-            .to_owned())
+    fn strings<'a>(r: &mut Reader<'a>) -> Result<Vec<&'a str>, SnapshotError> {
+        let n = r.len(r.remaining() / 4).ok_or(Malformed)?;
+        (0..n)
+            .map(|_| std::str::from_utf8(r.byte_str().ok_or(Malformed)?).map_err(|_| Malformed))
+            .collect()
     }
-    let n_names = r.len(r.remaining() / 4).ok_or(Malformed)?;
-    let names = (0..n_names)
-        .map(|_| utf8_string(r))
-        .collect::<Result<Vec<_>, _>>()?;
-    let n_labels = r.len(r.remaining() / 4).ok_or(Malformed)?;
-    let labels = (0..n_labels)
-        .map(|_| utf8_string(r))
-        .collect::<Result<Vec<_>, _>>()?;
-    let label_targets = (0..n_labels)
+    let names = strings(r)?;
+    let labels = strings(r)?;
+    let label_targets = (0..labels.len())
         .map(|_| raw_opt_stmt(r))
         .collect::<Result<Vec<_>, _>>()?;
     // A statement costs at least tag + label count + line = 9 bytes.
     let n_stmts = r.len(r.remaining() / 9).ok_or(Malformed)?;
-    let stmts = (0..n_stmts)
-        .map(|_| decode_stmt(r))
-        .collect::<Result<Vec<_>, _>>()?;
-    let body = raw_stmt_list(r)?;
-    let prog = Program::from_parts(stmts, body, names, labels, label_targets).ok_or(Malformed)?;
+    let mut stmts = Vec::with_capacity(n_stmts);
+    let mut attached = Vec::new();
+    for id in (0..n_stmts).map(StmtId::from_index) {
+        stmts.push(decode_stmt(r, id, &mut attached)?);
+    }
+    let body = raw_stmt_list(r)?.into_vec();
+    let prog = Program::from_parts(stmts, body, &names, &labels, label_targets, attached)
+        .ok_or(Malformed)?;
     // Walkers over statements recurse or hold per-level state, so a record
     // nests no deeper than any parse could.
     if prog.structure().depth() > MAX_DEPTH {
@@ -194,7 +195,7 @@ fn put_opt_stmt(out: &mut Vec<u8>, s: SlicePoint) {
     }
 }
 
-fn encode_stmt(out: &mut Vec<u8>, s: &Stmt) {
+fn encode_stmt(out: &mut Vec<u8>, s: &Stmt, labels: &[Label]) {
     match &s.kind {
         StmtKind::Assign { lhs, rhs } => {
             wire::put_u8(out, 0);
@@ -270,14 +271,19 @@ fn encode_stmt(out: &mut Vec<u8>, s: &Stmt) {
             }
         }
     }
-    wire::put_len(out, s.labels.len());
-    for &l in &s.labels {
+    wire::put_len(out, labels.len());
+    for &l in labels {
         wire::put_len(out, l.index());
     }
     wire::put_u32(out, s.line);
 }
 
-fn decode_stmt(r: &mut Reader<'_>) -> Result<Stmt, SnapshotError> {
+/// Decodes statement `id`, appending its labels to `attached`.
+fn decode_stmt(
+    r: &mut Reader<'_>,
+    id: StmtId,
+    attached: &mut Vec<(StmtId, Label)>,
+) -> Result<Stmt, SnapshotError> {
     use SnapshotError::Malformed;
     let kind = match r.u8().ok_or(Malformed)? {
         0 => StmtKind::Assign {
@@ -307,7 +313,7 @@ fn decode_stmt(r: &mut Reader<'_>) -> Result<Stmt, SnapshotError> {
             let n_arms = r.len(r.remaining() / 4).ok_or(Malformed)?;
             let arms = (0..n_arms)
                 .map(|_| decode_arm(r))
-                .collect::<Result<Vec<_>, _>>()?;
+                .collect::<Result<_, _>>()?;
             StmtKind::Switch { scrutinee, arms }
         }
         8 => StmtKind::Goto {
@@ -329,11 +335,11 @@ fn decode_stmt(r: &mut Reader<'_>) -> Result<Stmt, SnapshotError> {
         _ => return Err(Malformed),
     };
     let n_labels = r.len(r.remaining() / 4).ok_or(Malformed)?;
-    let labels = (0..n_labels)
-        .map(|_| raw_label(r))
-        .collect::<Result<Vec<_>, _>>()?;
+    for _ in 0..n_labels {
+        attached.push((id, raw_label(r)?));
+    }
     let line = r.u32().ok_or(Malformed)?;
-    Ok(Stmt { kind, labels, line })
+    Ok(Stmt { kind, line })
 }
 
 fn decode_arm(r: &mut Reader<'_>) -> Result<SwitchArm, SnapshotError> {
@@ -347,7 +353,7 @@ fn decode_arm(r: &mut Reader<'_>) -> Result<SwitchArm, SnapshotError> {
                 _ => return Err(Malformed),
             })
         })
-        .collect::<Result<Vec<_>, SnapshotError>>()?;
+        .collect::<Result<_, SnapshotError>>()?;
     let body = raw_stmt_list(r)?;
     Ok(SwitchArm { guards, body })
 }
@@ -412,7 +418,7 @@ fn decode_expr(r: &mut Reader<'_>, depth: usize) -> Result<Expr, SnapshotError> 
             let n_args = r.len(r.remaining()).ok_or(Malformed)?;
             let args = (0..n_args)
                 .map(|_| decode_expr(r, depth + 1))
-                .collect::<Result<Vec<_>, _>>()?;
+                .collect::<Result<_, _>>()?;
             Expr::Call(f, args)
         }
         _ => return Err(Malformed),
@@ -486,9 +492,15 @@ fn raw_stmt(r: &mut Reader<'_>) -> Result<StmtId, SnapshotError> {
     Ok(StmtId::from_index(v as usize))
 }
 
-fn raw_stmt_list(r: &mut Reader<'_>) -> Result<Vec<StmtId>, SnapshotError> {
+/// A statement list, allocated to fit: each id costs its 4 bytes on the
+/// wire, so the count bounds the allocation by the payload.
+fn raw_stmt_list(r: &mut Reader<'_>) -> Result<Box<[StmtId]>, SnapshotError> {
     let len = r.len(r.remaining() / 4).ok_or(SnapshotError::Malformed)?;
-    (0..len).map(|_| raw_stmt(r)).collect()
+    let mut list = Vec::with_capacity(len);
+    for _ in 0..len {
+        list.push(raw_stmt(r)?);
+    }
+    Ok(list.into_boxed_slice())
 }
 
 fn raw_opt_stmt(r: &mut Reader<'_>) -> Result<SlicePoint, SnapshotError> {
@@ -592,6 +604,23 @@ L14: write(positives);";
             assert!(seed.cfg.is_some(), "the decoder builds the flowgraph");
             assert_eq!(seed.reused_phases(), 0, "{src}");
             assert!(seed.chain_index.is_none() && seed.reaching.is_none());
+        }
+    }
+
+    /// Records written before the program kept its labels in one table
+    /// and its lists boxed, checked in as bytes: this build writes the same
+    /// bytes and decodes them to the parsed program, so a store filled
+    /// before an upgrade still restores after it.
+    #[test]
+    fn format_7_records_are_unchanged() {
+        for (src, golden) in [
+            (GOTO_SRC, &include_bytes!("testdata/goto.rec")[..]),
+            (DOWHILE_SRC, &include_bytes!("testdata/dowhile.rec")[..]),
+        ] {
+            assert_eq!(program_record(src), golden, "{src}");
+            let snap = decode_snapshot(golden).expect("a checked-in record decodes");
+            assert_eq!(snap.source, src);
+            assert_eq!(snap.prog, parse(src).unwrap(), "{src}");
         }
     }
 
@@ -749,20 +778,18 @@ L14: write(positives);";
                 .map(|i| Stmt {
                     kind: StmtKind::While {
                         cond: Expr::Num(0),
-                        body: vec![StmtId::from_index(i + 1)],
+                        body: Box::new([StmtId::from_index(i + 1)]),
                     },
-                    labels: vec![],
                     line: i as u32 + 1,
                 })
                 .chain(std::iter::once(Stmt {
                     kind: StmtKind::Break,
-                    labels: vec![],
                     line: depth as u32 + 1,
                 }))
                 .collect();
-            let prog =
-                Program::from_parts(stmts, vec![StmtId::from_index(0)], vec![], vec![], vec![])
-                    .expect("a well-formed nest");
+            let body = vec![StmtId::from_index(0)];
+            let prog = Program::from_parts(stmts, body, &[], &[], vec![], vec![])
+                .expect("a well-formed nest");
             assert_eq!(prog.structure().depth(), depth);
             encode_snapshot("", &prog, &AnalysisSeed::default())
         };
@@ -837,12 +864,7 @@ L14: write(positives);";
             let stmts = [first, StmtKind::Write { arg: Expr::Num(1) }];
             wire::put_len(&mut out, stmts.len());
             for kind in stmts {
-                let s = Stmt {
-                    kind,
-                    labels: vec![],
-                    line: 1,
-                };
-                encode_stmt(&mut out, &s);
+                encode_stmt(&mut out, &Stmt { kind, line: 1 }, &[]);
             }
             put_stmt_ids(&mut out, &[StmtId::from_index(0), StmtId::from_index(1)]);
             out

@@ -8,7 +8,7 @@
 //! their owning [`Program`], so every identifier crosses the boundary as a
 //! string and every expression is re-interned node by node.
 
-use jumpslice_lang::{CaseGuard, Expr, Program, ProgramBuilder, StmtId, StmtKind};
+use jumpslice_lang::{Expr, Program, ProgramBuilder, StmtId, StmtKind};
 
 /// Re-interns `e` (which belongs to `p`) into the program under
 /// construction in `b`.
@@ -80,7 +80,7 @@ fn emit_block(
 }
 
 fn emit_stmt(p: &Program, b: &mut ProgramBuilder, s: StmtId, target: StmtId, replacement: &Expr) {
-    for &l in &p.stmt(s).labels {
+    for &l in p.labels_of(s) {
         b.label(p.label_str(l));
     }
     // The expression this statement should carry in the rebuilt program.
@@ -133,8 +133,7 @@ fn emit_stmt(p: &Program, b: &mut ProgramBuilder, s: StmtId, target: StmtId, rep
             let e = pick(b, scrutinee);
             b.switch(e, |sw| {
                 for arm in arms {
-                    let guards: Vec<CaseGuard> = arm.guards.clone();
-                    sw.arm(&guards, |b2| {
+                    sw.arm(&arm.guards, |b2| {
                         emit_block(p, b2, &arm.body, target, replacement)
                     });
                 }

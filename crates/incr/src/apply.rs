@@ -15,7 +15,7 @@
 //!   exactly; the walk records whether it did ([`Applied::same_ids`]).
 
 use crate::edit::{Edit, EditError, EditExpr, JumpKind, NewStmt};
-use jumpslice_lang::{BlockSel, CaseGuard, Expr, Program, ProgramBuilder, StmtId, StmtKind};
+use jumpslice_lang::{BlockSel, Expr, Program, ProgramBuilder, StmtId, StmtKind};
 
 /// The result of [`apply_edit`]: the edited program, whether it kept every
 /// statement id, and the new id of the statement the edit produced or
@@ -180,7 +180,7 @@ fn emit_block(
 fn emit_stmt(st: &mut WalkState<'_>, b: &mut ProgramBuilder, s: StmtId) {
     let p = st.p;
     let edit = st.edit;
-    for &l in &p.stmt(s).labels {
+    for &l in p.labels_of(s) {
         b.label(p.label_str(l));
     }
 
@@ -249,8 +249,7 @@ fn emit_stmt(st: &mut WalkState<'_>, b: &mut ProgramBuilder, s: StmtId) {
             let e = pick(b, scrutinee);
             b.switch(e, |sw| {
                 for (k, arm) in arms.iter().enumerate() {
-                    let guards: Vec<CaseGuard> = arm.guards.clone();
-                    sw.arm(&guards, |b2| {
+                    sw.arm(&arm.guards, |b2| {
                         emit_block(st, b2, Some(s), BlockSel::Arm(k), &arm.body)
                     });
                 }

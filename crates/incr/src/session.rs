@@ -235,7 +235,10 @@ impl EditSession {
                 match at.resolve(&self.prog) {
                     Some(t) => {
                         let s = self.prog.stmt(t);
-                        if !s.kind.is_compound() && !s.kind.is_jump() && s.labels.is_empty() {
+                        if !s.kind.is_compound()
+                            && !s.kind.is_jump()
+                            && self.prog.labels_of(t).is_empty()
+                        {
                             ApplyPath::SeededResolve
                         } else {
                             ApplyPath::FullRebuild

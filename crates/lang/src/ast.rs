@@ -156,7 +156,7 @@ pub enum Expr {
     /// Binary operation.
     Binary(BinOp, Box<Expr>, Box<Expr>),
     /// Call to an uninterpreted pure function, e.g. `f1(x)` or `eof()`.
-    Call(Name, Vec<Expr>),
+    Call(Name, Box<[Expr]>),
 }
 
 impl Expr {
@@ -208,9 +208,9 @@ pub enum CaseGuard {
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SwitchArm {
     /// The guards that select this arm.
-    pub guards: Vec<CaseGuard>,
+    pub guards: Box<[CaseGuard]>,
     /// The arm body, in lexical order.
-    pub body: Vec<StmtId>,
+    pub body: Box<[StmtId]>,
 }
 
 /// The statement forms of the language.
@@ -240,21 +240,21 @@ pub enum StmtKind {
         /// Branch condition.
         cond: Expr,
         /// Then-branch statements.
-        then_branch: Vec<StmtId>,
+        then_branch: Box<[StmtId]>,
         /// Else-branch statements (empty when absent).
-        else_branch: Vec<StmtId>,
+        else_branch: Box<[StmtId]>,
     },
     /// `while (cond) { .. }`
     While {
         /// Loop condition.
         cond: Expr,
         /// Loop body.
-        body: Vec<StmtId>,
+        body: Box<[StmtId]>,
     },
     /// `do { .. } while (cond);` — extension beyond the paper's figures.
     DoWhile {
         /// Loop body.
-        body: Vec<StmtId>,
+        body: Box<[StmtId]>,
         /// Loop condition, tested after the body.
         cond: Expr,
     },
@@ -263,7 +263,7 @@ pub enum StmtKind {
         /// The switched-on expression.
         scrutinee: Expr,
         /// The arms, in lexical order.
-        arms: Vec<SwitchArm>,
+        arms: Box<[SwitchArm]>,
     },
     /// `goto L;`
     Goto {
@@ -338,13 +338,12 @@ impl StmtKind {
     }
 }
 
-/// A statement: its form, any labels attached to it, and its source line.
+/// A statement: its form and its source line. The labels attached to it
+/// are kept by its program ([`Program::labels_of`]).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Stmt {
     /// The statement form.
     pub kind: StmtKind,
-    /// Labels attached to this statement (goto targets).
-    pub labels: Vec<Label>,
     /// 1-based source line (or builder sequence number).
     pub line: u32,
 }
@@ -355,15 +354,19 @@ pub struct Stmt {
 /// name/label tables, the label-to-statement resolution, and what one walk
 /// of the block tree derives when the program is made: the line table that
 /// numbers the statements as the paper does, and the links behind
-/// [`Program::structure`].
+/// [`Program::structure`]. Every list is allocated to fit, and every name
+/// and label is kept once.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct Program {
-    pub(crate) stmts: Vec<Stmt>,
-    pub(crate) body: Vec<StmtId>,
+    pub(crate) stmts: Box<[Stmt]>,
+    pub(crate) body: Box<[StmtId]>,
     pub(crate) names: Interner,
     pub(crate) labels: Interner,
     /// Per-label resolved target statement.
-    pub(crate) label_targets: Vec<Option<StmtId>>,
+    pub(crate) label_targets: Box<[Option<StmtId>]>,
+    /// Every attached label, ordered by its statement; one statement's
+    /// labels in source order.
+    pub(crate) labeled: Box<[Label]>,
     /// Derived from `stmts` and `body` whenever a program is made (end of
     /// validation, [`Program::from_parts`]); never persisted. Its line
     /// table gives paper-style line numbers: "line n" is the `n`-th
@@ -421,6 +424,14 @@ impl Program {
     /// The statement a label is attached to.
     pub fn label_target(&self, l: Label) -> Option<StmtId> {
         self.label_targets.get(l.0 as usize).copied().flatten()
+    }
+
+    /// The labels attached to a statement, in source order.
+    pub fn labels_of(&self, id: StmtId) -> &[Label] {
+        let target = |l: &Label| self.label_targets[l.index()];
+        let start = self.labeled.partition_point(|l| target(l) < Some(id));
+        let len = self.labeled[start..].partition_point(|l| target(l) == Some(id));
+        &self.labeled[start..start + len]
     }
 
     /// Number of distinct interned names (variables and functions).
@@ -515,10 +526,14 @@ impl Program {
 
     /// Reassembles a program from its constituent parts — the inverse of
     /// reading them back through the public accessors (`stmt`, `body`,
-    /// `name_str`, `label_str`, `label_target`). This is the trust
-    /// boundary for *persisted* programs: a snapshot codec hands in parts
-    /// decoded from disk, and every invariant the parser would have
+    /// `name_str`, `label_str`, `label_target`, `labels_of`). This is the
+    /// trust boundary for *persisted* programs: a snapshot codec hands in
+    /// parts decoded from disk, and every invariant the parser would have
     /// established is re-checked here. Any violation returns `None`.
+    ///
+    /// `attached` lists each statement's labels as `(statement, label)`
+    /// pairs; one statement's pairs keep their order, which is the order
+    /// its labels print in.
     ///
     /// Checked invariants:
     ///
@@ -530,7 +545,7 @@ impl Program {
     /// * every [`Name`] and [`Label`] a statement or expression mentions
     ///   is in bounds, and every `goto` target resolves to a statement;
     /// * a label is attached to a statement iff `label_targets` maps it
-    ///   there;
+    ///   there, and to no statement twice;
     /// * `break` sits inside a loop or switch, `continue` inside a loop,
     ///   and no switch guards a `case` value or `default` twice.
     ///
@@ -540,9 +555,10 @@ impl Program {
     pub fn from_parts(
         stmts: Vec<Stmt>,
         body: Vec<StmtId>,
-        names: Vec<String>,
-        labels: Vec<String>,
+        names: &[&str],
+        labels: &[&str],
         label_targets: Vec<Option<StmtId>>,
+        mut attached: Vec<(StmtId, Label)>,
     ) -> Option<Program> {
         let names = Interner::from_entries(names)?;
         let labels = Interner::from_entries(labels)?;
@@ -553,10 +569,28 @@ impl Program {
         u32::try_from(n).ok()?;
         let resolves =
             |l: Label| l.index() < label_targets.len() && label_targets[l.index()].is_some();
+        let mut claimed = vec![false; labels.len()];
+        for &(id, l) in &attached {
+            if id.index() >= n
+                || !resolves(l)
+                || label_targets[l.index()] != Some(id)
+                || std::mem::replace(&mut claimed[l.index()], true)
+            {
+                return None;
+            }
+        }
+        // The reverse direction of label consistency: a mapped label whose
+        // statement never claimed it (or a dangling arena id) is a lie.
+        if claimed
+            .iter()
+            .zip(&label_targets)
+            .any(|(&c, t)| c != t.is_some())
+        {
+            return None;
+        }
         // Iterative preorder over the block tree: hostile nesting depth
         // must exhaust the worklist, not the call stack.
         let mut visited = vec![false; n];
-        let mut attached = vec![false; labels.len()];
         let mut seen = 0usize;
         let mut work: Vec<StmtId> = body.clone();
         while let Some(id) = work.pop() {
@@ -564,16 +598,7 @@ impl Program {
                 return None;
             }
             seen += 1;
-            let s = &stmts[id.index()];
-            for &l in &s.labels {
-                if !resolves(l)
-                    || label_targets[l.index()] != Some(id)
-                    || std::mem::replace(&mut attached[l.index()], true)
-                {
-                    return None;
-                }
-            }
-            let ok = match &s.kind {
+            let ok = match &stmts[id.index()].kind {
                 StmtKind::Assign { lhs, rhs } => {
                     lhs.index() < names.len() && expr_ok(rhs, names.len())
                 }
@@ -615,22 +640,16 @@ impl Program {
         if seen != n {
             return None;
         }
-        // The reverse direction of label consistency: a mapped label whose
-        // statement never claimed it (or a dangling arena id) is a lie.
-        if attached
-            .iter()
-            .zip(&label_targets)
-            .any(|(&a, t)| a != t.is_some())
-        {
-            return None;
-        }
+        let stmts = stmts.into_boxed_slice();
         let layout = Layout::of(&stmts, &body).ok()?;
+        attached.sort_by_key(|&(id, _)| id);
         Some(Program {
             stmts,
-            body,
+            body: body.into_boxed_slice(),
             names,
             labels,
-            label_targets,
+            label_targets: label_targets.into_boxed_slice(),
+            labeled: attached.into_iter().map(|(_, l)| l).collect(),
             layout,
         })
     }
@@ -784,24 +803,33 @@ mod tests {
         assert!(!rhs_of(2).has_call());
     }
 
-    type Parts = (
+    type Parts<'p> = (
         Vec<Stmt>,
         Vec<StmtId>,
-        Vec<String>,
-        Vec<String>,
+        Vec<&'p str>,
+        Vec<&'p str>,
         Vec<Option<StmtId>>,
+        Vec<(StmtId, Label)>,
     );
 
     /// Explodes a program into exactly what `from_parts` consumes, read
     /// back through the public accessors a persisting codec would use.
-    fn parts(p: &Program) -> Parts {
+    fn parts(p: &Program) -> Parts<'_> {
         (
-            p.stmts.clone(),
-            p.body.clone(),
-            p.all_names().map(|n| p.name_str(n).to_owned()).collect(),
-            p.all_labels().map(|l| p.label_str(l).to_owned()).collect(),
+            p.stmts.to_vec(),
+            p.body.to_vec(),
+            p.all_names().map(|n| p.name_str(n)).collect(),
+            p.all_labels().map(|l| p.label_str(l)).collect(),
             p.all_labels().map(|l| p.label_target(l)).collect(),
+            p.stmt_ids()
+                .flat_map(|s| p.labels_of(s).iter().map(move |&l| (s, l)))
+                .collect(),
         )
+    }
+
+    fn rebuild(parts: Parts<'_>) -> Option<Program> {
+        let (stmts, body, names, labels, targets, attached) = parts;
+        Program::from_parts(stmts, body, &names, &labels, targets, attached)
     }
 
     #[test]
@@ -810,11 +838,10 @@ mod tests {
             "x = 1; write(x);",
             "L: read(x); if (x > 0) goto L; while (x) { x = x - 1; break; } write(f1(x));",
             "switch (x) { case 1: y = 2; default: return; } do { continue; } while (1);",
+            "goto M; L: M: N: x = 1; O: if (x) goto L; goto N; goto O;",
         ] {
             let p = parse(src).unwrap();
-            let (stmts, body, names, labels, targets) = parts(&p);
-            let back = Program::from_parts(stmts, body, names, labels, targets)
-                .expect("a parsed program's own parts are valid");
+            let back = rebuild(parts(&p)).expect("a parsed program's own parts are valid");
             assert_eq!(back, p, "{src:?}");
         }
     }
@@ -826,28 +853,27 @@ mod tests {
 
         // Duplicate interner entry.
         let mut bad = ok.clone();
-        bad.2.push(bad.2[0].clone());
-        assert!(Program::from_parts(bad.0, bad.1, bad.2, bad.3, bad.4).is_none());
+        bad.2.push(bad.2[0]);
+        assert!(rebuild(bad).is_none());
 
         // An arena statement the block tree never reaches (orphan).
         let mut bad = ok.clone();
         bad.0.push(Stmt {
             kind: StmtKind::Skip,
-            labels: vec![],
             line: 99,
         });
-        assert!(Program::from_parts(bad.0, bad.1, bad.2, bad.3, bad.4).is_none());
+        assert!(rebuild(bad).is_none());
 
         // The same statement listed twice (sharing).
         let mut bad = ok.clone();
         let first = bad.1[0];
         bad.1.push(first);
-        assert!(Program::from_parts(bad.0, bad.1, bad.2, bad.3, bad.4).is_none());
+        assert!(rebuild(bad).is_none());
 
         // A body id past the arena.
         let mut bad = ok.clone();
         bad.1.push(StmtId::from_index(100));
-        assert!(Program::from_parts(bad.0, bad.1, bad.2, bad.3, bad.4).is_none());
+        assert!(rebuild(bad).is_none());
 
         // An out-of-bounds name inside an expression.
         let mut bad = ok.clone();
@@ -859,39 +885,48 @@ mod tests {
         if let StmtKind::CondGoto { cond, .. } = &mut bad.0[cg].kind {
             *cond = Expr::Var(Name::from_index(50));
         }
-        assert!(Program::from_parts(bad.0, bad.1, bad.2, bad.3, bad.4).is_none());
+        assert!(rebuild(bad).is_none());
 
         // A goto whose label has no target statement.
         let mut bad = ok.clone();
         bad.4[0] = None;
-        assert!(Program::from_parts(bad.0, bad.1, bad.2, bad.3, bad.4).is_none());
+        assert!(rebuild(bad).is_none());
 
         // A label map pointing at a statement that never claimed it.
         let mut bad = ok.clone();
         bad.4[0] = Some(StmtId::from_index(1));
-        assert!(Program::from_parts(bad.0, bad.1, bad.2, bad.3, bad.4).is_none());
+        assert!(rebuild(bad).is_none());
+
+        // A label claimed twice, by no statement, or by a statement past
+        // the arena that the label map agrees with.
+        let mut bad = ok.clone();
+        bad.5.push(bad.5[0]);
+        assert!(rebuild(bad).is_none());
+        let mut bad = ok.clone();
+        bad.5.clear();
+        assert!(rebuild(bad).is_none());
+        let mut bad = ok.clone();
+        bad.4[0] = Some(StmtId::from_index(100));
+        bad.5[0].0 = StmtId::from_index(100);
+        assert!(rebuild(bad).is_none());
 
         // The untampered parts still pass (the fixture itself is valid).
-        assert!(Program::from_parts(ok.0, ok.1, ok.2, ok.3, ok.4).is_some());
+        assert!(rebuild(ok).is_some());
     }
 
     #[test]
     fn from_parts_rejects_what_validation_rejects() {
-        let stmt = |kind| Stmt {
-            kind,
-            labels: vec![],
-            line: 1,
-        };
+        let stmt = |kind| Stmt { kind, line: 1 };
         let c = || Expr::Var(Name::from_index(0));
         let arm = |guard, at: usize| SwitchArm {
-            guards: vec![guard],
-            body: vec![StmtId::from_index(at)],
+            guards: Box::new([guard]),
+            body: Box::new([StmtId::from_index(at)]),
         };
         let switch = |g1, g2| {
             vec![
                 stmt(StmtKind::Switch {
                     scrutinee: c(),
-                    arms: vec![arm(g1, 1), arm(g2, 2)],
+                    arms: Box::new([arm(g1, 1), arm(g2, 2)]),
                 }),
                 stmt(StmtKind::Skip),
                 stmt(StmtKind::Skip),
@@ -899,8 +934,7 @@ mod tests {
         };
         let accepts = |stmts: Vec<Stmt>| {
             let body = vec![StmtId::from_index(0)];
-            let names = vec!["c".to_owned()];
-            Program::from_parts(stmts, body, names, vec![], vec![]).is_some()
+            Program::from_parts(stmts, body, &["c"], &[], vec![], vec![]).is_some()
         };
 
         // `break; write(1);` — a top-level break.
@@ -909,14 +943,14 @@ mod tests {
             stmt(StmtKind::Write { arg: Expr::Num(1) }),
         ];
         let body = vec![StmtId::from_index(0), StmtId::from_index(1)];
-        assert!(Program::from_parts(stmts, body, vec![], vec![], vec![]).is_none());
+        assert!(Program::from_parts(stmts, body, &[], &[], vec![], vec![]).is_none());
 
         // `switch (c) { case 1: continue; }` — a continue in a switch but
         // outside any loop.
         let stmts = vec![
             stmt(StmtKind::Switch {
                 scrutinee: c(),
-                arms: vec![arm(CaseGuard::Case(1), 1)],
+                arms: Box::new([arm(CaseGuard::Case(1), 1)]),
             }),
             stmt(StmtKind::Continue),
         ];

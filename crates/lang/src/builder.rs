@@ -23,7 +23,7 @@
 
 use crate::ast::*;
 use crate::error::Error;
-use crate::validate::validate;
+use crate::validate::Draft;
 
 // Constructor names mirror the surface syntax (`add`, `not`, …); they are
 // static constructors, not operator-trait impls, and `Expr: !Copy` makes
@@ -100,8 +100,11 @@ impl Expr {
 /// shows the typical flow.
 #[derive(Debug, Default)]
 pub struct ProgramBuilder {
-    prog: Program,
-    blocks: Vec<Vec<StmtId>>,
+    draft: Draft,
+    /// Statements of the open blocks, innermost last.
+    open: Vec<StmtId>,
+    /// Where each nested open block starts in `open`.
+    starts: Vec<usize>,
     pending_labels: Vec<Label>,
     next_line: u32,
 }
@@ -109,35 +112,22 @@ pub struct ProgramBuilder {
 impl ProgramBuilder {
     /// Creates an empty builder.
     pub fn new() -> Self {
-        ProgramBuilder {
-            prog: Program::default(),
-            blocks: vec![Vec::new()],
-            pending_labels: Vec::new(),
-            next_line: 0,
-        }
+        ProgramBuilder::default()
     }
 
     /// Interns a variable name and returns it as an expression.
     pub fn var(&mut self, name: &str) -> Expr {
-        Expr::Var(Name(self.prog.names.intern(name)))
+        Expr::Var(self.draft.name(name))
     }
 
     /// Interns a function name and builds a call expression.
     pub fn call(&mut self, func: &str, args: Vec<Expr>) -> Expr {
-        Expr::Call(Name(self.prog.names.intern(func)), args)
+        Expr::Call(self.draft.name(func), args.into_boxed_slice())
     }
 
     /// `eof()` — the input-exhaustion test used by the paper's examples.
     pub fn eof(&mut self) -> Expr {
         self.call("eof", Vec::new())
-    }
-
-    fn intern_label(&mut self, name: &str) -> Label {
-        let l = Label(self.prog.labels.intern(name));
-        if self.prog.label_targets.len() < self.prog.labels.len() {
-            self.prog.label_targets.resize(self.prog.labels.len(), None);
-        }
-        l
     }
 
     fn reserve_line(&mut self) -> u32 {
@@ -146,12 +136,8 @@ impl ProgramBuilder {
     }
 
     fn push(&mut self, kind: StmtKind, line: u32, labels: Vec<Label>) -> StmtId {
-        let id = StmtId(self.prog.stmts.len() as u32);
-        self.prog.stmts.push(Stmt { kind, labels, line });
-        self.blocks
-            .last_mut()
-            .expect("builder block stack never empty")
-            .push(id);
+        let id = self.draft.push(kind, line, labels);
+        self.open.push(id);
         id
     }
 
@@ -163,20 +149,20 @@ impl ProgramBuilder {
 
     /// Attaches `name` as a label to the *next* statement built.
     pub fn label(&mut self, name: &str) -> &mut Self {
-        let l = self.intern_label(name);
+        let l = self.draft.label(name);
         self.pending_labels.push(l);
         self
     }
 
     /// `var = rhs;`
     pub fn assign(&mut self, var: &str, rhs: Expr) -> StmtId {
-        let lhs = Name(self.prog.names.intern(var));
+        let lhs = self.draft.name(var);
         self.simple(StmtKind::Assign { lhs, rhs })
     }
 
     /// `read(var);`
     pub fn read(&mut self, var: &str) -> StmtId {
-        let var = Name(self.prog.names.intern(var));
+        let var = self.draft.name(var);
         self.simple(StmtKind::Read { var })
     }
 
@@ -192,13 +178,13 @@ impl ProgramBuilder {
 
     /// `goto label;`
     pub fn goto(&mut self, label: &str) -> StmtId {
-        let target = self.intern_label(label);
+        let target = self.draft.label(label);
         self.simple(StmtKind::Goto { target })
     }
 
     /// `if (cond) goto label;` as a single fused conditional jump.
     pub fn cond_goto(&mut self, cond: Expr, label: &str) -> StmtId {
-        let target = self.intern_label(label);
+        let target = self.draft.label(label);
         self.simple(StmtKind::CondGoto { cond, target })
     }
 
@@ -217,10 +203,23 @@ impl ProgramBuilder {
         self.simple(StmtKind::Return { value })
     }
 
-    fn nested(&mut self, f: impl FnOnce(&mut Self)) -> Vec<StmtId> {
-        self.blocks.push(Vec::new());
+    fn open_block(&mut self) {
+        self.starts.push(self.open.len());
+    }
+
+    /// The statements pushed since the matching [`Self::open_block`], as
+    /// one list allocated to fit.
+    fn close_block(&mut self) -> Box<[StmtId]> {
+        let start = self.starts.pop().expect("a block is open");
+        let block = self.open[start..].into();
+        self.open.truncate(start);
+        block
+    }
+
+    fn nested(&mut self, f: impl FnOnce(&mut Self)) -> Box<[StmtId]> {
+        self.open_block();
         f(self);
-        self.blocks.pop().expect("pushed above")
+        self.close_block()
     }
 
     /// `if (cond) { then_f } else { else_f }`
@@ -280,12 +279,12 @@ impl ProgramBuilder {
     ) -> StmtId {
         let line = self.reserve_line();
         let labels = std::mem::take(&mut self.pending_labels);
-        self.blocks.push(Vec::new());
+        self.open_block();
         then_f(ctx, self);
-        let then_branch = self.blocks.pop().expect("pushed above");
-        self.blocks.push(Vec::new());
+        let then_branch = self.close_block();
+        self.open_block();
         else_f(ctx, self);
-        let else_branch = self.blocks.pop().expect("pushed above");
+        let else_branch = self.close_block();
         self.push(
             StmtKind::If {
                 cond,
@@ -323,7 +322,7 @@ impl ProgramBuilder {
             arms: Vec::new(),
         };
         arms_f(&mut handle);
-        let arms = handle.arms;
+        let arms = handle.arms.into_boxed_slice();
         self.push(StmtKind::Switch { scrutinee, arms }, line, labels)
     }
 
@@ -334,11 +333,9 @@ impl ProgramBuilder {
     /// Returns the same class of errors as [`crate::parse`]: undefined or
     /// duplicate labels, `break`/`continue` outside their contexts, and
     /// duplicate `case` guards.
-    pub fn build(mut self) -> Result<Program, Error> {
-        assert_eq!(self.blocks.len(), 1, "unclosed nested block in builder");
-        self.prog.body = self.blocks.pop().expect("checked above");
-        validate(&mut self.prog)?;
-        Ok(self.prog)
+    pub fn build(self) -> Result<Program, Error> {
+        assert!(self.starts.is_empty(), "unclosed nested block in builder");
+        self.draft.finish(self.open.into_boxed_slice())
     }
 }
 
@@ -354,7 +351,7 @@ impl SwitchArms<'_> {
     pub fn arm(&mut self, guards: &[CaseGuard], body_f: impl FnOnce(&mut ProgramBuilder)) {
         let body = self.builder.nested(body_f);
         self.arms.push(SwitchArm {
-            guards: guards.to_vec(),
+            guards: guards.into(),
             body,
         });
     }

@@ -10,6 +10,8 @@ pub enum ErrorKind {
     UnexpectedChar(char),
     /// An integer literal that does not fit in `i64`.
     IntOverflow(String),
+    /// A `/*` comment with no closing `*/`.
+    UnterminatedComment,
     /// The parser found `found` where it expected `expected`.
     UnexpectedToken {
         /// Human-readable description of what was expected.
@@ -56,6 +58,7 @@ impl fmt::Display for Error {
         match &self.kind {
             ErrorKind::UnexpectedChar(c) => write!(f, "unexpected character {c:?}"),
             ErrorKind::IntOverflow(s) => write!(f, "integer literal `{s}` overflows i64"),
+            ErrorKind::UnterminatedComment => write!(f, "`/*` comment is never closed"),
             ErrorKind::UnexpectedToken { expected, found } => {
                 write!(f, "expected {expected}, found {found}")
             }
@@ -82,5 +85,7 @@ mod tests {
     fn display_includes_location() {
         let e = Error::new(ErrorKind::UndefinedLabel("L9".into()), 4, 7);
         assert_eq!(e.to_string(), "4:7: goto target `L9` is not defined");
+        let e = Error::new(ErrorKind::UnterminatedComment, 2, 3);
+        assert_eq!(e.to_string(), "2:3: `/*` comment is never closed");
     }
 }

@@ -12,11 +12,12 @@ pub struct Span {
     pub col: u32,
 }
 
-/// The lexical categories of the language.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum TokenKind {
+/// The lexical categories of the language. Identifiers are slices of the
+/// source text they were read from.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum TokenKind<'src> {
     /// Identifier (variable, function, or label name).
-    Ident(String),
+    Ident(&'src str),
     /// Integer literal.
     Int(i64),
     /// Keywords.
@@ -93,7 +94,7 @@ pub enum TokenKind {
     Eof,
 }
 
-impl fmt::Display for TokenKind {
+impl fmt::Display for TokenKind<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             TokenKind::Ident(s) => write!(f, "identifier `{s}`"),
@@ -139,15 +140,16 @@ impl fmt::Display for TokenKind {
 }
 
 /// A token with its source location.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Token {
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Token<'src> {
     /// The token category and payload.
-    pub kind: TokenKind,
+    pub kind: TokenKind<'src>,
     /// Where the token starts.
     pub span: Span,
 }
 
-/// Streaming lexer over source text.
+/// Streaming lexer over source text: a position in the text, so copying
+/// it saves the position to come back to.
 ///
 /// Supports `// line` and `/* block */` comments.
 ///
@@ -157,12 +159,15 @@ pub struct Token {
 /// use jumpslice_lang::{Lexer, TokenKind};
 /// let tokens = Lexer::new("x = 1; // init").tokenize()?;
 /// assert_eq!(tokens.len(), 5); // x, =, 1, ;, EOF
+/// assert_eq!(tokens[0].kind, TokenKind::Ident("x"));
 /// assert_eq!(tokens[1].kind, TokenKind::Assign);
 /// # Ok::<(), jumpslice_lang::Error>(())
 /// ```
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct Lexer<'src> {
-    chars: std::iter::Peekable<std::str::Chars<'src>>,
+    src: &'src str,
+    /// Byte offset of the next character.
+    pos: usize,
     line: u32,
     col: u32,
 }
@@ -171,14 +176,16 @@ impl<'src> Lexer<'src> {
     /// Creates a lexer over `src`.
     pub fn new(src: &'src str) -> Self {
         Lexer {
-            chars: src.chars().peekable(),
+            src,
+            pos: 0,
             line: 1,
             col: 1,
         }
     }
 
     fn bump(&mut self) -> Option<char> {
-        let c = self.chars.next()?;
+        let c = self.peek()?;
+        self.pos += c.len_utf8();
         if c == '\n' {
             self.line += 1;
             self.col = 1;
@@ -188,8 +195,24 @@ impl<'src> Lexer<'src> {
         Some(c)
     }
 
-    fn peek(&mut self) -> Option<char> {
-        self.chars.peek().copied()
+    fn peek(&self) -> Option<char> {
+        self.src[self.pos..].chars().next()
+    }
+
+    /// The byte after the next character, when that character is ASCII.
+    fn peek2(&self) -> Option<u8> {
+        self.src.as_bytes().get(self.pos + 1).copied()
+    }
+
+    /// Consumes ASCII characters while `keep` accepts them and returns
+    /// the text consumed, which starts `from` bytes back.
+    fn take_while(&mut self, from: usize, keep: fn(u8) -> bool) -> &'src str {
+        let start = self.pos - from;
+        while self.src.as_bytes().get(self.pos).copied().is_some_and(keep) {
+            self.pos += 1;
+            self.col += 1;
+        }
+        &self.src[start..self.pos]
     }
 
     fn skip_trivia(&mut self) -> Result<(), Error> {
@@ -198,31 +221,26 @@ impl<'src> Lexer<'src> {
                 Some(c) if c.is_whitespace() => {
                     self.bump();
                 }
-                Some('/') => {
-                    // Maybe a comment: look one further by cloning cheaply.
-                    let mut probe = self.chars.clone();
-                    probe.next();
-                    match probe.peek() {
-                        Some('/') => {
-                            while let Some(c) = self.bump() {
-                                if c == '\n' {
-                                    break;
-                                }
+                Some('/') if self.peek2() == Some(b'/') => {
+                    while let Some(c) = self.bump() {
+                        if c == '\n' {
+                            break;
+                        }
+                    }
+                }
+                Some('/') if self.peek2() == Some(b'*') => {
+                    let (line, col) = (self.line, self.col);
+                    self.bump();
+                    self.bump();
+                    let mut prev = '\0';
+                    loop {
+                        match self.bump() {
+                            Some('/') if prev == '*' => break,
+                            Some(c) => prev = c,
+                            None => {
+                                return Err(Error::new(ErrorKind::UnterminatedComment, line, col))
                             }
                         }
-                        Some('*') => {
-                            self.bump();
-                            self.bump();
-                            let mut prev = '\0';
-                            loop {
-                                match self.bump() {
-                                    Some('/') if prev == '*' => break,
-                                    Some(c) => prev = c,
-                                    None => return Ok(()), // unterminated: treat as EOF
-                                }
-                            }
-                        }
-                        _ => return Ok(()),
                     }
                 }
                 _ => return Ok(()),
@@ -234,9 +252,10 @@ impl<'src> Lexer<'src> {
     ///
     /// # Errors
     ///
-    /// Returns an error on characters outside the language or on integer
-    /// literals that overflow `i64`.
-    pub fn next_token(&mut self) -> Result<Token, Error> {
+    /// Returns an error on characters outside the language, on integer
+    /// literals that overflow `i64`, and on a `/*` comment that is never
+    /// closed.
+    pub fn next_token(&mut self) -> Result<Token<'src>, Error> {
         self.skip_trivia()?;
         let span = Span {
             line: self.line,
@@ -246,6 +265,21 @@ impl<'src> Lexer<'src> {
         let c = match self.bump() {
             None => return tok(TokenKind::Eof),
             Some(c) => c,
+        };
+        // A second character completes a two-character operator.
+        let mut then = |next: char, two: TokenKind<'src>, one: Option<TokenKind<'src>>| {
+            if self.peek() == Some(next) {
+                self.bump();
+                tok(two)
+            } else if let Some(one) = one {
+                tok(one)
+            } else {
+                Err(Error::new(
+                    ErrorKind::UnexpectedChar(c),
+                    span.line,
+                    span.col,
+                ))
+            }
         };
         match c {
             '(' => tok(TokenKind::LParen),
@@ -260,94 +294,26 @@ impl<'src> Lexer<'src> {
             '*' => tok(TokenKind::Star),
             '/' => tok(TokenKind::Slash),
             '%' => tok(TokenKind::Percent),
-            '=' => {
-                if self.peek() == Some('=') {
-                    self.bump();
-                    tok(TokenKind::EqEq)
-                } else {
-                    tok(TokenKind::Assign)
-                }
-            }
-            '!' => {
-                if self.peek() == Some('=') {
-                    self.bump();
-                    tok(TokenKind::NotEq)
-                } else {
-                    tok(TokenKind::Bang)
-                }
-            }
-            '<' => {
-                if self.peek() == Some('=') {
-                    self.bump();
-                    tok(TokenKind::Le)
-                } else {
-                    tok(TokenKind::Lt)
-                }
-            }
-            '>' => {
-                if self.peek() == Some('=') {
-                    self.bump();
-                    tok(TokenKind::Ge)
-                } else {
-                    tok(TokenKind::Gt)
-                }
-            }
-            '&' => {
-                if self.peek() == Some('&') {
-                    self.bump();
-                    tok(TokenKind::AndAnd)
-                } else {
-                    Err(Error::new(
-                        ErrorKind::UnexpectedChar('&'),
-                        span.line,
-                        span.col,
-                    ))
-                }
-            }
-            '|' => {
-                if self.peek() == Some('|') {
-                    self.bump();
-                    tok(TokenKind::OrOr)
-                } else {
-                    Err(Error::new(
-                        ErrorKind::UnexpectedChar('|'),
-                        span.line,
-                        span.col,
-                    ))
-                }
-            }
+            '=' => then('=', TokenKind::EqEq, Some(TokenKind::Assign)),
+            '!' => then('=', TokenKind::NotEq, Some(TokenKind::Bang)),
+            '<' => then('=', TokenKind::Le, Some(TokenKind::Lt)),
+            '>' => then('=', TokenKind::Ge, Some(TokenKind::Gt)),
+            '&' => then('&', TokenKind::AndAnd, None),
+            '|' => then('|', TokenKind::OrOr, None),
             c if c.is_ascii_digit() => {
-                let mut text = String::new();
-                text.push(c);
-                while let Some(d) = self.peek() {
-                    if d.is_ascii_digit() {
-                        text.push(d);
-                        self.bump();
-                    } else {
-                        break;
-                    }
-                }
+                let text = self.take_while(1, |d| d.is_ascii_digit());
                 match text.parse::<i64>() {
                     Ok(n) => tok(TokenKind::Int(n)),
                     Err(_) => Err(Error::new(
-                        ErrorKind::IntOverflow(text),
+                        ErrorKind::IntOverflow(text.to_owned()),
                         span.line,
                         span.col,
                     )),
                 }
             }
             c if c.is_ascii_alphabetic() || c == '_' => {
-                let mut text = String::new();
-                text.push(c);
-                while let Some(d) = self.peek() {
-                    if d.is_ascii_alphanumeric() || d == '_' {
-                        text.push(d);
-                        self.bump();
-                    } else {
-                        break;
-                    }
-                }
-                let kind = match text.as_str() {
+                let text = self.take_while(1, |d| d.is_ascii_alphanumeric() || d == b'_');
+                tok(match text {
                     "if" => TokenKind::KwIf,
                     "else" => TokenKind::KwElse,
                     "while" => TokenKind::KwWhile,
@@ -362,8 +328,7 @@ impl<'src> Lexer<'src> {
                     "read" => TokenKind::KwRead,
                     "write" => TokenKind::KwWrite,
                     _ => TokenKind::Ident(text),
-                };
-                tok(kind)
+                })
             }
             other => Err(Error::new(
                 ErrorKind::UnexpectedChar(other),
@@ -373,18 +338,29 @@ impl<'src> Lexer<'src> {
         }
     }
 
+    /// The first lexical error in the rest of the input, if any: what a
+    /// parser that stopped at a syntax error reports instead of it.
+    pub(crate) fn first_error(&mut self) -> Option<Error> {
+        loop {
+            match self.next_token() {
+                Ok(t) if t.kind == TokenKind::Eof => return None,
+                Ok(_) => {}
+                Err(e) => return Some(e),
+            }
+        }
+    }
+
     /// Tokenizes the entire input (including the final [`TokenKind::Eof`]).
     ///
     /// # Errors
     ///
     /// Propagates the first lexical error.
-    pub fn tokenize(mut self) -> Result<Vec<Token>, Error> {
+    pub fn tokenize(mut self) -> Result<Vec<Token<'src>>, Error> {
         let mut out = Vec::new();
         loop {
             let t = self.next_token()?;
-            let done = t.kind == TokenKind::Eof;
             out.push(t);
-            if done {
+            if t.kind == TokenKind::Eof {
                 return Ok(out);
             }
         }
@@ -395,7 +371,7 @@ impl<'src> Lexer<'src> {
 mod tests {
     use super::*;
 
-    fn kinds(src: &str) -> Vec<TokenKind> {
+    fn kinds(src: &str) -> Vec<TokenKind<'_>> {
         Lexer::new(src)
             .tokenize()
             .unwrap()
@@ -411,10 +387,10 @@ mod tests {
             ks,
             vec![
                 TokenKind::KwIf,
-                TokenKind::Ident("ifx".into()),
+                TokenKind::Ident("ifx"),
                 TokenKind::KwGoto,
-                TokenKind::Ident("L3".into()),
-                TokenKind::Ident("eof".into()),
+                TokenKind::Ident("L3"),
+                TokenKind::Ident("eof"),
                 TokenKind::Eof,
             ]
         );
@@ -447,7 +423,7 @@ mod tests {
         assert_eq!(
             ks,
             vec![
-                TokenKind::Ident("x".into()),
+                TokenKind::Ident("x"),
                 TokenKind::Assign,
                 TokenKind::Int(1),
                 TokenKind::Semi,
@@ -480,6 +456,27 @@ mod tests {
     fn lone_ampersand_rejected() {
         let err = Lexer::new("x & y").tokenize().unwrap_err();
         assert_eq!(err.kind, ErrorKind::UnexpectedChar('&'));
+    }
+
+    /// A `/*` with no `*/` is an error at the comment's start, not the
+    /// end of the input.
+    #[test]
+    fn unterminated_block_comment_is_reported() {
+        let err = Lexer::new("read(x);\n  /* note write(x);")
+            .tokenize()
+            .unwrap_err();
+        assert_eq!(
+            (err.kind, err.line, err.col),
+            (ErrorKind::UnterminatedComment, 2, 3)
+        );
+        assert_eq!(kinds("x /**/ /* a */ y"), kinds("x y"));
+    }
+
+    /// Columns count characters, not bytes.
+    #[test]
+    fn columns_count_characters() {
+        let err = Lexer::new("/* é */ x = ü;").tokenize().unwrap_err();
+        assert_eq!((err.kind, err.col), (ErrorKind::UnexpectedChar('ü'), 13));
     }
 
     #[test]

@@ -3,7 +3,7 @@
 use crate::ast::*;
 use crate::error::{Error, ErrorKind};
 use crate::lexer::{Lexer, Span, Token, TokenKind};
-use crate::validate::validate;
+use crate::validate::Draft;
 
 /// How many levels deep a program may nest. Every compound statement body
 /// (`if`, `while`, `do`, `switch`), every parenthesised group or call
@@ -35,66 +35,95 @@ pub const MAX_DEPTH: usize = 256;
 /// # Ok::<(), jumpslice_lang::Error>(())
 /// ```
 pub fn parse(src: &str) -> Result<Program, Error> {
-    let tokens = Lexer::new(src).tokenize()?;
-    let mut p = Parser {
-        tokens,
-        pos: 0,
-        prog: Program::default(),
-        depth: 0,
-    };
-    let mut body = Vec::new();
-    while !p.at(&TokenKind::Eof) {
-        body.push(p.parse_stmt()?);
+    let mut p = Parser::new(src);
+    let body = p.stmts_until(|k| k == TokenKind::Eof);
+    // A lexical error anywhere outranks a syntax error: the parser stops
+    // at the first error, so the rest of the input is lexed for one.
+    if let Some(e) = p.lex_error {
+        return Err(e);
     }
-    p.prog.body = body;
-    validate(&mut p.prog)?;
-    Ok(p.prog)
+    let body = body.map_err(|e| p.lexer.first_error().unwrap_or(e))?;
+    p.draft.finish(body)
 }
 
-struct Parser {
-    tokens: Vec<Token>,
-    pos: usize,
-    prog: Program,
+struct Parser<'src> {
+    /// Positioned after `next`.
+    lexer: Lexer<'src>,
+    /// The current token.
+    tok: Token<'src>,
+    /// The token after it.
+    next: Token<'src>,
+    /// The first lexical error; every token after it reads as the end of
+    /// input.
+    lex_error: Option<Error>,
+    draft: Draft,
+    /// Labels of the statements being parsed, innermost last.
+    open_labels: Vec<Label>,
+    /// Statements of the blocks being parsed, innermost last.
+    open_stmts: Vec<StmtId>,
+    /// Arguments of the calls being parsed, innermost last.
+    open_args: Vec<Expr>,
     /// Levels open around the current token: enclosing compound statement
     /// bodies, parenthesised groups, call argument lists and unary
     /// operators.
     depth: usize,
 }
 
-impl Parser {
-    fn peek(&self) -> &Token {
-        &self.tokens[self.pos]
+impl<'src> Parser<'src> {
+    fn new(src: &'src str) -> Self {
+        let eof = Token {
+            kind: TokenKind::Eof,
+            span: Span { line: 1, col: 1 },
+        };
+        let mut p = Parser {
+            lexer: Lexer::new(src),
+            tok: eof,
+            next: eof,
+            lex_error: None,
+            draft: Draft::default(),
+            open_labels: Vec::new(),
+            open_stmts: Vec::new(),
+            open_args: Vec::new(),
+            depth: 0,
+        };
+        p.bump();
+        p.bump();
+        p
     }
 
-    fn peek2(&self) -> &TokenKind {
-        self.tokens
-            .get(self.pos + 1)
-            .map(|t| &t.kind)
-            .unwrap_or(&TokenKind::Eof)
+    fn at(&self, kind: TokenKind<'_>) -> bool {
+        self.tok.kind == kind
     }
 
-    fn at(&self, kind: &TokenKind) -> bool {
-        &self.peek().kind == kind
+    fn bump(&mut self) {
+        self.tok = self.next;
+        let span = self.tok.span;
+        self.next = match self.lex_error {
+            Some(_) => Token {
+                kind: TokenKind::Eof,
+                span,
+            },
+            None => self.lexer.next_token().unwrap_or_else(|e| {
+                self.lex_error = Some(e);
+                Token {
+                    kind: TokenKind::Eof,
+                    span,
+                }
+            }),
+        };
     }
 
-    fn bump(&mut self) -> Token {
-        let t = self.tokens[self.pos].clone();
-        if self.pos + 1 < self.tokens.len() {
-            self.pos += 1;
-        }
-        t
-    }
-
-    fn expect(&mut self, kind: TokenKind) -> Result<Token, Error> {
-        if self.at(&kind) {
-            Ok(self.bump())
+    fn expect(&mut self, kind: TokenKind<'_>) -> Result<(), Error> {
+        if self.at(kind) {
+            self.bump();
+            Ok(())
         } else {
             Err(self.err_expected(&format!("{kind}")))
         }
     }
 
     fn err_expected(&self, expected: &str) -> Error {
-        let t = self.peek();
+        let t = self.tok;
         Error::new(
             ErrorKind::UnexpectedToken {
                 expected: expected.to_owned(),
@@ -106,7 +135,7 @@ impl Parser {
     }
 
     fn too_deep(&self) -> Error {
-        let t = self.peek();
+        let t = self.tok;
         Error::new(ErrorKind::NestingTooDeep, t.span.line, t.span.col)
     }
 
@@ -128,78 +157,61 @@ impl Parser {
         Ok(height)
     }
 
-    fn intern_name(&mut self, s: &str) -> Name {
-        Name(self.prog.names.intern(s))
-    }
-
-    fn intern_label(&mut self, s: &str) -> Label {
-        let l = Label(self.prog.labels.intern(s));
-        if self.prog.label_targets.len() < self.prog.labels.len() {
-            self.prog.label_targets.resize(self.prog.labels.len(), None);
-        }
-        l
-    }
-
-    fn alloc(&mut self, kind: StmtKind, labels: Vec<Label>, span: Span) -> StmtId {
-        let id = StmtId(self.prog.stmts.len() as u32);
-        self.prog.stmts.push(Stmt {
-            kind,
-            labels,
-            line: span.line,
-        });
-        id
-    }
-
-    /// `IDENT ':'` label prefixes of a statement.
-    fn parse_labels(&mut self) -> Vec<Label> {
-        let mut labels = Vec::new();
-        while let TokenKind::Ident(name) = &self.peek().kind {
-            if self.peek2() == &TokenKind::Colon {
-                let name = name.clone();
-                self.bump();
-                self.bump();
-                labels.push(self.intern_label(&name));
-            } else {
+    /// `IDENT ':'` label prefixes of a statement, onto `open_labels`.
+    fn parse_labels(&mut self) {
+        while let TokenKind::Ident(name) = self.tok.kind {
+            if self.next.kind != TokenKind::Colon {
                 break;
             }
+            self.bump();
+            self.bump();
+            let l = self.draft.label(name);
+            self.open_labels.push(l);
         }
-        labels
+    }
+
+    /// Statements up to a token `stop` accepts, as one list allocated to
+    /// fit.
+    fn stmts_until(&mut self, stop: fn(TokenKind<'_>) -> bool) -> Result<Box<[StmtId]>, Error> {
+        let open = self.open_stmts.len();
+        while !stop(self.tok.kind) {
+            let id = self.parse_stmt()?;
+            self.open_stmts.push(id);
+        }
+        let list = self.open_stmts[open..].into();
+        self.open_stmts.truncate(open);
+        Ok(list)
     }
 
     /// A brace-enclosed block or a single statement: the body of a
     /// compound statement, one nesting level deeper.
-    fn parse_block_or_stmt(&mut self) -> Result<Vec<StmtId>, Error> {
+    fn parse_block_or_stmt(&mut self) -> Result<Box<[StmtId]>, Error> {
         self.enter()?;
-        let stmts = if self.at(&TokenKind::LBrace) {
+        let stmts = if self.at(TokenKind::LBrace) {
             self.bump();
-            let mut stmts = Vec::new();
-            while !self.at(&TokenKind::RBrace) {
-                if self.at(&TokenKind::Eof) {
-                    return Err(self.err_expected("`}`"));
-                }
-                stmts.push(self.parse_stmt()?);
-            }
-            self.bump();
+            let stmts = self.stmts_until(|k| matches!(k, TokenKind::RBrace | TokenKind::Eof))?;
+            self.expect(TokenKind::RBrace)?;
             stmts
         } else {
-            vec![self.parse_stmt()?]
+            Box::new([self.parse_stmt()?])
         };
         self.depth -= 1;
         Ok(stmts)
     }
 
     fn parse_stmt(&mut self) -> Result<StmtId, Error> {
-        let labels = self.parse_labels();
-        let span = self.peek().span;
+        let open = self.open_labels.len();
+        self.parse_labels();
+        let line = self.tok.span.line;
         let kind = self.parse_stmt_kind()?;
-        Ok(self.alloc(kind, labels, span))
+        Ok(self.draft.push(kind, line, self.open_labels.drain(open..)))
     }
 
     /// Dispatches on the statement keyword. Compound statements get
     /// functions of their own, so the frames a nesting level puts on the
     /// stack hold only what that statement needs.
     fn parse_stmt_kind(&mut self) -> Result<StmtKind, Error> {
-        match self.peek().kind {
+        match self.tok.kind {
             TokenKind::KwIf => self.parse_if(),
             TokenKind::KwWhile => self.parse_while(),
             TokenKind::KwDo => self.parse_do_while(),
@@ -209,7 +221,7 @@ impl Parser {
     }
 
     fn parse_simple_stmt(&mut self) -> Result<StmtKind, Error> {
-        match self.peek().kind.clone() {
+        match self.tok.kind {
             TokenKind::Semi => {
                 self.bump();
                 Ok(StmtKind::Skip)
@@ -219,19 +231,17 @@ impl Parser {
                 self.expect(TokenKind::Assign)?;
                 let rhs = self.parse_expr()?;
                 self.expect(TokenKind::Semi)?;
-                let lhs = self.intern_name(&name);
+                let lhs = self.draft.name(name);
                 Ok(StmtKind::Assign { lhs, rhs })
             }
             TokenKind::KwRead => {
                 self.bump();
                 self.expect(TokenKind::LParen)?;
-                let var = match self.peek().kind.clone() {
-                    TokenKind::Ident(v) => {
-                        self.bump();
-                        self.intern_name(&v)
-                    }
-                    _ => return Err(self.err_expected("variable name")),
+                let TokenKind::Ident(v) = self.tok.kind else {
+                    return Err(self.err_expected("variable name"));
                 };
+                self.bump();
+                let var = self.draft.name(v);
                 self.expect(TokenKind::RParen)?;
                 self.expect(TokenKind::Semi)?;
                 Ok(StmtKind::Read { var })
@@ -246,13 +256,11 @@ impl Parser {
             }
             TokenKind::KwGoto => {
                 self.bump();
-                let target = match self.peek().kind.clone() {
-                    TokenKind::Ident(l) => {
-                        self.bump();
-                        self.intern_label(&l)
-                    }
-                    _ => return Err(self.err_expected("label name")),
+                let TokenKind::Ident(l) = self.tok.kind else {
+                    return Err(self.err_expected("label name"));
                 };
+                self.bump();
+                let target = self.draft.label(l);
                 self.expect(TokenKind::Semi)?;
                 Ok(StmtKind::Goto { target })
             }
@@ -268,7 +276,7 @@ impl Parser {
             }
             TokenKind::KwReturn => {
                 self.bump();
-                let value = if self.at(&TokenKind::Semi) {
+                let value = if self.at(TokenKind::Semi) {
                     None
                 } else {
                     Some(self.parse_expr()?)
@@ -287,28 +295,26 @@ impl Parser {
         let cond = self.parse_expr()?;
         self.expect(TokenKind::RParen)?;
         // Fuse the exact unbraced `if (c) goto L;` pattern into a
-        // single conditional-jump statement (paper, Figure 4).
-        if self.at(&TokenKind::KwGoto) {
-            let save = self.pos;
+        // single conditional-jump statement (paper, Figure 4). The probe
+        // reads two tokens past the lookahead, then returns to a copy of
+        // the lexer if the pattern does not hold.
+        if let (TokenKind::KwGoto, TokenKind::Ident(l)) = (self.tok.kind, self.next.kind) {
+            let save = (self.lexer.clone(), self.tok, self.next);
             self.bump();
-            if let TokenKind::Ident(l) = self.peek().kind.clone() {
+            self.bump();
+            if self.at(TokenKind::Semi) && self.next.kind != TokenKind::KwElse {
                 self.bump();
-                if self.at(&TokenKind::Semi) {
-                    self.bump();
-                    if !self.at(&TokenKind::KwElse) {
-                        let target = self.intern_label(&l);
-                        return Ok(StmtKind::CondGoto { cond, target });
-                    }
-                }
+                let target = self.draft.label(l);
+                return Ok(StmtKind::CondGoto { cond, target });
             }
-            self.pos = save;
+            (self.lexer, self.tok, self.next) = save;
         }
         let then_branch = self.parse_block_or_stmt()?;
-        let else_branch = if self.at(&TokenKind::KwElse) {
+        let else_branch = if self.at(TokenKind::KwElse) {
             self.bump();
             self.parse_block_or_stmt()?
         } else {
-            Vec::new()
+            Box::default()
         };
         Ok(StmtKind::If {
             cond,
@@ -350,36 +356,27 @@ impl Parser {
         Ok(StmtKind::Switch { scrutinee, arms })
     }
 
-    fn parse_switch_arms(&mut self) -> Result<Vec<SwitchArm>, Error> {
+    fn parse_switch_arms(&mut self) -> Result<Box<[SwitchArm]>, Error> {
         let mut arms = Vec::new();
-        while !self.at(&TokenKind::RBrace) {
-            if self.at(&TokenKind::Eof) {
+        while !self.at(TokenKind::RBrace) {
+            if self.at(TokenKind::Eof) {
                 return Err(self.err_expected("`}`"));
             }
             let mut guards = Vec::new();
             loop {
-                match &self.peek().kind {
+                match self.tok.kind {
                     TokenKind::KwCase => {
                         self.bump();
-                        let neg = if self.at(&TokenKind::Minus) {
+                        let neg = self.at(TokenKind::Minus);
+                        if neg {
                             self.bump();
-                            true
-                        } else {
-                            false
+                        }
+                        let TokenKind::Int(v) = self.tok.kind else {
+                            return Err(self.err_expected("case value"));
                         };
-                        let v = match self.peek().kind.clone() {
-                            TokenKind::Int(v) => {
-                                self.bump();
-                                if neg {
-                                    -v
-                                } else {
-                                    v
-                                }
-                            }
-                            _ => return Err(self.err_expected("case value")),
-                        };
+                        self.bump();
                         self.expect(TokenKind::Colon)?;
-                        guards.push(CaseGuard::Case(v));
+                        guards.push(CaseGuard::Case(if neg { -v } else { v }));
                     }
                     TokenKind::KwDefault => {
                         self.bump();
@@ -392,16 +389,18 @@ impl Parser {
             if guards.is_empty() {
                 return Err(self.err_expected("`case` or `default`"));
             }
-            let mut body = Vec::new();
-            while !matches!(
-                self.peek().kind,
-                TokenKind::KwCase | TokenKind::KwDefault | TokenKind::RBrace | TokenKind::Eof
-            ) {
-                body.push(self.parse_stmt()?);
-            }
-            arms.push(SwitchArm { guards, body });
+            let body = self.stmts_until(|k| {
+                matches!(
+                    k,
+                    TokenKind::KwCase | TokenKind::KwDefault | TokenKind::RBrace | TokenKind::Eof
+                )
+            })?;
+            arms.push(SwitchArm {
+                guards: guards.into(),
+                body,
+            });
         }
-        Ok(arms)
+        Ok(arms.into())
     }
 
     // ---- Expressions (precedence climbing) ----
@@ -418,7 +417,7 @@ impl Parser {
     /// left-associative.
     fn parse_binary(&mut self, min_prec: u8) -> Result<(Expr, usize), Error> {
         let (mut lhs, mut height) = self.parse_unary()?;
-        while let Some((op, prec)) = binary_op(&self.peek().kind) {
+        while let Some((op, prec)) = binary_op(self.tok.kind) {
             if prec < min_prec {
                 break;
             }
@@ -435,12 +434,12 @@ impl Parser {
     fn parse_unary(&mut self) -> Result<(Expr, usize), Error> {
         let open = self.depth;
         let mut ops = Vec::new();
-        while let Some(op) = unary_op(&self.peek().kind) {
+        while let Some(op) = unary_op(self.tok.kind) {
             self.bump();
             self.enter()?;
             ops.push(op);
         }
-        let (mut e, height) = if self.at(&TokenKind::LParen) {
+        let (mut e, height) = if self.at(TokenKind::LParen) {
             self.parse_group()?
         } else {
             self.parse_leaf_or_call()?
@@ -463,38 +462,37 @@ impl Parser {
     }
 
     fn parse_leaf_or_call(&mut self) -> Result<(Expr, usize), Error> {
-        let name = match &self.peek().kind {
+        let name = match self.tok.kind {
             TokenKind::Int(n) => {
-                let n = *n;
                 self.bump();
                 return Ok((Expr::Num(n), self.fits(1)?));
             }
-            TokenKind::Ident(name) => name.clone(),
+            TokenKind::Ident(name) => name,
             _ => return Err(self.err_expected("an expression")),
         };
         self.bump();
-        if !self.at(&TokenKind::LParen) {
-            let v = self.intern_name(&name);
+        if !self.at(TokenKind::LParen) {
+            let v = self.draft.name(name);
             return Ok((Expr::Var(v), self.fits(1)?));
         }
         let (args, height) = self.parse_args()?;
-        let f = self.intern_name(&name);
+        let f = self.draft.name(name);
         Ok((Expr::Call(f, args), self.fits(height + 1)?))
     }
 
     /// A call's `(e, ...)`, one level deeper than its context, with the
     /// tallest argument's height.
-    fn parse_args(&mut self) -> Result<(Vec<Expr>, usize), Error> {
+    fn parse_args(&mut self) -> Result<(Box<[Expr]>, usize), Error> {
         self.bump();
         self.enter()?;
-        let mut args = Vec::new();
+        let open = self.open_args.len();
         let mut height = 0;
-        if !self.at(&TokenKind::RParen) {
+        if !self.at(TokenKind::RParen) {
             loop {
                 let (arg, h) = self.parse_binary(0)?;
-                args.push(arg);
+                self.open_args.push(arg);
                 height = height.max(h);
-                if !self.at(&TokenKind::Comma) {
+                if !self.at(TokenKind::Comma) {
                     break;
                 }
                 self.bump();
@@ -502,12 +500,12 @@ impl Parser {
         }
         self.depth -= 1;
         self.expect(TokenKind::RParen)?;
-        Ok((args, height))
+        Ok((self.open_args.drain(open..).collect(), height))
     }
 }
 
 /// The prefix operator a token spells.
-fn unary_op(kind: &TokenKind) -> Option<UnOp> {
+fn unary_op(kind: TokenKind<'_>) -> Option<UnOp> {
     match kind {
         TokenKind::Minus => Some(UnOp::Neg),
         TokenKind::Bang => Some(UnOp::Not),
@@ -517,7 +515,7 @@ fn unary_op(kind: &TokenKind) -> Option<UnOp> {
 
 /// The binary operator a token spells, with its precedence (higher binds
 /// tighter).
-fn binary_op(kind: &TokenKind) -> Option<(BinOp, u8)> {
+fn binary_op(kind: TokenKind<'_>) -> Option<(BinOp, u8)> {
     Some(match kind {
         TokenKind::OrOr => (BinOp::Or, 0),
         TokenKind::AndAnd => (BinOp::And, 1),
@@ -601,7 +599,7 @@ mod tests {
     fn labels_attach_to_statements() {
         let p = parse("L1: L2: x = 0; goto L1; goto L2;").unwrap();
         let s = p.body()[0];
-        assert_eq!(p.stmt(s).labels.len(), 2);
+        assert_eq!(p.labels_of(s).len(), 2);
         assert_eq!(p.label_target(p.label("L1").unwrap()), Some(s));
         assert_eq!(p.label_target(p.label("L2").unwrap()), Some(s));
     }
@@ -622,7 +620,7 @@ mod tests {
         assert_eq!(arms.len(), 3);
         assert_eq!(arms[0].guards.len(), 2);
         assert_eq!(arms[1].body.len(), 2);
-        assert_eq!(arms[2].guards, vec![CaseGuard::Default]);
+        assert_eq!(*arms[2].guards, [CaseGuard::Default]);
     }
 
     #[test]
@@ -631,7 +629,7 @@ mod tests {
         let StmtKind::Switch { arms, .. } = &p.stmt(p.body()[0]).kind else {
             panic!()
         };
-        assert_eq!(arms[0].guards, vec![CaseGuard::Case(-5)]);
+        assert_eq!(*arms[0].guards, [CaseGuard::Case(-5)]);
     }
 
     #[test]
@@ -656,6 +654,35 @@ mod tests {
             panic!()
         };
         assert_eq!(else_branch.len(), 1);
+    }
+
+    /// Lexical errors outrank syntax errors wherever they sit: after a
+    /// syntax error, inside the fused-goto probe, or in a comment that
+    /// never closes.
+    #[test]
+    fn lexical_error_after_syntax_error_wins() {
+        for (src, kind, line, col) in [
+            ("x = ;\ny = 1 @ 2;", ErrorKind::UnexpectedChar('@'), 2, 7),
+            ("x = 1 +;\n/* open", ErrorKind::UnterminatedComment, 2, 1),
+            (
+                "L: if (x) goto L # ;",
+                ErrorKind::UnexpectedChar('#'),
+                1,
+                18,
+            ),
+            (
+                "x = (1;\ny = 99999999999999999999;",
+                ErrorKind::IntOverflow("99999999999999999999".into()),
+                2,
+                5,
+            ),
+        ] {
+            let err = parse(src).unwrap_err();
+            assert_eq!((err.kind, err.line, err.col), (kind, line, col), "{src:?}");
+        }
+        let err = parse("x = ;").unwrap_err();
+        assert!(matches!(err.kind, ErrorKind::UnexpectedToken { .. }));
+        assert_eq!((err.line, err.col), (1, 5));
     }
 
     #[test]

@@ -108,9 +108,7 @@ fn block_of(p: &Program, owner: Option<StmtId>, sel: BlockSel) -> Option<&[StmtI
             (StmtKind::If { else_branch, .. }, BlockSel::Else) => Some(else_branch),
             (StmtKind::While { body, .. }, BlockSel::Body)
             | (StmtKind::DoWhile { body, .. }, BlockSel::Body) => Some(body),
-            (StmtKind::Switch { arms, .. }, BlockSel::Arm(i)) => {
-                arms.get(i).map(|a| a.body.as_slice())
-            }
+            (StmtKind::Switch { arms, .. }, BlockSel::Arm(i)) => arms.get(i).map(|a| &*a.body),
             _ => None,
         },
     }

@@ -198,7 +198,7 @@ impl<'a> Printer<'a> {
                 let _ = write!(self.out, "{}: ", self.prog.label_str(l));
             }
         }
-        for &l in &self.prog.stmt(id).labels {
+        for &l in self.prog.labels_of(id) {
             let _ = write!(self.out, "{}: ", self.prog.label_str(l));
         }
     }

@@ -1,54 +1,106 @@
-//! Post-parse semantic validation: label resolution, then the structure
-//! walk's jump-context and switch-guard checks.
+//! Making a [`Program`]: the draft the parser and the builder fill, and
+//! the semantic validation that turns it into a program — label
+//! resolution, then the structure walk's jump-context and switch-guard
+//! checks.
 
 use crate::ast::*;
 use crate::error::{Error, ErrorKind};
+use crate::intern::{Index, Interner};
 use crate::structure::Layout;
 
-/// Resolves labels, then walks the block tree once: the walk checks the
-/// jump contexts and switch guards and derives the line table and the
-/// structure links. Called by both the parser and the builder before a
-/// [`Program`] is released to users.
-pub(crate) fn validate(prog: &mut Program) -> Result<(), Error> {
-    resolve_labels(prog)?;
-    prog.layout = Layout::of(&prog.stmts, &prog.body)?;
-    Ok(())
+/// A program under construction: its statements in arena order, its
+/// string tables with their build-time indexes, and the labels attached
+/// so far.
+#[derive(Debug, Default)]
+pub(crate) struct Draft {
+    stmts: Vec<Stmt>,
+    names: Interner,
+    name_index: Index,
+    labels: Interner,
+    label_index: Index,
+    /// `(statement, label)` per attached label, in arena order; one
+    /// statement's labels in source order.
+    attached: Vec<(StmtId, Label)>,
 }
 
-fn resolve_labels(prog: &mut Program) -> Result<(), Error> {
-    prog.label_targets = vec![None; prog.labels.len()];
-    for id in 0..prog.stmts.len() {
-        let stmt = &prog.stmts[id];
-        let line = stmt.line;
-        for &l in stmt.labels.clone().iter() {
-            if prog.label_targets[l.0 as usize].is_some() {
-                return Err(Error::new(
-                    ErrorKind::DuplicateLabel(prog.label_str(l).to_owned()),
-                    line,
-                    0,
-                ));
-            }
-            prog.label_targets[l.0 as usize] = Some(StmtId(id as u32));
+impl Draft {
+    pub(crate) fn name(&mut self, s: &str) -> Name {
+        Name(self.name_index.intern(&mut self.names, s))
+    }
+
+    pub(crate) fn label(&mut self, s: &str) -> Label {
+        Label(self.label_index.intern(&mut self.labels, s))
+    }
+
+    /// Appends a statement to the arena, with the labels attached to it.
+    pub(crate) fn push(
+        &mut self,
+        kind: StmtKind,
+        line: u32,
+        labels: impl IntoIterator<Item = Label>,
+    ) -> StmtId {
+        let id = StmtId(u32::try_from(self.stmts.len()).expect("statement arena overflow"));
+        self.stmts.push(Stmt { kind, line });
+        self.attached.extend(labels.into_iter().map(|l| (id, l)));
+        id
+    }
+
+    /// Resolves labels, then walks the block tree once: the walk checks
+    /// the jump contexts and switch guards and derives the line table and
+    /// the structure links. The string tables' indexes are dropped here.
+    pub(crate) fn finish(self, body: Box<[StmtId]>) -> Result<Program, Error> {
+        let Draft {
+            stmts,
+            mut names,
+            mut labels,
+            attached,
+            ..
+        } = self;
+        let stmts = stmts.into_boxed_slice();
+        let label_targets = resolve_labels(&stmts, &labels, &attached)?;
+        let layout = Layout::of(&stmts, &body)?;
+        names.freeze();
+        labels.freeze();
+        Ok(Program {
+            stmts,
+            body,
+            names,
+            labels,
+            label_targets,
+            labeled: attached.into_iter().map(|(_, l)| l).collect(),
+            layout,
+        })
+    }
+}
+
+fn resolve_labels(
+    stmts: &[Stmt],
+    labels: &Interner,
+    attached: &[(StmtId, Label)],
+) -> Result<Box<[Option<StmtId>]>, Error> {
+    let mut targets = vec![None; labels.len()];
+    for &(id, l) in attached {
+        if targets[l.index()].replace(id).is_some() {
+            return Err(Error::new(
+                ErrorKind::DuplicateLabel(labels.resolve(l.0).to_owned()),
+                stmts[id.index()].line,
+                0,
+            ));
         }
     }
     // Every goto / fused conditional goto must name a defined label.
-    for id in 0..prog.stmts.len() {
-        let stmt = &prog.stmts[id];
-        let target = match stmt.kind {
-            StmtKind::Goto { target } | StmtKind::CondGoto { target, .. } => Some(target),
-            _ => None,
-        };
-        if let Some(t) = target {
-            if prog.label_targets[t.0 as usize].is_none() {
+    for stmt in stmts {
+        if let StmtKind::Goto { target } | StmtKind::CondGoto { target, .. } = stmt.kind {
+            if targets[target.index()].is_none() {
                 return Err(Error::new(
-                    ErrorKind::UndefinedLabel(prog.label_str(t).to_owned()),
+                    ErrorKind::UndefinedLabel(labels.resolve(target.0).to_owned()),
                     stmt.line,
                     0,
                 ));
             }
         }
     }
-    Ok(())
+    Ok(targets.into_boxed_slice())
 }
 
 #[cfg(test)]

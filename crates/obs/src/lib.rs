@@ -86,6 +86,10 @@ impl Artifact {
 /// A timed pipeline phase.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Phase {
+    /// Parsing a program's source text (a cold load).
+    Parse,
+    /// Decoding a program from its snapshot record (a store restore).
+    SnapshotDecode,
     /// The reaching-definitions fixpoint.
     ReachingDefs,
     /// Program-dependence-graph assembly (data + control halves and their
@@ -116,6 +120,8 @@ impl Phase {
     /// Stable report name.
     pub fn name(self) -> &'static str {
         match self {
+            Phase::Parse => "parse",
+            Phase::SnapshotDecode => "snapshot_decode",
             Phase::ReachingDefs => "reaching_defs",
             Phase::PdgBuild => "pdg_build",
             Phase::Postdominators => "postdominators",
@@ -132,6 +138,8 @@ impl Phase {
     /// Parses a report name.
     pub fn from_name(s: &str) -> Option<Phase> {
         [
+            Phase::Parse,
+            Phase::SnapshotDecode,
             Phase::ReachingDefs,
             Phase::PdgBuild,
             Phase::Postdominators,

@@ -180,7 +180,9 @@ impl AnalysisCache {
                     value: g.stats.misses,
                 });
                 self.probe(LeaseEvent::Insert { key });
-                self.evict_over_budget(&mut g);
+                let evicted = self.evict_over_budget(&mut g);
+                drop(g);
+                drop(evicted);
                 false
             }
         }
@@ -241,14 +243,13 @@ impl AnalysisCache {
             g.slots.remove(&old_key);
             g.bytes = g.bytes.saturating_sub(bytes);
         }
-        if let Some(old) = g.slots.remove(&new_key) {
-            // Collision: drop the colder twin (or a stale marker — workers
-            // waiting on it will re-probe and find the fresh entry).
-            if let Slot::Present { entry: e, .. } = old {
-                g.bytes = g.bytes.saturating_sub(e.bytes);
-            } else if let Slot::CheckedOut { bytes } = old {
-                g.bytes = g.bytes.saturating_sub(bytes);
-            }
+        // Collision: drop the colder twin (or a stale marker — workers
+        // waiting on it will re-probe and find the fresh entry).
+        let twin = g.slots.remove(&new_key);
+        match &twin {
+            Some(Slot::Present { entry: e, .. }) => g.bytes = g.bytes.saturating_sub(e.bytes),
+            Some(Slot::CheckedOut { bytes }) => g.bytes = g.bytes.saturating_sub(*bytes),
+            None => {}
         }
         g.tick += 1;
         let tick = g.tick;
@@ -261,9 +262,10 @@ impl AnalysisCache {
             },
         );
         self.probe(LeaseEvent::Checkin { old_key, new_key });
-        self.evict_over_budget(&mut g);
+        let evicted = self.evict_over_budget(&mut g);
         drop(g);
         self.returned.notify_all();
+        drop((twin, evicted));
     }
 
     /// Drops a checked-out entry instead of returning it — the safety
@@ -296,7 +298,10 @@ impl AnalysisCache {
     /// Evicts least-recently-touched resident entries until the estimate
     /// fits the budget. Never evicts checked-out entries, and always keeps
     /// at least one resident entry, so a single over-budget program still
-    /// serves rather than thrashing.
+    /// serves rather than thrashing. Returns the evicted entries for the
+    /// caller to drop once it has released the lock: tearing down a warm
+    /// session of 5,000 statements takes most of a millisecond, which
+    /// every checkout, check-in and `stats` would otherwise wait out.
     ///
     /// The only exception to the checked-out pin is the fault hook's
     /// [`evict_leased`](crate::fault::FaultHook::evict_leased) known-bug
@@ -304,8 +309,9 @@ impl AnalysisCache {
     /// infinitely old). That is a deliberate invariant violation — the
     /// chaos harness's self-test injects it to prove its lease tracker
     /// catches exactly this class of bug.
-    fn evict_over_budget(&self, g: &mut Inner) {
+    fn evict_over_budget(&self, g: &mut Inner) -> Vec<Entry> {
         let evict_leased = self.hook.as_ref().is_some_and(|h| h.evict_leased());
+        let mut victims = Vec::new();
         while g.bytes > self.byte_budget {
             let resident = g
                 .slots
@@ -335,6 +341,7 @@ impl AnalysisCache {
                         key: victim,
                         leased: false,
                     });
+                    victims.push(*entry);
                 }
                 Some(Slot::CheckedOut { bytes }) => {
                     g.bytes = g.bytes.saturating_sub(bytes);
@@ -347,6 +354,7 @@ impl AnalysisCache {
                 None => {}
             }
         }
+        victims
     }
 }
 

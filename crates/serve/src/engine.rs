@@ -332,7 +332,11 @@ impl Engine {
         let (session, restored) = match self.restore(key, &source) {
             Some(session) => (session, true),
             None => {
-                let prog = parse(&source).map_err(|e| format!("parse error: {e}"))?;
+                let parsed = {
+                    let _t = obs::phase(obs::Phase::Parse);
+                    parse(&source)
+                };
+                let prog = parsed.map_err(|e| format!("parse error: {e}"))?;
                 let session =
                     EditSession::try_new(prog).map_err(|e| format!("unanalyzable: {e}"))?;
                 (session, false)
@@ -925,6 +929,55 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// A cold load times its parse, and a restore its snapshot decode;
+    /// neither runs the other.
+    #[test]
+    fn loads_record_a_parse_or_a_snapshot_decode() {
+        let count = |events: &[obs::Event], phase: obs::Phase| {
+            events
+                .iter()
+                .filter(|e| matches!(e, obs::Event::Phase { kind, .. } if *kind == phase))
+                .count()
+        };
+        let dir = tmpdir("phases");
+        let src = jumpslice_lang::print_program(&jumpslice_core::corpus::fig3());
+        let store = jumpslice_store::SnapshotStore::open(&dir, u64::MAX).unwrap();
+        let cold = Engine::new(usize::MAX).with_store(store);
+        let (key, events) = obs::capture(|| load(&cold, &src));
+        assert_eq!(count(&events, obs::Phase::Parse), 1);
+        assert_eq!(count(&events, obs::Phase::SnapshotDecode), 0);
+        // The served slice writes the record.
+        slice_lines(&cold, &key, 4);
+
+        let store = jumpslice_store::SnapshotStore::open(&dir, u64::MAX).unwrap();
+        let warm = Engine::new(usize::MAX).with_store(store);
+        let (restored, events) = obs::capture(|| load(&warm, &src));
+        assert_eq!(restored, key);
+        assert_eq!(count(&events, obs::Phase::SnapshotDecode), 1);
+        assert_eq!(count(&events, obs::Phase::Parse), 0);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A `/*` that never closes is a parse error: the daemon does not
+    /// slice the program before it as if it were the whole source.
+    #[test]
+    fn an_unterminated_comment_fails_the_load() {
+        let e = Engine::new(usize::MAX);
+        let reply = e.handle_line(
+            &Json::Obj(vec![
+                ("op".to_owned(), Json::Str("load".to_owned())),
+                (
+                    "source".to_owned(),
+                    Json::Str("read(x); /* note write(x);".to_owned()),
+                ),
+            ])
+            .write_compact(),
+        );
+        let msg = err(&reply);
+        assert!(msg.contains("parse error"), "{msg}");
+        assert!(msg.contains("comment is never closed"), "{msg}");
+    }
+
     #[test]
     fn a_corrupt_snapshot_falls_back_to_the_source_build() {
         let dir = tmpdir("corrupt");
@@ -1049,20 +1102,19 @@ mod tests {
             .map(|i| Stmt {
                 kind: StmtKind::If {
                     cond: Expr::Num(1),
-                    then_branch: vec![StmtId::from_index(i + 1)],
-                    else_branch: vec![],
+                    then_branch: Box::new([StmtId::from_index(i + 1)]),
+                    else_branch: Box::default(),
                 },
-                labels: vec![],
                 line: i as u32 + 1,
             })
             .chain(std::iter::once(Stmt {
                 kind: StmtKind::Skip,
-                labels: vec![],
                 line: depth as u32 + 1,
             }))
             .collect();
-        let deep = Program::from_parts(stmts, vec![StmtId::from_index(0)], vec![], vec![], vec![])
-            .expect("a well-formed nest");
+        let body = vec![StmtId::from_index(0)];
+        let deep =
+            Program::from_parts(stmts, body, &[], &[], vec![], vec![]).expect("a well-formed nest");
         assert_eq!(deep.structure().depth(), MAX_DEPTH + 1);
         let src = "read(x);\nwrite(x);\n";
         let store = jumpslice_store::SnapshotStore::open(&dir, u64::MAX).unwrap();

@@ -373,19 +373,17 @@ fn if_nest(depth: usize) -> Program {
         .map(|i| Stmt {
             kind: StmtKind::If {
                 cond: Expr::Num(1),
-                then_branch: vec![StmtId::from_index(i + 1)],
-                else_branch: vec![],
+                then_branch: Box::new([StmtId::from_index(i + 1)]),
+                else_branch: Box::default(),
             },
-            labels: vec![],
             line: i as u32 + 1,
         })
         .chain(std::iter::once(Stmt {
             kind: StmtKind::Skip,
-            labels: vec![],
             line: depth as u32 + 1,
         }))
         .collect();
-    Program::from_parts(stmts, vec![StmtId::from_index(0)], vec![], vec![], vec![])
+    Program::from_parts(stmts, vec![StmtId::from_index(0)], &[], &[], vec![], vec![])
         .expect("a well-formed nest")
 }
 
@@ -439,17 +437,16 @@ fn a_two_thousand_deep_nest_prints_on_a_small_stack() {
 fn wide_switch(arms: usize) -> Program {
     let skip = |line: usize| Stmt {
         kind: StmtKind::Skip,
-        labels: vec![],
         line: line as u32,
     };
     let mut stmts: Vec<Stmt> = (0..arms.div_ceil(2)).map(|k| skip(k + 2)).collect();
     let arms = (0..arms)
         .map(|i| jumpslice::lang::SwitchArm {
-            guards: vec![CaseGuard::Case(i as i64)],
+            guards: Box::new([CaseGuard::Case(i as i64)]),
             body: if i % 2 == 0 {
-                vec![StmtId::from_index(i / 2)]
+                Box::new([StmtId::from_index(i / 2)])
             } else {
-                vec![]
+                Box::default()
             },
         })
         .collect();
@@ -458,11 +455,11 @@ fn wide_switch(arms: usize) -> Program {
             scrutinee: Expr::Num(0),
             arms,
         },
-        labels: vec![],
         line: 1,
     });
     let switch = StmtId::from_index(stmts.len() - 1);
-    Program::from_parts(stmts, vec![switch], vec![], vec![], vec![]).expect("a well-formed switch")
+    Program::from_parts(stmts, vec![switch], &[], &[], vec![], vec![])
+        .expect("a well-formed switch")
 }
 
 #[test]
@@ -493,7 +490,6 @@ fn a_hundred_thousand_arm_switch_builds_in_linear_time() {
 fn stmt(kind: StmtKind, line: usize) -> Stmt {
     Stmt {
         kind,
-        labels: vec![],
         line: line as u32,
     }
 }
@@ -533,7 +529,7 @@ fn a_hundred_thousand_statement_straight_line_renames_in_linear_time() {
     let incr = || Expr::Binary(BinOp::Add, Box::new(Expr::Var(x())), Box::new(Expr::Num(1)));
     let stmts: Vec<Stmt> = (0..LEN).map(|i| assign_x(incr(), i + 1)).collect();
     let body = (0..LEN).map(StmtId::from_index).collect();
-    let p = Program::from_parts(stmts, body, vec!["x".into()], vec![], vec![])
+    let p = Program::from_parts(stmts, body, &["x"], &[], vec![], vec![])
         .expect("a well-formed straight line");
     let (data, seeds) = seeds_at_the_last_statement(&p);
     assert_eq!(seeds, [StmtId::from_index(LEN - 2)]);
@@ -552,12 +548,12 @@ fn a_hundred_thousand_deep_assigning_nest_renames_in_linear_time() {
     const DEPTH: usize = 100_000;
     let mut stmts = Vec::with_capacity(2 * DEPTH + 1);
     for i in 0..DEPTH {
-        let then_branch = vec![StmtId::from_index(2 * i + 1), StmtId::from_index(2 * i + 2)];
+        let then_branch = Box::new([StmtId::from_index(2 * i + 1), StmtId::from_index(2 * i + 2)]);
         stmts.push(stmt(
             StmtKind::If {
                 cond: Expr::Num(1),
                 then_branch,
-                else_branch: vec![],
+                else_branch: Box::default(),
             },
             2 * i + 1,
         ));
@@ -572,7 +568,8 @@ fn a_hundred_thousand_deep_assigning_nest_renames_in_linear_time() {
     let p = Program::from_parts(
         stmts,
         vec![StmtId::from_index(0)],
-        vec!["x".into()],
+        &["x"],
+        &[],
         vec![],
         vec![],
     )
@@ -596,8 +593,8 @@ fn a_fifty_thousand_arm_switch_joins_in_one_phi() {
     }
     let arms = (0..ARMS)
         .map(|i| jumpslice::lang::SwitchArm {
-            guards: vec![CaseGuard::Case(i as i64)],
-            body: vec![StmtId::from_index(2 * i), StmtId::from_index(2 * i + 1)],
+            guards: Box::new([CaseGuard::Case(i as i64)]),
+            body: Box::new([StmtId::from_index(2 * i), StmtId::from_index(2 * i + 1)]),
         })
         .collect();
     stmts.push(stmt(
@@ -617,7 +614,7 @@ fn a_fifty_thousand_arm_switch_joins_in_one_phi() {
         StmtId::from_index(2 * ARMS),
         StmtId::from_index(2 * ARMS + 1),
     ];
-    let p = Program::from_parts(stmts, body, vec!["x".into()], vec![], vec![])
+    let p = Program::from_parts(stmts, body, &["x"], &[], vec![], vec![])
         .expect("a well-formed switch");
     let (data, seeds) = seeds_at_the_last_statement(&p);
     let assignments: Vec<StmtId> = (0..ARMS).map(|i| StmtId::from_index(2 * i)).collect();
